@@ -178,7 +178,6 @@ def test_scatter_gather_speedup_and_equivalence(
             "pool": {
                 str(workers): {
                     "shard_count": stats["shard_count"],
-                    "warm_start": stats["warm_start"],
                     "scatters": stats["scatters"],
                     "scatter_latency_ms": stats["scatter_latency_ms"],
                 }

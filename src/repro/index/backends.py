@@ -69,7 +69,7 @@ from repro.index.storage import (
     load_database as _load_json_database,
     save_database as _save_json_database,
 )
-from repro.index.wal import WAL_NAME, WalRecord, WriteAheadLog, read_wal
+from repro.index.wal import WAL_NAME, WriteAheadLog, read_wal
 
 PathLike = Union[str, Path]
 
@@ -636,14 +636,16 @@ class LazySqliteImageDatabase(ImageDatabase):
             raise StorageError(
                 f"{self._path} is not a valid SQLite database: {error}"
             ) from error
-        self._pending.discard(image_id)
         if row is None:
+            self._pending.discard(image_id)
             return
         entry = SqliteBackend._row_to_entry(self._path, image_id, row[0], row[1], row[2])
         try:
             image_entry_to_record(self, entry)
         except StorageError as error:
+            # The id stays pending, so every later access fails the same way.
             raise StorageError(f"{self._path}: {error}") from error
+        self._pending.discard(image_id)
         # Materialisation is a read, not a mutation.
         self._dirty.discard(image_id)
 
@@ -869,32 +871,25 @@ class ShardedBackend(StorageBackend):
         database.clear_dirty()
         return database
 
-    @staticmethod
-    def pending_wal_records(source: Path, manifest: Dict[str, Any]) -> List[WalRecord]:
-        """The intact log records past the manifest's snapshot LSN.
+    def _replay_wal(
+        self, source: Path, manifest: Dict[str, Any], database: ImageDatabase
+    ) -> None:
+        """Apply the intact log records past the snapshot LSN to ``database``.
 
-        Returns:
-            An empty list when the manifest has no ``wal`` block or the log
-            file is missing; a torn tail bounds the list at the last intact
-            record.
+        A manifest without a ``wal`` block or a missing log file replays
+        nothing; a torn tail ends the replay at the last intact record.
 
         Raises:
             StorageError: if the log file exists but is unreadable or is not
-                a write-ahead log at all.
+                a write-ahead log at all, or a logged entry fails validation.
         """
         wal_info = manifest.get("wal")
         if not wal_info:
-            return []
+            return
         records, _, _ = read_wal(source / wal_info["file"])
-        snapshot_lsn = wal_info["snapshot_lsn"]
-        return [record for record in records if record.lsn > snapshot_lsn]
-
-    def _replay_wal(
-        self, source: Path, manifest: Dict[str, Any], database: ImageDatabase
-    ) -> int:
-        """Apply the pending log records to ``database``; returns the count."""
-        pending = self.pending_wal_records(source, manifest)
-        for record in pending:
+        for record in records:
+            if record.lsn <= wal_info["snapshot_lsn"]:
+                continue
             if record.image_id in database:
                 database.remove_picture(record.image_id)
             if record.op == "upsert":
@@ -907,7 +902,6 @@ class ShardedBackend(StorageBackend):
                         f"{source}: write-ahead log record {record.lsn} "
                         f"({record.image_id!r}): {error}"
                     ) from error
-        return len(pending)
 
     def describe(self, path: PathLike) -> Dict[str, Any]:
         """Summarise a shard directory from its manifest alone.

@@ -26,11 +26,22 @@ class ImageRecord:
     image_id: str
     picture: SymbolicPicture
     bestring: BEString2D
-    indexed: IndexedBEString
     #: Cached shortlist signature (see :mod:`repro.index.shortlist`).  Built
     #: lazily, loaded from storage on warm starts, and reset to ``None`` by
     #: every object-level edit so it can never disagree with the BE-string.
     signature: Optional["ImageSignature"] = None
+    _indexed: Optional[IndexedBEString] = field(default=None, repr=False, compare=False)
+
+    @property
+    def indexed(self) -> IndexedBEString:
+        """The Section 3.2 dynamic index, built from the picture on first use.
+
+        Only object-level edits read it, so loads and whole-image inserts
+        never pay for it; every edit keeps it in step with :attr:`picture`.
+        """
+        if self._indexed is None:
+            self._indexed = IndexedBEString.from_picture(self.picture)
+        return self._indexed
 
     @property
     def object_count(self) -> int:
@@ -74,20 +85,36 @@ class ImageDatabase:
         Raises:
             DatabaseError: if no id is available or the id is already stored.
         """
+        return self.add_record(self.encode_record(picture, image_id))
+
+    @staticmethod
+    def encode_record(picture: SymbolicPicture, image_id: Optional[str] = None) -> ImageRecord:
+        """Encode a picture into a record without storing it.
+
+        Loaders check the record against what a file stored before they
+        :meth:`add_record` it, so a rejected entry never reaches the database.
+
+        Raises:
+            DatabaseError: if neither ``image_id`` nor the picture names it.
+        """
         identifier = image_id or picture.name
         if not identifier:
             raise DatabaseError("an image id is required (picture has no name)")
-        if identifier in self._records:
-            raise DatabaseError(f"image id {identifier!r} is already stored")
         named_picture = picture if picture.name == identifier else picture.renamed(identifier)
-        record = ImageRecord(
-            image_id=identifier,
-            picture=named_picture,
-            bestring=encode_picture(named_picture),
-            indexed=IndexedBEString.from_picture(named_picture),
+        return ImageRecord(
+            image_id=identifier, picture=named_picture, bestring=encode_picture(named_picture)
         )
-        self._records[identifier] = record
-        self.mark_dirty(identifier)
+
+    def add_record(self, record: ImageRecord) -> ImageRecord:
+        """Store a record built by :meth:`encode_record`; returns it.
+
+        Raises:
+            DatabaseError: if the record's id is already stored.
+        """
+        if record.image_id in self._records:
+            raise DatabaseError(f"image id {record.image_id!r} is already stored")
+        self._records[record.image_id] = record
+        self.mark_dirty(record.image_id)
         return record
 
     def add_pictures(self, pictures: List[SymbolicPicture]) -> List[ImageRecord]:

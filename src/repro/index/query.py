@@ -27,7 +27,6 @@ import threading
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.bestring import BEString2D
@@ -205,11 +204,6 @@ class QueryEngine:
     lock: NullRWLock = field(default_factory=NullRWLock)
     #: Scheduler report of the most recent :meth:`run_batch` call.
     last_batch_report: Optional["BatchReport"] = field(default=None, init=False)
-    #: Sharded-directory path the shard workers may lazy-load their slices
-    #: from (O(shard-slice) warm starts); set by loaders that know the
-    #: database's on-disk layout.  Cleared internally after the first
-    #: mutation, since disk may then lag the in-memory state.
-    shard_source: Optional[Path] = field(default=None, repr=False)
     #: The live :class:`~repro.index.workers.ShardWorkerPool` (created
     #: lazily by the first ``executor="shard_process"`` query, torn down on
     #: every mutation so workers never serve a stale slice).
@@ -217,9 +211,6 @@ class QueryEngine:
     _shard_pool_guard: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
     )
-    #: Whether :attr:`shard_source` still matches the in-memory database
-    #: (no mutations since the load that set it).
-    _shard_source_clean: bool = field(default=True, init=False, repr=False)
 
     # ------------------------------------------------------------------
     # Index maintenance
@@ -1290,9 +1281,8 @@ class QueryEngine:
 
         The pool is reused across queries while the requested worker count
         is stable; asking for a different count tears the old pool down and
-        forks a fresh one.  Disk warm starts (:attr:`shard_source`) are only
-        offered while no mutation has run, since the on-disk shards may
-        otherwise lag the in-memory database.
+        forks a fresh one.  Workers warm-start from the records they
+        inherit through the fork.
         """
         from repro.index.workers import ShardWorkerPool, sanitized_execution
 
@@ -1307,7 +1297,6 @@ class QueryEngine:
                 pool = ShardWorkerPool(
                     workers,
                     self.database,
-                    shard_source=self.shard_source if self._shard_source_clean else None,
                     execution=sanitized_execution(self.execution),
                     bitmap_width=self.bitmap_width,
                     minimum_overlap_ratio=self.signature_filter.minimum_overlap_ratio,
@@ -1339,7 +1328,6 @@ class QueryEngine:
         """
         with self._shard_pool_guard:
             stale, self._shard_pool = self._shard_pool, None
-            self._shard_source_clean = False
         if stale is not None:
             self._close_pool_async(stale)
 

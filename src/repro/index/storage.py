@@ -5,7 +5,10 @@ provides the serialisation a real deployment needs: a stable, human-readable
 JSON schema with a version field, plus save/load helpers for whole databases.
 Round-tripping is exact (validated by tests): the BE-strings are re-encoded
 from the stored pictures and compared against the stored strings on load, so a
-corrupted file is detected rather than silently accepted.
+corrupted file is detected rather than silently accepted.  The comparison is on
+the stored text: a stored string equal to the re-encoding's text form is
+accepted without being parsed, and only a string whose text differs (for
+instance in whitespace) is parsed into symbols and compared symbol by symbol.
 
 This module is the **v1 JSON format**; the pluggable backend layer on top of
 it (SQLite, sharded binary, format inference, incremental saves) lives in
@@ -78,10 +81,11 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
     """Validate one image entry and add it to ``database``.
 
     The stored BE-string is checked against a re-encoding of the stored
-    picture, so a corrupted entry is detected rather than silently accepted.
-    A persisted shortlist ``signature`` is attached to the record when its
-    version and cheap consistency checks pass (warm starts then skip the
-    recomputation); otherwise it is silently dropped and rebuilt lazily.
+    picture, so a corrupted entry is detected rather than silently accepted;
+    a rejected entry leaves ``database`` unchanged.  A persisted shortlist
+    ``signature`` is attached to the record when its version and cheap
+    consistency checks pass (warm starts then skip the recomputation);
+    otherwise it is silently dropped and rebuilt lazily.
 
     Returns:
         The stored :class:`~repro.index.database.ImageRecord`.
@@ -92,15 +96,24 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
     """
     try:
         picture = SymbolicPicture.from_dict(entry["picture"])
-        stored_bestring = BEString2D.from_dict(entry["bestring"])
+        stored = entry["bestring"]
         image_id = entry["image_id"]
     except (KeyError, TypeError, ValueError) as error:
         raise StorageError(f"malformed image entry: {error}") from error
-    record = database.add_picture(picture, image_id)
-    if record.bestring != stored_bestring:
-        raise StorageError(
-            f"stored BE-string of image {image_id!r} does not match its picture"
-        )
+    record = database.encode_record(picture, image_id)
+    # Equal text means equal symbols, unless a label holds whitespace: its
+    # tokens then split differently on parsing, so parse and compare.
+    if record.bestring.to_dict() != stored or any(
+        label.split() != [label] for label in picture.labels
+    ):
+        try:
+            stored_bestring = BEString2D.from_dict(stored)
+        except (KeyError, TypeError, ValueError) as error:
+            raise StorageError(f"malformed image entry: {error}") from error
+        if record.bestring != stored_bestring:
+            raise StorageError(
+                f"stored BE-string of image {image_id!r} does not match its picture"
+            )
     payload = entry.get("signature")
     if isinstance(payload, dict):
         try:
@@ -109,7 +122,7 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
             signature = None
         if signature is not None and signature.matches_bestring(record.bestring):
             record.signature = signature
-    return record
+    return database.add_record(record)
 
 
 def check_schema_version(version: Any) -> None:

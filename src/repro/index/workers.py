@@ -10,11 +10,10 @@ module partitions the database along the existing CRC-32 shard scheme
   contiguous slice of the shard space.  A worker builds its own
   :class:`~repro.index.query.QueryEngine` — signature shortlist, inverted
   index and score cache included — over just its slice, **lazily on the
-  first query it receives**, warm-starting either from the fork-inherited
-  in-memory records or (when the database lives in a sharded directory)
-  by reading only its own ``shard-NNNN.bin`` files plus the pending
-  write-ahead-log records, so a worker restart costs O(shard slice), not
-  O(database).
+  first query it receives**, warm-starting by adopting the fork-inherited
+  in-memory records of its slice: nothing is read from disk or decoded
+  again, so a worker (re)start costs a fork plus an engine build over the
+  slice.
 * A query is *scattered*: the :class:`~repro.index.spec.QuerySpec` is
   serialized to every worker, each scores its slice locally under the
   resolved execution options (kernel, strategy, shortlist, cache), and the
@@ -28,13 +27,13 @@ module partitions the database along the existing CRC-32 shard scheme
   every gather response, so ``explain()`` traces and the service ``/stats``
   blocks stay truthful under ``executor="shard_process"``.
 
-A crashed worker is detected by the broken pipe, restarted from its
-generation's source, and the in-flight requests are replayed against the
-fresh process; the pool counts restarts per worker.  A scatter that fails
-*permanently* (a worker's error response, or a restart budget exhausted)
-restarts **every** worker before the error propagates, so queued requests
-and buffered responses from the aborted batch can never be attributed to
-a later query's request ids.  See ``docs/parallelism.md`` for the
+A crashed worker is detected by the broken pipe, re-forked over the same
+slice, and the in-flight requests are replayed against the fresh process;
+the pool counts restarts per worker.  A scatter that fails *permanently*
+(a worker's error response, or a restart budget exhausted) restarts
+**every** worker before the error propagates, so queued requests and
+buffered responses from the aborted batch can never be attributed to a
+later query's request ids.  See ``docs/parallelism.md`` for the
 protocol and failure semantics.
 """
 
@@ -45,19 +44,13 @@ import threading
 import time
 from multiprocessing.connection import wait as connection_wait
 from dataclasses import dataclass, field as dataclass_field, replace
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.index.backends import (
-    DEFAULT_SHARD_COUNT,
-    ShardedBackend,
-    shard_index_for,
-)
+from repro.index.backends import DEFAULT_SHARD_COUNT, shard_index_for
 from repro.index.cache import CacheStatistics
 from repro.index.database import ImageDatabase
 from repro.index.execution import EXECUTOR_SHARD_PROCESS, ExecutionOptions
 from repro.index.spec import QuerySpec, QueryTrace
-from repro.index.storage import StorageError, image_entry_to_record
 
 #: Executor value workers run internally (anything but ``shard_process``,
 #: which would recurse).
@@ -105,62 +98,22 @@ class _WorkerConfig:
     worker_id: int
     shard_count: int
     owned: Tuple[int, ...]
-    #: Sharded-directory path to lazy-load the owned shards from; ``None``
-    #: filters the fork-inherited in-memory database instead.
-    shard_source: Optional[str]
     #: The parent engine's database (fork-shared, read-only in the child).
-    database: Optional[ImageDatabase]
+    database: ImageDatabase
     execution: ExecutionOptions
     bitmap_width: int
     minimum_overlap_ratio: float
 
 
-def _load_owned_shards(
-    source: Path, shard_count: int, owned: frozenset
-) -> ImageDatabase:
-    """Read only the owned ``shard-NNNN.bin`` files (plus pending WAL records).
-
-    This is the O(shard slice) warm start: a restarted worker re-reads its
-    own shard files and replays just the acknowledged log records that hash
-    into its slice, never touching the rest of the database.
-    """
-    manifest = ShardedBackend._read_manifest(source)
-    database = ImageDatabase(name=manifest.get("name", "image-database"))
-    entries: List[Dict[str, Any]] = []
-    for key in sorted(manifest["shards"]):
-        if int(key) not in owned:
-            continue
-        shard_path = source / manifest["shards"][key]["file"]
-        entries.extend(ShardedBackend._read_shard(shard_path))
-    entries.sort(key=lambda entry: str(entry.get("image_id", "")))
-    for entry in entries:
-        image_entry_to_record(database, entry)
-    for record in ShardedBackend.pending_wal_records(source, manifest):
-        if shard_index_for(record.image_id, shard_count) not in owned:
-            continue
-        if record.image_id in database:
-            database.remove_picture(record.image_id)
-        if record.op == "upsert":
-            entry = dict(record.entry or {})
-            entry["image_id"] = record.image_id
-            image_entry_to_record(database, entry)
-    database.clear_dirty()
-    return database
-
-
 def _build_worker_database(config: _WorkerConfig) -> ImageDatabase:
-    """The worker's slice of the database, from disk shards or fork memory."""
+    """The worker's slice of the fork-inherited database."""
     owned = frozenset(config.owned)
-    if config.shard_source is not None:
-        return _load_owned_shards(Path(config.shard_source), config.shard_count, owned)
-    if config.database is None:  # pragma: no cover - constructor guarantees one
-        raise ShardWorkerError("worker has neither a shard source nor a database")
     database = ImageDatabase(name=config.database.name)
     for record in config.database:
         if shard_index_for(record.image_id, config.shard_count) in owned:
             # Adopt the existing record object: BE-string and signature are
             # already materialised, so the slice costs no re-encoding.
-            database._records[record.image_id] = record
+            database.add_record(record)
     database.clear_dirty()
     return database
 
@@ -374,8 +327,6 @@ class ShardWorkerPool:
         worker_count: int,
         database: ImageDatabase,
         *,
-        shard_count: Optional[int] = None,
-        shard_source: Optional[Path] = None,
         execution: Optional[ExecutionOptions] = None,
         bitmap_width: int = 128,
         minimum_overlap_ratio: float = 0.0,
@@ -383,10 +334,8 @@ class ShardWorkerPool:
     ) -> None:
         """Fork ``worker_count`` workers over ``database``'s shard space.
 
-        ``shard_source`` (a sharded-directory path) switches warm starts to
-        the O(shard-slice) disk path; an unreadable source silently falls
-        back to fork inheritance.  ``shard_count`` defaults to the source
-        manifest's count, else :data:`~repro.index.backends.DEFAULT_SHARD_COUNT`.
+        The space has :data:`~repro.index.backends.DEFAULT_SHARD_COUNT`
+        shards, whatever layout the database was loaded from.
 
         Raises:
             ValueError: if ``worker_count`` is not positive.
@@ -398,17 +347,7 @@ class ShardWorkerPool:
         self._bitmap_width = bitmap_width
         self._minimum_overlap_ratio = minimum_overlap_ratio
         self._max_restarts = max_restarts
-        self._shard_source: Optional[str] = None
-        if shard_source is not None:
-            try:
-                manifest = ShardedBackend._read_manifest(Path(shard_source))
-                shard_count = int(manifest["shard_count"])
-                self._shard_source = str(shard_source)
-            except (StorageError, FileNotFoundError, OSError):
-                self._shard_source = None
-        if shard_count is None:
-            shard_count = DEFAULT_SHARD_COUNT
-        self.shard_count = max(int(shard_count), 1)
+        self.shard_count = DEFAULT_SHARD_COUNT
         self.worker_count = worker_count
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context(
@@ -456,7 +395,6 @@ class ShardWorkerPool:
             worker_id=worker_id,
             shard_count=self.shard_count,
             owned=owned,
-            shard_source=self._shard_source,
             database=self._database,
             execution=self._execution,
             bitmap_width=self._bitmap_width,
@@ -649,8 +587,8 @@ class ShardWorkerPool:
         alone, the next scatter would consume responses whose request ids
         index a *different* spec list — silently wrong results.  Restarting
         every worker discards both pipe directions wholesale; the fresh
-        processes rebuild their slice engines lazily (O(shard slice)) on the
-        next query.
+        processes rebuild their slice engines lazily from the fork-inherited
+        records on the next query.
         """
         for worker in self._workers:
             try:
@@ -694,7 +632,6 @@ class ShardWorkerPool:
         return {
             "count": self.worker_count,
             "shard_count": self.shard_count,
-            "warm_start": "shards" if self._shard_source else "fork",
             "scatters": scatters,
             "max_queue_depth": max_queue_depth,
             "scatter_latency_ms": {

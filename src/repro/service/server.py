@@ -67,7 +67,7 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
 from urllib.parse import unquote
 
 from repro.iconic.picture import SymbolicPicture
-from repro.index.backends import MANIFEST_NAME, DurableShardedStore
+from repro.index.backends import DurableShardedStore
 from repro.index.database import DatabaseError
 from repro.index.execution import ExecutionOptions
 from repro.index.spec import QuerySpecError
@@ -78,6 +78,10 @@ from repro.retrieval.system import RetrievalSystem
 
 #: Executor choices accepted by the ``/batch`` endpoint's ``executor`` key.
 _BATCH_EXECUTORS = ("thread", "process", "serial", "auto", "shard_process")
+
+#: Largest request body the daemon reads; a longer ``Content-Length`` is
+#: refused with 413 before any of the body is read.
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class ApiError(Exception):
@@ -241,9 +245,8 @@ class RetrievalService:
 
         Overlays the engine's execution defaults with
         ``executor="shard_process", workers=N`` so every search and batch
-        scatter-gathers, and hands the engine the sharded directory path
-        (when serving one) so worker warm starts read only their own shards
-        — O(shard slice), not O(database).
+        scatter-gathers; workers warm-start from the records they inherit
+        through the fork.
         """
         if self.shard_workers is None:
             return
@@ -251,11 +254,6 @@ class RetrievalService:
         engine.execution = engine.execution.overlaid(
             ExecutionOptions(executor="shard_process", workers=self.shard_workers)
         )
-        if (
-            self.database_path is not None
-            and (self.database_path / MANIFEST_NAME).is_file()
-        ):
-            engine.shard_source = self.database_path
 
     # ------------------------------------------------------------------
     # Admission control
@@ -832,6 +830,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length") or 0)
         except ValueError as error:
             raise ApiError(400, "Content-Length must be an integer") from error
+        if length < 0:
+            raise ApiError(400, "Content-Length must not be negative")
+        if length > MAX_BODY_BYTES:
+            raise ApiError(
+                413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0:
             return None
         raw = self.rfile.read(length)
@@ -854,7 +858,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         try:
             payload = self._read_payload()
         except ApiError as error:
-            self._respond(error.status, {"error": error.message}, {})
+            # A body left unread would be parsed as the next request.
+            self._respond(error.status, {"error": error.message}, {"Connection": "close"})
             return
         try:
             status, body, headers = self.server.service.dispatch(method, self.path, payload)

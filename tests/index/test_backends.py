@@ -8,6 +8,7 @@ existed must still load, and every corruption mode must surface as a
 """
 
 import json
+import re
 import sqlite3
 
 import pytest
@@ -27,6 +28,7 @@ from repro.index.backends import (
     shard_index_for,
 )
 from repro.index.database import ImageDatabase
+from repro.index import backends, storage
 from repro.index.storage import StorageError, save_database
 from repro.retrieval.system import RetrievalSystem
 
@@ -226,6 +228,74 @@ class TestCorruption:
             RetrievalSystem.from_file(path)
 
 
+def _rewrite_stored_bestring(monkeypatch, image_id, rewrite):
+    """Make every writer store ``rewrite(text)`` as ``image_id``'s axis strings."""
+    original = storage.image_record_to_json
+
+    def patched(record, include_signature=True):
+        entry = original(record, include_signature=include_signature)
+        if record.image_id == image_id:
+            bestring = entry["bestring"]
+            entry["bestring"] = dict(
+                bestring, x=rewrite(bestring["x"]), y=rewrite(bestring["y"])
+            )
+        return entry
+
+    monkeypatch.setattr(storage, "image_record_to_json", patched)
+    monkeypatch.setattr(backends, "image_record_to_json", patched)
+
+
+def _save_rewritten(database, tmp_path, layout, monkeypatch, rewrite):
+    """Save ``database`` with one image's stored text rewritten; returns the path."""
+    if layout == "wal":
+        path = save_database_to(database, tmp_path / "db.shards", "sharded", durable=True)
+        _rewrite_stored_bestring(monkeypatch, "logged", rewrite)
+        picture = database.get(database.image_ids[0]).picture
+        with DurableShardedStore(database, path) as store:
+            store.log_upsert(database.add_picture(picture, "logged"))
+        return path
+    file_name = dict(BACKEND_TARGETS)[layout]
+    _rewrite_stored_bestring(monkeypatch, database.image_ids[0], rewrite)
+    return save_database_to(database, tmp_path / file_name, layout)
+
+
+class TestStoredBEStringText:
+    """Stored BE-strings are compared as text first, parsed only on a difference."""
+
+    @pytest.mark.parametrize("layout", ["json", "sqlite", "sharded", "wal"])
+    def test_whitespace_only_difference_still_loads(
+        self, populated_database, tmp_path, monkeypatch, layout
+    ):
+        path = _save_rewritten(
+            populated_database, tmp_path, layout, monkeypatch,
+            lambda text: "  " + text.replace(" ", " \t ") + "\n",
+        )
+        restored = load_database_from(path)
+        assert restored.image_ids == populated_database.image_ids
+        for record in restored:
+            assert record.bestring == populated_database.get(record.image_id).bestring
+
+    @pytest.mark.parametrize("layout", ["json", "sqlite", "sharded", "wal"])
+    def test_reordered_symbols_are_rejected_naming_the_path(
+        self, populated_database, tmp_path, monkeypatch, layout
+    ):
+        path = _save_rewritten(
+            populated_database, tmp_path, layout, monkeypatch,
+            lambda text: " ".join(reversed(text.split())),
+        )
+        with pytest.raises(StorageError, match=re.escape(str(path)) + ".*does not match"):
+            load_database_from(path)
+
+    def test_label_with_whitespace_is_still_parsed(self, office, tmp_path):
+        # Its tokens split apart when parsed, so equal text alone must not
+        # accept it: the file is rejected exactly as a parse-only loader would.
+        database = ImageDatabase()
+        database.add_picture(office.add_icon("coffee mug", office.icons[0].mbr))
+        path = save_database_to(database, tmp_path / "db.json", "json")
+        with pytest.raises(StorageError, match="malformed"):
+            load_database_from(path)
+
+
 # ----------------------------------------------------------------------
 # Dirty tracking and incremental saves
 # ----------------------------------------------------------------------
@@ -408,6 +478,25 @@ class TestLazySqlite:
             assert lazy.get(other).image_id == other  # clean rows still load
             with pytest.raises(StorageError, match="invalid JSON"):
                 lazy.get(target)
+        finally:
+            lazy.close()
+
+    def test_rejected_row_is_neither_loaded_nor_dirty(self, populated_database, tmp_path):
+        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
+        target, other = populated_database.image_ids[:2]
+        with sqlite3.connect(str(path)) as connection:
+            connection.execute(
+                "UPDATE images SET bestring = "
+                "(SELECT bestring FROM images WHERE image_id = ?) WHERE image_id = ?",
+                (other, target),
+            )
+        lazy = SqliteBackend().open_lazy(path)
+        try:
+            for _ in range(2):
+                with pytest.raises(StorageError, match="does not match"):
+                    lazy.get(target)
+            assert target not in lazy.loaded_ids
+            assert target not in lazy.dirty_ids
         finally:
             lazy.close()
 

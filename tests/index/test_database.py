@@ -5,6 +5,7 @@ import pytest
 from repro.core.construct import encode_picture
 from repro.geometry.rectangle import Rectangle
 from repro.index.database import DatabaseError, ImageDatabase
+from repro.index.storage import database_from_json, database_to_json
 
 
 class TestWholeImageOperations:
@@ -89,6 +90,26 @@ class TestObjectLevelOperations:
         record = database.remove_object(office.name, "mug")
         assert record.bestring.x.symbols == original.x.symbols
         assert record.bestring.y.symbols == original.y.symbols
+
+
+class TestLazyDynamicIndex:
+    def test_not_built_by_add_picture_or_load(self, scene_collection):
+        database = ImageDatabase()
+        records = database.add_pictures(scene_collection)
+        assert all(record._indexed is None for record in records)
+        loaded = database_from_json(database_to_json(database))
+        assert all(record._indexed is None for record in loaded)
+
+    def test_edits_on_a_loaded_record_match_a_re_encoding(self, scene_collection):
+        source = ImageDatabase()
+        source.add_pictures(scene_collection)
+        loaded = database_from_json(database_to_json(source))
+        for picture in scene_collection:
+            identifier = picture.identifiers[0]
+            loaded.add_object(picture.name, "mug", Rectangle(1, 1, 3, 3))
+            record = loaded.remove_object(picture.name, identifier)
+            assert record.bestring == encode_picture(record.picture)
+            assert record.indexed.to_bestring() == record.bestring
 
 
 class TestStatistics:

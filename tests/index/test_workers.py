@@ -26,6 +26,8 @@ from repro.index.workers import (
     spec_for_worker,
 )
 from repro.retrieval.predicates import parse_predicate, parse_tree
+from repro.retrieval.system import RetrievalSystem
+from repro.service.server import RetrievalService
 
 _FORCED = os.environ.get("REPRO_SHARD_WORKERS")
 #: The CI matrix leg pins one count; the default run sweeps the matrix.
@@ -561,50 +563,38 @@ class TestStatsUnderLoad:
 
 
 class TestWarmStart:
-    def test_disk_warm_start_loads_only_owned_shards(self, pictures, tmp_path):
+    def test_pool_over_sharded_load_never_reads_a_shard_file(
+        self, pictures, tmp_path, monkeypatch
+    ):
         database = ImageDatabase()
         for index, picture in enumerate(pictures):
             database.add_picture(picture, f"img-{index:03d}")
         source = tmp_path / "shards"
         ShardedBackend(shard_count=8).save(database, source)
-        engine = QueryEngine.build(database)
-        engine.shard_source = source
-        serial = engine.execute_spec(QuerySpec(picture=pictures[0], limit=6))
-        gathered = engine.execute_spec(
-            QuerySpec(picture=pictures[0], limit=6, execution=sharded(2))
+        # The ``repro serve DIR --shard-workers 2`` wiring.
+        service = RetrievalService(
+            RetrievalSystem.from_file(source), database_path=source, shard_workers=2
         )
-        assert result_key(serial.results) == result_key(gathered.results)
-        stats = engine.shard_pool_stats()
-        assert stats["warm_start"] == "shards"
-        assert stats["shard_count"] == 8
-        assert sum(entry["images"] for entry in stats["workers"]) == DATABASE_SIZE
-        engine.close_shard_pool()
+        engine = service.system._engine
 
-    def test_mutation_disables_stale_disk_source(self, pictures, tmp_path):
-        database = ImageDatabase()
-        for index, picture in enumerate(pictures):
-            database.add_picture(picture, f"img-{index:03d}")
-        source = tmp_path / "shards"
-        ShardedBackend(shard_count=8).save(database, source)
-        engine = QueryEngine.build(database)
-        engine.shard_source = source
-        engine.remove_picture("img-000")  # disk now lags memory
-        gathered = engine.execute_spec(
-            QuerySpec(picture=pictures[1], limit=6, execution=sharded(2))
-        )
-        assert all(r.image_id != "img-000" for r in gathered.results)
-        assert engine.shard_pool_stats()["warm_start"] == "fork"
-        engine.close_shard_pool()
+        def no_disk_reads(shard_path):
+            raise AssertionError(f"worker opened {shard_path}")
 
-    def test_unreadable_source_falls_back_to_fork(self, pictures, tmp_path):
-        database = ImageDatabase()
-        for index, picture in enumerate(pictures[:8]):
-            database.add_picture(picture, f"img-{index:03d}")
-        pool = ShardWorkerPool(2, database, shard_source=tmp_path / "missing")
-        outcome = pool.execute_spec(QuerySpec(picture=pictures[0], limit=3))
-        assert outcome.results
-        assert pool.stats()["warm_start"] == "fork"
-        pool.close()
+        # Workers fork after this patch, so it covers their warm starts too.
+        monkeypatch.setattr(ShardedBackend, "_read_shard", staticmethod(no_disk_reads))
+        try:
+            serial = engine.execute_spec(
+                QuerySpec(
+                    picture=pictures[0], limit=6, execution=ExecutionOptions(executor="serial")
+                )
+            )
+            gathered = engine.execute_spec(QuerySpec(picture=pictures[0], limit=6))
+            assert result_key(serial.results) == result_key(gathered.results)
+            stats = engine.shard_pool_stats()
+            assert "warm_start" not in stats
+            assert sum(entry["images"] for entry in stats["workers"]) == DATABASE_SIZE
+        finally:
+            engine.close_shard_pool()
 
 
 class TestShardOwnership:

@@ -13,7 +13,7 @@ import pytest
 from repro.datasets.scenes import landscape_scene, office_scene, traffic_scene
 from repro.retrieval.system import RetrievalSystem
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import RetrievalService, create_server
+from repro.service.server import MAX_BODY_BYTES, RetrievalService, create_server
 
 
 def collection():
@@ -425,6 +425,26 @@ class TestWireEdgeCases:
             assert b"Content-Length" in response.read()
         finally:
             connection.close()
+
+    @pytest.mark.parametrize(
+        "length,status", [(MAX_BODY_BYTES + 1, 413), (-1, 400)]
+    )
+    def test_unreadable_body_is_refused_before_reading(self, server, client, length, status):
+        import http.client
+
+        connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+        try:
+            # Headers only: the refusal must not wait for a body never sent.
+            connection.putrequest("POST", "/images")
+            connection.putheader("Content-Length", str(length))
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == status
+            assert response.getheader("Connection") == "close"
+            assert b"error" in response.read()
+        finally:
+            connection.close()
+        assert client.health()["status"] == "ok"
 
     def test_delete_without_id_is_400(self, reference):
         service = RetrievalService(reference)
