@@ -47,8 +47,6 @@ unified pipeline and score cache.
 ``python -m repro.cli convert <src> <dst> [--to FORMAT] [--shards N]``
     Convert a database between storage formats (JSON / SQLite / sharded
     binary); the target format defaults to what the destination path implies.
-    ``--bitmap-width N`` tunes the precomputed shortlist signatures (see
-    ``docs/shortlist.md``) and ``--no-signatures`` omits them entirely.
 
 ``python -m repro.cli info <database>``
     Print the storage format, schema version and size statistics of a stored
@@ -146,10 +144,10 @@ def _load_database(path: str, backend=None) -> ImageDatabase:
 
 
 def _load_system(path: str, backend=None, execution=None, durable: bool = False) -> RetrievalSystem:
-    # from_file is the warm-start path: it indexes the loaded records in
-    # place (no re-encoding) and keeps their persisted shortlist signatures,
-    # tuned bitmap width included — re-adding picture by picture would drop
-    # both and leave every image dirty for the first incremental save.
+    # from_file is the warm-start path: it indexes the loaded, validated
+    # records in place; re-adding picture by picture would encode every
+    # picture again and leave every image dirty for the first incremental
+    # save.
     try:
         return RetrievalSystem.from_file(
             path, backend=backend, execution=execution, durable=durable
@@ -198,46 +196,21 @@ def _command_build(arguments: argparse.Namespace) -> int:
 
 
 def _command_convert(arguments: argparse.Namespace) -> int:
-    from repro.index.shortlist import DEFAULT_BITMAP_WIDTH, ensure_signatures
-
     database = _load_database(arguments.source, backend=_backend_argument(arguments))
     target_backend = None if arguments.to == "auto" else arguments.to
-    persist_signatures = not arguments.no_signatures
-    if arguments.bitmap_width is None:
-        # Keep the tuning of an already-tuned database across format
-        # conversions; fall back to the default only when nothing is stored.
-        width = next(
-            (
-                record.signature.width
-                for record in database
-                if record.signature is not None
-            ),
-            DEFAULT_BITMAP_WIDTH,
-        )
-    else:
-        width = arguments.bitmap_width
-    if width < 1:
-        raise CliError("--bitmap-width must be at least 1")
-    computed = 0
-    if persist_signatures:
-        computed = ensure_signatures(database, width)
     try:
         save_database_to(
             database,
             arguments.destination,
             backend=target_backend,
             shard_count=arguments.shards,
-            persist_signatures=persist_signatures,
         )
     except (StorageError, ValueError) as error:
         raise CliError(str(error)) from error
     summary = describe_database(arguments.destination)
-    signatures = "without signatures"
-    if persist_signatures:
-        signatures = f"with shortlist signatures ({computed} computed, width {width})"
     print(
         f"converted {summary['images']} images to {summary['format']} "
-        f"at {arguments.destination} ({summary['size_bytes']} bytes, {signatures})"
+        f"at {arguments.destination} ({summary['size_bytes']} bytes)"
     )
     return 0
 
@@ -256,7 +229,6 @@ def _command_info(arguments: argparse.Namespace) -> int:
         "name",
         "images",
         "shard_count",
-        "signatures",
         "size_bytes",
     ):
         if key in summary:
@@ -686,14 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     convert.add_argument(
         "--shards", type=int, default=None,
         help="shard count when writing a sharded database (default 16)",
-    )
-    convert.add_argument(
-        "--no-signatures", action="store_true",
-        help="write a lean database without the precomputed shortlist signatures",
-    )
-    convert.add_argument(
-        "--bitmap-width", type=int, default=None,
-        help="bitmap width (bits) of the shortlist signatures (default 128)",
     )
     convert.set_defaults(handler=_command_convert)
 

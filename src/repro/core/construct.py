@@ -61,7 +61,7 @@ def build_axis_string(
     if ordered[0][0] != origin:
         symbols.append(Symbol.dummy())
     for index, (coordinate, identifier, kind) in enumerate(ordered):
-        symbols.append(Symbol(identifier=identifier, kind=kind))
+        symbols.append(Symbol.boundary(identifier, kind))
         if index + 1 < len(ordered):
             next_coordinate = ordered[index + 1][0]
             if coordinate != next_coordinate:

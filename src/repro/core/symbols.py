@@ -14,12 +14,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.core.errors import EncodingError
 
 #: Text form of the dummy object, as in the paper.
 DUMMY_TEXT = "E"
+
+#: Most distinct boundary symbols :meth:`Symbol.boundary` keeps shared.  The
+#: table is emptied when it is full (like the ``re`` module's pattern cache),
+#: so identifiers a client makes up cannot grow it without limit.
+BOUNDARY_INTERN_LIMIT = 65536
+#: Longest identifier :meth:`Symbol.boundary` shares.  A longer one gets a
+#: fresh symbol, so the table holds at most ``BOUNDARY_INTERN_LIMIT`` times
+#: this many characters however long the labels a client sends are.
+BOUNDARY_INTERN_MAX_LENGTH = 128
 
 
 class BoundaryKind(Enum):
@@ -67,14 +76,36 @@ class Symbol:
         return _DUMMY
 
     @classmethod
+    def boundary(cls, identifier: str, kind: BoundaryKind) -> "Symbol":
+        """The shared boundary symbol of ``identifier`` and ``kind``.
+
+        Every stored BE-string spells its objects' boundaries with the same
+        few symbols, so equal keys return one interned instance instead of a
+        fresh object per string.  Equality stays value-based: a symbol built
+        any other way still compares and hashes equal to the shared one.
+
+        Raises:
+            EncodingError: if ``identifier`` is empty or ``kind`` is missing.
+        """
+        key = (identifier, kind)
+        symbol = _BOUNDARIES.get(key)
+        if symbol is None:
+            symbol = Symbol(identifier=identifier, kind=kind)
+            if len(identifier) <= BOUNDARY_INTERN_MAX_LENGTH:
+                if len(_BOUNDARIES) >= BOUNDARY_INTERN_LIMIT:
+                    _BOUNDARIES.clear()
+                _BOUNDARIES[key] = symbol
+        return symbol
+
+    @classmethod
     def begin(cls, identifier: str) -> "Symbol":
         """The begin boundary of ``identifier``."""
-        return cls(identifier=identifier, kind=BoundaryKind.BEGIN)
+        return cls.boundary(identifier, BoundaryKind.BEGIN)
 
     @classmethod
     def end(cls, identifier: str) -> "Symbol":
         """The end boundary of ``identifier``."""
-        return cls(identifier=identifier, kind=BoundaryKind.END)
+        return cls.boundary(identifier, BoundaryKind.END)
 
     # ------------------------------------------------------------------
     # Queries
@@ -111,8 +142,8 @@ class Symbol:
         """
         if self.is_dummy:
             return self
-        assert self.kind is not None
-        return Symbol(identifier=self.identifier, kind=self.kind.opposite)
+        assert self.identifier is not None and self.kind is not None
+        return Symbol.boundary(self.identifier, self.kind.opposite)
 
     # ------------------------------------------------------------------
     # Text form
@@ -136,10 +167,11 @@ class Symbol:
             kind = BoundaryKind(kind_text)
         except ValueError:
             raise EncodingError(f"unknown boundary kind in token {token!r}") from None
-        return cls(identifier=identifier, kind=kind)
+        return cls.boundary(identifier, kind)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.to_text()
 
 
 _DUMMY = Symbol()
+_BOUNDARIES: Dict[Tuple[str, BoundaryKind], Symbol] = {}

@@ -60,7 +60,6 @@ from repro.index.shortlist import (
     ShortlistCounters,
     ShortlistOutcome,
     ShortlistStatistics,
-    ensure_signatures,
     label_bitmap,
     signature_for,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "ShortlistCounters",
     "ShortlistOutcome",
     "ShortlistStatistics",
-    "ensure_signatures",
     "label_bitmap",
     "signature_for",
     "QUADRANTS",

@@ -17,6 +17,9 @@ noticing.  Three backends ship:
 Every backend produces the exact same logical content: the per-image entry
 dictionaries of the v1 schema (``image_id`` / ``picture`` / ``bestring``),
 validated on load by re-encoding each picture and comparing BE-strings.
+Nothing derived is stored: the query engine builds each image's shortlist
+signature from the validated BE-string, and a ``signature`` payload an older
+writer left behind (entry key, SQLite column, manifest flag) is ignored.
 Round-trip equivalence across backends — identical BE-strings *and* identical
 search rankings — is enforced by ``tests/index/test_backends.py``.
 
@@ -43,15 +46,16 @@ compaction.  :class:`DurableShardedBackend` writes those directories, and
 :class:`DurableShardedStore` is the live handle a long-running service uses:
 fsync'd per-mutation log appends plus threshold-triggered compaction that
 rewrites the dirty shards and truncates the log behind an atomic manifest
-swap.  See ``docs/durability.md`` for the crash-ordering argument.
+swap.  Every shard, manifest and log swap goes through
+:func:`~repro.index.wal.replace_durably` (fsync'd temp file, atomic rename,
+fsync'd directory), so the ordering holds under power loss, not only under
+a process kill.  See ``docs/durability.md`` for the crash-ordering argument.
 """
 
 from __future__ import annotations
 
 import abc
-import copy
 import json
-import os
 import sqlite3
 import struct
 import threading
@@ -69,7 +73,7 @@ from repro.index.storage import (
     load_database as _load_json_database,
     save_database as _save_json_database,
 )
-from repro.index.wal import WAL_NAME, WriteAheadLog, read_wal
+from repro.index.wal import WAL_NAME, WriteAheadLog, read_wal, replace_durably
 
 PathLike = Union[str, Path]
 
@@ -111,13 +115,6 @@ class StorageBackend(abc.ABC):
 
     #: Registry name of the backend (``"json"``, ``"sqlite"``, ``"sharded"``).
     name: str = "abstract"
-
-    #: Whether saves persist the per-image shortlist signatures
-    #: (:mod:`repro.index.shortlist`) alongside pictures and BE-strings, so
-    #: warm starts skip the signature recomputation.  ``repro convert
-    #: --no-signatures`` turns this off to write lean databases; loading a
-    #: database without signatures simply rebuilds them lazily.
-    persist_signatures: bool = True
 
     @abc.abstractmethod
     def save(
@@ -186,7 +183,7 @@ class JsonBackend(StorageBackend):
         target = Path(path)
         if target.is_dir():
             raise StorageError(f"{target} is a directory, not a JSON database file")
-        _save_json_database(database, target, include_signatures=self.persist_signatures)
+        _save_json_database(database, target)
         database.clear_dirty()
         return target
 
@@ -227,8 +224,6 @@ class JsonBackend(StorageBackend):
             "schema_version": payload.get("schema_version"),
             "name": payload.get("name"),
             "images": len(images),
-            "signatures": bool(images)
-            and all(isinstance(entry, dict) and "signature" in entry for entry in images),
             "size_bytes": source.stat().st_size,
         }
 
@@ -244,12 +239,12 @@ class SqliteBackend(StorageBackend):
         meta   (key TEXT PRIMARY KEY, value TEXT)        -- schema_version, name
         images (image_id TEXT PRIMARY KEY,
                 picture TEXT NOT NULL,                   -- JSON, v1 entry shape
-                bestring TEXT NOT NULL,                  -- JSON, v1 entry shape
-                signature TEXT)                          -- JSON shortlist signature
+                bestring TEXT NOT NULL)                  -- JSON, v1 entry shape
 
-    The ``signature`` column is nullable and absent from pre-signature files;
-    such files still load (signatures rebuild lazily) and an incremental save
-    against them falls back to a full rewrite that upgrades the schema.
+    Files written by older releases may carry a fourth, nullable
+    ``signature`` column.  It is never read, and incremental saves into such
+    a file name only the three columns above, so the old column holds NULL
+    in every rewritten row.
     """
 
     name = "sqlite"
@@ -295,26 +290,13 @@ class SqliteBackend(StorageBackend):
             name = self._read_meta(connection, source)
             database = ImageDatabase(name=name)
             try:
-                try:
-                    rows = connection.execute(
-                        "SELECT image_id, picture, bestring, signature "
-                        "FROM images ORDER BY image_id"
-                    ).fetchall()
-                except sqlite3.OperationalError:
-                    # Pre-signature schema: load without the column.
-                    rows = [
-                        (image_id, picture_json, bestring_json, None)
-                        for image_id, picture_json, bestring_json in connection.execute(
-                            "SELECT image_id, picture, bestring FROM images "
-                            "ORDER BY image_id"
-                        )
-                    ]
+                rows = connection.execute(
+                    "SELECT image_id, picture, bestring FROM images ORDER BY image_id"
+                ).fetchall()
             except sqlite3.DatabaseError as error:
                 raise StorageError(f"{source} is not a valid SQLite database: {error}") from error
-            for image_id, picture_json, bestring_json, signature_json in rows:
-                entry = self._row_to_entry(
-                    source, image_id, picture_json, bestring_json, signature_json
-                )
+            for image_id, picture_json, bestring_json in rows:
+                entry = self._row_to_entry(source, image_id, picture_json, bestring_json)
                 try:
                     image_entry_to_record(database, entry)
                 except StorageError as error:
@@ -371,15 +353,6 @@ class SqliteBackend(StorageBackend):
         try:
             name = self._read_meta(connection, source)
             count = connection.execute("SELECT COUNT(*) FROM images").fetchone()[0]
-            columns = {
-                row[1] for row in connection.execute("PRAGMA table_info(images)")
-            }
-            signatures = "signature" in columns
-            if signatures and count:
-                missing = connection.execute(
-                    "SELECT COUNT(*) FROM images WHERE signature IS NULL"
-                ).fetchone()[0]
-                signatures = missing == 0
         except sqlite3.DatabaseError as error:
             raise StorageError(f"{source} is not a valid SQLite database: {error}") from error
         finally:
@@ -390,7 +363,6 @@ class SqliteBackend(StorageBackend):
             "schema_version": SCHEMA_VERSION,
             "name": name,
             "images": count,
-            "signatures": signatures,
             "size_bytes": source.stat().st_size,
         }
 
@@ -408,14 +380,10 @@ class SqliteBackend(StorageBackend):
 
     @staticmethod
     def _row_to_entry(
-        source: Path,
-        image_id: str,
-        picture_json: str,
-        bestring_json: str,
-        signature_json: Optional[str] = None,
+        source: Path, image_id: str, picture_json: str, bestring_json: str
     ) -> Dict[str, Any]:
         try:
-            entry = {
+            return {
                 "image_id": image_id,
                 "picture": json.loads(picture_json),
                 "bestring": json.loads(bestring_json),
@@ -424,13 +392,6 @@ class SqliteBackend(StorageBackend):
             raise StorageError(
                 f"{source}: row for image {image_id!r} holds invalid JSON: {error}"
             ) from error
-        if signature_json:
-            try:
-                entry["signature"] = json.loads(signature_json)
-            except json.JSONDecodeError:
-                # A derived signature never blocks a load; rebuild lazily.
-                pass
-        return entry
 
     def _read_meta(self, connection: sqlite3.Connection, source: Path) -> str:
         """Validate schema/version of an open connection; returns the db name."""
@@ -449,21 +410,11 @@ class SqliteBackend(StorageBackend):
         return rows.get("name", "image-database")
 
     def _can_update(self, target: Path, database: ImageDatabase) -> bool:
-        """True when an incremental upsert against ``target`` is consistent.
-
-        A pre-signature schema (no ``signature`` column) also answers False,
-        so the incremental save falls back to a full rewrite that upgrades
-        the file in place.
-        """
+        """True when an incremental upsert against ``target`` is consistent."""
         try:
             connection = self._connect(target)
             try:
                 self._read_meta(connection, target)
-                columns = {
-                    row[1] for row in connection.execute("PRAGMA table_info(images)")
-                }
-                if "signature" not in columns:
-                    return False
                 stored = {
                     row[0] for row in connection.execute("SELECT image_id FROM images")
                 }
@@ -489,16 +440,14 @@ class SqliteBackend(StorageBackend):
                     "CREATE TABLE images ("
                     "image_id TEXT PRIMARY KEY, "
                     "picture TEXT NOT NULL, "
-                    "bestring TEXT NOT NULL, "
-                    "signature TEXT)"
+                    "bestring TEXT NOT NULL)"
                 )
                 connection.executemany(
                     "INSERT INTO meta (key, value) VALUES (?, ?)",
                     [("schema_version", str(SCHEMA_VERSION)), ("name", database.name)],
                 )
                 connection.executemany(
-                    "INSERT INTO images (image_id, picture, bestring, signature) "
-                    "VALUES (?, ?, ?, ?)",
+                    "INSERT INTO images (image_id, picture, bestring) VALUES (?, ?, ?)",
                     (self._record_row(record) for record in database),
                 )
         finally:
@@ -516,8 +465,7 @@ class SqliteBackend(StorageBackend):
                     if image_id in database:
                         connection.execute(
                             "INSERT OR REPLACE INTO images "
-                            "(image_id, picture, bestring, signature) "
-                            "VALUES (?, ?, ?, ?)",
+                            "(image_id, picture, bestring) VALUES (?, ?, ?)",
                             self._record_row(database.get(image_id)),
                         )
                     else:
@@ -527,15 +475,13 @@ class SqliteBackend(StorageBackend):
         finally:
             connection.close()
 
-    def _record_row(self, record: ImageRecord) -> tuple:
-        entry = image_record_to_json(record, include_signature=self.persist_signatures)
+    @staticmethod
+    def _record_row(record: ImageRecord) -> tuple:
+        entry = image_record_to_json(record)
         return (
             record.image_id,
             json.dumps(entry["picture"], sort_keys=True),
             json.dumps(entry["bestring"], sort_keys=True),
-            json.dumps(entry["signature"], sort_keys=True)
-            if "signature" in entry
-            else None,
         )
 
 
@@ -621,17 +567,9 @@ class LazySqliteImageDatabase(ImageDatabase):
 
     def _materialize(self, image_id: str) -> None:
         try:
-            try:
-                row = self._connection.execute(
-                    "SELECT picture, bestring, signature FROM images WHERE image_id = ?",
-                    (image_id,),
-                ).fetchone()
-            except sqlite3.OperationalError:
-                # Pre-signature schema: materialise without the column.
-                row = self._connection.execute(
-                    "SELECT picture, bestring, NULL FROM images WHERE image_id = ?",
-                    (image_id,),
-                ).fetchone()
+            row = self._connection.execute(
+                "SELECT picture, bestring FROM images WHERE image_id = ?", (image_id,)
+            ).fetchone()
         except sqlite3.DatabaseError as error:
             raise StorageError(
                 f"{self._path} is not a valid SQLite database: {error}"
@@ -639,7 +577,7 @@ class LazySqliteImageDatabase(ImageDatabase):
         if row is None:
             self._pending.discard(image_id)
             return
-        entry = SqliteBackend._row_to_entry(self._path, image_id, row[0], row[1], row[2])
+        entry = SqliteBackend._row_to_entry(self._path, image_id, row[0], row[1])
         try:
             image_entry_to_record(self, entry)
         except StorageError as error:
@@ -721,17 +659,10 @@ class ShardedBackend(StorageBackend):
 
     def _save_full(self, database: ImageDatabase, target: Path) -> None:
         target.mkdir(parents=True, exist_ok=True)
-        buckets: List[List[ImageRecord]] = [[] for _ in range(self.shard_count)]
+        buckets: Dict[int, List[ImageRecord]] = {index: [] for index in range(self.shard_count)}
         for record in database:
             buckets[shard_index_for(record.image_id, self.shard_count)].append(record)
-        shards: Dict[str, Dict[str, Any]] = {}
-        for index, bucket in enumerate(buckets):
-            file_name = self._shard_file_name(index)
-            self._write_shard(target / file_name, bucket)
-            shards[f"{index:04d}"] = {
-                "file": file_name,
-                "images": sorted(record.image_id for record in bucket),
-            }
+        shards = self._write_shards(target, buckets)
         # Drop shard files from a previous layout (e.g. a larger shard count).
         expected = {self._shard_file_name(i) for i in range(self.shard_count)}
         for stale in target.glob("shard-*.bin"):
@@ -753,22 +684,8 @@ class ShardedBackend(StorageBackend):
                 index = shard_index_for(record.image_id, shard_count)
                 if index in dirty_shards:
                     buckets[index].append(record)
-            for index, bucket in buckets.items():
-                file_name = self._shard_file_name(index)
-                self._write_shard(target / file_name, bucket)
-                shards[f"{index:04d}"] = {
-                    "file": file_name,
-                    "images": sorted(record.image_id for record in bucket),
-                }
-        # Untouched shards keep their original payload, so the manifest only
-        # advertises signatures when the old state and this save both had them.
-        self._write_manifest(
-            target,
-            database.name,
-            shard_count,
-            shards,
-            signatures=bool(manifest.get("signatures", False)) and self.persist_signatures,
-        )
+            shards.update(self._write_shards(target, buckets))
+        self._write_manifest(target, database.name, shard_count, shards)
 
     def _can_update(self, manifest: Dict[str, Any], database: ImageDatabase) -> bool:
         """True when the manifest matches the database outside the dirty set."""
@@ -785,24 +702,42 @@ class ShardedBackend(StorageBackend):
     def _shard_file_name(index: int) -> str:
         return f"shard-{index:04d}.bin"
 
-    def _write_shard(self, path: Path, records: List[ImageRecord]) -> None:
-        ordered = sorted(records, key=lambda record: record.image_id)
-        chunks = [SHARD_MAGIC, struct.pack("<BI", SHARD_FORMAT_VERSION, len(ordered))]
-        for record in ordered:
-            entry = image_record_to_json(
-                record, include_signature=self.persist_signatures
-            )
-            # Level 1: save latency matters more than the last few percent of
-            # ratio, and decompression accepts any level.
-            blob = zlib.compress(json.dumps(entry, sort_keys=True).encode("utf-8"), 1)
-            chunks.append(struct.pack("<I", len(blob)))
-            chunks.append(blob)
-        temporary = path.with_suffix(".bin.tmp")
+    def _write_shards(
+        self, target: Path, buckets: Dict[int, List[ImageRecord]]
+    ) -> Dict[str, Dict[str, Any]]:
+        """Write one shard file per bucket and swap them all in at once.
+
+        Returns:
+            The manifest's shard-table entries for the written shards.
+        """
+        shards: Dict[str, Dict[str, Any]] = {}
+        swaps = []
+        for index, records in sorted(buckets.items()):
+            ordered = sorted(records, key=lambda record: record.image_id)
+            chunks = [SHARD_MAGIC, struct.pack("<BI", SHARD_FORMAT_VERSION, len(ordered))]
+            for record in ordered:
+                entry = image_record_to_json(record)
+                # Level 1: save latency matters more than the last few percent
+                # of ratio, and decompression accepts any level.
+                blob = zlib.compress(json.dumps(entry, sort_keys=True).encode("utf-8"), 1)
+                chunks.append(struct.pack("<I", len(blob)))
+                chunks.append(blob)
+            file_name = self._shard_file_name(index)
+            temporary = target / (file_name + ".tmp")
+            try:
+                temporary.write_bytes(b"".join(chunks))
+            except OSError as error:
+                raise StorageError(f"{target / file_name} cannot be written: {error}") from error
+            swaps.append((temporary, target / file_name))
+            shards[f"{index:04d}"] = {
+                "file": file_name,
+                "images": [record.image_id for record in ordered],
+            }
         try:
-            temporary.write_bytes(b"".join(chunks))
-            os.replace(temporary, path)
+            replace_durably(swaps)
         except OSError as error:
-            raise StorageError(f"{path} cannot be written: {error}") from error
+            raise StorageError(f"{target} shard files cannot be swapped in: {error}") from error
+        return shards
 
     def _write_manifest(
         self,
@@ -810,14 +745,12 @@ class ShardedBackend(StorageBackend):
         name: str,
         shard_count: int,
         shards: Dict[str, Dict[str, Any]],
-        signatures: Optional[bool] = None,
     ) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "format": MANIFEST_FORMAT,
             "name": name,
             "shard_count": shard_count,
-            "signatures": self.persist_signatures if signatures is None else signatures,
             "shards": {key: shards[key] for key in sorted(shards)},
         }
         if self.wal_block is not None:
@@ -825,11 +758,8 @@ class ShardedBackend(StorageBackend):
         manifest_path = target / MANIFEST_NAME
         temporary = target / (MANIFEST_NAME + ".tmp")
         try:
-            with open(temporary, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(payload, indent=2, sort_keys=True))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temporary, manifest_path)
+            temporary.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
+            replace_durably([(temporary, manifest_path)])
         except OSError as error:
             raise StorageError(f"{manifest_path} cannot be written: {error}") from error
 
@@ -928,7 +858,6 @@ class ShardedBackend(StorageBackend):
             "name": manifest.get("name"),
             "images": images,
             "shard_count": manifest.get("shard_count"),
-            "signatures": bool(manifest.get("signatures", False)),
             "size_bytes": size + (source / MANIFEST_NAME).stat().st_size,
         }
         wal_info = manifest.get("wal")
@@ -1215,9 +1144,7 @@ class DurableShardedStore:
     # ------------------------------------------------------------------
     def log_upsert(self, record: ImageRecord) -> int:
         """Durably log an added/replaced image; returns its LSN once fsync'd."""
-        entry = image_record_to_json(
-            record, include_signature=self.backend.persist_signatures
-        )
+        entry = image_record_to_json(record)
         with self._lock:
             return self.wal.append("upsert", record.image_id, entry)
 
@@ -1362,14 +1289,11 @@ def save_database_to(
     *,
     incremental: bool = False,
     shard_count: Optional[int] = None,
-    persist_signatures: Optional[bool] = None,
     durable: bool = False,
 ) -> Path:
     """Persist ``database`` with an explicit or path-inferred backend.
 
-    ``persist_signatures`` overrides the backend's signature-persistence
-    toggle for this save (``None`` keeps the backend's default of writing
-    the shortlist signatures).  ``durable=True`` upgrades a sharded save to
+    ``durable=True`` upgrades a sharded save to
     :class:`DurableShardedBackend` — the directory gains a write-ahead log
     anchored at the snapshot — and rejects non-sharded backends.
 
@@ -1389,14 +1313,7 @@ def save_database_to(
                 f"not {resolved.name!r} (target: {path})"
             )
         if not isinstance(resolved, DurableShardedBackend):
-            durable_backend = DurableShardedBackend(shard_count=resolved.shard_count)
-            durable_backend.persist_signatures = resolved.persist_signatures
-            resolved = durable_backend
-    if persist_signatures is not None and persist_signatures != resolved.persist_signatures:
-        # Shallow-copy so a one-shot override never leaks into a caller's
-        # backend instance (backends hold only configuration state).
-        resolved = copy.copy(resolved)
-        resolved.persist_signatures = persist_signatures
+            resolved = DurableShardedBackend(shard_count=resolved.shard_count)
     return resolved.save(database, path, incremental=incremental)
 
 

@@ -26,9 +26,10 @@ class ImageRecord:
     image_id: str
     picture: SymbolicPicture
     bestring: BEString2D
-    #: Cached shortlist signature (see :mod:`repro.index.shortlist`).  Built
-    #: lazily, loaded from storage on warm starts, and reset to ``None`` by
-    #: every object-level edit so it can never disagree with the BE-string.
+    #: Cached shortlist signature (see :mod:`repro.index.shortlist`).  Derived
+    #: from the BE-string by the query engine, never loaded from storage, and
+    #: reset to ``None`` by every object-level edit so it can never disagree
+    #: with the BE-string.
     signature: Optional["ImageSignature"] = None
     _indexed: Optional[IndexedBEString] = field(default=None, repr=False, compare=False)
 

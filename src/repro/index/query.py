@@ -59,7 +59,6 @@ from repro.index.execution import (
 from repro.index.inverted import InvertedSymbolIndex
 from repro.index.ranking import RankedResult, rank_results
 from repro.index.shortlist import (
-    DEFAULT_BITMAP_WIDTH,
     REJECTION_SAMPLE_LIMIT,
     QuerySignature,
     ShortlistCounters,
@@ -180,9 +179,6 @@ class QueryEngine:
     #: Memoised per-(query, image) similarity results, shared with the batch
     #: subsystem (:mod:`repro.index.batch`) and invalidated on every mutation.
     score_cache: ScoreCache = field(default_factory=ScoreCache)
-    #: Width (bits) of the hashed label bitmaps in the two-stage shortlist
-    #: (see :mod:`repro.index.shortlist`); tunable via ``repro convert``.
-    bitmap_width: int = DEFAULT_BITMAP_WIDTH
     #: Cumulative two-stage shortlist counters (surfaced by the service
     #: ``/stats`` endpoint).
     shortlist_counters: ShortlistCounters = field(default_factory=ShortlistCounters)
@@ -220,38 +216,24 @@ class QueryEngine:
         cls,
         database: ImageDatabase,
         minimum_overlap_ratio: float = 0.0,
-        bitmap_width: Optional[int] = None,
         execution: Optional[ExecutionOptions] = None,
     ) -> "QueryEngine":
         """Build the auxiliary indexes for every image already in the database.
 
-        Shortlist signatures are materialised up front, so the first query
-        pays no index-construction latency.  ``bitmap_width=None`` adopts the
-        width of the database's persisted signatures (so a database tuned
-        with ``repro convert --bitmap-width`` warm-starts without any
-        recomputation), falling back to :data:`DEFAULT_BITMAP_WIDTH` when no
-        signature is stored.  ``execution`` sets the engine-wide execution
-        defaults (kernel, strategy, ...) every query inherits.
+        Every record's shortlist signature is derived here, from its
+        validated BE-string, so the first query pays no index-construction
+        latency.  ``execution`` sets the engine-wide execution defaults
+        (kernel, strategy, ...) every query inherits.
         """
-        if bitmap_width is None:
-            bitmap_width = next(
-                (
-                    record.signature.width
-                    for record in database
-                    if record.signature is not None
-                ),
-                DEFAULT_BITMAP_WIDTH,
-            )
         engine = cls(
             database=database,
             signature_filter=SignatureFilter(minimum_overlap_ratio=minimum_overlap_ratio),
-            bitmap_width=bitmap_width,
             execution=execution if execution is not None else ExecutionOptions(),
         )
         for record in database:
             engine.signature_filter.add_picture(record.image_id, record.picture)
             engine.inverted_index.add_picture(record.image_id, record.picture)
-            signature_for(record, bitmap_width)
+            signature_for(record)
         return engine
 
     def add_picture(self, picture: SymbolicPicture, image_id: Optional[str] = None) -> str:
@@ -268,10 +250,7 @@ class QueryEngine:
             record = self.database.add_picture(picture, image_id)
             self.signature_filter.add_picture(record.image_id, record.picture)
             self.inverted_index.add_picture(record.image_id, record.picture)
-            # Materialise at this engine's width so an immediate save (the
-            # service persists on every mutation) never writes a signature at
-            # a width different from the rest of the database.
-            signature_for(record, self.bitmap_width)
+            signature_for(record)
             self.score_cache.invalidate_image(record.image_id)
             self._invalidate_shard_pool()
             return record.image_id
@@ -302,7 +281,7 @@ class QueryEngine:
             record = self.database.add_object(image_id, label, mbr)
             self.signature_filter.update_picture(image_id, record.picture)
             self.inverted_index.update_picture(image_id, record.picture)
-            signature_for(record, self.bitmap_width)
+            signature_for(record)
             self.score_cache.invalidate_image(image_id)
             self._invalidate_shard_pool()
             return record
@@ -316,7 +295,7 @@ class QueryEngine:
             record = self.database.remove_object(image_id, identifier)
             self.signature_filter.update_picture(image_id, record.picture)
             self.inverted_index.update_picture(image_id, record.picture)
-            signature_for(record, self.bitmap_width)
+            signature_for(record)
             self.score_cache.invalidate_image(image_id)
             self._invalidate_shard_pool()
             return record
@@ -403,7 +382,6 @@ class QueryEngine:
             query.transformations
             if minimum_score > 0.0 or collect_bounds
             else (Transformation.IDENTITY,),
-            self.bitmap_width,
         )
         total = query_signature.total_labels
         outcome = ShortlistOutcome([], STAGE_SHORTLIST, len(candidates))
@@ -420,7 +398,7 @@ class QueryEngine:
                 outcome.rejection_bounds[image_id] = bound
 
         for image_id in ordered:
-            candidate = signature_for(self.database.get(image_id), self.bitmap_width)
+            candidate = signature_for(self.database.get(image_id))
             # Stage 1 is the label-overlap stage: the bitmap bound settles
             # most candidates, the exact multiset overlap settles the rest.
             # Both threshold rejections are attributed here (the recorded
@@ -1298,7 +1276,6 @@ class QueryEngine:
                     workers,
                     self.database,
                     execution=sanitized_execution(self.execution),
-                    bitmap_width=self.bitmap_width,
                     minimum_overlap_ratio=self.signature_filter.minimum_overlap_ratio,
                 )
                 self._shard_pool = pool

@@ -3,9 +3,11 @@
 At 50k images the inverted symbol index still admits thousands of candidates
 on realistic label distributions, and every admitted candidate used to pay a
 ``Counter`` intersection followed by the O(mn) LCS dynamic program.  This
-module makes the shortlist *precise* by attaching a compact
-:class:`ImageSignature` to every stored record and rejecting candidates whose
-best achievable score provably cannot clear the query's ``min_score``:
+module makes the shortlist *precise* by deriving a compact
+:class:`ImageSignature` for every stored record from its validated BE-string
+(when the engine is built and on every insert or edit; signatures are never
+persisted) and rejecting candidates whose best achievable score provably
+cannot clear the query's ``min_score``:
 
 * **Stage 1 — label bitmaps.**  Every label hashes (stable CRC-32) to one bit
   of a fixed-width bitmap.  A single integer AND plus a popcount-style walk of
@@ -27,7 +29,7 @@ overlap ratio is below the configured threshold — the legacy
 therefore byte-identical to a filter-disabled scan cut at the same
 ``minimum_score``; ``benchmarks/bench_signature.py`` (E14) asserts this at
 10k+ images together with the ≥5x serial speedup.  See ``docs/shortlist.md``
-for the guarantees and tuning knobs.
+for the guarantees.
 """
 
 from __future__ import annotations
@@ -40,11 +42,8 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.similarity import SimilarityPolicy, combined_value, normalized_value
+from repro.core.symbols import BoundaryKind
 from repro.core.transforms import Transformation, transform
-
-#: Version stamp written into persisted signature payloads; a payload with a
-#: different version is ignored on load and the signature is recomputed.
-SIGNATURE_VERSION = 1
 
 #: Default width (in bits) of the hashed label bitmap.
 DEFAULT_BITMAP_WIDTH = 128
@@ -81,28 +80,7 @@ def axis_pair_codes(axis: AxisBEString) -> Dict[Tuple[str, str], int]:
     Returns:
         Mapping from the identifier pair to its axis-relation code.
     """
-    begins: Dict[str, int] = {}
-    ends: Dict[str, int] = {}
-    for position, symbol in enumerate(axis.symbols):
-        if symbol.is_boundary:
-            assert symbol.identifier is not None
-            if symbol.is_begin:
-                begins[symbol.identifier] = position
-            else:
-                ends[symbol.identifier] = position
-    identifiers = sorted(identifier for identifier in begins if identifier in ends)
-    codes: Dict[Tuple[str, str], int] = {}
-    for index, a in enumerate(identifiers):
-        a_begin, a_end = begins[a], ends[a]
-        for b in identifiers[index + 1 :]:
-            b_begin, b_end = begins[b], ends[b]
-            codes[(a, b)] = (
-                (a_begin < b_begin)
-                | (a_begin < b_end) << 1
-                | (a_end < b_begin) << 2
-                | (a_end < b_end) << 3
-            )
-    return codes
+    return AxisSignature.from_axis(axis).pairs
 
 
 @dataclass(frozen=True)
@@ -120,23 +98,47 @@ class AxisSignature:
 
     @classmethod
     def from_axis(cls, axis: AxisBEString) -> "AxisSignature":
-        """Extract the signature of one axis string."""
+        """Extract the signature of one axis string in one pass over its symbols."""
+        begins: Dict[str, int] = {}
+        ends: Dict[str, int] = {}
+        boundaries = 0
+        for position, symbol in enumerate(axis.symbols):
+            kind = symbol.kind
+            if kind is None:
+                continue
+            boundaries += 1
+            if kind is BoundaryKind.BEGIN:
+                begins[symbol.identifier] = position
+            else:
+                ends[symbol.identifier] = position
+        identifiers = sorted(identifier for identifier in begins if identifier in ends)
+        pairs: Dict[Tuple[str, str], int] = {}
+        for index, a in enumerate(identifiers):
+            a_begin, a_end = begins[a], ends[a]
+            for b in identifiers[index + 1 :]:
+                b_begin, b_end = begins[b], ends[b]
+                pairs[(a, b)] = (
+                    (a_begin < b_begin)
+                    | (a_begin < b_end) << 1
+                    | (a_end < b_begin) << 2
+                    | (a_end < b_end) << 3
+                )
         return cls(
-            length=len(axis),
-            boundaries=axis.boundary_count,
-            dummies=axis.dummy_count,
-            pairs=axis_pair_codes(axis),
+            length=len(axis.symbols),
+            boundaries=boundaries,
+            dummies=len(axis.symbols) - boundaries,
+            pairs=pairs,
         )
 
 
 @dataclass
 class ImageSignature:
-    """The persisted shortlist signature of one stored image.
+    """The shortlist signature of one stored image.
 
     Carries the hashed label bitmap (stage 1) and the per-axis relation-pair
-    facts (stage 2).  Signatures are derived data: they are recomputed lazily
-    whenever missing or built at a different bitmap width, and persisted by
-    every storage backend so warm starts skip the recomputation.
+    facts (stage 2).  Signatures are derived data, built from the record's
+    validated BE-string and never persisted: a stored copy could disagree
+    with the string it claims to describe and silently prune a true match.
     """
 
     width: int
@@ -162,104 +164,22 @@ class ImageSignature:
             y=AxisSignature.from_axis(bestring.y),
         )
 
-    def matches_bestring(self, bestring: BEString2D) -> bool:
-        """Cheap consistency check against the BE-string it claims to describe."""
-        return (
-            self.x.length == len(bestring.x)
-            and self.y.length == len(bestring.y)
-            and self.x.boundaries == bestring.x.boundary_count
-            and self.y.boundaries == bestring.y.boundary_count
-        )
 
-    # ------------------------------------------------------------------
-    # Serialisation (deterministic: sorted pairs, sorted keys)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-friendly payload persisted by the storage backends."""
-
-        def axis_payload(axis: AxisSignature) -> Dict[str, Any]:
-            return {
-                "length": axis.length,
-                "boundaries": axis.boundaries,
-                "dummies": axis.dummies,
-                "pairs": [
-                    [a, b, code] for (a, b), code in sorted(axis.pairs.items())
-                ],
-            }
-
-        return {
-            "version": SIGNATURE_VERSION,
-            "width": self.width,
-            "bitmap": format(self.bitmap, "x"),
-            "labels": dict(sorted(self.label_counts.items())),
-            "x": axis_payload(self.x),
-            "y": axis_payload(self.y),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ImageSignature":
-        """Inverse of :meth:`to_dict`.
-
-        Raises:
-            ValueError: on an unsupported version or malformed payload.
-        """
-        if payload.get("version") != SIGNATURE_VERSION:
-            raise ValueError(
-                f"unsupported signature version {payload.get('version')!r}"
-            )
-
-        def axis_from(entry: Dict[str, Any]) -> AxisSignature:
-            return AxisSignature(
-                length=int(entry["length"]),
-                boundaries=int(entry["boundaries"]),
-                dummies=int(entry["dummies"]),
-                pairs={(a, b): int(code) for a, b, code in entry["pairs"]},
-            )
-
-        return cls(
-            width=int(payload["width"]),
-            bitmap=int(payload["bitmap"], 16),
-            label_counts={
-                str(label): int(count) for label, count in payload["labels"].items()
-            },
-            x=axis_from(payload["x"]),
-            y=axis_from(payload["y"]),
-        )
-
-
-def signature_for(record: Any, width: int = DEFAULT_BITMAP_WIDTH) -> ImageSignature:
+def signature_for(record: Any) -> ImageSignature:
     """The cached signature of an :class:`~repro.index.database.ImageRecord`.
 
-    Computes and caches the signature on the record when missing or built at
-    a different bitmap width.  The assignment is idempotent, so the benign
-    race of two concurrent readers computing the same signature is harmless.
+    Computes and caches the signature on the record when missing.  The
+    assignment is idempotent, so the benign race of two concurrent readers
+    computing the same signature is harmless.
 
     Returns:
-        The record's :class:`ImageSignature` at the requested width.
+        The record's :class:`ImageSignature` at :data:`DEFAULT_BITMAP_WIDTH`.
     """
     signature = record.signature
-    if signature is None or signature.width != width:
-        signature = ImageSignature.from_bestring(
-            record.bestring, record.picture.labels, width
-        )
+    if signature is None:
+        signature = ImageSignature.from_bestring(record.bestring, record.picture.labels)
         record.signature = signature
     return signature
-
-
-def ensure_signatures(records: Iterable[Any], width: int = DEFAULT_BITMAP_WIDTH) -> int:
-    """Materialise signatures for every record (``repro convert`` tuning path).
-
-    Returns:
-        How many signatures were computed (records whose cached signature
-        already had the requested width are skipped).
-    """
-    computed = 0
-    for record in records:
-        if record.signature is None or record.signature.width != width:
-            record.signature = None
-            signature_for(record, width)
-            computed += 1
-    return computed
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,16 @@
 The paper stores the 2D BE-strings of every image in the database; this module
 provides the serialisation a real deployment needs: a stable, human-readable
 JSON schema with a version field, plus save/load helpers for whole databases.
-Round-tripping is exact (validated by tests): the BE-strings are re-encoded
-from the stored pictures and compared against the stored strings on load, so a
-corrupted file is detected rather than silently accepted.  The comparison is on
-the stored text: a stored string equal to the re-encoding's text form is
-accepted without being parsed, and only a string whose text differs (for
-instance in whitespace) is parsed into symbols and compared symbol by symbol.
+Round-tripping is exact (validated by tests): every stored picture is
+re-encoded on load and the stored BE-string is compared against the
+re-encoding, so a corrupted file is detected rather than silently accepted.
+The comparison is on the stored text: a stored string equal to the
+re-encoding's text form is accepted without being parsed, and only a string
+whose text differs (for instance in whitespace) is parsed into symbols and
+compared symbol by symbol.  Everything else the engine keeps per image, the
+shortlist signature included, is derived from the validated BE-string, so an
+entry stores only ``image_id``, ``picture`` and ``bestring``; a ``signature``
+payload left by older writers is ignored.
 
 This module is the **v1 JSON format**; the pluggable backend layer on top of
 it (SQLite, sharded binary, format inference, incremental saves) lives in
@@ -26,7 +30,6 @@ from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
 from repro.iconic.picture import SymbolicPicture
 from repro.index.database import ImageDatabase, ImageRecord
-from repro.index.shortlist import ImageSignature, signature_for
 
 #: Schema version written into every database file.
 SCHEMA_VERSION = 1
@@ -36,45 +39,27 @@ class StorageError(ValueError):
     """Raised when a database file is malformed or inconsistent."""
 
 
-def database_to_json(
-    database: ImageDatabase, include_signatures: bool = True
-) -> Dict[str, Any]:
+def database_to_json(database: ImageDatabase) -> Dict[str, Any]:
     """Serialise a database to a JSON-compatible dictionary."""
     return {
         "schema_version": SCHEMA_VERSION,
         "name": database.name,
-        "images": [
-            image_record_to_json(record, include_signature=include_signatures)
-            for record in database
-        ],
+        "images": [image_record_to_json(record) for record in database],
     }
 
 
-def image_record_to_json(
-    record: ImageRecord, include_signature: bool = True
-) -> Dict[str, Any]:
+def image_record_to_json(record: ImageRecord) -> Dict[str, Any]:
     """Serialise one stored image to its JSON-compatible entry dictionary.
 
     Returns:
         A dictionary with ``image_id``, ``picture`` and ``bestring`` keys —
-        the per-image unit shared by every storage backend — plus the
-        shortlist ``signature`` (computed on demand; see
-        :mod:`repro.index.shortlist`) unless ``include_signature`` is off.
+        the per-image unit shared by every storage backend.
     """
-    entry = {
+    return {
         "image_id": record.image_id,
         "picture": record.picture.to_dict(),
         "bestring": record.bestring.to_dict(),
     }
-    if include_signature:
-        # Keep a cached signature at whatever bitmap width it was built with
-        # (``repro convert --bitmap-width`` tunes it); compute at the default
-        # width only when no signature exists yet.
-        signature = record.signature
-        if signature is None:
-            signature = signature_for(record)
-        entry["signature"] = signature.to_dict()
-    return entry
 
 
 def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> ImageRecord:
@@ -82,10 +67,9 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
 
     The stored BE-string is checked against a re-encoding of the stored
     picture, so a corrupted entry is detected rather than silently accepted;
-    a rejected entry leaves ``database`` unchanged.  A persisted shortlist
-    ``signature`` is attached to the record when its version and cheap
-    consistency checks pass (warm starts then skip the recomputation);
-    otherwise it is silently dropped and rebuilt lazily.
+    a rejected entry leaves ``database`` unchanged.  Any other key, such as
+    the ``signature`` payload older writers stored, is ignored: the engine
+    derives the shortlist signature from the validated BE-string.
 
     Returns:
         The stored :class:`~repro.index.database.ImageRecord`.
@@ -114,14 +98,6 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
             raise StorageError(
                 f"stored BE-string of image {image_id!r} does not match its picture"
             )
-    payload = entry.get("signature")
-    if isinstance(payload, dict):
-        try:
-            signature = ImageSignature.from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            signature = None
-        if signature is not None and signature.matches_bestring(record.bestring):
-            record.signature = signature
     return database.add_record(record)
 
 
@@ -159,11 +135,7 @@ def database_from_json(payload: Dict[str, Any]) -> ImageDatabase:
     return database
 
 
-def save_database(
-    database: ImageDatabase,
-    path: Union[str, Path],
-    include_signatures: bool = True,
-) -> Path:
+def save_database(database: ImageDatabase, path: Union[str, Path]) -> Path:
     """Write a database to a v1 JSON file.
 
     Returns:
@@ -172,12 +144,7 @@ def save_database(
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     with target.open("w", encoding="utf-8") as handle:
-        json.dump(
-            database_to_json(database, include_signatures=include_signatures),
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(database_to_json(database), handle, indent=2, sort_keys=True)
     return target
 
 

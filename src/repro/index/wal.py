@@ -26,7 +26,8 @@ payload.  The payload is one UTF-8 JSON object::
     {"lsn": 43, "op": "delete", "image_id": "img-0001"}
 
 where ``entry`` is the v1 per-image entry dictionary every storage backend
-shares (``image_id`` / ``picture`` / ``bestring`` / optional ``signature``).
+shares (``image_id`` / ``picture`` / ``bestring``; a ``signature`` key left by
+older writers is ignored on replay).
 
 A ``kill -9`` can land mid-append and leave a torn tail: a partial frame, a
 short payload, or a flipped bit.  Reading is therefore *fail-closed at the
@@ -57,7 +58,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.index.storage import StorageError
 
@@ -75,6 +76,35 @@ _HEADER_SIZE = len(WAL_MAGIC) + 1
 _FRAME_SIZE = 8
 #: Operations a record may carry.
 WAL_OPS = ("upsert", "delete")
+
+
+def replace_durably(swaps: Sequence[Tuple[Path, Path]]) -> None:
+    """Rename each ``(temporary, target)`` pair so that the swaps survive power loss.
+
+    Every temporary file is fsync'd before the renames, and every target
+    directory once after them.  Without the first, a power cut can leave a
+    target naming bytes that never reached the disk; without the second, a
+    rename itself can be lost while later writes that depend on it (a
+    truncated log behind a new manifest) are not.  Every file swap in the
+    sharded and durable directories goes through here.
+
+    Raises:
+        OSError: if a sync or a rename fails.
+    """
+    for temporary, _ in swaps:
+        _fsync_path(temporary)
+    for temporary, target in swaps:
+        os.replace(temporary, target)
+    for directory in dict.fromkeys(target.parent for _, target in swaps):
+        _fsync_path(directory)
+
+
+def _fsync_path(path: Path) -> None:
+    descriptor = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 @dataclass(frozen=True)
@@ -297,10 +327,8 @@ class WriteAheadLog:
                 handle.write(WAL_MAGIC + bytes([WAL_FORMAT_VERSION]))
                 for record in kept:
                     handle.write(_frame(record.to_payload()))
-                handle.flush()
-                os.fsync(handle.fileno())
             self._handle.close()
-            os.replace(temporary, self.path)
+            replace_durably([(temporary, self.path)])
             self._handle = open(self.path, "ab")
         except OSError as error:
             raise StorageError(f"{self.path} truncation failed: {error}") from error

@@ -101,7 +101,6 @@ class _WorkerConfig:
     #: The parent engine's database (fork-shared, read-only in the child).
     database: ImageDatabase
     execution: ExecutionOptions
-    bitmap_width: int
     minimum_overlap_ratio: float
 
 
@@ -155,7 +154,6 @@ def _worker_main(config: _WorkerConfig, connection) -> None:
                 engine = QueryEngine.build(
                     _build_worker_database(config),
                     minimum_overlap_ratio=config.minimum_overlap_ratio,
-                    bitmap_width=config.bitmap_width,
                     execution=config.execution,
                 )
             execution_before = engine.execution_counters.statistics
@@ -328,7 +326,6 @@ class ShardWorkerPool:
         database: ImageDatabase,
         *,
         execution: Optional[ExecutionOptions] = None,
-        bitmap_width: int = 128,
         minimum_overlap_ratio: float = 0.0,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
@@ -344,7 +341,6 @@ class ShardWorkerPool:
             raise ValueError(f"worker_count must be >= 1, got {worker_count}")
         self._database = database
         self._execution = sanitized_execution(execution)
-        self._bitmap_width = bitmap_width
         self._minimum_overlap_ratio = minimum_overlap_ratio
         self._max_restarts = max_restarts
         self.shard_count = DEFAULT_SHARD_COUNT
@@ -397,7 +393,6 @@ class ShardWorkerPool:
             owned=owned,
             database=self._database,
             execution=self._execution,
-            bitmap_width=self._bitmap_width,
             minimum_overlap_ratio=self._minimum_overlap_ratio,
         )
         process = self._context.Process(

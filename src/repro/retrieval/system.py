@@ -150,11 +150,11 @@ class RetrievalSystem:
         replayed on top of the shard snapshot either way, so a durable
         directory always loads to its full acknowledged state.
 
-        Warm starts are cheap: the loaded records (pictures, validated
-        BE-strings, and persisted shortlist signatures) are indexed in place
-        by :meth:`QueryEngine.build` instead of being re-added picture by
-        picture, so nothing is re-encoded and signature-carrying databases
-        skip the shortlist-signature recomputation entirely.
+        Loading validates every image: its picture is encoded again and the
+        stored BE-string must match.  The loaded records are then indexed in
+        place by :meth:`QueryEngine.build`, which derives each shortlist
+        signature from the validated BE-string; a signature stored by an
+        older release is never trusted.
 
         Returns:
             A system with every stored picture indexed and a clean dirty set

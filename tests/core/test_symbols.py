@@ -1,9 +1,16 @@
 """Unit tests for BE-string symbols."""
 
+import copy
+import pickle
+
 import pytest
 
+from repro.core import symbols
+from repro.core.construct import encode_picture
 from repro.core.errors import EncodingError
 from repro.core.symbols import BoundaryKind, Symbol
+from repro.geometry.rectangle import Rectangle
+from repro.iconic.picture import SymbolicPicture
 
 
 class TestConstruction:
@@ -75,3 +82,74 @@ class TestTextForm:
             Symbol.from_text("A")
         with pytest.raises(EncodingError):
             Symbol.from_text("A.x")
+
+
+class TestInterning:
+    def test_equal_keys_share_one_object_across_constructors(self):
+        picture = SymbolicPicture.build(
+            10, 10, [("car", Rectangle(1, 1, 3, 3)), ("tree", Rectangle(2, 4, 6, 8))]
+        )
+        bestring = encode_picture(picture)
+        again = encode_picture(picture)
+        encoded = {}
+        for axis, other in ((bestring.x, again.x), (bestring.y, again.y)):
+            for symbol, twin in zip(axis, other):
+                assert symbol is twin
+                if symbol.is_boundary:
+                    assert encoded.setdefault(symbol.to_text(), symbol) is symbol
+        assert sorted(encoded) == ["car.b", "car.e", "tree.b", "tree.e"]
+        for text, symbol in encoded.items():
+            assert Symbol.from_text(text) is symbol
+            assert symbol.swapped().swapped() is symbol
+        assert Symbol.begin("car") is encoded["car.b"]
+        assert Symbol.end("car") is encoded["car.e"]
+        assert Symbol.begin("tree").swapped() is encoded["tree.e"]
+        assert Symbol.boundary("tree", BoundaryKind.BEGIN) is encoded["tree.b"]
+
+    def test_table_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(symbols, "_BOUNDARIES", {})
+        cap = symbols.BOUNDARY_INTERN_LIMIT
+        for index in range(cap + 100):
+            Symbol.begin(f"label-{index}")
+            assert len(symbols._BOUNDARIES) <= cap
+        assert len(symbols._BOUNDARIES) == 100
+
+    def test_overlong_identifiers_are_not_retained(self, monkeypatch):
+        monkeypatch.setattr(symbols, "_BOUNDARIES", {})
+        identifier = "x" * (symbols.BOUNDARY_INTERN_MAX_LENGTH + 1)
+        first = Symbol.begin(identifier)
+        assert not symbols._BOUNDARIES
+        assert Symbol.begin(identifier) == first
+        assert Symbol.end(identifier[:-1]) is Symbol.end(identifier[:-1])
+
+    def test_symbols_stay_equal_across_a_clear_and_a_pickle(self, monkeypatch):
+        monkeypatch.setattr(symbols, "_BOUNDARIES", {})
+        monkeypatch.setattr(symbols, "BOUNDARY_INTERN_LIMIT", 4)
+        before = Symbol.begin("car")
+        for index in range(10):
+            Symbol.end(f"filler-{index}")
+        after = Symbol.begin("car")
+        assert after is not before
+        others = [
+            after,
+            pickle.loads(pickle.dumps(before)),
+            copy.copy(before),
+            copy.deepcopy(before),
+            Symbol(identifier="car", kind=BoundaryKind.BEGIN),
+        ]
+        for other in others:
+            assert other == before
+            assert hash(other) == hash(before)
+            assert not other < before and not before < other
+            assert {before: "found"}[other] == "found"
+
+    def test_empty_identifier_is_rejected_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(EncodingError):
+                Symbol.begin("")
+            with pytest.raises(EncodingError):
+                Symbol.boundary("", BoundaryKind.END)
+            with pytest.raises(EncodingError):
+                Symbol.from_text(".e")
+        assert ("", BoundaryKind.BEGIN) not in symbols._BOUNDARIES
+        assert ("", BoundaryKind.END) not in symbols._BOUNDARIES

@@ -8,17 +8,19 @@ existed must still load, and every corruption mode must surface as a
 """
 
 import json
+import os
 import re
 import sqlite3
+import struct
+import zlib
+from pathlib import Path
 
 import pytest
 
 from repro.index.backends import (
-    DEFAULT_SHARD_COUNT,
     MANIFEST_NAME,
     DurableShardedStore,
     JsonBackend,
-    ShardedBackend,
     SqliteBackend,
     describe_database,
     get_backend,
@@ -29,6 +31,8 @@ from repro.index.backends import (
 )
 from repro.index.database import ImageDatabase
 from repro.index import backends, storage
+from repro.index.execution import ExecutionOptions
+from repro.index.shortlist import ImageSignature
 from repro.index.storage import StorageError, save_database
 from repro.retrieval.system import RetrievalSystem
 
@@ -232,8 +236,8 @@ def _rewrite_stored_bestring(monkeypatch, image_id, rewrite):
     """Make every writer store ``rewrite(text)`` as ``image_id``'s axis strings."""
     original = storage.image_record_to_json
 
-    def patched(record, include_signature=True):
-        entry = original(record, include_signature=include_signature)
+    def patched(record):
+        entry = original(record)
         if record.image_id == image_id:
             bestring = entry["bestring"]
             entry["bestring"] = dict(
@@ -585,7 +589,7 @@ class TestLazyMutations:
 
 
 # ----------------------------------------------------------------------
-# Shortlist-signature persistence (warm starts skip recomputation)
+# Stored shortlist signatures (written by older releases) are never trusted
 # ----------------------------------------------------------------------
 class TestSignaturePersistence:
     @pytest.mark.parametrize("backend_name,file_name", BACKEND_TARGETS)
@@ -598,42 +602,30 @@ class TestSignaturePersistence:
             record.image_id: signature_for(record) for record in populated_database
         }
         path = save_database_to(populated_database, tmp_path / file_name, backend_name)
-        restored = load_database_from(path)
+        # Loading keeps no signature; the engine derives each one at build.
+        assert all(record.signature is None for record in load_database_from(path))
+        system = RetrievalSystem.from_file(path)
+        restored = system._engine.database
+        assert restored.image_ids == populated_database.image_ids
         for record in restored:
             assert record.signature is not None, record.image_id
             assert record.signature == expected[record.image_id]
 
-    @pytest.mark.parametrize("backend_name,file_name", BACKEND_TARGETS)
-    def test_describe_reports_signature_presence(
-        self, populated_database, tmp_path, backend_name, file_name
+    def test_incremental_saves_refresh_dirty_signatures(
+        self, populated_database, tmp_path
     ):
-        path = save_database_to(populated_database, tmp_path / file_name, backend_name)
-        assert describe_database(path)["signatures"] is True
-        lean = save_database_to(
-            populated_database,
-            tmp_path / f"lean-{file_name}",
-            backend_name,
-            persist_signatures=False,
-        )
-        assert describe_database(lean)["signatures"] is False
-        # Lean databases still load; signatures simply rebuild lazily.
-        reloaded = load_database_from(lean)
-        assert all(record.signature is None for record in reloaded)
+        from repro.geometry.rectangle import Rectangle
+        from repro.index.shortlist import signature_for
 
-    def test_warm_start_reuses_persisted_signatures(
-        self, populated_database, tmp_path, monkeypatch
-    ):
-        from repro.index import shortlist
-
-        path = save_database_to(populated_database, tmp_path / "warm.json", "json")
-
-        def _explode(*args, **kwargs):
-            raise AssertionError("warm start recomputed a persisted signature")
-
-        monkeypatch.setattr(shortlist.ImageSignature, "from_bestring", _explode)
+        path = save_database_to(populated_database, tmp_path / "incr.sqlite", "sqlite")
+        image_id = populated_database.image_ids[0]
+        populated_database.add_object(image_id, "fresh-box", Rectangle(1, 1, 3, 3))
+        save_database_to(populated_database, path, "sqlite", incremental=True)
         system = RetrievalSystem.from_file(path)
-        results = system.query(populated_database.get("office-000").picture).execute()
-        assert results and results[0].image_id == "office-000"
+        signature = system._engine.database.get(image_id).signature
+        assert signature is not None
+        assert signature.label_counts.get("fresh-box") == 1
+        assert signature == signature_for(populated_database.get(image_id))
 
     def test_corrupt_signature_payload_is_dropped_not_fatal(
         self, populated_database, tmp_path
@@ -647,114 +639,151 @@ class TestSignaturePersistence:
         first_two = [entry["image_id"] for entry in payload["images"][:2]]
         for image_id in first_two:
             assert restored.get(image_id).signature is None
-        # Everything still queries correctly via lazy recomputation.
+        # Everything still queries correctly: the engine derives signatures.
         system = RetrievalSystem.from_file(path)
         office = populated_database.get("office-000").picture
         assert system.query(office).min_score(0.5).execute()
 
-    def test_pre_signature_sqlite_schema_still_loads_and_upgrades(
-        self, populated_database, tmp_path
+    @pytest.mark.parametrize("layout", ["json", "shard", "wal", "legacy-sqlite"])
+    def test_stored_signature_never_prunes_a_ranked_image(
+        self, populated_database, tmp_path, layout
     ):
-        # Hand-build an old-schema file (no signature column).
-        path = tmp_path / "legacy.sqlite"
-        connection = sqlite3.connect(str(path))
-        with connection:
-            connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
-            connection.execute(
-                "CREATE TABLE images (image_id TEXT PRIMARY KEY, "
-                "picture TEXT NOT NULL, bestring TEXT NOT NULL)"
-            )
-            connection.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', '1')"
-            )
-            from repro.index.storage import image_record_to_json
-
-            for record in populated_database:
-                entry = image_record_to_json(record, include_signature=False)
-                connection.execute(
-                    "INSERT INTO images (image_id, picture, bestring) VALUES (?, ?, ?)",
-                    (
-                        record.image_id,
-                        json.dumps(entry["picture"], sort_keys=True),
-                        json.dumps(entry["bestring"], sort_keys=True),
-                    ),
-                )
-        connection.close()
-
-        restored = load_database_from(path, backend="sqlite")
-        assert restored.image_ids == populated_database.image_ids
-        assert all(record.signature is None for record in restored)
-
-        # An incremental save against the old schema falls back to a full
-        # rewrite that upgrades the file in place.
-        restored.mark_dirty(restored.image_ids[0])
-        SqliteBackend().save(restored, path, incremental=True)
-        assert describe_database(path)["signatures"] is True
-        upgraded = load_database_from(path, backend="sqlite")
-        assert all(record.signature is not None for record in upgraded)
-
-    def test_lazy_sqlite_materialises_persisted_signatures(
-        self, populated_database, tmp_path
-    ):
-        backend = SqliteBackend()
-        path = save_database_to(populated_database, tmp_path / "lazy.sqlite", backend)
-        lazy = backend.open_lazy(path)
-        try:
-            record = lazy.get(populated_database.image_ids[0])
-            assert record.signature is not None
-        finally:
-            lazy.close()
-
-    def test_incremental_saves_refresh_dirty_signatures(
-        self, populated_database, tmp_path
-    ):
-        from repro.geometry.rectangle import Rectangle
-
-        path = save_database_to(populated_database, tmp_path / "incr.sqlite", "sqlite")
-        image_id = populated_database.image_ids[0]
-        populated_database.add_object(image_id, "fresh-box", Rectangle(1, 1, 3, 3))
-        save_database_to(populated_database, path, "sqlite", incremental=True)
-        restored = load_database_from(path)
-        signature = restored.get(image_id).signature
-        assert signature is not None
-        assert signature.label_counts.get("fresh-box") == 1
-
-    def test_warm_start_preserves_tuned_bitmap_width(
-        self, populated_database, tmp_path, monkeypatch
-    ):
-        # Regression: from_file used to rebuild every signature at the
-        # default width, silently undoing `repro convert --bitmap-width`.
-        from repro.index import shortlist
-        from repro.index.shortlist import ensure_signatures
-
-        ensure_signatures(populated_database, width=64)
-        path = save_database_to(populated_database, tmp_path / "tuned.json", "json")
-
-        def _explode(*args, **kwargs):
-            raise AssertionError("warm start recomputed a tuned signature")
-
-        monkeypatch.setattr(shortlist.ImageSignature, "from_bestring", _explode)
+        # Regression: a stored signature passed load as long as its lengths
+        # and boundary counts matched, so shifted relation-pair codes made
+        # the shortlist drop an exact match that an unfiltered scan ranks 1.0.
+        target = "office-000"
+        path = _save_with_stored_signatures(populated_database, tmp_path, layout, target)
         system = RetrievalSystem.from_file(path)
-        assert system._engine.bitmap_width == 64
-        assert all(
-            record.signature.width == 64 for record in system._engine.database
-        )
+        pictures = [record.picture for record in populated_database]
+        assert _filtered_rankings(system, pictures) == _reference_rankings(system, pictures)
+        matched = system.query(populated_database.get(target).picture).min_score(0.9)
+        assert target in [result.image_id for result in matched.limit(5).execute()]
 
-    def test_persist_signatures_override_does_not_leak_into_the_instance(
-        self, populated_database, tmp_path
-    ):
-        # Regression: the one-shot override used to mutate the caller's
-        # backend, turning signatures off for every later save through it.
-        backend = SqliteBackend()
-        lean = save_database_to(
-            populated_database, tmp_path / "lean.sqlite", backend,
-            persist_signatures=False,
-        )
-        assert describe_database(lean)["signatures"] is False
-        assert backend.persist_signatures is True
-        full = save_database_to(populated_database, tmp_path / "full.sqlite", backend)
-        assert describe_database(full)["signatures"] is True
 
+#: The unfiltered reference scan every shortlisted ranking must equal.
+_REFERENCE_SCAN = ExecutionOptions(
+    kernel="reference",
+    strategy="exhaustive",
+    cache=False,
+    executor="serial",
+    shortlist=False,
+)
+
+
+def _filtered_rankings(system, pictures):
+    return [
+        [result.describe() for result in system.query(picture).min_score(0.9).execute()]
+        for picture in pictures
+    ]
+
+
+def _reference_rankings(system, pictures):
+    return [
+        [
+            result.describe()
+            for result in system.query(picture)
+            .min_score(0.9)
+            .execution(_REFERENCE_SCAN)
+            .execute()
+        ]
+        for picture in pictures
+    ]
+
+
+def _stored_signature(record, corrupt):
+    """The ``signature`` payload older releases stored beside each entry.
+
+    ``corrupt`` shifts every relation-pair code by 5 (mod 16), which keeps the
+    lengths and boundary counts those releases checked on load.
+    """
+    signature = ImageSignature.from_bestring(record.bestring, record.picture.labels)
+    shift = 5 if corrupt else 0
+
+    def axis(facts):
+        return {
+            "length": facts.length,
+            "boundaries": facts.boundaries,
+            "dummies": facts.dummies,
+            "pairs": [
+                [a, b, (code + shift) % 16] for (a, b), code in sorted(facts.pairs.items())
+            ],
+        }
+
+    return {
+        "version": 1,
+        "width": signature.width,
+        "bitmap": format(signature.bitmap, "x"),
+        "labels": dict(sorted(signature.label_counts.items())),
+        "x": axis(signature.x),
+        "y": axis(signature.y),
+    }
+
+
+def _signed_entry(record, target):
+    entry = storage.image_record_to_json(record)
+    entry["signature"] = _stored_signature(record, corrupt=record.image_id == target)
+    return entry
+
+
+def _write_shard_entries(path, entries):
+    """Rewrite one shard file in the binary layout of ``docs/storage-formats.md``."""
+    chunks = [
+        backends.SHARD_MAGIC,
+        struct.pack("<BI", backends.SHARD_FORMAT_VERSION, len(entries)),
+    ]
+    for entry in entries:
+        blob = zlib.compress(json.dumps(entry, sort_keys=True).encode("utf-8"))
+        chunks += [struct.pack("<I", len(blob)), blob]
+    path.write_bytes(b"".join(chunks))
+
+
+def _save_with_stored_signatures(database, tmp_path, layout, target):
+    """Save ``database`` with old-style signatures, ``target``'s corrupted."""
+    if layout == "json":
+        path = save_database_to(database, tmp_path / "db.json", "json")
+        payload = json.loads(path.read_text())
+        payload["images"] = [
+            _signed_entry(database.get(entry["image_id"]), target)
+            for entry in payload["images"]
+        ]
+        path.write_text(json.dumps(payload))
+        return path
+    if layout == "shard":
+        path = save_database_to(database, tmp_path / "db.shards", "sharded")
+        manifest = json.loads((path / MANIFEST_NAME).read_text())
+        for shard in manifest["shards"].values():
+            _write_shard_entries(
+                path / shard["file"],
+                [_signed_entry(database.get(image_id), target) for image_id in shard["images"]],
+            )
+        return path
+    if layout == "wal":
+        path = save_database_to(database, tmp_path / "db.shards", "sharded", durable=True)
+        with DurableShardedStore(database, path) as store:
+            store.wal.append("upsert", target, _signed_entry(database.get(target), target))
+        return path
+    path = tmp_path / "legacy.sqlite"
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        connection.execute(
+            "CREATE TABLE images (image_id TEXT PRIMARY KEY, "
+            "picture TEXT NOT NULL, bestring TEXT NOT NULL, signature TEXT)"
+        )
+        connection.execute("INSERT INTO meta (key, value) VALUES ('schema_version', '1')")
+        for record in database:
+            entry = _signed_entry(record, target)
+            connection.execute(
+                "INSERT INTO images (image_id, picture, bestring, signature) "
+                "VALUES (?, ?, ?, ?)",
+                (record.image_id,)
+                + tuple(
+                    json.dumps(entry[key], sort_keys=True)
+                    for key in ("picture", "bestring", "signature")
+                ),
+            )
+    connection.close()
+    return path
 
 # ----------------------------------------------------------------------
 # Durable backend: WAL-backed sharded directories
@@ -912,3 +941,63 @@ class TestDurableBackend:
             assert store.last_lsn == 1
             reloaded.add_picture(office.renamed("second"))
             assert store.log_upsert(reloaded.get("second")) == 2
+
+
+# ----------------------------------------------------------------------
+# Power-loss ordering of snapshot swaps
+# ----------------------------------------------------------------------
+class TestPowerLossOrdering:
+    def test_each_rename_is_synced_before_and_its_directory_after(
+        self, populated_database, tmp_path, office, monkeypatch
+    ):
+        # Regression: shard files were renamed into place unsynced and no
+        # rename was followed by a directory fsync, so after a power cut the
+        # synced manifest could name shard bytes that never reached the disk
+        # while the log records that could rebuild them were truncated.
+        path = save_database_to(
+            populated_database, tmp_path / "db.shards", "sharded", durable=True
+        )
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def recording_fsync(descriptor):
+            events.append(("fsync", os.fstat(descriptor).st_ino))
+            real_fsync(descriptor)
+
+        def recording_replace(source, target):
+            events.append(
+                ("replace", os.stat(source).st_ino, os.stat(Path(target).parent).st_ino,
+                 Path(target).name)
+            )
+            real_replace(source, target)
+
+        with DurableShardedStore(populated_database, path) as store:
+            store.log_upsert(populated_database.add_picture(office, "logged"))
+            populated_database.remove_picture("traffic-000")
+            store.log_delete("traffic-000")
+            monkeypatch.setattr(os, "fsync", recording_fsync)
+            monkeypatch.setattr(os, "replace", recording_replace)
+            store.compact()
+            monkeypatch.undo()
+
+        def step(name):
+            # Shards swap in together; the manifest depends on all of them,
+            # and the log truncation on the manifest.
+            return "shards" if name.startswith("shard-") else name
+
+        renames = [index for index, event in enumerate(events) if event[0] == "replace"]
+        steps = [step(events[index][3]) for index in renames]
+        assert steps[-2:] == [MANIFEST_NAME, "wal.log"]
+        assert steps[:-2] and set(steps[:-2]) == {"shards"}
+        for position, index in enumerate(renames):
+            _, file_inode, directory_inode, name = events[index]
+            assert ("fsync", file_inode) in events[:index], f"{name} renamed unsynced"
+            dependent = [
+                later for later in renames[position + 1 :]
+                if step(events[later][3]) != step(name)
+            ]
+            until = dependent[0] if dependent else len(events)
+            assert ("fsync", directory_inode) in events[index + 1 : until], (
+                f"directory not synced after the rename of {name} and before the next step"
+            )
+        assert load_database_from(path).image_ids == populated_database.image_ids

@@ -1,4 +1,4 @@
-"""The two-stage signature shortlist: bounds, equivalence, persistence hooks.
+"""The two-stage signature shortlist: bounds, equivalence, signature lifecycle.
 
 The load-bearing guarantee is *soundness*: the shortlist's score upper bound
 must never fall below the true modified-LCS score, because candidates are
@@ -19,7 +19,7 @@ from repro.core.similarity import (
     invariant_similarity,
     similarity,
 )
-from repro.core.transforms import Transformation
+from repro.core.transforms import Transformation, transform
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
@@ -27,10 +27,10 @@ from repro.index.database import ImageDatabase
 from repro.index.query import Query, QueryEngine
 from repro.index.shortlist import (
     DEFAULT_BITMAP_WIDTH,
+    AxisSignature,
     ImageSignature,
     QuerySignature,
     axis_pair_codes,
-    ensure_signatures,
     label_bit,
     label_bitmap,
     pair_conflicts,
@@ -53,6 +53,27 @@ _POLICIES = [
     SimilarityPolicy(count_boundaries_only=True),
     SimilarityPolicy(normalization=Normalization.NONE, combination=Combination.MIN),
 ]
+
+
+def _reference_pair_codes(axis):
+    """Pair codes computed straight from the definition in ``axis_pair_codes``."""
+    begins, ends = {}, {}
+    for position, symbol in enumerate(axis.symbols):
+        if symbol.is_begin:
+            begins[symbol.identifier] = position
+        elif symbol.is_end:
+            ends[symbol.identifier] = position
+    identifiers = sorted(set(begins) & set(ends))
+    codes = {}
+    for index, a in enumerate(identifiers):
+        for b in identifiers[index + 1 :]:
+            codes[(a, b)] = (
+                (begins[a] < begins[b])
+                | (begins[a] < ends[b]) << 1
+                | (ends[a] < begins[b]) << 2
+                | (ends[a] < ends[b]) << 3
+            )
+    return codes
 
 
 def _signature(picture):
@@ -112,6 +133,21 @@ class TestPairCodes:
         assert axis_pair_codes(encode_picture(left_of).y) == axis_pair_codes(
             encode_picture(right_of).y
         )
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_single_pass_matches_the_per_property_counts(self, seed):
+        # AxisSignature.from_axis walks the symbols once; it must agree with
+        # the string's own counts and with the two-dictionary pair codes.
+        for picture in random_pictures(12, seed=seed, parameters=_PARAMETERS):
+            bestring = encode_picture(picture)
+            for transformation in Transformation:
+                variant = transform(bestring, transformation)
+                for axis in (variant.x, variant.y):
+                    facts = AxisSignature.from_axis(axis)
+                    assert facts.length == len(axis)
+                    assert facts.boundaries == axis.boundary_count
+                    assert facts.dummies == axis.dummy_count
+                    assert facts.pairs == _reference_pair_codes(axis)
 
     def test_conflict_matching_is_disjoint(self):
         query_pairs = {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 3}
@@ -288,19 +324,6 @@ class TestEngineEquivalence:
 
 
 class TestSignatureLifecycle:
-    def test_serialization_round_trip(self):
-        picture = random_pictures(1, seed=2, parameters=_PARAMETERS)[0]
-        signature = _signature(picture)
-        restored = ImageSignature.from_dict(signature.to_dict())
-        assert restored == signature
-
-    def test_from_dict_rejects_unknown_version(self):
-        picture = random_pictures(1, seed=2, parameters=_PARAMETERS)[0]
-        payload = _signature(picture).to_dict()
-        payload["version"] = 99
-        with pytest.raises(ValueError):
-            ImageSignature.from_dict(payload)
-
     def test_object_edits_invalidate_the_cached_signature(self):
         database = ImageDatabase()
         picture = random_pictures(1, seed=6, parameters=_PARAMETERS)[0]
@@ -311,6 +334,20 @@ class TestSignatureLifecycle:
         after = signature_for(record)
         assert after.label_counts.get("added-box") == 1
         assert after != before
+
+    def test_engine_mutations_materialise_signatures_at_the_default_width(self):
+        database = ImageDatabase()
+        database.add_pictures(random_pictures(3, seed=63, parameters=_PARAMETERS))
+        engine = QueryEngine.build(database)
+        assert all(record.signature.width == DEFAULT_BITMAP_WIDTH for record in database)
+        picture = random_pictures(1, seed=64, parameters=_PARAMETERS)[0]
+        image_id = engine.add_picture(picture, "added-after-build")
+        record = engine.database.get(image_id)
+        assert record.signature is not None and record.signature.width == DEFAULT_BITMAP_WIDTH
+        engine.add_object(image_id, "late-box", Rectangle(0.5, 0.5, 2.0, 2.0))
+        record = engine.database.get(image_id)
+        assert record.signature is not None
+        assert record.signature.label_counts.get("late-box") == 1
 
     def test_engine_edits_keep_shortlist_consistent(self):
         database = ImageDatabase()
@@ -324,14 +361,6 @@ class TestSignatureLifecycle:
             Query(picture=query_picture, minimum_score=0.99, use_cache=False)
         )
         assert results and results[0].image_id == image_id
-
-    def test_ensure_signatures_recomputes_at_requested_width(self):
-        database = ImageDatabase()
-        database.add_pictures(random_pictures(4, seed=8, parameters=_PARAMETERS))
-        computed = ensure_signatures(database, width=32)
-        assert computed == 4
-        assert all(record.signature.width == 32 for record in database)
-        assert ensure_signatures(database, width=32) == 0
 
 
 class TestThresholdAndWidthConsistency:
@@ -358,17 +387,3 @@ class TestThresholdAndWidthConsistency:
             picture, sorted(set(database.image_ids) - set(outcome.rejections))
         )
         assert set(outcome.candidates) <= set(legacy) | set(outcome.candidates)
-
-    def test_engine_mutations_materialise_signatures_at_engine_width(self):
-        database = ImageDatabase()
-        database.add_pictures(random_pictures(3, seed=63, parameters=_PARAMETERS))
-        ensure_signatures(database, width=64)
-        engine = QueryEngine.build(database)  # adopts the persisted width
-        assert engine.bitmap_width == 64
-        picture = random_pictures(1, seed=64, parameters=_PARAMETERS)[0]
-        image_id = engine.add_picture(picture, "added-after-tuning")
-        record = engine.database.get(image_id)
-        assert record.signature is not None and record.signature.width == 64
-        engine.add_object(image_id, "late-box", Rectangle(0.5, 0.5, 2.0, 2.0))
-        record = engine.database.get(image_id)
-        assert record.signature is not None and record.signature.width == 64

@@ -378,30 +378,6 @@ class TestConvertInfoAndFormats:
         assert "format: sharded" in output
         assert "shard_count: 16" in output
 
-    def test_convert_signature_flags_and_info(self, database_file, tmp_path, capsys):
-        lean = tmp_path / "lean.json"
-        assert main(["convert", str(database_file), str(lean), "--no-signatures"]) == 0
-        assert "without signatures" in capsys.readouterr().out
-        assert main(["info", str(lean)]) == 0
-        assert "signatures: False" in capsys.readouterr().out
-
-        tuned = tmp_path / "tuned.sqlite"
-        assert main(
-            ["convert", str(database_file), str(tuned), "--bitmap-width", "64"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "with shortlist signatures" in out and "width 64" in out
-        assert main(["info", str(tuned)]) == 0
-        assert "signatures: True" in capsys.readouterr().out
-
-        from repro.index.backends import load_database_from
-
-        restored = load_database_from(tuned)
-        assert all(
-            record.signature is not None and record.signature.width == 64
-            for record in restored
-        )
-
     def test_info_on_corrupt_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -556,63 +532,15 @@ class TestDurableServeAndRecover:
         assert "wal: wal.log (snapshot_lsn 0, last_lsn 0, 0 pending, 5 bytes, clean)" in output
 
 
-class TestConvertBitmapWidthValidation:
-    def test_zero_bitmap_width_is_rejected(self, database_file, tmp_path, capsys):
-        # Regression: `or DEFAULT` treated 0 as falsy and silently wrote
-        # width-128 signatures instead of erroring.
-        code = main(
-            ["convert", str(database_file), str(tmp_path / "out.json"),
-             "--bitmap-width", "0"]
-        )
-        assert code == 2
-        assert "--bitmap-width must be at least 1" in capsys.readouterr().err
-
-    def test_negative_bitmap_width_is_rejected(self, database_file, tmp_path, capsys):
-        code = main(
-            ["convert", str(database_file), str(tmp_path / "out.json"),
-             "--bitmap-width", "-8"]
-        )
-        assert code == 2
-        assert "--bitmap-width must be at least 1" in capsys.readouterr().err
-
-
 class TestCliWarmStart:
-    def test_cli_loads_systems_through_the_warm_start_path(
-        self, database_file, tmp_path, monkeypatch
-    ):
-        # Regression: _load_system used to re-add pictures one by one,
-        # re-encoding every BE-string and dropping persisted signatures
-        # (tuned bitmap width included).
-        tuned = tmp_path / "tuned.sqlite"
-        assert main(
-            ["convert", str(database_file), str(tuned), "--bitmap-width", "64"]
-        ) == 0
+    def test_cli_loads_systems_through_the_warm_start_path(self, database_file, tmp_path):
+        # Regression: _load_system used to re-add pictures one by one, so
+        # every image came back dirty.
+        converted = tmp_path / "converted.sqlite"
+        assert main(["convert", str(database_file), str(converted)]) == 0
 
         from repro.cli import _load_system
-        from repro.index import shortlist
 
-        def _explode(*args, **kwargs):
-            raise AssertionError("CLI load recomputed a persisted signature")
-
-        monkeypatch.setattr(shortlist.ImageSignature, "from_bestring", _explode)
-        system = _load_system(str(tuned))
-        assert system._engine.bitmap_width == 64
+        system = _load_system(str(converted))
         # A clean dirty set: the first incremental save rewrites nothing.
         assert not system._engine.database.dirty_ids
-
-    def test_reconvert_without_flag_keeps_the_tuned_width(
-        self, database_file, tmp_path
-    ):
-        # Regression: a flag-less convert used to reset tuned signatures
-        # back to the 128-bit default.
-        tuned = tmp_path / "tuned.json"
-        assert main(
-            ["convert", str(database_file), str(tuned), "--bitmap-width", "64"]
-        ) == 0
-        reconverted = tmp_path / "reconverted.sqlite"
-        assert main(["convert", str(tuned), str(reconverted)]) == 0
-
-        from repro.index.backends import load_database_from
-
-        restored = load_database_from(reconverted)
-        assert all(record.signature.width == 64 for record in restored)
