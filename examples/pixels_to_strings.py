@@ -3,7 +3,8 @@
 
 The paper assumes icon objects and their MBRs have already been extracted from
 the raw image.  This example shows the whole path on synthetic data without
-any imaging dependency beyond numpy:
+any imaging dependency beyond numpy, which the rest of the package does not
+need: install it with the ``raster`` extra (``pip install .[raster]``).
 
 1. render a symbolic picture into an integer label grid (the stand-in for a
    segmented raster image),

@@ -32,7 +32,7 @@ from repro.core import (
     similarity_between_pictures,
 )
 from repro.geometry import Interval, Point, Rectangle
-from repro.iconic import IconObject, IconVocabulary, LabeledRaster, SymbolicPicture
+from repro.iconic import IconObject, IconVocabulary, SymbolicPicture
 from repro.index import ImageDatabase, Query, QueryEngine, QuerySpec
 from repro.retrieval import QueryBuilder, ResultSet, RetrievalSystem
 
@@ -52,7 +52,6 @@ __all__ = [
     "Rectangle",
     "IconObject",
     "IconVocabulary",
-    "LabeledRaster",
     "SymbolicPicture",
     "ImageDatabase",
     "Query",
@@ -63,3 +62,14 @@ __all__ = [
     "RetrievalSystem",
     "__version__",
 ]
+
+
+# ``LabeledRaster`` is left out of ``__all__``: it needs numpy (the ``raster``
+# extra), and a star import must work without it.
+def __getattr__(name: str):
+    """Resolve ``LabeledRaster`` lazily, so ``import repro`` needs no numpy."""
+    if name == "LabeledRaster":
+        from repro import iconic
+
+        return iconic.LabeledRaster
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -109,29 +109,42 @@ class Rectangle:
     # ------------------------------------------------------------------
     # Predicates
     # ------------------------------------------------------------------
+    # Each predicate is the conjunction of the matching ``Interval``
+    # predicate on the two axis projections, written out on the coordinates
+    # so a check builds no intervals (a picture checks every icon on load).
     def contains_point(self, point: Point) -> bool:
         """True when the point lies inside or on the boundary."""
-        return self.x_interval.contains_point(point.x) and self.y_interval.contains_point(
-            point.y
+        return (
+            self.x_begin <= point.x <= self.x_end
+            and self.y_begin <= point.y <= self.y_end
         )
 
     def contains(self, other: "Rectangle") -> bool:
         """True when ``other`` lies entirely inside this rectangle."""
-        return self.x_interval.contains(other.x_interval) and self.y_interval.contains(
-            other.y_interval
+        return (
+            self.x_begin <= other.x_begin
+            and other.x_end <= self.x_end
+            and self.y_begin <= other.y_begin
+            and other.y_end <= self.y_end
         )
 
     def intersects(self, other: "Rectangle") -> bool:
         """True when the closed rectangles share at least one point."""
-        return self.x_interval.overlaps(other.x_interval) and self.y_interval.overlaps(
-            other.y_interval
+        return (
+            self.x_begin <= other.x_end
+            and other.x_begin <= self.x_end
+            and self.y_begin <= other.y_end
+            and other.y_begin <= self.y_end
         )
 
     def strictly_intersects(self, other: "Rectangle") -> bool:
         """True when the rectangle interiors intersect."""
-        return self.x_interval.strictly_overlaps(
-            other.x_interval
-        ) and self.y_interval.strictly_overlaps(other.y_interval)
+        return (
+            self.x_begin < other.x_end
+            and other.x_begin < self.x_end
+            and self.y_begin < other.y_end
+            and other.y_begin < self.y_end
+        )
 
     # ------------------------------------------------------------------
     # Combinations

@@ -14,13 +14,14 @@ cannot clear the query's ``min_score``:
   the query's set bits yields an upper bound on the label-multiset overlap —
   no per-candidate ``Counter`` intersection — which upper-bounds both the
   legacy overlap-ratio threshold and (coarsely) the LCS score.
-* **Stage 2 — relation pairs.**  For every pair of objects on each axis the
-  signature records the relative order of their four boundary symbols (an
-  axis-relation code).  A pair whose code differs between query and candidate
-  cannot contribute all four symbols to a common subsequence, so a greedy
-  matching over conflicting pairs tightens the boundary-symbol bound.  The
-  resulting score bound is evaluated per query transformation and the best
-  variant is compared against ``min_score``.
+* **Stage 2 — relation pairs.**  The relative order of the four boundary
+  symbols of two objects on an axis (an axis-relation code) follows from
+  their boundary positions, which the signature keeps per object; the code
+  of a pair is computed when a query asks for it.  A pair whose code differs
+  between query and candidate cannot contribute all four symbols to a common
+  subsequence, so a greedy matching over conflicting pairs tightens the
+  boundary-symbol bound.  The resulting score bound is evaluated per query
+  transformation and the best variant is compared against ``min_score``.
 
 Both stages are *conservative*: a candidate is rejected only when its score
 upper bound is strictly below the query's ``minimum_score`` (or its exact
@@ -38,7 +39,7 @@ import threading
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.similarity import SimilarityPolicy, combined_value, normalized_value
@@ -78,14 +79,39 @@ def axis_pair_codes(axis: AxisBEString) -> Dict[Tuple[str, str], int]:
     codes mean they cannot all appear in a common subsequence.
 
     Returns:
-        Mapping from the identifier pair to its axis-relation code.
+        Mapping from the identifier pair to its axis-relation code, in sorted
+        identifier order.
     """
-    return AxisSignature.from_axis(axis).pairs
+    facts = AxisSignature.from_axis(axis)
+    begins, ends = facts.begins, facts.ends
+    identifiers = sorted(begins)
+    codes: Dict[Tuple[str, str], int] = {}
+    for index, a in enumerate(identifiers):
+        for b in identifiers[index + 1 :]:
+            codes[(a, b)] = _relation_code(begins[a], ends[a], begins[b], ends[b])
+    return codes
+
+
+def _relation_code(a_begin: int, a_end: int, b_begin: int, b_end: int) -> int:
+    """The axis-relation code of two objects from their boundary positions."""
+    return (
+        (a_begin < b_begin)
+        | (a_begin < b_end) << 1
+        | (a_end < b_begin) << 2
+        | (a_end < b_end) << 3
+    )
 
 
 @dataclass(frozen=True)
 class AxisSignature:
-    """Shortlist-relevant facts about one axis BE-string."""
+    """Shortlist-relevant facts about one axis BE-string.
+
+    The relation code of any object pair is a pure function of the two
+    objects' boundary positions, so the signature keeps the positions (two
+    entries per object) rather than the codes (one per pair);
+    :func:`pair_conflicts` computes a candidate's code only for the pairs a
+    query asks about.
+    """
 
     #: Total symbol count of the axis string.
     length: int
@@ -93,8 +119,13 @@ class AxisSignature:
     boundaries: int
     #: Number of dummy objects ``E``.
     dummies: int
-    #: Axis-relation code per object pair (see :func:`axis_pair_codes`).
-    pairs: Dict[Tuple[str, str], int]
+    #: Symbol index of each object's begin boundary.  An object missing
+    #: either boundary has no entry here nor in :attr:`ends`, so it takes
+    #: part in no pair.
+    begins: Dict[str, int]
+    #: Symbol index of each object's end boundary (same keys as
+    #: :attr:`begins`).
+    ends: Dict[str, int]
 
     @classmethod
     def from_axis(cls, axis: AxisBEString) -> "AxisSignature":
@@ -111,23 +142,16 @@ class AxisSignature:
                 begins[symbol.identifier] = position
             else:
                 ends[symbol.identifier] = position
-        identifiers = sorted(identifier for identifier in begins if identifier in ends)
-        pairs: Dict[Tuple[str, str], int] = {}
-        for index, a in enumerate(identifiers):
-            a_begin, a_end = begins[a], ends[a]
-            for b in identifiers[index + 1 :]:
-                b_begin, b_end = begins[b], ends[b]
-                pairs[(a, b)] = (
-                    (a_begin < b_begin)
-                    | (a_begin < b_end) << 1
-                    | (a_end < b_begin) << 2
-                    | (a_end < b_end) << 3
-                )
+        if begins.keys() != ends.keys():
+            complete = begins.keys() & ends.keys()
+            begins = {key: value for key, value in begins.items() if key in complete}
+            ends = {key: value for key, value in ends.items() if key in complete}
         return cls(
             length=len(axis.symbols),
             boundaries=boundaries,
             dummies=len(axis.symbols) - boundaries,
-            pairs=pairs,
+            begins=begins,
+            ends=ends,
         )
 
 
@@ -135,8 +159,8 @@ class AxisSignature:
 class ImageSignature:
     """The shortlist signature of one stored image.
 
-    Carries the hashed label bitmap (stage 1) and the per-axis relation-pair
-    facts (stage 2).  Signatures are derived data, built from the record's
+    Carries the hashed label bitmap (stage 1) and the per-axis boundary
+    positions (stage 2).  Signatures are derived data, built from the record's
     validated BE-string and never persisted: a stored copy could disagree
     with the string it claims to describe and silently prune a true match.
     """
@@ -224,10 +248,15 @@ def axis_score_bound(
 
 
 def pair_conflicts(
-    query_pairs: Dict[Tuple[str, str], int],
-    candidate_pairs: Dict[Tuple[str, str], int],
+    query_pairs: Sequence[Tuple[Tuple[str, str], int]],
+    candidate: AxisSignature,
 ) -> int:
     """Size of a greedy matching over pairs whose axis-relation codes differ.
+
+    ``query_pairs`` are the query axis's ``((a, b), code)`` items from
+    :func:`axis_pair_codes`, walked in that order; the candidate's code for
+    a pair is computed from its boundary positions, only when it holds both
+    objects.
 
     Every edge of the matching names two objects that cannot both contribute
     all their boundary symbols to the axis LCS; because matched edges share
@@ -235,15 +264,22 @@ def pair_conflicts(
     size is a sound deduction from the boundary-symbol bound (a matching
     lower-bounds the conflict graph's vertex cover).
     """
-    if not query_pairs or not candidate_pairs:
+    begins = candidate.begins
+    if not query_pairs or not begins:
         return 0
+    ends = candidate.ends
     used: set = set()
     conflicts = 0
-    for (a, b), code in query_pairs.items():
+    for (a, b), code in query_pairs:
         if a in used or b in used:
             continue
-        candidate_code = candidate_pairs.get((a, b))
-        if candidate_code is not None and candidate_code != code:
+        a_begin = begins.get(a)
+        if a_begin is None:
+            continue
+        b_begin = begins.get(b)
+        if b_begin is None:
+            continue
+        if _relation_code(a_begin, ends[a], b_begin, ends[b]) != code:
             conflicts += 1
             used.add(a)
             used.add(b)
@@ -257,6 +293,10 @@ class _QueryVariant:
     transformation: Transformation
     x: AxisSignature
     y: AxisSignature
+    #: The transformed query's ``((a, b), code)`` items per axis, computed
+    #: once per query and walked by :func:`pair_conflicts` per candidate.
+    x_pairs: Tuple[Tuple[Tuple[str, str], int], ...]
+    y_pairs: Tuple[Tuple[Tuple[str, str], int], ...]
 
 
 class QuerySignature:
@@ -296,6 +336,8 @@ class QuerySignature:
                     transformation=transformation,
                     x=AxisSignature.from_axis(transformed.x),
                     y=AxisSignature.from_axis(transformed.y),
+                    x_pairs=tuple(axis_pair_codes(transformed.x).items()),
+                    y_pairs=tuple(axis_pair_codes(transformed.y).items()),
                 )
             )
 
@@ -340,12 +382,12 @@ class QuerySignature:
         best = 0.0
         for variant in self.variants:
             x_conflicts = (
-                pair_conflicts(variant.x.pairs, candidate.x.pairs)
+                pair_conflicts(variant.x_pairs, candidate.x)
                 if with_conflicts
                 else 0
             )
             y_conflicts = (
-                pair_conflicts(variant.y.pairs, candidate.y.pairs)
+                pair_conflicts(variant.y_pairs, candidate.y)
                 if with_conflicts
                 else 0
             )

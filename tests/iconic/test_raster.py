@@ -1,11 +1,14 @@
 """Unit tests for the raster substrate (rendering and segmentation)."""
 
-import numpy as np
 import pytest
 
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
-from repro.iconic.raster import LabeledRaster, segment_picture_roundtrip
+
+# The raster layer is the package's only numpy user (the ``raster`` extra).
+np = pytest.importorskip("numpy")
+
+from repro.iconic.raster import LabeledRaster, segment_picture_roundtrip  # noqa: E402
 
 
 class TestConstruction:

@@ -32,7 +32,7 @@ from repro.index.backends import (
 from repro.index.database import ImageDatabase
 from repro.index import backends, storage
 from repro.index.execution import ExecutionOptions
-from repro.index.shortlist import ImageSignature
+from repro.index.shortlist import ImageSignature, axis_pair_codes
 from repro.index.storage import StorageError, save_database
 from repro.retrieval.system import RetrievalSystem
 
@@ -699,13 +699,14 @@ def _stored_signature(record, corrupt):
     signature = ImageSignature.from_bestring(record.bestring, record.picture.labels)
     shift = 5 if corrupt else 0
 
-    def axis(facts):
+    def axis(facts, string):
         return {
             "length": facts.length,
             "boundaries": facts.boundaries,
             "dummies": facts.dummies,
             "pairs": [
-                [a, b, (code + shift) % 16] for (a, b), code in sorted(facts.pairs.items())
+                [a, b, (code + shift) % 16]
+                for (a, b), code in sorted(axis_pair_codes(string).items())
             ],
         }
 
@@ -714,8 +715,8 @@ def _stored_signature(record, corrupt):
         "width": signature.width,
         "bitmap": format(signature.bitmap, "x"),
         "labels": dict(sorted(signature.label_counts.items())),
-        "x": axis(signature.x),
-        "y": axis(signature.y),
+        "x": axis(signature.x, record.bestring.x),
+        "y": axis(signature.y, record.bestring.y),
     }
 
 

@@ -9,6 +9,8 @@ policy axis, and every transformation set — then locks down end-to-end
 ranking equivalence with the filter-disabled scan.
 """
 
+import random
+
 import pytest
 
 from repro.core.construct import encode_picture
@@ -16,6 +18,7 @@ from repro.core.similarity import (
     Combination,
     Normalization,
     SimilarityPolicy,
+    combined_value,
     invariant_similarity,
     similarity,
 )
@@ -31,6 +34,7 @@ from repro.index.shortlist import (
     ImageSignature,
     QuerySignature,
     axis_pair_codes,
+    axis_score_bound,
     label_bit,
     label_bitmap,
     pair_conflicts,
@@ -78,6 +82,18 @@ def _reference_pair_codes(axis):
 
 def _signature(picture):
     return ImageSignature.from_bestring(encode_picture(picture), picture.labels)
+
+
+def _axis_signature(**spans):
+    """An axis signature from ``identifier=(begin, end)`` boundary positions."""
+    length = 2 * len(spans)
+    return AxisSignature(
+        length=length,
+        boundaries=length,
+        dummies=0,
+        begins={identifier: span[0] for identifier, span in spans.items()},
+        ends={identifier: span[1] for identifier, span in spans.items()},
+    )
 
 
 class TestBitmapPrimitives:
@@ -147,19 +163,117 @@ class TestPairCodes:
                     assert facts.length == len(axis)
                     assert facts.boundaries == axis.boundary_count
                     assert facts.dummies == axis.dummy_count
-                    assert facts.pairs == _reference_pair_codes(axis)
+                    assert axis_pair_codes(axis) == _reference_pair_codes(axis)
 
     def test_conflict_matching_is_disjoint(self):
-        query_pairs = {("a", "b"): 1, ("a", "c"): 2, ("b", "c"): 3}
-        candidate_pairs = {("a", "b"): 9, ("a", "c"): 9, ("b", "c"): 9}
+        query_pairs = [(("a", "b"), 1), (("a", "c"), 2), (("b", "c"), 3)]
+        # Three disjoint objects in a row: every candidate pair has code 15.
+        candidate = _axis_signature(a=(0, 1), b=(2, 3), c=(4, 5))
         # All three pairs conflict, but a matching can only pick one disjoint
         # edge out of a triangle.
-        assert pair_conflicts(query_pairs, candidate_pairs) == 1
+        assert pair_conflicts(query_pairs, candidate) == 1
 
     def test_no_conflicts_when_pairs_agree_or_are_absent(self):
-        assert pair_conflicts({("a", "b"): 1}, {("a", "b"): 1}) == 0
-        assert pair_conflicts({("a", "b"): 1}, {("a", "c"): 2}) == 0
-        assert pair_conflicts({}, {("a", "b"): 1}) == 0
+        assert pair_conflicts([(("a", "b"), 15)], _axis_signature(a=(0, 1), b=(2, 3))) == 0
+        assert pair_conflicts([(("a", "b"), 1)], _axis_signature(a=(0, 1), c=(2, 3))) == 0
+        assert pair_conflicts([], _axis_signature(a=(0, 1), b=(2, 3))) == 0
+
+
+def _reference_conflicts(query_codes, candidate_codes):
+    """Greedy matching over two :func:`axis_pair_codes` dictionaries.
+
+    The stage-2 conflict count as it was computed when every signature
+    stored its pair codes; :func:`pair_conflicts` must equal it.
+    """
+    if not query_codes or not candidate_codes:
+        return 0
+    used = set()
+    conflicts = 0
+    for (a, b), code in query_codes.items():
+        if a in used or b in used:
+            continue
+        candidate_code = candidate_codes.get((a, b))
+        if candidate_code is not None and candidate_code != code:
+            conflicts += 1
+            used.update((a, b))
+    return conflicts
+
+
+def _reference_bound(query_bestring, candidate_bestring, overlap, policy):
+    """``score_upper_bound(..., with_conflicts=True)`` over all 8 transformations."""
+    best = 0.0
+    for transformation in Transformation:
+        transformed = transform(query_bestring, transformation)
+        values = [
+            axis_score_bound(
+                AxisSignature.from_axis(query_axis),
+                AxisSignature.from_axis(candidate_axis),
+                overlap,
+                _reference_conflicts(
+                    axis_pair_codes(query_axis), axis_pair_codes(candidate_axis)
+                ),
+                policy,
+            )
+            for query_axis, candidate_axis in (
+                (transformed.x, candidate_bestring.x),
+                (transformed.y, candidate_bestring.y),
+            )
+        ]
+        best = max(best, combined_value(values[0], values[1], policy.combination))
+    return best
+
+
+class TestCompactBoundEqualsPairDictionaries:
+    """Position-map conflicts and bounds equal the pair-dictionary reference."""
+
+    # Four labels over seven objects repeat labels (``a``, ``a#1``, ...), and
+    # dropping icons leaves identifiers present on one side only.
+    _REPEATED = SceneParameters(
+        object_count=7,
+        alignment_probability=0.4,
+        labels=("a", "b", "c", "d"),
+        label_choice="random",
+    )
+
+    @staticmethod
+    def _drop_icons(rng, picture, most):
+        for _ in range(rng.randint(0, most)):
+            picture = picture.remove_icon(rng.choice(picture.identifiers))
+        return picture
+
+    @pytest.mark.parametrize("seed", [2, 29])
+    def test_conflicts_and_bounds_equal_the_reference(self, seed):
+        rng = random.Random(seed)
+        pictures = random_pictures(14, seed=seed, parameters=self._REPEATED)
+        candidates = [self._drop_icons(rng, picture, 2) for picture in pictures]
+        queries = [self._drop_icons(rng, picture, 3) for picture in pictures[:5]]
+        conflicting = 0
+        for query_picture in queries:
+            query_bestring = encode_picture(query_picture)
+            query_signature = QuerySignature(
+                query_bestring, query_picture.labels, tuple(Transformation)
+            )
+            for candidate_picture in candidates:
+                candidate_bestring = encode_picture(candidate_picture)
+                candidate = _signature(candidate_picture)
+                for transformation in Transformation:
+                    transformed = transform(query_bestring, transformation)
+                    for query_axis, candidate_axis, facts in (
+                        (transformed.x, candidate_bestring.x, candidate.x),
+                        (transformed.y, candidate_bestring.y, candidate.y),
+                    ):
+                        query_codes = axis_pair_codes(query_axis)
+                        expected = _reference_conflicts(
+                            query_codes, axis_pair_codes(candidate_axis)
+                        )
+                        assert pair_conflicts(tuple(query_codes.items()), facts) == expected
+                        conflicting += expected > 0
+                overlap = query_signature.exact_overlap(candidate)
+                for policy in _POLICIES:
+                    assert query_signature.score_upper_bound(
+                        candidate, overlap, policy, with_conflicts=True
+                    ) == _reference_bound(query_bestring, candidate_bestring, overlap, policy)
+        assert conflicting  # the inputs exercise the matching, not only its base case
 
 
 class TestScoreBoundSoundness:

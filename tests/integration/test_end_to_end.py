@@ -4,7 +4,6 @@ import pytest
 
 from repro.datasets.corpus import planted_retrieval_corpus, transformation_corpus
 from repro.geometry.rectangle import Rectangle
-from repro.iconic.raster import LabeledRaster
 from repro.index.storage import load_database, save_database
 from repro.retrieval.evaluation import (
     be_string_method,
@@ -18,6 +17,9 @@ class TestPixelsToRetrieval:
     """Raster -> segmentation -> BE-strings -> database -> ranked search."""
 
     def test_segmented_scene_retrieves_its_source(self, scene_collection, office):
+        pytest.importorskip("numpy")
+        from repro.iconic.raster import LabeledRaster
+
         raster, value_map = LabeledRaster.render(office)
         labels = {value: identifier.split("#")[0] for value, identifier in value_map.items()}
         segmented = raster.to_picture(value_labels=labels, name="segmented-office")

@@ -25,6 +25,8 @@ EXPECTED = [
 
 @pytest.mark.parametrize("script, phrase", EXPECTED)
 def test_example_runs_and_prints_expected_output(script, phrase):
+    if script == "pixels_to_strings.py":
+        pytest.importorskip("numpy")  # the one example that needs the raster extra
     path = EXAMPLES_DIR / script
     assert path.exists(), f"example {script} is missing"
     completed = subprocess.run(

@@ -1,10 +1,17 @@
 """Smoke tests for the package's public surface."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
+
+#: The directory holding the ``repro`` package, for fresh interpreters.
+_PACKAGE_ROOT = str(Path(repro.__file__).resolve().parents[1])
 
 
 SUBPACKAGES = [
@@ -56,3 +63,51 @@ class TestTopLevelExports:
         assert repro.similarity(bestring, bestring).score == 1.0
         system = repro.RetrievalSystem.from_pictures([picture])
         assert system.query(picture).execute()[0].image_id == "t"
+
+
+def _run_fresh_interpreter(code):
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_PACKAGE_ROOT, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert completed.returncode == 0, completed.stderr
+    return completed.stdout.splitlines()
+
+
+class TestOptionalNumpy:
+    """Only the raster layer needs numpy (the ``raster`` extra)."""
+
+    def test_engine_import_graph_is_numpy_free(self):
+        output = _run_fresh_interpreter(
+            "import sys\n"
+            "import repro, repro.retrieval.system, repro.service.server\n"
+            "import repro.service.client, repro.cli\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'numpy'))\n"
+        )
+        assert output == ["[]"]
+
+    def test_labeled_raster_resolves_from_both_packages(self):
+        pytest.importorskip("numpy")
+        from repro.iconic import raster
+
+        assert repro.LabeledRaster is raster.LabeledRaster
+        assert repro.iconic.LabeledRaster is raster.LabeledRaster
+        assert not hasattr(repro, "NoSuchName")
+        assert not hasattr(repro.iconic, "NoSuchName")
+
+    def test_without_numpy_the_raster_names_its_extra(self):
+        output = _run_fresh_interpreter(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import repro\n"
+            "from repro import *\n"
+            "for package in (repro, repro.iconic):\n"
+            "    try:\n"
+            "        package.LabeledRaster\n"
+            "    except ImportError as error:\n"
+            "        print(error)\n"
+        )
+        assert len(output) == 2
+        assert all("repro-2d-bestring[raster]" in message for message in output)
