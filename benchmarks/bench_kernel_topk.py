@@ -70,13 +70,16 @@ _PARAMETERS = SceneParameters(
 
 _ANYTIME = ExecutionOptions(strategy="anytime", cache=False)
 _CONFIGS = [
-    ("reference/exhaustive", ExecutionOptions(cache=False)),
-    ("bitparallel/exhaustive", ExecutionOptions(kernel="bitparallel", cache=False)),
-    ("reference/anytime", ExecutionOptions(strategy="anytime", cache=False)),
     (
-        "bitparallel/anytime",
-        ExecutionOptions(kernel="bitparallel", strategy="anytime", cache=False),
-    ),
+        f"{kernel}/{strategy}",
+        ExecutionOptions(kernel=kernel, strategy=strategy, cache=False),
+    )
+    for kernel, strategy in (
+        ("reference", "exhaustive"),
+        ("bitparallel", "exhaustive"),
+        ("reference", "anytime"),
+        ("bitparallel", "anytime"),
+    )
 ]
 
 

@@ -16,10 +16,11 @@ system would script:
     per-leaf ``[w=2 fuzzy]`` annotations, see ``docs/predicates.md``),
     ``--fuzzy`` grades every relation by boundary distance,
     ``--min-score`` a score cut-off and ``--jsonl``
-    machine-readable output (one JSON object per result).  ``--kernel
-    bitparallel`` scores with the bit-parallel LCS kernel and ``--strategy
-    anytime`` enables branch-and-bound early termination (see
-    ``docs/kernels.md``); both default to the historical reference behaviour.
+    machine-readable output (one JSON object per result).  ``--kernel`` picks
+    the LCS implementation (``bitparallel`` by default, or the ``reference``
+    DP) and ``--strategy`` the candidate visit (``anytime`` branch-and-bound
+    early termination by default, or ``exhaustive``); see
+    ``docs/kernels.md``.  Every combination ranks identically.
 
 ``python -m repro.cli explain <database.json> <query-scene.json> [--where ...]``
     Run a query like ``search`` but print the execution trace: the shortlist
@@ -699,12 +700,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
         subparser.add_argument(
             "--kernel", choices=KERNELS, default=None,
-            help="LCS implementation for scoring (default: reference DP)",
+            help="LCS implementation for scoring (default: bitparallel)",
         )
         subparser.add_argument(
             "--strategy", choices=STRATEGIES, default=None,
             help="candidate processing: anytime branch-and-bound or exhaustive "
-                 "(default: exhaustive)",
+                 "(default: anytime)",
         )
         _add_format_flag(subparser)
 

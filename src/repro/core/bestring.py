@@ -209,7 +209,7 @@ class AxisBEString:
     # ------------------------------------------------------------------
     def to_text(self) -> str:
         """Whitespace-separated token form, e.g. ``"E A.b E A.e C.b E"``."""
-        return " ".join(symbol.to_text() for symbol in self.symbols)
+        return " ".join([symbol.text for symbol in self.symbols])
 
     def to_compact_text(self) -> str:
         """Compact form close to the paper's notation, e.g. ``"EAbEAeCbE"``.

@@ -18,7 +18,7 @@ paper, and :func:`encode_picture`, the idiomatic API working on
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.errors import EncodingError
@@ -31,44 +31,64 @@ from repro.iconic.picture import SymbolicPicture
 #: (zero extent) still begins before it ends.
 BoundaryRecord = Tuple[float, str, BoundaryKind]
 
+#: The sort key of one boundary: ``(coordinate, identifier, 0 for begin | 1
+#: for end)``, ordered by Python's native tuple comparison.
+BoundaryKey = Tuple[float, str, int]
 
-def _sort_key(record: BoundaryRecord) -> Tuple[float, str, int]:
-    coordinate, identifier, kind = record
-    return (coordinate, identifier, 0 if kind is BoundaryKind.BEGIN else 1)
 
-
-def build_axis_string(
-    records: Sequence[BoundaryRecord], extent: float, origin: float = 0.0
+def _emit_axis(
+    keys: List[BoundaryKey],
+    extent: float,
+    origin: float,
+    symbols: Dict[str, Tuple[Symbol, Symbol]],
 ) -> AxisBEString:
-    """Emit one axis BE-string from sorted-or-unsorted boundary records.
+    """Sort ``keys`` in place and emit their axis BE-string.
 
     This is the body of Algorithm 1 for a single axis (lines 21-32 / 34-45 of
     the paper): sort, then walk the boundary sequence inserting dummies at the
-    image edges and between distinct coordinates.
+    image edges and between distinct coordinates.  ``symbols`` caches each
+    object's interned ``(begin, end)`` symbols, so one object is looked up
+    once however many axes share the table.
     """
     if extent <= origin:
         raise EncodingError("the image extent must exceed the origin")
-    ordered = sorted(records, key=_sort_key)
-    for coordinate, identifier, _ in ordered:
+    keys.sort()
+    for coordinate, identifier, _ in keys:
         if coordinate < origin or coordinate > extent:
             raise EncodingError(
                 f"boundary of object {identifier!r} at {coordinate!r} lies outside "
                 f"[{origin!r}, {extent!r}]"
             )
-    symbols: List[Symbol] = []
-    if not ordered:
-        return AxisBEString((Symbol.dummy(),))
-    if ordered[0][0] != origin:
-        symbols.append(Symbol.dummy())
-    for index, (coordinate, identifier, kind) in enumerate(ordered):
-        symbols.append(Symbol.boundary(identifier, kind))
-        if index + 1 < len(ordered):
-            next_coordinate = ordered[index + 1][0]
-            if coordinate != next_coordinate:
-                symbols.append(Symbol.dummy())
-        elif coordinate != extent:
-            symbols.append(Symbol.dummy())
-    return AxisBEString(tuple(symbols))
+    dummy = Symbol.dummy()
+    if not keys:
+        return AxisBEString((dummy,))
+    previous = keys[0][0]
+    emitted: List[Symbol] = [] if previous == origin else [dummy]
+    for coordinate, identifier, kind in keys:
+        pair = symbols.get(identifier)
+        if pair is None:
+            pair = symbols[identifier] = (
+                Symbol.boundary(identifier, BoundaryKind.BEGIN),
+                Symbol.boundary(identifier, BoundaryKind.END),
+            )
+        if coordinate != previous:
+            emitted.append(dummy)
+            previous = coordinate
+        emitted.append(pair[kind])
+    if previous != extent:
+        emitted.append(dummy)
+    return AxisBEString(tuple(emitted))
+
+
+def build_axis_string(
+    records: Sequence[BoundaryRecord], extent: float, origin: float = 0.0
+) -> AxisBEString:
+    """Emit one axis BE-string from sorted-or-unsorted boundary records."""
+    keys = [
+        (coordinate, identifier, 0 if kind is BoundaryKind.BEGIN else 1)
+        for coordinate, identifier, kind in records
+    ]
+    return _emit_axis(keys, extent, origin, {})
 
 
 def convert_2d_be_string(
@@ -102,18 +122,18 @@ def convert_2d_be_string(
                 "end boundaries"
             )
 
-    x_records: List[BoundaryRecord] = []
-    y_records: List[BoundaryRecord] = []
-    for index in range(n):
-        identifier = identifiers[index]
-        x_records.append((float(x_begin[index]), identifier, BoundaryKind.BEGIN))
-        x_records.append((float(x_end[index]), identifier, BoundaryKind.END))
-        y_records.append((float(y_begin[index]), identifier, BoundaryKind.BEGIN))
-        y_records.append((float(y_end[index]), identifier, BoundaryKind.END))
+    x_keys: List[BoundaryKey] = []
+    y_keys: List[BoundaryKey] = []
+    for identifier, xb, xe, yb, ye in zip(identifiers, x_begin, x_end, y_begin, y_end):
+        x_keys.append((float(xb), identifier, 0))
+        x_keys.append((float(xe), identifier, 1))
+        y_keys.append((float(yb), identifier, 0))
+        y_keys.append((float(ye), identifier, 1))
 
+    symbols: Dict[str, Tuple[Symbol, Symbol]] = {}
     return BEString2D(
-        x=build_axis_string(x_records, float(x_max)),
-        y=build_axis_string(y_records, float(y_max)),
+        x=_emit_axis(x_keys, float(x_max), 0.0, symbols),
+        y=_emit_axis(y_keys, float(y_max), 0.0, symbols),
         name=name,
     )
 

@@ -23,21 +23,17 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.bestring import AxisBEString, BEString2D
-from repro.core.construct import build_axis_string
+from repro.core.construct import BoundaryKey, _emit_axis
 from repro.core.errors import EncodingError
 from repro.core.symbols import BoundaryKind
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.icon import IconObject
 from repro.iconic.picture import SymbolicPicture
 
-#: Sort key form of one boundary record: (coordinate, identifier, kind order).
-_Key = Tuple[float, str, int]
-
-
-def _key(coordinate: float, identifier: str, kind: BoundaryKind) -> _Key:
+def _key(coordinate: float, identifier: str, kind: BoundaryKind) -> BoundaryKey:
     return (coordinate, identifier, 0 if kind is BoundaryKind.BEGIN else 1)
 
 
@@ -48,8 +44,8 @@ class IndexedBEString:
     width: float
     height: float
     name: str = ""
-    _x_keys: List[_Key] = field(default_factory=list)
-    _y_keys: List[_Key] = field(default_factory=list)
+    _x_keys: List[BoundaryKey] = field(default_factory=list)
+    _y_keys: List[BoundaryKey] = field(default_factory=list)
     _mbrs: Dict[str, Rectangle] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -136,14 +132,10 @@ class IndexedBEString:
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def _axis_string(self, keys: List[_Key], extent: float) -> AxisBEString:
-        records = [
-            (coordinate, identifier, BoundaryKind.BEGIN if kind == 0 else BoundaryKind.END)
-            for coordinate, identifier, kind in keys
-        ]
-        # The records are already sorted by construction; build_axis_string's
-        # sort is then a no-op O(n) pass for Timsort, keeping emission linear.
-        return build_axis_string(records, extent)
+    def _axis_string(self, keys: List[BoundaryKey], extent: float) -> AxisBEString:
+        # The keys are already sorted by construction; the emitter's sort is
+        # then a no-op O(n) pass for Timsort, keeping emission linear.
+        return _emit_axis(list(keys), extent, 0.0, {})
 
     def to_bestring(self) -> BEString2D:
         """Emit the current 2D BE-string from the sorted boundary records."""

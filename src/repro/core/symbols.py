@@ -12,7 +12,7 @@ A 2D BE-string is a sequence over exactly two kinds of symbol:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional, Tuple
 
@@ -57,6 +57,8 @@ class Symbol:
 
     identifier: Optional[str] = None
     kind: Optional[BoundaryKind] = None
+    #: The token :meth:`to_text` returns, rendered once on construction.
+    text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if (self.identifier is None) != (self.kind is None):
@@ -64,8 +66,14 @@ class Symbol:
                 "a symbol is either a dummy (no identifier, no kind) or a "
                 "boundary symbol (both identifier and kind)"
             )
-        if self.identifier is not None and not self.identifier:
+        if self.identifier is None:
+            text = DUMMY_TEXT
+        elif not self.identifier:
             raise EncodingError("boundary symbols need a non-empty identifier")
+        else:
+            assert self.kind is not None
+            text = f"{self.identifier}.{self.kind.value}"
+        object.__setattr__(self, "text", text)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -150,10 +158,7 @@ class Symbol:
     # ------------------------------------------------------------------
     def to_text(self) -> str:
         """``E`` for the dummy, ``<identifier>.<b|e>`` for boundaries."""
-        if self.is_dummy:
-            return DUMMY_TEXT
-        assert self.kind is not None
-        return f"{self.identifier}.{self.kind.value}"
+        return self.text
 
     @classmethod
     def from_text(cls, token: str) -> "Symbol":

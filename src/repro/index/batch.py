@@ -232,7 +232,9 @@ class BatchQueryEngine:
                 cached = (
                     self.cache.get(group.query_key, image_id) if group_cached else None
                 )
-                if cached is not None:
+                # A score or bound the candidate loop cached is not enough
+                # here: the batch ranks full results.
+                if isinstance(cached, SimilarityResult):
                     run_results[(group.query_key, image_id)] = cached
                     report.cache_hits += 1
                 else:

@@ -1,19 +1,30 @@
-"""An LRU cache for per-(query, image) similarity scores.
+"""An LRU cache of per-(query, image) similarity scores.
 
-Batch retrieval (see :mod:`repro.index.batch`) repeatedly evaluates the same
-modified-LCS similarity: popular queries recur within and across batches, and
-every recurrence would otherwise pay the full O(mn) dynamic program per
-candidate image.  :class:`ScoreCache` memoises finished
-:class:`~repro.core.similarity.SimilarityResult` objects under a key derived
-from the *content* of the query (its axis strings, the similarity policy and
-the transformation set) plus the candidate image id.
+Retrieval repeatedly evaluates the same modified-LCS similarity: popular
+queries recur within and across batches, and every recurrence would
+otherwise pay an O(mn) evaluation per candidate image.  :class:`ScoreCache`
+memoises what the query engine learned about each candidate under a key
+derived from the *content* of the query (its axis strings, the similarity
+policy and the transformation set) plus the candidate image id.  One entry
+(:data:`CacheEntry`) holds one of:
+
+* a full :class:`~repro.core.similarity.SimilarityResult` — for the final
+  survivors of a ranking, and for every candidate the reference evaluation
+  scored;
+* a confirmed score (a ``float``) — a candidate the bit-parallel kernel
+  scored that did not survive the cut;
+* a :class:`ScoreBound` — the stage-2 upper bound of a candidate the
+  anytime stop rule skipped.
+
+The batch scheduler (:mod:`repro.index.batch`) needs full results and treats
+any other entry as a miss.
 
 Correctness over staleness: the cache never outlives a database mutation.
 :class:`~repro.index.query.QueryEngine` calls :meth:`ScoreCache.invalidate_image`
 whenever an image is added, removed, or edited object-by-object, which drops
-every cached score involving that image id.  Keys are pure values (strings,
-enums, frozen dataclasses), so they are hashable and safe to share across
-worker threads; all cache operations take an internal lock.
+every cached score and bound involving that image id.  Keys are pure values
+(strings, enums, frozen dataclasses), so they are hashable and safe to share
+across worker threads; all cache operations take an internal lock.
 """
 
 from __future__ import annotations
@@ -21,7 +32,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Set, Tuple, Union
 
 from repro.core.bestring import BEString2D
 from repro.core.similarity import SimilarityPolicy, SimilarityResult
@@ -32,6 +43,20 @@ QueryKey = Tuple[str, str, SimilarityPolicy, Tuple[Transformation, ...]]
 
 #: Full cache key: query content plus the candidate image id.
 CacheKey = Tuple[QueryKey, str]
+
+
+class ScoreBound(float):
+    """An upper bound on a candidate's score, not the score itself.
+
+    Cached for a candidate the anytime stop rule skipped, so a repeated
+    query orders it without bounding it again.
+    """
+
+    __slots__ = ()
+
+
+#: What one cache entry holds: a full result, a confirmed score or a bound.
+CacheEntry = Union[SimilarityResult, float]
 
 
 def query_score_key(
@@ -82,13 +107,13 @@ class CacheStatistics:
 
 
 class ScoreCache:
-    """Thread-safe LRU cache of similarity results keyed by (query, image)."""
+    """Thread-safe LRU cache of :data:`CacheEntry` values keyed by (query, image)."""
 
     def __init__(self, capacity: int = 65536) -> None:
         if capacity < 1:
             raise ValueError("cache capacity must be at least 1")
         self.capacity = capacity
-        self._entries: "OrderedDict[CacheKey, SimilarityResult]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, CacheEntry]" = OrderedDict()
         self._image_keys: Dict[str, Set[CacheKey]] = {}
         self._lock = threading.Lock()
         self._hits = 0
@@ -99,8 +124,11 @@ class ScoreCache:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def get(self, query_key: Hashable, image_id: str) -> Optional[SimilarityResult]:
-        """The cached result for ``(query_key, image_id)``, or ``None``."""
+    def get(self, query_key: Hashable, image_id: str) -> Optional[CacheEntry]:
+        """The cached entry for ``(query_key, image_id)``, or ``None``.
+
+        Any entry counts as a hit, whatever it holds.
+        """
         key = (query_key, image_id)
         with self._lock:
             result = self._entries.get(key)
@@ -111,8 +139,8 @@ class ScoreCache:
             self._hits += 1
             return result
 
-    def put(self, query_key: Hashable, image_id: str, result: SimilarityResult) -> None:
-        """Store one result, evicting the least recently used entry if full."""
+    def put(self, query_key: Hashable, image_id: str, result: CacheEntry) -> None:
+        """Store one entry (replacing any), evicting the least recently used if full."""
         key = (query_key, image_id)
         with self._lock:
             if key in self._entries:
@@ -127,7 +155,7 @@ class ScoreCache:
             self._image_keys.setdefault(image_id, set()).add(key)
 
     def invalidate_image(self, image_id: str) -> int:
-        """Drop every cached score involving ``image_id``; returns the count.
+        """Drop every cached entry involving ``image_id``; returns the count.
 
         Called by the query engine whenever an image is added, removed, or
         edited, so cached scores can never disagree with the database.

@@ -33,7 +33,7 @@ KERNELS = (KERNEL_BITPARALLEL, KERNEL_REFERENCE)
 
 #: Branch-and-bound top-k: score in descending-bound order, stop early.
 STRATEGY_ANYTIME = "anytime"
-#: Score every shortlist survivor (the historical behaviour).
+#: Score every shortlist survivor.
 STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGIES = (STRATEGY_ANYTIME, STRATEGY_EXHAUSTIVE)
 
@@ -105,14 +105,6 @@ class ExecutionOptions:
         """Fill the remaining ``None`` fields with the documented defaults."""
         return DEFAULT_EXECUTION.overlaid(self)
 
-    @property
-    def is_default_scoring(self) -> bool:
-        """True when kernel/strategy match the historical implicit behaviour."""
-        return self.kernel in (None, KERNEL_REFERENCE) and self.strategy in (
-            None,
-            STRATEGY_EXHAUSTIVE,
-        )
-
     def describe(self) -> str:
         """Compact ``key=value`` summary of the explicitly set fields."""
         parts = [
@@ -140,11 +132,12 @@ class ExecutionOptions:
         return cls(**dict(payload))
 
 
-#: The documented defaults: the exact behaviour queries had before
-#: ExecutionOptions existed.
+#: The documented defaults.  Every kernel and strategy ranks byte-identically,
+#: so the default is the fastest pair: the bit-parallel kernel under the
+#: anytime stop rule.
 DEFAULT_EXECUTION = ExecutionOptions(
-    kernel=KERNEL_REFERENCE,
-    strategy=STRATEGY_EXHAUSTIVE,
+    kernel=KERNEL_BITPARALLEL,
+    strategy=STRATEGY_ANYTIME,
     shortlist=True,
     cache=True,
     executor="thread",

@@ -4,21 +4,22 @@ The engine ties the pieces together the way the paper's demonstration system
 does: the query picture is encoded once, candidate images are shortlisted by
 the inverted index and the two-stage signature shortlist
 (:mod:`repro.index.shortlist` — hashed label bitmaps, then relation-pair
-score bounds against the query's ``minimum_score``), each surviving candidate
-is scored with the modified-LCS similarity evaluation (optionally over all
+score bounds against the query's ``minimum_score``), the survivors are
+scored with the modified-LCS similarity (optionally over all
 rotations/reflections of the query), and the results are returned ranked.
 
-Since the query-API redesign every entry point converges here:
-
-* :meth:`QueryEngine.execute` (the serial path) and the batch scheduler
-  (:mod:`repro.index.batch`) both consult the shared
-  :class:`~repro.index.cache.ScoreCache`, so an identical repeated query --
-  serial or batched -- never pays the LCS dynamic program twice.
-* :meth:`QueryEngine.execute_spec` runs a full declarative
-  :class:`~repro.index.spec.QuerySpec` -- similarity, relation predicates, or
-  both -- recording a :class:`~repro.index.spec.QueryTrace` of shortlist
-  admissions and cache hits for ``explain`` output.  Predicate clauses are
-  pruned through the inverted index instead of scanning every stored record.
+Every similarity clause, alone or combined with relation predicates, runs
+through one candidate loop (:meth:`QueryEngine._rank`): it reads the shared
+:class:`~repro.index.cache.ScoreCache` before doing any other work, visits
+candidates best bound first and, under the default anytime strategy, stops
+at the threshold, and materialises full results only for the ranking's
+survivors.  The batch
+scheduler (:mod:`repro.index.batch`) shares the same cache, so an identical
+repeated query -- serial or batched -- never pays the LCS evaluation twice.
+:meth:`QueryEngine.execute_spec` runs a full declarative
+:class:`~repro.index.spec.QuerySpec`, recording a
+:class:`~repro.index.spec.QueryTrace` of shortlist admissions and cache hits
+for ``explain`` output.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import threading
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
@@ -44,7 +45,7 @@ from repro.core.similarity import (
 from repro.core.transforms import Transformation, canonical_transformations
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
-from repro.index.cache import QueryKey, ScoreCache, query_score_key
+from repro.index.cache import CacheEntry, ScoreBound, ScoreCache, query_score_key
 from repro.index.database import ImageDatabase, ImageRecord
 from repro.index.execution import (
     EXECUTOR_SHARD_PROCESS,
@@ -84,6 +85,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.index.batch import BatchOptions, BatchReport
     from repro.index.workers import GatherOutcome, ShardWorkerPool
     from repro.retrieval.predicates import GradedMatch, PredicateMatch
+
+    #: One image's evaluation of a predicate clause: crisp or graded.
+    Match = Union[PredicateMatch, GradedMatch]
+
+
+def _entry_value(entry: CacheEntry) -> float:
+    """The score a score-cache entry confirms, or the bound it records."""
+    return entry.score if isinstance(entry, SimilarityResult) else entry
 
 
 class NullRWLock:
@@ -176,8 +185,9 @@ class QueryEngine:
     #: (``filter()``/``scored()``) and existing callers.
     signature_filter: SignatureFilter = field(default_factory=SignatureFilter)
     inverted_index: InvertedSymbolIndex = field(default_factory=InvertedSymbolIndex)
-    #: Memoised per-(query, image) similarity results, shared with the batch
-    #: subsystem (:mod:`repro.index.batch`) and invalidated on every mutation.
+    #: Memoised per-(query, image) scores, bounds and survivors' full
+    #: results, shared with the batch subsystem (:mod:`repro.index.batch`)
+    #: and invalidated on every mutation.
     score_cache: ScoreCache = field(default_factory=ScoreCache)
     #: Cumulative two-stage shortlist counters (surfaced by the service
     #: ``/stats`` endpoint).
@@ -340,19 +350,13 @@ class QueryEngine:
             return self._shortlist(query, query_bestring)
 
     def _shortlist(
-        self,
-        query: Query,
-        query_bestring: Optional[BEString2D] = None,
-        collect_bounds: bool = False,
+        self, query: Query, query_bestring: Optional[BEString2D] = None
     ) -> ShortlistOutcome:
         """Shortlist implementation (callers hold the shared grant).
 
-        ``collect_bounds`` additionally records the stage-2 score upper bound
-        of every *admitted* candidate in :attr:`ShortlistOutcome.bounds` (the
-        anytime strategy orders candidates and terminates on them).  The
-        admitted set is identical either way; full-scan passes (filters off or
-        a label-less query) have no signatures to bound with and leave
-        ``bounds`` as ``None``.
+        A minimum-score cut computes the stage-2 bound of every candidate it
+        admits; those land in :attr:`ShortlistOutcome.bounds`, so the
+        candidate loop never bounds one twice.
         """
         if not query.use_filters:
             return ShortlistOutcome(self.database.image_ids, STAGE_FULL_SCAN)
@@ -365,7 +369,7 @@ class QueryEngine:
         ordered = sorted(candidates)
         threshold = self.signature_filter.minimum_overlap_ratio
         minimum_score = query.minimum_score
-        if threshold <= 0.0 and minimum_score <= 0.0 and not collect_bounds:
+        if threshold <= 0.0 and minimum_score <= 0.0:
             # Nothing to bound against: every label-sharer is worth scoring.
             outcome = ShortlistOutcome(ordered, STAGE_SHORTLIST, len(candidates))
             self.shortlist_counters.record(outcome)
@@ -376,17 +380,11 @@ class QueryEngine:
             query_bestring,
             query.picture.labels,
             # The per-transformation variants feed only the score bounds; on
-            # a threshold-only pass (minimum_score == 0) skip building them —
-            # unless the caller wants per-candidate bounds, which must
-            # dominate the best score over *every* transformation.
-            query.transformations
-            if minimum_score > 0.0 or collect_bounds
-            else (Transformation.IDENTITY,),
+            # a threshold-only pass (minimum_score == 0) skip building them.
+            query.transformations if minimum_score > 0.0 else (Transformation.IDENTITY,),
         )
         total = query_signature.total_labels
         outcome = ShortlistOutcome([], STAGE_SHORTLIST, len(candidates))
-        if collect_bounds:
-            outcome.bounds = {}
 
         def reject(image_id: str, stage: str, bound: float) -> None:
             if stage == STAGE_BITMAP_PRUNED:
@@ -420,15 +418,14 @@ class QueryEngine:
                 reject(image_id, STAGE_BITMAP_PRUNED, overlap / total)
                 continue
             # Stage 2: the relation-pair conflict bound on the exact overlap.
-            if minimum_score > 0.0 or collect_bounds:
+            if minimum_score > 0.0:
                 bound = query_signature.score_upper_bound(
                     candidate, overlap, query.policy, with_conflicts=True
                 )
-                if minimum_score > 0.0 and bound < minimum_score:
+                if bound < minimum_score:
                     reject(image_id, STAGE_RELATION_PRUNED, bound)
                     continue
-                if outcome.bounds is not None:
-                    outcome.bounds[image_id] = bound
+                outcome.bounds[image_id] = bound
             outcome.candidates.append(image_id)
         self.shortlist_counters.record(outcome)
         return outcome
@@ -488,43 +485,101 @@ class QueryEngine:
         )
         return score
 
-    def _score_candidates(
+    def _bounds(
         self,
         query: Query,
-        trace: QueryTrace,
-        allowed: Optional[Set[str]] = None,
-        prepared: Optional[Tuple[BEString2D, ShortlistOutcome]] = None,
-    ) -> List[Tuple[str, SimilarityResult]]:
-        """Score the shortlisted candidates, consulting the score cache.
+        query_bestring: BEString2D,
+        outcome: ShortlistOutcome,
+        image_ids: Sequence[str],
+    ) -> Dict[str, float]:
+        """The stage-2 score bound of each of ``image_ids``.
 
-        This is the single scoring entry point both :meth:`execute` and
-        :meth:`execute_spec` share.  The query's resolved
-        :class:`~repro.index.execution.ExecutionOptions` pick the scan
-        (exhaustive or anytime branch-and-bound) and the LCS kernel; every
-        combination returns pairs that rank byte-identically to the
-        historical exhaustive/reference loop.  Hits and misses are recorded
-        in ``trace``; computed full results are written back to the cache
-        (unless ``query.use_cache`` is off).
-
-        ``allowed`` (combined mode) restricts scoring to a pre-filtered id
-        set; ``prepared`` passes an already-computed ``(query BE-string,
-        shortlist outcome)`` pair so combined mode does not shortlist twice.
+        A bound the shortlist already computed for its minimum-score cut is
+        reused; the others are computed against a query signature built only
+        if one is needed.
         """
+        bounds: Dict[str, float] = {}
+        signature: Optional[QuerySignature] = None
+        for image_id in image_ids:
+            bound = outcome.bounds.get(image_id)
+            if bound is None:
+                if signature is None:
+                    signature = QuerySignature(
+                        query_bestring, query.picture.labels, query.transformations
+                    )
+                candidate = signature_for(self.database.get(image_id))
+                bound = signature.score_upper_bound(
+                    candidate,
+                    signature.exact_overlap(candidate),
+                    query.policy,
+                    with_conflicts=True,
+                )
+            bounds[image_id] = bound
+        return bounds
+
+    def _rank(
+        self, query: Query, trace: QueryTrace, spec: Optional[QuerySpec] = None
+    ) -> Tuple[List[RankedResult], Optional[Dict[str, Match]]]:
+        """The candidate loop every similarity clause runs through.
+
+        Callers hold the shared grant.  ``spec`` carries the predicate clause
+        that combines with the similarity of ``query``, if any:
+
+        * without one, every shortlisted candidate has degree 1;
+        * a crisp clause drops the candidates that are not a full match;
+        * a graded tree is evaluated first, and its degree composes with the
+          similarity (:meth:`~repro.index.spec.QuerySpec.compose`), so the
+          composed score decides the minimum-score and limit cuts.
+
+        The score cache is read before any other work.  An entry holds a full
+        result, a confirmed score, or the stage-2 bound of a candidate an
+        earlier run skipped; bounds are computed only for candidates with no
+        entry.  The anytime strategy visits candidates in
+        ``(-compose(bound, degree), image_id)`` order, a confirmed score
+        being its own bound, and stops once the k-th confirmed key sorts at
+        or before the next bound key.  Since ``score <= bound``, no unvisited
+        candidate can then enter the top k or change its order, and both keys
+        carry the distinct image id, so ties are safe.  This is the threshold
+        test of Fagin, Lotem & Naor, "Optimal aggregation algorithms for
+        middleware" (PODS 2001).  Scores below the minimum never take one of
+        the k slots.  The exhaustive strategy is the same loop without the
+        stop, and so is a full-scan pass, which has no signatures to bound
+        with.
+
+        Misses are scored by the resolved kernel.  Only the final survivors
+        are materialised as full :class:`SimilarityResult` objects
+        (``RankedResult.similarity`` and ``explain`` need them), and that
+        result replaces the survivor's score entry.
+
+        Returns:
+            The ranking, and the per-image predicate matches of ``spec``
+            (``None`` without a predicate clause).
+        """
+        limit, minimum_score = query.limit, query.minimum_score
+        graded = spec is not None and spec.has_graded_predicates
+        if graded:
+            # The shortlist must not reject on the raw similarity bound: the
+            # sum composition can rank a low-similarity image above a
+            # high-similarity one.
+            query = replace(query, minimum_score=0.0, limit=None)
         execution = self.resolve_execution(query)
         kernel = self._kernel_for(execution, query.policy)
-        if prepared is None:
-            query_bestring = encode_picture(query.picture)
-            outcome = self._shortlist(
-                query,
-                query_bestring,
-                collect_bounds=execution.strategy == STRATEGY_ANYTIME,
-            )
-        else:
-            query_bestring, outcome = prepared
-        cache_key = query_score_key(query_bestring, query.policy, query.transformations)
-        candidates, stage = outcome.candidates, outcome.stage
-        if allowed is not None:
-            candidates = [image_id for image_id in candidates if image_id in allowed]
+        query_bestring = encode_picture(query.picture)
+        outcome = self._shortlist(query, query_bestring)
+        candidates = outcome.candidates
+        matches: Optional[Dict[str, Match]] = None
+        if spec is not None:
+            matches = self._evaluate_clause(spec, trace, restrict_to=candidates)
+            if not graded:
+                candidates = [
+                    image_id for image_id in candidates if matches[image_id].is_full_match
+                ]
+
+        def composed(image_id: str, score: float) -> float:
+            if not graded:
+                return score
+            return spec.compose(score, matches[image_id].degree)
+
         trace.database_size = len(self.database)
         trace.inverted_candidates = outcome.inverted_candidates
         trace.shortlisted = len(candidates)
@@ -537,218 +592,105 @@ class QueryEngine:
                 stage=rejecting_stage,
                 score_bound=outcome.rejection_bounds.get(image_id),
             )
-        # A full-scan pass has no signatures, hence no bounds to order by:
-        # the anytime strategy degrades to the exhaustive scan (and the trace
-        # reports what actually ran).
-        anytime = execution.strategy == STRATEGY_ANYTIME and outcome.bounds is not None
+        anytime = execution.strategy == STRATEGY_ANYTIME and outcome.stage != STAGE_FULL_SCAN
         trace.strategy = STRATEGY_ANYTIME if anytime else STRATEGY_EXHAUSTIVE
+
+        cache_key = query_score_key(query_bestring, query.policy, query.transformations)
+        use_cache = query.use_cache
+        entries: Dict[str, CacheEntry] = {}
+        if use_cache:
+            for image_id in candidates:
+                entry = self.score_cache.get(cache_key, image_id)
+                if entry is not None:
+                    entries[image_id] = entry
+        bounds: Dict[str, float] = {}
+        keys: Dict[str, float] = {}
+        visit = candidates
         if anytime:
-            scored = self._score_anytime(
-                query, trace, query_bestring, cache_key, candidates, stage,
-                outcome.bounds, kernel,
+            bounds = self._bounds(
+                query,
+                query_bestring,
+                outcome,
+                [image_id for image_id in candidates if image_id not in entries],
             )
-        elif kernel == KERNEL_BITPARALLEL:
-            scored = self._score_exhaustive_kernel(
-                query, trace, query_bestring, cache_key, candidates, stage
-            )
-        else:
-            scored = self._score_exhaustive(
-                query, trace, query_bestring, cache_key, candidates, stage
-            )
-        self.execution_counters.record(
-            admitted=len(candidates),
-            examined=trace.candidates_examined,
-            anytime=anytime,
-        )
-        return scored
+            for image_id in candidates:
+                entry = entries.get(image_id)
+                value = bounds[image_id] if entry is None else _entry_value(entry)
+                keys[image_id] = -composed(image_id, value)
+            visit = sorted(candidates, key=lambda image_id: (keys[image_id], image_id))
 
-    def _score_exhaustive(
-        self,
-        query: Query,
-        trace: QueryTrace,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        candidates: List[str],
-        stage: str,
-    ) -> List[Tuple[str, SimilarityResult]]:
-        """The historical scoring loop: full evaluation of every candidate."""
-        scored: List[Tuple[str, SimilarityResult]] = []
-        for image_id in candidates:
-            cached = self.score_cache.get(cache_key, image_id) if query.use_cache else None
-            if cached is not None:
-                result = cached
-                trace.cache_hits += 1
-            else:
-                record = self.database.get(image_id)
-                result = self._score(query_bestring, record.bestring, query)
-                trace.cache_misses += 1
-                if query.use_cache:
-                    self.score_cache.put(cache_key, image_id, result)
-            trace.candidates[image_id] = CandidateTrace(
-                image_id=image_id,
-                stage=stage,
-                cache_hit=(cached is not None) if query.use_cache else None,
-            )
-            scored.append((image_id, result))
-        trace.candidates_examined = len(scored)
-        return scored
-
-    def _score_exhaustive_kernel(
-        self,
-        query: Query,
-        trace: QueryTrace,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        candidates: List[str],
-        stage: str,
-    ) -> List[Tuple[str, SimilarityResult]]:
-        """Exhaustive scan scored with the length-only bit-parallel kernel.
-
-        Every candidate's score is confirmed, but only the final survivors of
-        the limit/minimum-score cut pay the reference DP that materialises a
-        full :class:`SimilarityResult` (see :meth:`_materialize`).
-        """
-        confirmed: List[Tuple[str, float]] = []
-        materialized: Dict[str, SimilarityResult] = {}
-        for image_id in candidates:
-            cached = self.score_cache.get(cache_key, image_id) if query.use_cache else None
-            if cached is not None:
-                materialized[image_id] = cached
-                score = cached.score
-                trace.cache_hits += 1
-            else:
-                record = self.database.get(image_id)
-                score = self._kernel_score(query_bestring, record.bestring, query)
-                trace.cache_misses += 1
-            trace.candidates[image_id] = CandidateTrace(
-                image_id=image_id,
-                stage=stage,
-                cache_hit=(cached is not None) if query.use_cache else None,
-            )
-            confirmed.append((image_id, score))
-        trace.candidates_examined = len(confirmed)
-        return self._materialize(query, query_bestring, cache_key, confirmed, materialized)
-
-    def _score_anytime(
-        self,
-        query: Query,
-        trace: QueryTrace,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        candidates: List[str],
-        stage: str,
-        bounds: Dict[str, float],
-        kernel: str,
-    ) -> List[Tuple[str, SimilarityResult]]:
-        """Branch-and-bound top-k: descending-bound order, early termination.
-
-        Candidates are visited in ``(-bound, image_id)`` order and the final
-        ranking sorts by ``(-score, image_id)``.  Since ``score <= bound``, a
-        candidate's ranking key can never sort before its bound key — so the
-        moment the k-th best *confirmed* ranking key sorts at-or-before the
-        next candidate's bound key, no unvisited candidate can enter the
-        top-k or change its internal order, and the scan stops.  Ties are
-        safe because both keys carry the (distinct) image id.  Confirmed
-        scores below ``minimum_score`` never occupy one of the k slots.
-        """
-        minimum_score = query.minimum_score
-        limit = query.limit
-        order = sorted(candidates, key=lambda image_id: (-bounds[image_id], image_id))
-        confirmed_keys: List[Tuple[float, str]] = []
-        confirmed: List[Tuple[str, float]] = []
-        materialized: Dict[str, SimilarityResult] = {}
-        examined = 0
-        for position, image_id in enumerate(order):
-            bound = bounds[image_id]
-            if limit is not None and len(confirmed_keys) >= limit:
-                if limit == 0 or (-bound, image_id) >= confirmed_keys[limit - 1]:
-                    trace.bound_cutoff = bound
-                    self._record_bound_skips(trace, order[position:], bounds)
+        # (-composed score, image id) of every confirmed candidate at or
+        # above the minimum, kept sorted: the ranking order.
+        ranked: List[Tuple[float, str]] = []
+        confirmed: Dict[str, CacheEntry] = {}
+        for image_id in visit:
+            if anytime and limit is not None and len(ranked) >= limit:
+                if limit == 0 or (keys[image_id], image_id) >= ranked[limit - 1]:
                     break
-            cached = self.score_cache.get(cache_key, image_id) if query.use_cache else None
-            if cached is not None:
-                materialized[image_id] = cached
-                score = cached.score
+            entry = entries.get(image_id)
+            hit = entry is not None and not isinstance(entry, ScoreBound)
+            if hit:
                 trace.cache_hits += 1
             else:
-                record = self.database.get(image_id)
+                bestring = self.database.get(image_id).bestring
                 if kernel == KERNEL_BITPARALLEL:
-                    score = self._kernel_score(query_bestring, record.bestring, query)
+                    entry = self._kernel_score(query_bestring, bestring, query)
                 else:
-                    result = self._score(query_bestring, record.bestring, query)
-                    materialized[image_id] = result
-                    if query.use_cache:
-                        self.score_cache.put(cache_key, image_id, result)
-                    score = result.score
+                    entry = self._score(query_bestring, bestring, query)
                 trace.cache_misses += 1
+                if use_cache:
+                    self.score_cache.put(cache_key, image_id, entry)
             trace.candidates[image_id] = CandidateTrace(
                 image_id=image_id,
-                stage=stage,
-                cache_hit=(cached is not None) if query.use_cache else None,
+                stage=outcome.stage,
+                cache_hit=hit if use_cache else None,
             )
-            examined += 1
-            confirmed.append((image_id, score))
+            confirmed[image_id] = entry
+            score = composed(image_id, _entry_value(entry))
             if score >= minimum_score:
-                insort(confirmed_keys, (-score, image_id))
-        trace.candidates_examined = examined
-        trace.bound_skipped = len(order) - examined
-        return self._materialize(query, query_bestring, cache_key, confirmed, materialized)
+                insort(ranked, (-score, image_id))
 
-    def _record_bound_skips(
-        self, trace: QueryTrace, skipped: List[str], bounds: Dict[str, float]
-    ) -> None:
-        """Sample bound-skipped candidates into the trace for ``explain``."""
-        for image_id in skipped[:REJECTION_SAMPLE_LIMIT]:
-            trace.candidates[image_id] = CandidateTrace(
-                image_id=image_id,
-                stage=STAGE_BOUND_SKIPPED,
-                score_bound=bounds[image_id],
-            )
+        skipped = visit[len(confirmed):]
+        if skipped:
+            trace.bound_cutoff = -keys[skipped[0]]
+            for image_id in skipped[:REJECTION_SAMPLE_LIMIT]:
+                trace.candidates[image_id] = CandidateTrace(
+                    image_id=image_id,
+                    stage=STAGE_BOUND_SKIPPED,
+                    score_bound=-keys[image_id],
+                )
+            if use_cache:
+                for image_id in skipped:
+                    if image_id not in entries:
+                        self.score_cache.put(
+                            cache_key, image_id, ScoreBound(bounds[image_id])
+                        )
+        trace.candidates_examined = len(confirmed)
+        trace.bound_skipped = len(skipped)
+        self.execution_counters.record(
+            admitted=len(candidates), examined=len(confirmed), anytime=anytime
+        )
 
-    def _materialize(
-        self,
-        query: Query,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        confirmed: List[Tuple[str, float]],
-        materialized: Dict[str, SimilarityResult],
-    ) -> List[Tuple[str, SimilarityResult]]:
-        """Full :class:`SimilarityResult` pairs for the ranking's survivors.
-
-        ``confirmed`` holds length-only ``(image_id, score)`` pairs.  Only
-        the survivors of the query's minimum-score/limit cut are materialised
-        with the reference evaluation — the kernel's floats are bit-identical
-        to ``SimilarityResult.score``, so selecting survivors here yields the
-        same set and order :func:`~repro.index.ranking.rank_results` would
-        pick from full results.  Freshly materialised results are written to
-        the score cache exactly like exhaustively-computed ones.
-        """
-        survivors = [
-            (image_id, score)
-            for image_id, score in confirmed
-            if score >= query.minimum_score
-        ]
-        survivors.sort(key=lambda pair: (-pair[1], pair[0]))
-        if query.limit is not None:
-            survivors = survivors[: query.limit]
+        survivors = ranked if limit is None else ranked[:limit]
         scored: List[Tuple[str, SimilarityResult]] = []
-        for image_id, _ in survivors:
-            result = materialized.get(image_id)
-            if result is None:
-                record = self.database.get(image_id)
-                result = self._score(query_bestring, record.bestring, query)
-                if query.use_cache:
+        for _, image_id in survivors:
+            result = confirmed[image_id]
+            if not isinstance(result, SimilarityResult):
+                bestring = self.database.get(image_id).bestring
+                result = self._score(query_bestring, bestring, query)
+                if use_cache:
                     self.score_cache.put(cache_key, image_id, result)
             scored.append((image_id, result))
-        return scored
+        scores = {image_id: -key for key, image_id in survivors} if graded else None
+        return rank_results(scored, limit, minimum_score, scores=scores), matches
 
     def execute(self, query: Query) -> List[RankedResult]:
         """Run a query and return ranked results.
 
         The serial path shares the batch subsystem's score cache: repeated
         identical queries (same picture content, policy and transformation
-        set) are answered from memoised similarity results instead of
-        re-running the LCS evaluation, with rankings guaranteed identical.
+        set) are answered from memoised scores instead of re-running the LCS
+        evaluation, with rankings guaranteed identical.
 
         Returns:
             :class:`~repro.index.ranking.RankedResult` entries sorted by
@@ -761,8 +703,7 @@ class QueryEngine:
         """Like :meth:`execute` but also returns the execution trace."""
         trace = QueryTrace(mode="similarity")
         with self.lock.read_locked():
-            scored = self._score_candidates(query, trace)
-        ranked = rank_results(scored, limit=query.limit, minimum_score=query.minimum_score)
+            ranked, _ = self._rank(query, trace)
         return ranked, trace
 
     # ------------------------------------------------------------------
@@ -771,12 +712,11 @@ class QueryEngine:
     def execute_spec(self, spec: QuerySpec) -> SpecOutcome:
         """Run a declarative :class:`~repro.index.spec.QuerySpec`.
 
-        Dispatches on the clauses present: similarity-only specs run the
-        cache-aware scoring loop, predicate-only specs are pruned through the
-        inverted index (images that cannot satisfy any predicate are
-        synthesised as zero matches without evaluation), and combined specs
-        keep only similarity results whose image satisfies **every**
-        predicate.
+        Predicate-only specs are pruned through the inverted index (images
+        that cannot satisfy any predicate are synthesised as zero matches
+        without evaluation).  Every spec with a similarity clause runs the
+        one cache-first candidate loop (:meth:`_rank`), its predicate clause,
+        if any, filtering (crisp) or composing with (graded) the similarity.
 
         Returns:
             A :class:`~repro.index.spec.SpecOutcome` holding the final
@@ -804,114 +744,98 @@ class QueryEngine:
             if not spec.has_predicate_clause:
                 ranked, trace = self.execute_traced(spec.to_query())
                 return SpecOutcome(spec=spec, results=ranked, trace=trace)
-            if spec.has_graded_predicates:
-                return self._execute_graded_combined_spec(spec)
-            return self._execute_combined_spec(spec)
+            trace = QueryTrace(mode="combined")
+            ranked, matches = self._rank(spec.to_query(), trace, spec)
+            return SpecOutcome(
+                spec=spec, results=ranked, trace=trace, predicate_matches=matches
+            )
 
-    def _evaluate_predicates(
+    def _evaluate_clause(
         self,
         spec: QuerySpec,
         trace: QueryTrace,
         restrict_to: Optional[List[str]] = None,
-    ) -> Dict[str, "PredicateMatch"]:
+    ) -> Dict[str, Match]:
         """Evaluate the predicate clause over the database, with label pruning.
 
-        An image can only satisfy a predicate when it contains both the
-        subject and the target label, so the inverted index narrows the
-        expensive boundary-rank evaluation to images where at least one
-        predicate has both labels present.  Every other stored image is known
-        to satisfy nothing and gets a synthesised zero match -- identical to
-        what full evaluation would return, at postings-lookup cost.
+        An image that lacks the labels the clause needs is settled at
+        postings-lookup cost, as a synthesised zero match identical to what
+        full evaluation would return:
+
+        * a crisp predicate holds only where both its subject and target
+          labels occur, so an image holding neither pair of any predicate
+          satisfies nothing;
+        * a graded tree is checked against the sound degree upper bound
+          :func:`repro.index.shortlist.tree_degree_bound`.  A bound of 0
+          proves every leaf degree is exactly 0 (crisp leaves over absent
+          labels, no fail-open ``not``/``fuzzy`` on the path).
 
         ``restrict_to`` (combined mode) limits evaluation to the similarity
         candidates instead of the whole database.
         """
-        from repro.retrieval.predicates import PredicateMatch, evaluate_predicates
-
-        predicates = list(spec.predicates)
-        evaluable: set = set()
-        for predicate in predicates:
-            subjects = self.inverted_index.images_with_label(predicate.subject)
-            if not subjects:
-                continue
-            targets = self.inverted_index.images_with_label(predicate.target)
-            evaluable.update(subjects & targets)
-        trace.database_size = len(self.database)
-        universe = self.database.image_ids if restrict_to is None else restrict_to
-        matches: Dict[str, PredicateMatch] = {}
-        for image_id in universe:
-            if image_id in evaluable:
-                record = self.database.get(image_id)
-                matches[image_id] = evaluate_predicates(
-                    record.bestring, predicates, image_id=image_id
-                )
-                trace.predicate_evaluated += 1
-                stage = STAGE_PREDICATE_EVALUATED
-            else:
-                matches[image_id] = PredicateMatch(
-                    image_id=image_id, satisfied=(), unsatisfied=tuple(predicates)
-                )
-                trace.predicate_pruned += 1
-                stage = STAGE_PREDICATE_PRUNED
-            existing = trace.candidates.get(image_id)
-            if existing is None:
-                trace.candidates[image_id] = CandidateTrace(image_id=image_id, stage=stage)
-        self.predicate_counters.record(
-            evaluated=trace.predicate_evaluated,
-            pruned=trace.predicate_pruned,
-            graded=False,
-        )
-        return matches
-
-    def _evaluate_tree(
-        self,
-        spec: QuerySpec,
-        trace: QueryTrace,
-        restrict_to: Optional[List[str]] = None,
-    ) -> Dict[str, "GradedMatch"]:
-        """Evaluate the graded predicate tree, pruning by the label bound.
-
-        The tree counterpart of :meth:`_evaluate_predicates`: for each image
-        the sound degree upper bound derived from the inverted index's label
-        postings (:func:`repro.index.shortlist.tree_degree_bound`) is checked
-        first.  A bound of 0 proves every leaf degree is exactly 0 (crisp
-        leaves over absent labels, no fail-open ``not``/``fuzzy`` on the
-        path), so the image is settled with a synthesised zero match at
-        postings-lookup cost — byte-identical to full evaluation.
-        """
         from repro.index.shortlist import tree_degree_bound
-        from repro.retrieval.predicates import evaluate_tree, zero_graded_match
+        from repro.retrieval.predicates import (
+            PredicateMatch,
+            evaluate_predicates,
+            evaluate_tree,
+            zero_graded_match,
+        )
 
         tree = spec.predicate_tree
+        if tree is None:
+            predicates = tuple(spec.predicates)
+        else:
+            predicates = tuple(leaf.predicate for leaf in tree.leaves())
         postings: Dict[str, Set[str]] = {}
-        for leaf in tree.leaves():
-            for label in (leaf.predicate.subject, leaf.predicate.target):
+        for predicate in predicates:
+            for label in (predicate.subject, predicate.target):
                 if label not in postings:
                     postings[label] = self.inverted_index.images_with_label(label)
+        if tree is None:
+            evaluable: Set[str] = set()
+            for predicate in predicates:
+                evaluable |= postings[predicate.subject] & postings[predicate.target]
+
+            def pruned(image_id: str) -> bool:
+                return image_id not in evaluable
+
+            def evaluate(bestring: BEString2D, image_id: str) -> Match:
+                return evaluate_predicates(bestring, predicates, image_id=image_id)
+
+            def zero(image_id: str) -> Match:
+                return PredicateMatch(
+                    image_id=image_id, satisfied=(), unsatisfied=predicates
+                )
+        else:
+
+            def pruned(image_id: str) -> bool:
+                return tree_degree_bound(tree, lambda label: image_id in postings[label]) <= 0.0
+
+            def evaluate(bestring: BEString2D, image_id: str) -> Match:
+                return evaluate_tree(bestring, tree, image_id=image_id)
+
+            def zero(image_id: str) -> Match:
+                return zero_graded_match(tree, image_id)
+
         trace.database_size = len(self.database)
         universe = self.database.image_ids if restrict_to is None else restrict_to
-        matches: Dict[str, GradedMatch] = {}
-        evaluated = pruned = 0
+        matches: Dict[str, Match] = {}
+        evaluated = 0
         for image_id in universe:
-            bound = tree_degree_bound(
-                tree, lambda label, _id=image_id: _id in postings[label]
-            )
-            if bound <= 0.0:
-                matches[image_id] = zero_graded_match(tree, image_id)
-                pruned += 1
+            if pruned(image_id):
+                matches[image_id] = zero(image_id)
                 stage = STAGE_PREDICATE_PRUNED
             else:
-                record = self.database.get(image_id)
-                matches[image_id] = evaluate_tree(
-                    record.bestring, tree, image_id=image_id
-                )
+                matches[image_id] = evaluate(self.database.get(image_id).bestring, image_id)
                 evaluated += 1
                 stage = STAGE_PREDICATE_EVALUATED
             if image_id not in trace.candidates:
                 trace.candidates[image_id] = CandidateTrace(image_id=image_id, stage=stage)
         trace.predicate_evaluated += evaluated
-        trace.predicate_pruned += pruned
-        self.predicate_counters.record(evaluated=evaluated, pruned=pruned, graded=True)
+        trace.predicate_pruned += len(matches) - evaluated
+        self.predicate_counters.record(
+            evaluated=evaluated, pruned=len(matches) - evaluated, graded=tree is not None
+        )
         return matches
 
     def _execute_predicate_spec(self, spec: QuerySpec) -> SpecOutcome:
@@ -922,10 +846,7 @@ class QueryEngine:
         the same ``(-score, image_id)`` order and minimum-score/limit cut.
         """
         trace = QueryTrace(mode="predicate")
-        if spec.has_graded_predicates:
-            matches = self._evaluate_tree(spec, trace)
-        else:
-            matches = self._evaluate_predicates(spec, trace)
+        matches = self._evaluate_clause(spec, trace)
         ranked = [
             match for match in matches.values() if match.score >= spec.minimum_score
         ]
@@ -933,280 +854,6 @@ class QueryEngine:
         if spec.limit is not None:
             ranked = ranked[: spec.limit]
         return SpecOutcome(spec=spec, results=ranked, trace=trace, predicate_matches=matches)
-
-    def _execute_combined_spec(self, spec: QuerySpec) -> SpecOutcome:
-        """Similarity ranking post-filtered to full predicate matches."""
-        trace = QueryTrace(mode="combined")
-        query = spec.to_query()
-        execution = self.resolve_execution(query)
-        if execution.is_default_scoring:
-            # The historical order — score everything, then filter — kept
-            # verbatim for the default execution.
-            scored = self._score_candidates(query, trace)
-            matches = self._evaluate_predicates(
-                spec, trace, restrict_to=[image_id for image_id, _ in scored]
-            )
-            surviving = [
-                (image_id, result)
-                for image_id, result in scored
-                if matches[image_id].is_full_match
-            ]
-            ranked = rank_results(
-                surviving, limit=spec.limit, minimum_score=spec.minimum_score
-            )
-            return SpecOutcome(
-                spec=spec, results=ranked, trace=trace, predicate_matches=matches
-            )
-        # Non-default execution: evaluate the predicates over the shortlist
-        # *first*, so the anytime bound cut-off (and the kernel's deferred
-        # materialisation) see only images that can appear in the ranking.
-        # Same candidate universe, same full-match filter, same final cut —
-        # the ranking is identical to the historical order.
-        query_bestring = encode_picture(query.picture)
-        outcome = self._shortlist(
-            query,
-            query_bestring,
-            collect_bounds=execution.strategy == STRATEGY_ANYTIME,
-        )
-        matches = self._evaluate_predicates(spec, trace, restrict_to=outcome.candidates)
-        allowed = {
-            image_id for image_id, match in matches.items() if match.is_full_match
-        }
-        scored = self._score_candidates(
-            query, trace, allowed=allowed, prepared=(query_bestring, outcome)
-        )
-        ranked = rank_results(scored, limit=spec.limit, minimum_score=spec.minimum_score)
-        return SpecOutcome(spec=spec, results=ranked, trace=trace, predicate_matches=matches)
-
-    # ------------------------------------------------------------------
-    # Graded predicate composition with the similarity score
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _compose(spec: QuerySpec, similarity_score: float, degree: float) -> float:
-        """The spec's composition of a similarity score and a tree degree."""
-        if spec.predicate_composition == "sum":
-            blend = spec.predicate_blend
-            return blend * similarity_score + (1.0 - blend) * degree
-        return similarity_score * degree
-
-    def _execute_graded_combined_spec(self, spec: QuerySpec) -> SpecOutcome:
-        """Similarity composed with the graded predicate degree.
-
-        The composed score — ``similarity * degree`` (product) or
-        ``blend * similarity + (1 - blend) * degree`` (sum) — decides the
-        minimum-score and limit cuts, so the similarity side runs uncut: the
-        shortlist must not reject on the raw similarity bound (the ``sum``
-        composition can rank a low-similarity image above a high-similarity
-        one) and the ranking cut is applied to composed scores at the end.
-        Every shortlist survivor's tree degree is evaluated *before* scoring
-        (tree degrees cost boundary-rank lookups, the LCS evaluation costs a
-        dynamic program), which also lets the anytime strategy order and
-        terminate on composed bounds: ``compose`` is monotone in the
-        similarity for a fixed degree, so ``compose(sim_bound, degree)``
-        soundly bounds the composed score.
-        """
-        trace = QueryTrace(mode="combined")
-        query = replace(spec.to_query(), minimum_score=0.0, limit=None)
-        execution = self.resolve_execution(query)
-        kernel = self._kernel_for(execution, query.policy)
-        query_bestring = encode_picture(query.picture)
-        outcome = self._shortlist(
-            query,
-            query_bestring,
-            collect_bounds=execution.strategy == STRATEGY_ANYTIME,
-        )
-        matches = self._evaluate_tree(spec, trace, restrict_to=outcome.candidates)
-        cache_key = query_score_key(query_bestring, query.policy, query.transformations)
-        candidates, stage = outcome.candidates, outcome.stage
-        trace.inverted_candidates = outcome.inverted_candidates
-        trace.shortlisted = len(candidates)
-        trace.bitmap_pruned = outcome.bitmap_rejected
-        trace.relation_pruned = outcome.relation_rejected
-        trace.kernel = kernel
-        for image_id, rejecting_stage in outcome.rejections.items():
-            trace.candidates[image_id] = CandidateTrace(
-                image_id=image_id,
-                stage=rejecting_stage,
-                score_bound=outcome.rejection_bounds.get(image_id),
-            )
-        anytime = execution.strategy == STRATEGY_ANYTIME and outcome.bounds is not None
-        trace.strategy = STRATEGY_ANYTIME if anytime else STRATEGY_EXHAUSTIVE
-        if anytime:
-            entries, materialized = self._score_graded_anytime(
-                spec, query, trace, query_bestring, cache_key, candidates, stage,
-                outcome.bounds, matches, kernel,
-            )
-        else:
-            entries, materialized = self._score_graded_exhaustive(
-                spec, query, trace, query_bestring, cache_key, candidates, stage,
-                matches, kernel,
-            )
-        self.execution_counters.record(
-            admitted=len(candidates),
-            examined=trace.candidates_examined,
-            anytime=anytime,
-        )
-        results = self._rank_graded(
-            spec, query, query_bestring, cache_key, entries, materialized
-        )
-        return SpecOutcome(spec=spec, results=results, trace=trace, predicate_matches=matches)
-
-    def _score_graded_exhaustive(
-        self,
-        spec: QuerySpec,
-        query: Query,
-        trace: QueryTrace,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        candidates: List[str],
-        stage: str,
-        matches: Dict[str, "GradedMatch"],
-        kernel: str,
-    ) -> Tuple[List[Tuple[str, float]], Dict[str, SimilarityResult]]:
-        """Confirm every candidate's composed score (both kernels).
-
-        Returns ``(image_id, composed_score)`` pairs plus the full
-        :class:`SimilarityResult` objects materialised along the way (all of
-        them for the reference kernel; with the bit-parallel kernel only the
-        final survivors are materialised later by :meth:`_rank_graded`).
-        """
-        entries: List[Tuple[str, float]] = []
-        materialized: Dict[str, SimilarityResult] = {}
-        for image_id in candidates:
-            cached = self.score_cache.get(cache_key, image_id) if query.use_cache else None
-            if cached is not None:
-                materialized[image_id] = cached
-                score = cached.score
-                trace.cache_hits += 1
-            else:
-                record = self.database.get(image_id)
-                if kernel == KERNEL_BITPARALLEL:
-                    score = self._kernel_score(query_bestring, record.bestring, query)
-                else:
-                    result = self._score(query_bestring, record.bestring, query)
-                    materialized[image_id] = result
-                    if query.use_cache:
-                        self.score_cache.put(cache_key, image_id, result)
-                    score = result.score
-                trace.cache_misses += 1
-            trace.candidates[image_id] = CandidateTrace(
-                image_id=image_id,
-                stage=stage,
-                cache_hit=(cached is not None) if query.use_cache else None,
-            )
-            entries.append((image_id, self._compose(spec, score, matches[image_id].degree)))
-        trace.candidates_examined = len(entries)
-        return entries, materialized
-
-    def _score_graded_anytime(
-        self,
-        spec: QuerySpec,
-        query: Query,
-        trace: QueryTrace,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        candidates: List[str],
-        stage: str,
-        bounds: Dict[str, float],
-        matches: Dict[str, "GradedMatch"],
-        kernel: str,
-    ) -> Tuple[List[Tuple[str, float]], Dict[str, SimilarityResult]]:
-        """Branch-and-bound over *composed* bounds (the graded analogue of
-        :meth:`_score_anytime`).
-
-        Each candidate's exact tree degree is already known, so
-        ``compose(similarity_bound, degree)`` dominates its composed score
-        (``compose`` is monotone in the similarity argument for both
-        compositions).  The visit order, termination test and tie-break
-        safety argument are exactly those of :meth:`_score_anytime`, with
-        composed scores and composed bounds in place of raw similarity.
-        """
-        minimum_score = spec.minimum_score
-        limit = spec.limit
-        composed_bounds = {
-            image_id: self._compose(spec, bounds[image_id], matches[image_id].degree)
-            for image_id in candidates
-        }
-        order = sorted(candidates, key=lambda image_id: (-composed_bounds[image_id], image_id))
-        confirmed_keys: List[Tuple[float, str]] = []
-        entries: List[Tuple[str, float]] = []
-        materialized: Dict[str, SimilarityResult] = {}
-        examined = 0
-        for position, image_id in enumerate(order):
-            bound = composed_bounds[image_id]
-            if limit is not None and len(confirmed_keys) >= limit:
-                if limit == 0 or (-bound, image_id) >= confirmed_keys[limit - 1]:
-                    trace.bound_cutoff = bound
-                    self._record_bound_skips(trace, order[position:], composed_bounds)
-                    break
-            cached = self.score_cache.get(cache_key, image_id) if query.use_cache else None
-            if cached is not None:
-                materialized[image_id] = cached
-                score = cached.score
-                trace.cache_hits += 1
-            else:
-                record = self.database.get(image_id)
-                if kernel == KERNEL_BITPARALLEL:
-                    score = self._kernel_score(query_bestring, record.bestring, query)
-                else:
-                    result = self._score(query_bestring, record.bestring, query)
-                    materialized[image_id] = result
-                    if query.use_cache:
-                        self.score_cache.put(cache_key, image_id, result)
-                    score = result.score
-                trace.cache_misses += 1
-            trace.candidates[image_id] = CandidateTrace(
-                image_id=image_id,
-                stage=stage,
-                cache_hit=(cached is not None) if query.use_cache else None,
-            )
-            examined += 1
-            composed = self._compose(spec, score, matches[image_id].degree)
-            entries.append((image_id, composed))
-            if composed >= minimum_score:
-                insort(confirmed_keys, (-composed, image_id))
-        trace.candidates_examined = examined
-        trace.bound_skipped = len(order) - examined
-        return entries, materialized
-
-    def _rank_graded(
-        self,
-        spec: QuerySpec,
-        query: Query,
-        query_bestring: BEString2D,
-        cache_key: QueryKey,
-        entries: List[Tuple[str, float]],
-        materialized: Dict[str, SimilarityResult],
-    ) -> List[RankedResult]:
-        """Final composed ranking; materialise survivors lacking a full result.
-
-        ``RankedResult.score`` carries the *composed* score (the ranking and
-        merge key everywhere downstream, including the shard-worker gather);
-        ``RankedResult.similarity`` keeps the full LCS evaluation for
-        ``explain`` output.
-        """
-        survivors = [
-            (image_id, composed)
-            for image_id, composed in entries
-            if composed >= spec.minimum_score
-        ]
-        survivors.sort(key=lambda pair: (-pair[1], pair[0]))
-        if spec.limit is not None:
-            survivors = survivors[: spec.limit]
-        results: List[RankedResult] = []
-        for rank, (image_id, composed) in enumerate(survivors, start=1):
-            result = materialized.get(image_id)
-            if result is None:
-                record = self.database.get(image_id)
-                result = self._score(query_bestring, record.bestring, query)
-                if query.use_cache:
-                    self.score_cache.put(cache_key, image_id, result)
-            results.append(
-                RankedResult(
-                    rank=rank, image_id=image_id, score=composed, similarity=result
-                )
-            )
-        return results
 
     # ------------------------------------------------------------------
     # Scatter-gather execution over the shard-worker pool

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Mapping, Optional
 
 from repro.core.similarity import SimilarityResult
 
@@ -30,21 +30,24 @@ def rank_results(
     scored: Iterable[tuple[str, SimilarityResult]],
     limit: Optional[int] = None,
     minimum_score: float = 0.0,
+    scores: Optional[Mapping[str, float]] = None,
 ) -> List[RankedResult]:
     """Sort scored images by descending score (ties broken by image id).
 
     ``limit`` keeps only the top-k entries; ``minimum_score`` drops entries
-    below the threshold before ranking.
+    below the threshold before ranking.  ``scores`` maps each image id to
+    its ranking score where that is not the similarity score (a similarity
+    composed with a graded predicate degree).
     """
-    filtered = [
-        (image_id, result)
+    ranked = [
+        (image_id, result, result.score if scores is None else scores[image_id])
         for image_id, result in scored
-        if result.score >= minimum_score
     ]
-    filtered.sort(key=lambda item: (-item[1].score, item[0]))
+    ranked = [entry for entry in ranked if entry[2] >= minimum_score]
+    ranked.sort(key=lambda entry: (-entry[2], entry[0]))
     if limit is not None:
-        filtered = filtered[:limit]
+        ranked = ranked[:limit]
     return [
-        RankedResult(rank=index + 1, image_id=image_id, score=result.score, similarity=result)
-        for index, (image_id, result) in enumerate(filtered)
+        RankedResult(rank=index + 1, image_id=image_id, score=score, similarity=result)
+        for index, (image_id, result, score) in enumerate(ranked)
     ]

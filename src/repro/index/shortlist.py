@@ -418,10 +418,11 @@ class ShortlistOutcome:
     rejections: Dict[str, str] = field(default_factory=dict)
     #: Score bound of each sampled rejection (image id -> bound).
     rejection_bounds: Dict[str, float] = field(default_factory=dict)
-    #: Sound score upper bound of every *admitted* candidate (image id ->
-    #: bound), populated only when the caller asks for bounds (the anytime
-    #: strategy orders and terminates on them); ``None`` otherwise.
-    bounds: Optional[Dict[str, float]] = None
+    #: Stage-2 score bound of every *admitted* candidate (image id ->
+    #: bound) when the pass made a minimum-score cut, which computes them
+    #: anyway; the candidate loop reuses them instead of bounding twice.
+    #: Empty when the pass made no such cut.
+    bounds: Dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,17 @@ class QuerySpec:
             execution=self.execution,
         )
 
+    def compose(self, similarity_score: float, degree: float) -> float:
+        """The composition of a similarity score with a graded tree degree.
+
+        Monotone in the similarity for a fixed degree, so
+        ``compose(bound, degree)`` soundly bounds the composed score.
+        """
+        if self.predicate_composition == "sum":
+            blend = self.predicate_blend
+            return blend * similarity_score + (1.0 - blend) * degree
+        return similarity_score * degree
+
     def with_overrides(self, **changes) -> "QuerySpec":
         """A copy of the spec with the given fields replaced."""
         return replace(self, **changes)

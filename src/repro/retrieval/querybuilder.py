@@ -300,9 +300,10 @@ class ResultSet(Sequence):
         When the two-stage signature shortlist pruned candidates, a sampled
         ``pruned`` section names each rejected image's rejecting stage and
         the score bound that failed to clear the query's minimum score.
-        Non-default executions add an ``exec`` line (kernel, strategy,
-        ``candidates_examined``, ``bound_skipped``, ``bound_cutoff``) and a
-        sampled ``skipped`` section for anytime bound cut-offs.
+        Every execution but the reference exhaustive scan adds an ``exec``
+        line (kernel, strategy, ``candidates_examined``, ``bound_skipped``,
+        ``bound_cutoff``) and a sampled ``skipped`` section for anytime
+        bound cut-offs.
         """
         from repro.index.spec import (
             STAGE_BITMAP_PRUNED,

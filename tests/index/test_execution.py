@@ -95,12 +95,6 @@ class TestOverlayAndResolve:
         assert resolved.shortlist is True
         assert resolved.cache is True
 
-    def test_is_default_scoring(self):
-        assert ExecutionOptions().is_default_scoring
-        assert ExecutionOptions(kernel=KERNEL_REFERENCE).is_default_scoring
-        assert not ExecutionOptions(kernel=KERNEL_BITPARALLEL).is_default_scoring
-        assert not ExecutionOptions(strategy=STRATEGY_ANYTIME).is_default_scoring
-
 
 class TestDictRoundTrip:
     def test_round_trip_preserves_set_fields(self):
@@ -155,11 +149,13 @@ class TestRankingEquivalence:
     def _compare(self, system, configure):
         """Assert a builder recipe ranks identically under every config."""
         reference = result_key(
-            configure(system).execution(cache=False).execute()
+            configure(system)
+            .execution(kernel=KERNEL_REFERENCE, strategy=STRATEGY_EXHAUSTIVE, cache=False)
+            .execute()
         )
         for config in (
-            ExecutionOptions(kernel=KERNEL_BITPARALLEL),
-            ExecutionOptions(strategy=STRATEGY_ANYTIME),
+            ExecutionOptions(kernel=KERNEL_BITPARALLEL, strategy=STRATEGY_EXHAUSTIVE),
+            ExecutionOptions(kernel=KERNEL_REFERENCE, strategy=STRATEGY_ANYTIME),
             ExecutionOptions(kernel=KERNEL_BITPARALLEL, strategy=STRATEGY_ANYTIME),
         ):
             variant = result_key(
@@ -221,7 +217,12 @@ class TestAnytimeObservability:
     def test_exhaustive_trace_examines_everything(self, system):
         query = random_pictures(1, seed=5, parameters=_PARAMETERS)[0]
         results = (
-            system.query(query).limit(5).execution(cache=False).execute()
+            system.query(query)
+            .limit(5)
+            .execution(
+                kernel=KERNEL_REFERENCE, strategy=STRATEGY_EXHAUSTIVE, cache=False
+            )
+            .execute()
         )
         trace = results.trace
         assert trace.strategy == STRATEGY_EXHAUSTIVE
