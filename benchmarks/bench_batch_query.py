@@ -9,14 +9,15 @@ stream of 100 queries drawn from 25 distinct pictures, comparing
 * ``serial``    -- one ``system.query(...).execution(cache=False).execute()`` call per
   query (the score cache bypassed, i.e. the pre-batch serial cost model),
 * ``batch cold`` -- :meth:`RetrievalSystem.query_batch` on an empty score
-  cache (4 workers), where deduplication alone collapses the stream to 25
-  evaluations, and
+  cache, serially, where deduplication alone collapses the stream to 25
+  evaluations through the same candidate loop as a single query, and
 * ``batch warm`` -- the same batch again, now answered from the LRU score
   cache.
 
 Ranked results are asserted byte-identical (same ``describe()`` lines) across
 all three paths, and the cold batch must be at least 2x the serial throughput
-at full scale.
+at full scale.  ``test_executors_agree`` also runs the batch through the
+shard workers (``executor="shard_process"``).
 """
 
 import time
@@ -30,7 +31,6 @@ from repro.retrieval.system import RetrievalSystem
 DATABASE_SIZE = smoke_scaled(1000, 30)
 QUERY_COUNT = smoke_scaled(100, 8)
 UNIQUE_QUERIES = smoke_scaled(25, 4)
-WORKERS = 4
 
 #: Minimum cold-batch speedup over the serial loop (acceptance criterion).
 REQUIRED_SPEEDUP = 2.0
@@ -63,9 +63,9 @@ def _result_lines(batches):
     return [[result.describe() for result in results] for results in batches]
 
 
-def _batch(system, queries, workers=WORKERS, executor="thread"):
+def _batch(system, queries, executor="serial"):
     specs = [system.query(query).limit(10) for query in queries]
-    return system.query_batch(specs, workers=workers, executor=executor)
+    return system.query_batch(specs, executor=executor, workers=2)
 
 
 @pytest.mark.benchmark(group="E10-batch-query")
@@ -98,14 +98,14 @@ def test_batch_throughput_report(benchmark, write_report, write_json_report, wor
     rows = [
         ["serial loop", f"{serial_seconds:.2f}", f"{len(queries) / serial_seconds:.1f}", "1.00x", "-"],
         [
-            f"batch cold ({WORKERS} workers)",
+            "batch cold",
             f"{cold_seconds:.2f}",
             f"{len(queries) / cold_seconds:.1f}",
             f"{cold_speedup:.2f}x",
             f"{cold_report.cache_hit_rate:.0%}",
         ],
         [
-            f"batch warm ({WORKERS} workers)",
+            "batch warm",
             f"{warm_seconds:.2f}",
             f"{len(queries) / warm_seconds:.1f}",
             f"{warm_speedup:.2f}x",
@@ -124,9 +124,9 @@ def test_batch_throughput_report(benchmark, write_report, write_json_report, wor
             f"warm batch: {warm_report.describe()}",
             "",
             "the batch engine deduplicates repeated queries into one evaluation each,",
-            "shares the inverted-index/signature shortlist per unique query, scores",
-            "cache misses on a worker pool, and serves repeat batches from the LRU",
-            "score cache -- with ranked results byte-identical to the serial loop.",
+            "runs each through the cache-first candidate loop of a single query, and",
+            "serves repeat batches from the LRU score cache -- with ranked results",
+            "byte-identical to the serial loop.",
         ],
     )
     write_json_report(
@@ -135,7 +135,6 @@ def test_batch_throughput_report(benchmark, write_report, write_json_report, wor
             "database_size": DATABASE_SIZE,
             "queries": len(queries),
             "unique_queries": UNIQUE_QUERIES,
-            "workers": WORKERS,
             "serial_seconds": round(serial_seconds, 6),
             "cold_seconds": round(cold_seconds, 6),
             "warm_seconds": round(warm_seconds, 6),
@@ -175,9 +174,12 @@ def test_executors_agree(benchmark, workload):
     expected = _result_lines(
         system.query(query).limit(10).execution(cache=False).execute() for query in sample
     )
-    for executor in ("serial", "thread", "process"):
-        system._engine.score_cache.clear()
-        batches = _batch(system, sample, workers=2, executor=executor)
-        assert _result_lines(batches) == expected, f"{executor} results diverged"
+    try:
+        for executor in ("serial", "shard_process"):
+            system._engine.score_cache.clear()
+            batches = _batch(system, sample, executor=executor)
+            assert _result_lines(batches) == expected, f"{executor} results diverged"
+    finally:
+        system._engine.close_shard_pool()
     system._engine.score_cache.clear()
-    benchmark(_batch, system, sample, 2, "serial")
+    benchmark(_batch, system, sample)

@@ -29,11 +29,13 @@ system would script:
     explains a predicate-only query; graded clauses additionally print
     per-leaf satisfaction degrees and the predicate-stage counters.
 
-``python -m repro.cli batch-search <database.json> <queries.jsonl> [--workers N]``
+``python -m repro.cli batch-search <database.json> <queries.jsonl> [--shard-workers N]``
     Run many similarity queries as one batch.  Each line of the JSONL file is
     either a scene object or ``{"scene": {...}, "invariant": true, "top": 5}``;
-    shared work is deduplicated, scores are cached, and cache misses are
-    evaluated on a worker pool (see ``repro.index.batch``).
+    identical queries are evaluated once and scores are cached (see
+    ``repro.index.batch``).  ``--shard-workers N`` scatter-gathers the batch
+    across N forked shard-worker processes; without it the batch runs
+    serially.
 
 ``python -m repro.cli relations <database.json> "<predicate query>"``
     Run a relation-predicate query ("monitor above desk and ...").
@@ -361,13 +363,18 @@ def _load_batch_queries(path: str, arguments: argparse.Namespace) -> List["Query
 def _command_batch_search(arguments: argparse.Namespace) -> int:
     system = _load_system(arguments.database, backend=_backend_argument(arguments))
     queries = _load_batch_queries(arguments.queries, arguments)
+    overrides = {}
+    if arguments.shard_workers is not None:
+        if arguments.shard_workers < 1:
+            raise CliError("--shard-workers must be at least 1")
+        overrides = {"executor": "shard_process", "workers": arguments.shard_workers}
     started = time.perf_counter()
     try:
-        batches = system.query_batch(
-            queries, workers=arguments.workers, executor=arguments.executor
-        )
-    except ValueError as error:  # bad scheduler knobs, e.g. --workers 0
+        batches = system.query_batch(queries, **overrides)
+    except ValueError as error:  # a malformed spec, e.g. a negative "top"
         raise CliError(str(error)) from error
+    finally:
+        system._engine.close_shard_pool()
     elapsed = time.perf_counter() - started
     matched = 0
     for index, (query, results) in enumerate(zip(queries, batches)):
@@ -735,13 +742,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-filters", action="store_true", help="score every image (skip candidate pruning)"
     )
     batch.add_argument(
-        "--workers", type=int, default=4, help="worker pool size for cache misses (default 4)"
-    )
-    batch.add_argument(
-        "--executor",
-        choices=("thread", "process", "serial", "auto"),
-        default="auto",
-        help="how cache misses are scheduled (default auto)",
+        "--shard-workers", type=int, default=None, metavar="N",
+        help="scatter-gather the batch across N forked shard-worker processes "
+             "(byte-identical rankings; see docs/parallelism.md)",
     )
     _add_format_flag(batch)
     batch.set_defaults(handler=_command_batch_search)

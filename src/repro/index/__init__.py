@@ -8,8 +8,6 @@ database a downstream user would actually store BE-strings in:
   dynamic add/remove of single objects inside a stored image.
 * :class:`~repro.index.inverted.InvertedSymbolIndex` -- symbol -> image ids,
   used to shortlist candidates that share at least one query icon.
-* :class:`~repro.index.signature.SignatureFilter` -- label-multiset signatures
-  for cheap candidate pruning before the LCS evaluation.
 * :mod:`~repro.index.shortlist` -- the two-stage signature shortlist: hashed
   label bitmaps (stage 1) and relation-pair signatures (stage 2) upper-bound
   the achievable LCS score so only candidates that can clear the query's
@@ -22,9 +20,9 @@ database a downstream user would actually store BE-strings in:
 * :mod:`~repro.index.spec` -- the declarative :class:`~repro.index.spec.QuerySpec`
   every entry point compiles to, plus the trace types behind ``explain()``.
 * :class:`~repro.index.batch.BatchQueryEngine` -- evaluates many queries at
-  once: deduplicates shared encoding/shortlist work, memoises per-(query,
-  image) scores in a :class:`~repro.index.cache.ScoreCache`, and schedules
-  cache misses on a thread/process pool.
+  once: deduplicates identical queries and runs each unique one through the
+  engine's candidate loop (or the shard workers), sharing per-(query, image)
+  scores through a :class:`~repro.index.cache.ScoreCache`.
 * :mod:`~repro.index.storage` -- the v1 JSON persistence of pictures,
   BE-strings and whole databases.
 * :mod:`~repro.index.backends` -- pluggable storage backends on top of it:
@@ -47,7 +45,7 @@ from repro.index.backends import (
     load_database_from,
     save_database_to,
 )
-from repro.index.batch import BatchOptions, BatchQueryEngine, BatchReport
+from repro.index.batch import BatchQueryEngine, BatchReport
 from repro.index.cache import CacheStatistics, ScoreCache, query_score_key
 from repro.index.database import ImageDatabase, ImageRecord
 from repro.index.inverted import InvertedSymbolIndex
@@ -63,7 +61,6 @@ from repro.index.shortlist import (
     label_bitmap,
     signature_for,
 )
-from repro.index.signature import SignatureFilter, label_signature
 from repro.index.spatial import QUADRANTS, LocatedIcon, RegionIndex
 from repro.index.spec import (
     CandidateTrace,
@@ -100,7 +97,6 @@ __all__ = [
     "infer_backend",
     "load_database_from",
     "save_database_to",
-    "BatchOptions",
     "BatchQueryEngine",
     "BatchReport",
     "CacheStatistics",
@@ -118,8 +114,6 @@ __all__ = [
     "SpecOutcome",
     "RankedResult",
     "rank_results",
-    "SignatureFilter",
-    "label_signature",
     "DEFAULT_BITMAP_WIDTH",
     "ImageSignature",
     "QuerySignature",

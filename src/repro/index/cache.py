@@ -16,9 +16,6 @@ policy and the transformation set) plus the candidate image id.  One entry
 * a :class:`ScoreBound` — the stage-2 upper bound of a candidate the
   anytime stop rule skipped.
 
-The batch scheduler (:mod:`repro.index.batch`) needs full results and treats
-any other entry as a miss.
-
 Correctness over staleness: the cache never outlives a database mutation.
 :class:`~repro.index.query.QueryEngine` calls :meth:`ScoreCache.invalidate_image`
 whenever an image is added, removed, or edited object-by-object, which drops

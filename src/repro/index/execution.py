@@ -1,12 +1,11 @@
 """One coherent execution-configuration surface for the query engine.
 
-Historically each execution knob lived wherever it was invented: shortlist
-toggles as ``use_filters`` kwargs, caching as ``use_cache``, thread-pool
-choices inside :class:`repro.index.batch.BatchOptions`.  This module gathers
-them — together with the new kernel and search-strategy switches — into one
-:class:`ExecutionOptions` value that travels from engine construction
+Every execution knob -- the LCS kernel, the search strategy, the shortlist
+and score-cache toggles, and the executor with its shard-pool size -- lives
+in one :class:`ExecutionOptions` value that travels from engine construction
 (``QueryEngine.build(execution=...)``) through :class:`~repro.index.spec.QuerySpec`,
-the fluent builder, the CLI flags, and the service ``/search`` payload.
+the fluent builder, :meth:`~repro.retrieval.system.RetrievalSystem.query_batch`,
+the CLI flags, and the service ``/search`` and ``/batch`` payloads.
 
 Every field is optional: ``None`` means "inherit" — from the per-query
 options to the engine default to the documented defaults
@@ -14,9 +13,8 @@ options to the engine default to the documented defaults
 
     effective = engine.execution.overlaid(query.execution).resolved()
 
-``docs/query-api.md`` carries the migration table from the deprecated
-scattered knobs; ``docs/kernels.md`` documents what the ``kernel`` and
-``strategy`` values actually run.
+``docs/query-api.md`` documents every field; ``docs/kernels.md`` documents
+what the ``kernel`` and ``strategy`` values actually run.
 """
 
 from __future__ import annotations
@@ -37,14 +35,14 @@ STRATEGY_ANYTIME = "anytime"
 STRATEGY_EXHAUSTIVE = "exhaustive"
 STRATEGIES = (STRATEGY_ANYTIME, STRATEGY_EXHAUSTIVE)
 
+#: Run in the calling process, through the one candidate loop.
+EXECUTOR_SERIAL = "serial"
 #: Scatter-gather over the process-parallel shard workers
 #: (:mod:`repro.index.workers`): each worker owns a disjoint slice of the
 #: CRC-32 shard space and scores locally; merged rankings are byte-identical
 #: to the serial engine.
 EXECUTOR_SHARD_PROCESS = "shard_process"
-#: Batch pool flavours (mirrors :class:`repro.index.batch.BatchOptions`)
-#: plus the shard-worker scatter-gather executor.
-EXECUTORS = ("thread", "process", "serial", "auto", EXECUTOR_SHARD_PROCESS)
+EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_SHARD_PROCESS)
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,12 @@ class ExecutionOptions:
     shortlist: Optional[bool] = None
     #: Consult and populate the engine's score cache (``Query.use_cache``).
     cache: Optional[bool] = None
-    #: Concurrency flavour: ``thread``/``process``/``serial``/``auto`` pick
-    #: the batch pool; ``shard_process`` scatter-gathers every query across
-    #: the process-parallel shard workers (:mod:`repro.index.workers`).
+    #: ``serial`` runs in the calling process; ``shard_process``
+    #: scatter-gathers every query, and every batch, across the
+    #: process-parallel shard workers (:mod:`repro.index.workers`).
     executor: Optional[str] = None
-    #: Batch pool size.
+    #: Shard-pool size under ``executor="shard_process"``.
     workers: Optional[int] = None
-    #: Queries per batch task (``None`` lets the batch engine choose).
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         """Reject values outside the documented vocabulary."""
@@ -87,8 +83,6 @@ class ExecutionOptions:
             )
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be positive")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
 
     def overlaid(self, overrides: Optional["ExecutionOptions"]) -> "ExecutionOptions":
         """These options with every non-``None`` field of ``overrides`` applied."""
@@ -140,9 +134,8 @@ DEFAULT_EXECUTION = ExecutionOptions(
     strategy=STRATEGY_ANYTIME,
     shortlist=True,
     cache=True,
-    executor="thread",
+    executor=EXECUTOR_SERIAL,
     workers=4,
-    chunk_size=None,
 )
 
 

@@ -13,9 +13,9 @@ through one candidate loop (:meth:`QueryEngine._rank`): it reads the shared
 :class:`~repro.index.cache.ScoreCache` before doing any other work, visits
 candidates best bound first and, under the default anytime strategy, stops
 at the threshold, and materialises full results only for the ranking's
-survivors.  The batch
-scheduler (:mod:`repro.index.batch`) shares the same cache, so an identical
-repeated query -- serial or batched -- never pays the LCS evaluation twice.
+survivors.  A batch (:mod:`repro.index.batch`) runs each of its unique
+queries through the same loop and the same cache, so an identical repeated
+query -- serial or batched -- never pays the LCS evaluation twice.
 :meth:`QueryEngine.execute_spec` runs a full declarative
 :class:`~repro.index.spec.QuerySpec`, recording a
 :class:`~repro.index.spec.QueryTrace` of shortlist admissions and cache hits
@@ -66,7 +66,6 @@ from repro.index.shortlist import (
     ShortlistOutcome,
     signature_for,
 )
-from repro.index.signature import SignatureFilter
 from repro.index.spec import (
     STAGE_BITMAP_PRUNED,
     STAGE_BOUND_SKIPPED,
@@ -82,7 +81,7 @@ from repro.index.spec import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.index.batch import BatchOptions, BatchReport
+    from repro.index.batch import BatchReport
     from repro.index.workers import GatherOutcome, ShardWorkerPool
     from repro.retrieval.predicates import GradedMatch, PredicateMatch
 
@@ -148,8 +147,8 @@ class Query:
     #: Execution overrides (kernel, strategy, ...); ``None`` fields inherit
     #: the engine's defaults.  ``execution.shortlist`` / ``execution.cache``
     #: take precedence over the legacy ``use_filters`` / ``use_cache`` fields
-    #: (which they overwrite on construction, keeping every legacy reader —
-    #: including the batch scheduler's dedup key — consistent).
+    #: (which they overwrite on construction, keeping every legacy reader
+    #: consistent).
     execution: Optional[ExecutionOptions] = None
 
     def __post_init__(self) -> None:
@@ -178,16 +177,13 @@ class QueryEngine:
     """Executes :class:`Query` objects against an :class:`ImageDatabase`."""
 
     database: ImageDatabase
-    #: Legacy label-multiset filter.  The hot query path reads only its
-    #: ``minimum_overlap_ratio`` (the threshold itself is enforced through
-    #: the two-stage shortlist's bitmap/exact overlap); the per-image
-    #: registry is still maintained for the standalone/ablation API
-    #: (``filter()``/``scored()``) and existing callers.
-    signature_filter: SignatureFilter = field(default_factory=SignatureFilter)
+    #: The shortlist admits an image only when the query's label multiset
+    #: overlaps the image's by at least this fraction of the query's labels.
+    minimum_overlap_ratio: float = 0.0
     inverted_index: InvertedSymbolIndex = field(default_factory=InvertedSymbolIndex)
     #: Memoised per-(query, image) scores, bounds and survivors' full
-    #: results, shared with the batch subsystem (:mod:`repro.index.batch`)
-    #: and invalidated on every mutation.
+    #: results, shared by every query and batch and invalidated on every
+    #: mutation.
     score_cache: ScoreCache = field(default_factory=ScoreCache)
     #: Cumulative two-stage shortlist counters (surfaced by the service
     #: ``/stats`` endpoint).
@@ -237,11 +233,10 @@ class QueryEngine:
         """
         engine = cls(
             database=database,
-            signature_filter=SignatureFilter(minimum_overlap_ratio=minimum_overlap_ratio),
+            minimum_overlap_ratio=minimum_overlap_ratio,
             execution=execution if execution is not None else ExecutionOptions(),
         )
         for record in database:
-            engine.signature_filter.add_picture(record.image_id, record.picture)
             engine.inverted_index.add_picture(record.image_id, record.picture)
             signature_for(record)
         return engine
@@ -258,7 +253,6 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             record = self.database.add_picture(picture, image_id)
-            self.signature_filter.add_picture(record.image_id, record.picture)
             self.inverted_index.add_picture(record.image_id, record.picture)
             signature_for(record)
             self.score_cache.invalidate_image(record.image_id)
@@ -274,7 +268,6 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             self.database.remove_picture(image_id)
-            self.signature_filter.remove_picture(image_id)
             self.inverted_index.remove_picture(image_id)
             self.score_cache.invalidate_image(image_id)
             self._invalidate_shard_pool()
@@ -289,7 +282,6 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             record = self.database.add_object(image_id, label, mbr)
-            self.signature_filter.update_picture(image_id, record.picture)
             self.inverted_index.update_picture(image_id, record.picture)
             signature_for(record)
             self.score_cache.invalidate_image(image_id)
@@ -303,7 +295,6 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             record = self.database.remove_object(image_id, identifier)
-            self.signature_filter.update_picture(image_id, record.picture)
             self.inverted_index.update_picture(image_id, record.picture)
             signature_for(record)
             self.score_cache.invalidate_image(image_id)
@@ -324,22 +315,17 @@ class QueryEngine:
         """
         return self.shortlist(query).candidates
 
-    def shortlist(
-        self, query: Query, query_bestring: Optional[BEString2D] = None
-    ) -> ShortlistOutcome:
+    def shortlist(self, query: Query) -> ShortlistOutcome:
         """Run the two-stage shortlist for ``query`` under a shared grant.
-
-        ``query_bestring`` lets callers that already encoded the query (the
-        batch scheduler builds it for the cache key) avoid a second
-        ``encode_picture`` pass.
 
         The inverted index admits images sharing at least
         ``query.minimum_shared_labels`` icon labels with the query; the
         two-stage signature shortlist (:mod:`repro.index.shortlist`) then
         rejects candidates whose score upper bound cannot clear
         ``query.minimum_score`` — stage 1 from the hashed label bitmaps,
-        stage 2 from the relation-pair signatures.  With ``query.use_filters``
-        off (or a label-less query) every stored image is a candidate.
+        stage 2 from the relation-pair signatures.  With the shortlist off
+        (``query.use_filters`` or the resolved ``shortlist`` option) or a
+        label-less query, every stored image is a candidate.
 
         Returns:
             The full :class:`~repro.index.shortlist.ShortlistOutcome`,
@@ -347,18 +333,22 @@ class QueryEngine:
             for ``explain`` output.
         """
         with self.lock.read_locked():
-            return self._shortlist(query, query_bestring)
+            return self._shortlist(query, self.resolve_execution(query))
 
     def _shortlist(
-        self, query: Query, query_bestring: Optional[BEString2D] = None
+        self,
+        query: Query,
+        execution: ExecutionOptions,
+        query_bestring: Optional[BEString2D] = None,
     ) -> ShortlistOutcome:
         """Shortlist implementation (callers hold the shared grant).
 
-        A minimum-score cut computes the stage-2 bound of every candidate it
-        admits; those land in :attr:`ShortlistOutcome.bounds`, so the
-        candidate loop never bounds one twice.
+        ``execution`` is the query's resolved options.  A minimum-score cut
+        computes the stage-2 bound of every candidate it admits; those land
+        in :attr:`ShortlistOutcome.bounds`, so the candidate loop never
+        bounds one twice.
         """
-        if not query.use_filters:
+        if not (query.use_filters and execution.shortlist):
             return ShortlistOutcome(self.database.image_ids, STAGE_FULL_SCAN)
         labels = set(query.picture.labels)
         if not labels:
@@ -367,7 +357,7 @@ class QueryEngine:
             labels, minimum_shared=query.minimum_shared_labels
         )
         ordered = sorted(candidates)
-        threshold = self.signature_filter.minimum_overlap_ratio
+        threshold = self.minimum_overlap_ratio
         minimum_score = query.minimum_score
         if threshold <= 0.0 and minimum_score <= 0.0:
             # Nothing to bound against: every label-sharer is worth scoring.
@@ -565,7 +555,7 @@ class QueryEngine:
         execution = self.resolve_execution(query)
         kernel = self._kernel_for(execution, query.policy)
         query_bestring = encode_picture(query.picture)
-        outcome = self._shortlist(query, query_bestring)
+        outcome = self._shortlist(query, execution, query_bestring)
         candidates = outcome.candidates
         matches: Optional[Dict[str, Match]] = None
         if spec is not None:
@@ -596,7 +586,7 @@ class QueryEngine:
         trace.strategy = STRATEGY_ANYTIME if anytime else STRATEGY_EXHAUSTIVE
 
         cache_key = query_score_key(query_bestring, query.policy, query.transformations)
-        use_cache = query.use_cache
+        use_cache = query.use_cache and execution.cache
         entries: Dict[str, CacheEntry] = {}
         if use_cache:
             for image_id in candidates:
@@ -687,7 +677,7 @@ class QueryEngine:
     def execute(self, query: Query) -> List[RankedResult]:
         """Run a query and return ranked results.
 
-        The serial path shares the batch subsystem's score cache: repeated
+        Every query and batch shares the engine's score cache: repeated
         identical queries (same picture content, policy and transformation
         set) are answered from memoised scores instead of re-running the LCS
         evaluation, with rankings guaranteed identical.
@@ -923,7 +913,7 @@ class QueryEngine:
                     workers,
                     self.database,
                     execution=sanitized_execution(self.execution),
-                    minimum_overlap_ratio=self.signature_filter.minimum_overlap_ratio,
+                    minimum_overlap_ratio=self.minimum_overlap_ratio,
                 )
                 self._shard_pool = pool
         if stale is not None:
@@ -971,98 +961,26 @@ class QueryEngine:
     def run_batch(
         self,
         queries: Sequence[Query],
-        options: Optional["BatchOptions"] = None,
+        execution: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> List[List[RankedResult]]:
         """Run many queries as one batch (see :mod:`repro.index.batch`).
 
-        Shared encoding/shortlist work is deduplicated, per-(query, image)
-        scores are memoised in :attr:`score_cache`, and cache misses are
-        evaluated on a worker pool.  Results are identical -- including
-        tie-break ordering -- to calling :meth:`execute` per query.  Keyword
-        overrides (``workers=8``, ``executor="process"``, ...) are applied on
-        top of ``options``.
+        Identical queries are evaluated once, and every unique query runs
+        the one candidate loop, so results are identical -- including
+        tie-break ordering -- to calling :meth:`execute` per query.
+        ``execution`` and the keyword overrides (``executor="shard_process"``,
+        ``workers=2``, ``cache=False``) apply to the batch as a whole; see
+        :class:`~repro.index.batch.BatchQueryEngine`.
         """
-        from repro.index.batch import BatchOptions, BatchQueryEngine
+        from repro.index.batch import BatchQueryEngine
 
-        base = options or BatchOptions()
-        if overrides:
-            base = replace(base, **overrides)
-        if base.executor == EXECUTOR_SHARD_PROCESS:
-            return self._run_batch_sharded(queries, base)
-        batch = BatchQueryEngine(engine=self, options=base)
-        # The scheduling thread holds one shared grant for the whole batch;
-        # worker threads only touch BE-strings prefetched under it (plus the
-        # internally-locked score cache), so the batch ranks one snapshot.
-        with self.lock.read_locked():
-            results = batch.run(queries)
+        batch = BatchQueryEngine(
+            self, (execution or ExecutionOptions()).overlaid(ExecutionOptions(**overrides))
+        )
+        results = batch.run(queries)
         self.last_batch_report = batch.last_report
         return results
-
-    def _run_batch_sharded(
-        self, queries: Sequence[Query], options: "BatchOptions"
-    ) -> List[List[RankedResult]]:
-        """Pipeline a whole batch through the shard-worker pool.
-
-        Identical queries are deduplicated before the scatter (mirroring the
-        thread-pool batch engine), every unique spec rides one pipelined
-        scatter-gather, and a :class:`~repro.index.batch.BatchReport` is
-        synthesised from the merged traces so ``last_batch_report`` keeps
-        its contract.
-        """
-        from repro.index.batch import BatchReport
-
-        specs = [
-            QuerySpec(
-                picture=query.picture,
-                transformations=query.transformations,
-                limit=query.limit,
-                minimum_score=query.minimum_score,
-                minimum_shared_labels=query.minimum_shared_labels,
-                use_filters=query.use_filters,
-                use_cache=query.use_cache,
-                policy=query.policy,
-                execution=query.execution,
-            )
-            for query in queries
-        ]
-        # Dedup identical queries so each unique spec is scattered once.
-        # Falls back to no dedup if a picture ever turns unhashable.
-        positions: List[int] = []
-        unique_specs: List[QuerySpec] = []
-        try:
-            seen: Dict[Query, int] = {}
-            for query, spec in zip(queries, specs):
-                index = seen.get(query)
-                if index is None:
-                    index = seen[query] = len(unique_specs)
-                    unique_specs.append(spec)
-                positions.append(index)
-        except TypeError:
-            positions = list(range(len(specs)))
-            unique_specs = specs
-        execution = self.execution.overlaid(
-            ExecutionOptions(executor=options.executor, workers=options.workers)
-        ).resolved()
-        with self.lock.read_locked():
-            pool = self._shard_pool_for(execution)
-            gathered = pool.execute_many(unique_specs) if unique_specs else []
-        for spec, outcome in zip(unique_specs, gathered):
-            self._fold_gather(spec, outcome)
-        traces = [outcome.trace for outcome in gathered]
-        self.last_batch_report = BatchReport(
-            total_queries=len(queries),
-            unique_evaluations=len(unique_specs),
-            candidates_considered=sum(trace.shortlisted for trace in traces),
-            scored=sum(trace.candidates_examined for trace in traces),
-            cache_hits=sum(trace.cache_hits for trace in traces),
-            chunks=1 if unique_specs else 0,
-            executor=EXECUTOR_SHARD_PROCESS,
-            workers=pool.worker_count if unique_specs else (execution.workers or 1),
-            shortlist_bitmap_pruned=sum(trace.bitmap_pruned for trace in traces),
-            shortlist_relation_pruned=sum(trace.relation_pruned for trace in traces),
-        )
-        return [gathered[index].results for index in positions]
 
     def search(
         self,

@@ -25,8 +25,8 @@ cannot clear the query's ``min_score``:
 
 Both stages are *conservative*: a candidate is rejected only when its score
 upper bound is strictly below the query's ``minimum_score`` (or its exact
-overlap ratio is below the configured threshold — the legacy
-:class:`~repro.index.signature.SignatureFilter` semantics).  Rankings are
+label-multiset overlap ratio is below the engine's
+``minimum_overlap_ratio``).  Rankings are
 therefore byte-identical to a filter-disabled scan cut at the same
 ``minimum_score``; ``benchmarks/bench_signature.py`` (E14) asserts this at
 10k+ images together with the ≥5x serial speedup.  See ``docs/shortlist.md``

@@ -5,7 +5,7 @@ transformation-invariant matching, relation-predicate filtering, and any
 conjunction of them -- compiles down to one :class:`QuerySpec` value.  The
 spec is what the fluent builder (:mod:`repro.retrieval.querybuilder`)
 produces, what :meth:`repro.index.query.QueryEngine.execute_spec` consumes,
-and what the batch scheduler deduplicates on, so every entry point shares a
+and what the shard workers run, so every entry point shares a
 single evaluation plan in the spirit of composing small operators into one
 pipeline.
 

@@ -1,9 +1,9 @@
 """Process-parallel shard workers: scatter-gather query execution.
 
-Everything upstream of this module is GIL-bound: the batch scheduler's
-thread pool and the service daemon both serialize on the Python bytecode of
-the scoring loop, so the shortlist/kernel speedups stop at one core.  This
-module partitions the database along the existing CRC-32 shard scheme
+Everything upstream of this module is GIL-bound: the serial candidate loop
+and the service daemon's request threads both serialize on the Python
+bytecode of the scoring loop, so the shortlist/kernel speedups stop at one
+core.  This module partitions the database along the existing CRC-32 shard scheme
 (:func:`repro.index.backends.shard_index_for`) into worker *processes*:
 
 * :class:`ShardWorkerPool` forks N workers, each owning a disjoint,
@@ -49,12 +49,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.index.backends import DEFAULT_SHARD_COUNT, shard_index_for
 from repro.index.cache import CacheStatistics
 from repro.index.database import ImageDatabase
-from repro.index.execution import EXECUTOR_SHARD_PROCESS, ExecutionOptions
+from repro.index.execution import EXECUTOR_SERIAL, EXECUTOR_SHARD_PROCESS, ExecutionOptions
 from repro.index.spec import QuerySpec, QueryTrace
-
-#: Executor value workers run internally (anything but ``shard_process``,
-#: which would recurse).
-_WORKER_EXECUTOR = "serial"
 
 #: Restarts the pool will attempt per worker within one scatter before
 #: giving up on the gather.
@@ -73,9 +69,9 @@ def sanitized_execution(execution: Optional[ExecutionOptions]) -> ExecutionOptio
     worker scores exactly like the serial engine would.
     """
     if execution is None:
-        return ExecutionOptions(executor=_WORKER_EXECUTOR)
+        return ExecutionOptions(executor=EXECUTOR_SERIAL)
     if execution.executor == EXECUTOR_SHARD_PROCESS:
-        return replace(execution, executor=_WORKER_EXECUTOR)
+        return replace(execution, executor=EXECUTOR_SERIAL)
     return execution
 
 
@@ -83,7 +79,7 @@ def spec_for_worker(spec: QuerySpec) -> QuerySpec:
     """The spec a worker should execute: same plan, serial executor."""
     if spec.execution is not None and spec.execution.executor == EXECUTOR_SHARD_PROCESS:
         return spec.with_overrides(
-            execution=replace(spec.execution, executor=_WORKER_EXECUTOR)
+            execution=replace(spec.execution, executor=EXECUTOR_SERIAL)
         )
     return spec
 

@@ -1,7 +1,7 @@
 """The fluent query builder and its :class:`ResultSet`.
 
-This module is the public face of the unified query pipeline.  Instead of six
-overlapping ``search*`` methods, a retrieval is *composed*::
+This module is the public face of the unified query pipeline.  A retrieval
+is *composed*::
 
     results = (
         system.query()
@@ -20,10 +20,6 @@ runs it through :meth:`repro.index.query.QueryEngine.execute_spec`, returning
 a :class:`ResultSet` that supports iteration, pagination (``.page(n, size)``),
 per-result execution traces (``.explain()``) and dict/JSONL export
 (``.to_dicts()`` / ``.to_jsonl()``).
-
-The legacy ``RetrievalSystem.search*`` methods are thin deprecated shims over
-this builder and return byte-identical rankings; see ``docs/query-api.md``
-for the migration table.
 """
 
 from __future__ import annotations
@@ -428,8 +424,6 @@ class QueryBuilder:
         self._limit: Optional[int] = 10
         self._minimum_score: float = 0.0
         self._minimum_shared_labels: int = 1
-        self._use_filters: bool = True
-        self._use_cache: bool = True
         self._policy: Optional[SimilarityPolicy] = None
         self._execution: Optional[ExecutionOptions] = None
 
@@ -559,39 +553,6 @@ class QueryBuilder:
         self._execution = base.overlaid(addition)
         return self
 
-    def filters(self, enabled: bool = True) -> "QueryBuilder":
-        """Toggle the inverted-index + signature candidate shortlist.
-
-        .. deprecated:: 1.2
-            Use ``execution(shortlist=...)`` instead; see ``docs/query-api.md``.
-        """
-        self._system._warn_deprecated(
-            "query().filters(...)", "query().execution(shortlist=...)"
-        )
-        return self.execution(shortlist=enabled)
-
-    def no_filters(self) -> "QueryBuilder":
-        """Score every stored image (ablation mode; skips the shortlist).
-
-        .. deprecated:: 1.2
-            Use ``execution(shortlist=False)`` instead; see ``docs/query-api.md``.
-        """
-        self._system._warn_deprecated(
-            "query().no_filters()", "query().execution(shortlist=False)"
-        )
-        return self.execution(shortlist=False)
-
-    def cached(self, enabled: bool = True) -> "QueryBuilder":
-        """Toggle the score cache for this query (on by default).
-
-        .. deprecated:: 1.2
-            Use ``execution(cache=...)`` instead; see ``docs/query-api.md``.
-        """
-        self._system._warn_deprecated(
-            "query().cached(...)", "query().execution(cache=...)"
-        )
-        return self.execution(cache=enabled)
-
     def policy(self, policy: SimilarityPolicy) -> "QueryBuilder":
         """Override the similarity policy for this query."""
         self._policy = policy
@@ -610,8 +571,7 @@ class QueryBuilder:
             repro.index.spec.QuerySpecError: if the accumulated clauses do
                 not form a runnable query.
         """
-        use_filters = self._use_filters
-        use_cache = self._use_cache
+        use_filters, use_cache = True, True
         if self._execution is not None:
             # Keep the legacy spec fields consistent with the execution
             # options so pre-ExecutionOptions readers see the same query.

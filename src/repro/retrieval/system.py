@@ -24,24 +24,18 @@ All retrieval goes through one fluent builder
     )
 
 Query *streams* go through :meth:`RetrievalSystem.query_batch`, which
-deduplicates identical queries, shares the candidate shortlist per unique
-query, and schedules score-cache misses on a thread/process pool.  Serial and
+evaluates identical queries once and runs each unique query through the same
+candidate loop as a single query (or through the shard workers).  Serial and
 batch execution share one LRU score cache (on the underlying
 :class:`~repro.index.query.QueryEngine`; 65536 entries by default, invalidated
 automatically whenever the database changes), so a repeated identical query is
 answered from memoised similarity results on *every* path, with rankings
 guaranteed identical -- including tie-break ordering.
-
-The legacy ``search`` / ``search_many`` / ``search_parallel`` /
-``search_partial`` / ``search_by_relations`` / ``run_batch`` methods remain as
-thin deprecated shims over the builder with byte-identical rankings; see
-``docs/query-api.md`` for the migration table.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -50,7 +44,7 @@ from repro.geometry.rectangle import Rectangle
 from repro.iconic.ascii_art import render_ascii
 from repro.iconic.picture import SymbolicPicture
 from repro.index.backends import StorageBackend, load_database_from, save_database_to
-from repro.index.batch import BatchOptions, BatchReport
+from repro.index.batch import BatchReport
 from repro.index.cache import CacheStatistics
 from repro.index.database import ImageDatabase, ImageRecord
 from repro.index.execution import (
@@ -59,7 +53,6 @@ from repro.index.execution import (
     PredicateStatistics,
 )
 from repro.index.query import Query, QueryEngine
-from repro.index.ranking import RankedResult
 from repro.index.shortlist import ShortlistStatistics
 from repro.index.spec import QuerySpec, QuerySpecError
 from repro.retrieval.querybuilder import QueryBuilder, ResultSet
@@ -71,7 +64,7 @@ class RetrievalSystem:
 
     policy: SimilarityPolicy = DEFAULT_POLICY
     minimum_signature_overlap: float = 0.0
-    #: Engine-wide execution defaults (kernel, strategy, pool, ...); every
+    #: Engine-wide execution defaults (kernel, strategy, executor, ...); every
     #: query inherits them unless overridden per query via
     #: ``query().execution(...)``.  See :mod:`repro.index.execution`.
     execution: Optional[ExecutionOptions] = None
@@ -297,30 +290,25 @@ class RetrievalSystem:
     def query_batch(
         self,
         queries: Sequence[Union[QuerySpec, QueryBuilder, Query]],
-        options: Optional[BatchOptions] = None,
         execution: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> List[ResultSet]:
-        """Run many queries as one scheduled batch.
+        """Run many queries as one batch.
 
         Accepts :class:`~repro.index.spec.QuerySpec` values, prepared
         :class:`~repro.retrieval.querybuilder.QueryBuilder` instances, or
         engine-level :class:`~repro.index.query.Query` objects; each keeps
-        its own limit, score threshold and transformation set.  The batch
-        scheduler deduplicates identical queries, serves repeat scores from
-        the shared LRU cache, and evaluates misses on a worker pool.  Pool
-        knobs come from ``execution``
-        (:class:`~repro.index.execution.ExecutionOptions` — ``workers``,
-        ``executor``, ``chunk_size``, ``cache``) or the equivalent keyword
-        overrides (``workers=8``, ``executor="process"``, ...); the engine's
-        execution defaults seed both.  Rankings are identical -- including
-        tie-break ordering -- to executing each query serially; per-query
-        ``kernel``/``strategy`` selections are ignored in batch mode, which
-        always runs the reference exhaustive evaluation.
-
-        .. deprecated:: 1.2
-            Passing ``options=BatchOptions(...)``; use
-            ``execution=ExecutionOptions(...)`` (or the keyword overrides).
+        its own limit, score threshold, transformation set and execution
+        options.  Identical queries are evaluated once, and every unique
+        query runs the same cache-first candidate loop as a single query,
+        so queries that share content share work through the score cache.
+        ``execution`` (or the equivalent keyword overrides, such as
+        ``executor="shard_process", workers=2`` or ``cache=False``) applies
+        to the batch as a whole, overlaid on the engine's defaults:
+        ``executor`` and ``workers`` choose between the serial loop and the
+        shard-worker scatter, and ``cache=False`` turns the score cache off
+        for every query.  Rankings are identical -- including tie-break
+        ordering -- to executing each query serially.
 
         Returns:
             One :class:`~repro.retrieval.querybuilder.ResultSet` per input
@@ -329,34 +317,9 @@ class RetrievalSystem:
         Raises:
             repro.index.spec.QuerySpecError: if a spec has a predicate
                 clause (predicates are not batchable yet) or is malformed.
-            ValueError: on bad scheduler knobs.
+            ValueError: on an unknown executor or a non-positive worker
+                count.
         """
-        if options is not None:
-            self._warn_deprecated(
-                "query_batch(options=BatchOptions(...))",
-                "query_batch(execution=ExecutionOptions(...))",
-            )
-            base = options
-        else:
-            engine_execution = self._engine.execution.resolved()
-            base = BatchOptions(
-                workers=engine_execution.workers,
-                executor=engine_execution.executor,
-                chunk_size=engine_execution.chunk_size,
-                use_cache=engine_execution.cache,
-            )
-        if execution is not None:
-            pool_changes = {}
-            if execution.workers is not None:
-                pool_changes["workers"] = execution.workers
-            if execution.executor is not None:
-                pool_changes["executor"] = execution.executor
-            if execution.chunk_size is not None:
-                pool_changes["chunk_size"] = execution.chunk_size
-            if execution.cache is not None:
-                pool_changes["use_cache"] = execution.cache
-            if pool_changes:
-                base = replace(base, **pool_changes)
         compiled: List[Query] = []
         specs: List[Optional[QuerySpec]] = []
         for item in queries:
@@ -384,7 +347,7 @@ class RetrievalSystem:
                     "query_batch() accepts QuerySpec, QueryBuilder or Query items, "
                     f"got {type(item).__name__}"
                 )
-        batches = self._engine.run_batch(compiled, options=base, **overrides)
+        batches = self._engine.run_batch(compiled, execution, **overrides)
         return [
             ResultSet(results, spec=spec) for results, spec in zip(batches, specs)
         ]
@@ -409,209 +372,3 @@ class RetrievalSystem:
     def predicate_statistics(self) -> "PredicateStatistics":
         """Cumulative predicate-stage counters (see :mod:`repro.index.execution`)."""
         return self._engine.predicate_counters.statistics
-
-    # ------------------------------------------------------------------
-    # Deprecated search surface (thin shims over the builder)
-    # ------------------------------------------------------------------
-    def _warn_deprecated(self, old: str, replacement: str) -> None:
-        """Emit the deprecation warning for one legacy ``search*`` call."""
-        warnings.warn(
-            f"RetrievalSystem.{old} is deprecated; use {replacement} instead "
-            "(see docs/query-api.md for the migration table)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def _similarity_builder(
-        self,
-        query_picture: SymbolicPicture,
-        limit: Optional[int],
-        invariant: bool,
-        minimum_score: float,
-        use_filters: bool,
-    ) -> QueryBuilder:
-        return (
-            self.query(query_picture)
-            .invariant(invariant)
-            .limit(limit)
-            .min_score(minimum_score)
-            .execution(shortlist=use_filters)
-        )
-
-    def search(
-        self,
-        query_picture: SymbolicPicture,
-        limit: Optional[int] = 10,
-        invariant: bool = False,
-        minimum_score: float = 0.0,
-        use_filters: bool = True,
-    ) -> List[RankedResult]:
-        """Similarity search with the configured policy.
-
-        .. deprecated:: 1.1
-            Use ``system.query(picture)...execute()`` instead; this shim
-            routes through the same pipeline and returns identical rankings.
-
-        Returns:
-            Ranked results, best first, ties broken by image id.
-        """
-        self._warn_deprecated("search", "query(picture).execute()")
-        return list(
-            self._similarity_builder(
-                query_picture, limit, invariant, minimum_score, use_filters
-            ).execute()
-        )
-
-    def search_many(
-        self,
-        query_pictures: Iterable[SymbolicPicture],
-        limit: Optional[int] = 10,
-        invariant: bool = False,
-        minimum_score: float = 0.0,
-        use_filters: bool = True,
-        workers: int = 1,
-        executor: str = "auto",
-        chunk_size: Optional[int] = None,
-        use_cache: bool = True,
-    ) -> List[List[RankedResult]]:
-        """Batch similarity search: one ranked result list per query picture.
-
-        .. deprecated:: 1.1
-            Use :meth:`query_batch` with builder specs instead.
-        """
-        self._warn_deprecated("search_many", "query_batch([...], executor=..., workers=...)")
-        return self._batch_pictures(
-            query_pictures,
-            limit,
-            invariant,
-            minimum_score,
-            use_filters,
-            ExecutionOptions(
-                workers=workers,
-                executor=executor,
-                chunk_size=chunk_size,
-                cache=use_cache,
-            ),
-        )
-
-    def search_parallel(
-        self,
-        query_pictures: Iterable[SymbolicPicture],
-        limit: Optional[int] = 10,
-        invariant: bool = False,
-        minimum_score: float = 0.0,
-        use_filters: bool = True,
-        workers: int = 4,
-        executor: str = "thread",
-        chunk_size: Optional[int] = None,
-        use_cache: bool = True,
-    ) -> List[List[RankedResult]]:
-        """Batch similarity search with the worker pool on (4 threads default).
-
-        .. deprecated:: 1.1
-            Use :meth:`query_batch` with ``workers=...`` instead.
-        """
-        self._warn_deprecated(
-            "search_parallel", "query_batch([...], executor=\"thread\", workers=4)"
-        )
-        return self._batch_pictures(
-            query_pictures,
-            limit,
-            invariant,
-            minimum_score,
-            use_filters,
-            ExecutionOptions(
-                workers=workers,
-                executor=executor,
-                chunk_size=chunk_size,
-                cache=use_cache,
-            ),
-        )
-
-    def _batch_pictures(
-        self,
-        query_pictures: Iterable[SymbolicPicture],
-        limit: Optional[int],
-        invariant: bool,
-        minimum_score: float,
-        use_filters: bool,
-        execution: ExecutionOptions,
-    ) -> List[List[RankedResult]]:
-        """Shared body of the deprecated picture-batch shims."""
-        specs = [
-            self._similarity_builder(
-                picture, limit, invariant, minimum_score, use_filters
-            ).spec()
-            for picture in query_pictures
-        ]
-        return [
-            list(results) for results in self.query_batch(specs, execution=execution)
-        ]
-
-    def run_batch(
-        self,
-        queries: Sequence[Query],
-        options: Optional[BatchOptions] = None,
-        **overrides,
-    ) -> List[List[RankedResult]]:
-        """Run pre-built :class:`~repro.index.query.Query` objects as one batch.
-
-        .. deprecated:: 1.1
-            Use :meth:`query_batch`, which accepts the same ``Query`` objects
-            (and builder specs) and returns ``ResultSet`` values.
-        """
-        self._warn_deprecated("run_batch", "query_batch(queries)")
-        return [
-            list(results)
-            for results in self.query_batch(queries, options=options, **overrides)
-        ]
-
-    def search_partial(
-        self,
-        query_picture: SymbolicPicture,
-        identifiers: Sequence[str],
-        limit: Optional[int] = 10,
-        invariant: bool = False,
-        minimum_score: float = 0.0,
-        use_filters: bool = True,
-    ) -> List[RankedResult]:
-        """Search with only a subset of the query picture's icons.
-
-        This is the paper's uncertain-target scenario: the caller knows some
-        icons and their arrangement but not the whole scene.  ``minimum_score``
-        and ``use_filters`` are forwarded like every other knob (they used to
-        be silently dropped).
-
-        .. deprecated:: 1.1
-            Use ``system.query(picture).partial(identifiers)...execute()``.
-        """
-        self._warn_deprecated(
-            "search_partial", "query(picture).partial(identifiers).execute()"
-        )
-        return list(
-            self._similarity_builder(
-                query_picture, limit, invariant, minimum_score, use_filters
-            )
-            .partial(identifiers)
-            .execute()
-        )
-
-    def search_by_relations(
-        self,
-        query: str,
-        limit: Optional[int] = 10,
-        minimum_score: float = 0.0,
-    ) -> List["PredicateMatch"]:
-        """Relation-predicate search, e.g. ``"monitor above desk and phone right-of monitor"``.
-
-        The predicates are evaluated against stored BE-strings (never against
-        raw coordinates); images are ranked by the fraction of predicates they
-        satisfy.  See :mod:`repro.retrieval.predicates` for the vocabulary.
-
-        .. deprecated:: 1.1
-            Use ``system.query().where(query)...execute()``.
-        """
-        self._warn_deprecated("search_by_relations", 'query().where("...").execute()')
-        return list(
-            self.query().where(query).limit(limit).min_score(minimum_score).execute()
-        )

@@ -15,11 +15,6 @@ hand-build HTTP::
     client.admin.promote()
     client.health(); client.stats()   # observability
 
-The flat legacy methods (``add_image``, ``delete_image``, ``promote``,
-``healthz``) still work but emit :class:`DeprecationWarning` and delegate to
-the resources above — byte-identical requests, so existing scripts keep
-running while they migrate (``docs/query-api.md`` carries the table).
-
 The client is dependency-free (``http.client`` only) and *thread-safe by
 construction*: each request opens its own connection, so closed-loop load
 generators can share one client across worker threads.
@@ -50,19 +45,8 @@ from __future__ import annotations
 import http.client
 import json
 import time
-import warnings
 from typing import Any, Dict, List, Optional, Sequence, Union
 from urllib.parse import quote, urlparse
-
-
-def _warn_deprecated(old: str, replacement: str) -> None:
-    """Emit the deprecation warning for one legacy flat-surface method."""
-    warnings.warn(
-        f"ServiceClient.{old} is deprecated; use {replacement} instead "
-        "(see docs/query-api.md for the migration table)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class ServiceError(RuntimeError):
@@ -456,29 +440,6 @@ class ServiceClient:
     def stats(self) -> Dict[str, Any]:
         """``GET /stats``: counters, latency percentiles, cache hit rate."""
         return self.request("GET", "/stats")
-
-    # ------------------------------------------------------------------
-    # Deprecated flat surface (thin shims over the resources above)
-    # ------------------------------------------------------------------
-    def add_image(self, scene: Any, image_id: Optional[str] = None) -> Dict[str, Any]:
-        """Deprecated alias of :meth:`_ImagesResource.add` (``client.images.add``)."""
-        _warn_deprecated("add_image", "client.images.add")
-        return self.images.add(scene, image_id)
-
-    def delete_image(self, image_id: str) -> Dict[str, Any]:
-        """Deprecated alias of :meth:`_ImagesResource.delete` (``client.images.delete``)."""
-        _warn_deprecated("delete_image", "client.images.delete")
-        return self.images.delete(image_id)
-
-    def promote(self) -> Dict[str, Any]:
-        """Deprecated alias of :meth:`_AdminResource.promote` (``client.admin.promote``)."""
-        _warn_deprecated("promote", "client.admin.promote")
-        return self.admin.promote()
-
-    def healthz(self) -> Dict[str, Any]:
-        """Deprecated alias of :meth:`health`."""
-        _warn_deprecated("healthz", "client.health")
-        return self.health()
 
     def ping(self) -> Dict[str, Any]:
         """Health check plus measured round-trip time.

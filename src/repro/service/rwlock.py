@@ -4,7 +4,7 @@ The retrieval service serves many concurrent ``/search`` requests against one
 shared :class:`~repro.index.query.QueryEngine`.  Queries only read, so they
 may run fully in parallel -- but a mutation (add/remove picture, object-level
 edit) must see no reader mid-flight: it rewrites the database record, the
-inverted index, the signature filter *and* invalidates the score cache, and a
+inverted index, the shortlist signature *and* invalidates the score cache, and a
 query overlapping that window could rank against a torn view (new record, stale
 postings).  :class:`ReadWriteLock` provides exactly the two grants the engine
 needs:
@@ -15,7 +15,7 @@ needs:
   cannot starve mutations.
 
 Both grants are *reentrant per thread*: the engine's public entry points nest
-(``execute_spec`` -> ``execute_traced``; ``run_batch`` -> ``candidate_ids``),
+(``execute_spec`` -> ``execute_traced``),
 and write preference would otherwise deadlock a thread re-acquiring its own
 read grant while a writer queues behind it.  Lock *upgrades* (write while
 holding only a read grant) deadlock by construction and raise ``RuntimeError``

@@ -69,15 +69,12 @@ from urllib.parse import unquote
 from repro.iconic.picture import SymbolicPicture
 from repro.index.backends import DurableShardedStore
 from repro.index.database import DatabaseError
-from repro.index.execution import ExecutionOptions
+from repro.index.execution import EXECUTORS, ExecutionOptions
 from repro.index.spec import QuerySpecError
 from repro.index.storage import StorageError
 from repro.retrieval.predicates import PredicateError, tree_from_dict
 from repro.retrieval.querybuilder import QueryBuilder, ResultSet
 from repro.retrieval.system import RetrievalSystem
-
-#: Executor choices accepted by the ``/batch`` endpoint's ``executor`` key.
-_BATCH_EXECUTORS = ("thread", "process", "serial", "auto", "shard_process")
 
 #: Largest request body the daemon reads; a longer ``Content-Length`` is
 #: refused with 413 before any of the body is read.
@@ -457,7 +454,9 @@ class RetrievalService:
         The payload's ``queries`` array reuses the ``/search`` schema
         (predicate clauses are rejected: the batch scheduler is
         similarity-only, exactly like :meth:`RetrievalSystem.query_batch`).
-        Optional ``workers`` / ``executor`` keys tune the scheduler.
+        Optional ``executor`` (``serial`` or ``shard_process``) and
+        ``workers`` (the shard-pool size) keys override the served engine's
+        defaults for this batch.
         """
         with self._admitted():
             queries = payload.get("queries")
@@ -472,10 +471,8 @@ class RetrievalService:
                 overrides["workers"] = workers
             executor = payload.get("executor")
             if executor is not None:
-                if executor not in _BATCH_EXECUTORS:
-                    raise ApiError(
-                        400, f"'executor' must be one of {', '.join(_BATCH_EXECUTORS)}"
-                    )
+                if executor not in EXECUTORS:
+                    raise ApiError(400, f"'executor' must be one of {', '.join(EXECUTORS)}")
                 overrides["executor"] = executor
             try:
                 batches = self.system.query_batch(builders, **overrides)

@@ -1,14 +1,23 @@
-"""Tests for the batch query subsystem (engine, scheduler, score cache)."""
+"""Tests for the batch query subsystem (dedup, candidate loop, score cache).
+
+The CI ``shard-workers`` leg re-runs this module with ``REPRO_SHARD_WORKERS``
+pinned to 2 and 4.
+"""
+
+import os
 
 import pytest
 
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
-from repro.index.batch import BatchOptions, BatchQueryEngine
+from repro.index.batch import BatchQueryEngine, BatchReport
 from repro.index.cache import ScoreCache, query_score_key
 from repro.index.database import ImageDatabase
+from repro.index.execution import ExecutionOptions
 from repro.index.query import Query, QueryEngine
 from repro.retrieval.system import RetrievalSystem
+
+SHARD_WORKERS = int(os.environ.get("REPRO_SHARD_WORKERS") or 2)
 
 
 def result_key(results):
@@ -23,12 +32,16 @@ def result_key(results):
 def engine(scene_collection):
     database = ImageDatabase()
     database.add_pictures(scene_collection)
-    return QueryEngine.build(database)
+    engine = QueryEngine.build(database)
+    yield engine
+    engine.close_shard_pool()
 
 
 @pytest.fixture
 def system(scene_collection):
-    return RetrievalSystem.from_pictures(scene_collection)
+    system = RetrievalSystem.from_pictures(scene_collection)
+    yield system
+    system._engine.close_shard_pool()
 
 
 @pytest.fixture
@@ -44,11 +57,11 @@ def query_pictures(scene_collection):
 
 
 class TestEquivalenceWithSerial:
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process", "auto"])
+    @pytest.mark.parametrize("executor", ["serial", "shard_process"])
     def test_run_batch_matches_execute(self, engine, query_pictures, executor):
         queries = [Query.exact(picture, limit=5) for picture in query_pictures]
         serial = [engine.execute(query) for query in queries]
-        batch = engine.run_batch(queries, workers=2, executor=executor, chunk_size=2)
+        batch = engine.run_batch(queries, workers=SHARD_WORKERS, executor=executor)
         assert [result_key(r) for r in batch] == [result_key(r) for r in serial]
 
     def test_query_batch_matches_n_serial_queries(self, system, query_pictures):
@@ -99,7 +112,7 @@ class TestEquivalenceWithSerial:
             Query(picture=query_pictures[2], use_filters=False),
         ]
         serial = [system._engine.execute(query) for query in queries]
-        batch = system.query_batch(queries, workers=2, executor="thread")
+        batch = system.query_batch(queries, workers=SHARD_WORKERS, executor="shard_process")
         assert [result_key(r) for r in batch] == [result_key(r) for r in serial]
 
     def test_empty_batch(self, system):
@@ -126,10 +139,10 @@ class TestDeduplicationAndCache:
         assert report.cache_hit_rate == 1.0
         assert [result_key(r) for r in second] == [result_key(r) for r in first]
 
-    def test_use_cache_false_bypasses_cache(self, engine, query_pictures):
+    def test_cache_false_bypasses_cache(self, engine, query_pictures):
         queries = [Query.exact(picture) for picture in query_pictures]
         engine.run_batch(queries)
-        engine.run_batch(queries, use_cache=False)
+        engine.run_batch(queries, cache=False)
         report = engine.last_batch_report
         assert report.cache_hits == 0
         assert report.scored == report.candidates_considered
@@ -164,6 +177,138 @@ class TestDeduplicationAndCache:
         assert any(r.image_id == "office-twin" for r in results)
         fresh = list(system.query(office).limit(None).execute())
         assert result_key(results) == result_key(fresh)
+
+
+class TestBatchOptions:
+    @pytest.mark.parametrize("executor", ["thread", "process", "auto"])
+    def test_removed_pool_executors_are_rejected(self, system, office, executor):
+        # The thread and process pools are gone: naming one must fail
+        # loudly rather than quietly run the serial loop.
+        with pytest.raises(ValueError, match="executor"):
+            system.query_batch([system.query(office)], executor=executor)
+
+    def test_non_positive_workers_rejected(self, system, office):
+        with pytest.raises(ValueError, match="workers"):
+            system.query_batch([system.query(office)], executor="shard_process", workers=0)
+
+    @pytest.mark.parametrize("option", ["chunk_size", "use_cache", "options"])
+    def test_removed_batch_options_are_rejected(self, system, office, option):
+        with pytest.raises(TypeError, match=option):
+            system.query_batch([system.query(office)], **{option: None})
+
+    def test_serial_batch_reports_one_worker(self, system, query_pictures):
+        system.query_batch([system.query(picture) for picture in query_pictures], workers=4)
+        report = system.last_batch_report
+        assert (report.executor, report.workers) == ("serial", 1)
+        assert report.describe().endswith("via serial x1")
+
+    def test_one_shard_worker_matches_serial(self, system, query_pictures):
+        builders = [system.query(picture).limit(4) for picture in query_pictures]
+        serial = system.query_batch(builders)
+        sharded = system.query_batch(builders, executor="shard_process", workers=1)
+        assert [result_key(r) for r in sharded] == [result_key(r) for r in serial]
+        report = system.last_batch_report
+        assert (report.executor, report.workers) == ("shard_process", 1)
+
+    def test_execution_value_matches_keyword_overrides(self, system, query_pictures):
+        builders = [system.query(picture).limit(4) for picture in query_pictures]
+        by_value = system.query_batch(
+            builders, ExecutionOptions(executor="shard_process", workers=SHARD_WORKERS)
+        )
+        value_report = system.last_batch_report
+        by_keyword = system.query_batch(
+            builders, executor="shard_process", workers=SHARD_WORKERS
+        )
+        keyword_report = system.last_batch_report
+        assert [result_key(r) for r in by_value] == [result_key(r) for r in by_keyword]
+        assert (value_report.executor, value_report.workers) == (
+            keyword_report.executor,
+            keyword_report.workers,
+        ) == ("shard_process", SHARD_WORKERS)
+
+
+class TestBatchReport:
+    def test_describe_format(self):
+        report = BatchReport(
+            total_queries=5,
+            unique_evaluations=3,
+            candidates_considered=12,
+            scored=7,
+            cache_hits=5,
+            executor="shard_process",
+            workers=2,
+        )
+        assert report.describe() == (
+            "5 queries -> 3 unique evaluations, 12 candidate scores "
+            "(5 cached, 7 computed) via shard_process x2"
+        )
+
+    def test_describe_names_pruned_counts(self):
+        report = BatchReport(
+            total_queries=1,
+            unique_evaluations=1,
+            candidates_considered=4,
+            scored=4,
+            shortlist_bitmap_pruned=3,
+            shortlist_relation_pruned=1,
+        )
+        assert report.describe() == (
+            "1 queries -> 1 unique evaluations, 4 candidate scores "
+            "(0 cached, 4 computed, 3 bitmap-pruned + 1 relation-pruned) via serial x1"
+        )
+
+    @pytest.mark.parametrize("executor", ["serial", "shard_process"])
+    def test_considered_is_cached_plus_computed(self, system, query_pictures, executor):
+        builders = [system.query(picture).limit(None) for picture in query_pictures]
+        system.query_batch(builders, executor=executor, workers=SHARD_WORKERS)
+        cold = system.last_batch_report
+        assert cold.cache_hits == 0
+        assert cold.scored == cold.candidates_considered > 0
+        system.query_batch(builders, executor=executor, workers=SHARD_WORKERS)
+        warm = system.last_batch_report
+        assert warm.scored == 0
+        assert warm.cache_hits == warm.candidates_considered == cold.candidates_considered
+
+    @pytest.mark.parametrize("executor", ["serial", "shard_process"])
+    def test_limit_variants_share_scores_through_the_cache(self, system, office, executor):
+        # Same content, different limits: two evaluations, but the second
+        # reads the first one's scores instead of computing them again.
+        builders = [system.query(office).limit(1), system.query(office).limit(None)]
+        batch = system.query_batch(builders, executor=executor, workers=SHARD_WORKERS)
+        report = system.last_batch_report
+        assert report.unique_evaluations == 2
+        assert report.cache_hits > 0
+        offices = [image_id for image_id in system.image_ids if image_id.startswith("office")]
+        assert report.scored == len(offices)
+        assert [result_key(r) for r in batch] == [
+            result_key(builder.execute()) for builder in builders
+        ]
+
+    def test_batch_cache_off_overrides_per_query_cache_on(self, system, office, traffic):
+        builders = [system.query(picture).execution(cache=True) for picture in (office, traffic)]
+        for _ in range(2):
+            system.query_batch(builders, cache=False)
+            report = system.last_batch_report
+            assert report.cache_hits == 0
+            assert report.scored == report.candidates_considered > 0
+        assert len(system._engine.score_cache) == 0
+
+    @pytest.mark.parametrize("executor", ["serial", "shard_process"])
+    def test_batch_honours_per_query_strategy(self, system, office, executor):
+        anytime = system.query(office).limit(3)
+        exhaustive = (
+            system.query(office)
+            .limit(3)
+            .execution(kernel="reference", strategy="exhaustive")
+        )
+        before = system.execution_statistics()
+        batch = system.query_batch(
+            [anytime, exhaustive], executor=executor, workers=SHARD_WORKERS
+        )
+        after = system.execution_statistics()
+        assert after.queries - before.queries == 2
+        assert after.anytime_queries - before.anytime_queries == 1
+        assert result_key(batch[0]) == result_key(batch[1])
 
 
 class TestScoreCache:
@@ -209,36 +354,6 @@ class TestScoreCache:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             ScoreCache(capacity=0)
-
-
-class TestOptionsValidation:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            BatchOptions(executor="fibers")
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            BatchOptions(workers=0)
-
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            BatchOptions(chunk_size=0)
-
-    def test_single_worker_falls_back_to_serial(self, engine, office):
-        batch = BatchQueryEngine(engine=engine, options=BatchOptions(workers=1, executor="thread"))
-        batch.run([Query.exact(office)])
-        assert batch.last_report.executor == "serial"
-
-    def test_auto_uses_threads_for_large_workloads(self, engine, scene_collection):
-        queries = [
-            Query.exact(picture.renamed(f"q-{index}"), use_filters=False)
-            for index, picture in enumerate(scene_collection * 5)
-        ]
-        batch = BatchQueryEngine(
-            engine=engine, options=BatchOptions(workers=2, executor="auto")
-        )
-        batch.run(queries)
-        assert batch.last_report.executor == "thread"
 
 
 class TestStalePostings:

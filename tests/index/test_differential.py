@@ -10,8 +10,10 @@ partial, crisp ``where``, graded trees with ``not``/``or``/``fuzzy``, and
 combined specs under both compositions), and each spec must produce the
 oracle's ``to_dicts()`` byte for byte under every configuration: the
 default, each non-default kernel/strategy pair, a warm repeat, a repeat after
-each kind of mutation, and the shard workers.  The CI ``shard-workers`` leg
-re-runs this module with ``REPRO_SHARD_WORKERS`` pinned to 2 and 4.
+each kind of mutation, and the shard workers.  The similarity-only recipes,
+plus one duplicate, also run as one ``query_batch``, serially and through
+the shard workers, before and after each mutation.  The CI ``shard-workers``
+leg re-runs this module with ``REPRO_SHARD_WORKERS`` pinned to 2 and 4.
 """
 
 import json
@@ -177,6 +179,21 @@ def check(system, pictures, recipe, label, execution=None):
     assert json.dumps(produced, sort_keys=True) == expected, label
 
 
+def check_batch(system, pictures, recipes_drawn, label):
+    """Assert a batch of the similarity-only recipes equals the oracle."""
+    similar = [recipe for recipe in recipes_drawn if "where" not in recipe]
+    if not similar:
+        return
+    builders = [build(system, recipe) for recipe in similar + similar[:1]]
+    expected = [
+        json.dumps(oracle(pictures, builder.spec()), sort_keys=True) for builder in builders
+    ]
+    for executor in ("serial", "shard_process"):
+        batch = system.query_batch(builders, executor=executor, workers=SHARD_WORKERS)
+        produced = [json.dumps(results.to_dicts(), sort_keys=True) for results in batch]
+        assert produced == expected, f"{label}: batch ({executor})"
+
+
 @st.composite
 def cases(draw):
     names = [f"img-{index:02d}" for index in range(draw(st.integers(3, 8)))]
@@ -200,6 +217,7 @@ def test_every_configuration_equals_the_oracle(case):
             check(system, pictures, recipe, "warm repeat")
             for label, options in CONFIGURATIONS.items():
                 check(system, pictures, recipe, label, options)
+        check_batch(system, pictures, recipes_drawn, "before mutations")
 
         first, last = corpus[0].name, corpus[-1].name
         target = pictures[first].icons[-1]
@@ -207,22 +225,26 @@ def test_every_configuration_equals_the_oracle(case):
         pictures[first] = pictures[first].add_icon(target.label, target.mbr)
         for recipe in recipes_drawn:
             check(system, pictures, recipe, "after add_object")
+        check_batch(system, pictures, recipes_drawn, "after add_object")
 
         identifier = pictures[last].identifiers[0]
         system.remove_object(last, identifier)
         pictures[last] = pictures[last].remove_icon(identifier)
         for recipe in recipes_drawn:
             check(system, pictures, recipe, "after remove_object")
+        check_batch(system, pictures, recipes_drawn, "after remove_object")
 
         system.add_picture(fresh, "img-new")
         pictures["img-new"] = fresh.renamed("img-new")
         for recipe in recipes_drawn:
             check(system, pictures, recipe, "after insert")
+        check_batch(system, pictures, recipes_drawn, "after insert")
 
         system.remove_picture(first)
         del pictures[first]
         for recipe in recipes_drawn:
             check(system, pictures, recipe, "after delete")
+        check_batch(system, pictures, recipes_drawn, "after delete")
     finally:
         system._engine.close_shard_pool()
 

@@ -1,19 +1,22 @@
 """ExecutionOptions semantics and kernel/strategy ranking equivalence.
 
-Two halves.  The unit half pins the options value object: vocabulary
+Three parts.  The unit part pins the options value object: vocabulary
 validation, ``None``-means-inherit overlay order, dict round-trips, and the
 cumulative counters the service ``/stats`` endpoint surfaces.  The
-equivalence half is the load-bearing one: every combination of kernel
+equivalence part is the load-bearing one: every combination of kernel
 (``bitparallel``/``reference``) and strategy (``anytime``/``exhaustive``)
 must produce rankings byte-identical — tie-breaks, transformations and all —
 to the historical reference/exhaustive path, across exact, invariant,
 partial, predicate-combined and min-score query modes.  A single divergence
 means either the kernel mis-scored or the branch-and-bound cut off a
-candidate it had no right to drop (see ``docs/kernels.md``).
+candidate it had no right to drop (see ``docs/kernels.md``).  The last
+part checks that the engine-level ``cache`` and ``shortlist`` defaults
+reach every path: serial, batch and the shard workers.
 """
 
 import pytest
 
+from repro.datasets.scenes import office_scene, traffic_scene
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.index.execution import (
     DEFAULT_EXECUTION,
@@ -60,14 +63,14 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="strategy"):
             ExecutionOptions(strategy="eventually")
 
-    def test_rejects_unknown_executor(self):
+    @pytest.mark.parametrize("executor", ["fork", "thread", "process", "auto"])
+    def test_rejects_unknown_executor(self, executor):
         with pytest.raises(ValueError, match="executor"):
-            ExecutionOptions(executor="fork")
+            ExecutionOptions(executor=executor)
 
-    @pytest.mark.parametrize("field", ["workers", "chunk_size"])
-    def test_rejects_non_positive_pool_sizes(self, field):
-        with pytest.raises(ValueError, match=field):
-            ExecutionOptions(**{field: 0})
+    def test_rejects_non_positive_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            ExecutionOptions(workers=0)
 
     def test_default_is_all_inherit(self):
         options = ExecutionOptions()
@@ -268,3 +271,48 @@ class TestAnytimeObservability:
             system.query(query).limit(5).execution(cache=False).execute()
         )
         assert results.trace.strategy == STRATEGY_EXHAUSTIVE
+
+
+class TestEngineDefaults:
+    """The engine-level ``cache`` and ``shortlist`` defaults reach every path."""
+
+    @pytest.fixture
+    def system(self):
+        scenes = [office_scene(index) for index in range(5)]
+        scenes += [traffic_scene(index) for index in range(5)]
+        system = RetrievalSystem.from_pictures(
+            scenes, execution=ExecutionOptions(cache=False, shortlist=False)
+        )
+        yield system
+        system._engine.close_shard_pool()
+
+    @staticmethod
+    def _run(system, path, **options):
+        """(candidates scored or read, cache hits) of one office query."""
+        builder = system.query(office_scene(0)).limit(None)
+        if options:
+            builder = builder.execution(**options)
+        if path == "serial":
+            trace = builder.execute().trace
+            return trace.shortlisted, trace.cache_hits
+        if path == "shard_process":
+            trace = builder.execution(executor="shard_process", workers=2).execute().trace
+            return trace.shortlisted, trace.cache_hits
+        executor = "shard_process" if path == "batch-shard_process" else "serial"
+        system.query_batch([builder], executor=executor, workers=2)
+        report = system.last_batch_report
+        return report.candidates_considered, report.cache_hits
+
+    @pytest.mark.parametrize("path", ["serial", "batch", "shard_process", "batch-shard_process"])
+    def test_engine_defaults_turn_cache_and_shortlist_off(self, system, path):
+        # With the shortlist off every image is a candidate, traffic scenes
+        # included; with the cache off a repeat reads nothing.
+        assert self._run(system, path) == (len(system), 0)
+        assert self._run(system, path) == (len(system), 0)
+        assert len(system._engine.score_cache) == 0
+
+    @pytest.mark.parametrize("path", ["serial", "batch"])
+    def test_per_query_options_win(self, system, path):
+        considered, _ = self._run(system, path, cache=True, shortlist=True)
+        assert considered == 5  # only the office scenes share a label
+        assert self._run(system, path, cache=True, shortlist=True) == (5, 5)

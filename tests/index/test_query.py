@@ -19,7 +19,6 @@ class TestBuildAndMaintain:
     def test_build_indexes_existing_images(self, engine, scene_collection):
         assert len(engine.database) == len(scene_collection)
         assert len(engine.inverted_index) == len(scene_collection)
-        assert len(engine.signature_filter) == len(scene_collection)
 
     def test_add_and_remove_picture(self, engine, office):
         new_id = engine.add_picture(office.renamed("office-extra"))

@@ -9,7 +9,9 @@ policy axis, and every transformation set — then locks down end-to-end
 ranking equivalence with the filter-disabled scan.
 """
 
+import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -41,6 +43,9 @@ from repro.index.shortlist import (
     signature_for,
 )
 from repro.index.spec import STAGE_BITMAP_PRUNED, STAGE_RELATION_PRUNED
+from repro.retrieval.system import RetrievalSystem
+
+SHARD_WORKERS = int(os.environ.get("REPRO_SHARD_WORKERS") or 2)
 
 _PARAMETERS = SceneParameters(
     object_count=6,
@@ -496,8 +501,104 @@ class TestThresholdAndWidthConsistency:
             0.0 <= outcome.rejection_bounds[image_id] < 0.75
             for image_id in outcome.rejections
         )
-        # Semantics match the legacy filter exactly.
-        legacy = engine.signature_filter.filter(
-            picture, sorted(set(database.image_ids) - set(outcome.rejections))
+        # Exactly the images whose label-multiset overlap reaches the threshold.
+        wanted = Counter(picture.labels)
+        assert outcome.candidates == [
+            image_id
+            for image_id in database.image_ids
+            if sum((wanted & Counter(database.get(image_id).picture.labels)).values())
+            / len(picture.labels)
+            >= 0.75
+        ]
+
+
+def _labelled(name, labels):
+    """A picture holding one icon per label, laid out left to right."""
+    objects = [
+        (label, Rectangle(4 * index + 1, 1, 4 * index + 3, 4))
+        for index, label in enumerate(labels)
+    ]
+    return SymbolicPicture.build(width=40, height=10, objects=objects, name=name)
+
+
+class TestOverlapThreshold:
+    """``minimum_overlap_ratio``: the share of the query's label multiset an
+    image must hold, counted with multiplicity, before it is scored."""
+
+    QUERY = ("tree", "tree", "sun", "house")
+
+    @pytest.fixture
+    def pictures(self):
+        # Overlap with QUERY: 4/4, 3/4 (one tree short), 1/4, and no label.
+        return [
+            _labelled("both-trees", self.QUERY),
+            _labelled("one-tree", ("tree", "sun", "house")),
+            _labelled("sun-cloud", ("sun", "cloud")),
+            _labelled("street", ("car", "road")),
+        ]
+
+    @pytest.fixture
+    def query(self):
+        return Query(picture=_labelled("query", self.QUERY))
+
+    @staticmethod
+    def _engine(pictures, threshold):
+        database = ImageDatabase()
+        database.add_pictures(pictures)
+        return QueryEngine.build(database, minimum_overlap_ratio=threshold)
+
+    @pytest.mark.parametrize(
+        "threshold, admitted",
+        [
+            (0.0, ["both-trees", "one-tree", "sun-cloud"]),
+            (0.25, ["both-trees", "one-tree", "sun-cloud"]),
+            (0.5, ["both-trees", "one-tree"]),
+            (0.75, ["both-trees", "one-tree"]),
+            (1.0, ["both-trees"]),
+        ],
+    )
+    def test_admits_by_label_multiset_overlap(self, pictures, query, threshold, admitted):
+        assert self._engine(pictures, threshold).shortlist(query).candidates == admitted
+
+    def test_threshold_follows_object_edits(self, pictures, query):
+        engine = self._engine(pictures, 1.0)
+        engine.add_object("one-tree", "tree", Rectangle(30, 5, 33, 8))
+        assert engine.shortlist(query).candidates == ["both-trees", "one-tree"]
+        engine.remove_object("both-trees", "tree#1")
+        assert engine.shortlist(query).candidates == ["one-tree"]
+
+    def test_threshold_follows_inserts_and_deletes(self, pictures, query):
+        engine = self._engine(pictures, 1.0)
+        engine.add_picture(_labelled("copy", self.QUERY))
+        assert engine.shortlist(query).candidates == ["both-trees", "copy"]
+        engine.remove_picture("both-trees")
+        assert engine.shortlist(query).candidates == ["copy"]
+
+    def test_shortlist_off_ignores_the_threshold(self, pictures, query):
+        system = RetrievalSystem.from_pictures(pictures, minimum_signature_overlap=1.0)
+        results = (
+            system.query(query.picture).limit(None).execution(shortlist=False).execute()
         )
-        assert set(outcome.candidates) <= set(legacy) | set(outcome.candidates)
+        assert sorted(r.image_id for r in results) == sorted(system.image_ids)
+
+    @pytest.mark.parametrize(
+        "path", ["serial", "shard_process", "batch", "batch-shard_process"]
+    )
+    def test_threshold_reaches_every_path(self, pictures, query, path):
+        system = RetrievalSystem.from_pictures(pictures, minimum_signature_overlap=0.75)
+        try:
+            builder = system.query(query.picture).limit(None)
+            if path == "serial":
+                results = builder.execute()
+            elif path == "shard_process":
+                results = builder.execution(
+                    executor="shard_process", workers=SHARD_WORKERS
+                ).execute()
+            else:
+                executor = "shard_process" if path == "batch-shard_process" else "serial"
+                results = system.query_batch(
+                    [builder], executor=executor, workers=SHARD_WORKERS
+                )[0]
+            assert sorted(r.image_id for r in results) == ["both-trees", "one-tree"]
+        finally:
+            system._engine.close_shard_pool()

@@ -161,6 +161,57 @@ class TestExecutionEquivalence:
         assert results.trace.cache_misses == len(results)
 
 
+class TestThresholdsAndShortlist:
+    def test_partial_min_score_keeps_scores_at_or_above_it(self, system, office):
+        identifiers = ["desk", "monitor", "phone"]
+        every = system.query(office).partial(identifiers).limit(None).execute()
+        kept = (
+            system.query(office).partial(identifiers).min_score(0.9).limit(None).execute()
+        )
+        assert [(r.image_id, r.score) for r in kept] == [
+            (r.image_id, r.score) for r in every if r.score >= 0.9
+        ]
+        assert 0 < len(kept) < len(every)
+
+    def test_partial_without_shortlist_scores_every_image(self, system, office):
+        results = (
+            system.query(office)
+            .partial(["desk", "monitor"])
+            .execution(shortlist=False)
+            .limit(None)
+            .execute()
+        )
+        assert sorted(r.image_id for r in results) == sorted(system.image_ids)
+
+    def test_shortlist_drops_only_images_without_a_shared_label(self, system, office):
+        shortlisted = list(system.query(office).limit(None).execute())
+        everything = list(
+            system.query(office).limit(None).execution(shortlist=False).execute()
+        )
+        assert len(everything) == len(system)
+        head, tail = everything[: len(shortlisted)], everything[len(shortlisted):]
+        assert [r.describe() for r in head] == [r.describe() for r in shortlisted]
+        assert tail and not any(r.image_id.startswith("office") for r in tail)
+
+    @pytest.mark.parametrize(
+        "limit, threshold, expected",
+        [
+            (None, 0.5, ["office-000", "office-001", "office-005"]),
+            (2, 0.5, ["office-000", "office-001"]),
+            (None, 0.75, ["office-000", "office-001"]),
+        ],
+    )
+    def test_where_limit_and_threshold(self, system, limit, threshold, expected):
+        # office-005 satisfies one of the two predicates: score 0.5.
+        text = "monitor above desk and phone right-of monitor"
+        every = system.query().where(text).limit(None).execute()
+        kept = system.query().where(text).limit(limit).min_score(threshold).execute()
+        assert [m.image_id for m in kept] == expected
+        assert [(m.image_id, m.score) for m in kept] == [
+            (m.image_id, m.score) for m in every if m.score >= threshold
+        ][:limit]
+
+
 class TestGradedQueries:
     def test_crisp_where_compiles_to_the_legacy_fast_path(self, system):
         # Order preserved, no tree: byte-identical to the historical plan.

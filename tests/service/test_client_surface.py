@@ -1,19 +1,13 @@
 """The redesigned :class:`ServiceClient` surface, end to end.
 
-Covers the three pieces of the client redesign:
+Covers the two pieces of the client redesign:
 
 * ``client.search(spec)`` / ``client.batch(specs)`` accept ``QuerySpec``
   values directly and compile them to the wire schema — byte-identical to
   the equivalent keyword calls;
 * mutations and operations live on typed resources (``client.images``,
   ``client.admin``) and observability on ``client.stats()`` /
-  ``client.health()``;
-* the old flat methods (``add_image``, ``delete_image``, ``promote``,
-  ``healthz``) are deprecation shims that delegate byte-identically.
-
-The shim assertions need the warnings to *fire*, so this module opts out of
-the suite-wide ``error::DeprecationWarning`` promotion and catches them
-explicitly with ``pytest.warns``.
+  ``client.health()``.
 """
 
 import pytest
@@ -26,8 +20,6 @@ from repro.retrieval.predicates import parse_query
 from repro.retrieval.system import RetrievalSystem
 from repro.service.client import ServiceClient, _spec_payload
 from repro.service.server import create_server
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def collection():
@@ -225,33 +217,3 @@ class TestResources:
         assert health["status"] == "ok"
         stats = client.stats()
         assert stats["images"] == len(collection())
-
-
-class TestDeprecatedShims:
-    """Each flat method warns (pointing at the migration table) and delegates."""
-
-    def test_add_image_and_delete_image_shims(self, client):
-        with pytest.warns(DeprecationWarning, match=r"client\.images\.add"):
-            added = client.add_image(landscape_scene(0), "surface-shim")
-        assert added["image_id"] == "surface-shim"
-        with pytest.warns(DeprecationWarning, match=r"client\.images\.delete"):
-            removed = client.delete_image("surface-shim")
-        assert removed["removed"] == "surface-shim"
-
-    def test_promote_shim(self, client):
-        from repro.service.client import ServiceError
-
-        with pytest.warns(DeprecationWarning, match=r"client\.admin\.promote"):
-            with pytest.raises(ServiceError) as excinfo:
-                client.promote()
-        assert excinfo.value.status == 409
-
-    def test_healthz_shim_matches_health(self, client):
-        with pytest.warns(DeprecationWarning, match=r"client\.health"):
-            legacy = client.healthz()
-        assert legacy["status"] == client.health()["status"]
-        assert set(legacy) == set(client.health())
-
-    def test_every_shim_cites_the_migration_table(self, client):
-        with pytest.warns(DeprecationWarning, match=r"docs/query-api\.md"):
-            client.healthz()

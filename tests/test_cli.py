@@ -124,7 +124,10 @@ class TestBatchSearch:
 
     def test_batch_search_runs_all_queries(self, database_file, query_file, capsys):
         code = main(
-            ["batch-search", str(database_file), str(query_file), "--top", "2", "--workers", "2"]
+            [
+                "batch-search", str(database_file), str(query_file), "--top", "2",
+                "--shard-workers", "2",
+            ]
         )
         assert code == 0
         output = capsys.readouterr().out
@@ -180,11 +183,38 @@ class TestBatchSearch:
         ) == 0
         assert "3 results" in capsys.readouterr().out  # null overrides --top 1
 
-    def test_batch_search_invalid_workers(self, database_file, query_file, capsys):
+    @pytest.mark.parametrize(
+        "flags, via",
+        [([], "via serial x1"), (["--shard-workers", "2"], "via shard_process x2")],
+    )
+    def test_batch_search_runs_serially_unless_shard_workers_given(
+        self, database_file, query_file, flags, via, capsys
+    ):
+        assert main(["batch-search", str(database_file), str(query_file), *flags]) == 0
+        assert via in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--executor", "thread"], ["--workers", "2"]])
+    def test_batch_search_rejects_removed_pool_flags(
+        self, database_file, query_file, flags, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch-search", str(database_file), str(query_file), *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_batch_search_invalid_shard_workers(self, database_file, query_file, capsys):
         assert main(
-            ["batch-search", str(database_file), str(query_file), "--workers", "0"]
+            ["batch-search", str(database_file), str(query_file), "--shard-workers", "0"]
         ) == 2
-        assert "workers must be at least 1" in capsys.readouterr().err
+        assert "--shard-workers must be at least 1" in capsys.readouterr().err
+
+    def test_batch_search_rejects_negative_top(self, database_file, tmp_path, office, capsys):
+        path = tmp_path / "negative.jsonl"
+        path.write_text(
+            json.dumps({"scene": office.to_dict(), "top": -1}) + "\n", encoding="utf-8"
+        )
+        assert main(["batch-search", str(database_file), str(path)]) == 2
+        assert "limit must be non-negative" in capsys.readouterr().err
 
     def test_batch_search_empty_file(self, database_file, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
