@@ -25,8 +25,8 @@ This experiment measures, at 2k and 10k synthetic 8-object images
   conjunctions and ``not``/``or`` trees.  Their fail-open bounds admit every
   image by design (``docs/predicates.md``), which the traces assert,
 * soundness at scale: the filtered graded ranking must equal a
-  ``use_filters=False`` full scan — image ids, degrees and per-leaf degrees
-  (asserted at every size, smoke included).
+  ``shortlist=False`` full scan, which prunes nothing — image ids, degrees
+  and per-leaf degrees (asserted at every size, smoke included).
 
 Results are persisted as ``benchmarks/results/BENCH_E19_predicates_<size>.json``
 (the CI bench-smoke job uploads them as artifacts); full-run snapshots live
@@ -39,6 +39,7 @@ import pytest
 
 from benchmarks.conftest import SMOKE, format_table, smoke_scaled
 from repro.datasets.synthetic import SceneParameters, random_pictures
+from repro.index.execution import ExecutionOptions
 from repro.retrieval.system import RetrievalSystem
 
 DATABASE_SIZES = smoke_scaled((2000, 10000), (60, 120))
@@ -134,7 +135,10 @@ def test_graded_overhead_and_admit_rate(
     for text in (WEIGHTED[2], BOOLEAN_QUERIES[0], BOOLEAN_QUERIES[1]):
         spec = system.query().where(text).limit(None).spec()
         filtered = engine.execute_spec(spec)
-        full = engine.execute_spec(spec.with_overrides(use_filters=False))
+        full = engine.execute_spec(
+            spec.with_overrides(execution=ExecutionOptions(shortlist=False))
+        )
+        assert full.trace.predicate_pruned == 0
         assert _graded_key(filtered.results) == _graded_key(full.results)
 
     rows = [
@@ -156,7 +160,7 @@ def test_graded_overhead_and_admit_rate(
             f"label-postings admit rate: mean {mean_rate:.3f}, "
             f"worst {worst_rate:.3f} (graded == crisp evaluated set)",
             "fuzzy/not queries admit every image (fail-open bounds, asserted)",
-            "filtered graded rankings == use_filters=False full scans "
+            "filtered graded rankings == shortlist=False full scans "
             "(degrees included)",
         ],
     )

@@ -60,17 +60,18 @@ def workload():
 
 def _pr1_execute(engine, query):
     """The PR-1 serial execution loop, replicated verbatim (no score cache)."""
-    query_bestring = encode_picture(query.picture)
+    policy = query.effective_policy()
+    query_bestring = encode_picture(query.effective_picture())
     scored = []
-    for image_id in engine.candidate_ids(query):
+    for image_id in engine.shortlist(query).candidates:
         record = engine.database.get(image_id)
         if len(query.transformations) == 1:
             result = similarity(
-                query_bestring, record.bestring, query.policy, query.transformations[0]
+                query_bestring, record.bestring, policy, query.transformations[0]
             )
         else:
             result = invariant_similarity(
-                query_bestring, record.bestring, query.policy, query.transformations
+                query_bestring, record.bestring, policy, query.transformations
             )
         scored.append((image_id, result))
     return rank_results(scored, limit=query.limit, minimum_score=query.minimum_score)
@@ -96,8 +97,7 @@ def test_unified_pipeline_overhead_and_warm_speedup(
 ):
     system, queries = workload
     engine = system._engine
-    specs = [system.query(query).limit(10).spec() for query in queries]
-    compiled = [spec.to_query() for spec in specs]
+    compiled = [system.query(query).limit(10).spec() for query in queries]
 
     baseline_seconds, baseline = _best_of(
         REPEATS, lambda: [_pr1_execute(engine, query) for query in compiled]
@@ -120,7 +120,7 @@ def test_unified_pipeline_overhead_and_warm_speedup(
 
     # The second identical serial query is answered from the cache: every
     # candidate lookup hits, nothing is re-scored.
-    candidate_lookups = sum(len(engine.candidate_ids(query)) for query in compiled)
+    candidate_lookups = sum(len(engine.shortlist(query).candidates) for query in compiled)
     assert after.hits - before.hits == candidate_lookups
     assert after.misses == before.misses, "warm serial queries re-scored candidates"
 

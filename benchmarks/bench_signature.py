@@ -8,7 +8,7 @@ program only runs on images that can actually appear in the results.
 
 This experiment measures, at 2k and 10k synthetic images (smoke: 60/120):
 
-* ``unfiltered`` — ``use_filters=False``: every stored image is scored,
+* ``unfiltered`` — ``shortlist=False``: every stored image is scored,
 * ``filtered``   — the two-stage shortlist in front of the same scoring loop,
 
 with the score cache off so both sides pay their true compute.  Acceptance
@@ -31,7 +31,9 @@ import pytest
 from benchmarks.conftest import SMOKE, format_table, smoke_scaled
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.index.database import ImageDatabase
-from repro.index.query import Query, QueryEngine
+from repro.index.execution import ExecutionOptions
+from repro.index.query import QueryEngine
+from repro.index.spec import QuerySpec
 
 DATABASE_SIZES = smoke_scaled((2000, 10000), (60, 120))
 #: Queries per timing pass (each runs filtered and unfiltered).
@@ -65,16 +67,15 @@ def _build_engine(size: int) -> QueryEngine:
     return QueryEngine.build(database)
 
 
-def _queries(engine: QueryEngine, minimum_score: float, use_filters: bool):
+def _queries(engine: QueryEngine, minimum_score: float, shortlist: bool):
     pictures = [
         engine.database.get(f"img-{index:04d}").picture for index in range(QUERY_COUNT)
     ]
     return [
-        Query(
+        QuerySpec(
             picture=picture,
             minimum_score=minimum_score,
-            use_filters=use_filters,
-            use_cache=False,
+            execution=ExecutionOptions(shortlist=shortlist, cache=False),
             limit=10,
         )
         for picture in pictures
@@ -87,7 +88,7 @@ def _run_serial(engine: QueryEngine, queries):
         [
             (result.rank, result.image_id, result.score,
              result.similarity.transformation.value)
-            for result in engine.execute(query)
+            for result in engine.execute_spec(query).results
         ]
         for query in queries
     ]
@@ -104,20 +105,20 @@ def test_shortlist_speedup_report(sized_engine, write_report, write_json_report,
     size, engine = sized_engine
 
     filtered_seconds, filtered_rankings = _run_serial(
-        engine, _queries(engine, MODERATE_MIN_SCORE, use_filters=True)
+        engine, _queries(engine, MODERATE_MIN_SCORE, shortlist=True)
     )
     unfiltered_seconds, unfiltered_rankings = _run_serial(
-        engine, _queries(engine, MODERATE_MIN_SCORE, use_filters=False)
+        engine, _queries(engine, MODERATE_MIN_SCORE, shortlist=False)
     )
 
     # The acceptance contract: pruning may never change a ranking.
     assert filtered_rankings == unfiltered_rankings
 
-    engine.shortlist_counters.reset()
+    engine.counters.reset()
     _, strict_rankings = _run_serial(
-        engine, _queries(engine, STRICT_MIN_SCORE, use_filters=True)
+        engine, _queries(engine, STRICT_MIN_SCORE, shortlist=True)
     )
-    statistics = engine.shortlist_counters.statistics
+    statistics = engine.counters.shortlist
     # Stage 1 prunes the label-overlap tail; stage 2 prunes the mirrored
     # decoys, which share every label with their originals.
     assert statistics.bitmap_rejected > 0
@@ -184,8 +185,8 @@ def test_shortlist_speedup_report(sized_engine, write_report, write_json_report,
         )
 
     # pytest-benchmark timing: one filtered query, steady state.
-    query = _queries(engine, MODERATE_MIN_SCORE, use_filters=True)[0]
-    benchmark.pedantic(lambda: engine.execute(query), rounds=3)
+    query = _queries(engine, MODERATE_MIN_SCORE, shortlist=True)[0]
+    benchmark.pedantic(lambda: engine.execute_spec(query), rounds=3)
 
 
 @pytest.mark.benchmark(group="E14-signature-shortlist")
@@ -194,9 +195,9 @@ def test_shortlist_overhead_is_bounded_without_min_score(sized_engine, benchmark
     size, engine = sized_engine
     if size > min(DATABASE_SIZES):
         pytest.skip("fast-path overhead measured at the smallest size only")
-    query = _queries(engine, 0.0, use_filters=True)[0]
+    query = _queries(engine, 0.0, shortlist=True)[0]
     outcome = engine.shortlist(query)
     assert outcome.bitmap_rejected == 0
     assert outcome.relation_rejected == 0
     assert len(outcome.candidates) == outcome.inverted_candidates
-    benchmark(lambda: engine.candidate_ids(query))
+    benchmark(lambda: engine.shortlist(query).candidates)

@@ -33,7 +33,7 @@ from repro.core import (
 )
 from repro.geometry import Interval, Point, Rectangle
 from repro.iconic import IconObject, IconVocabulary, SymbolicPicture
-from repro.index import ImageDatabase, Query, QueryEngine, QuerySpec
+from repro.index import ImageDatabase, QueryEngine, QuerySpec
 from repro.retrieval import QueryBuilder, ResultSet, RetrievalSystem
 
 __version__ = "1.0.0"
@@ -54,7 +54,6 @@ __all__ = [
     "IconVocabulary",
     "SymbolicPicture",
     "ImageDatabase",
-    "Query",
     "QueryEngine",
     "QuerySpec",
     "QueryBuilder",

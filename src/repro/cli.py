@@ -352,7 +352,7 @@ def _load_batch_queries(path: str, arguments: argparse.Namespace) -> List["Query
                 transformations=tuple(Transformation) if invariant else (Transformation.IDENTITY,),
                 limit=limit,
                 minimum_score=float(minimum_score),
-                use_filters=not arguments.no_filters,
+                execution=ExecutionOptions(shortlist=False) if arguments.no_filters else None,
             )
         )
     if not queries:

@@ -13,14 +13,15 @@ database a downstream user would actually store BE-strings in:
   the achievable LCS score so only candidates that can clear the query's
   ``min_score`` are ever scored (see ``docs/shortlist.md``).
 * :class:`~repro.index.query.QueryEngine` -- the unified query pipeline:
-  executes similarity queries (optionally transformation-invariant) and
-  declarative :class:`~repro.index.spec.QuerySpec` plans (similarity +
-  relation predicates) over the database, always consulting the score cache,
-  and returns ranked results with execution traces.
-* :mod:`~repro.index.spec` -- the declarative :class:`~repro.index.spec.QuerySpec`
-  every entry point compiles to, plus the trace types behind ``explain()``.
-* :class:`~repro.index.batch.BatchQueryEngine` -- evaluates many queries at
-  once: deduplicates identical queries and runs each unique one through the
+  executes declarative :class:`~repro.index.spec.QuerySpec` plans
+  (similarity, optionally transformation-invariant, and relation
+  predicates) over the database, always consulting the score cache, and
+  returns ranked results with execution traces, which it folds into its
+  ``/stats`` counters.
+* :mod:`~repro.index.spec` -- the declarative :class:`~repro.index.spec.QuerySpec`,
+  the engine's only query type, plus the trace types behind ``explain()``.
+* :class:`~repro.index.batch.BatchQueryEngine` -- evaluates many specs at
+  once: deduplicates identical specs and runs each unique one through the
   engine's candidate loop (or the shard workers), sharing per-(query, image)
   scores through a :class:`~repro.index.cache.ScoreCache`.
 * :mod:`~repro.index.storage` -- the v1 JSON persistence of pictures,
@@ -49,13 +50,12 @@ from repro.index.batch import BatchQueryEngine, BatchReport
 from repro.index.cache import CacheStatistics, ScoreCache, query_score_key
 from repro.index.database import ImageDatabase, ImageRecord
 from repro.index.inverted import InvertedSymbolIndex
-from repro.index.query import Query, QueryEngine
+from repro.index.query import QueryEngine
 from repro.index.ranking import RankedResult, rank_results
 from repro.index.shortlist import (
     DEFAULT_BITMAP_WIDTH,
     ImageSignature,
     QuerySignature,
-    ShortlistCounters,
     ShortlistOutcome,
     ShortlistStatistics,
     label_bitmap,
@@ -105,7 +105,6 @@ __all__ = [
     "ImageDatabase",
     "ImageRecord",
     "InvertedSymbolIndex",
-    "Query",
     "QueryEngine",
     "CandidateTrace",
     "QuerySpec",
@@ -117,7 +116,6 @@ __all__ = [
     "DEFAULT_BITMAP_WIDTH",
     "ImageSignature",
     "QuerySignature",
-    "ShortlistCounters",
     "ShortlistOutcome",
     "ShortlistStatistics",
     "label_bitmap",

@@ -1,23 +1,24 @@
 """Batch query execution: many similarity queries evaluated as one workload.
 
 Real query streams repeat themselves.  :class:`BatchQueryEngine` accepts many
-:class:`~repro.index.query.Query` objects at once and exploits that:
+similarity-only :class:`~repro.index.spec.QuerySpec` values at once and
+exploits that:
 
-* **Deduplication** -- identical ``Query`` values (frozen and hashable) are
-  evaluated once, and every copy receives that ranking.
-* **One candidate loop** -- each unique query runs through
+* **Deduplication** -- identical specs (frozen and hashable) are evaluated
+  once, and every copy receives that ranking.
+* **One candidate loop** -- each unique spec runs through
   :meth:`QueryEngine._rank <repro.index.query.QueryEngine._rank>`, the
   cache-first loop a single query runs, under its own limit, threshold,
-  transformations and execution options.  Queries that share content but
+  transformations and execution options.  Specs that share content but
   differ in limit or threshold share work through the engine's LRU
   :class:`~repro.index.cache.ScoreCache`, which also keeps scores across
   batches (the engine invalidates it whenever the database changes).
 * **Scatter-gather** -- under ``executor="shard_process"`` the unique
-  queries are pipelined through the process-parallel shard workers of
+  specs are pipelined through the process-parallel shard workers of
   :mod:`repro.index.workers` instead.
 
 Results are identical -- including tie-break ordering -- to running
-:meth:`QueryEngine.execute` serially per query; ``tests/index/test_batch.py``
+:meth:`QueryEngine.execute_spec` serially per spec; ``tests/index/test_batch.py``
 and ``tests/index/test_differential.py`` lock this equivalence down.
 """
 
@@ -34,7 +35,7 @@ from repro.index.ranking import RankedResult, rank_results  # noqa: F401
 from repro.index.spec import QuerySpec, QueryTrace
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.index.query import Query, QueryEngine
+    from repro.index.query import QueryEngine
 
 
 @dataclass
@@ -87,35 +88,20 @@ class BatchReport:
         )
 
 
-def _uncached(query: "Query") -> "Query":
-    """``query`` with the score cache off, whatever its own options say."""
-    return replace(query, execution=replace(query.execution or ExecutionOptions(), cache=False))
-
-
-def _spec(query: "Query") -> QuerySpec:
-    """The spec the shard workers run for ``query``."""
-    return QuerySpec(
-        picture=query.picture,
-        transformations=query.transformations,
-        limit=query.limit,
-        minimum_score=query.minimum_score,
-        minimum_shared_labels=query.minimum_shared_labels,
-        use_filters=query.use_filters,
-        use_cache=query.use_cache,
-        policy=query.policy,
-        execution=query.execution,
-    )
+def _uncached(spec: QuerySpec) -> QuerySpec:
+    """``spec`` with the score cache off, whatever its own options say."""
+    return replace(spec, execution=replace(spec.execution or ExecutionOptions(), cache=False))
 
 
 @dataclass
 class BatchQueryEngine:
-    """Evaluates many queries against one :class:`QueryEngine`.
+    """Evaluates many similarity-only specs against one :class:`QueryEngine`.
 
     ``execution`` applies to the batch as a whole and is overlaid on the
     engine's defaults: ``executor`` and ``workers`` choose between the
     serial loop and the shard-worker scatter, and ``cache=False`` turns the
-    score cache off for every query.  Every other option is each query's
-    own.  For any batch, ``run(queries)[i] == engine.execute(queries[i])``
+    score cache off for every spec.  Every other option is each spec's
+    own.  For any batch, ``run(specs)[i] == engine.execute_spec(specs[i]).results``
     element for element.
     """
 
@@ -124,13 +110,13 @@ class BatchQueryEngine:
     #: Report of the most recent :meth:`run` call.
     last_report: Optional[BatchReport] = field(default=None, init=False)
 
-    def run(self, queries: Sequence["Query"]) -> List[List[RankedResult]]:
-        """Execute a batch; returns one ranked result list per input query."""
-        results, self.last_report = self.run_detailed(queries)
+    def run(self, specs: Sequence[QuerySpec]) -> List[List[RankedResult]]:
+        """Execute a batch; returns one ranked result list per input spec."""
+        results, self.last_report = self.run_detailed(specs)
         return results
 
     def run_detailed(
-        self, queries: Sequence["Query"]
+        self, specs: Sequence[QuerySpec]
     ) -> Tuple[List[List[RankedResult]], BatchReport]:
         """Like :meth:`run` but also returns the :class:`BatchReport`.
 
@@ -141,23 +127,20 @@ class BatchQueryEngine:
         engine = self.engine
         execution = engine.execution.overlaid(self.execution).resolved()
         sharded = execution.executor == EXECUTOR_SHARD_PROCESS
-        positions: Dict["Query", int] = {}
-        order = [positions.setdefault(query, len(positions)) for query in queries]
+        positions: Dict[QuerySpec, int] = {}
+        order = [positions.setdefault(spec, len(positions)) for spec in specs]
         unique = list(positions)
         if self.execution.cache is False:
-            unique = [_uncached(query) for query in unique]
+            unique = [_uncached(spec) for spec in unique]
         with engine.lock.read_locked():
             if sharded and unique:
-                specs = [_spec(query) for query in unique]
-                gathered = engine._shard_pool_for(execution).execute_many(specs)
-                outcomes = [
-                    engine._fold_gather(spec, outcome) for spec, outcome in zip(specs, gathered)
-                ]
+                gathered = engine._shard_pool_for(execution).execute_many(unique)
+                outcomes = [engine._fold_gather(outcome) for outcome in gathered]
                 rankings = [outcome.results for outcome in outcomes]
                 traces = [outcome.trace for outcome in outcomes]
             else:
                 traces = [QueryTrace(mode="similarity") for _ in unique]
-                rankings = [engine._rank(query, trace)[0] for query, trace in zip(unique, traces)]
+                rankings = [engine._rank(spec, trace)[0] for spec, trace in zip(unique, traces)]
         report = BatchReport(
             total_queries=len(order),
             unique_evaluations=len(unique),

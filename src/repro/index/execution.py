@@ -11,15 +11,19 @@ Every field is optional: ``None`` means "inherit" — from the per-query
 options to the engine default to the documented defaults
 (:data:`DEFAULT_EXECUTION`).  Resolution is a simple two-step overlay::
 
-    effective = engine.execution.overlaid(query.execution).resolved()
+    effective = engine.execution.overlaid(spec.execution).resolved()
 
 ``docs/query-api.md`` documents every field; ``docs/kernels.md`` documents
 what the ``kernel`` and ``strategy`` values actually run.
+
+The module also defines the frozen :class:`ExecutionStatistics` and
+:class:`PredicateStatistics` snapshots of the service ``/stats`` totals,
+which :class:`repro.index.query.EngineCounters` folds from each finished
+query's trace.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
@@ -58,9 +62,10 @@ class ExecutionOptions:
     kernel: Optional[str] = None
     #: Candidate-processing strategy: ``anytime`` or ``exhaustive``.
     strategy: Optional[str] = None
-    #: Run the signature shortlist before scoring (``Query.use_filters``).
+    #: Run the inverted-index + signature shortlist before scoring, and
+    #: label-prune the predicate stage; ``False`` evaluates every stored image.
     shortlist: Optional[bool] = None
-    #: Consult and populate the engine's score cache (``Query.use_cache``).
+    #: Consult and populate the engine's score cache.
     cache: Optional[bool] = None
     #: ``serial`` runs in the calling process; ``shard_process``
     #: scatter-gathers every query, and every batch, across the
@@ -157,50 +162,6 @@ class ExecutionStatistics:
         return self.examined / self.admitted
 
 
-class ExecutionCounters:
-    """Thread-safe cumulative counters across every scored query."""
-
-    def __init__(self) -> None:
-        """Start all counters at zero."""
-        self._lock = threading.Lock()
-        self._queries = 0
-        self._anytime_queries = 0
-        self._admitted = 0
-        self._examined = 0
-        self._skipped = 0
-
-    def record(self, admitted: int, examined: int, anytime: bool) -> None:
-        """Fold one scored query into the running totals."""
-        with self._lock:
-            self._queries += 1
-            if anytime:
-                self._anytime_queries += 1
-            self._admitted += admitted
-            self._examined += examined
-            self._skipped += admitted - examined
-
-    @property
-    def statistics(self) -> ExecutionStatistics:
-        """A consistent snapshot of the counters."""
-        with self._lock:
-            return ExecutionStatistics(
-                queries=self._queries,
-                anytime_queries=self._anytime_queries,
-                admitted=self._admitted,
-                examined=self._examined,
-                skipped=self._skipped,
-            )
-
-    def reset(self) -> None:
-        """Zero every counter (tests and benchmarks)."""
-        with self._lock:
-            self._queries = 0
-            self._anytime_queries = 0
-            self._admitted = 0
-            self._examined = 0
-            self._skipped = 0
-
-
 @dataclass(frozen=True)
 class PredicateStatistics:
     """Cumulative predicate-stage counters (surfaced by the service ``/stats``).
@@ -223,46 +184,3 @@ class PredicateStatistics:
         if not considered:
             return 0.0
         return self.pruned / considered
-
-
-class PredicateCounters:
-    """Thread-safe cumulative counters across every predicate-bearing query."""
-
-    def __init__(self) -> None:
-        """Start all counters at zero."""
-        self._lock = threading.Lock()
-        self._queries = 0
-        self._graded_queries = 0
-        self._evaluated = 0
-        self._pruned = 0
-
-    def record(self, evaluated: int, pruned: int, graded: bool) -> None:
-        """Fold one predicate-bearing query into the running totals."""
-        self.absorb(1, 1 if graded else 0, evaluated, pruned)
-
-    def absorb(self, queries: int, graded_queries: int, evaluated: int, pruned: int) -> None:
-        """Fold pre-aggregated deltas (e.g. gathered from shard workers)."""
-        with self._lock:
-            self._queries += queries
-            self._graded_queries += graded_queries
-            self._evaluated += evaluated
-            self._pruned += pruned
-
-    @property
-    def statistics(self) -> PredicateStatistics:
-        """A consistent snapshot of the counters."""
-        with self._lock:
-            return PredicateStatistics(
-                queries=self._queries,
-                graded_queries=self._graded_queries,
-                evaluated=self._evaluated,
-                pruned=self._pruned,
-            )
-
-    def reset(self) -> None:
-        """Zero every counter (tests and benchmarks)."""
-        with self._lock:
-            self._queries = 0
-            self._graded_queries = 0
-            self._evaluated = 0
-            self._pruned = 0

@@ -8,18 +8,21 @@ score bounds against the query's ``minimum_score``), the survivors are
 scored with the modified-LCS similarity (optionally over all
 rotations/reflections of the query), and the results are returned ranked.
 
-Every similarity clause, alone or combined with relation predicates, runs
-through one candidate loop (:meth:`QueryEngine._rank`): it reads the shared
+The engine takes one query type, the declarative
+:class:`~repro.index.spec.QuerySpec`.  Every similarity clause, alone or
+combined with relation predicates, runs through one candidate loop
+(:meth:`QueryEngine._rank`): it reads the shared
 :class:`~repro.index.cache.ScoreCache` before doing any other work, visits
 candidates best bound first and, under the default anytime strategy, stops
 at the threshold, and materialises full results only for the ranking's
 survivors.  A batch (:mod:`repro.index.batch`) runs each of its unique
-queries through the same loop and the same cache, so an identical repeated
+specs through the same loop and the same cache, so an identical repeated
 query -- serial or batched -- never pays the LCS evaluation twice.
-:meth:`QueryEngine.execute_spec` runs a full declarative
-:class:`~repro.index.spec.QuerySpec`, recording a
-:class:`~repro.index.spec.QueryTrace` of shortlist admissions and cache hits
-for ``explain`` output.
+
+Each query records one :class:`~repro.index.spec.QueryTrace` of shortlist
+admissions, cache hits and predicate pruning for ``explain`` output, and
+:class:`EngineCounters` folds every finished trace -- a scattered query's
+merged gather trace included -- into the cumulative ``/stats`` totals.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
 from repro.core.lcskernel import be_lcs_length_bitparallel
 from repro.core.similarity import (
-    DEFAULT_POLICY,
     SimilarityPolicy,
     SimilarityResult,
     invariant_similarity,
@@ -42,7 +44,7 @@ from repro.core.similarity import (
     similarity,
     similarity_score,
 )
-from repro.core.transforms import Transformation, canonical_transformations
+from repro.core.transforms import Transformation
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
 from repro.index.cache import CacheEntry, ScoreBound, ScoreCache, query_score_key
@@ -53,17 +55,17 @@ from repro.index.execution import (
     KERNEL_REFERENCE,
     STRATEGY_ANYTIME,
     STRATEGY_EXHAUSTIVE,
-    ExecutionCounters,
     ExecutionOptions,
-    PredicateCounters,
+    ExecutionStatistics,
+    PredicateStatistics,
 )
 from repro.index.inverted import InvertedSymbolIndex
 from repro.index.ranking import RankedResult, rank_results
 from repro.index.shortlist import (
     REJECTION_SAMPLE_LIMIT,
     QuerySignature,
-    ShortlistCounters,
     ShortlistOutcome,
+    ShortlistStatistics,
     signature_for,
 )
 from repro.index.spec import (
@@ -82,7 +84,7 @@ from repro.index.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.index.batch import BatchReport
-    from repro.index.workers import GatherOutcome, ShardWorkerPool
+    from repro.index.workers import ShardWorkerPool
     from repro.retrieval.predicates import GradedMatch, PredicateMatch
 
     #: One image's evaluation of a predicate clause: crisp or graded.
@@ -117,64 +119,74 @@ class NullRWLock:
         yield
 
 
-@dataclass(frozen=True)
-class Query:
-    """A similarity query.
+def _plus(snapshot, **deltas):
+    """``snapshot`` with each named field increased by its delta."""
+    return replace(
+        snapshot, **{name: getattr(snapshot, name) + delta for name, delta in deltas.items()}
+    )
 
-    ``transformations`` selects the transformation-invariant mode: with more
-    than one entry the best-scoring variant of the query is used per image.
-    ``use_filters`` disables the candidate pruning (used by the ablation
-    benchmark); ``minimum_shared_labels`` and ``minimum_score`` tune the
-    shortlist and the final cut-off.  ``use_cache=False`` bypasses the score
-    cache for this query only (every candidate is re-scored and nothing is
-    memoised).
 
-    ``transformations`` is canonicalised on construction (deduplicated,
-    ordered by enum definition with ``IDENTITY`` first): the evaluated *set*
-    is what matters, tie-breaks always resolve to the earliest canonical
-    transformation, and the score cache sees one key per set regardless of
-    how the caller ordered it.
+class EngineCounters:
+    """The service ``/stats`` totals, folded from each finished query's trace.
+
+    Each total is a frozen snapshot replaced whole under one lock, so a
+    reader always sees a consistent snapshot without taking the lock.
     """
 
-    picture: SymbolicPicture
-    policy: SimilarityPolicy = DEFAULT_POLICY
-    transformations: Tuple[Transformation, ...] = (Transformation.IDENTITY,)
-    limit: Optional[int] = None
-    minimum_score: float = 0.0
-    minimum_shared_labels: int = 1
-    use_filters: bool = True
-    use_cache: bool = True
-    #: Execution overrides (kernel, strategy, ...); ``None`` fields inherit
-    #: the engine's defaults.  ``execution.shortlist`` / ``execution.cache``
-    #: take precedence over the legacy ``use_filters`` / ``use_cache`` fields
-    #: (which they overwrite on construction, keeping every legacy reader
-    #: consistent).
-    execution: Optional[ExecutionOptions] = None
+    def __init__(self) -> None:
+        """Start every total at zero."""
+        self._lock = threading.Lock()
+        self.reset()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "transformations", canonical_transformations(self.transformations)
-        )
-        if self.execution is not None:
-            if self.execution.shortlist is not None:
-                object.__setattr__(self, "use_filters", self.execution.shortlist)
-            if self.execution.cache is not None:
-                object.__setattr__(self, "use_cache", self.execution.cache)
+    def reset(self) -> None:
+        """Zero every total (tests and benchmarks)."""
+        with self._lock:
+            self.execution = ExecutionStatistics(0, 0, 0, 0, 0)
+            self.shortlist = ShortlistStatistics(0, 0, 0, 0, 0)
+            self.predicates = PredicateStatistics(0, 0, 0, 0)
 
-    @classmethod
-    def exact(cls, picture: SymbolicPicture, **kwargs) -> "Query":
-        """Query for the picture as-is (no transformation invariance)."""
-        return cls(picture=picture, **kwargs)
+    def record(self, trace: QueryTrace, graded: bool) -> None:
+        """Add one finished query to the totals.
 
-    @classmethod
-    def invariant(cls, picture: SymbolicPicture, **kwargs) -> "Query":
-        """Query over all rotations and reflections of the picture."""
-        return cls(picture=picture, transformations=tuple(Transformation), **kwargs)
+        A trace with a similarity clause counts towards ``execution``; one
+        whose shortlist ran (``inverted_candidates`` is set) towards
+        ``shortlist``; one with a predicate clause (``graded`` for a tree)
+        towards ``predicates``.
+        """
+        with self._lock:
+            if trace.mode != "predicate":
+                self.execution = _plus(
+                    self.execution,
+                    queries=1,
+                    anytime_queries=int(trace.strategy == STRATEGY_ANYTIME),
+                    admitted=trace.shortlisted,
+                    examined=trace.candidates_examined,
+                    skipped=trace.bound_skipped,
+                )
+            if trace.inverted_candidates is not None:
+                self.shortlist = _plus(
+                    self.shortlist,
+                    queries=1,
+                    candidates=trace.inverted_candidates,
+                    bitmap_rejected=trace.bitmap_pruned,
+                    relation_rejected=trace.relation_pruned,
+                    admitted=trace.inverted_candidates
+                    - trace.bitmap_pruned
+                    - trace.relation_pruned,
+                )
+            if trace.mode != "similarity":
+                self.predicates = _plus(
+                    self.predicates,
+                    queries=1,
+                    graded_queries=int(graded),
+                    evaluated=trace.predicate_evaluated,
+                    pruned=trace.predicate_pruned,
+                )
 
 
 @dataclass
 class QueryEngine:
-    """Executes :class:`Query` objects against an :class:`ImageDatabase`."""
+    """Executes :class:`~repro.index.spec.QuerySpec` values against an :class:`ImageDatabase`."""
 
     database: ImageDatabase
     #: The shortlist admits an image only when the query's label multiset
@@ -185,19 +197,14 @@ class QueryEngine:
     #: results, shared by every query and batch and invalidated on every
     #: mutation.
     score_cache: ScoreCache = field(default_factory=ScoreCache)
-    #: Cumulative two-stage shortlist counters (surfaced by the service
-    #: ``/stats`` endpoint).
-    shortlist_counters: ShortlistCounters = field(default_factory=ShortlistCounters)
     #: Engine-wide execution defaults; per-query
-    #: :attr:`Query.execution` overrides overlay these, and unset fields fall
-    #: back to :data:`repro.index.execution.DEFAULT_EXECUTION`.
+    #: :attr:`QuerySpec.execution <repro.index.spec.QuerySpec.execution>`
+    #: overrides overlay these, and unset fields fall back to
+    #: :data:`repro.index.execution.DEFAULT_EXECUTION`.
     execution: ExecutionOptions = field(default_factory=ExecutionOptions)
-    #: Cumulative branch-and-bound counters (surfaced by the service
-    #: ``/stats`` endpoint alongside :attr:`shortlist_counters`).
-    execution_counters: ExecutionCounters = field(default_factory=ExecutionCounters)
-    #: Cumulative predicate-stage counters (evaluated vs label-pruned images;
-    #: surfaced by the service ``/stats`` ``predicates`` block).
-    predicate_counters: PredicateCounters = field(default_factory=PredicateCounters)
+    #: Cumulative execution, shortlist and predicate totals (the service
+    #: ``/stats`` blocks), folded from each finished query's trace.
+    counters: EngineCounters = field(default_factory=EngineCounters)
     #: Readers-writer lock bracketing every query (shared grant) and mutation
     #: (exclusive grant).  A no-op by default; the retrieval service swaps in
     #: a real :class:`repro.service.rwlock.ReadWriteLock` so concurrent
@@ -304,28 +311,18 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Query execution
     # ------------------------------------------------------------------
-    def candidate_ids(self, query: Query) -> List[str]:
-        """Shortlist the images worth scoring for ``query``.
-
-        Convenience wrapper over :meth:`shortlist` returning only the ids.
-
-        Returns:
-            Candidate image ids, in the deterministic order they will be
-            scored.
-        """
-        return self.shortlist(query).candidates
-
-    def shortlist(self, query: Query) -> ShortlistOutcome:
-        """Run the two-stage shortlist for ``query`` under a shared grant.
+    def shortlist(self, spec: QuerySpec) -> ShortlistOutcome:
+        """Run the two-stage shortlist for ``spec`` under a shared grant.
 
         The inverted index admits images sharing at least
-        ``query.minimum_shared_labels`` icon labels with the query; the
-        two-stage signature shortlist (:mod:`repro.index.shortlist`) then
+        ``spec.minimum_shared_labels`` icon labels with the query picture;
+        the two-stage signature shortlist (:mod:`repro.index.shortlist`) then
         rejects candidates whose score upper bound cannot clear
-        ``query.minimum_score`` — stage 1 from the hashed label bitmaps,
-        stage 2 from the relation-pair signatures.  With the shortlist off
-        (``query.use_filters`` or the resolved ``shortlist`` option) or a
-        label-less query, every stored image is a candidate.
+        ``spec.minimum_score`` — stage 1 from the hashed label bitmaps,
+        stage 2 from the relation-pair signatures.  With the resolved
+        ``shortlist`` option off or a label-less query, every stored image
+        is a candidate.  No query runs, so nothing is added to
+        :attr:`counters`.
 
         Returns:
             The full :class:`~repro.index.shortlist.ShortlistOutcome`,
@@ -333,45 +330,45 @@ class QueryEngine:
             for ``explain`` output.
         """
         with self.lock.read_locked():
-            return self._shortlist(query, self.resolve_execution(query))
+            return self._shortlist(spec, self.resolve_execution(spec))
 
     def _shortlist(
         self,
-        query: Query,
+        spec: QuerySpec,
         execution: ExecutionOptions,
         query_bestring: Optional[BEString2D] = None,
     ) -> ShortlistOutcome:
         """Shortlist implementation (callers hold the shared grant).
 
-        ``execution`` is the query's resolved options.  A minimum-score cut
+        ``execution`` is the spec's resolved options.  A minimum-score cut
         computes the stage-2 bound of every candidate it admits; those land
         in :attr:`ShortlistOutcome.bounds`, so the candidate loop never
         bounds one twice.
         """
-        if not (query.use_filters and execution.shortlist):
+        if not execution.shortlist:
             return ShortlistOutcome(self.database.image_ids, STAGE_FULL_SCAN)
-        labels = set(query.picture.labels)
+        picture = spec.effective_picture()
+        labels = set(picture.labels)
         if not labels:
             return ShortlistOutcome(self.database.image_ids, STAGE_FULL_SCAN)
         candidates = self.inverted_index.candidates(
-            labels, minimum_shared=query.minimum_shared_labels
+            labels, minimum_shared=spec.minimum_shared_labels
         )
         ordered = sorted(candidates)
         threshold = self.minimum_overlap_ratio
-        minimum_score = query.minimum_score
+        minimum_score = spec.minimum_score
         if threshold <= 0.0 and minimum_score <= 0.0:
             # Nothing to bound against: every label-sharer is worth scoring.
-            outcome = ShortlistOutcome(ordered, STAGE_SHORTLIST, len(candidates))
-            self.shortlist_counters.record(outcome)
-            return outcome
+            return ShortlistOutcome(ordered, STAGE_SHORTLIST, len(candidates))
         if query_bestring is None:
-            query_bestring = encode_picture(query.picture)
+            query_bestring = encode_picture(picture)
+        policy = spec.effective_policy()
         query_signature = QuerySignature(
             query_bestring,
-            query.picture.labels,
+            picture.labels,
             # The per-transformation variants feed only the score bounds; on
             # a threshold-only pass (minimum_score == 0) skip building them.
-            query.transformations if minimum_score > 0.0 else (Transformation.IDENTITY,),
+            spec.transformations if minimum_score > 0.0 else (Transformation.IDENTITY,),
         )
         total = query_signature.total_labels
         outcome = ShortlistOutcome([], STAGE_SHORTLIST, len(candidates))
@@ -398,7 +395,7 @@ class QueryEngine:
                 continue
             if minimum_score > 0.0:
                 coarse = query_signature.score_upper_bound(
-                    candidate, overlap_bound, query.policy
+                    candidate, overlap_bound, policy
                 )
                 if coarse < minimum_score:
                     reject(image_id, STAGE_BITMAP_PRUNED, coarse)
@@ -410,33 +407,34 @@ class QueryEngine:
             # Stage 2: the relation-pair conflict bound on the exact overlap.
             if minimum_score > 0.0:
                 bound = query_signature.score_upper_bound(
-                    candidate, overlap, query.policy, with_conflicts=True
+                    candidate, overlap, policy, with_conflicts=True
                 )
                 if bound < minimum_score:
                     reject(image_id, STAGE_RELATION_PRUNED, bound)
                     continue
                 outcome.bounds[image_id] = bound
             outcome.candidates.append(image_id)
-        self.shortlist_counters.record(outcome)
         return outcome
 
-    def _score(self, query_bestring: BEString2D, candidate: BEString2D, query: Query) -> SimilarityResult:
-        if len(query.transformations) == 1:
+    def _score(
+        self, query_bestring: BEString2D, candidate: BEString2D, spec: QuerySpec
+    ) -> SimilarityResult:
+        if len(spec.transformations) == 1:
             return similarity(
-                query_bestring, candidate, query.policy, query.transformations[0]
+                query_bestring, candidate, spec.effective_policy(), spec.transformations[0]
             )
         return invariant_similarity(
-            query_bestring, candidate, query.policy, query.transformations
+            query_bestring, candidate, spec.effective_policy(), spec.transformations
         )
 
-    def resolve_execution(self, query: Query) -> ExecutionOptions:
-        """The fully-resolved execution options governing ``query``.
+    def resolve_execution(self, spec: QuerySpec) -> ExecutionOptions:
+        """The fully-resolved execution options governing ``spec``.
 
-        The engine's defaults, overlaid with the query's per-query overrides,
+        The engine's defaults, overlaid with the spec's per-query overrides,
         with any remaining unset field filled from
         :data:`repro.index.execution.DEFAULT_EXECUTION`.
         """
-        return self.execution.overlaid(query.execution).resolved()
+        return self.execution.overlaid(spec.execution).resolved()
 
     @staticmethod
     def _kernel_for(execution: ExecutionOptions, policy: SimilarityPolicy) -> str:
@@ -451,33 +449,33 @@ class QueryEngine:
         return KERNEL_REFERENCE
 
     def _kernel_score(
-        self, query_bestring: BEString2D, candidate: BEString2D, query: Query
+        self, query_bestring: BEString2D, candidate: BEString2D, spec: QuerySpec
     ) -> float:
         """Length-only score via the bit-parallel kernel.
 
         Bit-identical to ``self._score(...).score`` — both run the same
         normalise/combine arithmetic on the same LCS lengths.
         """
-        if len(query.transformations) == 1:
+        if len(spec.transformations) == 1:
             return similarity_score(
                 query_bestring,
                 candidate,
-                query.policy,
-                query.transformations[0],
+                spec.effective_policy(),
+                spec.transformations[0],
                 be_lcs_length_bitparallel,
             )
         score, _ = invariant_similarity_score(
             query_bestring,
             candidate,
-            query.policy,
-            query.transformations,
+            spec.effective_policy(),
+            spec.transformations,
             be_lcs_length_bitparallel,
         )
         return score
 
     def _bounds(
         self,
-        query: Query,
+        spec: QuerySpec,
         query_bestring: BEString2D,
         outcome: ShortlistOutcome,
         image_ids: Sequence[str],
@@ -495,25 +493,27 @@ class QueryEngine:
             if bound is None:
                 if signature is None:
                     signature = QuerySignature(
-                        query_bestring, query.picture.labels, query.transformations
+                        query_bestring,
+                        spec.effective_picture().labels,
+                        spec.transformations,
                     )
                 candidate = signature_for(self.database.get(image_id))
                 bound = signature.score_upper_bound(
                     candidate,
                     signature.exact_overlap(candidate),
-                    query.policy,
+                    spec.effective_policy(),
                     with_conflicts=True,
                 )
             bounds[image_id] = bound
         return bounds
 
     def _rank(
-        self, query: Query, trace: QueryTrace, spec: Optional[QuerySpec] = None
+        self, spec: QuerySpec, trace: QueryTrace
     ) -> Tuple[List[RankedResult], Optional[Dict[str, Match]]]:
         """The candidate loop every similarity clause runs through.
 
-        Callers hold the shared grant.  ``spec`` carries the predicate clause
-        that combines with the similarity of ``query``, if any:
+        Callers hold the shared grant.  The predicate clause of ``spec``, if
+        any, combines with its similarity:
 
         * without one, every shortlisted candidate has degree 1;
         * a crisp clause drops the candidates that are not a full match;
@@ -539,27 +539,30 @@ class QueryEngine:
         Misses are scored by the resolved kernel.  Only the final survivors
         are materialised as full :class:`SimilarityResult` objects
         (``RankedResult.similarity`` and ``explain`` need them), and that
-        result replaces the survivor's score entry.
+        result replaces the survivor's score entry.  The finished trace is
+        added to :attr:`counters`.
 
         Returns:
             The ranking, and the per-image predicate matches of ``spec``
             (``None`` without a predicate clause).
         """
-        limit, minimum_score = query.limit, query.minimum_score
-        graded = spec is not None and spec.has_graded_predicates
-        if graded:
+        limit, minimum_score = spec.limit, spec.minimum_score
+        graded = spec.has_graded_predicates
+        execution = self.resolve_execution(spec)
+        kernel = self._kernel_for(execution, spec.effective_policy())
+        query_bestring = encode_picture(spec.effective_picture())
+        outcome = self._shortlist(
             # The shortlist must not reject on the raw similarity bound: the
             # sum composition can rank a low-similarity image above a
             # high-similarity one.
-            query = replace(query, minimum_score=0.0, limit=None)
-        execution = self.resolve_execution(query)
-        kernel = self._kernel_for(execution, query.policy)
-        query_bestring = encode_picture(query.picture)
-        outcome = self._shortlist(query, execution, query_bestring)
+            replace(spec, minimum_score=0.0) if graded else spec,
+            execution,
+            query_bestring,
+        )
         candidates = outcome.candidates
         matches: Optional[Dict[str, Match]] = None
-        if spec is not None:
-            matches = self._evaluate_clause(spec, trace, restrict_to=candidates)
+        if spec.has_predicate_clause:
+            matches = self._evaluate_clause(spec, trace, execution, restrict_to=candidates)
             if not graded:
                 candidates = [
                     image_id for image_id in candidates if matches[image_id].is_full_match
@@ -585,8 +588,10 @@ class QueryEngine:
         anytime = execution.strategy == STRATEGY_ANYTIME and outcome.stage != STAGE_FULL_SCAN
         trace.strategy = STRATEGY_ANYTIME if anytime else STRATEGY_EXHAUSTIVE
 
-        cache_key = query_score_key(query_bestring, query.policy, query.transformations)
-        use_cache = query.use_cache and execution.cache
+        cache_key = query_score_key(
+            query_bestring, spec.effective_policy(), spec.transformations
+        )
+        use_cache = execution.cache
         entries: Dict[str, CacheEntry] = {}
         if use_cache:
             for image_id in candidates:
@@ -598,7 +603,7 @@ class QueryEngine:
         visit = candidates
         if anytime:
             bounds = self._bounds(
-                query,
+                spec,
                 query_bestring,
                 outcome,
                 [image_id for image_id in candidates if image_id not in entries],
@@ -624,9 +629,9 @@ class QueryEngine:
             else:
                 bestring = self.database.get(image_id).bestring
                 if kernel == KERNEL_BITPARALLEL:
-                    entry = self._kernel_score(query_bestring, bestring, query)
+                    entry = self._kernel_score(query_bestring, bestring, spec)
                 else:
-                    entry = self._score(query_bestring, bestring, query)
+                    entry = self._score(query_bestring, bestring, spec)
                 trace.cache_misses += 1
                 if use_cache:
                     self.score_cache.put(cache_key, image_id, entry)
@@ -657,9 +662,6 @@ class QueryEngine:
                         )
         trace.candidates_examined = len(confirmed)
         trace.bound_skipped = len(skipped)
-        self.execution_counters.record(
-            admitted=len(candidates), examined=len(confirmed), anytime=anytime
-        )
 
         survivors = ranked if limit is None else ranked[:limit]
         scored: List[Tuple[str, SimilarityResult]] = []
@@ -667,33 +669,25 @@ class QueryEngine:
             result = confirmed[image_id]
             if not isinstance(result, SimilarityResult):
                 bestring = self.database.get(image_id).bestring
-                result = self._score(query_bestring, bestring, query)
+                result = self._score(query_bestring, bestring, spec)
                 if use_cache:
                     self.score_cache.put(cache_key, image_id, result)
             scored.append((image_id, result))
         scores = {image_id: -key for key, image_id in survivors} if graded else None
+        self.counters.record(trace, graded)
         return rank_results(scored, limit, minimum_score, scores=scores), matches
 
-    def execute(self, query: Query) -> List[RankedResult]:
-        """Run a query and return ranked results.
-
-        Every query and batch shares the engine's score cache: repeated
-        identical queries (same picture content, policy and transformation
-        set) are answered from memoised scores instead of re-running the LCS
-        evaluation, with rankings guaranteed identical.
+    def execute_traced(self, spec: QuerySpec) -> Tuple[List[RankedResult], QueryTrace]:
+        """Run a similarity-only spec in this process under a shared grant.
 
         Returns:
             :class:`~repro.index.ranking.RankedResult` entries sorted by
             descending score (ties broken by image id), already cut to the
-            query's limit and minimum score.
+            spec's limit and minimum score, and the execution trace.
         """
-        return self.execute_traced(query)[0]
-
-    def execute_traced(self, query: Query) -> Tuple[List[RankedResult], QueryTrace]:
-        """Like :meth:`execute` but also returns the execution trace."""
         trace = QueryTrace(mode="similarity")
         with self.lock.read_locked():
-            ranked, _ = self._rank(query, trace)
+            ranked, _ = self._rank(spec, trace)
         return ranked, trace
 
     # ------------------------------------------------------------------
@@ -707,6 +701,8 @@ class QueryEngine:
         without evaluation).  Every spec with a similarity clause runs the
         one cache-first candidate loop (:meth:`_rank`), its predicate clause,
         if any, filtering (crisp) or composing with (graded) the similarity.
+        Under ``executor="shard_process"`` the spec is scattered to the shard
+        workers, which run :meth:`_execute_local` on their slices.
 
         Returns:
             A :class:`~repro.index.spec.SpecOutcome` holding the final
@@ -717,38 +713,41 @@ class QueryEngine:
             repro.index.spec.QuerySpecError: on a malformed spec.
         """
         spec.validate()
-        execution = self.execution.overlaid(spec.execution).resolved()
-        if execution.executor == EXECUTOR_SHARD_PROCESS:
-            # Scatter-gather: the read grant freezes the snapshot the
-            # workers' slices were built from (mutations invalidate the
-            # pool under the write lock, so a pool obtained here is
-            # guaranteed to mirror the current in-memory database).
-            with self.lock.read_locked():
-                return self._execute_sharded(spec, execution)
+        execution = self.resolve_execution(spec)
         # One shared grant spans the whole spec (similarity scoring plus any
         # predicate evaluation): concurrent mutations cannot interleave
         # between the clauses, so the outcome always reflects one snapshot.
         with self.lock.read_locked():
-            if not spec.has_similarity_clause:
-                return self._execute_predicate_spec(spec)
-            if not spec.has_predicate_clause:
-                ranked, trace = self.execute_traced(spec.to_query())
-                return SpecOutcome(spec=spec, results=ranked, trace=trace)
-            trace = QueryTrace(mode="combined")
-            ranked, matches = self._rank(spec.to_query(), trace, spec)
-            return SpecOutcome(
-                spec=spec, results=ranked, trace=trace, predicate_matches=matches
-            )
+            if execution.executor == EXECUTOR_SHARD_PROCESS:
+                # Scatter-gather: the read grant freezes the snapshot the
+                # workers' slices were built from (mutations invalidate the
+                # pool under the write lock, so a pool obtained here is
+                # guaranteed to mirror the current in-memory database).
+                return self._fold_gather(self._shard_pool_for(execution).execute_spec(spec))
+            return self._execute_local(spec)
+
+    def _execute_local(self, spec: QuerySpec) -> SpecOutcome:
+        """Run a validated spec in this process (callers hold the shared grant)."""
+        if not spec.has_similarity_clause:
+            return self._execute_predicate_spec(spec)
+        if not spec.has_predicate_clause:
+            ranked, trace = self.execute_traced(spec)
+            return SpecOutcome(spec=spec, results=ranked, trace=trace)
+        trace = QueryTrace(mode="combined")
+        ranked, matches = self._rank(spec, trace)
+        return SpecOutcome(spec=spec, results=ranked, trace=trace, predicate_matches=matches)
 
     def _evaluate_clause(
         self,
         spec: QuerySpec,
         trace: QueryTrace,
+        execution: ExecutionOptions,
         restrict_to: Optional[List[str]] = None,
     ) -> Dict[str, Match]:
         """Evaluate the predicate clause over the database, with label pruning.
 
-        An image that lacks the labels the clause needs is settled at
+        While the resolved ``shortlist`` option of ``execution`` is on, an
+        image that lacks the labels the clause needs is settled at
         postings-lookup cost, as a synthesised zero match identical to what
         full evaluation would return:
 
@@ -812,7 +811,7 @@ class QueryEngine:
         matches: Dict[str, Match] = {}
         evaluated = 0
         for image_id in universe:
-            if pruned(image_id):
+            if execution.shortlist and pruned(image_id):
                 matches[image_id] = zero(image_id)
                 stage = STAGE_PREDICATE_PRUNED
             else:
@@ -823,9 +822,6 @@ class QueryEngine:
                 trace.candidates[image_id] = CandidateTrace(image_id=image_id, stage=stage)
         trace.predicate_evaluated += evaluated
         trace.predicate_pruned += len(matches) - evaluated
-        self.predicate_counters.record(
-            evaluated=evaluated, pruned=len(matches) - evaluated, graded=tree is not None
-        )
         return matches
 
     def _execute_predicate_spec(self, spec: QuerySpec) -> SpecOutcome:
@@ -836,60 +832,24 @@ class QueryEngine:
         the same ``(-score, image_id)`` order and minimum-score/limit cut.
         """
         trace = QueryTrace(mode="predicate")
-        matches = self._evaluate_clause(spec, trace)
+        matches = self._evaluate_clause(spec, trace, self.resolve_execution(spec))
         ranked = [
             match for match in matches.values() if match.score >= spec.minimum_score
         ]
         ranked.sort(key=lambda match: (-match.score, match.image_id))
         if spec.limit is not None:
             ranked = ranked[: spec.limit]
+        self.counters.record(trace, spec.has_graded_predicates)
         return SpecOutcome(spec=spec, results=ranked, trace=trace, predicate_matches=matches)
 
     # ------------------------------------------------------------------
     # Scatter-gather execution over the shard-worker pool
     # ------------------------------------------------------------------
-    def _execute_sharded(self, spec: QuerySpec, execution: ExecutionOptions) -> SpecOutcome:
-        """Scatter ``spec`` across the shard workers and fold the gather.
-
-        Callers hold a read grant: the pool (invalidated under the write
-        lock on every mutation) is therefore guaranteed to mirror the
-        snapshot this grant observes.
-        """
-        pool = self._shard_pool_for(execution)
-        return self._fold_gather(spec, pool.execute_spec(spec))
-
-    def _fold_gather(self, spec: QuerySpec, gathered: "GatherOutcome") -> SpecOutcome:
-        """Turn one merged gather into a :class:`SpecOutcome`, folding the
-        workers' execution/shortlist deltas into this engine's counters so
-        ``explain()`` and the service ``/stats`` stay truthful under
-        ``executor="shard_process"``."""
-        if gathered.execution["queries"]:
-            self.execution_counters.record(
-                admitted=gathered.execution["admitted"],
-                examined=gathered.execution["examined"],
-                anytime=bool(gathered.execution["anytime_queries"]),
-            )
-        if gathered.shortlist["queries"]:
-            self.shortlist_counters.absorb(
-                admitted=gathered.shortlist["admitted"],
-                bitmap_rejected=gathered.shortlist["bitmap_rejected"],
-                relation_rejected=gathered.shortlist["relation_rejected"],
-            )
-        if gathered.predicates["queries"]:
-            # One user-visible query regardless of fan-out: worker-side
-            # per-image work is summed, the query count is not.
-            self.predicate_counters.absorb(
-                queries=1,
-                graded_queries=1 if gathered.predicates["graded_queries"] else 0,
-                evaluated=gathered.predicates["evaluated"],
-                pruned=gathered.predicates["pruned"],
-            )
-        return SpecOutcome(
-            spec=spec,
-            results=gathered.results,
-            trace=gathered.trace,
-            predicate_matches=gathered.predicate_matches,
-        )
+    def _fold_gather(self, outcome: SpecOutcome) -> SpecOutcome:
+        """Add one merged gather's trace to :attr:`counters` as one query, so
+        ``/stats`` stays truthful under ``executor="shard_process"``."""
+        self.counters.record(outcome.trace, outcome.spec.has_graded_predicates)
+        return outcome
 
     def _shard_pool_for(self, execution: ExecutionOptions) -> "ShardWorkerPool":
         """The live shard-worker pool, (re)built lazily for ``execution``.
@@ -899,7 +859,7 @@ class QueryEngine:
         forks a fresh one.  Workers warm-start from the records they
         inherit through the fork.
         """
-        from repro.index.workers import ShardWorkerPool, sanitized_execution
+        from repro.index.workers import ShardWorkerPool
 
         workers = execution.workers or 1
         stale: Optional["ShardWorkerPool"] = None
@@ -912,7 +872,7 @@ class QueryEngine:
                 pool = ShardWorkerPool(
                     workers,
                     self.database,
-                    execution=sanitized_execution(self.execution),
+                    execution=self.execution,
                     minimum_overlap_ratio=self.minimum_overlap_ratio,
                 )
                 self._shard_pool = pool
@@ -960,15 +920,15 @@ class QueryEngine:
 
     def run_batch(
         self,
-        queries: Sequence[Query],
+        specs: Sequence[QuerySpec],
         execution: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> List[List[RankedResult]]:
-        """Run many queries as one batch (see :mod:`repro.index.batch`).
+        """Run many similarity-only specs as one batch (see :mod:`repro.index.batch`).
 
-        Identical queries are evaluated once, and every unique query runs
+        Identical specs are evaluated once, and every unique spec runs
         the one candidate loop, so results are identical -- including
-        tie-break ordering -- to calling :meth:`execute` per query.
+        tie-break ordering -- to calling :meth:`execute_spec` per spec.
         ``execution`` and the keyword overrides (``executor="shard_process"``,
         ``workers=2``, ``cache=False``) apply to the batch as a whole; see
         :class:`~repro.index.batch.BatchQueryEngine`.
@@ -978,23 +938,6 @@ class QueryEngine:
         batch = BatchQueryEngine(
             self, (execution or ExecutionOptions()).overlaid(ExecutionOptions(**overrides))
         )
-        results = batch.run(queries)
+        results = batch.run(specs)
         self.last_batch_report = batch.last_report
         return results
-
-    def search(
-        self,
-        picture: SymbolicPicture,
-        limit: Optional[int] = 10,
-        policy: SimilarityPolicy = DEFAULT_POLICY,
-        invariant: bool = False,
-    ) -> List[RankedResult]:
-        """Convenience wrapper around :meth:`execute` for the common case."""
-        transformations = tuple(Transformation) if invariant else (Transformation.IDENTITY,)
-        query = Query(
-            picture=picture,
-            policy=policy,
-            transformations=transformations,
-            limit=limit,
-        )
-        return self.execute(query)

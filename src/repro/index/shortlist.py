@@ -35,7 +35,6 @@ for the guarantees.
 
 from __future__ import annotations
 
-import threading
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
@@ -402,7 +401,7 @@ class QuerySignature:
 
 
 # ----------------------------------------------------------------------
-# Shortlist outcome and service counters
+# Shortlist outcome and its /stats snapshot
 # ----------------------------------------------------------------------
 @dataclass
 class ShortlistOutcome:
@@ -442,70 +441,6 @@ class ShortlistStatistics:
             return 0.0
         return (self.bitmap_rejected + self.relation_rejected) / self.candidates
 
-
-class ShortlistCounters:
-    """Thread-safe cumulative counters across every shortlist pass."""
-
-    def __init__(self) -> None:
-        """Start all counters at zero."""
-        self._lock = threading.Lock()
-        self._queries = 0
-        self._candidates = 0
-        self._bitmap_rejected = 0
-        self._relation_rejected = 0
-        self._admitted = 0
-
-    def record(self, outcome: ShortlistOutcome) -> None:
-        """Fold one :class:`ShortlistOutcome` into the running totals."""
-        with self._lock:
-            self._queries += 1
-            self._candidates += (
-                len(outcome.candidates)
-                + outcome.bitmap_rejected
-                + outcome.relation_rejected
-            )
-            self._bitmap_rejected += outcome.bitmap_rejected
-            self._relation_rejected += outcome.relation_rejected
-            self._admitted += len(outcome.candidates)
-
-    def absorb(
-        self, admitted: int, bitmap_rejected: int, relation_rejected: int
-    ) -> None:
-        """Fold one externally-aggregated shortlist pass into the totals.
-
-        The scatter-gather path (:mod:`repro.index.workers`) runs the
-        shortlist inside worker processes whose counters the parent cannot
-        see; the gather response carries the summed per-worker deltas and the
-        parent folds them here as **one** logical query, keeping the service
-        ``/stats`` shortlist block truthful under ``executor="shard_process"``.
-        """
-        with self._lock:
-            self._queries += 1
-            self._candidates += admitted + bitmap_rejected + relation_rejected
-            self._bitmap_rejected += bitmap_rejected
-            self._relation_rejected += relation_rejected
-            self._admitted += admitted
-
-    @property
-    def statistics(self) -> ShortlistStatistics:
-        """A consistent snapshot of the counters."""
-        with self._lock:
-            return ShortlistStatistics(
-                queries=self._queries,
-                candidates=self._candidates,
-                bitmap_rejected=self._bitmap_rejected,
-                relation_rejected=self._relation_rejected,
-                admitted=self._admitted,
-            )
-
-    def reset(self) -> None:
-        """Zero every counter (tests and benchmarks)."""
-        with self._lock:
-            self._queries = 0
-            self._candidates = 0
-            self._bitmap_rejected = 0
-            self._relation_rejected = 0
-            self._admitted = 0
 
 
 # ----------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 Every retrieval the system can run -- exact similarity, partial-icon queries,
 transformation-invariant matching, relation-predicate filtering, and any
-conjunction of them -- compiles down to one :class:`QuerySpec` value.  The
-spec is what the fluent builder (:mod:`repro.retrieval.querybuilder`)
-produces, what :meth:`repro.index.query.QueryEngine.execute_spec` consumes,
+conjunction of them -- compiles down to one :class:`QuerySpec` value, the
+only query type the engine accepts.  The spec is what the fluent builder
+(:mod:`repro.retrieval.querybuilder`) produces, what
+:meth:`repro.index.query.QueryEngine.execute_spec` and the batch consume,
 and what the shard workers run, so every entry point shares a
 single evaluation plan in the spirit of composing small operators into one
 pipeline.
 
-The module also defines the execution *traces* the pipeline records while it
+The module also defines the execution *trace* the pipeline records while it
 runs -- which shortlist stage admitted each candidate, whether its score came
 from the :class:`~repro.index.cache.ScoreCache`, how the predicate pruning
-behaved -- which is what ``ResultSet.explain()`` renders for users.
+behaved.  ``ResultSet.explain()`` renders it for users, and the engine folds
+each finished query's trace into its cumulative ``/stats`` counters.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.core.similarity import DEFAULT_POLICY, SimilarityPolicy
-from repro.core.transforms import Transformation
+from repro.core.transforms import Transformation, canonical_transformations
 from repro.iconic.picture import SymbolicPicture
 from repro.index.execution import ExecutionOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
-    from repro.index.query import Query
     from repro.index.ranking import RankedResult
     from repro.retrieval.predicates import (
         GradedMatch,
@@ -77,9 +78,15 @@ class QuerySpec:
     ``predicate_composition`` picks the operator (``"product"``:
     ``similarity * degree``; ``"sum"``: ``blend * similarity + (1 - blend) *
     degree`` with ``blend = predicate_blend``).  ``limit`` /
-    ``minimum_score`` cut the final ranking; ``use_filters`` toggles the
-    inverted-index + signature shortlist; ``use_cache`` toggles the score
-    cache for this query only.
+    ``minimum_score`` cut the final ranking; ``execution`` overrides how
+    the engine runs this query only (``shortlist=False`` scores every stored
+    image, ``cache=False`` bypasses the score cache).
+
+    ``transformations`` is canonicalised on construction (deduplicated,
+    ordered by enum definition with ``IDENTITY`` first): the evaluated *set*
+    is what matters, tie-breaks always resolve to the earliest canonical
+    transformation, and equal sets make equal specs and one score-cache key
+    however the caller ordered them.
     """
 
     picture: Optional[SymbolicPicture] = None
@@ -96,12 +103,15 @@ class QuerySpec:
     limit: Optional[int] = 10
     minimum_score: float = 0.0
     minimum_shared_labels: int = 1
-    use_filters: bool = True
-    use_cache: bool = True
     policy: Optional[SimilarityPolicy] = None
     #: Per-query execution overrides (kernel, strategy, ...); ``None`` fields
     #: inherit the engine's defaults.  See :mod:`repro.index.execution`.
     execution: Optional[ExecutionOptions] = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "transformations", canonical_transformations(self.transformations)
+        )
 
     # ------------------------------------------------------------------
     # Validation and derived views
@@ -172,30 +182,6 @@ class QuerySpec:
         """The similarity policy, falling back to the library default."""
         return self.policy if self.policy is not None else DEFAULT_POLICY
 
-    def to_query(self) -> "Query":
-        """Compile the similarity clause to an engine-level :class:`Query`.
-
-        Returns:
-            The :class:`~repro.index.query.Query` the unified pipeline (and
-            the batch scheduler) executes for this spec.
-
-        Raises:
-            QuerySpecError: if the spec has no similarity clause.
-        """
-        from repro.index.query import Query
-
-        return Query(
-            picture=self.effective_picture(),
-            policy=self.effective_policy(),
-            transformations=tuple(self.transformations),
-            limit=self.limit,
-            minimum_score=self.minimum_score,
-            minimum_shared_labels=self.minimum_shared_labels,
-            use_filters=self.use_filters,
-            use_cache=self.use_cache,
-            execution=self.execution,
-        )
-
     def compose(self, similarity_score: float, degree: float) -> float:
         """The composition of a similarity score with a graded tree degree.
 
@@ -233,10 +219,6 @@ class QuerySpec:
             knobs.append(f"compose={composition}")
         if self.minimum_score:
             knobs.append(f"min_score={self.minimum_score:g}")
-        if not self.use_filters:
-            knobs.append("no_filters")
-        if not self.use_cache:
-            knobs.append("no_cache")
         if self.execution is not None:
             knobs.append(f"execution({self.execution.describe()})")
         return " . ".join(clauses) + " [" + ", ".join(knobs) + "]"
@@ -274,7 +256,7 @@ class QueryTrace:
     mode: str = "similarity"
     database_size: int = 0
     #: How many images the inverted index admitted (``None`` when the
-    #: shortlist was skipped entirely, e.g. ``use_filters=False``).
+    #: shortlist was skipped entirely, e.g. under ``shortlist=False``).
     inverted_candidates: Optional[int] = None
     #: How many candidates survived the signature filter and were scored.
     shortlisted: int = 0

@@ -15,17 +15,19 @@ core.  This module partitions the database along the existing CRC-32 shard schem
   again, so a worker (re)start costs a fork plus an engine build over the
   slice.
 * A query is *scattered*: the :class:`~repro.index.spec.QuerySpec` is
-  serialized to every worker, each scores its slice locally under the
-  resolved execution options (kernel, strategy, shortlist, cache), and the
-  per-worker rankings are *gathered* and merged with the exact serial
-  tie-break order ``(-score, image_id)``.  Because admission, scoring and
-  predicate evaluation are all per-image decisions, the global top-k is a
-  subset of the union of per-worker top-k lists — the merged ranking is
-  byte-identical to the single-process engine (asserted by the E18
-  benchmark and the cross-process equivalence suite).
-* Worker-side counter deltas (execution, shortlist, cache) ride back in
-  every gather response, so ``explain()`` traces and the service ``/stats``
-  blocks stay truthful under ``executor="shard_process"``.
+  serialized to every worker, each runs it on its slice through
+  :meth:`QueryEngine._execute_local <repro.index.query.QueryEngine._execute_local>`
+  (never scattering again) under the resolved execution options (kernel,
+  strategy, shortlist, cache), and the per-worker rankings are *gathered*
+  and merged with the exact serial tie-break order ``(-score, image_id)``.
+  Because admission, scoring and predicate evaluation are all per-image
+  decisions, the global top-k is a subset of the union of per-worker top-k
+  lists — the merged ranking is byte-identical to the single-process engine
+  (asserted by the E18 benchmark and the cross-process equivalence suite).
+* Each worker returns its slice's :class:`~repro.index.spec.QueryTrace`;
+  the gather sums them into one trace, which ``explain()`` renders and the
+  parent engine adds to its ``/stats`` counters once.  Workers also return
+  their score-cache statistics for the pool's own ``/stats`` block.
 
 A crashed worker is detected by the broken pipe, re-forked over the same
 slice, and the in-flight requests are replayed against the fresh process;
@@ -49,8 +51,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.index.backends import DEFAULT_SHARD_COUNT, shard_index_for
 from repro.index.cache import CacheStatistics
 from repro.index.database import ImageDatabase
-from repro.index.execution import EXECUTOR_SERIAL, EXECUTOR_SHARD_PROCESS, ExecutionOptions
-from repro.index.spec import QuerySpec, QueryTrace
+from repro.index.execution import ExecutionOptions
+from repro.index.spec import QuerySpec, QueryTrace, SpecOutcome
 
 #: Restarts the pool will attempt per worker within one scatter before
 #: giving up on the gather.
@@ -59,29 +61,6 @@ DEFAULT_MAX_RESTARTS = 3
 
 class ShardWorkerError(RuntimeError):
     """A shard worker failed permanently (crash-restart budget exhausted)."""
-
-
-def sanitized_execution(execution: Optional[ExecutionOptions]) -> ExecutionOptions:
-    """``execution`` with the scatter-gather executor replaced by a serial one.
-
-    Workers must never resolve to ``shard_process`` themselves; every other
-    field (kernel, strategy, shortlist, cache) passes through untouched so a
-    worker scores exactly like the serial engine would.
-    """
-    if execution is None:
-        return ExecutionOptions(executor=EXECUTOR_SERIAL)
-    if execution.executor == EXECUTOR_SHARD_PROCESS:
-        return replace(execution, executor=EXECUTOR_SERIAL)
-    return execution
-
-
-def spec_for_worker(spec: QuerySpec) -> QuerySpec:
-    """The spec a worker should execute: same plan, serial executor."""
-    if spec.execution is not None and spec.execution.executor == EXECUTOR_SHARD_PROCESS:
-        return spec.with_overrides(
-            execution=replace(spec.execution, executor=EXECUTOR_SERIAL)
-        )
-    return spec
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +75,7 @@ class _WorkerConfig:
     owned: Tuple[int, ...]
     #: The parent engine's database (fork-shared, read-only in the child).
     database: ImageDatabase
-    execution: ExecutionOptions
+    execution: Optional[ExecutionOptions]
     minimum_overlap_ratio: float
 
 
@@ -113,23 +92,13 @@ def _build_worker_database(config: _WorkerConfig) -> ImageDatabase:
     return database
 
 
-def _statistics_delta(after: Any, before: Any, names: Sequence[str]) -> Dict[str, int]:
-    """Per-field difference of two frozen statistics snapshots."""
-    return {name: getattr(after, name) - getattr(before, name) for name in names}
-
-
-_EXECUTION_FIELDS = ("queries", "anytime_queries", "admitted", "examined", "skipped")
-_SHORTLIST_FIELDS = ("queries", "admitted", "bitmap_rejected", "relation_rejected")
-_PREDICATE_FIELDS = ("queries", "graded_queries", "evaluated", "pruned")
-
-
 def _worker_main(config: _WorkerConfig, connection) -> None:
     """The worker-process request loop.
 
     The engine is built lazily on the first ``spec`` message (the lazy warm
     start); every response carries the ranking for the worker's slice, the
-    execution trace, and the counter deltas the parent folds into its own
-    aggregates.  The loop exits on a ``stop`` message or a closed pipe.
+    execution trace and the slice's score-cache statistics.  The loop exits
+    on a ``stop`` message or a closed pipe.
     """
     from repro.index.query import QueryEngine
 
@@ -152,30 +121,13 @@ def _worker_main(config: _WorkerConfig, connection) -> None:
                     minimum_overlap_ratio=config.minimum_overlap_ratio,
                     execution=config.execution,
                 )
-            execution_before = engine.execution_counters.statistics
-            shortlist_before = engine.shortlist_counters.statistics
-            predicate_before = engine.predicate_counters.statistics
-            outcome = engine.execute_spec(spec)
+            spec.validate()
+            outcome = engine._execute_local(spec)
             payload = {
                 "results": outcome.results,
                 "predicate_matches": outcome.predicate_matches,
                 "trace": outcome.trace,
                 "images": len(engine.database),
-                "execution": _statistics_delta(
-                    engine.execution_counters.statistics,
-                    execution_before,
-                    _EXECUTION_FIELDS,
-                ),
-                "shortlist": _statistics_delta(
-                    engine.shortlist_counters.statistics,
-                    shortlist_before,
-                    _SHORTLIST_FIELDS,
-                ),
-                "predicates": _statistics_delta(
-                    engine.predicate_counters.statistics,
-                    predicate_before,
-                    _PREDICATE_FIELDS,
-                ),
                 "cache": engine.score_cache.statistics,
             }
             connection.send(("ok", request_id, payload))
@@ -191,21 +143,6 @@ def _worker_main(config: _WorkerConfig, connection) -> None:
 # ----------------------------------------------------------------------
 # Merge (the deterministic gather)
 # ----------------------------------------------------------------------
-@dataclass
-class GatherOutcome:
-    """One scattered query's merged result plus the counter deltas to fold."""
-
-    results: List[Any]
-    trace: QueryTrace
-    predicate_matches: Optional[Dict[str, Any]]
-    #: Summed per-worker :class:`ExecutionCounters` deltas.
-    execution: Dict[str, int]
-    #: Summed per-worker :class:`ShortlistCounters` deltas.
-    shortlist: Dict[str, int]
-    #: Summed per-worker :class:`PredicateCounters` deltas.
-    predicates: Dict[str, int]
-
-
 def _merge_ranked(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> List[Any]:
     """Merge per-worker rankings with the exact serial tie-break order.
 
@@ -257,7 +194,7 @@ def _merge_traces(payloads: List[Dict[str, Any]]) -> QueryTrace:
     return merged
 
 
-def merge_gather(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> GatherOutcome:
+def merge_gather(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> SpecOutcome:
     """Merge every worker's response for one spec into a single outcome."""
     matches: Optional[Dict[str, Any]] = None
     if any(payload["predicate_matches"] is not None for payload in payloads):
@@ -265,23 +202,11 @@ def merge_gather(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> GatherOutco
         for payload in payloads:
             if payload["predicate_matches"]:
                 matches.update(payload["predicate_matches"])
-    execution = {name: 0 for name in _EXECUTION_FIELDS}
-    shortlist = {name: 0 for name in _SHORTLIST_FIELDS}
-    predicates = {name: 0 for name in _PREDICATE_FIELDS}
-    for payload in payloads:
-        for name in _EXECUTION_FIELDS:
-            execution[name] += payload["execution"][name]
-        for name in _SHORTLIST_FIELDS:
-            shortlist[name] += payload["shortlist"][name]
-        for name in _PREDICATE_FIELDS:
-            predicates[name] += payload["predicates"][name]
-    return GatherOutcome(
+    return SpecOutcome(
+        spec=spec,
         results=_merge_ranked(spec, payloads),
         trace=_merge_traces(payloads),
         predicate_matches=matches,
-        execution=execution,
-        shortlist=shortlist,
-        predicates=predicates,
     )
 
 
@@ -336,7 +261,7 @@ class ShardWorkerPool:
         if worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {worker_count}")
         self._database = database
-        self._execution = sanitized_execution(execution)
+        self._execution = execution
         self._minimum_overlap_ratio = minimum_overlap_ratio
         self._max_restarts = max_restarts
         self.shard_count = DEFAULT_SHARD_COUNT
@@ -434,11 +359,11 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Scatter-gather
     # ------------------------------------------------------------------
-    def execute_spec(self, spec: QuerySpec) -> GatherOutcome:
+    def execute_spec(self, spec: QuerySpec) -> SpecOutcome:
         """Scatter one spec to every worker and merge the gathered rankings."""
         return self.execute_many([spec])[0]
 
-    def execute_many(self, specs: Sequence[QuerySpec]) -> List[GatherOutcome]:
+    def execute_many(self, specs: Sequence[QuerySpec]) -> List[SpecOutcome]:
         """Pipeline many specs through every worker, preserving input order.
 
         Specs stream to the workers while responses are drained, so worker
@@ -451,13 +376,12 @@ class ShardWorkerPool:
         """
         if self._closed:
             raise ShardWorkerError("the shard worker pool is closed")
-        prepared = [spec_for_worker(spec) for spec in specs]
-        if not prepared:
+        if not specs:
             return []
         with self._lock:
             started = time.perf_counter()
             try:
-                responses = self._scatter_gather(prepared)
+                responses = self._scatter_gather(specs)
             except BaseException:
                 self._recover_after_failure()
                 raise
@@ -466,17 +390,17 @@ class ShardWorkerPool:
                 self._scatters += 1
                 self._latency_total += elapsed
                 self._latency_last = elapsed
-                self._max_queue_depth = max(self._max_queue_depth, len(prepared))
+                self._max_queue_depth = max(self._max_queue_depth, len(specs))
         return [
             merge_gather(
-                specs[index],
+                spec,
                 [responses[worker][index] for worker in range(len(self._workers))],
             )
-            for index in range(len(prepared))
+            for index, spec in enumerate(specs)
         ]
 
     def _scatter_gather(
-        self, prepared: List[QuerySpec]
+        self, specs: Sequence[QuerySpec]
     ) -> List[List[Dict[str, Any]]]:
         """Stream every spec to every worker while draining their responses.
 
@@ -493,8 +417,8 @@ class ShardWorkerPool:
         ``max_restarts`` — and its still-pending requests are replayed to
         the fresh process on a fresh pipe.
         """
-        total = len(prepared)
-        items = list(enumerate(prepared))
+        total = len(specs)
+        items = list(enumerate(specs))
         responses: List[List[Optional[Dict[str, Any]]]] = [
             [None] * total for _ in self._workers
         ]
@@ -527,7 +451,7 @@ class ShardWorkerPool:
                     self._restart(worker)
                     self._start_sender(
                         worker,
-                        [(request_id, prepared[request_id]) for request_id in sorted(pending[index])],
+                        [(request_id, specs[request_id]) for request_id in sorted(pending[index])],
                     )
                     continue
                 if kind == "error":

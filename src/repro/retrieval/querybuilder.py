@@ -571,14 +571,6 @@ class QueryBuilder:
             repro.index.spec.QuerySpecError: if the accumulated clauses do
                 not form a runnable query.
         """
-        use_filters, use_cache = True, True
-        if self._execution is not None:
-            # Keep the legacy spec fields consistent with the execution
-            # options so pre-ExecutionOptions readers see the same query.
-            if self._execution.shortlist is not None:
-                use_filters = self._execution.shortlist
-            if self._execution.cache is not None:
-                use_cache = self._execution.cache
         # A plain conjunction of unannotated leaves compiles to the
         # historical flat predicate tuple in query order (the byte-identical
         # crisp fast path); anything graded ships the normalised tree, whose
@@ -610,8 +602,6 @@ class QueryBuilder:
             limit=self._limit,
             minimum_score=self._minimum_score,
             minimum_shared_labels=self._minimum_shared_labels,
-            use_filters=use_filters,
-            use_cache=use_cache,
             policy=self._policy if self._policy is not None else self._system.policy,
             execution=self._execution,
         )

@@ -52,7 +52,7 @@ from repro.index.execution import (
     ExecutionStatistics,
     PredicateStatistics,
 )
-from repro.index.query import Query, QueryEngine
+from repro.index.query import QueryEngine
 from repro.index.shortlist import ShortlistStatistics
 from repro.index.spec import QuerySpec, QuerySpecError
 from repro.retrieval.querybuilder import QueryBuilder, ResultSet
@@ -289,18 +289,17 @@ class RetrievalSystem:
 
     def query_batch(
         self,
-        queries: Sequence[Union[QuerySpec, QueryBuilder, Query]],
+        queries: Sequence[Union[QuerySpec, QueryBuilder]],
         execution: Optional[ExecutionOptions] = None,
         **overrides,
     ) -> List[ResultSet]:
         """Run many queries as one batch.
 
-        Accepts :class:`~repro.index.spec.QuerySpec` values, prepared
-        :class:`~repro.retrieval.querybuilder.QueryBuilder` instances, or
-        engine-level :class:`~repro.index.query.Query` objects; each keeps
-        its own limit, score threshold, transformation set and execution
-        options.  Identical queries are evaluated once, and every unique
-        query runs the same cache-first candidate loop as a single query,
+        Accepts :class:`~repro.index.spec.QuerySpec` values or prepared
+        :class:`~repro.retrieval.querybuilder.QueryBuilder` instances; each
+        keeps its own limit, score threshold, transformation set and
+        execution options.  Identical queries are evaluated once, and every
+        unique query runs the same cache-first candidate loop as a single query,
         so queries that share content share work through the score cache.
         ``execution`` (or the equivalent keyword overrides, such as
         ``executor="shard_process", workers=2`` or ``cache=False``) applies
@@ -320,34 +319,28 @@ class RetrievalSystem:
             ValueError: on an unknown executor or a non-positive worker
                 count.
         """
-        compiled: List[Query] = []
-        specs: List[Optional[QuerySpec]] = []
+        specs: List[QuerySpec] = []
         for item in queries:
             if isinstance(item, QueryBuilder):
                 item = item.spec()
-            if isinstance(item, QuerySpec):
-                if item.policy is None:
-                    # A bare spec inherits this system's policy, exactly as a
-                    # builder-made spec would -- keeping batch rankings
-                    # identical to serial execution under custom policies.
-                    item = item.with_overrides(policy=self.policy)
-                item.validate()
-                if item.has_predicate_clause:
-                    raise QuerySpecError(
-                        "predicate clauses are not supported in batches yet; "
-                        "run where() queries serially via execute()"
-                    )
-                specs.append(item)
-                compiled.append(item.to_query())
-            elif isinstance(item, Query):
-                specs.append(None)
-                compiled.append(item)
-            else:
+            if not isinstance(item, QuerySpec):
                 raise TypeError(
-                    "query_batch() accepts QuerySpec, QueryBuilder or Query items, "
+                    "query_batch() accepts QuerySpec or QueryBuilder items, "
                     f"got {type(item).__name__}"
                 )
-        batches = self._engine.run_batch(compiled, execution, **overrides)
+            if item.policy is None:
+                # A bare spec inherits this system's policy, exactly as a
+                # builder-made spec would -- keeping batch rankings
+                # identical to serial execution under custom policies.
+                item = item.with_overrides(policy=self.policy)
+            item.validate()
+            if item.has_predicate_clause:
+                raise QuerySpecError(
+                    "predicate clauses are not supported in batches yet; "
+                    "run where() queries serially via execute()"
+                )
+            specs.append(item)
+        batches = self._engine.run_batch(specs, execution, **overrides)
         return [
             ResultSet(results, spec=spec) for results, spec in zip(batches, specs)
         ]
@@ -363,12 +356,12 @@ class RetrievalSystem:
 
     def shortlist_statistics(self) -> "ShortlistStatistics":
         """Cumulative two-stage shortlist counters (see :mod:`repro.index.shortlist`)."""
-        return self._engine.shortlist_counters.statistics
+        return self._engine.counters.shortlist
 
     def execution_statistics(self) -> "ExecutionStatistics":
         """Cumulative branch-and-bound counters (see :mod:`repro.index.execution`)."""
-        return self._engine.execution_counters.statistics
+        return self._engine.counters.execution
 
     def predicate_statistics(self) -> "PredicateStatistics":
         """Cumulative predicate-stage counters (see :mod:`repro.index.execution`)."""
-        return self._engine.predicate_counters.statistics
+        return self._engine.counters.predicates

@@ -90,7 +90,7 @@ def _spec_payload(spec: Any) -> Dict[str, Any]:
 
     Raises:
         ValueError: when the spec uses a knob the wire schema cannot carry
-            (a partial transformation set, ``use_cache=False``, a non-default
+            (a partial transformation set, a non-default
             ``minimum_shared_labels`` or similarity policy).
     """
     transformations = tuple(spec.transformations)
@@ -105,8 +105,6 @@ def _spec_payload(spec: Any) -> Dict[str, Any]:
                 "the /search payload carries transformations as an 'invariant' "
                 "flag: use the identity only or the full transformation set"
             )
-    if not spec.use_cache:
-        raise ValueError("the /search payload cannot disable the server's score cache")
     if spec.minimum_shared_labels != 1:
         raise ValueError("the /search payload has no 'minimum_shared_labels' knob")
     if spec.policy is not None:
@@ -118,7 +116,6 @@ def _spec_payload(spec: Any) -> Dict[str, Any]:
         "invariant": invariant,
         "min_score": spec.minimum_score,
         "limit": spec.limit,
-        "no_filters": not spec.use_filters,
     }
     if spec.picture is not None:
         payload["scene"] = _scene_payload(spec.picture)

@@ -60,6 +60,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from collections import deque
 from pathlib import Path
@@ -740,29 +741,15 @@ class RetrievalService:
                 "size": cache.size,
                 "capacity": cache.capacity,
             },
-            "shortlist": {
-                "queries": shortlist.queries,
-                "candidates": shortlist.candidates,
-                "bitmap_rejected": shortlist.bitmap_rejected,
-                "relation_rejected": shortlist.relation_rejected,
-                "admitted": shortlist.admitted,
-                "pruned_fraction": round(shortlist.pruned_fraction, 4),
-            },
-            "execution": {
-                "queries": execution.queries,
-                "anytime_queries": execution.anytime_queries,
-                "admitted": execution.admitted,
-                "examined": execution.examined,
-                "skipped": execution.skipped,
-                "examined_fraction": round(execution.examined_fraction, 4),
-            },
-            "predicates": {
-                "queries": predicates.queries,
-                "graded_queries": predicates.graded_queries,
-                "evaluated": predicates.evaluated,
-                "pruned": predicates.pruned,
-                "pruned_fraction": round(predicates.pruned_fraction, 4),
-            },
+            "shortlist": dict(
+                asdict(shortlist), pruned_fraction=round(shortlist.pruned_fraction, 4)
+            ),
+            "execution": dict(
+                asdict(execution), examined_fraction=round(execution.examined_fraction, 4)
+            ),
+            "predicates": dict(
+                asdict(predicates), pruned_fraction=round(predicates.pruned_fraction, 4)
+            ),
         }
         lock = self.system._engine.lock
         if hasattr(lock, "statistics"):

@@ -8,13 +8,15 @@ import os
 
 import pytest
 
+from repro.core.transforms import Transformation
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
 from repro.index.batch import BatchQueryEngine, BatchReport
 from repro.index.cache import ScoreCache, query_score_key
 from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
-from repro.index.query import Query, QueryEngine
+from repro.index.query import QueryEngine
+from repro.index.spec import QuerySpec
 from repro.retrieval.system import RetrievalSystem
 
 SHARD_WORKERS = int(os.environ.get("REPRO_SHARD_WORKERS") or 2)
@@ -59,8 +61,8 @@ def query_pictures(scene_collection):
 class TestEquivalenceWithSerial:
     @pytest.mark.parametrize("executor", ["serial", "shard_process"])
     def test_run_batch_matches_execute(self, engine, query_pictures, executor):
-        queries = [Query.exact(picture, limit=5) for picture in query_pictures]
-        serial = [engine.execute(query) for query in queries]
+        queries = [QuerySpec(picture=picture, limit=5) for picture in query_pictures]
+        serial = [engine.execute_spec(query).results for query in queries]
         batch = engine.run_batch(queries, workers=SHARD_WORKERS, executor=executor)
         assert [result_key(r) for r in batch] == [result_key(r) for r in serial]
 
@@ -106,12 +108,16 @@ class TestEquivalenceWithSerial:
 
     def test_heterogeneous_limits_and_thresholds(self, system, query_pictures):
         queries = [
-            Query.exact(query_pictures[0], limit=2),
-            Query.exact(query_pictures[0], limit=None, minimum_score=0.5),
-            Query.invariant(query_pictures[1], limit=3),
-            Query(picture=query_pictures[2], use_filters=False),
+            QuerySpec(picture=query_pictures[0], limit=2),
+            QuerySpec(picture=query_pictures[0], limit=None, minimum_score=0.5),
+            QuerySpec(picture=query_pictures[1], transformations=tuple(Transformation), limit=3),
+            QuerySpec(
+                picture=query_pictures[2],
+                limit=None,
+                execution=ExecutionOptions(shortlist=False),
+            ),
         ]
-        serial = [system._engine.execute(query) for query in queries]
+        serial = [system._engine.execute_spec(query).results for query in queries]
         batch = system.query_batch(queries, workers=SHARD_WORKERS, executor="shard_process")
         assert [result_key(r) for r in batch] == [result_key(r) for r in serial]
 
@@ -121,7 +127,7 @@ class TestEquivalenceWithSerial:
 
 class TestDeduplicationAndCache:
     def test_duplicate_queries_evaluated_once(self, engine, query_pictures):
-        queries = [Query.exact(picture, limit=5) for picture in query_pictures]
+        queries = [QuerySpec(picture=picture, limit=5) for picture in query_pictures]
         engine.run_batch(queries)
         report = engine.last_batch_report
         assert report.total_queries == 5
@@ -129,7 +135,7 @@ class TestDeduplicationAndCache:
         assert report.deduplicated_queries == 2
 
     def test_second_batch_is_served_from_cache(self, engine, query_pictures):
-        queries = [Query.exact(picture, limit=5) for picture in query_pictures]
+        queries = [QuerySpec(picture=picture, limit=5) for picture in query_pictures]
         first = engine.run_batch(queries)
         assert engine.last_batch_report.scored > 0
         second = engine.run_batch(queries)
@@ -140,7 +146,7 @@ class TestDeduplicationAndCache:
         assert [result_key(r) for r in second] == [result_key(r) for r in first]
 
     def test_cache_false_bypasses_cache(self, engine, query_pictures):
-        queries = [Query.exact(picture) for picture in query_pictures]
+        queries = [QuerySpec(picture=picture, limit=None) for picture in query_pictures]
         engine.run_batch(queries)
         engine.run_batch(queries, cache=False)
         report = engine.last_batch_report
@@ -377,10 +383,11 @@ class TestStalePostings:
 class TestBatchShortlistPruning:
     def test_report_counts_pruned_candidates_and_results_match_serial(self, engine):
         queries = [
-            Query(
+            QuerySpec(
                 picture=record.picture,
+                limit=None,
                 minimum_score=0.95,
-                use_cache=False,
+                execution=ExecutionOptions(cache=False),
             )
             for record in list(engine.database)[:4]
         ]
@@ -389,23 +396,23 @@ class TestBatchShortlistPruning:
         assert report.shortlist_pruned > 0
         assert "pruned" in report.describe()
         for query, results in zip(queries, batched):
-            serial = engine.execute(query)
+            serial = engine.execute_spec(query).results
             assert [(r.rank, r.image_id, r.score) for r in results] == [
                 (r.rank, r.image_id, r.score) for r in serial
             ]
 
     def test_same_content_different_min_score_are_separate_groups(self, engine):
         picture = next(iter(engine.database)).picture
-        relaxed = Query(picture=picture, minimum_score=0.0, limit=None)
-        strict = Query(picture=picture, minimum_score=0.9, limit=None)
+        relaxed = QuerySpec(picture=picture, minimum_score=0.0, limit=None)
+        strict = QuerySpec(picture=picture, minimum_score=0.9, limit=None)
         batch = BatchQueryEngine(engine=engine)
         batched, report = batch.run_detailed([relaxed, strict])
         # One shortlist per distinct min_score: the strict query must not
         # inherit the relaxed query's (unpruned) candidate list or vice versa.
         assert report.unique_evaluations == 2
         assert [(r.rank, r.image_id, r.score) for r in batched[0]] == [
-            (r.rank, r.image_id, r.score) for r in engine.execute(relaxed)
+            (r.rank, r.image_id, r.score) for r in engine.execute_spec(relaxed).results
         ]
         assert [(r.rank, r.image_id, r.score) for r in batched[1]] == [
-            (r.rank, r.image_id, r.score) for r in engine.execute(strict)
+            (r.rank, r.image_id, r.score) for r in engine.execute_spec(strict).results
         ]

@@ -67,7 +67,8 @@ def oracle(pictures: Dict[str, SymbolicPicture], spec: QuerySpec) -> List[dict]:
             continue
         query = spec.effective_picture()
         shared = set(query.labels) & set(picture.labels)
-        if spec.use_filters and query.labels and len(shared) < spec.minimum_shared_labels:
+        shortlist = spec.execution is None or spec.execution.shortlist is not False
+        if shortlist and query.labels and len(shared) < spec.minimum_shared_labels:
             continue
         if match is not None and tree is None and not match.is_full_match:
             continue

@@ -2,7 +2,8 @@
 
 Three parts.  The unit part pins the options value object: vocabulary
 validation, ``None``-means-inherit overlay order, dict round-trips, and the
-cumulative counters the service ``/stats`` endpoint surfaces.  The
+cumulative counters the service ``/stats`` endpoint surfaces, folded from
+query traces.  The
 equivalence part is the load-bearing one: every combination of kernel
 (``bitparallel``/``reference``) and strategy (``anytime``/``exhaustive``)
 must produce rankings byte-identical — tie-breaks, transformations and all —
@@ -20,13 +21,14 @@ from repro.datasets.scenes import office_scene, traffic_scene
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.index.execution import (
     DEFAULT_EXECUTION,
-    ExecutionCounters,
     ExecutionOptions,
     KERNEL_BITPARALLEL,
     KERNEL_REFERENCE,
     STRATEGY_ANYTIME,
     STRATEGY_EXHAUSTIVE,
 )
+from repro.index.query import EngineCounters
+from repro.index.spec import QueryTrace
 from repro.retrieval.system import RetrievalSystem
 
 _PARAMETERS = SceneParameters(
@@ -117,10 +119,18 @@ class TestDictRoundTrip:
 
 class TestCounters:
     def test_record_and_snapshot(self):
-        counters = ExecutionCounters()
-        counters.record(admitted=10, examined=4, anytime=True)
-        counters.record(admitted=5, examined=5, anytime=False)
-        statistics = counters.statistics
+        counters = EngineCounters()
+        counters.record(
+            QueryTrace(
+                shortlisted=10,
+                candidates_examined=4,
+                bound_skipped=6,
+                strategy=STRATEGY_ANYTIME,
+            ),
+            graded=False,
+        )
+        counters.record(QueryTrace(shortlisted=5, candidates_examined=5), graded=False)
+        statistics = counters.execution
         assert statistics.queries == 2
         assert statistics.anytime_queries == 1
         assert statistics.admitted == 15
@@ -129,12 +139,41 @@ class TestCounters:
         assert statistics.examined_fraction == pytest.approx(9 / 15)
 
     def test_reset_zeroes_everything(self):
-        counters = ExecutionCounters()
-        counters.record(admitted=3, examined=3, anytime=False)
+        counters = EngineCounters()
+        counters.record(QueryTrace(shortlisted=3, candidates_examined=3), graded=False)
         counters.reset()
-        statistics = counters.statistics
+        statistics = counters.execution
         assert statistics.queries == 0
         assert statistics.examined_fraction == 0.0
+
+    def test_each_total_counts_only_the_traces_that_ran_its_stage(self):
+        counters = EngineCounters()
+        # A full scan: no shortlist pass, no predicate clause.
+        counters.record(QueryTrace(shortlisted=4, candidates_examined=4), graded=False)
+        counters.record(
+            QueryTrace(
+                mode="combined",
+                inverted_candidates=9,
+                bitmap_pruned=3,
+                relation_pruned=2,
+                shortlisted=3,
+                candidates_examined=3,
+                predicate_evaluated=3,
+                predicate_pruned=1,
+            ),
+            graded=True,
+        )
+        counters.record(
+            QueryTrace(mode="predicate", predicate_evaluated=2, predicate_pruned=7),
+            graded=False,
+        )
+        assert (counters.execution.queries, counters.execution.admitted) == (2, 7)
+        shortlist = counters.shortlist
+        assert (shortlist.queries, shortlist.candidates, shortlist.admitted) == (1, 9, 4)
+        assert (shortlist.bitmap_rejected, shortlist.relation_rejected) == (3, 2)
+        predicates = counters.predicates
+        assert (predicates.queries, predicates.graded_queries) == (2, 1)
+        assert (predicates.evaluated, predicates.pruned) == (5, 8)
 
 
 class TestRankingEquivalence:
@@ -247,7 +286,7 @@ class TestAnytimeObservability:
         assert "candidates_examined=" in report
 
     def test_engine_counters_accumulate(self, system):
-        system._engine.execution_counters.reset()
+        system._engine.counters.reset()
         query = random_pictures(1, seed=7, parameters=_PARAMETERS)[0]
         system.query(query).limit(5).execution(
             strategy=STRATEGY_ANYTIME, cache=False

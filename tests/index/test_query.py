@@ -5,7 +5,17 @@ import pytest
 from repro.core.similarity import SimilarityPolicy, Normalization
 from repro.core.transforms import Transformation
 from repro.index.database import ImageDatabase
-from repro.index.query import Query, QueryEngine
+from repro.index.execution import ExecutionOptions
+from repro.index.query import QueryEngine
+from repro.index.spec import QuerySpec
+from repro.retrieval.predicates import parse_predicate, parse_tree
+
+NO_SHORTLIST = ExecutionOptions(shortlist=False)
+
+
+def ranked(engine, picture, **fields):
+    """The unlimited ranking of a similarity spec over ``picture``."""
+    return engine.execute_spec(QuerySpec(picture=picture, limit=None, **fields)).results
 
 
 @pytest.fixture
@@ -31,26 +41,19 @@ class TestBuildAndMaintain:
 
 class TestExecution:
     def test_exact_query_ranks_identical_image_first(self, engine, office):
-        results = engine.execute(Query.exact(office))
+        results = ranked(engine, office)
         assert results[0].image_id == office.name
         assert results[0].score == pytest.approx(1.0)
 
-    def test_search_convenience_wrapper(self, engine, office):
-        results = engine.search(office, limit=3)
-        assert len(results) <= 3
-        assert results[0].image_id == office.name
-
     def test_limit_and_minimum_score(self, engine, office):
-        query = Query(picture=office, limit=2, minimum_score=0.1)
-        results = engine.execute(query)
+        query = QuerySpec(picture=office, limit=2, minimum_score=0.1)
+        results = engine.execute_spec(query).results
         assert len(results) <= 2
         assert all(result.score >= 0.1 for result in results)
 
     def test_filters_restrict_candidates_to_shared_labels(self, engine, office):
-        filtered = engine.execute(Query.exact(office))
-        unfiltered = engine.execute(
-            Query(picture=office, use_filters=False)
-        )
+        filtered = ranked(engine, office)
+        unfiltered = ranked(engine, office, execution=NO_SHORTLIST)
         filtered_ids = {result.image_id for result in filtered}
         unfiltered_ids = {result.image_id for result in unfiltered}
         # Office queries can never shortlist landscape/traffic images (no
@@ -62,8 +65,10 @@ class TestExecution:
     def test_invariant_query_finds_rotated_image(self, engine, office):
         rotated = office.rotate90().renamed("office-rotated")
         engine.add_picture(rotated)
-        exact = engine.execute(Query.exact(office, use_filters=False))
-        invariant = engine.execute(Query.invariant(office, use_filters=False))
+        exact = ranked(engine, office, execution=NO_SHORTLIST)
+        invariant = ranked(
+            engine, office, transformations=tuple(Transformation), execution=NO_SHORTLIST
+        )
         exact_score = {r.image_id: r.score for r in exact}["office-rotated"]
         invariant_entry = next(r for r in invariant if r.image_id == "office-rotated")
         assert invariant_entry.score == pytest.approx(1.0)
@@ -72,7 +77,7 @@ class TestExecution:
 
     def test_policy_is_respected(self, engine, office):
         policy = SimilarityPolicy(normalization=Normalization.NONE)
-        results = engine.execute(Query(picture=office, policy=policy))
+        results = ranked(engine, office, policy=policy)
         assert results[0].score > 1.0  # raw symbol counts, not normalised
 
     def test_query_with_unknown_labels_returns_empty_with_filters(self, engine):
@@ -82,8 +87,27 @@ class TestExecution:
         alien = SymbolicPicture.build(
             width=10, height=10, objects=[("alien", Rectangle(1, 1, 3, 3))], name="alien"
         )
-        assert engine.execute(Query.exact(alien)) == []
-        assert len(engine.execute(Query(picture=alien, use_filters=False))) > 0
+        assert ranked(engine, alien) == []
+        assert len(ranked(engine, alien, execution=NO_SHORTLIST)) > 0
+
+
+class TestPredicateStage:
+    @pytest.mark.parametrize(
+        "clause",
+        [
+            {"predicates": (parse_predicate("phone right-of monitor"),)},
+            {"predicate_tree": parse_tree("phone right-of monitor [w=2]")},
+        ],
+        ids=["crisp", "graded"],
+    )
+    def test_shortlist_off_evaluates_every_image(self, engine, clause):
+        spec = QuerySpec(limit=None, **clause)
+        pruned = engine.execute_spec(spec)
+        full = engine.execute_spec(spec.with_overrides(execution=NO_SHORTLIST))
+        assert pruned.trace.predicate_pruned > 0
+        assert full.trace.predicate_pruned == 0
+        assert full.trace.predicate_evaluated == len(engine.database)
+        assert full.results == pruned.results
 
 
 class TestObjectEditInvalidation:
@@ -100,7 +124,7 @@ class TestObjectEditInvalidation:
         return {r.image_id: r.score for r in ranked}, trace
 
     def test_cached_query_rescores_after_remove_object(self, engine, office):
-        query = Query.exact(office)
+        query = QuerySpec(picture=office, limit=None)
         before, _ = self._traced(engine, query)
         _, warm = self._traced(engine, query)
         assert warm.cache_misses == 0  # fully served from the score cache
@@ -117,7 +141,7 @@ class TestObjectEditInvalidation:
 
     def test_cached_query_rescores_after_add_object(self, engine, office):
         """Adding the icon back re-scores again and restores the ranking."""
-        query = Query.exact(office)
+        query = QuerySpec(picture=office, limit=None)
         before, _ = self._traced(engine, query)
 
         icon = office.icons_with_label("phone")[0]
@@ -140,15 +164,15 @@ class TestObjectEditInvalidation:
             objects=[("sundial", Rectangle(1, 1, 3, 3))],
             name="sundial-probe",
         )
-        assert engine.execute(Query.exact(probe)) == []
+        assert ranked(engine, probe) == []
 
         engine.add_object(office.name, "sundial", Rectangle(6.0, 1.0, 7.0, 2.0))
-        hits = engine.execute(Query.exact(probe))
+        hits = ranked(engine, probe)
         assert [r.image_id for r in hits] == [office.name]
         assert engine.inverted_index.images_with_label("sundial") == {office.name}
 
         engine.remove_object(office.name, "sundial")
-        assert engine.execute(Query.exact(probe)) == []
+        assert ranked(engine, probe) == []
         assert engine.inverted_index.images_with_label("sundial") == set()
 
     def test_edits_are_atomic_under_the_installed_write_lock(self, engine, office):
@@ -161,7 +185,7 @@ class TestObjectEditInvalidation:
         engine.add_object(office.name, "phone", Rectangle(0.5, 0.5, 1.5, 1.5))
         stats = engine.lock.statistics()
         assert stats["write_acquisitions"] == 1
-        results = engine.execute(Query.exact(office))
+        results = ranked(engine, office)
         assert results[0].image_id == office.name
         assert engine.lock.statistics()["read_acquisitions"] >= 1
 
@@ -179,9 +203,9 @@ class TestTransformationCanonicalization:
     )
 
     def test_query_canonicalizes_transformations(self, office):
-        query = Query(picture=office, transformations=self.SHUFFLED)
+        query = QuerySpec(picture=office, transformations=self.SHUFFLED)
         assert query.transformations == tuple(Transformation)
-        deduplicated = Query(
+        deduplicated = QuerySpec(
             picture=office,
             transformations=(Transformation.IDENTITY, Transformation.IDENTITY),
         )
@@ -201,12 +225,10 @@ class TestTransformationCanonicalization:
         # Regression: the same transformation set in a different order used
         # to miss the cache and re-run the full dynamic program per image.
         engine.score_cache.reset_statistics()
-        first = engine.execute(
-            Query(picture=office, transformations=tuple(Transformation))
-        )
+        first = ranked(engine, office, transformations=tuple(Transformation))
         warm = engine.score_cache.statistics
         assert warm.misses > 0
-        second = engine.execute(Query(picture=office, transformations=self.SHUFFLED))
+        second = ranked(engine, office, transformations=self.SHUFFLED)
         after = engine.score_cache.statistics
         assert after.misses == warm.misses  # hit-rate parity: no re-scoring
         assert after.hits == warm.hits + warm.misses

@@ -29,7 +29,8 @@ from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
 from repro.index.database import ImageDatabase
-from repro.index.query import Query, QueryEngine
+from repro.index.execution import ExecutionOptions
+from repro.index.query import QueryEngine
 from repro.index.shortlist import (
     DEFAULT_BITMAP_WIDTH,
     AxisSignature,
@@ -42,7 +43,7 @@ from repro.index.shortlist import (
     pair_conflicts,
     signature_for,
 )
-from repro.index.spec import STAGE_BITMAP_PRUNED, STAGE_RELATION_PRUNED
+from repro.index.spec import STAGE_BITMAP_PRUNED, STAGE_RELATION_PRUNED, QuerySpec
 from repro.retrieval.system import RetrievalSystem
 
 SHARD_WORKERS = int(os.environ.get("REPRO_SHARD_WORKERS") or 2)
@@ -62,6 +63,16 @@ _POLICIES = [
     SimilarityPolicy(count_boundaries_only=True),
     SimilarityPolicy(normalization=Normalization.NONE, combination=Combination.MIN),
 ]
+
+
+def _uncached(picture, minimum_score):
+    """An unlimited similarity spec with a score floor, bypassing the cache."""
+    return QuerySpec(
+        picture=picture,
+        limit=None,
+        minimum_score=minimum_score,
+        execution=ExecutionOptions(cache=False),
+    )
 
 
 def _reference_pair_codes(axis):
@@ -352,23 +363,24 @@ class TestEngineEquivalence:
         )
         pictures = random_pictures(8, seed=34, parameters=_PARAMETERS)
         for picture in pictures:
-            filtered = engine.execute(
-                Query(
+            filtered = engine.execute_spec(
+                QuerySpec(
                     picture=picture,
                     transformations=transformations,
+                    limit=None,
                     minimum_score=minimum_score,
-                    use_cache=False,
+                    execution=ExecutionOptions(cache=False),
                 )
-            )
-            full = engine.execute(
-                Query(
+            ).results
+            full = engine.execute_spec(
+                QuerySpec(
                     picture=picture,
                     transformations=transformations,
+                    limit=None,
                     minimum_score=minimum_score,
-                    use_filters=False,
-                    use_cache=False,
+                    execution=ExecutionOptions(shortlist=False, cache=False),
                 )
-            )
+            ).results
             assert [(r.rank, r.image_id, r.score) for r in filtered] == [
                 (r.rank, r.image_id, r.score) for r in full
             ]
@@ -381,16 +393,12 @@ class TestEngineEquivalence:
         # image queried against itself scores 1.0 and must never be pruned.
         for image_id in engine.database.image_ids[:10]:
             record = engine.database.get(image_id)
-            results = engine.execute(
-                Query(picture=record.picture, minimum_score=0.99, use_cache=False)
-            )
+            results = engine.execute_spec(_uncached(record.picture, 0.99)).results
             assert results and results[0].image_id == image_id
 
     def test_trace_records_pruning_stages(self, engine):
         picture = random_pictures(1, seed=55, parameters=_PARAMETERS)[0]
-        _, trace = engine.execute_traced(
-            Query(picture=picture, minimum_score=0.6, use_cache=False)
-        )
+        _, trace = engine.execute_traced(_uncached(picture, 0.6))
         assert trace.bitmap_pruned + trace.relation_pruned > 0
         rejected_stages = {
             candidate.stage
@@ -417,16 +425,16 @@ class TestEngineEquivalence:
         database.add_picture(base, "base")
         database.add_picture(mirrored, "mirrored")
         engine = QueryEngine.build(database)
-        outcome = engine.shortlist(Query(picture=base, minimum_score=0.95))
+        outcome = engine.shortlist(QuerySpec(picture=base, minimum_score=0.95))
         assert outcome.candidates == ["base"]
         assert outcome.relation_rejected == 1
         assert outcome.rejections.get("mirrored") == STAGE_RELATION_PRUNED
 
     def test_counters_accumulate(self, engine):
-        engine.shortlist_counters.reset()
+        engine.counters.reset()
         picture = random_pictures(1, seed=77, parameters=_PARAMETERS)[0]
-        engine.execute(Query(picture=picture, minimum_score=0.5, use_cache=False))
-        statistics = engine.shortlist_counters.statistics
+        engine.execute_spec(_uncached(picture, 0.5))
+        statistics = engine.counters.shortlist
         assert statistics.queries == 1
         assert statistics.candidates == (
             statistics.admitted
@@ -436,7 +444,7 @@ class TestEngineEquivalence:
 
     def test_min_score_zero_admits_every_label_sharer(self, engine):
         picture = random_pictures(1, seed=88, parameters=_PARAMETERS)[0]
-        outcome = engine.shortlist(Query(picture=picture))
+        outcome = engine.shortlist(QuerySpec(picture=picture))
         assert outcome.bitmap_rejected == 0
         assert outcome.relation_rejected == 0
         assert len(outcome.candidates) == outcome.inverted_candidates
@@ -476,9 +484,7 @@ class TestSignatureLifecycle:
         image_id = database.image_ids[0]
         engine.add_object(image_id, "fresh-label", Rectangle(1, 1, 4, 4))
         query_picture = database.get(image_id).picture
-        results = engine.execute(
-            Query(picture=query_picture, minimum_score=0.99, use_cache=False)
-        )
+        results = engine.execute_spec(_uncached(query_picture, 0.99)).results
         assert results and results[0].image_id == image_id
 
 
@@ -490,7 +496,7 @@ class TestThresholdAndWidthConsistency:
         database.add_pictures(random_pictures(30, seed=61, parameters=_PARAMETERS))
         engine = QueryEngine.build(database, minimum_overlap_ratio=0.75)
         picture = random_pictures(1, seed=62, parameters=_PARAMETERS)[0]
-        outcome = engine.shortlist(Query(picture=picture))
+        outcome = engine.shortlist(QuerySpec(picture=picture))
         assert outcome.bitmap_rejected > 0
         assert outcome.relation_rejected == 0
         assert all(
@@ -539,7 +545,7 @@ class TestOverlapThreshold:
 
     @pytest.fixture
     def query(self):
-        return Query(picture=_labelled("query", self.QUERY))
+        return QuerySpec(picture=_labelled("query", self.QUERY))
 
     @staticmethod
     def _engine(pictures, threshold):

@@ -8,6 +8,7 @@ this module with ``REPRO_SHARD_WORKERS`` pinned to 2 and 4.
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -17,14 +18,9 @@ from repro.datasets.synthetic import random_picture
 from repro.index.backends import ShardedBackend, shard_index_for
 from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
-from repro.index.query import Query, QueryEngine
+from repro.index.query import QueryEngine
 from repro.index.spec import QuerySpec
-from repro.index.workers import (
-    ShardWorkerError,
-    ShardWorkerPool,
-    sanitized_execution,
-    spec_for_worker,
-)
+from repro.index.workers import ShardWorkerError, ShardWorkerPool
 from repro.retrieval.predicates import parse_predicate, parse_tree
 from repro.retrieval.system import RetrievalSystem
 from repro.service.server import RetrievalService
@@ -218,9 +214,9 @@ class TestEquivalenceMatrix:
 
     def test_batch(self, engine, pictures, workers):
         queries = [
-            Query(picture=pictures[1], limit=5),
-            Query(picture=pictures[4], limit=5),
-            Query(picture=pictures[1], limit=5),  # duplicate: must deduplicate
+            QuerySpec(picture=pictures[1], limit=5),
+            QuerySpec(picture=pictures[4], limit=5),
+            QuerySpec(picture=pictures[1], limit=5),  # duplicate: must deduplicate
         ]
         serial = engine.run_batch(queries, executor="serial")
         gathered = engine.run_batch(queries, executor="shard_process", workers=workers)
@@ -303,7 +299,10 @@ class TestGradedShortlistSoundness:
         for tree in self._trees(pictures):
             spec = QuerySpec(predicate_tree=tree, limit=None, minimum_score=minimum_score)
             filtered = engine.execute_spec(spec)
-            full = engine.execute_spec(spec.with_overrides(use_filters=False))
+            full = engine.execute_spec(
+                spec.with_overrides(execution=ExecutionOptions(shortlist=False))
+            )
+            assert full.trace.predicate_pruned == 0
             assert graded_key(filtered.results) == graded_key(full.results)
             assert {m.image_id for m in full.results} <= {
                 m.image_id for m in filtered.results
@@ -321,27 +320,30 @@ class TestGradedShortlistSoundness:
                 execution=options,
             )
             filtered = engine.execute_spec(spec)
-            full = engine.execute_spec(spec.with_overrides(use_filters=False))
+            full = engine.execute_spec(
+                spec.with_overrides(execution=replace(options, shortlist=False))
+            )
+            assert full.trace.predicate_pruned == 0
             assert result_key(filtered.results) == result_key(full.results)
 
 
 class TestCountersAndStats:
     def test_execution_counters_flow_back(self, engine, pictures):
-        before = engine.execution_counters.statistics
+        before = engine.counters.execution
         engine.execute_spec(
             QuerySpec(picture=pictures[0], limit=5, execution=sharded(2))
         )
-        after = engine.execution_counters.statistics
+        after = engine.counters.execution
         assert after.queries == before.queries + 1
         assert after.admitted > before.admitted
         assert after.examined > before.examined
 
     def test_shortlist_counters_flow_back(self, engine, pictures):
-        before = engine.shortlist_counters.statistics
+        before = engine.counters.shortlist
         engine.execute_spec(
             QuerySpec(picture=pictures[0], limit=5, execution=sharded(2))
         )
-        after = engine.shortlist_counters.statistics
+        after = engine.counters.shortlist
         assert after.queries == before.queries + 1
         assert after.admitted > before.admitted
 
@@ -631,19 +633,6 @@ class TestShardOwnership:
 
 
 class TestSanitisation:
-    def test_sanitized_execution_strips_shard_executor(self):
-        options = ExecutionOptions(executor="shard_process", workers=4)
-        cleaned = sanitized_execution(options)
-        assert cleaned.executor == "serial"
-        assert sanitized_execution(None).executor == "serial"
-
-    def test_spec_for_worker_strips_shard_executor(self, pictures):
-        spec = QuerySpec(picture=pictures[0], execution=sharded(2))
-        prepared = spec_for_worker(spec)
-        assert prepared.execution.executor == "serial"
-        plain = QuerySpec(picture=pictures[0])
-        assert spec_for_worker(plain) is plain
-
     def test_invalid_worker_count_rejected(self, pictures):
         database = ImageDatabase()
         database.add_picture(pictures[0], "img-000")

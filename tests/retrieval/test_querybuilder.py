@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.similarity import Normalization, SimilarityPolicy
 from repro.core.transforms import Transformation
+from repro.index.execution import ExecutionOptions
 from repro.index.spec import QuerySpec, QuerySpecError
 from repro.retrieval.predicates import (
     PredicateError,
@@ -43,14 +44,13 @@ class TestSpecCompilation:
         ]
         assert spec.limit == 7
         assert spec.minimum_score == 0.3
-        assert not spec.use_filters
-        assert not spec.use_cache
+        assert spec.execution == ExecutionOptions(shortlist=False, cache=False)
 
     def test_builder_defaults(self, system, office):
         spec = system.query(office).spec()
         assert spec.transformations == (Transformation.IDENTITY,)
         assert spec.limit == 10
-        assert spec.use_filters and spec.use_cache
+        assert spec.execution is None
         assert spec.policy == system.policy
 
     def test_policy_override(self, system, office):
@@ -88,9 +88,9 @@ class TestSpecCompilation:
 class TestExecutionEquivalence:
     def test_matches_engine_execute(self, system, office):
         builder_results = list(system.query(office).limit(None).execute())
-        engine_results = system._engine.execute(
-            system.query(office).limit(None).spec().to_query()
-        )
+        engine_results = system._engine.execute_spec(
+            system.query(office).limit(None).spec()
+        ).results
         assert [r.describe() for r in builder_results] == [
             r.describe() for r in engine_results
         ]

@@ -141,7 +141,7 @@ class TestSpecSearch:
 
 
 class TestSpecPayloadCompilation:
-    """Specs that the wire schema cannot carry fail loudly, client-side."""
+    """Specs compile to the wire schema; what it cannot carry fails loudly, client-side."""
 
     def test_partial_transformation_set_is_rejected(self):
         spec = QuerySpec(
@@ -151,10 +151,11 @@ class TestSpecPayloadCompilation:
         with pytest.raises(ValueError, match="invariant"):
             _spec_payload(spec)
 
-    def test_disabled_cache_is_rejected(self):
-        spec = QuerySpec(picture=office_scene(0), use_cache=False)
-        with pytest.raises(ValueError, match="score cache"):
-            _spec_payload(spec)
+    def test_disabled_cache_rides_in_the_execution_block(self):
+        spec = QuerySpec(picture=office_scene(0), execution=ExecutionOptions(cache=False))
+        payload = _spec_payload(spec)
+        assert payload["execution"] == {"cache": False}
+        assert "no_filters" not in payload
 
     def test_non_default_shortlist_threshold_is_rejected(self):
         spec = QuerySpec(picture=office_scene(0), minimum_shared_labels=2)

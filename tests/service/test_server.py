@@ -7,6 +7,7 @@ reference system executing the same specs.
 """
 
 import json
+import os
 
 import pytest
 
@@ -246,6 +247,52 @@ class TestGradedWire:
                 {"queries": [{"where": "monitor above desk", "fuzzy": True}]},
             )
         assert excinfo.value.status == 400
+
+
+class TestScatteredStats:
+    """A scattered query adds its merged trace to ``/stats`` exactly once.
+
+    The CI ``shard-workers`` leg re-runs this class with
+    ``REPRO_SHARD_WORKERS`` pinned to 2 and 4.
+    """
+
+    def test_serial_and_scattered_services_report_the_same_stats(self):
+        workers = int(os.environ.get("REPRO_SHARD_WORKERS") or 2)
+        payloads = [
+            {"scene": office_scene(0).to_dict(), "min_score": 0.2, "limit": 3},
+            {"scene": office_scene(1).to_dict(), "invariant": True},
+            {"scene": landscape_scene(0).to_dict(), "no_filters": True, "limit": None},
+            {"where": "monitor above desk"},
+            {"where": "monitor above desk", "fuzzy": True},
+            {"scene": office_scene(0).to_dict(), "where": "monitor above desk"},
+            {
+                "scene": office_scene(2).to_dict(),
+                "where": "monitor above desk",
+                "fuzzy": True,
+                "compose": "sum",
+            },
+        ]
+        serial = RetrievalService(RetrievalSystem.from_pictures(collection()))
+        scattered = RetrievalService(
+            RetrievalSystem.from_pictures(collection()), shard_workers=workers
+        )
+        try:
+            for service in (serial, scattered):
+                for payload in payloads:
+                    # Under anytime each worker stops on its own top k, so
+                    # only exhaustive runs examine the same candidates.
+                    payload = dict(payload, execution={"strategy": "exhaustive"})
+                    status, _, _ = service.dispatch("POST", "/search", payload)
+                    assert status == 200, payload
+            expected, actual = serial.stats(), scattered.stats()
+        finally:
+            serial.close()
+            scattered.close()
+        assert actual["workers"]["mode"] == "shard_process"
+        for block in ("execution", "shortlist", "predicates"):
+            assert actual[block] == expected[block], block
+        assert expected["execution"]["queries"] == 5
+        assert expected["predicates"]["queries"] == 4
 
 
 class TestBatch:
