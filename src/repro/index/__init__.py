@@ -33,7 +33,6 @@ database a downstream user would actually store BE-strings in:
 
 from repro.index.backends import (
     BACKENDS,
-    DurableShardedBackend,
     DurableShardedStore,
     JsonBackend,
     LazySqliteImageDatabase,
@@ -81,7 +80,6 @@ from repro.index.wal import WalRecord, WriteAheadLog, read_wal
 
 __all__ = [
     "BACKENDS",
-    "DurableShardedBackend",
     "DurableShardedStore",
     "WalRecord",
     "WriteAheadLog",

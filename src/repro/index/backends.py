@@ -42,11 +42,13 @@ manifest may carry a ``wal`` block naming an append-only write-ahead log
 (:mod:`repro.index.wal`) and the log sequence number (LSN) its shard
 snapshot covers.  Loading such a directory replays only the log records past
 that LSN, so recovery cost scales with the write delta since the last
-compaction.  :class:`DurableShardedBackend` writes those directories, and
-:class:`DurableShardedStore` is the live handle a long-running service uses:
-fsync'd per-mutation log appends plus threshold-triggered compaction that
-rewrites the dirty shards and truncates the log behind an atomic manifest
-swap.  Every shard, manifest and log swap goes through
+compaction.  :class:`DurableShardedStore` is the live handle a long-running
+service uses: fsync'd per-mutation log appends plus threshold-triggered
+compaction.  One function, ``_compact``, writes every durable snapshot --
+the store's compactions, its first snapshot, and
+``save_database_to(..., durable=True)``: it rewrites the shards of every
+logged or dirty image, swaps in a manifest anchored at the log tail, and
+truncates the log.  Every shard, manifest and log swap goes through
 :func:`~repro.index.wal.replace_durably` (fsync'd temp file, atomic rename,
 fsync'd directory), so the ordering holds under power loss, not only under
 a process kill.  See ``docs/durability.md`` for the crash-ordering argument.
@@ -103,6 +105,14 @@ def shard_index_for(image_id: str, shard_count: int) -> int:
         processes and Python versions (unlike the built-in ``hash``).
     """
     return zlib.crc32(image_id.encode("utf-8")) % shard_count
+
+
+def _shard_directory(path: PathLike) -> Path:
+    """``path`` as a shard-directory target; raises if it names a file."""
+    target = Path(path)
+    if target.exists() and not target.is_dir():
+        raise StorageError(f"{target} is a file, not a shard directory")
+    return target
 
 
 class StorageBackend(abc.ABC):
@@ -604,12 +614,6 @@ class ShardedBackend(StorageBackend):
 
     name = "sharded"
 
-    #: The ``wal`` manifest block the next save should carry (``None`` writes
-    #: a plain, non-durable manifest).  :class:`DurableShardedBackend` sets it
-    #: around its snapshot saves; plain saves clear any previous block, which
-    #: also retires a now-redundant log file (the snapshot covers everything).
-    wal_block: Optional[Dict[str, Any]] = None
-
     def __init__(self, shard_count: int = DEFAULT_SHARD_COUNT) -> None:
         """Configure the number of shard files used on a full save.
 
@@ -629,35 +633,39 @@ class ShardedBackend(StorageBackend):
         A full save honours this backend's ``shard_count``; an incremental
         save keeps the shard count of the existing directory.  Incremental
         saves against a missing or inconsistent target fall back to a full
-        rewrite.
+        rewrite.  The manifest is a plain one, so a write-ahead log left in
+        the directory is removed: this snapshot covers everything it held.
 
         Returns:
             The directory written.
         """
-        target = Path(path)
-        if target.exists() and not target.is_dir():
-            raise StorageError(f"{target} is a file, not a shard directory")
-        manifest = self._try_manifest(target) if incremental else None
-        if manifest is not None and self._can_update(manifest, database):
-            self._save_incremental(database, target, manifest)
-        else:
-            self._save_full(database, target)
-        if self.wal_block is None:
-            # A plain snapshot covers the whole database, so any leftover
-            # write-ahead log is redundant — drop it rather than leaving a
-            # stale file the manifest no longer references.
-            stale_wal = target / WAL_NAME
-            if stale_wal.exists():
-                try:
-                    stale_wal.unlink()
-                except OSError as error:
-                    raise StorageError(
-                        f"{stale_wal} cannot be removed: {error}"
-                    ) from error
-        database.clear_dirty()
+        target = _shard_directory(path)
+        self._save(database, target, incremental)
+        stale_wal = target / WAL_NAME
+        try:
+            stale_wal.unlink(missing_ok=True)
+        except OSError as error:
+            raise StorageError(f"{stale_wal} cannot be removed: {error}") from error
         return target
 
-    def _save_full(self, database: ImageDatabase, target: Path) -> None:
+    def _save(
+        self,
+        database: ImageDatabase,
+        target: Path,
+        incremental: bool,
+        wal_block: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        """Write the shards and a manifest carrying ``wal_block`` (``None``: plain)."""
+        manifest = self._try_manifest(target) if incremental else None
+        if manifest is not None and self._can_update(manifest, database):
+            self._save_incremental(database, target, manifest, wal_block)
+        else:
+            self._save_full(database, target, wal_block)
+        database.clear_dirty()
+
+    def _save_full(
+        self, database: ImageDatabase, target: Path, wal_block: Optional[Dict[str, Any]]
+    ) -> None:
         target.mkdir(parents=True, exist_ok=True)
         buckets: Dict[int, List[ImageRecord]] = {index: [] for index in range(self.shard_count)}
         for record in database:
@@ -668,10 +676,14 @@ class ShardedBackend(StorageBackend):
         for stale in target.glob("shard-*.bin"):
             if stale.name not in expected:
                 stale.unlink()
-        self._write_manifest(target, database.name, self.shard_count, shards)
+        self._write_manifest(target, database.name, self.shard_count, shards, wal_block)
 
     def _save_incremental(
-        self, database: ImageDatabase, target: Path, manifest: Dict[str, Any]
+        self,
+        database: ImageDatabase,
+        target: Path,
+        manifest: Dict[str, Any],
+        wal_block: Optional[Dict[str, Any]],
     ) -> None:
         shard_count = manifest["shard_count"]
         shards: Dict[str, Dict[str, Any]] = dict(manifest["shards"])
@@ -685,7 +697,7 @@ class ShardedBackend(StorageBackend):
                 if index in dirty_shards:
                     buckets[index].append(record)
             shards.update(self._write_shards(target, buckets))
-        self._write_manifest(target, database.name, shard_count, shards)
+        self._write_manifest(target, database.name, shard_count, shards, wal_block)
 
     def _can_update(self, manifest: Dict[str, Any], database: ImageDatabase) -> bool:
         """True when the manifest matches the database outside the dirty set."""
@@ -745,6 +757,7 @@ class ShardedBackend(StorageBackend):
         name: str,
         shard_count: int,
         shards: Dict[str, Dict[str, Any]],
+        wal_block: Optional[Dict[str, Any]],
     ) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -753,8 +766,8 @@ class ShardedBackend(StorageBackend):
             "shard_count": shard_count,
             "shards": {key: shards[key] for key in sorted(shards)},
         }
-        if self.wal_block is not None:
-            payload["wal"] = dict(self.wal_block)
+        if wal_block is not None:
+            payload["wal"] = wal_block
         manifest_path = target / MANIFEST_NAME
         temporary = target / (MANIFEST_NAME + ".tmp")
         try:
@@ -860,28 +873,15 @@ class ShardedBackend(StorageBackend):
             "shard_count": manifest.get("shard_count"),
             "size_bytes": size + (source / MANIFEST_NAME).stat().st_size,
         }
-        wal_info = manifest.get("wal")
-        if wal_info:
-            wal_path = source / wal_info["file"]
-            records, _, clean = read_wal(wal_path)
-            snapshot_lsn = wal_info["snapshot_lsn"]
-            summary["wal"] = {
-                "file": wal_info["file"],
-                "snapshot_lsn": snapshot_lsn,
-                "last_lsn": max(
-                    snapshot_lsn, records[-1].lsn if records else 0
-                ),
-                "pending_records": sum(
-                    1 for record in records if record.lsn > snapshot_lsn
-                ),
-                "clean": clean,
-                "size_bytes": wal_path.stat().st_size if wal_path.exists() else 0,
-            }
+        wal = _wal_state(source, manifest)
+        if wal is not None:
+            summary["wal"] = wal
         return summary
 
-    def _try_manifest(self, source: Path) -> Optional[Dict[str, Any]]:
+    @staticmethod
+    def _try_manifest(source: Path) -> Optional[Dict[str, Any]]:
         try:
-            return self._read_manifest(source)
+            return ShardedBackend._read_manifest(source)
         except (StorageError, FileNotFoundError):
             return None
 
@@ -969,83 +969,74 @@ class ShardedBackend(StorageBackend):
 
 
 # ----------------------------------------------------------------------
-# Durable sharded backend (snapshot + write-ahead log)
+# Durable sharded directories (snapshot + write-ahead log)
 # ----------------------------------------------------------------------
-class DurableShardedBackend(ShardedBackend):
-    """A sharded directory whose manifest anchors a write-ahead log.
+def _wal_state(source: Path, manifest: Optional[Dict[str, Any]]) -> Optional[Dict[str, Any]]:
+    """The log position of the directory ``manifest`` describes (one log scan).
 
-    A save is a *compaction*: it snapshots the database into the shard files
-    (full or dirty-shards incremental), swaps in a manifest whose ``wal``
-    block records the LSN that snapshot covers, and truncates the log.  The
-    crash-ordering argument (any prefix of these steps recovers to the same
-    acknowledged state) lives in ``docs/durability.md``.
+    Returns:
+        ``None`` without a ``wal`` block; otherwise ``file``, ``snapshot_lsn``,
+        ``last_lsn`` (snapshot floor or log tail, whichever is greater), the
+        intact ``pending_records`` past the snapshot, ``clean`` (no torn tail)
+        and ``size_bytes``.
 
-    Loading is inherited from :class:`ShardedBackend`, which already replays
-    pending log records past the manifest's snapshot LSN — a plain reader
-    and a durable writer always agree on the database contents.
+    Raises:
+        StorageError: if the log exists but is unreadable or not a log.
     """
+    wal_info = manifest.get("wal") if manifest else None
+    if not wal_info:
+        return None
+    wal_path = source / wal_info["file"]
+    records, _, clean = read_wal(wal_path)
+    snapshot_lsn = wal_info["snapshot_lsn"]
+    return {
+        "file": wal_info["file"],
+        "snapshot_lsn": snapshot_lsn,
+        "last_lsn": max(snapshot_lsn, records[-1].lsn if records else 0),
+        "pending_records": sum(1 for record in records if record.lsn > snapshot_lsn),
+        "clean": clean,
+        "size_bytes": wal_path.stat().st_size if wal_path.exists() else 0,
+    }
 
-    name = "durable"
 
-    def save(
-        self, database: ImageDatabase, path: PathLike, *, incremental: bool = False
-    ) -> Path:
-        """Snapshot ``database``, anchor the log at the covered LSN, truncate.
+def _compact(
+    backend: ShardedBackend,
+    database: ImageDatabase,
+    log: WriteAheadLog,
+    snapshot_lsn: int,
+    incremental: bool,
+) -> int:
+    """Fold ``log`` into a shard snapshot of ``database``: the one compaction.
 
-        Returns:
-            The directory written.
+    Every durable snapshot runs these steps, in this order
+    (``docs/durability.md``, "Compaction"):
 
-        Raises:
-            StorageError: if the target exists in an incompatible format or
-                any shard/manifest/log write fails (message names the path).
-        """
-        target = Path(path)
-        if target.exists() and not target.is_dir():
-            raise StorageError(f"{target} is a file, not a shard directory")
-        covered = self.current_lsn(target)
-        self.save_snapshot(database, target, snapshot_lsn=covered, incremental=incremental)
-        # Everything at or below ``covered`` is now in the shards; an empty
-        # log (with LSNs resuming past the floor) replaces the old one.
-        with WriteAheadLog(target / WAL_NAME, floor_lsn=covered) as log:
-            log.truncate_through(covered)
-        return target
+    1. mark dirty every image with a log record past ``snapshot_lsn``.  Step
+       3 drops those records, so their shards must be rewritten even when
+       nothing in memory marked them (a load replays the log and leaves a
+       clean dirty set);
+    2. rewrite the dirty shards (or all of them) and swap in a manifest whose
+       ``wal`` block covers the log tail;
+    3. truncate the log through that LSN.
 
-    def save_snapshot(
-        self,
-        database: ImageDatabase,
-        path: PathLike,
-        *,
-        snapshot_lsn: int,
-        incremental: bool = False,
-    ) -> Path:
-        """Write the shard snapshot + manifest only (the log is left alone).
+    Each step is on disk before the next starts, so a crash after any prefix
+    recovers to the same state.
 
-        :class:`DurableShardedStore` calls this during compaction and
-        truncates the log itself once the manifest swap has landed; crash in
-        between and the untrimmed records are simply skipped on replay.
+    Returns:
+        The new snapshot LSN.
 
-        Returns:
-            The directory written.
-        """
-        self.wal_block = {"file": WAL_NAME, "snapshot_lsn": snapshot_lsn}
-        try:
-            return super().save(database, path, incremental=incremental)
-        finally:
-            self.wal_block = None
-
-    def current_lsn(self, path: PathLike) -> int:
-        """The highest LSN the directory knows (snapshot floor or log tail).
-
-        Returns:
-            0 for a fresh or non-durable target.
-        """
-        target = Path(path)
-        manifest = self._try_manifest(target)
-        if manifest is None or not manifest.get("wal"):
-            return 0
-        wal_info = manifest["wal"]
-        records, _, _ = read_wal(target / wal_info["file"])
-        return max(wal_info["snapshot_lsn"], records[-1].lsn if records else 0)
+    Raises:
+        StorageError: if a write fails; the old manifest and the full log
+            still replay.
+    """
+    for record in log.records:
+        if record.lsn > snapshot_lsn:
+            database.mark_dirty(record.image_id)
+    covered = log.last_lsn
+    wal_block = {"file": log.path.name, "snapshot_lsn": covered}
+    backend._save(database, log.path.parent, incremental, wal_block)
+    log.truncate_through(covered)
+    return covered
 
 
 class DurableShardedStore:
@@ -1056,9 +1047,10 @@ class DurableShardedStore:
     memory, then appended to the write-ahead log (fsync'd before the caller
     may ack), while the dirty-id set accumulates until :meth:`compact`
     rewrites the dirty shards and truncates the log behind an atomic
-    manifest swap.  Opening a store against a directory with pending log
-    records re-marks those ids dirty, so the *next* compaction still rewrites
-    exactly the delta — recovery work never exceeds the write delta.
+    manifest swap.  A compaction also rewrites the shards of every image
+    with a pending log record, so a database loaded from the directory gets
+    its replayed delta folded in too -- recovery work never exceeds the
+    write delta.
 
     Thread safety: appends and compaction serialise on an internal lock; the
     service additionally brackets both in its mutation lock so a compaction
@@ -1072,13 +1064,12 @@ class DurableShardedStore:
         *,
         shard_count: Optional[int] = None,
         compact_threshold: int = 256,
-        fsync: bool = True,
     ) -> None:
         """Bind ``database`` to the durable directory at ``path``.
 
         A fresh or non-durable target gets a full durable snapshot first; an
-        existing durable directory is adopted as-is (the caller is expected
-        to have loaded ``database`` from it, which replayed the log).
+        existing durable directory is adopted without a write (the caller is
+        expected to have loaded ``database`` from it, which replayed the log).
 
         Raises:
             StorageError: if the target exists in an incompatible format or
@@ -1088,31 +1079,21 @@ class DurableShardedStore:
         if compact_threshold < 1:
             raise ValueError(f"compact_threshold must be >= 1, got {compact_threshold}")
         self.database = database
-        self.path = Path(path)
+        self.path = _shard_directory(path)
         self.compact_threshold = compact_threshold
-        manifest = DurableShardedBackend()._try_manifest(self.path)
+        manifest = ShardedBackend._try_manifest(self.path)
         if shard_count is None and manifest is not None:
             # Upgrading an existing sharded directory keeps its layout.
             shard_count = manifest.get("shard_count")
-        self.backend = DurableShardedBackend(
-            shard_count=shard_count or DEFAULT_SHARD_COUNT
-        )
+        self.backend = ShardedBackend(shard_count=shard_count or DEFAULT_SHARD_COUNT)
         self.compactions = 0
         self._lock = threading.Lock()
-        if manifest is None or not manifest.get("wal"):
-            # Initialise: full durable snapshot of the current database.
-            self.backend.save(self.database, self.path)
-            manifest = self.backend._read_manifest(self.path)
-        wal_info = manifest["wal"]
-        self.snapshot_lsn = wal_info["snapshot_lsn"]
-        self.wal = WriteAheadLog(
-            self.path / wal_info["file"], floor_lsn=self.snapshot_lsn, fsync=fsync
-        )
-        # Records past the snapshot are in memory (replayed on load) but not
-        # yet in a shard: their shards are what the next compaction rewrites.
-        for record in self.wal.records:
-            if record.lsn > self.snapshot_lsn:
-                self.database.mark_dirty(record.image_id)
+        wal_info = manifest.get("wal") if manifest else None
+        self.snapshot_lsn = wal_info["snapshot_lsn"] if wal_info else 0
+        log_name = wal_info["file"] if wal_info else WAL_NAME
+        self.wal = WriteAheadLog(self.path / log_name, floor_lsn=self.snapshot_lsn)
+        if wal_info is None:
+            self.snapshot_lsn = _compact(self.backend, database, self.wal, 0, incremental=False)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1159,10 +1140,10 @@ class DurableShardedStore:
     def compact(self) -> int:
         """Fold the pending delta into the shards and truncate the log.
 
-        Steps, in crash-safe order: rewrite the dirty shards (each behind a
-        temp-file + atomic rename), swap in a manifest whose snapshot LSN is
-        the current log tail, then truncate the log.  A crash after any
-        prefix recovers identically: shard rewrites without the manifest are
+        Runs the one crash-ordered compaction: rewrite the shards of every
+        dirty or logged image, swap in a manifest whose snapshot LSN is the
+        current log tail, then truncate the log.  A crash after any prefix
+        recovers identically: shard rewrites without the manifest are
         reconciled by replay, and an untrimmed log behind a new manifest is
         skipped by the snapshot-LSN check.
 
@@ -1174,27 +1155,21 @@ class DurableShardedStore:
                 recoverable (the old manifest + full log still replay).
         """
         with self._lock:
-            covered = self.wal.last_lsn
-            self.backend.save_snapshot(
-                self.database, self.path, snapshot_lsn=covered, incremental=True
+            self.snapshot_lsn = _compact(
+                self.backend, self.database, self.wal, self.snapshot_lsn, incremental=True
             )
-            self.snapshot_lsn = covered
-            self.wal.truncate_through(covered)
             self.compactions += 1
-            return covered
+            return self.snapshot_lsn
 
     def rebind(self, database: ImageDatabase) -> None:
         """Point the store at a replacement in-memory database (hot reload).
 
         The replacement is expected to reflect the on-disk state (snapshot +
-        replayed log); pending log records are re-marked dirty on it so the
-        next compaction still rewrites the delta.
+        replayed log); the next compaction rewrites the shards of the
+        pending log records on it, as it does on every database.
         """
         with self._lock:
             self.database = database
-            for record in self.wal.records:
-                if record.lsn > self.snapshot_lsn:
-                    database.mark_dirty(record.image_id)
 
     def close(self) -> None:
         """Close the log file handle (idempotent; no implicit compaction)."""
@@ -1216,7 +1191,6 @@ BACKENDS = {
     JsonBackend.name: JsonBackend,
     SqliteBackend.name: SqliteBackend,
     ShardedBackend.name: ShardedBackend,
-    DurableShardedBackend.name: DurableShardedBackend,
 }
 
 
@@ -1293,9 +1267,9 @@ def save_database_to(
 ) -> Path:
     """Persist ``database`` with an explicit or path-inferred backend.
 
-    ``durable=True`` upgrades a sharded save to
-    :class:`DurableShardedBackend` — the directory gains a write-ahead log
-    anchored at the snapshot — and rejects non-sharded backends.
+    ``durable=True`` requires the sharded backend and saves through the one
+    compaction :meth:`DurableShardedStore.compact` runs: the shards of every
+    image with a pending log record are rewritten, then the log is truncated.
 
     Returns:
         The path written.
@@ -1306,15 +1280,19 @@ def save_database_to(
         StorageError: if the target exists in an incompatible format.
     """
     resolved = get_backend(backend, path, shard_count=shard_count)
-    if durable:
-        if not isinstance(resolved, ShardedBackend):
-            raise ValueError(
-                "durable persistence requires the sharded backend, "
-                f"not {resolved.name!r} (target: {path})"
-            )
-        if not isinstance(resolved, DurableShardedBackend):
-            resolved = DurableShardedBackend(shard_count=resolved.shard_count)
-    return resolved.save(database, path, incremental=incremental)
+    if not durable:
+        return resolved.save(database, path, incremental=incremental)
+    if not isinstance(resolved, ShardedBackend):
+        raise ValueError(
+            "durable persistence requires the sharded backend, "
+            f"not {resolved.name!r} (target: {path})"
+        )
+    target = _shard_directory(path)
+    manifest = resolved._try_manifest(target)
+    snapshot_lsn = manifest["wal"]["snapshot_lsn"] if manifest and manifest.get("wal") else 0
+    with WriteAheadLog(target / WAL_NAME, floor_lsn=snapshot_lsn) as log:
+        _compact(resolved, database, log, snapshot_lsn, incremental)
+    return target
 
 
 def load_database_from(
@@ -1375,7 +1353,8 @@ def durable_wal_state(path: PathLike) -> Optional[Dict[str, int]]:
     """The log position of a durable directory, read without loading it.
 
     The replica's polling primitive: one manifest read plus one log scan,
-    cheap enough to call every follow interval.  Both reads are of
+    cheap enough to call every follow interval, through the same reader as
+    ``describe_database(path)["wal"]``.  Both reads are of
     atomically-replaced files, so the answer is always a state the primary
     actually committed (possibly one compaction behind the very latest).
 
@@ -1390,14 +1369,7 @@ def durable_wal_state(path: PathLike) -> Optional[Dict[str, int]]:
         StorageError: if the manifest or log exists but is unreadable.
     """
     source = Path(path)
-    manifest = ShardedBackend()._try_manifest(source)
-    if manifest is None or not manifest.get("wal"):
+    state = _wal_state(source, ShardedBackend._try_manifest(source))
+    if state is None:
         return None
-    wal_info = manifest["wal"]
-    records, _, _ = read_wal(source / wal_info["file"])
-    snapshot_lsn = wal_info["snapshot_lsn"]
-    return {
-        "snapshot_lsn": snapshot_lsn,
-        "last_lsn": max(snapshot_lsn, records[-1].lsn if records else 0),
-        "pending_records": sum(1 for record in records if record.lsn > snapshot_lsn),
-    }
+    return {key: state[key] for key in ("snapshot_lsn", "last_lsn", "pending_records")}

@@ -47,7 +47,8 @@ truncation-after-compaction (the log file is atomically replaced, which the
 tailer detects and resyncs from; records dropped past the cursor surface as
 :class:`WalTruncatedError` so the follower can reload from the shard
 snapshot instead).  This is the transport of the replica daemon
-(``docs/replication.md``).
+(``docs/replication.md``).  The tailer and :func:`read_wal` decode frames
+with one function, so both accept exactly the same frames.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.index.storage import StorageError
 
@@ -153,6 +154,40 @@ def _frame(payload: bytes) -> bytes:
     return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
 
 
+def _check_header(header: bytes, path: Path) -> None:
+    """Raise unless ``header`` (at least ``_HEADER_SIZE`` bytes) opens a log we read."""
+    if header[: len(WAL_MAGIC)] != WAL_MAGIC:
+        raise StorageError(f"{path} is not a write-ahead log (bad magic)")
+    version = header[len(WAL_MAGIC)]
+    if version != WAL_FORMAT_VERSION:
+        raise StorageError(
+            f"{path}: unsupported write-ahead log version {version} "
+            f"(expected {WAL_FORMAT_VERSION})"
+        )
+
+
+def _frames(data: bytes, offset: int) -> Iterator[Tuple[WalRecord, int, int, int]]:
+    """Decode the intact frames of ``data`` from ``offset`` on.
+
+    Yields ``(record, start, length, crc)`` per frame, where ``start`` is the
+    frame's offset in ``data`` and the frame ends at
+    ``start + _FRAME_SIZE + length``.  Stops at the first torn frame prefix,
+    short payload, CRC mismatch or unparsable payload: a crash's torn tail,
+    or an append still in flight.
+    """
+    while offset + _FRAME_SIZE <= len(data):
+        length, crc = struct.unpack_from("<II", data, offset)
+        payload = data[offset + _FRAME_SIZE : offset + _FRAME_SIZE + length]
+        if len(payload) != length or zlib.crc32(payload) != crc:
+            return
+        try:
+            record = WalRecord.from_payload(payload)
+        except (ValueError, UnicodeDecodeError):
+            return
+        yield record, offset, length, crc
+        offset += _FRAME_SIZE + length
+
+
 def read_wal(path: PathLike) -> Tuple[List[WalRecord], int, bool]:
     """Read every intact record of a log file, stopping at the first damage.
 
@@ -177,37 +212,15 @@ def read_wal(path: PathLike) -> Tuple[List[WalRecord], int, bool]:
     if len(data) < _HEADER_SIZE:
         # A header torn by a crash during initialisation: an empty log.
         return [], 0, len(data) == 0
-    if data[: len(WAL_MAGIC)] != WAL_MAGIC:
-        raise StorageError(f"{source} is not a write-ahead log (bad magic)")
-    version = data[len(WAL_MAGIC)]
-    if version != WAL_FORMAT_VERSION:
-        raise StorageError(
-            f"{source}: unsupported write-ahead log version {version} "
-            f"(expected {WAL_FORMAT_VERSION})"
-        )
+    _check_header(data, source)
     records: List[WalRecord] = []
     offset = _HEADER_SIZE
-    last_lsn = 0
-    while offset < len(data):
-        if offset + _FRAME_SIZE > len(data):
-            return records, offset, False  # torn frame prefix
-        length, crc = struct.unpack_from("<II", data, offset)
-        start = offset + _FRAME_SIZE
-        payload = data[start : start + length]
-        if len(payload) != length:
-            return records, offset, False  # short payload (torn append)
-        if zlib.crc32(payload) != crc:
-            return records, offset, False  # bit rot / torn overwrite
-        try:
-            record = WalRecord.from_payload(payload)
-        except (ValueError, UnicodeDecodeError):
-            return records, offset, False  # framed garbage
-        if record.lsn <= last_lsn:
-            return records, offset, False  # LSNs must strictly increase
-        last_lsn = record.lsn
+    for record, start, length, _ in _frames(data, _HEADER_SIZE):
+        if records and record.lsn <= records[-1].lsn:
+            break  # LSNs must strictly increase
         records.append(record)
-        offset = start + length
-    return records, offset, True
+        offset = start + _FRAME_SIZE + length
+    return records, offset, offset == len(data)
 
 
 class WriteAheadLog:
@@ -462,7 +475,7 @@ class WalTailer:
             self._last_frame = None
         try:
             with open(self.path, "rb") as handle:
-                if self._offset and self._last_frame is not None:
+                if self._last_frame is not None:
                     # Guard against a replacement that recycled the inode at
                     # exactly our offset: the frame we consumed last must
                     # still be there, byte for byte.
@@ -475,43 +488,20 @@ class WalTailer:
                     ):
                         self._offset = 0
                         self._last_frame = None
-                        handle.seek(0)
+                handle.seek(self._offset)
                 if self._offset == 0:
                     header = handle.read(_HEADER_SIZE)
                     if len(header) < _HEADER_SIZE:
                         return []  # header still being initialised
-                    if header[: len(WAL_MAGIC)] != WAL_MAGIC:
-                        raise StorageError(
-                            f"{self.path} is not a write-ahead log (bad magic)"
-                        )
-                    if header[len(WAL_MAGIC)] != WAL_FORMAT_VERSION:
-                        raise StorageError(
-                            f"{self.path}: unsupported write-ahead log version "
-                            f"{header[len(WAL_MAGIC)]} (expected {WAL_FORMAT_VERSION})"
-                        )
+                    _check_header(header, self.path)
                     self._offset = _HEADER_SIZE
-                handle.seek(self._offset)
                 data = handle.read()
         except OSError as error:
             raise StorageError(f"{self.path} cannot be read: {error}") from error
         records: List[WalRecord] = []
-        offset = 0
-        while offset < len(data):
-            if offset + _FRAME_SIZE > len(data):
-                break  # torn frame prefix: retry next poll
-            length, crc = struct.unpack_from("<II", data, offset)
-            start = offset + _FRAME_SIZE
-            payload = data[start : start + length]
-            if len(payload) != length:
-                break  # short payload: the append is still in flight
-            if zlib.crc32(payload) != crc:
-                break  # torn or damaged: never yield it
-            try:
-                record = WalRecord.from_payload(payload)
-            except (ValueError, UnicodeDecodeError):
-                break  # framed garbage
+        base = self._offset
+        for record, start, length, crc in _frames(data, 0):
             records.append(record)
-            self._last_frame = (self._offset + offset, length, crc)
-            offset = start + length
-        self._offset += offset
+            self._last_frame = (base + start, length, crc)
+            self._offset = base + start + _FRAME_SIZE + length
         return records

@@ -48,7 +48,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.iconic.picture import SymbolicPicture
-from repro.index.backends import DurableShardedStore, durable_wal_state
+from repro.index.backends import durable_wal_state
 from repro.index.database import DatabaseError
 from repro.index.execution import ExecutionOptions
 from repro.index.storage import StorageError
@@ -282,7 +282,6 @@ class ReplicaService(RetrievalService):
         follow_interval: float = 0.25,
         primary_url: Optional[str] = None,
         retry_after: float = 1.0,
-        latency_window: int = 2048,
         compact_threshold: int = 256,
     ) -> None:
         if follow_interval <= 0:
@@ -294,14 +293,12 @@ class ReplicaService(RetrievalService):
             database_path=replica.path,
             backend=None,
             retry_after=retry_after,
-            latency_window=latency_window,
             durable=False,
             compact_threshold=compact_threshold,
         )
         self.replica = replica
         self.follow_interval = follow_interval
         self.primary_url = primary_url
-        self._compact_threshold = compact_threshold
         self._sync_errors = 0
         self._follower: Optional[threading.Thread] = threading.Thread(
             target=self._follow_loop, name="repro-replica-follower", daemon=True
@@ -357,9 +354,8 @@ class ReplicaService(RetrievalService):
         """``POST /promote``: detach from the log and become a writable primary.
 
         Drains the remaining log tail (so no acknowledged write is left
-        behind), detaches the follower, attaches a
-        :class:`DurableShardedStore` to the directory and starts the
-        background compactor -- from here the daemon honours the full
+        behind), detaches the follower, and attaches the store and compactor
+        as a ``--wal`` primary does -- from here the daemon honours the full
         durable-primary contract.  The caller must have fenced the old
         primary; the directory now has exactly one writer again.
 
@@ -374,17 +370,9 @@ class ReplicaService(RetrievalService):
                 try:
                     drained = self.replica.drain()
                     self.replica.detach()
-                    self.store = DurableShardedStore(
-                        self.system._engine.database,
-                        self.database_path,
-                        compact_threshold=self._compact_threshold,
-                    )
+                    self._attach_store()
                 except StorageError as error:
                     raise ApiError(500, f"promotion failed: {error}") from error
-                self._compactor = threading.Thread(
-                    target=self._compaction_loop, name="repro-compactor", daemon=True
-                )
-                self._compactor.start()
             return {
                 "role": self.role,
                 "drained_records": drained,

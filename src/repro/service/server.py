@@ -80,6 +80,8 @@ from repro.retrieval.system import RetrievalSystem
 #: Largest request body the daemon reads; a longer ``Content-Length`` is
 #: refused with 413 before any of the body is read.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Most recent request latencies kept for the ``/stats`` percentiles.
+LATENCY_WINDOW = 2048
 
 
 class ApiError(Exception):
@@ -180,7 +182,6 @@ class RetrievalService:
         database_path: Union[None, str, Path] = None,
         backend: Optional[str] = None,
         retry_after: float = 1.0,
-        latency_window: int = 2048,
         durable: bool = False,
         compact_threshold: int = 256,
         shard_workers: Optional[int] = None,
@@ -215,25 +216,18 @@ class RetrievalService:
         self._request_counts: Dict[str, int] = {}
         self._rejected = 0
         self._error_count = 0
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._reloads = 0
         #: Durable mode: a live WAL handle; every acked mutation is fsync'd
         #: to the log first, a background thread folds the delta into the
         #: shards when it crosses ``compact_threshold`` (see docs/durability.md).
         self.store: Optional[DurableShardedStore] = None
+        self.compact_threshold = compact_threshold
         self._compact_wanted = threading.Event()
         self._closed = threading.Event()
         self._compactor: Optional[threading.Thread] = None
         if durable:
-            self.store = DurableShardedStore(
-                self.system._engine.database,
-                self.database_path,
-                compact_threshold=compact_threshold,
-            )
-            self._compactor = threading.Thread(
-                target=self._compaction_loop, name="repro-compactor", daemon=True
-            )
-            self._compactor.start()
+            self._attach_store()
 
     # ------------------------------------------------------------------
     # Shard workers (scatter-gather execution)
@@ -575,6 +569,18 @@ class RetrievalService:
     # ------------------------------------------------------------------
     # Durability: background compaction and zero-downtime reload
     # ------------------------------------------------------------------
+    def _attach_store(self) -> None:
+        """Open the durable store on ``database_path``, then start the compactor."""
+        self.store = DurableShardedStore(
+            self.system._engine.database,
+            self.database_path,
+            compact_threshold=self.compact_threshold,
+        )
+        self._compactor = threading.Thread(
+            target=self._compaction_loop, name="repro-compactor", daemon=True
+        )
+        self._compactor.start()
+
     def _maybe_compact(self) -> None:
         """Nudge the background compactor once the pending delta is large."""
         if self.store is not None and self.store.should_compact():

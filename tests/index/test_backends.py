@@ -943,18 +943,61 @@ class TestDurableBackend:
             reloaded.add_picture(office.renamed("second"))
             assert store.log_upsert(reloaded.get("second")) == 2
 
+    def _save_reloaded_durably(self, path):
+        # Loading replays the pending records and leaves a clean dirty set;
+        # the id set still matches the manifest's, so the save stays
+        # incremental and must rewrite the logged images' shards itself.
+        reloaded = load_database_from(path, durable=True)
+        save_database_to(reloaded, path, "sharded", durable=True, incremental=True)
+        assert describe_database(path)["wal"]["pending_records"] == 0
+        return load_database_from(path)
+
+    def test_durable_save_keeps_a_logged_delete_and_re_add(
+        self, populated_database, tmp_path, office
+    ):
+        # Regression: the save rewrote only the manifest and truncated the
+        # log, so the re-added id reloaded as its old scene.
+        path = save_database_to(
+            populated_database, tmp_path / "db.shards", "sharded", durable=True
+        )
+        old = populated_database.get("traffic-000").bestring
+        with DurableShardedStore(populated_database, path) as store:
+            populated_database.remove_picture("traffic-000")
+            store.log_delete("traffic-000")
+            store.log_upsert(populated_database.add_picture(office, "traffic-000"))
+        logged = populated_database.get("traffic-000").bestring
+        assert logged != old
+        assert self._save_reloaded_durably(path).get("traffic-000").bestring == logged
+
+    def test_durable_save_keeps_a_logged_object_edit(
+        self, populated_database, tmp_path
+    ):
+        from repro.geometry.rectangle import Rectangle
+
+        path = save_database_to(
+            populated_database, tmp_path / "db.shards", "sharded", durable=True
+        )
+        with DurableShardedStore(populated_database, path) as store:
+            store.log_upsert(
+                populated_database.add_object("traffic-000", "added-box", Rectangle(0, 0, 2, 2))
+            )
+        logged = populated_database.get("traffic-000").bestring
+        assert self._save_reloaded_durably(path).get("traffic-000").bestring == logged
+
 
 # ----------------------------------------------------------------------
 # Power-loss ordering of snapshot swaps
 # ----------------------------------------------------------------------
 class TestPowerLossOrdering:
+    @pytest.mark.parametrize("caller", ["store.compact", "save_database_to"])
     def test_each_rename_is_synced_before_and_its_directory_after(
-        self, populated_database, tmp_path, office, monkeypatch
+        self, caller, populated_database, tmp_path, office, monkeypatch
     ):
         # Regression: shard files were renamed into place unsynced and no
         # rename was followed by a directory fsync, so after a power cut the
         # synced manifest could name shard bytes that never reached the disk
         # while the log records that could rebuild them were truncated.
+        # A durable save of the same dirty directory runs the same sequence.
         path = save_database_to(
             populated_database, tmp_path / "db.shards", "sharded", durable=True
         )
@@ -978,8 +1021,13 @@ class TestPowerLossOrdering:
             store.log_delete("traffic-000")
             monkeypatch.setattr(os, "fsync", recording_fsync)
             monkeypatch.setattr(os, "replace", recording_replace)
-            store.compact()
-            monkeypatch.undo()
+            if caller == "store.compact":
+                store.compact()
+        if caller == "save_database_to":
+            save_database_to(
+                populated_database, path, "sharded", durable=True, incremental=True
+            )
+        monkeypatch.undo()
 
         def step(name):
             # Shards swap in together; the manifest depends on all of them,
