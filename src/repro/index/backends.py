@@ -65,7 +65,7 @@ import zlib
 from pathlib import Path
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Union
 
-from repro.index.database import ImageDatabase, ImageRecord
+from repro.index.database import ImageDatabase, ImageRecord, _collector_paused
 from repro.index.storage import (
     SCHEMA_VERSION,
     StorageError,
@@ -1307,7 +1307,8 @@ def load_database_from(
     the pending log records automatically, whatever ``durable`` says;
     ``durable=True`` merely *requires* the target to be sharded, so a caller
     about to attach a :class:`DurableShardedStore` fails fast on a format
-    that cannot carry one.
+    that cannot carry one.  The load, replay included, runs with the cyclic
+    garbage collector paused: it builds only acyclic, long-lived records.
 
     Returns:
         The reconstructed database with a clean dirty set.
@@ -1327,7 +1328,8 @@ def load_database_from(
             "durable persistence requires a sharded database directory, "
             f"not {resolved.name!r} (target: {source})"
         )
-    return resolved.load(source)
+    with _collector_paused():
+        return resolved.load(source)
 
 
 def describe_database(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set
 
@@ -17,6 +19,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
 
 class DatabaseError(KeyError):
     """Raised on unknown image ids or duplicate registrations."""
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for one bulk build.
+
+    A load allocates containers by the hundred thousand (decoded entries,
+    pictures, symbol tuples, signatures), all acyclic, so every collection
+    their allocation would trigger finds nothing, and a full one also walks
+    every engine already alive.  Reference counting frees what the build
+    drops; anything cyclic waits for the first collection after it.  The
+    pause nests (an inner pause finds the collector off and leaves it off),
+    survives exceptions, and restores the state the caller had.  The
+    collector is process-wide: other threads run without it meanwhile.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @dataclass

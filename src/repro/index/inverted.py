@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
 from repro.iconic.picture import SymbolicPicture
 
@@ -29,16 +29,30 @@ class InvertedSymbolIndex:
     """
 
     _postings: Dict[str, Set[str]] = field(default_factory=dict)
-    _image_labels: Dict[str, Counter] = field(default_factory=dict)
+    #: Each indexed image's label multiset.  Never mutated: an update
+    #: replaces the image's entry whole.
+    _image_labels: Dict[str, Mapping[str, int]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def add_picture(self, image_id: str, picture: SymbolicPicture) -> None:
-        """Index all labels of a picture under ``image_id``."""
+    def add_picture(
+        self,
+        image_id: str,
+        picture: SymbolicPicture,
+        label_counts: Optional[Mapping[str, int]] = None,
+    ) -> None:
+        """Index all labels of a picture under ``image_id``.
+
+        ``label_counts`` is the picture's label multiset when the caller has
+        counted it already; the index keeps that mapping rather than
+        counting again.  The query engine passes its record signature's
+        :attr:`~repro.index.shortlist.ImageSignature.label_counts`, so the
+        two share one dict per image.
+        """
         if image_id in self._image_labels:
             raise KeyError(f"image id {image_id!r} already indexed")
-        labels = Counter(picture.labels)
+        labels = Counter(picture.labels) if label_counts is None else label_counts
         self._image_labels[image_id] = labels
         for label in labels:
             self._postings.setdefault(label, set()).add(image_id)
@@ -56,11 +70,16 @@ class InvertedSymbolIndex:
                 if not postings:
                     del self._postings[label]
 
-    def update_picture(self, image_id: str, picture: SymbolicPicture) -> None:
-        """Re-index an image after its contents changed."""
+    def update_picture(
+        self,
+        image_id: str,
+        picture: SymbolicPicture,
+        label_counts: Optional[Mapping[str, int]] = None,
+    ) -> None:
+        """(Re-)index an image after its contents changed (see :meth:`add_picture`)."""
         if image_id in self._image_labels:
             self.remove_picture(image_id)
-        self.add_picture(image_id, picture)
+        self.add_picture(image_id, picture, label_counts)
 
     # ------------------------------------------------------------------
     # Lookup

@@ -48,7 +48,7 @@ from repro.core.transforms import Transformation
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
 from repro.index.cache import CacheEntry, ScoreBound, ScoreCache, query_score_key
-from repro.index.database import ImageDatabase, ImageRecord
+from repro.index.database import ImageDatabase, ImageRecord, _collector_paused
 from repro.index.execution import (
     EXECUTOR_SHARD_PROCESS,
     KERNEL_BITPARALLEL,
@@ -236,17 +236,29 @@ class QueryEngine:
         Every record's shortlist signature is derived here, from its
         validated BE-string, so the first query pays no index-construction
         latency.  ``execution`` sets the engine-wide execution defaults
-        (kernel, strategy, ...) every query inherits.
+        (kernel, strategy, ...) every query inherits.  The build runs with
+        the cyclic garbage collector paused, like a load.
         """
         engine = cls(
             database=database,
             minimum_overlap_ratio=minimum_overlap_ratio,
             execution=execution if execution is not None else ExecutionOptions(),
         )
-        for record in database:
-            engine.inverted_index.add_picture(record.image_id, record.picture)
-            signature_for(record)
+        with _collector_paused():
+            for record in database:
+                engine._index(record)
         return engine
+
+    def _index(self, record: ImageRecord) -> None:
+        """Derive ``record``'s signature and (re-)index its labels.
+
+        The signature's label counts are the dict the inverted index keeps,
+        so each record's labels are counted once.
+        """
+        signature = signature_for(record)
+        self.inverted_index.update_picture(
+            record.image_id, record.picture, signature.label_counts
+        )
 
     def add_picture(self, picture: SymbolicPicture, image_id: Optional[str] = None) -> str:
         """Add a picture to the database and all auxiliary indexes.
@@ -260,8 +272,7 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             record = self.database.add_picture(picture, image_id)
-            self.inverted_index.add_picture(record.image_id, record.picture)
-            signature_for(record)
+            self._index(record)
             self.score_cache.invalidate_image(record.image_id)
             self._invalidate_shard_pool()
             return record.image_id
@@ -289,8 +300,7 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             record = self.database.add_object(image_id, label, mbr)
-            self.inverted_index.update_picture(image_id, record.picture)
-            signature_for(record)
+            self._index(record)
             self.score_cache.invalidate_image(image_id)
             self._invalidate_shard_pool()
             return record
@@ -302,8 +312,7 @@ class QueryEngine:
         """
         with self.lock.write_locked():
             record = self.database.remove_object(image_id, identifier)
-            self.inverted_index.update_picture(image_id, record.picture)
-            signature_for(record)
+            self._index(record)
             self.score_cache.invalidate_image(image_id)
             self._invalidate_shard_pool()
             return record

@@ -36,13 +36,12 @@ for the guarantees.
 from __future__ import annotations
 
 import zlib
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.similarity import SimilarityPolicy, combined_value, normalized_value
-from repro.core.symbols import BoundaryKind
+from repro.core.symbols import BOUNDARY_INTERN_LIMIT, BOUNDARY_INTERN_MAX_LENGTH, BoundaryKind
 from repro.core.transforms import Transformation, transform
 
 #: Default width (in bits) of the hashed label bitmap.
@@ -54,9 +53,28 @@ DEFAULT_BITMAP_WIDTH = 128
 REJECTION_SAMPLE_LIMIT = 32
 
 
+#: The CRC-32 of each label :func:`label_bit` has seen, bounded like the
+#: boundary-symbol table of :meth:`~repro.core.symbols.Symbol.boundary`: at
+#: most ``BOUNDARY_INTERN_LIMIT`` labels of at most
+#: ``BOUNDARY_INTERN_MAX_LENGTH`` characters, emptied when full.
+_LABEL_CRCS: Dict[str, int] = {}
+
+
 def label_bit(label: str, width: int = DEFAULT_BITMAP_WIDTH) -> int:
-    """The bitmap bit a label hashes to (stable CRC-32, like the shard hash)."""
-    return zlib.crc32(label.encode("utf-8")) % width
+    """The bitmap bit a label hashes to (stable CRC-32, like the shard hash).
+
+    The CRC-32 of the label's UTF-8 bytes is remembered in a bounded table,
+    so a load hashes each distinct label once; the bit is that CRC modulo
+    ``width``, whatever width filled the table.
+    """
+    crc = _LABEL_CRCS.get(label)
+    if crc is None:
+        crc = zlib.crc32(label.encode("utf-8"))
+        if len(label) <= BOUNDARY_INTERN_MAX_LENGTH:
+            if len(_LABEL_CRCS) >= BOUNDARY_INTERN_LIMIT:
+                _LABEL_CRCS.clear()
+            _LABEL_CRCS[label] = crc
+    return crc % width
 
 
 def label_bitmap(labels: Iterable[str], width: int = DEFAULT_BITMAP_WIDTH) -> int:
@@ -65,6 +83,14 @@ def label_bitmap(labels: Iterable[str], width: int = DEFAULT_BITMAP_WIDTH) -> in
     for label in labels:
         bitmap |= 1 << label_bit(label, width)
     return bitmap
+
+
+def count_labels(labels: Iterable[str]) -> Dict[str, int]:
+    """The label multiset as a plain ``label -> count`` dict."""
+    counts: Dict[str, int] = {}
+    for label in labels:
+        counts[label] = counts.get(label, 0) + 1
+    return counts
 
 
 def axis_pair_codes(axis: AxisBEString) -> Dict[Tuple[str, str], int]:
@@ -101,6 +127,11 @@ def _relation_code(a_begin: int, a_end: int, b_begin: int, b_end: int) -> int:
     )
 
 
+#: The begin kind, bound once for the axis walk rather than looked up on
+#: the enum per symbol.
+_BEGIN = BoundaryKind.BEGIN
+
+
 @dataclass(frozen=True)
 class AxisSignature:
     """Shortlist-relevant facts about one axis BE-string.
@@ -128,27 +159,31 @@ class AxisSignature:
 
     @classmethod
     def from_axis(cls, axis: AxisBEString) -> "AxisSignature":
-        """Extract the signature of one axis string in one pass over its symbols."""
+        """Extract the signature of one axis string in one walk over its symbols.
+
+        A repeated boundary keeps its last position; an object without both
+        a begin and an end is then dropped from both maps.
+        """
         begins: Dict[str, int] = {}
         ends: Dict[str, int] = {}
-        boundaries = 0
+        dummies = 0
         for position, symbol in enumerate(axis.symbols):
-            kind = symbol.kind
-            if kind is None:
-                continue
-            boundaries += 1
-            if kind is BoundaryKind.BEGIN:
-                begins[symbol.identifier] = position
+            identifier = symbol.identifier
+            if identifier is None:
+                dummies += 1
+            elif symbol.kind is _BEGIN:
+                begins[identifier] = position
             else:
-                ends[symbol.identifier] = position
+                ends[identifier] = position
         if begins.keys() != ends.keys():
             complete = begins.keys() & ends.keys()
             begins = {key: value for key, value in begins.items() if key in complete}
             ends = {key: value for key, value in ends.items() if key in complete}
+        length = len(axis.symbols)
         return cls(
-            length=len(axis.symbols),
-            boundaries=boundaries,
-            dummies=len(axis.symbols) - boundaries,
+            length=length,
+            boundaries=length - dummies,
+            dummies=dummies,
             begins=begins,
             ends=ends,
         )
@@ -166,6 +201,8 @@ class ImageSignature:
 
     width: int
     bitmap: int
+    #: The image's label multiset.  The engine's inverted index holds this
+    #: same dict for the image, so a record's labels are counted once.
     label_counts: Dict[str, int]
     x: AxisSignature
     y: AxisSignature
@@ -177,8 +214,12 @@ class ImageSignature:
         labels: Iterable[str],
         width: int = DEFAULT_BITMAP_WIDTH,
     ) -> "ImageSignature":
-        """Build the signature of an image from its BE-string and labels."""
-        counts: Dict[str, int] = dict(Counter(labels))
+        """Build the signature of an image from its BE-string and labels.
+
+        Every stored record's signature -- at load, on insert and after an
+        edit -- is derived here, through :func:`signature_for`.
+        """
+        counts = count_labels(labels)
         return cls(
             width=width,
             bitmap=label_bitmap(counts, width),
@@ -318,7 +359,7 @@ class QuerySignature:
     ) -> None:
         """Precompute the query-side signature state."""
         self.width = width
-        self.label_counts: Dict[str, int] = dict(Counter(labels))
+        self.label_counts = count_labels(labels)
         self.total_labels = sum(self.label_counts.values())
         self.bit_counts: Dict[int, int] = {}
         for label, count in self.label_counts.items():

@@ -41,6 +41,7 @@ protocol and failure semantics.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import threading
 import time
@@ -98,10 +99,13 @@ def _worker_main(config: _WorkerConfig, connection) -> None:
     The engine is built lazily on the first ``spec`` message (the lazy warm
     start); every response carries the ranking for the worker's slice, the
     execution trace and the slice's score-cache statistics.  The loop exits
-    on a ``stop`` message or a closed pipe.
+    on a ``stop`` message or a closed pipe.  The worker runs with the cyclic
+    garbage collector on: a fork made while another thread's load had it
+    paused inherits the pause but not its end.
     """
     from repro.index.query import QueryEngine
 
+    gc.enable()
     engine = None
     while True:
         try:

@@ -35,7 +35,7 @@ guaranteed identical -- including tie-break ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Union
 
@@ -46,7 +46,7 @@ from repro.iconic.picture import SymbolicPicture
 from repro.index.backends import StorageBackend, load_database_from, save_database_to
 from repro.index.batch import BatchReport
 from repro.index.cache import CacheStatistics
-from repro.index.database import ImageDatabase, ImageRecord
+from repro.index.database import ImageDatabase, ImageRecord, _collector_paused
 from repro.index.execution import (
     ExecutionOptions,
     ExecutionStatistics,
@@ -68,12 +68,14 @@ class RetrievalSystem:
     #: query inherits them unless overridden per query via
     #: ``query().execution(...)``.  See :mod:`repro.index.execution`.
     execution: Optional[ExecutionOptions] = None
+    #: The records to index (:meth:`from_file` passes a loaded database);
+    #: a new system starts empty.
+    database: InitVar[Optional[ImageDatabase]] = None
     _engine: QueryEngine = field(init=False)
 
-    def __post_init__(self) -> None:
-        database = ImageDatabase()
+    def __post_init__(self, database: Optional[ImageDatabase]) -> None:
         self._engine = QueryEngine.build(
-            database,
+            database if database is not None else ImageDatabase(),
             minimum_overlap_ratio=self.minimum_signature_overlap,
             execution=self.execution,
         )
@@ -130,6 +132,7 @@ class RetrievalSystem:
         backend: Union[None, str, StorageBackend] = None,
         execution: Optional[ExecutionOptions] = None,
         durable: bool = False,
+        minimum_signature_overlap: float = 0.0,
     ) -> "RetrievalSystem":
         """Load a system from a database written by :meth:`save`.
 
@@ -142,12 +145,15 @@ class RetrievalSystem:
         a write-ahead log); any acknowledged-but-uncompacted log records are
         replayed on top of the shard snapshot either way, so a durable
         directory always loads to its full acknowledged state.
+        ``policy`` and ``minimum_signature_overlap`` configure the loaded
+        system as they do a new one.
 
         Loading validates every image: its picture is encoded again and the
         stored BE-string must match.  The loaded records are then indexed in
         place by :meth:`QueryEngine.build`, which derives each shortlist
         signature from the validated BE-string; a signature stored by an
-        older release is never trusted.
+        older release is never trusted.  The load and the build run under
+        one pause of the cyclic garbage collector.
 
         Returns:
             A system with every stored picture indexed and a clean dirty set
@@ -159,13 +165,13 @@ class RetrievalSystem:
             ValueError: if ``durable=True`` and the target is not sharded.
             FileNotFoundError: if ``path`` does not exist.
         """
-        database = load_database_from(path, backend=backend, durable=durable)
-        system = cls(policy=policy, execution=execution)
-        system._engine = QueryEngine.build(
-            database,
-            minimum_overlap_ratio=system.minimum_signature_overlap,
-            execution=execution,
-        )
+        with _collector_paused():
+            system = cls(
+                policy=policy,
+                minimum_signature_overlap=minimum_signature_overlap,
+                execution=execution,
+                database=load_database_from(path, backend=backend, durable=durable),
+            )
         # Loading is not a mutation: the engine's database matches the file.
         system._engine.database.clear_dirty()
         return system

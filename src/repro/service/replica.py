@@ -244,6 +244,7 @@ class ReplicaEngine:
             policy=self.system.policy,
             execution=self.system.execution,
             durable=True,
+            minimum_signature_overlap=self.system.minimum_signature_overlap,
         )
         self.system.hot_swap(replacement)
         self.applied_lsn = max(self.applied_lsn, state["snapshot_lsn"])

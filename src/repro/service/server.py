@@ -661,6 +661,7 @@ class RetrievalService:
                         backend=self.backend,
                         execution=self.system.execution,
                         durable=self.store is not None,
+                        minimum_signature_overlap=self.system.minimum_signature_overlap,
                     )
                 except (StorageError, ValueError, FileNotFoundError) as error:
                     raise ApiError(500, f"reload failed: {error}") from error

@@ -28,6 +28,7 @@ from repro.core.transforms import Transformation, transform
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
+from repro.index import shortlist
 from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
 from repro.index.query import QueryEngine
@@ -117,6 +118,22 @@ class TestBitmapPrimitives:
         assert 0 <= label_bit("car") < DEFAULT_BITMAP_WIDTH
         assert label_bit("car") == label_bit("car")
         assert label_bit("car", width=8) < 8
+
+    def test_label_crc_table_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(shortlist, "_LABEL_CRCS", {})
+        monkeypatch.setattr(shortlist, "BOUNDARY_INTERN_LIMIT", 8)
+        for index in range(20):
+            assert label_bit(f"label-{index}") == label_bit(f"label-{index}")
+            assert len(shortlist._LABEL_CRCS) <= 8
+        assert len(shortlist._LABEL_CRCS) == 4
+
+    def test_overlong_labels_are_not_remembered(self, monkeypatch):
+        monkeypatch.setattr(shortlist, "_LABEL_CRCS", {})
+        label = "x" * (shortlist.BOUNDARY_INTERN_MAX_LENGTH + 1)
+        assert label_bitmap([label]) == 1 << label_bit(label)
+        assert not shortlist._LABEL_CRCS
+        label_bit(label[:-1])
+        assert list(shortlist._LABEL_CRCS) == [label[:-1]]
 
     def test_bitmap_sets_one_bit_per_distinct_label(self):
         bitmap = label_bitmap(["car", "car", "tree"])

@@ -7,6 +7,8 @@ and tie-break order included.  The CI ``shard-workers`` matrix leg re-runs
 this module with ``REPRO_SHARD_WORKERS`` pinned to 2 and 4.
 """
 
+import gc
+import multiprocessing
 import os
 from dataclasses import replace
 
@@ -20,7 +22,7 @@ from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
 from repro.index.query import QueryEngine
 from repro.index.spec import QuerySpec
-from repro.index.workers import ShardWorkerError, ShardWorkerPool
+from repro.index.workers import ShardWorkerError, ShardWorkerPool, _worker_main
 from repro.retrieval.predicates import parse_predicate, parse_tree
 from repro.retrieval.system import RetrievalSystem
 from repro.service.server import RetrievalService
@@ -393,6 +395,20 @@ class TestLifecycle:
         engine.close_shard_pool()
         engine.close_shard_pool()
         assert engine.shard_pool_stats() is None
+
+    def test_worker_runs_with_the_collector_on(self):
+        # A fork made during another thread's load inherits the paused
+        # collector; the worker loop switches it back on before serving.
+        parent, child = multiprocessing.Pipe()
+        parent.send(("stop",))
+        gc.disable()
+        try:
+            _worker_main(None, child)
+            assert gc.isenabled()
+        finally:
+            gc.enable()
+            parent.close()
+            child.close()
 
     def test_closed_pool_refuses_queries(self, pictures):
         database = ImageDatabase()

@@ -1,8 +1,16 @@
 """Unit tests for the retrieval system facade."""
 
+import gc
+import json
+
 import pytest
 
 from repro.geometry.rectangle import Rectangle
+from repro.index.backends import load_database_from
+from repro.index.database import _collector_paused
+from repro.index.query import QueryEngine
+from repro.index.shortlist import ImageSignature
+from repro.index.storage import StorageError
 from repro.retrieval.system import RetrievalSystem
 
 
@@ -101,3 +109,97 @@ class TestQuerySurface:
         # no additional misses, one hit per candidate considered.
         assert after.misses == before.misses
         assert after.hits - before.hits == len(results)
+
+
+@pytest.fixture
+def saved(system, tmp_path):
+    """The ``system`` fixture saved as a JSON database; returns the path."""
+    return system.save(tmp_path / "db.json")
+
+
+@pytest.fixture
+def corrupt(saved):
+    """A copy of ``saved`` with its last entry's x-axis string reversed."""
+    payload = json.loads(saved.read_text(encoding="utf-8"))
+    bestring = payload["images"][-1]["bestring"]
+    bestring["x"] = " ".join(reversed(bestring["x"].split()))
+    path = saved.with_name("corrupt.json")
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def collections():
+    """Every collection the cyclic collector starts, recorded by generation."""
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(record)
+
+
+class TestLoadPausesTheCollector:
+    """A load builds acyclic records, so it runs with the collector paused."""
+
+    def test_collector_is_enabled_after_from_file(self, saved):
+        assert gc.isenabled()
+        system = RetrievalSystem.from_file(saved)
+        assert gc.isenabled()
+        assert len(system) > 0
+
+    def test_no_collection_runs_during_a_load(self, saved, collections):
+        gc.collect()
+        del collections[:]
+        RetrievalSystem.from_file(saved)
+        assert collections == []
+
+    def test_collector_is_enabled_after_a_corrupt_load(self, corrupt):
+        with pytest.raises(StorageError, match="does not match"):
+            RetrievalSystem.from_file(corrupt)
+        assert gc.isenabled()
+
+    def test_nested_load_and_build_restore_the_collector(self, saved):
+        engine = QueryEngine.build(load_database_from(saved))
+        assert gc.isenabled()
+        with _collector_paused():
+            engine = QueryEngine.build(load_database_from(saved))
+            # The inner pauses end without switching on what the outer holds off.
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        assert len(engine.database) > 0
+
+    def test_pause_restores_the_collector_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with _collector_paused():
+                with _collector_paused():
+                    raise RuntimeError("mid-build")
+        assert gc.isenabled()
+
+    def test_collector_disabled_by_the_caller_stays_disabled(self, saved, corrupt):
+        gc.disable()
+        try:
+            with pytest.raises(StorageError):
+                RetrievalSystem.from_file(corrupt)
+            assert not gc.isenabled()
+            RetrievalSystem.from_file(saved)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_every_record_has_its_signature_when_from_file_returns(self, saved):
+        system = RetrievalSystem.from_file(saved)
+        engine = system._engine
+        for record in engine.database:
+            assert record.signature == ImageSignature.from_bestring(
+                record.bestring, record.picture.labels
+            )
+            # The inverted index holds the signature's own label counts.
+            assert engine.inverted_index._image_labels[record.image_id] is (
+                record.signature.label_counts
+            )

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.datasets.scenes import landscape_scene, office_scene, traffic_scene
+from repro.geometry.rectangle import Rectangle
 from repro.index.backends import DurableShardedStore
 from repro.retrieval.system import RetrievalSystem
 from repro.service.client import ServiceClient, ServiceError
@@ -121,6 +122,32 @@ class TestReplicaEngine:
         assert advanced >= 2
         assert replica.applied_lsn == store.last_lsn
         assert rankings(replica.system) == rankings(system)
+
+    def test_snapshot_reload_keeps_the_minimum_signature_overlap(self, primary):
+        path, system, store = primary
+        replica = ReplicaEngine(path)
+        # A replica serving with a signature-overlap threshold.
+        replica.system = RetrievalSystem.from_file(
+            path, durable=True, minimum_signature_overlap=0.6
+        ).enable_concurrent_access()
+        # Six of the probe's eight labels are office labels, two traffic ones.
+        probe = (
+            office_scene(0)
+            .remove_icon("phone")
+            .remove_icon("plant")
+            .add_icon("car", Rectangle(10, 10, 20, 15))
+            .add_icon("bus", Rectangle(30, 10, 50, 20))
+        )
+        before = replica.system.query(probe).limit(None).execute().to_jsonl()
+        delete(system, store, "traffic-000")
+        store.compact()
+        replica.sync()
+        assert replica.snapshot_reloads == 1
+        assert replica.system._engine.minimum_overlap_ratio == 0.6
+        after = replica.system.query(probe).limit(None).execute().to_jsonl()
+        assert after == before
+        unfiltered = RetrievalSystem.from_file(path, durable=True)
+        assert after != unfiltered.query(probe).limit(None).execute().to_jsonl()
 
     def test_detach_freezes_the_engine(self, primary):
         path, system, store = primary

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.datasets.scenes import landscape_scene, office_scene, traffic_scene
+from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.retrieval.system import RetrievalSystem
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import MAX_BODY_BYTES, RetrievalService, create_server
@@ -499,6 +500,35 @@ class TestWireEdgeCases:
             status, body, _ = service.dispatch("DELETE", path, None)
             assert status == 400
             assert "image id is required" in body["error"]
+
+
+class TestReload:
+    def test_reload_keeps_the_minimum_signature_overlap(self, tmp_path):
+        # Scenes drawn from a shared label pool: a near-duplicate shares a
+        # label with most of them, but 80% of its labels with only a few.
+        parameters = SceneParameters(
+            object_count=6,
+            labels=tuple(f"c{index}" for index in range(12)),
+            label_choice="random",
+        )
+        pictures = random_pictures(80, seed=1, parameters=parameters, name_prefix="img")
+        near_duplicate = pictures[0].remove_icon(pictures[0].identifiers[0])
+        probe = near_duplicate.to_dict()
+        unfiltered = RetrievalSystem.from_pictures(pictures)
+        everyone = unfiltered.query(near_duplicate).limit(50).execute()
+        system = RetrievalSystem.from_pictures(pictures, minimum_signature_overlap=0.8)
+        path = system.save(tmp_path / "served.json")
+        with create_server(system, port=0, database_path=path) as server:
+            server.start_background()
+            client = ServiceClient(port=server.port)
+            client.wait_until_healthy(timeout=10)
+            before = client.search(scene=probe, limit=50)["results"]
+            assert client.admin.reload()["reloads"] == 1
+            after = client.search(scene=probe, limit=50)["results"]
+            engine = server.service.system._engine
+        assert len(before) < len(everyone)
+        assert after == before
+        assert engine.minimum_overlap_ratio == 0.8
 
 
 class TestPercentile:

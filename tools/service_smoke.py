@@ -3,9 +3,10 @@
 
 Boots a real ``repro serve`` subprocess against a freshly built demo
 database, drives every endpoint with the stdlib client -- search, batch,
-insert, delete, ``/healthz``, ``/stats`` -- and fails (non-zero exit) on any
-non-2xx response or any ranking that is not byte-identical to the in-process
-engine executing the same query.  Standard library only; runs against the
+insert, delete, ``/reload``, ``/healthz``, ``/stats`` -- and fails (non-zero
+exit) on any non-2xx response or any ranking that is not byte-identical to
+the in-process engine executing the same query, or, after ``/reload``, to
+the live engine's ranking before it.  Standard library only; runs against the
 installed package or a ``PYTHONPATH=src`` checkout.
 
 Usage::
@@ -160,6 +161,14 @@ def drive(client: ServiceClient, reference: RetrievalSystem, database: Path) -> 
         "post-delete rankings match the quiesced engine",
         served["results"] == expected_dicts(reference, scene=scenes[0]),
     )
+
+    # --- /reload: a fresh engine loaded beside the live one -----------
+    before = [client.search(**kwargs)["results"] for _, kwargs in probes]
+    body = client.admin.reload()
+    check("reload loads every stored image", body.get("images") == len(scenes))
+    after = [client.search(**kwargs)["results"] for _, kwargs in probes]
+    check("every probe ranks byte-identically after the reload", after == before)
+    check("stats counts one reload", client.stats().get("reloads") == 1)
 
     # --- /stats -------------------------------------------------------
     stats = client.stats()
