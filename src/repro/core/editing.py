@@ -23,18 +23,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
-from repro.core.construct import BoundaryKey, _emit_axis
+from repro.core.construct import BoundaryKey, _emit_axis, boundary_keys
 from repro.core.errors import EncodingError
-from repro.core.symbols import BoundaryKind
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.icon import IconObject
 from repro.iconic.picture import SymbolicPicture
-
-def _key(coordinate: float, identifier: str, kind: BoundaryKind) -> BoundaryKey:
-    return (coordinate, identifier, 0 if kind is BoundaryKind.BEGIN else 1)
 
 
 @dataclass
@@ -97,10 +93,8 @@ class IndexedBEString:
                 f"object {identifier!r} MBR {mbr} exceeds the "
                 f"{self.width:g}x{self.height:g} frame"
             )
-        insort(self._x_keys, _key(mbr.x_begin, identifier, BoundaryKind.BEGIN))
-        insort(self._x_keys, _key(mbr.x_end, identifier, BoundaryKind.END))
-        insort(self._y_keys, _key(mbr.y_begin, identifier, BoundaryKind.BEGIN))
-        insort(self._y_keys, _key(mbr.y_end, identifier, BoundaryKind.END))
+        for keys, key in self._keys_of(identifier, mbr):
+            insort(keys, key)
         self._mbrs[identifier] = mbr
 
     def insert_icon(self, icon: IconObject) -> None:
@@ -110,19 +104,26 @@ class IndexedBEString:
     def remove(self, identifier: str) -> Rectangle:
         """Remove an object; returns the MBR it had."""
         mbr = self.mbr(identifier)
-        for keys, records in (
-            (self._x_keys, ((mbr.x_begin, BoundaryKind.BEGIN), (mbr.x_end, BoundaryKind.END))),
-            (self._y_keys, ((mbr.y_begin, BoundaryKind.BEGIN), (mbr.y_end, BoundaryKind.END))),
-        ):
-            for coordinate, kind in records:
-                position = bisect_left(keys, _key(coordinate, identifier, kind))
-                if position >= len(keys) or keys[position] != _key(coordinate, identifier, kind):
-                    raise EncodingError(
-                        f"boundary record of {identifier!r} not found; index corrupted"
-                    )
-                keys.pop(position)
+        for keys, key in self._keys_of(identifier, mbr):
+            position = bisect_left(keys, key)
+            if position >= len(keys) or keys[position] != key:
+                raise EncodingError(
+                    f"boundary record of {identifier!r} not found; index corrupted"
+                )
+            keys.pop(position)
         del self._mbrs[identifier]
         return mbr
+
+    def _keys_of(
+        self, identifier: str, mbr: Rectangle
+    ) -> Iterator[Tuple[List[BoundaryKey], BoundaryKey]]:
+        """Each of an object's four boundary keys, with its axis's key list."""
+        for keys, (begin, end) in (
+            (self._x_keys, (mbr.x_begin, mbr.x_end)),
+            (self._y_keys, (mbr.y_begin, mbr.y_end)),
+        ):
+            for key in boundary_keys(identifier, begin, end):
+                yield keys, key
 
     def move(self, identifier: str, mbr: Rectangle) -> None:
         """Relocate an object (remove + insert with the new MBR)."""
@@ -135,7 +136,7 @@ class IndexedBEString:
     def _axis_string(self, keys: List[BoundaryKey], extent: float) -> AxisBEString:
         # The keys are already sorted by construction; the emitter's sort is
         # then a no-op O(n) pass for Timsort, keeping emission linear.
-        return _emit_axis(list(keys), extent, 0.0, {})
+        return _emit_axis(list(keys), extent, 0.0)
 
     def to_bestring(self) -> BEString2D:
         """Emit the current 2D BE-string from the sorted boundary records."""

@@ -21,12 +21,13 @@ from repro.core.errors import EncodingError
 #: Text form of the dummy object, as in the paper.
 DUMMY_TEXT = "E"
 
-#: Most distinct boundary symbols :meth:`Symbol.boundary` keeps shared.  The
-#: table is emptied when it is full (like the ``re`` module's pattern cache),
-#: so identifiers a client makes up cannot grow it without limit.
+#: Most boundary symbols :meth:`Symbol.boundaries` keeps shared, two per
+#: identifier.  The table is emptied when it is full (like the ``re`` module's
+#: pattern cache), so identifiers a client makes up cannot grow it without
+#: limit.
 BOUNDARY_INTERN_LIMIT = 65536
-#: Longest identifier :meth:`Symbol.boundary` shares.  A longer one gets a
-#: fresh symbol, so the table holds at most ``BOUNDARY_INTERN_LIMIT`` times
+#: Longest identifier :meth:`Symbol.boundaries` shares.  A longer one gets a
+#: fresh pair, so the table holds at most ``BOUNDARY_INTERN_LIMIT`` times
 #: this many characters however long the labels a client sends are.
 BOUNDARY_INTERN_MAX_LENGTH = 128
 
@@ -84,36 +85,51 @@ class Symbol:
         return _DUMMY
 
     @classmethod
-    def boundary(cls, identifier: str, kind: BoundaryKind) -> "Symbol":
-        """The shared boundary symbol of ``identifier`` and ``kind``.
+    def boundaries(cls, identifier: str) -> Tuple["Symbol", "Symbol"]:
+        """The shared ``(begin, end)`` boundary symbols of ``identifier``.
 
         Every stored BE-string spells its objects' boundaries with the same
-        few symbols, so equal keys return one interned instance instead of a
-        fresh object per string.  Equality stays value-based: a symbol built
+        few symbols, so one identifier returns one interned pair instead of
+        fresh objects per string.  Equality stays value-based: a symbol built
         any other way still compares and hashes equal to the shared one.
+
+        Raises:
+            EncodingError: if ``identifier`` is empty.
+        """
+        pair = _BOUNDARIES.get(identifier)
+        if pair is None:
+            pair = (
+                Symbol(identifier=identifier, kind=BoundaryKind.BEGIN),
+                Symbol(identifier=identifier, kind=BoundaryKind.END),
+            )
+            if len(identifier) <= BOUNDARY_INTERN_MAX_LENGTH:
+                if len(_BOUNDARIES) * 2 >= BOUNDARY_INTERN_LIMIT:
+                    _BOUNDARIES.clear()
+                _BOUNDARIES[identifier] = pair
+        return pair
+
+    @classmethod
+    def boundary(cls, identifier: str, kind: BoundaryKind) -> "Symbol":
+        """The shared boundary symbol of ``identifier`` and ``kind``.
 
         Raises:
             EncodingError: if ``identifier`` is empty or ``kind`` is missing.
         """
-        key = (identifier, kind)
-        symbol = _BOUNDARIES.get(key)
-        if symbol is None:
-            symbol = Symbol(identifier=identifier, kind=kind)
-            if len(identifier) <= BOUNDARY_INTERN_MAX_LENGTH:
-                if len(_BOUNDARIES) >= BOUNDARY_INTERN_LIMIT:
-                    _BOUNDARIES.clear()
-                _BOUNDARIES[key] = symbol
-        return symbol
+        if kind is BoundaryKind.BEGIN:
+            return cls.boundaries(identifier)[0]
+        if kind is BoundaryKind.END:
+            return cls.boundaries(identifier)[1]
+        return Symbol(identifier=identifier, kind=kind)  # raises: not a kind
 
     @classmethod
     def begin(cls, identifier: str) -> "Symbol":
         """The begin boundary of ``identifier``."""
-        return cls.boundary(identifier, BoundaryKind.BEGIN)
+        return cls.boundaries(identifier)[0]
 
     @classmethod
     def end(cls, identifier: str) -> "Symbol":
         """The end boundary of ``identifier``."""
-        return cls.boundary(identifier, BoundaryKind.END)
+        return cls.boundaries(identifier)[1]
 
     # ------------------------------------------------------------------
     # Queries
@@ -179,4 +195,4 @@ class Symbol:
 
 
 _DUMMY = Symbol()
-_BOUNDARIES: Dict[Tuple[str, BoundaryKind], Symbol] = {}
+_BOUNDARIES: Dict[str, Tuple[Symbol, Symbol]] = {}

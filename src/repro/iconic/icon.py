@@ -16,6 +16,10 @@ class IconObject:
     multiple icons of the same class within one picture.  The pair
     ``(label, instance)`` is the object *identifier* the paper's Algorithm 1
     sorts on together with the boundary coordinate.
+
+    A label is a non-empty string without whitespace: the BE-string text form
+    and the ``where`` parser both split on whitespace, so a label holding any
+    could be neither stored nor queried.
     """
 
     label: str
@@ -23,8 +27,11 @@ class IconObject:
     instance: int = 0
 
     def __post_init__(self) -> None:
-        if not self.label:
+        label = self.label
+        if not label or not isinstance(label, str):
             raise ValueError("icon label must be a non-empty string")
+        if label.split() != [label]:
+            raise ValueError(f"icon label {label!r} must not contain whitespace")
         if self.instance < 0:
             raise ValueError("icon instance index must be non-negative")
 
@@ -65,9 +72,9 @@ class IconObject:
         """Inverse of :meth:`to_dict`."""
         x_begin, y_begin, x_end, y_end = payload["mbr"]
         return cls(
-            label=payload["label"],
-            instance=int(payload.get("instance", 0)),
-            mbr=Rectangle(x_begin, y_begin, x_end, y_end),
+            payload["label"],
+            Rectangle(x_begin, y_begin, x_end, y_end),
+            int(payload.get("instance", 0)),
         )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

@@ -34,23 +34,27 @@ class SymbolicPicture:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+        width, height = self.width, self.height
+        if width <= 0 or height <= 0:
             raise PictureError("picture frame must have positive width and height")
         canonical = tuple(sorted(self.icons, key=lambda icon: (icon.label, icon.instance)))
         object.__setattr__(self, "icons", canonical)
-        frame = self.frame
         seen = set()
         for icon in canonical:
-            if icon.identifier in seen:
+            identifier = icon.identifier
+            if identifier in seen:
                 raise PictureError(
-                    f"duplicate icon identifier {icon.identifier!r}; use distinct "
+                    f"duplicate icon identifier {identifier!r}; use distinct "
                     "instance indices for repeated labels"
                 )
-            seen.add(icon.identifier)
-            if not frame.contains(icon.mbr):
+            seen.add(identifier)
+            mbr = icon.mbr
+            if not (
+                0.0 <= mbr.x_begin and mbr.x_end <= width
+                and 0.0 <= mbr.y_begin and mbr.y_end <= height
+            ):
                 raise PictureError(
-                    f"icon {icon.identifier!r} MBR {icon.mbr} exceeds the "
-                    f"{self.width:g}x{self.height:g} frame"
+                    f"icon {identifier!r} MBR {mbr} exceeds the {width:g}x{height:g} frame"
                 )
 
     # ------------------------------------------------------------------
@@ -244,7 +248,7 @@ class SymbolicPicture:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SymbolicPicture":
         """Inverse of :meth:`to_dict`."""
-        icons = tuple(IconObject.from_dict(entry) for entry in payload.get("icons", []))
+        icons = tuple([IconObject.from_dict(entry) for entry in payload.get("icons", [])])
         return cls(
             width=float(payload["width"]),
             height=float(payload["height"]),

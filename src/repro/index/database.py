@@ -188,13 +188,15 @@ class ImageDatabase:
     # Object-level (dynamic) operations
     # ------------------------------------------------------------------
     def add_object(self, image_id: str, label: str, mbr: Rectangle) -> ImageRecord:
-        """Add one icon object to a stored image via the dynamic index."""
+        """Add one icon object to a stored image via the dynamic index.
+
+        The new picture is built, and so checked, before the index is touched:
+        a rejected icon (``ValueError``) leaves the record as it was.
+        """
         record = self.get(image_id)
-        existing = record.picture.icons_with_label(label)
-        instance = existing[-1].instance + 1 if existing else 0
-        identifier = label if instance == 0 else f"{label}#{instance}"
-        record.indexed.insert(identifier, mbr)
-        record.picture = record.picture.add_icon(label, mbr)
+        picture = record.picture.add_icon(label, mbr)
+        record.indexed.insert(picture.icons_with_label(label)[-1].identifier, mbr)
+        record.picture = picture
         record.bestring = record.indexed.to_bestring()
         record.signature = None
         self.mark_dirty(image_id)

@@ -54,7 +54,7 @@ REJECTION_SAMPLE_LIMIT = 32
 
 
 #: The CRC-32 of each label :func:`label_bit` has seen, bounded like the
-#: boundary-symbol table of :meth:`~repro.core.symbols.Symbol.boundary`: at
+#: boundary-symbol table of :meth:`~repro.core.symbols.Symbol.boundaries`: at
 #: most ``BOUNDARY_INTERN_LIMIT`` labels of at most
 #: ``BOUNDARY_INTERN_MAX_LENGTH`` characters, emptied when full.
 _LABEL_CRCS: Dict[str, int] = {}

@@ -9,7 +9,9 @@ re-encoding, so a corrupted file is detected rather than silently accepted.
 The comparison is on the stored text: a stored string equal to the
 re-encoding's text form is accepted without being parsed, and only a string
 whose text differs (for instance in whitespace) is parsed into symbols and
-compared symbol by symbol.  Everything else the engine keeps per image, the
+compared symbol by symbol.  Labels never hold whitespace
+(:class:`~repro.iconic.icon.IconObject` rejects it), so equal text always
+means equal symbols.  Everything else the engine keeps per image, the
 shortlist signature included, is derived from the validated BE-string, so an
 entry stores only ``image_id``, ``picture`` and ``bestring``; a ``signature``
 payload left by older writers is ignored.
@@ -85,11 +87,8 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
     except (KeyError, TypeError, ValueError) as error:
         raise StorageError(f"malformed image entry: {error}") from error
     record = database.encode_record(picture, image_id)
-    # Equal text means equal symbols, unless a label holds whitespace: its
-    # tokens then split differently on parsing, so parse and compare.
-    if record.bestring.to_dict() != stored or any(
-        label.split() != [label] for label in picture.labels
-    ):
+    # Labels hold no whitespace, so equal text means equal symbols.
+    if record.bestring.to_dict() != stored:
         try:
             stored_bestring = BEString2D.from_dict(stored)
         except (KeyError, TypeError, ValueError) as error:

@@ -153,3 +153,29 @@ class TestInterning:
                 Symbol.from_text(".e")
         assert ("", BoundaryKind.BEGIN) not in symbols._BOUNDARIES
         assert ("", BoundaryKind.END) not in symbols._BOUNDARIES
+
+    def test_retained_symbols_never_exceed_the_limit(self, monkeypatch):
+        # Each identifier keeps a (begin, end) pair, two symbols against the limit.
+        monkeypatch.setattr(symbols, "_BOUNDARIES", {})
+        monkeypatch.setattr(symbols, "BOUNDARY_INTERN_LIMIT", 8)
+        for index in range(20):
+            Symbol.end(f"label-{index}")
+            retained = sum(len(pair) for pair in symbols._BOUNDARIES.values())
+            assert 0 < retained <= 8
+
+    def test_rejected_empty_identifier_stays_out_of_the_pair_table(self, monkeypatch):
+        # The table is keyed by identifier, one (begin, end) pair each, so the
+        # (identifier, kind) keys the test above looks for can never be in it.
+        monkeypatch.setattr(symbols, "_BOUNDARIES", {})
+        for _ in range(3):
+            for reject in (
+                lambda: Symbol.boundaries(""),
+                lambda: Symbol.begin(""),
+                lambda: Symbol.end(""),
+                lambda: Symbol.boundary("", BoundaryKind.END),
+                lambda: Symbol.from_text(".e"),
+            ):
+                with pytest.raises(EncodingError):
+                    reject()
+                assert "" not in symbols._BOUNDARIES
+        assert not symbols._BOUNDARIES

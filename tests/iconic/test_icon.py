@@ -11,6 +11,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             IconObject(label="", mbr=Rectangle(0, 0, 1, 1))
 
+    @pytest.mark.parametrize(
+        "label", ["coffee mug", " car", "car\n", "a\tb", "x\u00a0y", "x\u2028y"]
+    )
+    def test_rejects_whitespace_in_labels(self, label):
+        with pytest.raises(ValueError, match="whitespace"):
+            IconObject(label=label, mbr=Rectangle(0, 0, 1, 1))
+
+    @pytest.mark.parametrize("label", [None, 5, b"car"])
+    def test_rejects_labels_that_are_not_strings(self, label):
+        with pytest.raises(ValueError, match="non-empty string"):
+            IconObject(label=label, mbr=Rectangle(0, 0, 1, 1))
+
+    def test_accepts_labels_without_whitespace(self):
+        for label in ("car", "car#1", "a.b", "E", "\u00e9t\u00e9"):
+            assert IconObject(label=label, mbr=Rectangle(0, 0, 1, 1)).label == label
+
     def test_requires_non_negative_instance(self):
         with pytest.raises(ValueError):
             IconObject(label="car", mbr=Rectangle(0, 0, 1, 1), instance=-1)

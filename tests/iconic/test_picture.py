@@ -35,6 +35,20 @@ class TestConstruction:
         with pytest.raises(PictureError):
             SymbolicPicture(width=10, height=10, icons=(icon, icon))
 
+    def test_the_icon_named_is_the_first_failure_in_canonical_order(self):
+        from repro.iconic.icon import IconObject
+
+        outside = Rectangle(5, 5, 12, 8)
+        icons = (
+            IconObject(label="b", mbr=Rectangle(0, 0, 1, 1)),
+            IconObject(label="zebra", mbr=outside),
+            IconObject(label="ant", mbr=outside),
+            IconObject(label="b", mbr=Rectangle(2, 2, 3, 3)),
+        )
+        for order in (icons, tuple(reversed(icons))):
+            with pytest.raises(PictureError, match="^icon 'ant' MBR"):
+                SymbolicPicture(width=10, height=10, icons=order)
+
     def test_canonical_icon_order_makes_equal_pictures_equal(self):
         objects = [("b", Rectangle(0, 0, 1, 1)), ("a", Rectangle(2, 2, 3, 3))]
         first = SymbolicPicture.build(width=10, height=10, objects=objects)

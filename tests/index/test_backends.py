@@ -7,6 +7,7 @@ existed must still load, and every corruption mode must surface as a
 :class:`~repro.index.storage.StorageError` naming the offending path.
 """
 
+import copy
 import json
 import os
 import re
@@ -232,41 +233,69 @@ class TestCorruption:
             RetrievalSystem.from_file(path)
 
 
-def _rewrite_stored_bestring(monkeypatch, image_id, rewrite):
-    """Make every writer store ``rewrite(text)`` as ``image_id``'s axis strings."""
+#: Every layout a stored entry can be read from: the three backends and the
+#: durable directory's write-ahead log.
+LOAD_LAYOUTS = ["json", "sqlite", "sharded", "wal"]
+
+
+def _rewrite_stored_entry(monkeypatch, image_id, rewrite):
+    """Make every writer store ``rewrite(entry)`` as ``image_id``'s entry."""
     original = storage.image_record_to_json
 
     def patched(record):
         entry = original(record)
-        if record.image_id == image_id:
-            bestring = entry["bestring"]
-            entry["bestring"] = dict(
-                bestring, x=rewrite(bestring["x"]), y=rewrite(bestring["y"])
-            )
-        return entry
+        return rewrite(entry) if record.image_id == image_id else entry
 
     monkeypatch.setattr(storage, "image_record_to_json", patched)
     monkeypatch.setattr(backends, "image_record_to_json", patched)
 
 
-def _save_rewritten(database, tmp_path, layout, monkeypatch, rewrite):
-    """Save ``database`` with one image's stored text rewritten; returns the path."""
+def _save_rewritten_entry(database, tmp_path, layout, monkeypatch, rewrite):
+    """Save ``database`` with one image's stored entry rewritten; returns the path."""
     if layout == "wal":
         path = save_database_to(database, tmp_path / "db.shards", "sharded", durable=True)
-        _rewrite_stored_bestring(monkeypatch, "logged", rewrite)
+        _rewrite_stored_entry(monkeypatch, "logged", rewrite)
         picture = database.get(database.image_ids[0]).picture
         with DurableShardedStore(database, path) as store:
             store.log_upsert(database.add_picture(picture, "logged"))
         return path
     file_name = dict(BACKEND_TARGETS)[layout]
-    _rewrite_stored_bestring(monkeypatch, database.image_ids[0], rewrite)
+    _rewrite_stored_entry(monkeypatch, database.image_ids[0], rewrite)
     return save_database_to(database, tmp_path / file_name, layout)
+
+
+def _save_rewritten(database, tmp_path, layout, monkeypatch, rewrite):
+    """Save ``database`` with one image's stored text rewritten; returns the path."""
+
+    def rewrite_entry(entry):
+        bestring = entry["bestring"]
+        return dict(
+            entry, bestring=dict(bestring, x=rewrite(bestring["x"]), y=rewrite(bestring["y"]))
+        )
+
+    return _save_rewritten_entry(database, tmp_path, layout, monkeypatch, rewrite_entry)
+
+
+def _save_rewritten_picture(database, tmp_path, layout, monkeypatch, rewrite):
+    """Save ``database`` with one image's stored picture edited in place by ``rewrite``."""
+
+    def rewrite_entry(entry):
+        picture = copy.deepcopy(entry["picture"])
+        rewrite(picture)
+        return dict(entry, picture=picture)
+
+    return _save_rewritten_entry(database, tmp_path, layout, monkeypatch, rewrite_entry)
+
+
+def _set_icon(index, **fields):
+    """A picture rewrite that sets ``fields`` on the stored icon at ``index``."""
+    return lambda picture: picture["icons"][index].update(fields)
 
 
 class TestStoredBEStringText:
     """Stored BE-strings are compared as text first, parsed only on a difference."""
 
-    @pytest.mark.parametrize("layout", ["json", "sqlite", "sharded", "wal"])
+    @pytest.mark.parametrize("layout", LOAD_LAYOUTS)
     def test_whitespace_only_difference_still_loads(
         self, populated_database, tmp_path, monkeypatch, layout
     ):
@@ -279,7 +308,7 @@ class TestStoredBEStringText:
         for record in restored:
             assert record.bestring == populated_database.get(record.image_id).bestring
 
-    @pytest.mark.parametrize("layout", ["json", "sqlite", "sharded", "wal"])
+    @pytest.mark.parametrize("layout", LOAD_LAYOUTS)
     def test_reordered_symbols_are_rejected_naming_the_path(
         self, populated_database, tmp_path, monkeypatch, layout
     ):
@@ -290,14 +319,84 @@ class TestStoredBEStringText:
         with pytest.raises(StorageError, match=re.escape(str(path)) + ".*does not match"):
             load_database_from(path)
 
-    def test_label_with_whitespace_is_still_parsed(self, office, tmp_path):
-        # Its tokens split apart when parsed, so equal text alone must not
-        # accept it: the file is rejected exactly as a parse-only loader would.
-        database = ImageDatabase()
-        database.add_picture(office.add_icon("coffee mug", office.icons[0].mbr))
-        path = save_database_to(database, tmp_path / "db.json", "json")
-        with pytest.raises(StorageError, match="malformed"):
+    def test_label_with_whitespace_is_still_parsed(
+        self, scene_collection, office, tmp_path, monkeypatch
+    ):
+        # No writer can store such a label: the icon itself rejects it.
+        with pytest.raises(ValueError, match="whitespace"):
+            office.add_icon("coffee mug", office.icons[0].mbr)
+        # A file that holds one anyway fails its picture decode on every
+        # layout, before any text comparison could accept it.
+        for layout in LOAD_LAYOUTS:
+            database = ImageDatabase()
+            database.add_pictures(scene_collection)
+            with monkeypatch.context() as patch:
+                path = _save_rewritten_picture(
+                    database, tmp_path / layout, layout, patch,
+                    _set_icon(0, label="coffee mug"),
+                )
+            with pytest.raises(
+                StorageError,
+                match=re.escape(str(path)) + ".*malformed image entry: .*whitespace",
+            ):
+                load_database_from(path)
+
+
+#: Stored pictures every layout must reject at load, each with the phrase
+#: its picture decode raises.  A label holding whitespace is
+#: ``test_label_with_whitespace_is_still_parsed``.
+PICTURE_CORRUPTIONS = {
+    "icon-outside-frame": (
+        lambda picture: picture["icons"][0].update(mbr=[0, 0, picture["width"] + 1, 1]),
+        "exceeds the",
+    ),
+    "inverted-mbr": (_set_icon(0, mbr=[5.0, 1.0, 2.0, 3.0]), "must not exceed"),
+    "non-positive-frame": (lambda picture: picture.update(width=0.0), "positive width"),
+    "duplicate-identifier": (
+        lambda picture: picture["icons"][1].update(
+            label=picture["icons"][0]["label"], instance=picture["icons"][0]["instance"]
+        ),
+        "duplicate icon identifier",
+    ),
+    "negative-instance": (_set_icon(0, instance=-1), "non-negative"),
+    "non-string-label": (_set_icon(0, label=5), "non-empty string"),
+}
+
+
+class TestStoredPictureChecks:
+    """Every load-time picture check holds on every layout."""
+
+    @pytest.mark.parametrize("corruption", sorted(PICTURE_CORRUPTIONS))
+    @pytest.mark.parametrize("layout", LOAD_LAYOUTS)
+    def test_corrupt_picture_is_rejected_naming_the_path(
+        self, populated_database, tmp_path, monkeypatch, layout, corruption
+    ):
+        rewrite, phrase = PICTURE_CORRUPTIONS[corruption]
+        path = _save_rewritten_picture(
+            populated_database, tmp_path, layout, monkeypatch, rewrite
+        )
+        with pytest.raises(
+            StorageError, match=re.escape(str(path)) + ".*malformed image entry: .*" + phrase
+        ):
             load_database_from(path)
+
+    @pytest.mark.parametrize("layout", LOAD_LAYOUTS)
+    def test_icons_stored_out_of_canonical_order_load_canonical(
+        self, populated_database, tmp_path, monkeypatch, layout
+    ):
+        path = _save_rewritten_picture(
+            populated_database, tmp_path, layout, monkeypatch,
+            lambda picture: picture["icons"].reverse(),
+        )
+        restored = load_database_from(path)
+        assert restored.image_ids == populated_database.image_ids
+        for record in restored:
+            expected = populated_database.get(record.image_id)
+            assert record.picture == expected.picture
+            assert record.picture.icons == tuple(
+                sorted(record.picture.icons, key=lambda icon: (icon.label, icon.instance))
+            )
+            assert record.bestring == expected.bestring
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.core.construct import encode_picture
 from repro.geometry.rectangle import Rectangle
 from repro.index.database import DatabaseError, ImageDatabase
+from repro.index.shortlist import signature_for
 from repro.index.storage import database_from_json, database_to_json
 
 
@@ -82,6 +83,43 @@ class TestObjectLevelOperations:
         assert not record.picture.has_icon("phone")
         expected = encode_picture(record.picture)
         assert record.bestring.x.symbols == expected.x.symbols
+
+    @pytest.mark.parametrize(
+        "label, mbr",
+        [
+            ("", Rectangle(1, 1, 3, 3)),
+            ("coffee mug", Rectangle(1, 1, 3, 3)),
+            ("mug", Rectangle(1, 1, 3, 10_000)),
+        ],
+        ids=["empty-label", "whitespace-label", "outside-frame"],
+    )
+    def test_rejected_add_object_changes_nothing(self, office, label, mbr):
+        database = ImageDatabase()
+        database.add_picture(office)
+        database.clear_dirty()
+        record = database.get(office.name)
+        signature = signature_for(record)
+
+        def state():
+            return (
+                record.picture,
+                record.bestring,
+                record.indexed.identifiers,
+                record.indexed.to_bestring(),
+                record.signature,
+                database.dirty_ids,
+            )
+
+        before = state()
+        with pytest.raises(ValueError):
+            database.add_object(office.name, label, mbr)
+        assert state() == before
+        assert record.signature is signature
+        edited = database.add_object(office.name, "tree", Rectangle(2, 2, 5, 5))
+        assert edited.bestring == encode_picture(edited.picture)
+        assert edited.indexed.to_bestring() == edited.bestring
+        reloaded = database_from_json(database_to_json(database))
+        assert reloaded.get(office.name).bestring == edited.bestring
 
     def test_add_then_remove_restores_bestring(self, office):
         database = ImageDatabase()

@@ -1,12 +1,18 @@
 """The Algorithm 1 encoder equals its earlier, per-symbol form.
 
-The encoder sorts native ``(coordinate, identifier, 0|1)`` keys and looks up
-each object's two boundary symbols once.  The reference below is the
-earlier implementation, kept verbatim apart from its name: it sorted through
-a key function and built every boundary symbol as it emitted it.  Coordinates
-are drawn on a coarse grid, so boundaries often coincide, objects often have
-zero extent and boundaries often sit at 0 or at the extent; some fall outside
-the frame, and those must fail with the same exception and message.
+The encoder sorts native ``(coordinate, identifier, 0|1, symbol)`` keys that
+carry each object's two interned boundary symbols.  The reference below is
+the earlier implementation, kept verbatim apart from its name: it sorted
+through a key function and built every boundary symbol as it emitted it.
+Coordinates are drawn on a coarse grid, so boundaries often coincide, objects
+often have zero extent and boundaries often sit at 0 or at the extent; some
+fall outside the frame, and those must fail with the same exception and
+message.
+
+``encode_picture`` is checked the same way, together with the picture it
+encodes: the reference sorts the icons, checks them one by one against a
+frame rectangle, and hands parallel coordinate arrays to the per-symbol
+encoder, as the earlier code did.
 """
 
 from typing import List, Sequence, Tuple
@@ -14,9 +20,12 @@ from typing import List, Sequence, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.core.bestring import AxisBEString, BEString2D
-from repro.core.construct import build_axis_string, convert_2d_be_string
+from repro.core.construct import build_axis_string, convert_2d_be_string, encode_picture
 from repro.core.errors import EncodingError
 from repro.core.symbols import BoundaryKind, Symbol
+from repro.geometry.rectangle import Rectangle
+from repro.iconic.icon import IconObject
+from repro.iconic.picture import PictureError, SymbolicPicture
 
 BoundaryRecord = Tuple[float, str, BoundaryKind]
 
@@ -66,7 +75,7 @@ def outcome(build, *arguments):
     """What a call returns, or the type and message of what it raises."""
     try:
         return build(*arguments)
-    except EncodingError as error:
+    except (EncodingError, PictureError) as error:
         return (type(error), str(error))
 
 
@@ -139,4 +148,103 @@ def test_convert_equals_the_reference(picture):
             "name": "scene",
             "x": reference_tokens(expected.x),
             "y": reference_tokens(expected.y),
+        }
+
+
+def reference_canonical_icons(icons, width, height):
+    """The earlier picture check: sort, then test each icon against a frame."""
+    if width <= 0 or height <= 0:
+        raise PictureError("picture frame must have positive width and height")
+    canonical = tuple(sorted(icons, key=lambda icon: (icon.label, icon.instance)))
+    frame = Rectangle(0.0, 0.0, width, height)
+    seen = set()
+    for icon in canonical:
+        if icon.identifier in seen:
+            raise PictureError(
+                f"duplicate icon identifier {icon.identifier!r}; use distinct "
+                "instance indices for repeated labels"
+            )
+        seen.add(icon.identifier)
+        if not frame.contains(icon.mbr):
+            raise PictureError(
+                f"icon {icon.identifier!r} MBR {icon.mbr} exceeds the "
+                f"{width:g}x{height:g} frame"
+            )
+    return canonical
+
+
+def reference_encode_picture(icons, width, height, name):
+    """The earlier ``encode_picture``: parallel arrays into the reference encoder."""
+    canonical = reference_canonical_icons(icons, width, height)
+    axes = []
+    for extent, begin_of, end_of in (
+        (width, lambda mbr: mbr.x_begin, lambda mbr: mbr.x_end),
+        (height, lambda mbr: mbr.y_begin, lambda mbr: mbr.y_end),
+    ):
+        axis_records = [
+            record
+            for icon in canonical
+            for record in (
+                (float(begin_of(icon.mbr)), icon.identifier, BoundaryKind.BEGIN),
+                (float(end_of(icon.mbr)), icon.identifier, BoundaryKind.END),
+            )
+        ]
+        axes.append(reference_axis_string(axis_records, float(extent)))
+    return canonical, BEString2D(axes[0], axes[1], name)
+
+
+#: Labels whose identifiers can collide: ``car`` instance 1 and the label
+#: ``car#1`` instance 0 both name ``car#1``.
+icon_labels = st.sampled_from(["A", "B", "C", "D", "car", "car#1", "tree", "tree#2"])
+
+
+@st.composite
+def spans(draw):
+    """One axis's ``(begin, end)``: on the grid, now and then beyond the frame."""
+    begin = draw(st.integers(min_value=0, max_value=7))
+    end = begin + draw(st.integers(min_value=0, max_value=3))
+    if draw(st.integers(min_value=0, max_value=15)) == 0:
+        return draw(st.sampled_from([(-1, begin), (end, 13)]))
+    return begin, end
+
+
+@st.composite
+def extents(draw):
+    """A frame extent, integer or float, now and then not positive."""
+    if draw(st.integers(min_value=0, max_value=15)) == 0:
+        return draw(st.sampled_from([0, -1.0]))
+    return draw(st.sampled_from([10, 10.0, 11.0, 12.5]))
+
+
+@st.composite
+def icon_lists(draw):
+    """Icons in any order, some with colliding identifiers."""
+    icons = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        (x_begin, x_end), (y_begin, y_end) = draw(spans()), draw(spans())
+        icons.append(
+            IconObject(
+                label=draw(icon_labels),
+                mbr=Rectangle(x_begin, y_begin, x_end, y_end),
+                instance=draw(st.sampled_from([0, 0, 1, 2])),
+            )
+        )
+    return icons
+
+
+@settings(max_examples=400, deadline=None)
+@given(icon_lists(), extents(), extents())
+def test_encode_picture_equals_the_reference(icons, width, height):
+    def produce():
+        picture = SymbolicPicture(width=width, height=height, icons=tuple(icons), name="scene")
+        return picture.icons, encode_picture(picture)
+
+    produced = outcome(produce)
+    expected = outcome(reference_encode_picture, icons, width, height, "scene")
+    assert produced == expected
+    if isinstance(produced[1], BEString2D):
+        assert produced[1].to_dict() == {
+            "name": "scene",
+            "x": reference_tokens(expected[1].x),
+            "y": reference_tokens(expected[1].y),
         }

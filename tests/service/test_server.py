@@ -352,6 +352,28 @@ class TestMutations:
             client.images.delete("never-stored")
         assert excinfo.value.status == 404
 
+    def test_whitespace_label_is_a_400_and_nothing_is_logged(self, tmp_path):
+        path = RetrievalSystem.from_pictures(collection()).save(
+            tmp_path / "served.shards", durable=True
+        )
+        spaced = office_scene(7).renamed("spaced").to_dict()
+        spaced["icons"][0]["label"] = "coffee mug"
+        system = RetrievalSystem.from_file(path, durable=True)
+        with create_server(system, port=0, database_path=path, durable=True) as server:
+            server.start_background()
+            client = ServiceClient(port=server.port)
+            client.wait_until_healthy(timeout=10)
+            for send in (lambda: client.images.add(spaced), lambda: client.search(spaced)):
+                with pytest.raises(ServiceError, match="whitespace") as excinfo:
+                    send()
+                assert excinfo.value.status == 400
+            created = client.images.add(office_scene(7).renamed("plain"))
+        assert created["lsn"] == 1
+        reloaded = RetrievalSystem.from_file(path, durable=True)
+        assert sorted(reloaded.image_ids) == sorted(
+            [picture.name for picture in collection()] + ["plain"]
+        )
+
     def test_mutation_invalidates_served_rankings(self, client):
         """A cached query must re-rank after an insert changes the answer."""
         probe = office_scene(2)

@@ -6,7 +6,9 @@ database, drives every endpoint with the stdlib client -- search, batch,
 insert, delete, ``/reload``, ``/healthz``, ``/stats`` -- and fails (non-zero
 exit) on any non-2xx response or any ranking that is not byte-identical to
 the in-process engine executing the same query, or, after ``/reload``, to
-the live engine's ranking before it.  Standard library only; runs against the
+the live engine's ranking before it.  A scene whose label holds whitespace
+must be refused with a 400, and the ``/reload`` after it must still load
+every image.  Standard library only; runs against the
 installed package or a ``PYTHONPATH=src`` checkout.
 
 Usage::
@@ -161,6 +163,15 @@ def drive(client: ServiceClient, reference: RetrievalSystem, database: Path) -> 
         "post-delete rankings match the quiesced engine",
         served["results"] == expected_dicts(reference, scene=scenes[0]),
     )
+
+    # --- a label with whitespace is refused before anything persists --
+    spaced = office_scene(8).renamed("smoke-spaced").to_dict()
+    spaced["icons"][0]["label"] = "coffee mug"
+    try:
+        client.images.add(spaced)
+        check("inserting a whitespace label is a 400", False)
+    except ServiceError as error:
+        check("inserting a whitespace label is a 400", error.status == 400)
 
     # --- /reload: a fresh engine loaded beside the live one -----------
     before = [client.search(**kwargs)["results"] for _, kwargs in probes]
