@@ -13,21 +13,29 @@ or the empty string (the projections coincide).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.core.errors import EncodingError
 from repro.core.symbols import BoundaryKind, Symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AxisBEString:
-    """The BE-string of one axis: an immutable sequence of symbols."""
+    """The BE-string of one axis: an immutable sequence of symbols.
 
-    symbols: Tuple[Symbol, ...] = field(default_factory=tuple)
+    A value record (see ``docs/architecture.md``, "Value records").
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+    __slots__ = ("symbols",)
+
+    symbols: Tuple[Symbol, ...]
+
+    def __init__(self, symbols: Iterable[Symbol] = ()) -> None:
+        _set_symbols(self, tuple(symbols))
+
+    def __reduce__(self) -> Tuple[type, Tuple[Tuple[Symbol, ...]]]:
+        return (type(self), (self.symbols,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -230,13 +238,26 @@ class AxisBEString:
         return self.to_text()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BEString2D:
-    """The pair of axis BE-strings representing one symbolic image."""
+    """The pair of axis BE-strings representing one symbolic image.
+
+    A value record (see ``docs/architecture.md``, "Value records").
+    """
+
+    __slots__ = ("x", "y", "name")
 
     x: AxisBEString
     y: AxisBEString
-    name: str = ""
+    name: str
+
+    def __init__(self, x: AxisBEString, y: AxisBEString, name: str = "") -> None:
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_name(self, name)
+
+    def __reduce__(self) -> Tuple[type, Tuple[AxisBEString, AxisBEString, str]]:
+        return (type(self), (self.x, self.y, self.name))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -320,3 +341,11 @@ class BEString2D:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.x.to_compact_text()}, {self.y.to_compact_text()})"
+
+
+# The frozen ``__setattr__`` refuses every assignment, so each ``__init__``
+# sets its slots through their member descriptors.
+_set_symbols = AxisBEString.symbols.__set__
+_set_x = BEString2D.x.__set__
+_set_y = BEString2D.y.__set__
+_set_name = BEString2D.name.__set__

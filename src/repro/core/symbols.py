@@ -17,19 +17,10 @@ from enum import Enum
 from typing import Dict, Optional, Tuple
 
 from repro.core.errors import EncodingError
+from repro.iconic.icon import BOUNDARY_INTERN_LIMIT, BOUNDARY_INTERN_MAX_LENGTH
 
 #: Text form of the dummy object, as in the paper.
 DUMMY_TEXT = "E"
-
-#: Most boundary symbols :meth:`Symbol.boundaries` keeps shared, two per
-#: identifier.  The table is emptied when it is full (like the ``re`` module's
-#: pattern cache), so identifiers a client makes up cannot grow it without
-#: limit.
-BOUNDARY_INTERN_LIMIT = 65536
-#: Longest identifier :meth:`Symbol.boundaries` shares.  A longer one gets a
-#: fresh pair, so the table holds at most ``BOUNDARY_INTERN_LIMIT`` times
-#: this many characters however long the labels a client sends are.
-BOUNDARY_INTERN_MAX_LENGTH = 128
 
 
 class BoundaryKind(Enum):
@@ -195,4 +186,8 @@ class Symbol:
 
 
 _DUMMY = Symbol()
+#: The shared ``(begin, end)`` pair of each identifier :meth:`Symbol.boundaries`
+#: has seen: at most ``BOUNDARY_INTERN_LIMIT`` symbols, two per identifier of
+#: at most ``BOUNDARY_INTERN_MAX_LENGTH`` characters (a longer one gets a
+#: fresh pair), emptied when full.  The bounds are the icon-label table's.
 _BOUNDARIES: Dict[str, Tuple[Symbol, Symbol]] = {}

@@ -16,24 +16,35 @@ from repro.geometry.interval import Interval
 from repro.geometry.point import Point
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class Rectangle:
-    """A closed axis-aligned rectangle ``[x_begin, x_end] x [y_begin, y_end]``."""
+    """A closed axis-aligned rectangle ``[x_begin, x_end] x [y_begin, y_end]``.
+
+    A value record (see ``docs/architecture.md``, "Value records"): slotted,
+    built by a checked ``__init__`` that sets each slot directly, and
+    pickled through that constructor.
+    """
+
+    __slots__ = ("x_begin", "y_begin", "x_end", "y_end")
 
     x_begin: float
     y_begin: float
     x_end: float
     y_end: float
 
-    def __post_init__(self) -> None:
-        if self.x_begin > self.x_end:
-            raise ValueError(
-                f"x_begin {self.x_begin!r} must not exceed x_end {self.x_end!r}"
-            )
-        if self.y_begin > self.y_end:
-            raise ValueError(
-                f"y_begin {self.y_begin!r} must not exceed y_end {self.y_end!r}"
-            )
+    def __init__(self, x_begin: float, y_begin: float, x_end: float, y_end: float) -> None:
+        # Negated, so a NaN coordinate (every comparison false) fails too.
+        if not x_begin <= x_end:
+            raise ValueError(f"x_begin {x_begin!r} must not exceed x_end {x_end!r}")
+        if not y_begin <= y_end:
+            raise ValueError(f"y_begin {y_begin!r} must not exceed y_end {y_end!r}")
+        _set_x_begin(self, x_begin)
+        _set_y_begin(self, y_begin)
+        _set_x_end(self, x_end)
+        _set_y_end(self, y_end)
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, float, float, float]]:
+        return (type(self), (self.x_begin, self.y_begin, self.x_end, self.y_end))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -55,7 +66,7 @@ class Rectangle:
         cls, x: float, y: float, width: float, height: float
     ) -> "Rectangle":
         """Build from the bottom-left corner plus a non-negative size."""
-        if width < 0 or height < 0:
+        if not (width >= 0 and height >= 0):
             raise ValueError("width and height must be non-negative")
         return cls(x, y, x + width, y + height)
 
@@ -236,3 +247,11 @@ class Rectangle:
             f"Rectangle(x=[{self.x_begin:g}, {self.x_end:g}], "
             f"y=[{self.y_begin:g}, {self.y_end:g}])"
         )
+
+
+# The frozen ``__setattr__`` refuses every assignment, so ``__init__`` sets
+# each slot through its member descriptor.
+_set_x_begin = Rectangle.x_begin.__set__
+_set_y_begin = Rectangle.y_begin.__set__
+_set_x_end = Rectangle.x_end.__set__
+_set_y_end = Rectangle.y_end.__set__

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.geometry.rectangle import Rectangle
@@ -14,7 +14,7 @@ class PictureError(ValueError):
     """Raised when a symbolic picture is constructed inconsistently."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymbolicPicture:
     """An image abstracted to its icon objects and their MBRs.
 
@@ -25,20 +25,28 @@ class SymbolicPicture:
 
     The picture is immutable; editing operations return new pictures.  Icons
     are stored in a canonical order (label, instance) so two pictures with the
-    same content always compare equal.
+    same content always compare equal.  A value record (see
+    ``docs/architecture.md``, "Value records").
     """
+
+    __slots__ = ("width", "height", "icons", "name")
 
     width: float
     height: float
-    icons: Tuple[IconObject, ...] = field(default_factory=tuple)
-    name: str = ""
+    icons: Tuple[IconObject, ...]
+    name: str
 
-    def __post_init__(self) -> None:
-        width, height = self.width, self.height
-        if width <= 0 or height <= 0:
+    def __init__(
+        self,
+        width: float,
+        height: float,
+        icons: Iterable[IconObject] = (),
+        name: str = "",
+    ) -> None:
+        # Negated, so a NaN extent (every comparison false) fails too.
+        if not (width > 0 and height > 0):
             raise PictureError("picture frame must have positive width and height")
-        canonical = tuple(sorted(self.icons, key=lambda icon: (icon.label, icon.instance)))
-        object.__setattr__(self, "icons", canonical)
+        canonical = tuple(sorted(icons, key=lambda icon: (icon.label, icon.instance)))
         seen = set()
         for icon in canonical:
             identifier = icon.identifier
@@ -56,6 +64,13 @@ class SymbolicPicture:
                 raise PictureError(
                     f"icon {identifier!r} MBR {mbr} exceeds the {width:g}x{height:g} frame"
                 )
+        _set_width(self, width)
+        _set_height(self, height)
+        _set_icons(self, canonical)
+        _set_name(self, name)
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, float, Tuple[IconObject, ...], str]]:
+        return (type(self), (self.width, self.height, self.icons, self.name))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -259,6 +274,14 @@ class SymbolicPicture:
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         label = self.name or "picture"
         return f"{label}({len(self.icons)} icons, {self.width:g}x{self.height:g})"
+
+
+# The frozen ``__setattr__`` refuses every assignment, so ``__init__`` sets
+# each slot through its member descriptor.
+_set_width = SymbolicPicture.width.__set__
+_set_height = SymbolicPicture.height.__set__
+_set_icons = SymbolicPicture.icons.__set__
+_set_name = SymbolicPicture.name.__set__
 
 
 def fig1_picture() -> SymbolicPicture:

@@ -70,6 +70,7 @@ from repro.index.storage import (
     SCHEMA_VERSION,
     StorageError,
     check_schema_version,
+    database_from_entries,
     image_entry_to_record,
     image_record_to_json,
     load_database as _load_json_database,
@@ -799,17 +800,15 @@ class ShardedBackend(StorageBackend):
         if not source.exists():
             raise FileNotFoundError(f"no such shard directory: {source}")
         manifest = self._read_manifest(source)
-        database = ImageDatabase(name=manifest.get("name", "image-database"))
         entries: List[Dict[str, Any]] = []
         for key in sorted(manifest["shards"]):
             shard_path = source / manifest["shards"][key]["file"]
             entries.extend(self._read_shard(shard_path))
         entries.sort(key=lambda entry: str(entry.get("image_id", "")))
-        for entry in entries:
-            try:
-                image_entry_to_record(database, entry)
-            except StorageError as error:
-                raise StorageError(f"{source}: {error}") from error
+        try:
+            database = database_from_entries(manifest.get("name", "image-database"), entries)
+        except StorageError as error:
+            raise StorageError(f"{source}: {error}") from error
         self._replay_wal(source, manifest, database)
         database.clear_dirty()
         return database

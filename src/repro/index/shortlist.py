@@ -41,8 +41,9 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.similarity import SimilarityPolicy, combined_value, normalized_value
-from repro.core.symbols import BOUNDARY_INTERN_LIMIT, BOUNDARY_INTERN_MAX_LENGTH, BoundaryKind
+from repro.core.symbols import BoundaryKind
 from repro.core.transforms import Transformation, transform
+from repro.iconic.icon import BOUNDARY_INTERN_LIMIT, BOUNDARY_INTERN_MAX_LENGTH
 
 #: Default width (in bits) of the hashed label bitmap.
 DEFAULT_BITMAP_WIDTH = 128
@@ -132,7 +133,7 @@ def _relation_code(a_begin: int, a_end: int, b_begin: int, b_end: int) -> int:
 _BEGIN = BoundaryKind.BEGIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AxisSignature:
     """Shortlist-relevant facts about one axis BE-string.
 
@@ -140,8 +141,11 @@ class AxisSignature:
     objects' boundary positions, so the signature keeps the positions (two
     entries per object) rather than the codes (one per pair);
     :func:`pair_conflicts` computes a candidate's code only for the pairs a
-    query asks about.
+    query asks about.  A value record (see ``docs/architecture.md``, "Value
+    records").
     """
+
+    __slots__ = ("length", "boundaries", "dummies", "begins", "ends")
 
     #: Total symbol count of the axis string.
     length: int
@@ -156,6 +160,26 @@ class AxisSignature:
     #: Symbol index of each object's end boundary (same keys as
     #: :attr:`begins`).
     ends: Dict[str, int]
+
+    def __init__(
+        self,
+        length: int,
+        boundaries: int,
+        dummies: int,
+        begins: Dict[str, int],
+        ends: Dict[str, int],
+    ) -> None:
+        _set_length(self, length)
+        _set_boundaries(self, boundaries)
+        _set_dummies(self, dummies)
+        _set_begins(self, begins)
+        _set_ends(self, ends)
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, int, int, Dict[str, int], Dict[str, int]]]:
+        return (
+            type(self),
+            (self.length, self.boundaries, self.dummies, self.begins, self.ends),
+        )
 
     @classmethod
     def from_axis(cls, axis: AxisBEString) -> "AxisSignature":
@@ -187,6 +211,15 @@ class AxisSignature:
             begins=begins,
             ends=ends,
         )
+
+
+# The frozen ``__setattr__`` refuses every assignment, so ``__init__`` sets
+# each slot through its member descriptor.
+_set_length = AxisSignature.length.__set__
+_set_boundaries = AxisSignature.boundaries.__set__
+_set_dummies = AxisSignature.dummies.__set__
+_set_begins = AxisSignature.begins.__set__
+_set_ends = AxisSignature.ends.__set__
 
 
 @dataclass

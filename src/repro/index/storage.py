@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, List, Union
 
 from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
@@ -112,11 +112,36 @@ def check_schema_version(version: Any) -> None:
         )
 
 
+def database_from_entries(name: str, entries: List[Any]) -> ImageDatabase:
+    """Build a database from decoded image entries, consuming ``entries``.
+
+    This is the per-entry loop of every loader that decodes all its entries
+    first.  ``entries`` must be a list the caller owns and no longer reads:
+    each slot is set to ``None`` once :func:`image_entry_to_record` has
+    stored its record, so each decoded entry is freed while the later
+    records are built rather than after the last one.
+
+    Returns:
+        The database named ``name``, with a clean dirty set.
+
+    Raises:
+        StorageError: if an entry is malformed or inconsistent.
+    """
+    database = ImageDatabase(name=name)
+    for index, entry in enumerate(entries):
+        image_entry_to_record(database, entry)
+        entries[index] = None
+    database.clear_dirty()
+    return database
+
+
 def database_from_json(payload: Dict[str, Any]) -> ImageDatabase:
     """Rebuild a database from :func:`database_to_json` output.
 
     The stored BE-string of every image is checked against a re-encoding of
     the stored picture; a mismatch raises :class:`StorageError`.
+    ``payload`` is left as it was: the entries are read from a copy of its
+    ``images`` list.
 
     Returns:
         The reconstructed :class:`~repro.index.database.ImageDatabase` with a
@@ -126,12 +151,17 @@ def database_from_json(payload: Dict[str, Any]) -> ImageDatabase:
         StorageError: on an unsupported schema version or a malformed or
             inconsistent image entry.
     """
+    return _database_from_payload(payload, list(payload.get("images", [])))
+
+
+def _database_from_payload(payload: Dict[str, Any], entries: List[Any]) -> ImageDatabase:
+    """Check ``payload``'s schema and build its database from ``entries``.
+
+    ``entries`` is the payload's image list or a copy of it;
+    :func:`database_from_entries` consumes it.
+    """
     check_schema_version(payload.get("schema_version"))
-    database = ImageDatabase(name=payload.get("name", "image-database"))
-    for entry in payload.get("images", []):
-        image_entry_to_record(database, entry)
-    database.clear_dirty()
-    return database
+    return database_from_entries(payload.get("name", "image-database"), entries)
 
 
 def save_database(database: ImageDatabase, path: Union[str, Path]) -> Path:
@@ -168,7 +198,8 @@ def load_database(path: Union[str, Path]) -> ImageDatabase:
     except UnicodeDecodeError as error:
         raise StorageError(f"{source} is not valid UTF-8 text: {error}") from error
     try:
-        return database_from_json(payload)
+        # The decoded document is this function's own: hand its entries over.
+        return _database_from_payload(payload, payload.get("images", []))
     except StorageError as error:
         raise StorageError(f"{source}: {error}") from error
 

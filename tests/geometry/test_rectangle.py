@@ -14,6 +14,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Rectangle(0, 5, 10, 1)
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_a_nan_coordinate(self, position):
+        coordinates = [0.0, 0.0, 1.0, 1.0]
+        coordinates[position] = float("nan")
+        with pytest.raises(ValueError, match="must not exceed"):
+            Rectangle(*coordinates)
+
+    def test_from_origin_size_rejects_a_nan_size(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            Rectangle.from_origin_size(0, 0, float("nan"), 2)
+
     def test_from_corners_any_order(self):
         expected = Rectangle(1, 2, 5, 7)
         assert Rectangle.from_corners(Point(5, 7), Point(1, 2)) == expected

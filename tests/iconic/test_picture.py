@@ -14,6 +14,14 @@ class TestConstruction:
         with pytest.raises(PictureError):
             SymbolicPicture(width=10, height=-1)
 
+    def test_rejects_a_nan_frame(self):
+        for width, height in ((float("nan"), 10.0), (10.0, float("nan"))):
+            with pytest.raises(PictureError, match="positive width"):
+                SymbolicPicture(width=width, height=height)
+        payload = {"width": float("nan"), "height": 10, "icons": [], "name": "p"}
+        with pytest.raises(PictureError, match="positive width"):
+            SymbolicPicture.from_dict(payload)
+
     def test_icons_must_fit_in_frame(self):
         with pytest.raises(PictureError):
             SymbolicPicture.build(

@@ -360,6 +360,14 @@ PICTURE_CORRUPTIONS = {
     ),
     "negative-instance": (_set_icon(0, instance=-1), "non-negative"),
     "non-string-label": (_set_icon(0, label=5), "non-empty string"),
+    "nan-frame": (lambda picture: picture.update(width=float("nan")), "positive width"),
+    "nan-coordinate": (_set_icon(0, mbr=[float("nan"), 1.0, 2.0, 3.0]), "must not exceed"),
+    "fractional-instance": (_set_icon(0, instance=1.5), "must be an integer"),
+    "boolean-instance": (_set_icon(0, instance=True), "must be an integer"),
+    # These two used to load: icon 0's instance is 0, so its identifier is the
+    # bare label either way, and ``int()`` read the value back as 0.
+    "integral-float-instance": (_set_icon(0, instance=0.0), "must be an integer"),
+    "false-instance": (_set_icon(0, instance=False), "must be an integer"),
 }
 
 
@@ -379,6 +387,26 @@ class TestStoredPictureChecks:
             StorageError, match=re.escape(str(path)) + ".*malformed image entry: .*" + phrase
         ):
             load_database_from(path)
+
+    @pytest.mark.parametrize("backend, file_name", BACKEND_TARGETS)
+    def test_instances_round_trip_as_integers(self, tmp_path, backend, file_name):
+        from repro.geometry.rectangle import Rectangle
+        from repro.iconic.icon import IconObject
+        from repro.iconic.picture import SymbolicPicture
+
+        # A fractional instance used to be stored as ``a#1.5`` and then fail
+        # every load; now no icon holds one, so no file can.
+        with pytest.raises(ValueError, match="must be an integer"):
+            IconObject("a", Rectangle(3, 3, 4, 4), 1.5)
+        icons = (IconObject("a", Rectangle(3, 3, 4, 4), 7), IconObject("a", Rectangle(1, 1, 2, 2)))
+        picture = SymbolicPicture(10.0, 10.0, icons, "p")
+        database = ImageDatabase()
+        database.add_picture(picture)
+        path = save_database_to(database, tmp_path / file_name, backend)
+        restored = load_database_from(path).get("p").picture
+        assert restored == picture
+        assert restored.identifiers == ["a", "a#7"]
+        assert [type(icon.instance) for icon in restored.icons] == [int, int]
 
     @pytest.mark.parametrize("layout", LOAD_LAYOUTS)
     def test_icons_stored_out_of_canonical_order_load_canonical(

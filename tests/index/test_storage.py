@@ -1,5 +1,6 @@
 """Unit tests for JSON persistence."""
 
+import copy
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from repro.index.database import ImageDatabase
 from repro.index.storage import (
     StorageError,
     bestring_for_file,
+    database_from_entries,
     database_from_json,
     database_to_json,
     load_database,
@@ -33,6 +35,29 @@ class TestRoundTrip:
         for image_id in populated_database.image_ids:
             assert restored.get(image_id).picture == populated_database.get(image_id).picture
             assert restored.get(image_id).bestring == populated_database.get(image_id).bestring
+
+    def test_database_from_json_leaves_its_payload_as_it_was(self, populated_database):
+        payload = json.loads(json.dumps(database_to_json(populated_database)))
+        before = copy.deepcopy(payload)
+        entries = payload["images"]
+        database_from_json(payload)
+        assert payload == before
+        assert payload["images"] is entries
+
+    def test_database_from_entries_drops_each_entry_it_stored(self, populated_database):
+        entries = database_to_json(populated_database)["images"]
+        restored = database_from_entries("test-db", entries)
+        assert entries == [None] * len(populated_database)
+        assert restored.image_ids == populated_database.image_ids
+        assert restored.dirty_ids == frozenset()
+
+    def test_a_failed_entry_and_those_after_it_are_kept(self, populated_database):
+        entries = database_to_json(populated_database)["images"]
+        del entries[2]["picture"]
+        kept = entries[2:]
+        with pytest.raises(StorageError, match="malformed image entry"):
+            database_from_entries("test-db", entries)
+        assert entries == [None, None] + kept
 
     def test_file_roundtrip(self, populated_database, tmp_path):
         path = save_database(populated_database, tmp_path / "db" / "images.json")

@@ -374,6 +374,43 @@ class TestMutations:
             [picture.name for picture in collection()] + ["plain"]
         )
 
+    @pytest.mark.parametrize(
+        "corruption, phrase",
+        [
+            ({"instance": 1.7}, "must be an integer"),
+            ({"instance": True}, "must be an integer"),
+            ({"instance": 2.0}, "must be an integer"),
+            ({"width": float("nan")}, "positive width"),
+            ({"mbr": [float("nan"), 1.0, 2.0, 3.0]}, "must not exceed"),
+        ],
+    )
+    def test_non_integer_instance_or_nan_is_a_400_and_nothing_is_logged(
+        self, tmp_path, corruption, phrase
+    ):
+        # Python's json reads and writes NaN, so a client can send one.
+        path = RetrievalSystem.from_pictures(collection()).save(
+            tmp_path / "served.shards", durable=True
+        )
+        scene = office_scene(7).renamed("bad").to_dict()
+        if "width" in corruption:
+            scene.update(corruption)
+        else:
+            scene["icons"][1].update(corruption)
+        system = RetrievalSystem.from_file(path, durable=True)
+        with create_server(system, port=0, database_path=path, durable=True) as server:
+            server.start_background()
+            client = ServiceClient(port=server.port)
+            client.wait_until_healthy(timeout=10)
+            for send in (lambda: client.images.add(scene), lambda: client.search(scene)):
+                with pytest.raises(ServiceError, match=phrase) as excinfo:
+                    send()
+                assert excinfo.value.status == 400
+            created = client.images.add(office_scene(7).renamed("plain"))
+        assert created["lsn"] == 1
+        reloaded = RetrievalSystem.from_file(path, durable=True)
+        assert "bad" not in reloaded.image_ids
+        assert "plain" in reloaded.image_ids
+
     def test_mutation_invalidates_served_rankings(self, client):
         """A cached query must re-rank after an insert changes the answer."""
         probe = office_scene(2)
