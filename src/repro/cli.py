@@ -31,11 +31,13 @@ system would script:
 
 ``python -m repro.cli batch-search <database.json> <queries.jsonl> [--shard-workers N]``
     Run many similarity queries as one batch.  Each line of the JSONL file is
-    either a scene object or ``{"scene": {...}, "invariant": true, "top": 5}``;
-    identical queries are evaluated once and scores are cached (see
-    ``repro.index.batch``).  ``--shard-workers N`` scatter-gathers the batch
-    across N forked shard-worker processes; without it the batch runs
-    serially.
+    a ``/search`` query object (``{"scene": {...}, "invariant": true,
+    "limit": 5}``, see ``docs/service.md``) or a bare scene object; ``top``
+    still spells ``limit``, and ``--invariant``, ``--top`` and
+    ``--no-filters`` fill the keys a line leaves out.  Identical queries are
+    evaluated once and scores are cached (see ``repro.index.batch``).
+    ``--shard-workers N`` (at most 16) scatter-gathers the batch across N
+    forked shard-worker processes; without it the batch runs serially.
 
 ``python -m repro.cli relations <database.json> "<predicate query>"``
     Run a relation-predicate query ("monitor above desk and ...").
@@ -305,17 +307,14 @@ def _command_explain(arguments: argparse.Namespace) -> int:
     return 0 if results else 1
 
 
-def _load_batch_queries(path: str, arguments: argparse.Namespace) -> List["QuerySpec"]:
-    """Parse a JSONL query file into :class:`QuerySpec` objects.
+def _load_batch_queries(path: str, arguments: argparse.Namespace) -> List[QuerySpec]:
+    """Decode a JSONL query file with :meth:`QuerySpec.from_wire`.
 
-    Each non-empty line is either a scene object, or a wrapper
-    ``{"scene": {...}, "invariant": bool, "top": int|null, "min_score": float}``
-    whose optional keys override the command-line defaults for that query
-    (``"top": null`` means unlimited results).
+    Each non-empty line is a ``/search`` query object, or a bare scene
+    object (a line without a ``scene`` key).  ``top`` still spells
+    ``limit``; ``--top``, ``--invariant`` and ``--no-filters`` fill the keys
+    a line leaves out (``"limit": null`` means unlimited results).
     """
-    from repro.core.transforms import Transformation
-    from repro.iconic.picture import SymbolicPicture
-
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
@@ -331,30 +330,19 @@ def _load_batch_queries(path: str, arguments: argparse.Namespace) -> List["Query
             raise CliError(f"{path}:{number}: invalid JSON: {error}") from error
         if not isinstance(payload, dict):
             raise CliError(f"{path}:{number}: expected a JSON object")
-        overrides = payload if "scene" in payload else {}
-        scene = payload.get("scene", payload)
+        if "scene" not in payload:
+            payload = {"scene": payload}
+        if "top" in payload:
+            payload.setdefault("limit", payload.pop("top"))
+        payload.setdefault("limit", arguments.top)
+        if arguments.invariant and "transformations" not in payload:
+            payload.setdefault("invariant", True)
+        if arguments.no_filters:
+            payload.setdefault("no_filters", True)
         try:
-            picture = SymbolicPicture.from_dict(scene)
-        except (StorageError, ValueError, KeyError, TypeError) as error:
-            raise CliError(f"{path}:{number}: malformed scene: {error}") from error
-        invariant = overrides.get("invariant", arguments.invariant)
-        if not isinstance(invariant, bool):
-            raise CliError(f"{path}:{number}: 'invariant' must be a JSON boolean")
-        limit = overrides.get("top", arguments.top)
-        if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int)):
-            raise CliError(f"{path}:{number}: 'top' must be a JSON integer or null")
-        minimum_score = overrides.get("min_score", 0.0)
-        if isinstance(minimum_score, bool) or not isinstance(minimum_score, (int, float)):
-            raise CliError(f"{path}:{number}: 'min_score' must be a JSON number")
-        queries.append(
-            QuerySpec(
-                picture=picture,
-                transformations=tuple(Transformation) if invariant else (Transformation.IDENTITY,),
-                limit=limit,
-                minimum_score=float(minimum_score),
-                execution=ExecutionOptions(shortlist=False) if arguments.no_filters else None,
-            )
-        )
+            queries.append(QuerySpec.from_wire(payload))
+        except QuerySpecError as error:
+            raise CliError(f"{path}:{number}: {error}") from error
     if not queries:
         raise CliError(f"query file {path} contains no queries")
     return queries
@@ -371,7 +359,7 @@ def _command_batch_search(arguments: argparse.Namespace) -> int:
     started = time.perf_counter()
     try:
         batches = system.query_batch(queries, **overrides)
-    except ValueError as error:  # a malformed spec, e.g. a negative "top"
+    except ValueError as error:  # a predicate clause, or too many --shard-workers
         raise CliError(str(error)) from error
     finally:
         system._engine.close_shard_pool()
@@ -743,8 +731,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
-        help="scatter-gather the batch across N forked shard-worker processes "
-             "(byte-identical rankings; see docs/parallelism.md)",
+        help="scatter-gather the batch across N (at most 16) forked shard-worker "
+             "processes (byte-identical rankings; see docs/parallelism.md)",
     )
     _add_format_flag(batch)
     batch.set_defaults(handler=_command_batch_search)
@@ -783,8 +771,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--shard-workers", type=int, default=None, metavar="N",
-        help="scatter-gather every search across N forked shard-worker "
-             "processes (byte-identical rankings; see docs/parallelism.md)",
+        help="scatter-gather every search across N (at most 16) forked "
+             "shard-worker processes (byte-identical rankings; see docs/parallelism.md)",
     )
     serve.add_argument(
         "--kernel", choices=KERNELS, default=None,

@@ -60,7 +60,6 @@ from repro.index.shortlist import (
     label_bitmap,
     signature_for,
 )
-from repro.index.spatial import QUADRANTS, LocatedIcon, RegionIndex
 from repro.index.spec import (
     CandidateTrace,
     QuerySpec,
@@ -118,9 +117,6 @@ __all__ = [
     "ShortlistStatistics",
     "label_bitmap",
     "signature_for",
-    "QUADRANTS",
-    "LocatedIcon",
-    "RegionIndex",
     "database_from_json",
     "database_to_json",
     "load_database",

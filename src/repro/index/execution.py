@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional
 
+from repro.index.backends import DEFAULT_SHARD_COUNT
+
 #: Length-only bit-parallel LCS kernel (``repro.core.lcskernel``).
 KERNEL_BITPARALLEL = "bitparallel"
 #: The reference dynamic program (``repro.core.lcs``).
@@ -47,6 +49,10 @@ EXECUTOR_SERIAL = "serial"
 #: to the serial engine.
 EXECUTOR_SHARD_PROCESS = "shard_process"
 EXECUTORS = (EXECUTOR_SERIAL, EXECUTOR_SHARD_PROCESS)
+#: The most shard workers a pool may have: the shard space has
+#: :data:`~repro.index.backends.DEFAULT_SHARD_COUNT` shards, and a worker
+#: past that count would own none.
+MAX_WORKERS = DEFAULT_SHARD_COUNT
 
 
 @dataclass(frozen=True)
@@ -71,23 +77,38 @@ class ExecutionOptions:
     #: scatter-gathers every query, and every batch, across the
     #: process-parallel shard workers (:mod:`repro.index.workers`).
     executor: Optional[str] = None
-    #: Shard-pool size under ``executor="shard_process"``.
+    #: Shard-pool size under ``executor="shard_process"``, from 1 to
+    #: :data:`MAX_WORKERS`.
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        """Reject values outside the documented vocabulary."""
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.strategy is not None and self.strategy not in STRATEGIES:
+        """Reject values outside the documented vocabulary and types.
+
+        This is the one check every worker count passes before a shard pool
+        forks, whether it comes from the library, ``--shard-workers`` or a
+        ``/search`` or ``/batch`` payload.
+        """
+        for name, allowed in (
+            ("kernel", KERNELS),
+            ("strategy", STRATEGIES),
+            ("executor", EXECUTORS),
+        ):
+            value = getattr(self, name)
+            if value is not None and value not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        for name in ("shortlist", "cache"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, bool):
+                raise ValueError(f"{name} must be a boolean, got {value!r}")
+        workers = self.workers
+        if workers is not None and (
+            isinstance(workers, bool)
+            or not isinstance(workers, int)
+            or not 1 <= workers <= MAX_WORKERS
+        ):
             raise ValueError(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
+                f"workers must be an integer from 1 to {MAX_WORKERS}, got {workers!r}"
             )
-        if self.executor is not None and self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be positive")
 
     def overlaid(self, overrides: Optional["ExecutionOptions"]) -> "ExecutionOptions":
         """These options with every non-``None`` field of ``overrides`` applied."""

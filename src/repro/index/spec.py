@@ -10,6 +10,11 @@ and what the shard workers run, so every entry point shares a
 single evaluation plan in the spirit of composing small operators into one
 pipeline.
 
+The spec is also the query's wire form: :meth:`QuerySpec.to_wire` and
+:meth:`QuerySpec.from_wire` are the one translation between a query and the
+JSON object that ``POST /search``, each ``/batch`` entry and each line of a
+CLI batch file carry (``docs/service.md``, "The query payload").
+
 The module also defines the execution *trace* the pipeline records while it
 runs -- which shortlist stage admitted each candidate, whether its score came
 from the :class:`~repro.index.cache.ScoreCache`, how the predicate pruning
@@ -19,10 +24,10 @@ each finished query's trace into its cumulative ``/stats`` counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from dataclasses import asdict, dataclass, field, replace
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.similarity import DEFAULT_POLICY, SimilarityPolicy
+from repro.core.similarity import DEFAULT_POLICY, Combination, Normalization, SimilarityPolicy
 from repro.core.transforms import Transformation, canonical_transformations
 from repro.iconic.picture import SymbolicPicture
 from repro.index.execution import ExecutionOptions
@@ -39,6 +44,55 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
 
 class QuerySpecError(ValueError):
     """Raised when a :class:`QuerySpec` is malformed or unsupported."""
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The JSON types :meth:`QuerySpec.from_wire` checks, by the phrase its
+#: error message uses for each.
+_WIRE_TYPES: Dict[str, Callable[[Any], bool]] = {
+    "a JSON boolean": lambda value: isinstance(value, bool),
+    "a JSON number": lambda value: _is_int(value) or isinstance(value, float),
+    "a JSON string": lambda value: isinstance(value, str),
+    "a JSON object": lambda value: isinstance(value, dict),
+    "a JSON object describing a scene": lambda value: isinstance(value, dict),
+    "a JSON array of strings": lambda value: isinstance(value, list)
+    and all(isinstance(item, str) for item in value),
+    "a non-negative JSON integer or null": lambda value: value is None
+    or (_is_int(value) and value >= 0),
+    "a positive JSON integer": lambda value: _is_int(value) and value >= 1,
+}
+
+
+def _wire_value(payload: Mapping[str, Any], key: str, expected: str, default: Any = None) -> Any:
+    """``payload[key]``, or ``default`` when absent, checked to be ``expected``.
+
+    A key whose default is ``None`` reads ``null`` as absent.
+
+    Raises:
+        QuerySpecError: naming ``key`` when its value has the wrong type.
+    """
+    value = payload.get(key, default)
+    if (value is None and default is None) or _WIRE_TYPES[expected](value):
+        return value
+    raise QuerySpecError(f"{key!r} must be {expected}")
+
+
+def _policy_from_wire(payload: Dict[str, Any]) -> SimilarityPolicy:
+    """The ``policy`` wire object, enums by value, or a :class:`QuerySpecError`."""
+    try:
+        policy = SimilarityPolicy(**payload)
+        if not isinstance(policy.count_boundaries_only, bool):
+            raise ValueError("count_boundaries_only must be a JSON boolean")
+        return replace(
+            policy,
+            normalization=Normalization(policy.normalization),
+            combination=Combination(policy.combination),
+        )
+    except (TypeError, ValueError) as error:
+        raise QuerySpecError(f"malformed 'policy': {error}") from error
 
 
 #: Shortlist stages a candidate can be admitted by (recorded in traces).
@@ -193,6 +247,146 @@ class QuerySpec:
             return blend * similarity_score + (1.0 - blend) * degree
         return similarity_score * degree
 
+    def to_wire(self) -> Dict[str, Any]:
+        """The spec as a ``/search`` query object of JSON types.
+
+        Defaults are left out.  Both predicate fields travel as the nested
+        tree of ``PredicateNode.to_dict()``, which spells every legal label;
+        ``"graded": true`` marks a ``predicate_tree``, so even a crisp-shaped
+        one is decoded as exactly that tree.  ``from_wire`` of the JSON
+        round trip equals this spec.
+        """
+        from repro.retrieval.predicates import And, Leaf
+
+        wire: Dict[str, Any] = {}
+        if self.picture is not None:
+            wire["scene"] = self.picture.to_dict()
+        if self.identifiers is not None:
+            wire["identifiers"] = list(self.identifiers)
+        if self.transformations != _DEFAULTS.transformations:
+            wire["transformations"] = [item.value for item in self.transformations]
+        if self.predicates:
+            wire["where"] = And(tuple(Leaf(predicate) for predicate in self.predicates)).to_dict()
+        if self.predicate_tree is not None:
+            wire["where"] = self.predicate_tree.to_dict()
+            wire["graded"] = True
+        if (self.predicate_composition, self.predicate_blend) != (
+            _DEFAULTS.predicate_composition,
+            _DEFAULTS.predicate_blend,
+        ):
+            wire["compose"] = self.predicate_composition
+            wire["blend"] = self.predicate_blend
+        if self.limit != _DEFAULTS.limit:
+            wire["limit"] = self.limit
+        if self.minimum_score:
+            wire["min_score"] = self.minimum_score
+        if self.minimum_shared_labels != _DEFAULTS.minimum_shared_labels:
+            wire["min_shared_labels"] = self.minimum_shared_labels
+        if self.policy is not None:
+            wire["policy"] = {
+                key: getattr(value, "value", value) for key, value in asdict(self.policy).items()
+            }
+        if self.execution is not None:
+            wire["execution"] = self.execution.to_dict()
+        return wire
+
+    @classmethod
+    def from_wire(cls, payload: Mapping[str, Any]) -> "QuerySpec":
+        """Decode and validate a ``/search`` query object (see :meth:`to_wire`).
+
+        Also reads the older spellings: ``invariant`` (every transformation),
+        ``where`` as grammar text, ``fuzzy`` (grade every leaf of ``where``)
+        and ``no_filters`` (``shortlist=False`` unless ``execution`` sets
+        it).  A ``where`` without ``"graded": true`` compiles as the
+        builder's ``where()`` does.  Unknown keys are ignored.
+
+        Raises:
+            QuerySpecError: naming the malformed key (or, inside ``where``,
+                the token), or from :meth:`validate`.
+        """
+        from repro.retrieval.predicates import (
+            PredicateError,
+            annotate,
+            compile_where,
+            parse_tree,
+            tree_from_dict,
+        )
+
+        if not isinstance(payload, dict):
+            raise QuerySpecError("a query must be a JSON object")
+        fields: Dict[str, Any] = {}
+        scene = _wire_value(payload, "scene", "a JSON object describing a scene")
+        if scene is not None:
+            try:
+                fields["picture"] = SymbolicPicture.from_dict(scene)
+            except (ValueError, KeyError, TypeError) as error:
+                raise QuerySpecError(f"malformed scene: {error}") from error
+        identifiers = _wire_value(payload, "identifiers", "a JSON array of strings")
+        if identifiers is not None:
+            fields["identifiers"] = tuple(identifiers)
+        names = _wire_value(payload, "transformations", "a JSON array of strings")
+        if names is not None:
+            if "invariant" in payload:
+                raise QuerySpecError("'invariant' and 'transformations' cannot be combined")
+            try:
+                fields["transformations"] = tuple(Transformation(name) for name in names)
+            except ValueError as error:
+                raise QuerySpecError(f"malformed 'transformations': {error}") from error
+        elif _wire_value(payload, "invariant", "a JSON boolean", False):
+            fields["transformations"] = tuple(Transformation)
+        where = payload.get("where")
+        if where is not None:
+            fuzzy = _wire_value(payload, "fuzzy", "a JSON boolean", False)
+            graded = _wire_value(payload, "graded", "a JSON boolean", False)
+            if not isinstance(where, (str, dict)):
+                raise QuerySpecError(
+                    "'where' must be a predicate string or a predicate-tree JSON object"
+                )
+            try:
+                tree = annotate(
+                    parse_tree(where) if isinstance(where, str) else tree_from_dict(where),
+                    fuzzy,
+                )
+            except PredicateError as error:  # names the offending token and position
+                raise QuerySpecError(str(error)) from error
+            if graded:
+                fields["predicate_tree"] = tree
+            else:
+                fields["predicates"], fields["predicate_tree"] = compile_where([tree])
+        elif "fuzzy" in payload:
+            raise QuerySpecError("'fuzzy' requires a 'where' clause")
+        compose = _wire_value(payload, "compose", "a JSON string")
+        if compose is not None:
+            fields["predicate_composition"] = compose
+            fields["predicate_blend"] = float(
+                _wire_value(payload, "blend", "a JSON number", _DEFAULTS.predicate_blend)
+            )
+        elif "blend" in payload:
+            raise QuerySpecError("'blend' requires a 'compose' mode")
+        fields["limit"] = _wire_value(
+            payload, "limit", "a non-negative JSON integer or null", _DEFAULTS.limit
+        )
+        fields["minimum_score"] = float(
+            _wire_value(payload, "min_score", "a JSON number", _DEFAULTS.minimum_score)
+        )
+        fields["minimum_shared_labels"] = _wire_value(
+            payload, "min_shared_labels", "a positive JSON integer", _DEFAULTS.minimum_shared_labels
+        )
+        policy = _wire_value(payload, "policy", "a JSON object")
+        if policy is not None:
+            fields["policy"] = _policy_from_wire(policy)
+        execution = _wire_value(payload, "execution", "a JSON object")
+        if execution is not None:
+            try:
+                execution = ExecutionOptions.from_dict(execution)
+            except (TypeError, ValueError) as error:
+                raise QuerySpecError(f"malformed 'execution': {error}") from error
+        if _wire_value(payload, "no_filters", "a JSON boolean", False):
+            execution = ExecutionOptions(shortlist=False).overlaid(execution)
+        spec = cls(execution=execution, **fields)
+        spec.validate()
+        return spec
+
     def with_overrides(self, **changes) -> "QuerySpec":
         """A copy of the spec with the given fields replaced."""
         return replace(self, **changes)
@@ -222,6 +416,11 @@ class QuerySpec:
         if self.execution is not None:
             knobs.append(f"execution({self.execution.describe()})")
         return " . ".join(clauses) + " [" + ", ".join(knobs) + "]"
+
+
+#: The field defaults: :meth:`QuerySpec.to_wire` leaves them out and
+#: :meth:`QuerySpec.from_wire` fills them in.
+_DEFAULTS = QuerySpec()
 
 
 # ----------------------------------------------------------------------

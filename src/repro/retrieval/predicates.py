@@ -750,6 +750,47 @@ def flat_predicates(tree: PredicateNode) -> Tuple[RelationPredicate, ...]:
     return tuple(leaf.predicate for leaf in tree.leaves())
 
 
+def annotate(node: PredicateNode, fuzzy: bool = False, weight: float = 1.0) -> PredicateNode:
+    """Apply a ``where`` clause's ``fuzzy``/``weight`` defaults to its leaves.
+
+    Explicit per-leaf ``[...]`` annotations in the query text win: ``fuzzy``
+    only switches leaves on (never off), and ``weight`` only replaces the
+    default weight of 1.0.
+    """
+    if not fuzzy and weight == 1.0:
+        return node
+    if isinstance(node, Leaf):
+        return Leaf(
+            predicate=node.predicate,
+            weight=node.weight if node.weight != 1.0 else weight,
+            fuzzy=node.fuzzy or fuzzy,
+        )
+    if isinstance(node, Not):
+        return Not(annotate(node.child, fuzzy, weight))
+    children = tuple(annotate(child, fuzzy, weight) for child in node.children)
+    return And(children) if isinstance(node, And) else Or(children)
+
+
+def compile_where(
+    clauses: Sequence[PredicateNode],
+) -> Tuple[Tuple[RelationPredicate, ...], Optional[PredicateNode]]:
+    """Compile annotated ``where`` clauses to ``(predicates, predicate_tree)``.
+
+    The builder and :meth:`repro.index.spec.QuerySpec.from_wire` share this
+    rule.  Plain conjunctions of unannotated leaves compile to the flat
+    crisp predicate tuple in query order (the byte-identical crisp fast
+    path); anything graded compiles to the normalised ``and`` of the
+    clauses, whose canonical child order makes logically-equal queries
+    cache-key equal.
+    """
+    if all(is_crisp_conjunction(clause) for clause in clauses):
+        return tuple(
+            predicate for clause in clauses for predicate in flat_predicates(clause)
+        ), None
+    combined = clauses[0] if len(clauses) == 1 else And(tuple(clauses))
+    return (), combined.normalized()
+
+
 @dataclass(frozen=True)
 class PredicateMatch:
     """Evaluation outcome for one image."""

@@ -35,15 +35,13 @@ from repro.index.execution import ExecutionOptions
 from repro.index.ranking import RankedResult
 from repro.index.spec import QuerySpec, QuerySpecError, QueryTrace, SpecOutcome
 from repro.retrieval.predicates import (
-    And,
     GradedMatch,
     Leaf,
-    Not,
-    Or,
     PredicateMatch,
     PredicateNode,
     RelationPredicate,
-    is_crisp_conjunction,
+    annotate,
+    compile_where,
     parse_tree,
 )
 
@@ -60,27 +58,6 @@ __all__ = [
 
 #: One entry of a result set: similarity, predicate, or graded ranking.
 ResultEntry = Union[RankedResult, PredicateMatch, GradedMatch]
-
-
-def _apply_annotations(node: PredicateNode, fuzzy: bool, weight: float) -> PredicateNode:
-    """Apply ``where()``-level ``fuzzy``/``weight`` defaults to a clause's leaves.
-
-    Explicit per-leaf ``[...]`` annotations in the query text win: ``fuzzy``
-    only switches leaves on (never off), and ``weight`` only replaces the
-    default weight of 1.0.
-    """
-    if isinstance(node, Leaf):
-        return Leaf(
-            predicate=node.predicate,
-            weight=node.weight if node.weight != 1.0 else weight,
-            fuzzy=node.fuzzy or fuzzy,
-        )
-    if isinstance(node, Not):
-        return Not(_apply_annotations(node.child, fuzzy, weight))
-    children = tuple(
-        _apply_annotations(child, fuzzy, weight) for child in node.children
-    )
-    return And(children) if isinstance(node, And) else Or(children)
 
 
 @dataclass(frozen=True)
@@ -492,9 +469,7 @@ class QueryBuilder:
             clause = parse_tree(predicates)
         else:
             clause = predicates
-        if fuzzy or weight != 1.0:
-            clause = _apply_annotations(clause, fuzzy, weight)
-        self._where_clauses.append(clause)
+        self._where_clauses.append(annotate(clause, fuzzy, weight))
         return self
 
     def compose(self, mode: str = "product", blend: Optional[float] = None) -> "QueryBuilder":
@@ -571,42 +546,23 @@ class QueryBuilder:
             repro.index.spec.QuerySpecError: if the accumulated clauses do
                 not form a runnable query.
         """
-        # A plain conjunction of unannotated leaves compiles to the
-        # historical flat predicate tuple in query order (the byte-identical
-        # crisp fast path); anything graded ships the normalised tree, whose
-        # canonical child order makes logically-equal queries cache-key equal.
-        predicates: tuple = ()
-        predicate_tree = None
-        if self._where_clauses:
-            if all(is_crisp_conjunction(clause) for clause in self._where_clauses):
-                predicates = tuple(
-                    leaf.predicate
-                    for clause in self._where_clauses
-                    for leaf in clause.leaves()
-                )
-            else:
-                combined = (
-                    self._where_clauses[0]
-                    if len(self._where_clauses) == 1
-                    else And(tuple(self._where_clauses))
-                )
-                predicate_tree = combined.normalized()
-        spec = QuerySpec(
-            picture=self._picture,
-            identifiers=self._identifiers,
-            transformations=self._transformations,
-            predicates=predicates,
-            predicate_tree=predicate_tree,
-            predicate_composition=self._composition,
-            predicate_blend=self._blend,
-            limit=self._limit,
-            minimum_score=self._minimum_score,
-            minimum_shared_labels=self._minimum_shared_labels,
-            policy=self._policy if self._policy is not None else self._system.policy,
-            execution=self._execution,
+        predicates, predicate_tree = compile_where(self._where_clauses)
+        return self._system._bind(
+            QuerySpec(
+                picture=self._picture,
+                identifiers=self._identifiers,
+                transformations=self._transformations,
+                predicates=predicates,
+                predicate_tree=predicate_tree,
+                predicate_composition=self._composition,
+                predicate_blend=self._blend,
+                limit=self._limit,
+                minimum_score=self._minimum_score,
+                minimum_shared_labels=self._minimum_shared_labels,
+                policy=self._policy,
+                execution=self._execution,
+            )
         )
-        spec.validate()
-        return spec
 
     def execute(self) -> ResultSet:
         """Compile and run the query through the unified pipeline.
@@ -614,9 +570,7 @@ class QueryBuilder:
         Returns:
             A :class:`ResultSet` with the ranking, trace and export helpers.
         """
-        spec = self.spec()
-        outcome = self._system._engine.execute_spec(spec)
-        return ResultSet(outcome.results, spec=spec, outcome=outcome)
+        return self._system.execute(self.spec())
 
     def explain(self) -> str:
         """Execute the query and return its explain report (convenience)."""

@@ -293,6 +293,31 @@ class RetrievalSystem:
         """
         return QueryBuilder(self, picture=picture)
 
+    def _bind(self, spec: QuerySpec) -> QuerySpec:
+        """``spec``, validated, with this system's policy when it names none.
+
+        Every entry point (builder, batch, a spec decoded from the wire)
+        applies this one rule, so rankings do not depend on the entry point.
+        """
+        if spec.policy is None:
+            spec = spec.with_overrides(policy=self.policy)
+        spec.validate()
+        return spec
+
+    def execute(self, spec: QuerySpec) -> ResultSet:
+        """Run one :class:`~repro.index.spec.QuerySpec` into a ``ResultSet``.
+
+        :meth:`QueryBuilder.execute` and the service's ``/search`` call this;
+        a spec without a policy inherits this system's.
+
+        Raises:
+            repro.index.spec.QuerySpecError: if the spec is malformed.
+            KeyError: if ``identifiers`` name icons the picture lacks.
+        """
+        spec = self._bind(spec)
+        outcome = self._engine.execute_spec(spec)
+        return ResultSet(outcome.results, spec=spec, outcome=outcome)
+
     def query_batch(
         self,
         queries: Sequence[Union[QuerySpec, QueryBuilder]],
@@ -334,12 +359,7 @@ class RetrievalSystem:
                     "query_batch() accepts QuerySpec or QueryBuilder items, "
                     f"got {type(item).__name__}"
                 )
-            if item.policy is None:
-                # A bare spec inherits this system's policy, exactly as a
-                # builder-made spec would -- keeping batch rankings
-                # identical to serial execution under custom policies.
-                item = item.with_overrides(policy=self.policy)
-            item.validate()
+            item = self._bind(item)
             if item.has_predicate_clause:
                 raise QuerySpecError(
                     "predicate clauses are not supported in batches yet; "

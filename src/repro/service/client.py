@@ -76,68 +76,6 @@ def _scene_payload(scene: Any) -> Dict[str, Any]:
     )
 
 
-def _is_query_spec(value: Any) -> bool:
-    """Duck-typed QuerySpec detection (the client never imports the library)."""
-    return (
-        hasattr(value, "predicates")
-        and hasattr(value, "transformations")
-        and hasattr(value, "validate")
-    )
-
-
-def _spec_payload(spec: Any) -> Dict[str, Any]:
-    """Compile a :class:`~repro.index.spec.QuerySpec` to the ``/search`` schema.
-
-    Raises:
-        ValueError: when the spec uses a knob the wire schema cannot carry
-            (a partial transformation set, a non-default
-            ``minimum_shared_labels`` or similarity policy).
-    """
-    transformations = tuple(spec.transformations)
-    invariant = False
-    if transformations:
-        universe = set(type(transformations[0]))
-        chosen = set(transformations)
-        if chosen == universe:
-            invariant = True
-        elif not (len(chosen) == 1 and next(iter(chosen)).value == "identity"):
-            raise ValueError(
-                "the /search payload carries transformations as an 'invariant' "
-                "flag: use the identity only or the full transformation set"
-            )
-    if spec.minimum_shared_labels != 1:
-        raise ValueError("the /search payload has no 'minimum_shared_labels' knob")
-    if spec.policy is not None:
-        raise ValueError(
-            "the /search payload cannot carry a custom similarity policy; "
-            "the server scores under its default policy"
-        )
-    payload: Dict[str, Any] = {
-        "invariant": invariant,
-        "min_score": spec.minimum_score,
-        "limit": spec.limit,
-    }
-    if spec.picture is not None:
-        payload["scene"] = _scene_payload(spec.picture)
-    if spec.identifiers:
-        payload["identifiers"] = list(spec.identifiers)
-    if spec.predicates:
-        payload["where"] = " and ".join(
-            predicate.to_text() for predicate in spec.predicates
-        )
-    tree = getattr(spec, "predicate_tree", None)
-    if tree is not None:
-        # Graded trees ship as the nested wire form (lossless: per-leaf
-        # weight/fuzzy annotations survive, unlike flattened text).
-        payload["where"] = tree.to_dict()
-        payload["compose"] = spec.predicate_composition
-        if spec.predicate_composition == "sum":
-            payload["blend"] = spec.predicate_blend
-    if spec.execution is not None:
-        payload["execution"] = spec.execution.to_dict()
-    return payload
-
-
 class _ImagesResource:
     """``client.images``: the stored-image collection (mutations)."""
 
@@ -341,58 +279,47 @@ class ServiceClient:
         """``POST /search`` with the full QuerySpec surface.
 
         The positional argument accepts a
-        :class:`~repro.index.spec.QuerySpec` directly — the spec is compiled
-        to the wire schema (scene, predicates as ``where`` text, invariance,
-        execution options) and every keyword except ``page``/``page_size``
-        must be left at its default.  Alternatively pass a scene plus the
-        explicit keywords.  ``where`` carries the predicate clause as
-        grammar text (``"not (a above b) or a overlaps b [w=2]"``) or as a
-        nested predicate-tree JSON object (``PredicateNode.to_dict()``
-        form); ``fuzzy`` grades every leaf, and ``compose``/``blend`` pick
-        how the degree combines with the similarity score
-        (see ``docs/predicates.md``).  ``execution`` carries per-query execution
-        options — an ``ExecutionOptions`` value or a plain dict of its
-        fields (e.g. ``{"kernel": "bitparallel", "strategy": "anytime"}``);
-        explicit fields win over the legacy ``no_filters`` flag.
+        :class:`~repro.index.spec.QuerySpec` directly: the client sends its
+        ``to_wire()`` form, which carries every field of the spec, and every
+        keyword except ``page``/``page_size`` must be left at its default.
+        Alternatively pass a scene plus keywords, which are the wire keys of
+        ``docs/service.md`` ("The query payload").  ``where`` carries the
+        predicate clause as grammar text (``"not (a above b) or a overlaps b
+        [w=2]"``) or as a nested predicate-tree JSON object
+        (``PredicateNode.to_dict()`` form); ``fuzzy`` grades every leaf, and
+        ``compose``/``blend`` pick how the degree combines with the
+        similarity score (see ``docs/predicates.md``).  ``execution`` carries
+        per-query execution options — an ``ExecutionOptions`` value or a
+        plain dict of its fields (e.g. ``{"kernel": "bitparallel",
+        "strategy": "anytime"}``); explicit fields win over the legacy
+        ``no_filters`` flag.
 
         Returns:
             The response body: ``results`` (the library's ``to_dicts()``
             rows), ``count``, ``total``, ``spec``, ``plan`` and -- when
             paginating -- ``page`` / ``page_size`` / ``pages``.
         """
-        if _is_query_spec(scene):
-            payload = _spec_payload(scene)
-            if page is not None:
-                payload["page"] = page
-            if page_size is not None:
-                payload["page_size"] = page_size
-            return self.request("POST", "/search", payload)
-        payload: Dict[str, Any] = {
-            "invariant": invariant,
-            "min_score": min_score,
-            "limit": limit,
-            "no_filters": no_filters,
-        }
-        if execution is not None:
-            payload["execution"] = (
-                execution.to_dict() if hasattr(execution, "to_dict") else dict(execution)
-            )
-        if scene is not None:
-            payload["scene"] = _scene_payload(scene)
-        if identifiers is not None:
-            payload["identifiers"] = list(identifiers)
-        if where is not None:
-            payload["where"] = where
-            if fuzzy:
-                payload["fuzzy"] = True
-        if compose is not None:
-            payload["compose"] = compose
-            if blend is not None:
-                payload["blend"] = blend
-        if page is not None:
-            payload["page"] = page
-        if page_size is not None:
-            payload["page_size"] = page_size
+        # A QuerySpec, known by its duck type: the client never imports the library.
+        if hasattr(scene, "to_wire"):
+            payload = scene.to_wire()
+        else:
+            keywords = {
+                "scene": None if scene is None else _scene_payload(scene),
+                "identifiers": None if identifiers is None else list(identifiers),
+                "invariant": invariant or None,
+                "where": where,
+                "fuzzy": fuzzy or None,
+                "compose": compose,
+                "blend": blend,
+                "min_score": min_score or None,
+                "no_filters": no_filters or None,
+                "execution": execution.to_dict() if hasattr(execution, "to_dict") else execution,
+            }
+            payload = {key: value for key, value in keywords.items() if value is not None}
+            payload["limit"] = limit
+        for key, value in (("page", page), ("page_size", page_size)):
+            if value is not None:
+                payload[key] = value
         return self.request("POST", "/search", payload)
 
     def batch(
@@ -404,9 +331,9 @@ class ServiceClient:
     ) -> Dict[str, Any]:
         """``POST /batch``: each query is a spec, a ``/search`` dict or a scene.
 
-        Entries may mix :class:`~repro.index.spec.QuerySpec` values
-        (compiled like :meth:`search`), ``/search``-style payload dicts, and
-        bare scenes.
+        Entries may mix :class:`~repro.index.spec.QuerySpec` values (sent as
+        their ``to_wire()`` form, like :meth:`search`), ``/search``-style
+        payload dicts, and bare scenes.
 
         Returns:
             The response body with one ``results`` ranking per input query
@@ -414,8 +341,8 @@ class ServiceClient:
         """
         entries: List[Dict[str, Any]] = []
         for query in queries:
-            if _is_query_spec(query):
-                entries.append(_spec_payload(query))
+            if hasattr(query, "to_wire"):
+                entries.append(query.to_wire())
             elif isinstance(query, dict) and "scene" in query:
                 entries.append(query)
             else:

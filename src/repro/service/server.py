@@ -56,6 +56,7 @@ See ``docs/service.md`` for payload schemas and deployment notes.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import threading
 import time
@@ -70,11 +71,10 @@ from urllib.parse import unquote
 from repro.iconic.picture import SymbolicPicture
 from repro.index.backends import DurableShardedStore
 from repro.index.database import DatabaseError
-from repro.index.execution import EXECUTORS, ExecutionOptions
-from repro.index.spec import QuerySpecError
+from repro.index.execution import ExecutionOptions
+from repro.index.spec import QuerySpec, QuerySpecError
 from repro.index.storage import StorageError
-from repro.retrieval.predicates import PredicateError, tree_from_dict
-from repro.retrieval.querybuilder import QueryBuilder, ResultSet
+from repro.retrieval.querybuilder import ResultSet
 from repro.retrieval.system import RetrievalSystem
 
 #: Largest request body the daemon reads; a longer ``Content-Length`` is
@@ -82,6 +82,8 @@ from repro.retrieval.system import RetrievalSystem
 MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Most recent request latencies kept for the ``/stats`` percentiles.
 LATENCY_WINDOW = 2048
+
+_log = logging.getLogger(__name__)
 
 
 class ApiError(Exception):
@@ -124,29 +126,6 @@ def _as_object(payload: Any) -> Dict[str, Any]:
     return payload
 
 
-def _get_bool(payload: Dict[str, Any], key: str, default: bool = False) -> bool:
-    value = payload.get(key, default)
-    if not isinstance(value, bool):
-        raise ApiError(400, f"{key!r} must be a JSON boolean")
-    return value
-
-
-def _get_number(payload: Dict[str, Any], key: str, default: float = 0.0) -> float:
-    value = payload.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ApiError(400, f"{key!r} must be a JSON number")
-    return float(value)
-
-
-def _get_limit(payload: Dict[str, Any], key: str = "limit", default: Optional[int] = 10) -> Optional[int]:
-    value = payload.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ApiError(400, f"{key!r} must be a non-negative JSON integer or null")
-    return value
-
-
 def _get_positive_int(payload: Dict[str, Any], key: str) -> Optional[int]:
     value = payload.get(key)
     if value is None:
@@ -156,13 +135,25 @@ def _get_positive_int(payload: Dict[str, Any], key: str) -> Optional[int]:
     return value
 
 
-def _parse_scene(scene: Any, context: str = "scene") -> SymbolicPicture:
+def _parse_scene(scene: Any) -> SymbolicPicture:
     if not isinstance(scene, dict):
-        raise ApiError(400, f"{context!r} must be a JSON object describing a scene")
+        raise ApiError(400, "'scene' must be a JSON object describing a scene")
     try:
         return SymbolicPicture.from_dict(scene)
     except (StorageError, ValueError, KeyError, TypeError) as error:
-        raise ApiError(400, f"malformed {context}: {error}") from error
+        raise ApiError(400, f"malformed scene: {error}") from error
+
+
+def _decode_query(payload: Any) -> QuerySpec:
+    """One ``/search`` query object as a spec (:meth:`QuerySpec.from_wire`).
+
+    Raises:
+        ApiError: 400 naming the malformed key.
+    """
+    try:
+        return QuerySpec.from_wire(_as_object(payload))
+    except QuerySpecError as error:
+        raise ApiError(400, str(error)) from error
 
 
 class RetrievalService:
@@ -274,6 +265,9 @@ class RetrievalService:
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         """Route one request.
 
+        An exception no endpoint maps to a status answers 500, and is
+        counted in ``/stats`` like every other answer.
+
         Returns:
             ``(status, body, extra_headers)`` -- the body is a
             JSON-serialisable dict; a ``Retry-After`` header accompanies 503.
@@ -290,6 +284,10 @@ class RetrievalService:
         except ApiError as error:
             self._observe(endpoint, started, error.status)
             return error.status, {"error": error.message}, {}
+        except Exception as error:  # noqa: BLE001 - last-resort 500, keep serving
+            _log.exception("internal error answering %s %s", method, path)
+            self._observe(endpoint, started, 500)
+            return 500, {"error": f"internal error: {error}"}, {}
         self._observe(endpoint, started, status)
         return status, body, headers
 
@@ -343,75 +341,14 @@ class RetrievalService:
     # ------------------------------------------------------------------
     # Query endpoints
     # ------------------------------------------------------------------
-    def _build_query(self, payload: Dict[str, Any]) -> QueryBuilder:
-        """Compile one JSON query payload to a fluent builder.
-
-        Raises:
-            ApiError: 400 on any malformed clause or knob.
-        """
-        builder = self.system.query()
-        scene = payload.get("scene")
-        if scene is not None:
-            builder.similar_to(_parse_scene(scene))
-        identifiers = payload.get("identifiers")
-        if identifiers is not None:
-            if not isinstance(identifiers, list) or not all(
-                isinstance(item, str) for item in identifiers
-            ):
-                raise ApiError(400, "'identifiers' must be a JSON array of strings")
-            builder.partial(identifiers)
-        builder.invariant(_get_bool(payload, "invariant"))
-        where = payload.get("where")
-        if where is not None:
-            fuzzy = _get_bool(payload, "fuzzy")
-            try:
-                if isinstance(where, str):
-                    builder.where(where, fuzzy=fuzzy)
-                elif isinstance(where, dict):
-                    # The nested wire form: a predicate-tree JSON object as
-                    # produced by PredicateNode.to_dict() (docs/predicates.md).
-                    builder.where(tree_from_dict(where), fuzzy=fuzzy)
-                else:
-                    raise ApiError(
-                        400,
-                        "'where' must be a predicate string or a "
-                        "predicate-tree JSON object",
-                    )
-            except PredicateError as error:
-                raise ApiError(400, str(error)) from error
-        elif "fuzzy" in payload:
-            raise ApiError(400, "'fuzzy' requires a 'where' clause")
-        compose = payload.get("compose")
-        if compose is not None:
-            if not isinstance(compose, str):
-                raise ApiError(400, "'compose' must be a JSON string")
-            blend = (
-                _get_number(payload, "blend") if "blend" in payload else None
-            )
-            builder.compose(compose, blend)
-        elif "blend" in payload:
-            raise ApiError(400, "'blend' requires a 'compose' mode")
-        builder.limit(_get_limit(payload))
-        builder.min_score(_get_number(payload, "min_score"))
-        builder.execution(shortlist=not _get_bool(payload, "no_filters"))
-        execution = payload.get("execution")
-        if execution is not None:
-            if not isinstance(execution, dict):
-                raise ApiError(400, "'execution' must be a JSON object")
-            try:
-                builder.execution(ExecutionOptions.from_dict(execution))
-            except (TypeError, ValueError) as error:
-                raise ApiError(400, f"malformed 'execution': {error}") from error
-        return builder
-
     def _execute_query(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        builder = self._build_query(payload)
+        spec = _decode_query(payload)
         page = _get_positive_int(payload, "page")
         page_size = _get_positive_int(payload, "page_size")
         if (page is None) != (page_size is None):
             raise ApiError(400, "'page' and 'page_size' must be given together")
         try:
-            results = builder.execute()
+            results = self.system.execute(spec)
         except QuerySpecError as error:
             raise ApiError(400, str(error)) from error
         except KeyError as error:  # partial() naming icons the scene lacks
@@ -433,7 +370,11 @@ class RetrievalService:
         return body
 
     def search(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """``POST /search``: run one full QuerySpec payload.
+        """``POST /search``: run one query object (:meth:`QuerySpec.from_wire`).
+
+        The decoded spec runs through :meth:`RetrievalSystem.execute`, the
+        call the fluent builder uses, so it inherits the served policy and
+        execution defaults exactly as an in-process query does.
 
         Returns:
             The ranking (``results`` as the library's ``to_dicts()`` rows,
@@ -446,31 +387,26 @@ class RetrievalService:
     def batch(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """``POST /batch``: many similarity queries as one scheduled batch.
 
-        The payload's ``queries`` array reuses the ``/search`` schema
-        (predicate clauses are rejected: the batch scheduler is
+        Each entry of the payload's ``queries`` array is a ``/search`` query
+        object (predicate clauses are rejected: the batch scheduler is
         similarity-only, exactly like :meth:`RetrievalSystem.query_batch`).
         Optional ``executor`` (``serial`` or ``shard_process``) and
-        ``workers`` (the shard-pool size) keys override the served engine's
-        defaults for this batch.
+        ``workers`` (the shard-pool size, at most 16) keys override the
+        served engine's defaults for this batch.
         """
         with self._admitted():
             queries = payload.get("queries")
             if not isinstance(queries, list) or not queries:
                 raise ApiError(400, "'queries' must be a non-empty JSON array")
-            builders = [
-                self._build_query(_as_object(entry)) for entry in queries
-            ]
-            overrides: Dict[str, Any] = {}
-            workers = _get_positive_int(payload, "workers")
-            if workers is not None:
-                overrides["workers"] = workers
-            executor = payload.get("executor")
-            if executor is not None:
-                if executor not in EXECUTORS:
-                    raise ApiError(400, f"'executor' must be one of {', '.join(EXECUTORS)}")
-                overrides["executor"] = executor
+            specs = [_decode_query(entry) for entry in queries]
             try:
-                batches = self.system.query_batch(builders, **overrides)
+                execution = ExecutionOptions(
+                    executor=payload.get("executor"), workers=payload.get("workers")
+                )
+            except ValueError as error:
+                raise ApiError(400, str(error)) from error
+            try:
+                batches = self.system.query_batch(specs, execution)
             except QuerySpecError as error:
                 raise ApiError(400, str(error)) from error
             except KeyError as error:  # partial() naming icons a scene lacks
@@ -852,12 +788,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # A body left unread would be parsed as the next request.
             self._respond(error.status, {"error": error.message}, {"Connection": "close"})
             return
-        try:
-            status, body, headers = self.server.service.dispatch(method, self.path, payload)
-        except Exception as error:  # noqa: BLE001 - last-resort 500, keep serving
-            self._respond(500, {"error": f"internal error: {error}"}, {})
-            return
-        self._respond(status, body, headers)
+        self._respond(*self.server.service.dispatch(method, self.path, payload))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Serve one GET request."""

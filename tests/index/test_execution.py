@@ -74,6 +74,31 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="workers"):
             ExecutionOptions(workers=0)
 
+    def test_worker_count_is_bounded_by_the_shard_space(self):
+        from repro.index.backends import DEFAULT_SHARD_COUNT
+        from repro.index.execution import MAX_WORKERS
+
+        assert MAX_WORKERS == DEFAULT_SHARD_COUNT == 16
+        assert ExecutionOptions(workers=MAX_WORKERS).workers == 16
+        with pytest.raises(ValueError, match="from 1 to 16"):
+            ExecutionOptions(workers=MAX_WORKERS + 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shortlist", "no"),
+            ("shortlist", 0),
+            ("cache", "off"),
+            ("cache", 1),
+            ("workers", 2.5),
+            ("workers", True),
+            ("workers", "2"),
+        ],
+    )
+    def test_rejects_values_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExecutionOptions(**{field: value})
+
     def test_default_is_all_inherit(self):
         options = ExecutionOptions()
         assert options.describe() == "inherit-all"

@@ -3,8 +3,8 @@
 Covers the two pieces of the client redesign:
 
 * ``client.search(spec)`` / ``client.batch(specs)`` accept ``QuerySpec``
-  values directly and compile them to the wire schema — byte-identical to
-  the equivalent keyword calls;
+  values directly and send their ``to_wire()`` form — byte-identical to
+  the equivalent keyword calls and to in-process execution;
 * mutations and operations live on typed resources (``client.images``,
   ``client.admin``) and observability on ``client.stats()`` /
   ``client.health()``.
@@ -12,13 +12,14 @@ Covers the two pieces of the client redesign:
 
 import pytest
 
+from repro.core.similarity import Normalization, SimilarityPolicy
 from repro.core.transforms import Transformation
 from repro.datasets.scenes import landscape_scene, office_scene, traffic_scene
 from repro.index.execution import ExecutionOptions
 from repro.index.spec import QuerySpec
 from repro.retrieval.predicates import parse_query
 from repro.retrieval.system import RetrievalSystem
-from repro.service.client import ServiceClient, _spec_payload
+from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import create_server
 
 
@@ -88,7 +89,7 @@ class TestSpecSearch:
             predicate_blend=0.4,
             limit=None,
         )
-        payload = _spec_payload(spec)
+        payload = spec.to_wire()
         assert payload["where"] == tree.to_dict()
         assert payload["compose"] == "sum"
         assert payload["blend"] == 0.4
@@ -105,8 +106,9 @@ class TestSpecSearch:
         spec = QuerySpec(
             predicate_tree=parse_tree("monitor above desk [fuzzy]"), limit=None
         )
-        payload = _spec_payload(spec)
-        assert payload["compose"] == "product"
+        payload = spec.to_wire()
+        # The default composition is left out, like every default.
+        assert "compose" not in payload
         assert "blend" not in payload
 
     def test_execution_options_travel_the_wire(self, client):
@@ -118,6 +120,14 @@ class TestSpecSearch:
         via_spec = client.search(spec)
         plain = client.search(office_scene(2), limit=3)
         assert via_spec["results"] == plain["results"]
+
+    def test_keywords_travel_as_given(self, client):
+        # The keywords are the wire keys: a knob without the clause it
+        # modifies is refused, exactly as in a hand-written payload.
+        for keywords, key in (({"fuzzy": True}, "fuzzy"), ({"blend": 0.3}, "blend")):
+            with pytest.raises(ServiceError, match=key) as excinfo:
+                client.search(office_scene(0), **keywords)
+            assert excinfo.value.status == 400
 
     def test_spec_search_paginates(self, client):
         spec = QuerySpec(picture=office_scene(0), limit=None)
@@ -140,50 +150,57 @@ class TestSpecSearch:
         assert len(mixed["results"]) == 3
 
 
-class TestSpecPayloadCompilation:
-    """Specs compile to the wire schema; what it cannot carry fails loudly, client-side."""
-
-    def test_partial_transformation_set_is_rejected(self):
-        spec = QuerySpec(
-            picture=office_scene(0),
-            transformations=(Transformation.IDENTITY, Transformation.ROTATE_90),
-        )
-        with pytest.raises(ValueError, match="invariant"):
-            _spec_payload(spec)
+class TestSpecWireForm:
+    """Specs travel as ``to_wire()``; the client refuses none of them."""
 
     def test_disabled_cache_rides_in_the_execution_block(self):
         spec = QuerySpec(picture=office_scene(0), execution=ExecutionOptions(cache=False))
-        payload = _spec_payload(spec)
+        payload = spec.to_wire()
         assert payload["execution"] == {"cache": False}
         assert "no_filters" not in payload
 
-    def test_non_default_shortlist_threshold_is_rejected(self):
-        spec = QuerySpec(picture=office_scene(0), minimum_shared_labels=2)
-        with pytest.raises(ValueError, match="minimum_shared_labels"):
-            _spec_payload(spec)
+    def test_identity_only_writes_no_transformations(self):
+        payload = QuerySpec(picture=office_scene(0)).to_wire()
+        assert "transformations" not in payload
+        assert "invariant" not in payload
 
-    def test_custom_similarity_policy_is_rejected(self):
-        # The wire schema has no policy field: compiling silently would make
-        # the server score under its default policy, returning differently
-        # ranked results than the caller's spec asked for.
-        from repro.core.similarity import SimilarityPolicy
+    def test_full_set_writes_every_transformation(self):
+        payload = QuerySpec(
+            picture=office_scene(0), transformations=tuple(Transformation)
+        ).to_wire()
+        assert payload["transformations"] == [item.value for item in Transformation]
+        assert "invariant" not in payload
 
-        spec = QuerySpec(
-            picture=office_scene(0),
-            policy=SimilarityPolicy(count_boundaries_only=True),
-        )
-        with pytest.raises(ValueError, match="policy"):
-            _spec_payload(spec)
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"transformations": (Transformation.IDENTITY, Transformation.ROTATE_90)},
+            {"minimum_shared_labels": 2},
+            {"policy": SimilarityPolicy(count_boundaries_only=True)},
+            {"policy": SimilarityPolicy(normalization=Normalization.DICE)},
+        ],
+    )
+    def test_knobs_the_old_schema_refused_rank_as_in_process(self, client, changes):
+        spec = QuerySpec(picture=office_scene(1), limit=None, **changes)
+        expected = RetrievalSystem.from_pictures(collection()).execute(spec)
+        served = client.search(spec)
+        assert served["results"] == expected.to_dicts()
+        assert served["spec"] == expected.spec.describe()
 
-    def test_identity_only_compiles_to_non_invariant(self):
-        payload = _spec_payload(QuerySpec(picture=office_scene(0)))
-        assert payload["invariant"] is False
-
-    def test_full_set_compiles_to_invariant(self):
-        payload = _spec_payload(
-            QuerySpec(picture=office_scene(0), transformations=tuple(Transformation))
-        )
-        assert payload["invariant"] is True
+    def test_builder_made_specs_travel(self, client):
+        # The builder fills in the system's policy; the client once refused
+        # any spec with a policy, so it refused every spec the builder made.
+        system = RetrievalSystem.from_pictures(collection())
+        for picture in (office_scene(0), traffic_scene(1), landscape_scene(0)):
+            spec = system.query(picture).limit(3).spec()
+            assert spec.policy is not None
+            served = client.search(spec)
+            assert served["results"] == system.execute(spec).to_dicts()
+        specs = [system.query(office_scene(2)).invariant().spec(), spec]
+        batched = client.batch(specs)
+        assert batched["results"] == [
+            system.execute(item).to_dicts() for item in specs
+        ]
 
 
 class TestResources:

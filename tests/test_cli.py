@@ -164,7 +164,7 @@ class TestBatchSearch:
             json.dumps({"scene": office.to_dict(), "top": "five"}) + "\n", encoding="utf-8"
         )
         assert main(["batch-search", str(database_file), str(path)]) == 2
-        assert "'top' must be a JSON integer" in capsys.readouterr().err
+        assert "'limit' must be a non-negative JSON integer" in capsys.readouterr().err
         # JSON strings must not be truthed into invariant mode.
         path.write_text(
             json.dumps({"scene": office.to_dict(), "invariant": "false"}) + "\n",
@@ -214,7 +214,39 @@ class TestBatchSearch:
             json.dumps({"scene": office.to_dict(), "top": -1}) + "\n", encoding="utf-8"
         )
         assert main(["batch-search", str(database_file), str(path)]) == 2
-        assert "limit must be non-negative" in capsys.readouterr().err
+        assert "'limit' must be a non-negative JSON integer" in capsys.readouterr().err
+
+    def test_batch_search_reads_search_query_objects(
+        self, database_file, tmp_path, office, capsys
+    ):
+        path = tmp_path / "wire.jsonl"
+        lines = [
+            {"scene": office.to_dict(), "limit": 0},
+            # A transformation set is not overridden by --invariant.
+            {"scene": office.to_dict(), "transformations": ["identity"]},
+        ]
+        path.write_text("\n".join(json.dumps(line) for line in lines), encoding="utf-8")
+        assert main(["batch-search", str(database_file), str(path), "--invariant"]) == 0
+        output = capsys.readouterr().out
+        assert "[0] office-000: 0 results" in output
+        assert "[1] office-000: 1 results" in output
+
+    def test_batch_search_refuses_predicate_lines(self, database_file, tmp_path, office, capsys):
+        path = tmp_path / "where.jsonl"
+        path.write_text(
+            json.dumps({"scene": office.to_dict(), "where": "a(b left-of c"}) + "\n",
+            encoding="utf-8",
+        )
+        assert main(["batch-search", str(database_file), str(path)]) == 2
+        assert "where" in capsys.readouterr().err
+
+    def test_batch_search_refuses_more_shard_workers_than_shards(
+        self, database_file, query_file, capsys
+    ):
+        assert main(
+            ["batch-search", str(database_file), str(query_file), "--shard-workers", "17"]
+        ) == 2
+        assert "workers must be an integer from 1 to 16" in capsys.readouterr().err
 
     def test_batch_search_empty_file(self, database_file, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"

@@ -6,7 +6,9 @@ database, drives every endpoint with the stdlib client -- search, batch,
 insert, delete, ``/reload``, ``/healthz``, ``/stats`` -- and fails (non-zero
 exit) on any non-2xx response or any ranking that is not byte-identical to
 the in-process engine executing the same query, or, after ``/reload``, to
-the live engine's ranking before it.  A scene whose label holds whitespace
+the live engine's ranking before it.  Searches go out both as keywords and
+as builder-made ``QuerySpec`` values of every kind, which the client sends
+in their ``to_wire()`` form.  A scene whose label holds whitespace
 must be refused with a 400, and the ``/reload`` after it must still load
 every image.  Standard library only; runs against the
 installed package or a ``PYTHONPATH=src`` checkout.
@@ -30,6 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 if (REPO_ROOT / "src" / "repro").is_dir():  # checkout fallback; no-op when installed
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.similarity import Normalization, SimilarityPolicy  # noqa: E402
 from repro.datasets.scenes import landscape_scene, office_scene, traffic_scene  # noqa: E402
 from repro.retrieval.system import RetrievalSystem  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
@@ -119,6 +122,36 @@ def drive(client: ServiceClient, reference: RetrievalSystem, database: Path) -> 
         served = client.search(**kwargs)
         expected = expected_dicts(reference, **kwargs)
         check(f"{name} matches the in-process engine", served["results"] == expected)
+
+    # --- builder-made specs, sent as QuerySpec.to_wire() ---------------
+    specs = [
+        ("exact", reference.query(scenes[0]).spec()),
+        ("invariant", reference.query(scenes[3]).invariant().spec()),
+        ("partial", reference.query(scenes[0]).partial(scenes[0].identifiers[:2]).spec()),
+        ("crisp where", reference.query().where("monitor above desk").limit(None).spec()),
+        (
+            "graded where",
+            reference.query(scenes[0])
+            .where("monitor above desk", fuzzy=True)
+            .compose("sum", 0.4)
+            .limit(None)
+            .spec(),
+        ),
+        ("min_shared_labels(2)", reference.query(scenes[1]).min_shared_labels(2).spec()),
+        (
+            "custom policy",
+            reference.query(scenes[1])
+            .policy(SimilarityPolicy(Normalization.DICE, count_boundaries_only=True))
+            .spec(),
+        ),
+    ]
+    for name, spec in specs:
+        served = client.search(spec)["results"]
+        expected = reference.execute(spec).to_dicts()
+        check(f"{name} spec matches the in-process engine", served == expected)
+    served = client.batch([spec for _, spec in specs[:2]])["results"]
+    expected = [reference.execute(spec).to_dicts() for _, spec in specs[:2]]
+    check("two specs in one batch match the in-process engine", served == expected)
 
     paged = client.search(scene=scenes[0], limit=None, page=1, page_size=2)
     full = expected_dicts(reference, scene=scenes[0], limit=None)
