@@ -213,30 +213,6 @@ def test_backend_latency_report(
 
 
 @pytest.mark.benchmark(group="E11-storage-backends")
-def test_lazy_open_avoids_full_load(sized_database, tmp_path_factory, benchmark):
-    """Lazily opening SQLite touches ids only; one get materialises one row."""
-    size, database = sized_database
-    root = tmp_path_factory.mktemp(f"bench-lazy-{size}")
-    from repro.index.backends import SqliteBackend
-
-    backend = SqliteBackend()
-    target = root / f"db-{size}.sqlite"
-    backend.save(database, target)
-
-    def _open_and_touch_one():
-        lazy = backend.open_lazy(target)
-        try:
-            record = lazy.get(database.image_ids[0])
-            assert len(lazy.loaded_ids) == 1
-            return record
-        finally:
-            lazy.close()
-
-    record = benchmark(_open_and_touch_one)
-    assert record.bestring == database.get(database.image_ids[0]).bestring
-
-
-@pytest.mark.benchmark(group="E11-storage-backends")
 def test_conversion_round_trip(sized_database, tmp_path_factory, benchmark):
     """json -> sqlite -> sharded -> json preserves every BE-string."""
     size, database = sized_database

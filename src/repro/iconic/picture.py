@@ -46,6 +46,8 @@ class SymbolicPicture:
         # Negated, so a NaN extent (every comparison false) fails too.
         if not (width > 0 and height > 0):
             raise PictureError("picture frame must have positive width and height")
+        if not isinstance(name, str):
+            raise PictureError(f"picture name {name!r} must be a string")
         canonical = tuple(sorted(icons, key=lambda icon: (icon.label, icon.instance)))
         seen = set()
         for icon in canonical:

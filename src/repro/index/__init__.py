@@ -27,7 +27,7 @@ database a downstream user would actually store BE-strings in:
 * :mod:`~repro.index.storage` -- the v1 JSON persistence of pictures,
   BE-strings and whole databases.
 * :mod:`~repro.index.backends` -- pluggable storage backends on top of it:
-  JSON v1, SQLite (lazy loading, incremental row upserts) and sharded binary
+  JSON v1, SQLite (incremental row upserts) and sharded binary
   files (incremental dirty-shard rewrites), with format inference from paths.
 """
 
@@ -35,7 +35,6 @@ from repro.index.backends import (
     BACKENDS,
     DurableShardedStore,
     JsonBackend,
-    LazySqliteImageDatabase,
     ShardedBackend,
     SqliteBackend,
     StorageBackend,
@@ -84,7 +83,6 @@ __all__ = [
     "WriteAheadLog",
     "read_wal",
     "JsonBackend",
-    "LazySqliteImageDatabase",
     "ShardedBackend",
     "SqliteBackend",
     "StorageBackend",

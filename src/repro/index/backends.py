@@ -8,8 +8,9 @@ noticing.  Three backends ship:
 * :class:`JsonBackend` — the versioned v1 JSON file, byte-compatible with
   databases written before this module existed.  Always a full rewrite.
 * :class:`SqliteBackend` — one row per image in a SQLite file.  Supports
-  incremental saves (only mutated rows are upserted/deleted) and lazy loading
-  (:meth:`SqliteBackend.open_lazy` materialises records on first access).
+  incremental saves (only mutated rows are upserted/deleted).  Its methods
+  import :mod:`sqlite3` themselves, so a process that never opens a SQLite
+  file never loads the module.
 * :class:`ShardedBackend` — a directory of binary shard files plus a JSON
   manifest; image ids are hashed (CRC-32) across a fixed number of shards and
   an incremental save rewrites only the shards containing dirty images.
@@ -58,12 +59,11 @@ from __future__ import annotations
 
 import abc
 import json
-import sqlite3
 import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from repro.index.database import ImageDatabase, ImageRecord, _collector_paused
 from repro.index.storage import (
@@ -77,6 +77,9 @@ from repro.index.storage import (
     save_database as _save_json_database,
 )
 from repro.index.wal import WAL_NAME, WriteAheadLog, read_wal, replace_durably
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; the backend imports it on use
+    import sqlite3
 
 PathLike = Union[str, Path]
 
@@ -293,6 +296,8 @@ class SqliteBackend(StorageBackend):
                 has the wrong schema, or fails BE-string validation.
             FileNotFoundError: if ``path`` does not exist.
         """
+        import sqlite3
+
         source = Path(path)
         if not source.exists():
             raise FileNotFoundError(f"no such database file: {source}")
@@ -317,39 +322,6 @@ class SqliteBackend(StorageBackend):
         database.clear_dirty()
         return database
 
-    def open_lazy(self, path: PathLike) -> "LazySqliteImageDatabase":
-        """Open a database without materialising any record.
-
-        Rows are fetched, parsed and BE-validated on first access of each
-        image (:meth:`~repro.index.database.ImageDatabase.get`), so opening a
-        million-image file is O(number of ids), not O(total content).
-
-        Returns:
-            A :class:`LazySqliteImageDatabase` bound to an open connection
-            (call its ``close()`` when done).
-
-        Raises:
-            StorageError: if the file is not a valid database of this format.
-            FileNotFoundError: if ``path`` does not exist.
-        """
-        source = Path(path)
-        if not source.exists():
-            raise FileNotFoundError(f"no such database file: {source}")
-        connection = self._connect(source)
-        try:
-            name = self._read_meta(connection, source)
-            ids = [
-                row[0]
-                for row in connection.execute("SELECT image_id FROM images ORDER BY image_id")
-            ]
-        except sqlite3.DatabaseError as error:
-            connection.close()
-            raise StorageError(f"{source} is not a valid SQLite database: {error}") from error
-        except StorageError:
-            connection.close()
-            raise
-        return LazySqliteImageDatabase(connection, source, name, ids)
-
     def describe(self, path: PathLike) -> Dict[str, Any]:
         """Summarise a SQLite database file (row count, no BE validation).
 
@@ -359,6 +331,8 @@ class SqliteBackend(StorageBackend):
         Raises:
             StorageError: if the file is not a valid database of this format.
         """
+        import sqlite3
+
         source = Path(path)
         connection = self._connect(source)
         try:
@@ -380,6 +354,8 @@ class SqliteBackend(StorageBackend):
     # -- internals ------------------------------------------------------
     @staticmethod
     def _connect(path: Path) -> sqlite3.Connection:
+        import sqlite3
+
         try:
             connection = sqlite3.connect(str(path))
             connection.execute("PRAGMA foreign_keys = ON")
@@ -406,6 +382,8 @@ class SqliteBackend(StorageBackend):
 
     def _read_meta(self, connection: sqlite3.Connection, source: Path) -> str:
         """Validate schema/version of an open connection; returns the db name."""
+        import sqlite3
+
         try:
             rows = dict(connection.execute("SELECT key, value FROM meta"))
         except sqlite3.DatabaseError as error:
@@ -422,6 +400,8 @@ class SqliteBackend(StorageBackend):
 
     def _can_update(self, target: Path, database: ImageDatabase) -> bool:
         """True when an incremental upsert against ``target`` is consistent."""
+        import sqlite3
+
         try:
             connection = self._connect(target)
             try:
@@ -494,109 +474,6 @@ class SqliteBackend(StorageBackend):
             json.dumps(entry["picture"], sort_keys=True),
             json.dumps(entry["bestring"], sort_keys=True),
         )
-
-
-class LazySqliteImageDatabase(ImageDatabase):
-    """An :class:`~repro.index.database.ImageDatabase` view over a SQLite file.
-
-    Records materialise (parse + BE-string validation) on first access; the
-    set of already-loaded ids is exposed as :attr:`loaded_ids` so tests and
-    tools can verify laziness.  Whole-database operations (iteration,
-    statistics) materialise everything first.  Close the underlying
-    connection with :meth:`close` when done.
-    """
-
-    def __init__(
-        self, connection: sqlite3.Connection, path: Path, name: str, image_ids: List[str]
-    ) -> None:
-        """Bind to an open connection; ``image_ids`` is the full id listing."""
-        super().__init__(name=name)
-        self._connection = connection
-        self._path = path
-        self._pending = set(image_ids)
-
-    @property
-    def loaded_ids(self) -> FrozenSet[str]:
-        """Ids whose records have been materialised so far."""
-        return frozenset(self._records)
-
-    def close(self) -> None:
-        """Close the underlying SQLite connection (loaded records stay usable)."""
-        self._connection.close()
-
-    def get(self, image_id: str) -> ImageRecord:
-        """Fetch a record, materialising it from SQLite on first access.
-
-        Raises:
-            DatabaseError: if no image with ``image_id`` is stored.
-            StorageError: if the stored row is corrupt or inconsistent.
-        """
-        if image_id in self._pending:
-            self._materialize(image_id)
-        return super().get(image_id)
-
-    def remove_picture(self, image_id: str) -> ImageRecord:
-        """Materialise then remove a stored image (returns its record)."""
-        if image_id in self._pending:
-            self._materialize(image_id)
-        return super().remove_picture(image_id)
-
-    def materialize_all(self) -> None:
-        """Load every still-pending record (used before whole-db operations)."""
-        for image_id in sorted(self._pending):
-            self._materialize(image_id)
-
-    def __contains__(self, image_id: str) -> bool:
-        return image_id in self._pending or super().__contains__(image_id)
-
-    def __len__(self) -> int:
-        return len(self._pending) + len(self._records)
-
-    def __iter__(self) -> Iterator[ImageRecord]:
-        self.materialize_all()
-        return super().__iter__()
-
-    @property
-    def image_ids(self) -> List[str]:
-        """Ids of all stored images (pending and loaded), sorted."""
-        return sorted(self._pending | set(self._records))
-
-    def total_objects(self) -> int:
-        """Total icon objects across all images (materialises everything)."""
-        self.materialize_all()
-        return super().total_objects()
-
-    def total_storage_symbols(self) -> int:
-        """Total stored BE-string symbols (materialises everything)."""
-        self.materialize_all()
-        return super().total_storage_symbols()
-
-    def statistics(self) -> Dict[str, float]:
-        """Database statistics (materialises everything first)."""
-        self.materialize_all()
-        return super().statistics()
-
-    def _materialize(self, image_id: str) -> None:
-        try:
-            row = self._connection.execute(
-                "SELECT picture, bestring FROM images WHERE image_id = ?", (image_id,)
-            ).fetchone()
-        except sqlite3.DatabaseError as error:
-            raise StorageError(
-                f"{self._path} is not a valid SQLite database: {error}"
-            ) from error
-        if row is None:
-            self._pending.discard(image_id)
-            return
-        entry = SqliteBackend._row_to_entry(self._path, image_id, row[0], row[1])
-        try:
-            image_entry_to_record(self, entry)
-        except StorageError as error:
-            # The id stays pending, so every later access fails the same way.
-            raise StorageError(f"{self._path}: {error}") from error
-        self._pending.discard(image_id)
-        # Materialisation is a read, not a mutation.
-        self._dirty.discard(image_id)
 
 
 # ----------------------------------------------------------------------

@@ -29,18 +29,31 @@ def _collector_paused() -> Iterator[None]:
     pictures, symbol tuples, signatures), all acyclic, so every collection
     their allocation would trigger finds nothing, and a full one also walks
     every engine already alive.  Reference counting frees what the build
-    drops; anything cyclic waits for the first collection after it.  The
-    pause nests (an inner pause finds the collector off and leaves it off),
-    survives exceptions, and restores the state the caller had.  The
-    collector is process-wide: other threads run without it meanwhile.
+    drops; anything cyclic waits for a later collection.  The pause nests
+    (an inner pause finds the collector off and leaves it off), survives
+    exceptions, and restores the state the caller had.  The collector is
+    process-wide: other threads run without it meanwhile.
+
+    When the outermost pause ends after a build that succeeded and left more
+    young objects than the collector's first threshold, switching it back on
+    would start a young collection at once, which walks everything the build
+    made.  Instead every young object is promoted to the oldest generation
+    unwalked (``gc.freeze()`` then ``gc.unfreeze()``), unless the caller has
+    frozen objects of its own, which a promotion would thaw.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
-    finally:
+    except BaseException:
         if enabled:
             gc.enable()
+        raise
+    if enabled:
+        if gc.get_count()[0] > gc.get_threshold()[0] and not gc.get_freeze_count():
+            gc.freeze()
+            gc.unfreeze()
+        gc.enable()
 
 
 @dataclass
@@ -119,16 +132,23 @@ class ImageDatabase:
         Loaders check the record against what a file stored before they
         :meth:`add_record` it, so a rejected entry never reaches the database.
 
+        When the id equals the picture's name, the record keeps the name's
+        string as its id rather than a second copy.
+
         Raises:
-            DatabaseError: if neither ``image_id`` nor the picture names it.
+            DatabaseError: if ``image_id`` is not a string, or neither it
+                nor the picture names the image.
         """
+        if image_id is not None and not isinstance(image_id, str):
+            raise DatabaseError(f"image id {image_id!r} must be a non-empty string")
         identifier = image_id or picture.name
         if not identifier:
             raise DatabaseError("an image id is required (picture has no name)")
-        named_picture = picture if picture.name == identifier else picture.renamed(identifier)
-        return ImageRecord(
-            image_id=identifier, picture=named_picture, bestring=encode_picture(named_picture)
-        )
+        if picture.name == identifier:
+            identifier = picture.name
+        else:
+            picture = picture.renamed(identifier)
+        return ImageRecord(image_id=identifier, picture=picture, bestring=encode_picture(picture))
 
     def add_record(self, record: ImageRecord) -> ImageRecord:
         """Store a record built by :meth:`encode_record`; returns it.

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.similarity import SimilarityPolicy, combined_value, normalized_value
-from repro.core.symbols import BoundaryKind
+from repro.core.symbols import BoundaryKind, Symbol
 from repro.core.transforms import Transformation, transform
 from repro.iconic.icon import BOUNDARY_INTERN_LIMIT, BOUNDARY_INTERN_MAX_LENGTH
 
@@ -54,28 +54,39 @@ DEFAULT_BITMAP_WIDTH = 128
 REJECTION_SAMPLE_LIMIT = 32
 
 
-#: The CRC-32 of each label :func:`label_bit` has seen, bounded like the
-#: boundary-symbol table of :meth:`~repro.core.symbols.Symbol.boundaries`: at
-#: most ``BOUNDARY_INTERN_LIMIT`` labels of at most
-#: ``BOUNDARY_INTERN_MAX_LENGTH`` characters, emptied when full.
-_LABEL_CRCS: Dict[str, int] = {}
+#: The bitmap mask (``1 << bit``) at :data:`DEFAULT_BITMAP_WIDTH` of each
+#: label :func:`label_mask` has seen, bounded like the boundary-symbol table
+#: of :meth:`~repro.core.symbols.Symbol.boundaries`: at most
+#: ``BOUNDARY_INTERN_LIMIT`` labels of at most ``BOUNDARY_INTERN_MAX_LENGTH``
+#: characters, emptied when full.
+_LABEL_MASKS: Dict[str, int] = {}
 
 
 def label_bit(label: str, width: int = DEFAULT_BITMAP_WIDTH) -> int:
     """The bitmap bit a label hashes to (stable CRC-32, like the shard hash).
 
-    The CRC-32 of the label's UTF-8 bytes is remembered in a bounded table,
-    so a load hashes each distinct label once; the bit is that CRC modulo
-    ``width``, whatever width filled the table.
+    The bit is the CRC-32 of the label's UTF-8 bytes modulo ``width``; at
+    the default width it is read from :func:`label_mask`'s table.
     """
-    crc = _LABEL_CRCS.get(label)
-    if crc is None:
-        crc = zlib.crc32(label.encode("utf-8"))
+    if width == DEFAULT_BITMAP_WIDTH:
+        return label_mask(label).bit_length() - 1
+    return zlib.crc32(label.encode("utf-8")) % width
+
+
+def label_mask(label: str) -> int:
+    """``1 << label_bit(label)`` at the default width.
+
+    The mask is remembered in a bounded table, so a load hashes each
+    distinct label and builds its mask once.
+    """
+    mask = _LABEL_MASKS.get(label)
+    if mask is None:
+        mask = 1 << (zlib.crc32(label.encode("utf-8")) % DEFAULT_BITMAP_WIDTH)
         if len(label) <= BOUNDARY_INTERN_MAX_LENGTH:
-            if len(_LABEL_CRCS) >= BOUNDARY_INTERN_LIMIT:
-                _LABEL_CRCS.clear()
-            _LABEL_CRCS[label] = crc
-    return crc % width
+            if len(_LABEL_MASKS) >= BOUNDARY_INTERN_LIMIT:
+                _LABEL_MASKS.clear()
+            _LABEL_MASKS[label] = mask
+    return mask
 
 
 def label_bitmap(labels: Iterable[str], width: int = DEFAULT_BITMAP_WIDTH) -> int:
@@ -109,12 +120,16 @@ def axis_pair_codes(axis: AxisBEString) -> Dict[Tuple[str, str], int]:
         identifier order.
     """
     facts = AxisSignature.from_axis(axis)
-    begins, ends = facts.begins, facts.ends
-    identifiers = sorted(begins)
+    slots, begins, ends = facts.slots, facts.begins, facts.ends
+    identifiers = sorted(slots)
     codes: Dict[Tuple[str, str], int] = {}
     for index, a in enumerate(identifiers):
+        a_slot = slots[a]
         for b in identifiers[index + 1 :]:
-            codes[(a, b)] = _relation_code(begins[a], ends[a], begins[b], ends[b])
+            b_slot = slots[b]
+            codes[(a, b)] = _relation_code(
+                begins[a_slot], ends[a_slot], begins[b_slot], ends[b_slot]
+            )
     return codes
 
 
@@ -132,6 +147,10 @@ def _relation_code(a_begin: int, a_end: int, b_begin: int, b_end: int) -> int:
 #: the enum per symbol.
 _BEGIN = BoundaryKind.BEGIN
 
+#: Symbol positions indexed by slot: ``bytes`` for an axis of at most 256
+#: symbols (every position fits in a byte), a tuple of ints otherwise.
+Positions = Union[bytes, Tuple[int, ...]]
+
 
 @dataclass(frozen=True, init=False)
 class AxisSignature:
@@ -139,13 +158,15 @@ class AxisSignature:
 
     The relation code of any object pair is a pure function of the two
     objects' boundary positions, so the signature keeps the positions (two
-    entries per object) rather than the codes (one per pair);
+    per object) rather than the codes (one per pair);
     :func:`pair_conflicts` computes a candidate's code only for the pairs a
-    query asks about.  A value record (see ``docs/architecture.md``, "Value
+    query asks about.  Each object has a *slot*, its index into
+    :attr:`begins` and :attr:`ends`; an image's x and y signatures share
+    one slot table.  A value record (see ``docs/architecture.md``, "Value
     records").
     """
 
-    __slots__ = ("length", "boundaries", "dummies", "begins", "ends")
+    __slots__ = ("length", "boundaries", "dummies", "slots", "begins", "ends")
 
     #: Total symbol count of the axis string.
     length: int
@@ -153,32 +174,38 @@ class AxisSignature:
     boundaries: int
     #: Number of dummy objects ``E``.
     dummies: int
-    #: Symbol index of each object's begin boundary.  An object missing
-    #: either boundary has no entry here nor in :attr:`ends`, so it takes
+    #: Slot of each object, numbered in order of first appearance (on the
+    #: x axis, for an image's signature).  An object missing a begin or an
+    #: end on any axis the table was built from has no slot, so it takes
     #: part in no pair.
-    begins: Dict[str, int]
-    #: Symbol index of each object's end boundary (same keys as
-    #: :attr:`begins`).
-    ends: Dict[str, int]
+    slots: Dict[str, int]
+    #: Symbol index of each slot's begin boundary.
+    begins: Positions
+    #: Symbol index of each slot's end boundary.
+    ends: Positions
 
     def __init__(
         self,
         length: int,
         boundaries: int,
         dummies: int,
-        begins: Dict[str, int],
-        ends: Dict[str, int],
+        slots: Dict[str, int],
+        begins: Positions,
+        ends: Positions,
     ) -> None:
         _set_length(self, length)
         _set_boundaries(self, boundaries)
         _set_dummies(self, dummies)
+        _set_slots(self, slots)
         _set_begins(self, begins)
         _set_ends(self, ends)
 
-    def __reduce__(self) -> Tuple[type, Tuple[int, int, int, Dict[str, int], Dict[str, int]]]:
+    def __reduce__(
+        self,
+    ) -> Tuple[type, Tuple[int, int, int, Dict[str, int], Positions, Positions]]:
         return (
             type(self),
-            (self.length, self.boundaries, self.dummies, self.begins, self.ends),
+            (self.length, self.boundaries, self.dummies, self.slots, self.begins, self.ends),
         )
 
     @classmethod
@@ -186,31 +213,13 @@ class AxisSignature:
         """Extract the signature of one axis string in one walk over its symbols.
 
         A repeated boundary keeps its last position; an object without both
-        a begin and an end is then dropped from both maps.
+        a begin and an end gets no slot.
         """
-        begins: Dict[str, int] = {}
-        ends: Dict[str, int] = {}
-        dummies = 0
-        for position, symbol in enumerate(axis.symbols):
-            identifier = symbol.identifier
-            if identifier is None:
-                dummies += 1
-            elif symbol.kind is _BEGIN:
-                begins[identifier] = position
-            else:
-                ends[identifier] = position
-        if begins.keys() != ends.keys():
-            complete = begins.keys() & ends.keys()
-            begins = {key: value for key, value in begins.items() if key in complete}
-            ends = {key: value for key, value in ends.items() if key in complete}
-        length = len(axis.symbols)
-        return cls(
-            length=length,
-            boundaries=length - dummies,
-            dummies=dummies,
-            begins=begins,
-            ends=ends,
-        )
+        slots: Dict[str, int] = {}
+        dummies, begins, ends = _walk(axis.symbols, slots)
+        if -1 in begins or -1 in ends:
+            slots, ((begins, ends),) = _complete(slots, [(begins, ends)])
+        return _packed(len(axis.symbols), dummies, slots, begins, ends)
 
 
 # The frozen ``__setattr__`` refuses every assignment, so ``__init__`` sets
@@ -218,11 +227,73 @@ class AxisSignature:
 _set_length = AxisSignature.length.__set__
 _set_boundaries = AxisSignature.boundaries.__set__
 _set_dummies = AxisSignature.dummies.__set__
+_set_slots = AxisSignature.slots.__set__
 _set_begins = AxisSignature.begins.__set__
 _set_ends = AxisSignature.ends.__set__
 
 
-@dataclass
+def _walk(symbols: Sequence[Symbol], slots: Dict[str, int]) -> Tuple[int, List[int], List[int]]:
+    """One walk over an axis: ``(dummies, begins, ends)`` by slot.
+
+    An identifier not yet in ``slots`` gets the next slot, so slots number
+    the objects in order of first appearance.  A repeated boundary keeps
+    its last position; -1 marks a boundary the axis lacks.
+    """
+    begins = [-1] * len(slots)
+    ends = [-1] * len(slots)
+    dummies = 0
+    for position, symbol in enumerate(symbols):
+        identifier = symbol.identifier
+        if identifier is None:
+            dummies += 1
+        elif identifier in slots:
+            if symbol.kind is _BEGIN:
+                begins[slots[identifier]] = position
+            else:
+                ends[slots[identifier]] = position
+        else:
+            slots[identifier] = len(begins)
+            if symbol.kind is _BEGIN:
+                begins.append(position)
+                ends.append(-1)
+            else:
+                begins.append(-1)
+                ends.append(position)
+    return dummies, begins, ends
+
+
+def _complete(
+    slots: Dict[str, int], walks: List[Tuple[List[int], List[int]]]
+) -> Tuple[Dict[str, int], List[Tuple[List[int], List[int]]]]:
+    """Drop every slot some walk lacks a boundary of, renumbering the rest.
+
+    ``walks`` holds the ``(begins, ends)`` of each axis; a walk made before
+    a later axis added slots is shorter than ``slots`` and lacks those.
+    """
+    kept = [
+        slot
+        for slot in range(len(slots))
+        if all(
+            slot < len(begins) and begins[slot] >= 0 and ends[slot] >= 0
+            for begins, ends in walks
+        )
+    ]
+    identifiers = list(slots)
+    return (
+        {identifiers[slot]: index for index, slot in enumerate(kept)},
+        [([begins[slot] for slot in kept], [ends[slot] for slot in kept]) for begins, ends in walks],
+    )
+
+
+def _packed(
+    length: int, dummies: int, slots: Dict[str, int], begins: List[int], ends: List[int]
+) -> AxisSignature:
+    """The signature of one walked axis, its positions packed in bytes when they fit."""
+    pack = bytes if length <= 256 else tuple
+    return AxisSignature(length, length - dummies, dummies, slots, pack(begins), pack(ends))
+
+
+@dataclass(frozen=True, init=False)
 class ImageSignature:
     """The shortlist signature of one stored image.
 
@@ -230,7 +301,10 @@ class ImageSignature:
     positions (stage 2).  Signatures are derived data, built from the record's
     validated BE-string and never persisted: a stored copy could disagree
     with the string it claims to describe and silently prune a true match.
+    A value record (see ``docs/architecture.md``, "Value records").
     """
+
+    __slots__ = ("width", "bitmap", "label_counts", "x", "y")
 
     width: int
     bitmap: int
@@ -239,6 +313,25 @@ class ImageSignature:
     label_counts: Dict[str, int]
     x: AxisSignature
     y: AxisSignature
+
+    def __init__(
+        self,
+        width: int,
+        bitmap: int,
+        label_counts: Dict[str, int],
+        x: AxisSignature,
+        y: AxisSignature,
+    ) -> None:
+        _set_width(self, width)
+        _set_bitmap(self, bitmap)
+        _set_label_counts(self, label_counts)
+        _set_x(self, x)
+        _set_y(self, y)
+
+    def __reduce__(
+        self,
+    ) -> Tuple[type, Tuple[int, int, Dict[str, int], AxisSignature, AxisSignature]]:
+        return (type(self), (self.width, self.bitmap, self.label_counts, self.x, self.y))
 
     @classmethod
     def from_bestring(
@@ -250,16 +343,52 @@ class ImageSignature:
         """Build the signature of an image from its BE-string and labels.
 
         Every stored record's signature -- at load, on insert and after an
-        edit -- is derived here, through :func:`signature_for`.
+        edit -- is derived here, through :func:`signature_for`.  The x and
+        y signatures share one slot table, numbered in order of first
+        appearance on the x axis, so equal BE-strings give equal signatures.
         """
-        counts = count_labels(labels)
+        # The label multiset (:func:`count_labels`) and its bitmap
+        # (:func:`label_bitmap`) in one pass.
+        counts: Dict[str, int] = {}
+        bitmap = 0
+        for label in labels:
+            if label in counts:
+                counts[label] += 1
+            else:
+                counts[label] = 1
+                if width == DEFAULT_BITMAP_WIDTH:
+                    # A remembered mask is read inline; no mask is 0.
+                    bitmap |= _LABEL_MASKS.get(label) or label_mask(label)
+                else:
+                    bitmap |= 1 << label_bit(label, width)
+        slots: Dict[str, int] = {}
+        x_symbols, y_symbols = bestring.x.symbols, bestring.y.symbols
+        x_dummies, x_begins, x_ends = _walk(x_symbols, slots)
+        y_dummies, y_begins, y_ends = _walk(y_symbols, slots)
+        if (
+            len(x_begins) < len(slots)
+            or -1 in x_begins
+            or -1 in x_ends
+            or -1 in y_begins
+            or -1 in y_ends
+        ):
+            slots, ((x_begins, x_ends), (y_begins, y_ends)) = _complete(
+                slots, [(x_begins, x_ends), (y_begins, y_ends)]
+            )
         return cls(
-            width=width,
-            bitmap=label_bitmap(counts, width),
-            label_counts=counts,
-            x=AxisSignature.from_axis(bestring.x),
-            y=AxisSignature.from_axis(bestring.y),
+            width,
+            bitmap,
+            counts,
+            _packed(len(x_symbols), x_dummies, slots, x_begins, x_ends),
+            _packed(len(y_symbols), y_dummies, slots, y_begins, y_ends),
         )
+
+
+_set_width = ImageSignature.width.__set__
+_set_bitmap = ImageSignature.bitmap.__set__
+_set_label_counts = ImageSignature.label_counts.__set__
+_set_x = ImageSignature.x.__set__
+_set_y = ImageSignature.y.__set__
 
 
 def signature_for(record: Any) -> ImageSignature:
@@ -328,8 +457,8 @@ def pair_conflicts(
 
     ``query_pairs`` are the query axis's ``((a, b), code)`` items from
     :func:`axis_pair_codes`, walked in that order; the candidate's code for
-    a pair is computed from its boundary positions, only when it holds both
-    objects.
+    a pair is computed from its boundary positions, read through the two
+    objects' slots, only when it holds both objects.
 
     Every edge of the matching names two objects that cannot both contribute
     all their boundary symbols to the axis LCS; because matched edges share
@@ -337,22 +466,23 @@ def pair_conflicts(
     size is a sound deduction from the boundary-symbol bound (a matching
     lower-bounds the conflict graph's vertex cover).
     """
-    begins = candidate.begins
-    if not query_pairs or not begins:
+    slots = candidate.slots
+    if not query_pairs or not slots:
         return 0
+    begins = candidate.begins
     ends = candidate.ends
     used: set = set()
     conflicts = 0
     for (a, b), code in query_pairs:
         if a in used or b in used:
             continue
-        a_begin = begins.get(a)
-        if a_begin is None:
+        a_slot = slots.get(a)
+        if a_slot is None:
             continue
-        b_begin = begins.get(b)
-        if b_begin is None:
+        b_slot = slots.get(b)
+        if b_slot is None:
             continue
-        if _relation_code(a_begin, ends[a], b_begin, ends[b]) != code:
+        if _relation_code(begins[a_slot], ends[a_slot], begins[b_slot], ends[b_slot]) != code:
             conflicts += 1
             used.add(a)
             used.add(b)

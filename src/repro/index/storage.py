@@ -77,8 +77,9 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
         The stored :class:`~repro.index.database.ImageRecord`.
 
     Raises:
-        StorageError: if the entry is malformed or its BE-string does not
-            match its picture.
+        StorageError: if the entry is malformed (its ``image_id`` not a
+            non-empty string included) or its BE-string does not match its
+            picture.
     """
     try:
         picture = SymbolicPicture.from_dict(entry["picture"])
@@ -86,6 +87,10 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
         image_id = entry["image_id"]
     except (KeyError, TypeError, ValueError) as error:
         raise StorageError(f"malformed image entry: {error}") from error
+    if not isinstance(image_id, str) or not image_id:
+        raise StorageError(
+            f"malformed image entry: image id {image_id!r} must be a non-empty string"
+        )
     record = database.encode_record(picture, image_id)
     # Labels hold no whitespace, so equal text means equal symbols.
     if record.bestring.to_dict() != stored:

@@ -22,6 +22,14 @@ class TestConstruction:
         with pytest.raises(PictureError, match="positive width"):
             SymbolicPicture.from_dict(payload)
 
+    @pytest.mark.parametrize("name", [5, None, ["p"]])
+    def test_rejects_a_name_that_is_not_a_string(self, name):
+        with pytest.raises(PictureError, match="must be a string"):
+            SymbolicPicture(width=10, height=10, name=name)
+        payload = {"width": 10, "height": 10, "icons": [], "name": name}
+        with pytest.raises(PictureError, match="must be a string"):
+            SymbolicPicture.from_dict(payload)
+
     def test_icons_must_fit_in_frame(self):
         with pytest.raises(PictureError):
             SymbolicPicture.build(

@@ -368,6 +368,8 @@ PICTURE_CORRUPTIONS = {
     # bare label either way, and ``int()`` read the value back as 0.
     "integral-float-instance": (_set_icon(0, instance=0.0), "must be an integer"),
     "false-instance": (_set_icon(0, instance=False), "must be an integer"),
+    # This one used to load, and the record then carried an integer name.
+    "non-string-name": (lambda picture: picture.update(name=5), "must be a string"),
 }
 
 
@@ -385,6 +387,24 @@ class TestStoredPictureChecks:
         )
         with pytest.raises(
             StorageError, match=re.escape(str(path)) + ".*malformed image entry: .*" + phrase
+        ):
+            load_database_from(path)
+
+    # SQLite's TEXT column stores any id as text, and a logged upsert's id
+    # comes from its log record, so only these layouts can hold such an id.
+    @pytest.mark.parametrize("image_id", [5, ""])
+    @pytest.mark.parametrize("layout", ["json", "sharded"])
+    def test_image_id_that_is_not_a_non_empty_string_is_rejected_naming_the_path(
+        self, populated_database, tmp_path, monkeypatch, layout, image_id
+    ):
+        path = _save_rewritten_entry(
+            populated_database, tmp_path, layout, monkeypatch,
+            lambda entry: dict(entry, image_id=image_id),
+        )
+        with pytest.raises(
+            StorageError,
+            match=re.escape(str(path))
+            + ".*malformed image entry: image id .* must be a non-empty string",
         ):
             load_database_from(path)
 
@@ -550,89 +570,6 @@ class TestIncrementalSqlite:
 
 
 # ----------------------------------------------------------------------
-# Lazy SQLite loading
-# ----------------------------------------------------------------------
-class TestLazySqlite:
-    def test_nothing_loaded_upfront(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            assert len(lazy) == len(populated_database)
-            assert lazy.image_ids == populated_database.image_ids
-            assert lazy.loaded_ids == frozenset()
-        finally:
-            lazy.close()
-
-    def test_get_materialises_one_record(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            target = populated_database.image_ids[2]
-            record = lazy.get(target)
-            assert record.bestring == populated_database.get(target).bestring
-            assert lazy.loaded_ids == {target}
-            assert target in lazy and populated_database.image_ids[0] in lazy
-        finally:
-            lazy.close()
-
-    def test_iteration_materialises_everything(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            ids = sorted(record.image_id for record in lazy)
-            assert ids == populated_database.image_ids
-            assert lazy.loaded_ids == frozenset(populated_database.image_ids)
-            assert lazy.statistics() == populated_database.statistics()
-        finally:
-            lazy.close()
-
-    def test_materialisation_is_not_a_mutation(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            lazy.get(populated_database.image_ids[0])
-            lazy.materialize_all()
-            assert lazy.dirty_ids == frozenset()
-        finally:
-            lazy.close()
-
-    def test_lazy_detects_corrupt_row(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        target = populated_database.image_ids[0]
-        with sqlite3.connect(str(path)) as connection:
-            connection.execute(
-                "UPDATE images SET picture = '{broken' WHERE image_id = ?", (target,)
-            )
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            other = populated_database.image_ids[1]
-            assert lazy.get(other).image_id == other  # clean rows still load
-            with pytest.raises(StorageError, match="invalid JSON"):
-                lazy.get(target)
-        finally:
-            lazy.close()
-
-    def test_rejected_row_is_neither_loaded_nor_dirty(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        target, other = populated_database.image_ids[:2]
-        with sqlite3.connect(str(path)) as connection:
-            connection.execute(
-                "UPDATE images SET bestring = "
-                "(SELECT bestring FROM images WHERE image_id = ?) WHERE image_id = ?",
-                (other, target),
-            )
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            for _ in range(2):
-                with pytest.raises(StorageError, match="does not match"):
-                    lazy.get(target)
-            assert target not in lazy.loaded_ids
-            assert target not in lazy.dirty_ids
-        finally:
-            lazy.close()
-
-
-# ----------------------------------------------------------------------
 # RetrievalSystem integration
 # ----------------------------------------------------------------------
 class TestRetrievalSystemBackends:
@@ -689,30 +626,6 @@ class TestIncompatibleTargets:
         path.write_text(json.dumps({"schema_version": 1, "images": 5}))
         with pytest.raises(StorageError, match="bad structure"):
             describe_database(path, backend="json")
-
-
-class TestLazyMutations:
-    def test_remove_picture_updates_image_ids(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            victim = populated_database.image_ids[0]
-            lazy.remove_picture(victim)
-            assert victim not in lazy.image_ids
-            assert victim not in lazy
-            assert len(lazy) == len(populated_database) - 1
-        finally:
-            lazy.close()
-
-    def test_statistics_before_any_access_is_consistent(
-        self, populated_database, tmp_path
-    ):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        lazy = SqliteBackend().open_lazy(path)
-        try:
-            assert lazy.statistics() == populated_database.statistics()
-        finally:
-            lazy.close()
 
 
 # ----------------------------------------------------------------------

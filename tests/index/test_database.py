@@ -27,6 +27,21 @@ class TestWholeImageOperations:
         assert record.image_id == "named"
         assert record.picture.name == "named"
 
+    @pytest.mark.parametrize("image_id", [5, 0, False, b"office"])
+    def test_id_that_is_not_a_string_is_refused(self, office, image_id):
+        database = ImageDatabase()
+        with pytest.raises(DatabaseError, match="must be a non-empty string"):
+            database.add_picture(office, image_id)
+        assert len(database) == 0
+
+    def test_record_keeps_the_name_string_as_its_id(self, office):
+        # An equal id built separately, as a decoded entry's is.
+        image_id = "".join(list(office.name))
+        assert image_id is not office.name
+        record = ImageDatabase.encode_record(office, image_id)
+        assert record.image_id is record.picture.name
+        assert record.picture is office
+
     def test_duplicate_id_rejected(self, office):
         database = ImageDatabase()
         database.add_picture(office)

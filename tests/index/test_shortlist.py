@@ -14,7 +14,9 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.construct import encode_picture
 from repro.core.similarity import (
     Combination,
@@ -24,6 +26,7 @@ from repro.core.similarity import (
     invariant_similarity,
     similarity,
 )
+from repro.core.symbols import BoundaryKind, Symbol
 from repro.core.transforms import Transformation, transform
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
@@ -108,8 +111,9 @@ def _axis_signature(**spans):
         length=length,
         boundaries=length,
         dummies=0,
-        begins={identifier: span[0] for identifier, span in spans.items()},
-        ends={identifier: span[1] for identifier, span in spans.items()},
+        slots={identifier: slot for slot, identifier in enumerate(spans)},
+        begins=bytes(span[0] for span in spans.values()),
+        ends=bytes(span[1] for span in spans.values()),
     )
 
 
@@ -119,21 +123,21 @@ class TestBitmapPrimitives:
         assert label_bit("car") == label_bit("car")
         assert label_bit("car", width=8) < 8
 
-    def test_label_crc_table_never_exceeds_its_cap(self, monkeypatch):
-        monkeypatch.setattr(shortlist, "_LABEL_CRCS", {})
+    def test_label_mask_table_never_exceeds_its_cap(self, monkeypatch):
+        monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
         monkeypatch.setattr(shortlist, "BOUNDARY_INTERN_LIMIT", 8)
         for index in range(20):
             assert label_bit(f"label-{index}") == label_bit(f"label-{index}")
-            assert len(shortlist._LABEL_CRCS) <= 8
-        assert len(shortlist._LABEL_CRCS) == 4
+            assert len(shortlist._LABEL_MASKS) <= 8
+        assert len(shortlist._LABEL_MASKS) == 4
 
     def test_overlong_labels_are_not_remembered(self, monkeypatch):
-        monkeypatch.setattr(shortlist, "_LABEL_CRCS", {})
+        monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
         label = "x" * (shortlist.BOUNDARY_INTERN_MAX_LENGTH + 1)
         assert label_bitmap([label]) == 1 << label_bit(label)
-        assert not shortlist._LABEL_CRCS
+        assert not shortlist._LABEL_MASKS
         label_bit(label[:-1])
-        assert list(shortlist._LABEL_CRCS) == [label[:-1]]
+        assert list(shortlist._LABEL_MASKS) == [label[:-1]]
 
     def test_bitmap_sets_one_bit_per_distinct_label(self):
         bitmap = label_bitmap(["car", "car", "tree"])
@@ -307,6 +311,112 @@ class TestCompactBoundEqualsPairDictionaries:
                         candidate, overlap, policy, with_conflicts=True
                     ) == _reference_bound(query_bestring, candidate_bestring, overlap, policy)
         assert conflicting  # the inputs exercise the matching, not only its base case
+
+
+def _random_axis(rng, identifiers, dummy_rate):
+    """An axis string over ``identifiers``: each begin before its end, dummies between."""
+    occurrences = [identifier for identifier in identifiers for _ in range(2)]
+    rng.shuffle(occurrences)
+    seen = set()
+    symbols = []
+    for identifier in occurrences:
+        if rng.random() < dummy_rate:
+            symbols.append(Symbol.dummy())
+        kind = BoundaryKind.END if identifier in seen else BoundaryKind.BEGIN
+        seen.add(identifier)
+        symbols.append(Symbol.boundary(identifier, kind))
+    return AxisBEString(symbols)
+
+
+def _packed_codes(facts):
+    """Pair codes read from a signature's packed positions, through its slots."""
+    slots, begins, ends = facts.slots, facts.begins, facts.ends
+    identifiers = sorted(slots)
+    return {
+        (a, b): shortlist._relation_code(
+            begins[slots[a]], ends[slots[a]], begins[slots[b]], ends[slots[b]]
+        )
+        for index, a in enumerate(identifiers)
+        for b in identifiers[index + 1 :]
+    }
+
+
+class TestPackedSignature:
+    """Slots and packed positions equal the dictionary references."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # Up to 24 symbols per axis, or 240 to 340: positions then no
+        # longer fit in a byte on most axes.
+        objects=st.one_of(st.integers(0, 12), st.integers(120, 140)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_codes_and_conflicts_equal_the_references(self, objects, seed):
+        rng = random.Random(seed)
+        labels = [rng.choice("abcdefgh") for _ in range(objects)]
+        identifiers = [
+            label if labels[:index].count(label) == 0 else f"{label}#{labels[:index].count(label)}"
+            for index, label in enumerate(labels)
+        ]
+        x = _random_axis(rng, identifiers, 0.3)
+        y = _random_axis(rng, identifiers, 0.3)
+        signature = ImageSignature.from_bestring(BEString2D(x, y), labels)
+        assert signature.x.slots is signature.y.slots
+        assert list(signature.x.slots) == list(
+            dict.fromkeys(symbol.identifier for symbol in x.symbols if symbol.is_boundary)
+        )
+        for axis, facts in ((x, signature.x), (y, signature.y)):
+            packed = len(axis) <= 256
+            assert type(facts.begins) is type(facts.ends) is (bytes if packed else tuple)
+            expected = _reference_pair_codes(axis)
+            assert axis_pair_codes(axis) == expected
+            assert _packed_codes(facts) == expected
+            # A query over some of the objects and one the candidate lacks.
+            shared = rng.sample(identifiers, rng.randint(0, len(identifiers)))
+            query_codes = _reference_pair_codes(_random_axis(rng, shared + ["zz"], 0.3))
+            assert pair_conflicts(tuple(query_codes.items()), facts) == _reference_conflicts(
+                query_codes, expected
+            )
+
+    def test_an_object_incomplete_on_either_axis_has_no_slot(self):
+        # ``a`` has no end on y, ``d`` appears on y only: neither takes part
+        # in a pair on either axis, and the others keep their x order.
+        x = AxisBEString.from_text("E c.b a.b c.e a.e b.b b.e E")
+        y = AxisBEString.from_text("a.b b.b b.e c.b d.b c.e d.e")
+        signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "b", "c", "d"])
+        assert signature.x.slots is signature.y.slots
+        assert signature.x.slots == {"c": 0, "b": 1}
+        assert (signature.x.begins, signature.x.ends) == (bytes([1, 5]), bytes([3, 6]))
+        assert (signature.y.begins, signature.y.ends) == (bytes([3, 1]), bytes([5, 2]))
+        assert (signature.x.length, signature.x.boundaries, signature.x.dummies) == (8, 6, 2)
+        assert (signature.y.length, signature.y.boundaries, signature.y.dummies) == (7, 7, 0)
+        assert pair_conflicts([(("a", "b"), 0), (("a", "c"), 0)], signature.x) == 0
+
+    def test_an_object_on_the_y_axis_only_has_no_slot(self):
+        x = AxisBEString.from_text("a.b a.e")
+        y = AxisBEString.from_text("a.b d.b d.e a.e")
+        signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "d"])
+        assert signature.x.slots == {"a": 0}
+        assert (signature.x.begins, signature.x.ends) == (bytes([0]), bytes([1]))
+        assert (signature.y.begins, signature.y.ends) == (bytes([0]), bytes([3]))
+        assert pair_conflicts([(("a", "d"), 0)], signature.y) == 0
+
+    @pytest.mark.parametrize("dummies, packed", [(0, bytes), (1, tuple)])
+    def test_positions_are_bytes_up_to_256_symbols(self, dummies, packed):
+        # 128 objects in a row fill 256 symbols; one dummy more needs a tuple.
+        text = " ".join(f"o{index}.b o{index}.e" for index in range(128))
+        facts = AxisSignature.from_axis(AxisBEString.from_text(text + " E" * dummies))
+        assert facts.length == 256 + dummies
+        assert type(facts.begins) is type(facts.ends) is packed
+        assert (facts.begins[-1], facts.ends[-1]) == (254, 255)
+
+    def test_equal_bestrings_give_equal_signatures(self):
+        picture = random_pictures(1, seed=4, parameters=_PARAMETERS)[0]
+        bestring = encode_picture(picture)
+        reparsed = BEString2D.from_text(bestring.x.to_text(), bestring.y.to_text())
+        assert ImageSignature.from_bestring(bestring, picture.labels) == (
+            ImageSignature.from_bestring(reparsed, reversed(picture.labels))
+        )
 
 
 class TestScoreBoundSoundness:

@@ -2,12 +2,14 @@
 
 Three angles on what a load derives per record:
 
-* :meth:`AxisSignature.from_axis` walks an axis string once; it must equal
-  a scan that looks at every identifier separately, on any symbol sequence,
-  malformed ones included (a missing begin or end, a repeated boundary, a
-  dummy or boundary symbol that is not the shared instance);
-* :func:`label_bit` remembers each label's CRC-32; the bit must equal the
-  CRC-32 bit at every width, on the first call and on a remembered one;
+* :meth:`AxisSignature.from_axis` walks an axis string once; its slots
+  and packed positions must equal a scan that looks at every identifier
+  separately, on any symbol sequence, malformed ones included (a missing
+  begin or end, a repeated boundary, a dummy or boundary symbol that is not
+  the shared instance);
+* :func:`label_mask` remembers each label's bitmap mask at the default
+  width; :func:`label_bit` must equal the CRC-32 bit at every width, and at
+  the default width on the first call and on a remembered one;
 * the engine's :class:`InvertedSymbolIndex` keeps the label counts of each
   record's signature rather than its own copy; after a load and any run of
   inserts, object edits and deletes, its postings and candidates must equal
@@ -27,7 +29,13 @@ from repro.core.symbols import BoundaryKind, Symbol
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.index.inverted import InvertedSymbolIndex
-from repro.index.shortlist import AxisSignature, label_bit, label_bitmap
+from repro.index.shortlist import (
+    DEFAULT_BITMAP_WIDTH,
+    AxisSignature,
+    label_bit,
+    label_bitmap,
+    label_mask,
+)
 from repro.retrieval.system import RetrievalSystem
 
 _IDENTIFIERS = ("a", "b", "c", "d#1")
@@ -51,10 +59,14 @@ _SYMBOLS = st.one_of(
 
 
 def scan(symbols):
-    """The signature facts by brute force: one scan per identifier and kind."""
+    """The signature facts by brute force: one scan per identifier and kind.
+
+    Positions are listed by slot: complete objects in order of first
+    appearance.
+    """
     boundary_symbols = [symbol for symbol in symbols if symbol.is_boundary]
     begins, ends = {}, {}
-    for identifier in {symbol.identifier for symbol in boundary_symbols}:
+    for identifier in dict.fromkeys(symbol.identifier for symbol in boundary_symbols):
         begin_at = [
             position
             for position, symbol in enumerate(symbols)
@@ -74,8 +86,9 @@ def scan(symbols):
         "length": len(symbols),
         "boundaries": len(boundary_symbols),
         "dummies": sum(1 for symbol in symbols if symbol.is_dummy),
-        "begins": begins,
-        "ends": ends,
+        "slots": [(identifier, slot) for slot, identifier in enumerate(begins)],
+        "begins": list(begins.values()),
+        "ends": list(ends.values()),
     }
 
 
@@ -83,12 +96,14 @@ def scan(symbols):
 @given(symbols=st.lists(_SYMBOLS, max_size=24))
 def test_from_axis_equals_a_brute_force_scan(symbols):
     signature = AxisSignature.from_axis(AxisBEString(tuple(symbols)))
+    assert type(signature.begins) is type(signature.ends) is bytes
     assert {
         "length": signature.length,
         "boundaries": signature.boundaries,
         "dummies": signature.dummies,
-        "begins": signature.begins,
-        "ends": signature.ends,
+        "slots": list(signature.slots.items()),
+        "begins": list(signature.begins),
+        "ends": list(signature.ends),
     } == scan(symbols)
 
 
@@ -98,13 +113,16 @@ def test_from_axis_equals_a_brute_force_scan(symbols):
     width=st.integers(min_value=1, max_value=1 << 20),
 )
 def test_remembered_label_bit_equals_the_crc32_bit(label, width):
-    expected = zlib.crc32(label.encode("utf-8")) % width
-    assert label_bit(label, width) == expected
-    # The second call reads the remembered CRC-32 (labels up to the length
-    # cap); the bit must not depend on which width filled the table.
-    assert label_bit(label, width) == expected
-    assert label_bit(label, width + 1) == zlib.crc32(label.encode("utf-8")) % (width + 1)
-    assert label_bitmap([label, label], width) == 1 << expected
+    crc = zlib.crc32(label.encode("utf-8"))
+    assert label_bit(label, width) == crc % width
+    assert label_bit(label, width + 1) == crc % (width + 1)
+    assert label_bitmap([label, label], width) == 1 << (crc % width)
+    # At the default width the second call reads the remembered mask
+    # (labels up to the length cap); both give the CRC-32 bit.
+    default = crc % DEFAULT_BITMAP_WIDTH
+    for _ in range(2):
+        assert label_bit(label) == default
+        assert label_mask(label) == label_bitmap([label, label]) == 1 << default
 
 
 _LABELS = tuple(f"c{index}" for index in range(6))

@@ -5,9 +5,10 @@ import json
 
 import pytest
 
+from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.index.backends import load_database_from
-from repro.index.database import _collector_paused
+from repro.index.database import ImageDatabase, _collector_paused
 from repro.index.query import QueryEngine
 from repro.index.shortlist import ImageSignature
 from repro.index.storage import StorageError
@@ -203,3 +204,59 @@ class TestLoadPausesTheCollector:
             assert engine.inverted_index._image_labels[record.image_id] is (
                 record.signature.label_counts
             )
+
+
+@pytest.fixture(scope="module")
+def large(tmp_path_factory):
+    """A 240-scene JSON database, whose load leaves thousands of young objects."""
+    pictures = random_pictures(240, seed=3, parameters=SceneParameters(object_count=6))
+    path = tmp_path_factory.mktemp("large") / "db.json"
+    return RetrievalSystem.from_pictures(pictures).save(path)
+
+
+def _in_generation(value, generation):
+    return any(item is value for item in gc.get_objects(generation=generation))
+
+
+class TestLoadPromotesWhatItBuilt:
+    """The end of a large load's pause promotes its objects instead of collecting them."""
+
+    def test_a_large_load_starts_no_collection(self, large, collections):
+        gc.collect()
+        del collections[:]
+        system = RetrievalSystem.from_file(large)
+        assert collections == []
+        assert len(system) == 240
+        assert gc.get_count()[0] <= gc.get_threshold()[0]
+
+    def test_a_small_build_leaves_the_young_generation_as_it_was(self, office):
+        gc.collect()
+        marker = []
+        with _collector_paused():
+            records = [ImageDatabase.encode_record(office, f"copy-{index}") for index in range(3)]
+            assert gc.get_count()[0] <= gc.get_threshold()[0]
+        assert _in_generation(marker, 0)
+        assert _in_generation(records, 0)
+
+    def test_objects_the_caller_froze_stay_frozen(self, large):
+        gc.collect()
+        marker = []
+        gc.freeze()
+        try:
+            RetrievalSystem.from_file(large)
+            assert gc.get_freeze_count() > 0
+            assert not _in_generation(marker, 2)
+        finally:
+            gc.unfreeze()
+        assert _in_generation(marker, 2)
+
+    def test_a_collector_the_caller_disabled_stays_disabled(self, large):
+        gc.collect()
+        marker = []
+        gc.disable()
+        try:
+            RetrievalSystem.from_file(large)
+            assert not gc.isenabled()
+            assert _in_generation(marker, 0)
+        finally:
+            gc.enable()

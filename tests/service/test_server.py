@@ -411,6 +411,30 @@ class TestMutations:
         assert "bad" not in reloaded.image_ids
         assert "plain" in reloaded.image_ids
 
+    def test_non_string_scene_name_is_a_400_and_nothing_is_logged(self, tmp_path):
+        # Such a scene was stored under the integer id 5, after which sorting
+        # the image ids failed in predicate searches, compaction and reloads.
+        path = RetrievalSystem.from_pictures(collection()).save(
+            tmp_path / "served.shards", durable=True
+        )
+        scene = dict(office_scene(7).to_dict(), name=5)
+        system = RetrievalSystem.from_file(path, durable=True)
+        with create_server(system, port=0, database_path=path, durable=True) as server:
+            server.start_background()
+            client = ServiceClient(port=server.port)
+            client.wait_until_healthy(timeout=10)
+            with pytest.raises(ServiceError, match="must be a string") as excinfo:
+                client.images.add(scene)
+            assert excinfo.value.status == 400
+            created = client.images.add(office_scene(7).renamed("plain"))
+            compacted = client.admin.compact()
+        assert created["lsn"] == 1
+        assert compacted["snapshot_lsn"] == 1
+        reloaded = RetrievalSystem.from_file(path, durable=True)
+        assert sorted(reloaded.image_ids) == sorted(
+            [picture.name for picture in collection()] + ["plain"]
+        )
+
     def test_mutation_invalidates_served_rankings(self, client):
         """A cached query must re-rank after an insert changes the answer."""
         probe = office_scene(2)

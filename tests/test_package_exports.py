@@ -111,3 +111,28 @@ class TestOptionalNumpy:
         )
         assert len(output) == 2
         assert all("repro-2d-bestring[raster]" in message for message in output)
+
+
+class TestSqliteOnlyWhenOpened:
+    """``sqlite3`` is imported only by the SQLite backend's own methods."""
+
+    def test_json_and_sharded_loads_leave_sqlite_out_and_a_sqlite_load_brings_it_in(
+        self, tmp_path
+    ):
+        system = repro.RetrievalSystem.from_pictures(
+            [repro.SymbolicPicture.build(10, 10, [("a", repro.Rectangle(1, 1, 2, 2))], "p")]
+        )
+        paths = [system.save(tmp_path / name) for name in ("db.json", "db.shards", "db.sqlite")]
+        output = _run_fresh_interpreter(
+            "import sys\n"
+            "import repro, repro.service.server, repro.cli\n"
+            "from repro import RetrievalSystem\n"
+            f"json_path, sharded_path, sqlite_path = {[str(path) for path in paths]!r}\n"
+            "RetrievalSystem.from_file(json_path)\n"
+            "RetrievalSystem.from_file(sharded_path)\n"
+            "print('sqlite3' in sys.modules)\n"
+            "print(RetrievalSystem.from_file(sqlite_path).image_ids)\n"
+            "print('sqlite3' in sys.modules)\n"
+        )
+        assert output == ["False", "['p']", "True"]
+

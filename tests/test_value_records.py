@@ -1,9 +1,9 @@
-"""The value-record contract of the six slotted types a load builds.
+"""The value-record contract of the seven slotted types a load builds.
 
 ``Rectangle``, ``IconObject``, ``SymbolicPicture``, ``AxisBEString``,
-``BEString2D`` and ``AxisSignature`` are frozen dataclasses with
-``__slots__``, a checked ``__init__`` and a ``__reduce__`` that rebuilds
-each value through that constructor.  These tests pin what callers rely on:
+``BEString2D``, ``AxisSignature`` and ``ImageSignature`` are frozen
+dataclasses with ``__slots__``, a checked ``__init__`` and a
+``__reduce__`` that rebuilds each value through that constructor.  These tests pin what callers rely on:
 pickling at every protocol (on every supported Python, 3.9 included),
 copies, equality and hashing, ordering, immutability, the absence of an
 instance ``__dict__`` and the ``dataclasses`` helpers; and that a pickle
@@ -24,7 +24,7 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.icon import IconObject
 from repro.iconic.picture import PictureError, SymbolicPicture
-from repro.index.shortlist import AxisSignature
+from repro.index.shortlist import AxisSignature, ImageSignature
 
 
 def _values():
@@ -46,20 +46,25 @@ def _values():
             AxisSignature.from_axis(bestring.y),
             AxisSignature.from_axis(reparsed.y),
         ),
+        "ImageSignature": (
+            ImageSignature.from_bestring(bestring, picture.labels),
+            ImageSignature.from_bestring(reparsed, reversed(picture.labels)),
+        ),
     }
 
 
 VALUES = _values()
 NAMES = sorted(VALUES)
-#: ``AxisSignature`` holds two dicts, so hashing one raises, as before slots.
-HASHABLE = [name for name in NAMES if name != "AxisSignature"]
+#: The two signatures hold dicts, so hashing one raises, as before slots.
+HASHABLE = [name for name in NAMES if not name.endswith("Signature")]
 FIELDS = {
     "Rectangle": ("x_begin", "y_begin", "x_end", "y_end"),
     "IconObject": ("label", "mbr", "instance"),
     "SymbolicPicture": ("width", "height", "icons", "name"),
     "AxisBEString": ("symbols",),
     "BEString2D": ("x", "y", "name"),
-    "AxisSignature": ("length", "boundaries", "dummies", "begins", "ends"),
+    "AxisSignature": ("length", "boundaries", "dummies", "slots", "begins", "ends"),
+    "ImageSignature": ("width", "bitmap", "label_counts", "x", "y"),
 }
 
 
@@ -149,6 +154,25 @@ class TestOrdering:
         assert IconObject("a", box) < IconObject("a", box, 1) < IconObject("b", box)
 
 
+class TestSignatureLayout:
+    def test_axes_share_one_slot_table_through_every_copy(self):
+        value, _ = VALUES["ImageSignature"]
+        copies = [copy.deepcopy(value)] + [
+            pickle.loads(pickle.dumps(value, protocol=protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        assert value.x.slots is value.y.slots
+        for duplicate in copies:
+            assert duplicate == value
+            assert duplicate.x.slots is duplicate.y.slots
+
+    def test_positions_are_bytes_indexed_by_slot(self):
+        value, _ = VALUES["AxisSignature"]
+        assert type(value.begins) is type(value.ends) is bytes
+        assert sorted(value.slots.values()) == list(range(len(value.begins)))
+        assert all(value.begins[slot] < value.ends[slot] for slot in value.slots.values())
+
+
 class TestReplaceChecksAgain:
     def test_replace_runs_the_constructor_checks(self):
         with pytest.raises(ValueError, match="must not exceed"):
@@ -179,6 +203,7 @@ class TestTamperedPickles:
                 "must be an integer",
             ),
             (_Tampered(SymbolicPicture, math.nan, 10.0, (), "p"), PictureError, "positive"),
+            (_Tampered(SymbolicPicture, 10.0, 10.0, (), 5), PictureError, "must be a string"),
             (
                 _Tampered(
                     SymbolicPicture,

@@ -14,13 +14,16 @@ that file:
   three rounds of seven loads.
 * **Collector** -- the collector's time (``gc.callbacks``) inside seven
   back-to-back ``from_file`` calls, each made while the previous system is
-  still alive, as the benchmark's seven set-ups are.
+  still alive, as the benchmark's seven set-ups are; and how many
+  collector-tracked objects one load leaves, by the generation they sit in.
 * **Memory** -- tracemalloc's retained KiB per 1,000 records by allocation
   site (what one loaded system keeps), and the peak a load reaches above
   its starting point.
 * **VmRSS** -- the resident set of a fresh interpreter after seven
-  back-to-back ``from_file`` calls (Linux only; the benchmark's ``rss_mb``
-  is read the same way after its seven set-ups).
+  back-to-back ``from_file`` calls, with its anonymous (``RssAnon``: the
+  heap) and file-backed (``RssFile``: mapped code and libraries) parts
+  (Linux only; the benchmark's ``rss_mb`` is VmRSS read the same way after
+  its seven set-ups).
 
 Standard library only; runs against the installed package or a
 ``PYTHONPATH=src`` checkout.  ``--smoke`` shrinks everything so the tool
@@ -73,8 +76,12 @@ SITES = 12
 #: ``(images, rounds, loads, sites)`` under ``--smoke``.
 SMOKE = (60, 1, 2, 5)
 
+#: The resident-set lines of ``/proc/self/status`` the VmRSS figure prints.
+RSS_FIELDS = ("VmRSS", "RssAnon", "RssFile")
+
 #: Run in a fresh interpreter: ``argv[1]`` is the corpus, ``argv[2]`` the
-#: number of back-to-back loads; prints VmRSS in KiB, or nothing off Linux.
+#: number of back-to-back loads, ``argv[3:]`` the status fields; prints
+#: ``field KiB`` per field, or nothing off Linux.
 _RSS_CHILD = """
 import sys
 from repro.retrieval.system import RetrievalSystem
@@ -84,8 +91,9 @@ for _ in range(int(sys.argv[2])):
 try:
     with open("/proc/self/status", encoding="ascii") as status:
         for line in status:
-            if line.startswith("VmRSS:"):
-                print(line.split()[1])
+            field, _, value = line.partition(":")
+            if field in sys.argv[3:]:
+                print(field, value.split()[0])
 except OSError:
     pass
 """
@@ -188,6 +196,20 @@ def collector_time(path: Path, loads: int) -> Dict[str, float]:
     }
 
 
+def tracked_objects(path: Path) -> List[int]:
+    """Collector-tracked objects one ``from_file`` leaves, per generation.
+
+    The collector runs a full collection first, so what the count finds in
+    a generation is what the load left there (and is still alive).
+    """
+    gc.collect()
+    before = [len(gc.get_objects(generation)) for generation in range(3)]
+    system = RetrievalSystem.from_file(path)
+    after = [len(gc.get_objects(generation)) for generation in range(3)]
+    del system
+    return [late - early for early, late in zip(before, after)]
+
+
 def retained_memory(path: Path, images: int, sites: int) -> None:
     """Print what one loaded system keeps, by allocation site, and the load's peak."""
     per_thousand = 1000.0 / images
@@ -231,21 +253,26 @@ def _short_path(filename: str) -> str:
 
 
 def fresh_rss(path: Path, loads: int) -> str:
-    """VmRSS of a fresh interpreter after ``loads`` loads, or ``unavailable``."""
+    """VmRSS of a fresh interpreter after ``loads`` loads, with its parts, or ``unavailable``."""
     environment = dict(os.environ)
     source = REPO_ROOT / "src"
     if (source / "repro").is_dir():
         existing = environment.get("PYTHONPATH")
         environment["PYTHONPATH"] = f"{source}{os.pathsep}{existing}" if existing else str(source)
     completed = subprocess.run(
-        [sys.executable, "-c", _RSS_CHILD, str(path), str(loads)],
+        [sys.executable, "-c", _RSS_CHILD, str(path), str(loads), *RSS_FIELDS],
         env=environment,
         capture_output=True,
         text=True,
         check=True,
     )
-    value = completed.stdout.strip()
-    return f"{int(value) / 1024:.2f} MiB" if value else "unavailable"
+    kib = dict(line.split() for line in completed.stdout.splitlines())
+    if "VmRSS" not in kib:
+        return "unavailable"
+    parts = ", ".join(
+        f"{field} {int(kib[field]) / 1024:.2f}" for field in RSS_FIELDS[1:] if field in kib
+    )
+    return f"{int(kib['VmRSS']) / 1024:.2f} MiB ({parts})"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -274,6 +301,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"collector inside {loads} back-to-back from_file calls: "
             f"{collector['ms_per_load']:.1f} ms per load, "
             f"{collector['collections']} collections ({collector['full']} full)"
+        )
+        young, middle, old = tracked_objects(path)
+        print(
+            f"collector-tracked objects one load leaves: {young + middle + old} "
+            f"(generation 0: {young}, 1: {middle}, 2: {old})"
         )
         retained_memory(path, images, sites)
         rss = fresh_rss(path, loads)
