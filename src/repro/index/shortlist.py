@@ -55,8 +55,8 @@ REJECTION_SAMPLE_LIMIT = 32
 
 
 #: The bitmap mask (``1 << bit``) at :data:`DEFAULT_BITMAP_WIDTH` of each
-#: label :func:`label_mask` has seen, bounded like the boundary-symbol table
-#: of :meth:`~repro.core.symbols.Symbol.boundaries`: at most
+#: label :func:`label_bitmap` has seen, bounded like the boundary-symbol
+#: table of :meth:`~repro.core.symbols.Symbol.boundaries`: at most
 #: ``BOUNDARY_INTERN_LIMIT`` labels of at most ``BOUNDARY_INTERN_MAX_LENGTH``
 #: characters, emptied when full.
 _LABEL_MASKS: Dict[str, int] = {}
@@ -65,35 +65,33 @@ _LABEL_MASKS: Dict[str, int] = {}
 def label_bit(label: str, width: int = DEFAULT_BITMAP_WIDTH) -> int:
     """The bitmap bit a label hashes to (stable CRC-32, like the shard hash).
 
-    The bit is the CRC-32 of the label's UTF-8 bytes modulo ``width``; at
-    the default width it is read from :func:`label_mask`'s table.
+    The bit is the CRC-32 of the label's UTF-8 bytes modulo ``width``.
     """
-    if width == DEFAULT_BITMAP_WIDTH:
-        return label_mask(label).bit_length() - 1
     return zlib.crc32(label.encode("utf-8")) % width
 
 
-def label_mask(label: str) -> int:
-    """``1 << label_bit(label)`` at the default width.
-
-    The mask is remembered in a bounded table, so a load hashes each
-    distinct label and builds its mask once.
-    """
-    mask = _LABEL_MASKS.get(label)
-    if mask is None:
-        mask = 1 << (zlib.crc32(label.encode("utf-8")) % DEFAULT_BITMAP_WIDTH)
-        if len(label) <= BOUNDARY_INTERN_MAX_LENGTH:
-            if len(_LABEL_MASKS) >= BOUNDARY_INTERN_LIMIT:
-                _LABEL_MASKS.clear()
-            _LABEL_MASKS[label] = mask
-    return mask
-
-
 def label_bitmap(labels: Iterable[str], width: int = DEFAULT_BITMAP_WIDTH) -> int:
-    """The bit-packed bitmap of a label collection."""
+    """The bit-packed bitmap of a label collection.
+
+    At the default width, the one every stored record's signature uses,
+    each label's mask is remembered in a bounded table, so a load hashes
+    each distinct label and builds its mask once.
+    """
     bitmap = 0
+    if width != DEFAULT_BITMAP_WIDTH:
+        for label in labels:
+            bitmap |= 1 << label_bit(label, width)
+        return bitmap
+    masks = _LABEL_MASKS
     for label in labels:
-        bitmap |= 1 << label_bit(label, width)
+        mask = masks.get(label)
+        if mask is None:
+            mask = 1 << label_bit(label)
+            if len(label) <= BOUNDARY_INTERN_MAX_LENGTH:
+                if len(masks) >= BOUNDARY_INTERN_LIMIT:
+                    masks.clear()
+                masks[label] = mask
+        bitmap |= mask
     return bitmap
 
 
@@ -101,7 +99,10 @@ def count_labels(labels: Iterable[str]) -> Dict[str, int]:
     """The label multiset as a plain ``label -> count`` dict."""
     counts: Dict[str, int] = {}
     for label in labels:
-        counts[label] = counts.get(label, 0) + 1
+        if label in counts:
+            counts[label] += 1
+        else:
+            counts[label] = 1
     return counts
 
 
@@ -215,11 +216,7 @@ class AxisSignature:
         A repeated boundary keeps its last position; an object without both
         a begin and an end gets no slot.
         """
-        slots: Dict[str, int] = {}
-        dummies, begins, ends = _walk(axis.symbols, slots)
-        if -1 in begins or -1 in ends:
-            slots, ((begins, ends),) = _complete(slots, [(begins, ends)])
-        return _packed(len(axis.symbols), dummies, slots, begins, ends)
+        return _axis_signatures(axis)[0]
 
 
 # The frozen ``__setattr__`` refuses every assignment, so ``__init__`` sets
@@ -232,12 +229,42 @@ _set_begins = AxisSignature.begins.__set__
 _set_ends = AxisSignature.ends.__set__
 
 
-def _walk(symbols: Sequence[Symbol], slots: Dict[str, int]) -> Tuple[int, List[int], List[int]]:
-    """One walk over an axis: ``(dummies, begins, ends)`` by slot.
+#: One axis walked by :func:`_walk`: ``(length, dummies, begins, ends)``,
+#: the positions indexed by slot and -1 where the axis lacks a boundary.
+_Walk = Tuple[int, int, List[int], List[int]]
 
-    An identifier not yet in ``slots`` gets the next slot, so slots number
-    the objects in order of first appearance.  A repeated boundary keeps
-    its last position; -1 marks a boundary the axis lacks.
+
+def _axis_signatures(*axes: AxisBEString) -> List[AxisSignature]:
+    """The signatures of ``axes``, sharing one slot table.
+
+    Each axis is walked once; slots number the objects in order of first
+    appearance, the first axis first.  An object missing a begin or an end
+    on any axis gets no slot, so it takes part in no pair on any of them.
+    """
+    slots: Dict[str, int] = {}
+    # A loop, not a comprehension: on Python 3.11 the comprehension's own
+    # frame cost about 3% of a load's signature stage.
+    walks = []
+    for axis in axes:
+        walks.append(_walk(axis.symbols, slots))
+    for _, _, begins, ends in walks:
+        # A walk made before a later axis added slots is short.
+        if len(begins) < len(slots) or -1 in begins or -1 in ends:
+            slots, walks = _complete(slots, walks)
+            break
+    signatures = []
+    for length, dummies, begins, ends in walks:
+        pack = bytes if length <= 256 else tuple
+        signatures.append(
+            AxisSignature(length, length - dummies, dummies, slots, pack(begins), pack(ends))
+        )
+    return signatures
+
+
+def _walk(symbols: Sequence[Symbol], slots: Dict[str, int]) -> _Walk:
+    """One walk over an axis, giving each identifier not yet in ``slots`` the next slot.
+
+    A repeated boundary keeps its last position.
     """
     begins = [-1] * len(slots)
     ends = [-1] * len(slots)
@@ -259,38 +286,27 @@ def _walk(symbols: Sequence[Symbol], slots: Dict[str, int]) -> Tuple[int, List[i
             else:
                 begins.append(-1)
                 ends.append(position)
-    return dummies, begins, ends
+    return len(symbols), dummies, begins, ends
 
 
-def _complete(
-    slots: Dict[str, int], walks: List[Tuple[List[int], List[int]]]
-) -> Tuple[Dict[str, int], List[Tuple[List[int], List[int]]]]:
-    """Drop every slot some walk lacks a boundary of, renumbering the rest.
-
-    ``walks`` holds the ``(begins, ends)`` of each axis; a walk made before
-    a later axis added slots is shorter than ``slots`` and lacks those.
-    """
+def _complete(slots: Dict[str, int], walks: List[_Walk]) -> Tuple[Dict[str, int], List[_Walk]]:
+    """Drop every slot some walk lacks a boundary of, renumbering the rest."""
     kept = [
         slot
         for slot in range(len(slots))
         if all(
             slot < len(begins) and begins[slot] >= 0 and ends[slot] >= 0
-            for begins, ends in walks
+            for _, _, begins, ends in walks
         )
     ]
     identifiers = list(slots)
     return (
         {identifiers[slot]: index for index, slot in enumerate(kept)},
-        [([begins[slot] for slot in kept], [ends[slot] for slot in kept]) for begins, ends in walks],
+        [
+            (length, dummies, [begins[slot] for slot in kept], [ends[slot] for slot in kept])
+            for length, dummies, begins, ends in walks
+        ],
     )
-
-
-def _packed(
-    length: int, dummies: int, slots: Dict[str, int], begins: List[int], ends: List[int]
-) -> AxisSignature:
-    """The signature of one walked axis, its positions packed in bytes when they fit."""
-    pack = bytes if length <= 256 else tuple
-    return AxisSignature(length, length - dummies, dummies, slots, pack(begins), pack(ends))
 
 
 @dataclass(frozen=True, init=False)
@@ -347,41 +363,9 @@ class ImageSignature:
         y signatures share one slot table, numbered in order of first
         appearance on the x axis, so equal BE-strings give equal signatures.
         """
-        # The label multiset (:func:`count_labels`) and its bitmap
-        # (:func:`label_bitmap`) in one pass.
-        counts: Dict[str, int] = {}
-        bitmap = 0
-        for label in labels:
-            if label in counts:
-                counts[label] += 1
-            else:
-                counts[label] = 1
-                if width == DEFAULT_BITMAP_WIDTH:
-                    # A remembered mask is read inline; no mask is 0.
-                    bitmap |= _LABEL_MASKS.get(label) or label_mask(label)
-                else:
-                    bitmap |= 1 << label_bit(label, width)
-        slots: Dict[str, int] = {}
-        x_symbols, y_symbols = bestring.x.symbols, bestring.y.symbols
-        x_dummies, x_begins, x_ends = _walk(x_symbols, slots)
-        y_dummies, y_begins, y_ends = _walk(y_symbols, slots)
-        if (
-            len(x_begins) < len(slots)
-            or -1 in x_begins
-            or -1 in x_ends
-            or -1 in y_begins
-            or -1 in y_ends
-        ):
-            slots, ((x_begins, x_ends), (y_begins, y_ends)) = _complete(
-                slots, [(x_begins, x_ends), (y_begins, y_ends)]
-            )
-        return cls(
-            width,
-            bitmap,
-            counts,
-            _packed(len(x_symbols), x_dummies, slots, x_begins, x_ends),
-            _packed(len(y_symbols), y_dummies, slots, y_begins, y_ends),
-        )
+        counts = count_labels(labels)
+        x, y = _axis_signatures(bestring.x, bestring.y)
+        return cls(width, label_bitmap(counts, width), counts, x, y)
 
 
 _set_width = ImageSignature.width.__set__

@@ -127,7 +127,8 @@ class TestBitmapPrimitives:
         monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
         monkeypatch.setattr(shortlist, "BOUNDARY_INTERN_LIMIT", 8)
         for index in range(20):
-            assert label_bit(f"label-{index}") == label_bit(f"label-{index}")
+            label = f"label-{index}"
+            assert label_bitmap([label]) == label_bitmap([label]) == 1 << label_bit(label)
             assert len(shortlist._LABEL_MASKS) <= 8
         assert len(shortlist._LABEL_MASKS) == 4
 
@@ -136,8 +137,15 @@ class TestBitmapPrimitives:
         label = "x" * (shortlist.BOUNDARY_INTERN_MAX_LENGTH + 1)
         assert label_bitmap([label]) == 1 << label_bit(label)
         assert not shortlist._LABEL_MASKS
-        label_bit(label[:-1])
+        label_bitmap([label[:-1]])
         assert list(shortlist._LABEL_MASKS) == [label[:-1]]
+
+    def test_other_widths_leave_the_mask_table_alone(self, monkeypatch):
+        monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
+        assert label_bitmap(["car", "tree"], width=8) == (
+            1 << label_bit("car", 8) | 1 << label_bit("tree", 8)
+        )
+        assert not shortlist._LABEL_MASKS
 
     def test_bitmap_sets_one_bit_per_distinct_label(self):
         bitmap = label_bitmap(["car", "car", "tree"])
@@ -391,6 +399,14 @@ class TestPackedSignature:
         assert (signature.x.length, signature.x.boundaries, signature.x.dummies) == (8, 6, 2)
         assert (signature.y.length, signature.y.boundaries, signature.y.dummies) == (7, 7, 0)
         assert pair_conflicts([(("a", "b"), 0), (("a", "c"), 0)], signature.x) == 0
+
+    def test_an_object_missing_a_boundary_on_the_y_axis_only_has_no_slot(self):
+        x = AxisBEString.from_text("a.b a.e b.b b.e")
+        y = AxisBEString.from_text("a.b b.b b.e")
+        signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "b"])
+        assert signature.x.slots == {"b": 0}
+        assert (signature.x.begins, signature.x.ends) == (bytes([2]), bytes([3]))
+        assert (signature.y.begins, signature.y.ends) == (bytes([1]), bytes([2]))
 
     def test_an_object_on_the_y_axis_only_has_no_slot(self):
         x = AxisBEString.from_text("a.b a.e")

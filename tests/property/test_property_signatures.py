@@ -1,15 +1,19 @@
 """Record index state equals a brute-force derivation.
 
-Three angles on what a load derives per record:
+Four angles on what a load derives per record:
 
 * :meth:`AxisSignature.from_axis` walks an axis string once; its slots
   and packed positions must equal a scan that looks at every identifier
   separately, on any symbol sequence, malformed ones included (a missing
   begin or end, a repeated boundary, a dummy or boundary symbol that is not
   the shared instance);
-* :func:`label_mask` remembers each label's bitmap mask at the default
-  width; :func:`label_bit` must equal the CRC-32 bit at every width, and at
-  the default width on the first call and on a remembered one;
+* :meth:`ImageSignature.from_bestring` shares one slot table between the
+  two axes; an object takes part in pairs only when the scan of each axis
+  finds it complete, in order of first appearance on the x axis;
+* :func:`label_bitmap` remembers each label's mask at the default width;
+  :func:`label_bit` must equal the CRC-32 bit at every width, and the
+  bitmap must set that bit at every width, at the default width on the
+  first call and on a remembered one;
 * the engine's :class:`InvertedSymbolIndex` keeps the label counts of each
   record's signature rather than its own copy; after a load and any run of
   inserts, object edits and deletes, its postings and candidates must equal
@@ -24,7 +28,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.bestring import AxisBEString
+from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.symbols import BoundaryKind, Symbol
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
@@ -32,9 +36,9 @@ from repro.index.inverted import InvertedSymbolIndex
 from repro.index.shortlist import (
     DEFAULT_BITMAP_WIDTH,
     AxisSignature,
+    ImageSignature,
     label_bit,
     label_bitmap,
-    label_mask,
 )
 from repro.retrieval.system import RetrievalSystem
 
@@ -108,6 +112,34 @@ def test_from_axis_equals_a_brute_force_scan(symbols):
 
 
 @settings(max_examples=300, deadline=None)
+@given(x=st.lists(_SYMBOLS, max_size=24), y=st.lists(_SYMBOLS, max_size=24))
+def test_image_signature_equals_a_brute_force_scan_of_both_axes(x, y):
+    signature = ImageSignature.from_bestring(
+        BEString2D(AxisBEString(tuple(x)), AxisBEString(tuple(y))), []
+    )
+    x_facts, y_facts = scan(x), scan(y)
+    x_positions = dict(zip(dict(x_facts["slots"]), zip(x_facts["begins"], x_facts["ends"])))
+    y_positions = dict(zip(dict(y_facts["slots"]), zip(y_facts["begins"], y_facts["ends"])))
+    complete = [identifier for identifier in x_positions if identifier in y_positions]
+    assert signature.x.slots is signature.y.slots
+    assert list(signature.x.slots.items()) == [
+        (identifier, slot) for slot, identifier in enumerate(complete)
+    ]
+    for axis, facts, positions in (
+        (signature.x, x_facts, x_positions),
+        (signature.y, y_facts, y_positions),
+    ):
+        assert (axis.length, axis.boundaries, axis.dummies) == (
+            facts["length"],
+            facts["boundaries"],
+            facts["dummies"],
+        )
+        assert list(zip(axis.begins, axis.ends)) == [
+            positions[identifier] for identifier in complete
+        ]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     label=st.text(min_size=1, max_size=160),
     width=st.integers(min_value=1, max_value=1 << 20),
@@ -122,7 +154,7 @@ def test_remembered_label_bit_equals_the_crc32_bit(label, width):
     default = crc % DEFAULT_BITMAP_WIDTH
     for _ in range(2):
         assert label_bit(label) == default
-        assert label_mask(label) == label_bitmap([label, label]) == 1 << default
+        assert label_bitmap([label, label]) == 1 << default
 
 
 _LABELS = tuple(f"c{index}" for index in range(6))
