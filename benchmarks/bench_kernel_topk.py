@@ -55,7 +55,7 @@ MAX_EXAMINED_FRACTION = 0.10
 #: Stored drop-one-object near-duplicates per query scene.
 NEAR_DUPLICATES = 12
 #: Images in the (separate, smaller) ranking-equivalence corpus — invariant
-#: mode multiplies scoring cost by the eight transformations, so the
+#: mode multiplies scoring cost by the six transformations, so the
 #: byte-equivalence sweep runs on its own corpus at every mode.
 EQUIVALENCE_SIZE = smoke_scaled(300, 50)
 

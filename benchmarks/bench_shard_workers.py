@@ -122,7 +122,7 @@ def test_scatter_gather_speedup_and_equivalence(
         pool_stats[workers] = engine.shard_pool_stats()
     engine.close_shard_pool()
 
-    # Invariant queries: eight transformations per candidate, the regime the
+    # Invariant queries: six transformations per candidate, the regime the
     # paper's rotation/reflection matching pays the most in.
     invariant_specs = _specs(system, invariant=True)
     _, invariant_serial = _time_specs(engine, invariant_specs)

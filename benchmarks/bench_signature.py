@@ -3,7 +3,7 @@
 The paper's retrieval loop pays an O(mn) LCS dynamic program per candidate;
 the two-stage shortlist (:mod:`repro.index.shortlist`) rejects candidates
 whose score upper bound cannot clear the query's ``min_score`` — stage 1 from
-hashed label bitmaps, stage 2 from relation-pair signatures — so the dynamic
+hashed label bitmaps, stage 2 from each axis's boundary LCS — so the dynamic
 program only runs on images that can actually appear in the results.
 
 This experiment measures, at 2k and 10k synthetic images (smoke: 60/120):
@@ -61,7 +61,7 @@ def _build_engine(size: int) -> QueryEngine:
     database.add_pictures(pictures)
     # Mirrored decoys: identical label multisets, reversed x-arrangement.
     # Stage 1 (labels only) cannot tell them apart from their originals; the
-    # relation-pair stage can.
+    # boundary-LCS stage can.
     for index, picture in enumerate(pictures[:DECOY_COUNT]):
         database.add_picture(picture.reflect_y().renamed(f"decoy-{index:04d}"))
     return QueryEngine.build(database)

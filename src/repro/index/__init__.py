@@ -9,9 +9,9 @@ database a downstream user would actually store BE-strings in:
 * :class:`~repro.index.inverted.InvertedSymbolIndex` -- symbol -> image ids,
   used to shortlist candidates that share at least one query icon.
 * :mod:`~repro.index.shortlist` -- the two-stage signature shortlist: hashed
-  label bitmaps (stage 1) and relation-pair signatures (stage 2) upper-bound
-  the achievable LCS score so only candidates that can clear the query's
-  ``min_score`` are ever scored (see ``docs/shortlist.md``).
+  label bitmaps (stage 1) and the boundary LCS of each axis (stage 2)
+  upper-bound the achievable LCS score so only candidates that can clear
+  the query's ``min_score`` are ever scored (see ``docs/shortlist.md``).
 * :class:`~repro.index.query.QueryEngine` -- the unified query pipeline:
   executes declarative :class:`~repro.index.spec.QuerySpec` plans
   (similarity, optionally transformation-invariant, and relation

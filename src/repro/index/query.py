@@ -3,7 +3,7 @@
 The engine ties the pieces together the way the paper's demonstration system
 does: the query picture is encoded once, candidate images are shortlisted by
 the inverted index and the two-stage signature shortlist
-(:mod:`repro.index.shortlist` — hashed label bitmaps, then relation-pair
+(:mod:`repro.index.shortlist` — hashed label bitmaps, then boundary-LCS
 score bounds against the query's ``minimum_score``), the survivors are
 scored with the modified-LCS similarity (optionally over all
 rotations/reflections of the query), and the results are returned ranked.
@@ -328,7 +328,7 @@ class QueryEngine:
         the two-stage signature shortlist (:mod:`repro.index.shortlist`) then
         rejects candidates whose score upper bound cannot clear
         ``spec.minimum_score`` — stage 1 from the hashed label bitmaps,
-        stage 2 from the relation-pair signatures.  With the resolved
+        stage 2 from each axis's boundary LCS.  With the resolved
         ``shortlist`` option off or a label-less query, every stored image
         is a candidate.  No query runs, so nothing is added to
         :attr:`counters`.
@@ -396,7 +396,7 @@ class QueryEngine:
             # Stage 1 is the label-overlap stage: the bitmap bound settles
             # most candidates, the exact multiset overlap settles the rest.
             # Both threshold rejections are attributed here (the recorded
-            # bound is the failing overlap ratio); only the relation-pair
+            # bound is the failing overlap ratio); only the boundary-LCS
             # score bound below counts as a stage-2 rejection.
             overlap_bound = query_signature.overlap_upper_bound(candidate)
             if threshold > 0.0 and total and overlap_bound / total < threshold:
@@ -413,10 +413,11 @@ class QueryEngine:
             if threshold > 0.0 and total and overlap / total < threshold:
                 reject(image_id, STAGE_BITMAP_PRUNED, overlap / total)
                 continue
-            # Stage 2: the relation-pair conflict bound on the exact overlap.
+            # Stage 2: the boundary-LCS bound (the exact overlap caps an axis
+            # whose boundary LCS is not exact).
             if minimum_score > 0.0:
                 bound = query_signature.score_upper_bound(
-                    candidate, overlap, policy, with_conflicts=True
+                    candidate, overlap, policy, with_boundary_lcs=True
                 )
                 if bound < minimum_score:
                     reject(image_id, STAGE_RELATION_PRUNED, bound)
@@ -511,7 +512,7 @@ class QueryEngine:
                     candidate,
                     signature.exact_overlap(candidate),
                     spec.effective_policy(),
-                    with_conflicts=True,
+                    with_boundary_lcs=True,
                 )
             bounds[image_id] = bound
         return bounds

@@ -1,4 +1,4 @@
-"""The two-stage signature shortlist: bitmap and relation-pair score bounds.
+"""The two-stage signature shortlist: bitmap and boundary-order score bounds.
 
 At 50k images the inverted symbol index still admits thousands of candidates
 on realistic label distributions, and every admitted candidate used to pay a
@@ -14,14 +14,17 @@ cannot clear the query's ``min_score``:
   the query's set bits yields an upper bound on the label-multiset overlap —
   no per-candidate ``Counter`` intersection — which upper-bounds both the
   legacy overlap-ratio threshold and (coarsely) the LCS score.
-* **Stage 2 — relation pairs.**  The relative order of the four boundary
-  symbols of two objects on an axis (an axis-relation code) follows from
-  their boundary positions, which the signature keeps per object; the code
-  of a pair is computed when a query asks for it.  A pair whose code differs
-  between query and candidate cannot contribute all four symbols to a common
-  subsequence, so a greedy matching over conflicting pairs tightens the
-  boundary-symbol bound.  The resulting score bound is evaluated per query
-  transformation and the best variant is compared against ``min_score``.
+* **Stage 2 — the boundary LCS.**  On one axis of a valid BE-string every
+  boundary symbol occurs exactly once, so the longest common subsequence of
+  the query's and a candidate's boundary symbols is the longest increasing
+  subsequence of the candidate's positions of the shared symbols, taken in
+  query order (Hunt & Szymanski, "A fast algorithm for computing longest
+  common subsequences", CACM 1977).  The signature keeps each object's
+  begin and end position, so :func:`boundary_lcs` costs O(s log s) for s
+  shared symbols.  It bounds the boundary symbols of the axis LCS exactly,
+  and with the dummy counts its length.  The resulting score bound is
+  evaluated per query transformation and the best variant is compared
+  against ``min_score``.
 
 Both stages are *conservative*: a candidate is rejected only when its score
 upper bound is strictly below the query's ``minimum_score`` (or its exact
@@ -36,6 +39,7 @@ for the guarantees.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -106,44 +110,6 @@ def count_labels(labels: Iterable[str]) -> Dict[str, int]:
     return counts
 
 
-def axis_pair_codes(axis: AxisBEString) -> Dict[Tuple[str, str], int]:
-    """Relation codes for every object pair on one axis.
-
-    The code of a pair ``(a, b)`` (``a < b`` lexicographically) packs the four
-    cross comparisons between the boundary positions of ``a`` and ``b`` into
-    one integer; together with the fixed within-object order (begin before
-    end) it determines the relative order of all four boundary symbols.  Two
-    equal codes mean the four symbols interleave identically; two different
-    codes mean they cannot all appear in a common subsequence.
-
-    Returns:
-        Mapping from the identifier pair to its axis-relation code, in sorted
-        identifier order.
-    """
-    facts = AxisSignature.from_axis(axis)
-    slots, begins, ends = facts.slots, facts.begins, facts.ends
-    identifiers = sorted(slots)
-    codes: Dict[Tuple[str, str], int] = {}
-    for index, a in enumerate(identifiers):
-        a_slot = slots[a]
-        for b in identifiers[index + 1 :]:
-            b_slot = slots[b]
-            codes[(a, b)] = _relation_code(
-                begins[a_slot], ends[a_slot], begins[b_slot], ends[b_slot]
-            )
-    return codes
-
-
-def _relation_code(a_begin: int, a_end: int, b_begin: int, b_end: int) -> int:
-    """The axis-relation code of two objects from their boundary positions."""
-    return (
-        (a_begin < b_begin)
-        | (a_begin < b_end) << 1
-        | (a_end < b_begin) << 2
-        | (a_end < b_end) << 3
-    )
-
-
 #: The begin kind, bound once for the axis walk rather than looked up on
 #: the enum per symbol.
 _BEGIN = BoundaryKind.BEGIN
@@ -157,11 +123,9 @@ Positions = Union[bytes, Tuple[int, ...]]
 class AxisSignature:
     """Shortlist-relevant facts about one axis BE-string.
 
-    The relation code of any object pair is a pure function of the two
-    objects' boundary positions, so the signature keeps the positions (two
-    per object) rather than the codes (one per pair);
-    :func:`pair_conflicts` computes a candidate's code only for the pairs a
-    query asks about.  Each object has a *slot*, its index into
+    The signature keeps each object's begin and end position, from which
+    :func:`boundary_lcs` reads a candidate's position of every boundary
+    symbol a query holds.  Each object has a *slot*, its index into
     :attr:`begins` and :attr:`ends`; an image's x and y signatures share
     one slot table.  A value record (see ``docs/architecture.md``, "Value
     records").
@@ -177,8 +141,8 @@ class AxisSignature:
     dummies: int
     #: Slot of each object, numbered in order of first appearance (on the
     #: x axis, for an image's signature).  An object missing a begin or an
-    #: end on any axis the table was built from has no slot, so it takes
-    #: part in no pair.
+    #: end on any axis the table was built from has no slot, so none of its
+    #: boundary symbols has a position.
     slots: Dict[str, int]
     #: Symbol index of each slot's begin boundary.
     begins: Positions
@@ -395,20 +359,56 @@ def signature_for(record: Any) -> ImageSignature:
 # ----------------------------------------------------------------------
 # Score upper bounds
 # ----------------------------------------------------------------------
-def _axis_bounds(
-    query: AxisSignature, candidate: AxisSignature, overlap: int, conflicts: int
-) -> Tuple[int, int]:
+#: One query axis's boundary symbols in order, as ``(identifier, is_begin)``
+#: pairs; dummies are left out.
+BoundarySequence = Tuple[Tuple[str, bool], ...]
+
+
+def boundary_sequence(axis: AxisBEString) -> BoundarySequence:
+    """The boundary symbols of ``axis`` in order, as ``(identifier, is_begin)`` pairs."""
+    return tuple(
+        (symbol.identifier, symbol.kind is _BEGIN)
+        for symbol in axis.symbols
+        if symbol.identifier is not None
+    )
+
+
+def boundary_lcs(sequence: BoundarySequence, candidate: AxisSignature) -> int:
+    """The longest increasing subsequence of the candidate's positions of ``sequence``.
+
+    Each symbol of ``sequence`` the candidate holds is mapped to its
+    position, read through the object's slot, and the LIS of those
+    positions is found by patience sorting in O(s log s) for s shared
+    symbols.  When each of the candidate's boundary symbols has exactly one
+    slotted position (``candidate.boundaries == 2 * len(candidate.slots)``,
+    as on every valid BE-string), this is the length of the longest common
+    subsequence of ``sequence`` and the candidate's boundary symbols.
+    Otherwise it can undercount, so it is no bound there.
+    """
+    slots = candidate.slots
+    begins = candidate.begins
+    ends = candidate.ends
+    tails: List[int] = []
+    for identifier, is_begin in sequence:
+        slot = slots.get(identifier)
+        if slot is not None:
+            position = begins[slot] if is_begin else ends[slot]
+            if not tails or position > tails[-1]:
+                tails.append(position)
+            else:
+                tails[bisect_left(tails, position)] = position
+    return len(tails)
+
+
+def _axis_bounds(query: AxisSignature, candidate: AxisSignature, boundary: int) -> Tuple[int, int]:
     """``(lcs_length_bound, boundary_bound)`` for one axis.
 
-    Every common object contributes at most its begin and end boundary to the
-    axis LCS (``2 * overlap``); each conflicting pair of the greedy matching
-    excludes at least one further symbol; dummies in the LCS are capped by
-    both strings' dummy counts and — because the modified LCS suppresses
+    ``boundary`` bounds the boundary symbols of the axis LCS; both strings'
+    boundary counts cap it too.  Dummies in the LCS are capped by both
+    strings' dummy counts and — because the modified LCS suppresses
     consecutive dummies — by ``boundary_bound + 1``.
     """
-    boundary = min(2 * overlap, query.boundaries, candidate.boundaries) - conflicts
-    if boundary < 0:
-        boundary = 0
+    boundary = min(boundary, query.boundaries, candidate.boundaries)
     dummies = min(query.dummies, candidate.dummies, boundary + 1)
     return min(query.length, candidate.length, boundary + dummies), boundary
 
@@ -416,12 +416,14 @@ def _axis_bounds(
 def axis_score_bound(
     query: AxisSignature,
     candidate: AxisSignature,
-    overlap: int,
-    conflicts: int,
+    boundary: int,
     policy: SimilarityPolicy,
 ) -> float:
-    """Policy-normalised upper bound on one axis similarity value."""
-    length_bound, boundary_bound = _axis_bounds(query, candidate, overlap, conflicts)
+    """Policy-normalised upper bound on one axis similarity value.
+
+    ``boundary`` bounds the boundary symbols of the axis LCS.
+    """
+    length_bound, boundary_bound = _axis_bounds(query, candidate, boundary)
     if policy.count_boundaries_only:
         raw = float(boundary_bound)
         query_side, candidate_side = float(query.boundaries), float(candidate.boundaries)
@@ -433,46 +435,6 @@ def axis_score_bound(
     return normalized_value(raw, query_side, candidate_side, policy.normalization)
 
 
-def pair_conflicts(
-    query_pairs: Sequence[Tuple[Tuple[str, str], int]],
-    candidate: AxisSignature,
-) -> int:
-    """Size of a greedy matching over pairs whose axis-relation codes differ.
-
-    ``query_pairs`` are the query axis's ``((a, b), code)`` items from
-    :func:`axis_pair_codes`, walked in that order; the candidate's code for
-    a pair is computed from its boundary positions, read through the two
-    objects' slots, only when it holds both objects.
-
-    Every edge of the matching names two objects that cannot both contribute
-    all their boundary symbols to the axis LCS; because matched edges share
-    no object, each excludes at least one distinct symbol, so the matching
-    size is a sound deduction from the boundary-symbol bound (a matching
-    lower-bounds the conflict graph's vertex cover).
-    """
-    slots = candidate.slots
-    if not query_pairs or not slots:
-        return 0
-    begins = candidate.begins
-    ends = candidate.ends
-    used: set = set()
-    conflicts = 0
-    for (a, b), code in query_pairs:
-        if a in used or b in used:
-            continue
-        a_slot = slots.get(a)
-        if a_slot is None:
-            continue
-        b_slot = slots.get(b)
-        if b_slot is None:
-            continue
-        if _relation_code(begins[a_slot], ends[a_slot], begins[b_slot], ends[b_slot]) != code:
-            conflicts += 1
-            used.add(a)
-            used.add(b)
-    return conflicts
-
-
 @dataclass(frozen=True)
 class _QueryVariant:
     """Per-transformation view of the query's axis signatures."""
@@ -480,10 +442,10 @@ class _QueryVariant:
     transformation: Transformation
     x: AxisSignature
     y: AxisSignature
-    #: The transformed query's ``((a, b), code)`` items per axis, computed
-    #: once per query and walked by :func:`pair_conflicts` per candidate.
-    x_pairs: Tuple[Tuple[Tuple[str, str], int], ...]
-    y_pairs: Tuple[Tuple[Tuple[str, str], int], ...]
+    #: The transformed query's boundary symbols per axis, computed once per
+    #: query and mapped by :func:`boundary_lcs` per candidate.
+    x_sequence: BoundarySequence
+    y_sequence: BoundarySequence
 
 
 class QuerySignature:
@@ -491,10 +453,11 @@ class QuerySignature:
 
     Built once per query execution: the hashed bitmap with per-bit label
     counts (stage 1) and, for every transformation in the query's set, the
-    axis signatures of the *transformed* query string (stage 2) — so the
-    bound is evaluated exactly against what :func:`~repro.core.similarity.
-    invariant_similarity` would score, and the maximum over variants is a
-    sound bound for transformation-invariant retrieval.
+    axis signatures and boundary sequences of the *transformed* query string
+    (stage 2) — so the bound is evaluated exactly against what
+    :func:`~repro.core.similarity.invariant_similarity` would score, and the
+    maximum over variants is a sound bound for transformation-invariant
+    retrieval.
     """
 
     def __init__(
@@ -523,8 +486,8 @@ class QuerySignature:
                     transformation=transformation,
                     x=AxisSignature.from_axis(transformed.x),
                     y=AxisSignature.from_axis(transformed.y),
-                    x_pairs=tuple(axis_pair_codes(transformed.x).items()),
-                    y_pairs=tuple(axis_pair_codes(transformed.y).items()),
+                    x_sequence=boundary_sequence(transformed.x),
+                    y_sequence=boundary_sequence(transformed.y),
                 )
             )
 
@@ -558,29 +521,27 @@ class QuerySignature:
         candidate: ImageSignature,
         overlap: int,
         policy: SimilarityPolicy,
-        with_conflicts: bool = False,
+        with_boundary_lcs: bool = False,
     ) -> float:
         """Upper bound on the similarity score over all query transformations.
 
-        ``overlap`` is the (bound on the) label-multiset overlap to charge;
-        ``with_conflicts=True`` additionally deducts the relation-pair
-        conflict matching per axis (stage 2).
+        Each common object contributes at most its begin and end to an axis
+        LCS, so ``2 * overlap`` bounds its boundary symbols, ``overlap``
+        being the (bound on the) label-multiset overlap to charge.
+        ``with_boundary_lcs=True`` bounds them by :func:`boundary_lcs`
+        instead (stage 2), on each candidate axis where that is exact.
         """
+        x, y = candidate.x, candidate.y
+        cap = 2 * overlap
+        x_exact = with_boundary_lcs and x.boundaries == 2 * len(x.slots)
+        y_exact = with_boundary_lcs and y.boundaries == 2 * len(y.slots)
         best = 0.0
         for variant in self.variants:
-            x_conflicts = (
-                pair_conflicts(variant.x_pairs, candidate.x)
-                if with_conflicts
-                else 0
-            )
-            y_conflicts = (
-                pair_conflicts(variant.y_pairs, candidate.y)
-                if with_conflicts
-                else 0
-            )
+            x_boundary = boundary_lcs(variant.x_sequence, x) if x_exact else cap
+            y_boundary = boundary_lcs(variant.y_sequence, y) if y_exact else cap
             score = combined_value(
-                axis_score_bound(variant.x, candidate.x, overlap, x_conflicts, policy),
-                axis_score_bound(variant.y, candidate.y, overlap, y_conflicts, policy),
+                axis_score_bound(variant.x, x, x_boundary, policy),
+                axis_score_bound(variant.y, y, y_boundary, policy),
                 policy.combination,
             )
             if score > best:

@@ -102,7 +102,8 @@ STAGE_PREDICATE_PRUNED = "label-pruned"
 STAGE_PREDICATE_EVALUATED = "predicate-evaluated"
 #: Shortlist stages a candidate can be *rejected* by (see
 #: :mod:`repro.index.shortlist`): the hashed label-bitmap bound (stage 1)
-#: and the relation-pair score bound (stage 2).
+#: and the boundary-LCS score bound, which bounds each axis by the order
+#: of its boundary symbols (stage 2).
 STAGE_BITMAP_PRUNED = "bitmap-bound-pruned"
 STAGE_RELATION_PRUNED = "relation-bound-pruned"
 #: Anytime strategy: admitted by the shortlist but never scored because the
@@ -461,7 +462,7 @@ class QueryTrace:
     shortlisted: int = 0
     #: Candidates rejected by the stage-1 hashed-bitmap score/overlap bound.
     bitmap_pruned: int = 0
-    #: Candidates rejected by the stage-2 relation-pair score bound.
+    #: Candidates rejected by the stage-2 boundary-LCS score bound.
     relation_pruned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0

@@ -450,8 +450,8 @@ class RetrievalService:
         with self._admitted():
             picture = _parse_scene(payload.get("scene"))
             image_id = payload.get("image_id")
-            if image_id is not None and not isinstance(image_id, str):
-                raise ApiError(400, "'image_id' must be a JSON string")
+            if image_id is not None and not (isinstance(image_id, str) and image_id):
+                raise ApiError(400, "'image_id' must be a non-empty JSON string")
             with self._mutation_lock:
                 try:
                     stored = self.system.add_picture(picture, image_id)

@@ -33,7 +33,7 @@ from repro.index.backends import (
 from repro.index.database import ImageDatabase
 from repro.index import backends, storage
 from repro.index.execution import ExecutionOptions
-from repro.index.shortlist import ImageSignature, axis_pair_codes
+from repro.index.shortlist import ImageSignature
 from repro.index.storage import StorageError, save_database
 from repro.retrieval.system import RetrievalSystem
 
@@ -730,6 +730,29 @@ def _reference_rankings(system, pictures):
     ]
 
 
+def _relation_pairs(facts):
+    """The ``[a, b, code]`` relation-pair list older releases stored per axis.
+
+    A pair's code packs the four comparisons between the two objects'
+    boundary positions, for each identifier pair ``a < b``.
+    """
+    slots, begins, ends = facts.slots, facts.begins, facts.ends
+    identifiers = sorted(slots)
+    pairs = []
+    for index, a in enumerate(identifiers):
+        a_begin, a_end = begins[slots[a]], ends[slots[a]]
+        for b in identifiers[index + 1 :]:
+            b_begin, b_end = begins[slots[b]], ends[slots[b]]
+            code = (
+                (a_begin < b_begin)
+                | (a_begin < b_end) << 1
+                | (a_end < b_begin) << 2
+                | (a_end < b_end) << 3
+            )
+            pairs.append([a, b, code])
+    return pairs
+
+
 def _stored_signature(record, corrupt):
     """The ``signature`` payload older releases stored beside each entry.
 
@@ -739,15 +762,12 @@ def _stored_signature(record, corrupt):
     signature = ImageSignature.from_bestring(record.bestring, record.picture.labels)
     shift = 5 if corrupt else 0
 
-    def axis(facts, string):
+    def axis(facts):
         return {
             "length": facts.length,
             "boundaries": facts.boundaries,
             "dummies": facts.dummies,
-            "pairs": [
-                [a, b, (code + shift) % 16]
-                for (a, b), code in sorted(axis_pair_codes(string).items())
-            ],
+            "pairs": [[a, b, (code + shift) % 16] for a, b, code in _relation_pairs(facts)],
         }
 
     return {
@@ -755,8 +775,8 @@ def _stored_signature(record, corrupt):
         "width": signature.width,
         "bitmap": format(signature.bitmap, "x"),
         "labels": dict(sorted(signature.label_counts.items())),
-        "x": axis(signature.x, record.bestring.x),
-        "y": axis(signature.y, record.bestring.y),
+        "x": axis(signature.x),
+        "y": axis(signature.y),
     }
 
 

@@ -22,7 +22,6 @@ from repro.core.similarity import (
     Combination,
     Normalization,
     SimilarityPolicy,
-    combined_value,
     invariant_similarity,
     similarity,
 )
@@ -40,11 +39,10 @@ from repro.index.shortlist import (
     AxisSignature,
     ImageSignature,
     QuerySignature,
-    axis_pair_codes,
-    axis_score_bound,
+    boundary_lcs,
+    boundary_sequence,
     label_bit,
     label_bitmap,
-    pair_conflicts,
     signature_for,
 )
 from repro.index.spec import STAGE_BITMAP_PRUNED, STAGE_RELATION_PRUNED, QuerySpec
@@ -79,42 +77,31 @@ def _uncached(picture, minimum_score):
     )
 
 
-def _reference_pair_codes(axis):
-    """Pair codes computed straight from the definition in ``axis_pair_codes``."""
+def _reference_positions(axis):
+    """``identifier -> (begin, end)`` of each complete object, the last position of a repeat."""
     begins, ends = {}, {}
     for position, symbol in enumerate(axis.symbols):
         if symbol.is_begin:
             begins[symbol.identifier] = position
         elif symbol.is_end:
             ends[symbol.identifier] = position
-    identifiers = sorted(set(begins) & set(ends))
-    codes = {}
-    for index, a in enumerate(identifiers):
-        for b in identifiers[index + 1 :]:
-            codes[(a, b)] = (
-                (begins[a] < begins[b])
-                | (begins[a] < ends[b]) << 1
-                | (ends[a] < begins[b]) << 2
-                | (ends[a] < ends[b]) << 3
-            )
-    return codes
+    return {
+        identifier: (begins[identifier], ends[identifier])
+        for identifier in begins
+        if identifier in ends
+    }
+
+
+def _slot_positions(facts):
+    """``identifier -> (begin, end)`` read from packed positions through the slots."""
+    return {
+        identifier: (facts.begins[slot], facts.ends[slot])
+        for identifier, slot in facts.slots.items()
+    }
 
 
 def _signature(picture):
     return ImageSignature.from_bestring(encode_picture(picture), picture.labels)
-
-
-def _axis_signature(**spans):
-    """An axis signature from ``identifier=(begin, end)`` boundary positions."""
-    length = 2 * len(spans)
-    return AxisSignature(
-        length=length,
-        boundaries=length,
-        dummies=0,
-        slots={identifier: slot for slot, identifier in enumerate(spans)},
-        begins=bytes(span[0] for span in spans.values()),
-        ends=bytes(span[1] for span in spans.values()),
-    )
 
 
 class TestBitmapPrimitives:
@@ -179,148 +166,6 @@ class TestBitmapPrimitives:
         )
 
 
-class TestPairCodes:
-    def test_codes_capture_relative_order(self):
-        left_of = SymbolicPicture.build(
-            10, 10, [("a", Rectangle(1, 1, 3, 3)), ("b", Rectangle(5, 1, 7, 3))]
-        )
-        right_of = SymbolicPicture.build(
-            10, 10, [("a", Rectangle(5, 1, 7, 3)), ("b", Rectangle(1, 1, 3, 3))]
-        )
-        codes_left = axis_pair_codes(encode_picture(left_of).x)
-        codes_right = axis_pair_codes(encode_picture(right_of).x)
-        assert codes_left[("a", "b")] != codes_right[("a", "b")]
-        # Same y arrangement -> same y code.
-        assert axis_pair_codes(encode_picture(left_of).y) == axis_pair_codes(
-            encode_picture(right_of).y
-        )
-
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_single_pass_matches_the_per_property_counts(self, seed):
-        # AxisSignature.from_axis walks the symbols once; it must agree with
-        # the string's own counts and with the two-dictionary pair codes.
-        for picture in random_pictures(12, seed=seed, parameters=_PARAMETERS):
-            bestring = encode_picture(picture)
-            for transformation in Transformation:
-                variant = transform(bestring, transformation)
-                for axis in (variant.x, variant.y):
-                    facts = AxisSignature.from_axis(axis)
-                    assert facts.length == len(axis)
-                    assert facts.boundaries == axis.boundary_count
-                    assert facts.dummies == axis.dummy_count
-                    assert axis_pair_codes(axis) == _reference_pair_codes(axis)
-
-    def test_conflict_matching_is_disjoint(self):
-        query_pairs = [(("a", "b"), 1), (("a", "c"), 2), (("b", "c"), 3)]
-        # Three disjoint objects in a row: every candidate pair has code 15.
-        candidate = _axis_signature(a=(0, 1), b=(2, 3), c=(4, 5))
-        # All three pairs conflict, but a matching can only pick one disjoint
-        # edge out of a triangle.
-        assert pair_conflicts(query_pairs, candidate) == 1
-
-    def test_no_conflicts_when_pairs_agree_or_are_absent(self):
-        assert pair_conflicts([(("a", "b"), 15)], _axis_signature(a=(0, 1), b=(2, 3))) == 0
-        assert pair_conflicts([(("a", "b"), 1)], _axis_signature(a=(0, 1), c=(2, 3))) == 0
-        assert pair_conflicts([], _axis_signature(a=(0, 1), b=(2, 3))) == 0
-
-
-def _reference_conflicts(query_codes, candidate_codes):
-    """Greedy matching over two :func:`axis_pair_codes` dictionaries.
-
-    The stage-2 conflict count as it was computed when every signature
-    stored its pair codes; :func:`pair_conflicts` must equal it.
-    """
-    if not query_codes or not candidate_codes:
-        return 0
-    used = set()
-    conflicts = 0
-    for (a, b), code in query_codes.items():
-        if a in used or b in used:
-            continue
-        candidate_code = candidate_codes.get((a, b))
-        if candidate_code is not None and candidate_code != code:
-            conflicts += 1
-            used.update((a, b))
-    return conflicts
-
-
-def _reference_bound(query_bestring, candidate_bestring, overlap, policy):
-    """``score_upper_bound(..., with_conflicts=True)`` over all 8 transformations."""
-    best = 0.0
-    for transformation in Transformation:
-        transformed = transform(query_bestring, transformation)
-        values = [
-            axis_score_bound(
-                AxisSignature.from_axis(query_axis),
-                AxisSignature.from_axis(candidate_axis),
-                overlap,
-                _reference_conflicts(
-                    axis_pair_codes(query_axis), axis_pair_codes(candidate_axis)
-                ),
-                policy,
-            )
-            for query_axis, candidate_axis in (
-                (transformed.x, candidate_bestring.x),
-                (transformed.y, candidate_bestring.y),
-            )
-        ]
-        best = max(best, combined_value(values[0], values[1], policy.combination))
-    return best
-
-
-class TestCompactBoundEqualsPairDictionaries:
-    """Position-map conflicts and bounds equal the pair-dictionary reference."""
-
-    # Four labels over seven objects repeat labels (``a``, ``a#1``, ...), and
-    # dropping icons leaves identifiers present on one side only.
-    _REPEATED = SceneParameters(
-        object_count=7,
-        alignment_probability=0.4,
-        labels=("a", "b", "c", "d"),
-        label_choice="random",
-    )
-
-    @staticmethod
-    def _drop_icons(rng, picture, most):
-        for _ in range(rng.randint(0, most)):
-            picture = picture.remove_icon(rng.choice(picture.identifiers))
-        return picture
-
-    @pytest.mark.parametrize("seed", [2, 29])
-    def test_conflicts_and_bounds_equal_the_reference(self, seed):
-        rng = random.Random(seed)
-        pictures = random_pictures(14, seed=seed, parameters=self._REPEATED)
-        candidates = [self._drop_icons(rng, picture, 2) for picture in pictures]
-        queries = [self._drop_icons(rng, picture, 3) for picture in pictures[:5]]
-        conflicting = 0
-        for query_picture in queries:
-            query_bestring = encode_picture(query_picture)
-            query_signature = QuerySignature(
-                query_bestring, query_picture.labels, tuple(Transformation)
-            )
-            for candidate_picture in candidates:
-                candidate_bestring = encode_picture(candidate_picture)
-                candidate = _signature(candidate_picture)
-                for transformation in Transformation:
-                    transformed = transform(query_bestring, transformation)
-                    for query_axis, candidate_axis, facts in (
-                        (transformed.x, candidate_bestring.x, candidate.x),
-                        (transformed.y, candidate_bestring.y, candidate.y),
-                    ):
-                        query_codes = axis_pair_codes(query_axis)
-                        expected = _reference_conflicts(
-                            query_codes, axis_pair_codes(candidate_axis)
-                        )
-                        assert pair_conflicts(tuple(query_codes.items()), facts) == expected
-                        conflicting += expected > 0
-                overlap = query_signature.exact_overlap(candidate)
-                for policy in _POLICIES:
-                    assert query_signature.score_upper_bound(
-                        candidate, overlap, policy, with_conflicts=True
-                    ) == _reference_bound(query_bestring, candidate_bestring, overlap, policy)
-        assert conflicting  # the inputs exercise the matching, not only its base case
-
-
 def _random_axis(rng, identifiers, dummy_rate):
     """An axis string over ``identifiers``: each begin before its end, dummies between."""
     occurrences = [identifier for identifier in identifiers for _ in range(2)]
@@ -336,21 +181,23 @@ def _random_axis(rng, identifiers, dummy_rate):
     return AxisBEString(symbols)
 
 
-def _packed_codes(facts):
-    """Pair codes read from a signature's packed positions, through its slots."""
-    slots, begins, ends = facts.slots, facts.begins, facts.ends
-    identifiers = sorted(slots)
-    return {
-        (a, b): shortlist._relation_code(
-            begins[slots[a]], ends[slots[a]], begins[slots[b]], ends[slots[b]]
-        )
-        for index, a in enumerate(identifiers)
-        for b in identifiers[index + 1 :]
-    }
-
-
 class TestPackedSignature:
     """Slots and packed positions equal the dictionary references."""
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_single_pass_matches_the_per_property_counts(self, seed):
+        # AxisSignature.from_axis walks the symbols once; it must agree with
+        # the string's own counts and with a dictionary of positions.
+        for picture in random_pictures(12, seed=seed, parameters=_PARAMETERS):
+            bestring = encode_picture(picture)
+            for transformation in Transformation:
+                variant = transform(bestring, transformation)
+                for axis in (variant.x, variant.y):
+                    facts = AxisSignature.from_axis(axis)
+                    assert facts.length == len(axis)
+                    assert facts.boundaries == axis.boundary_count
+                    assert facts.dummies == axis.dummy_count
+                    assert _slot_positions(facts) == _reference_positions(axis)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -359,7 +206,7 @@ class TestPackedSignature:
         objects=st.one_of(st.integers(0, 12), st.integers(120, 140)),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_pair_codes_and_conflicts_equal_the_references(self, objects, seed):
+    def test_slots_and_positions_equal_the_references(self, objects, seed):
         rng = random.Random(seed)
         labels = [rng.choice("abcdefgh") for _ in range(objects)]
         identifiers = [
@@ -376,19 +223,11 @@ class TestPackedSignature:
         for axis, facts in ((x, signature.x), (y, signature.y)):
             packed = len(axis) <= 256
             assert type(facts.begins) is type(facts.ends) is (bytes if packed else tuple)
-            expected = _reference_pair_codes(axis)
-            assert axis_pair_codes(axis) == expected
-            assert _packed_codes(facts) == expected
-            # A query over some of the objects and one the candidate lacks.
-            shared = rng.sample(identifiers, rng.randint(0, len(identifiers)))
-            query_codes = _reference_pair_codes(_random_axis(rng, shared + ["zz"], 0.3))
-            assert pair_conflicts(tuple(query_codes.items()), facts) == _reference_conflicts(
-                query_codes, expected
-            )
+            assert _slot_positions(facts) == _reference_positions(axis)
 
     def test_an_object_incomplete_on_either_axis_has_no_slot(self):
-        # ``a`` has no end on y, ``d`` appears on y only: neither takes part
-        # in a pair on either axis, and the others keep their x order.
+        # ``a`` has no end on y, ``d`` appears on y only: neither has a slot
+        # on either axis, and the others keep their x order.
         x = AxisBEString.from_text("E c.b a.b c.e a.e b.b b.e E")
         y = AxisBEString.from_text("a.b b.b b.e c.b d.b c.e d.e")
         signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "b", "c", "d"])
@@ -398,7 +237,6 @@ class TestPackedSignature:
         assert (signature.y.begins, signature.y.ends) == (bytes([3, 1]), bytes([5, 2]))
         assert (signature.x.length, signature.x.boundaries, signature.x.dummies) == (8, 6, 2)
         assert (signature.y.length, signature.y.boundaries, signature.y.dummies) == (7, 7, 0)
-        assert pair_conflicts([(("a", "b"), 0), (("a", "c"), 0)], signature.x) == 0
 
     def test_an_object_missing_a_boundary_on_the_y_axis_only_has_no_slot(self):
         x = AxisBEString.from_text("a.b a.e b.b b.e")
@@ -415,7 +253,6 @@ class TestPackedSignature:
         assert signature.x.slots == {"a": 0}
         assert (signature.x.begins, signature.x.ends) == (bytes([0]), bytes([1]))
         assert (signature.y.begins, signature.y.ends) == (bytes([0]), bytes([3]))
-        assert pair_conflicts([(("a", "d"), 0)], signature.y) == 0
 
     @pytest.mark.parametrize("dummies, packed", [(0, bytes), (1, tuple)])
     def test_positions_are_bytes_up_to_256_symbols(self, dummies, packed):
@@ -452,7 +289,7 @@ class TestScoreBoundSoundness:
                 ).score
                 overlap = query_signature.exact_overlap(candidate)
                 bound = query_signature.score_upper_bound(
-                    candidate, overlap, policy, with_conflicts=True
+                    candidate, overlap, policy, with_boundary_lcs=True
                 )
                 assert bound + 1e-9 >= true_score
 
@@ -473,9 +310,51 @@ class TestScoreBoundSoundness:
                 ).score
                 overlap = query_signature.exact_overlap(candidate)
                 bound = query_signature.score_upper_bound(
-                    candidate, overlap, policy, with_conflicts=True
+                    candidate, overlap, policy, with_boundary_lcs=True
                 )
                 assert bound + 1e-9 >= true_score
+
+    @pytest.mark.parametrize(
+        "policy, score",
+        [(SimilarityPolicy(), 9 / 13), (SimilarityPolicy(count_boundaries_only=True), 2 / 3)],
+        ids=["all-symbols", "boundaries-only"],
+    )
+    def test_stage_two_bound_of_a_mirrored_layout_is_its_score(self, policy, score):
+        # The layout of test_relation_stage_rejects_rearranged_layout: the
+        # boundary LCS of each axis is exact, so the bound is the score.
+        base = SymbolicPicture.build(
+            12,
+            12,
+            [
+                ("a", Rectangle(1, 5, 3, 7)),
+                ("b", Rectangle(5, 5, 7, 7)),
+                ("c", Rectangle(9, 5, 11, 7)),
+            ],
+        )
+        mirrored = base.reflect_y()
+        query_bestring = encode_picture(base)
+        query_signature = QuerySignature(query_bestring, base.labels)
+        candidate = _signature(mirrored)
+        bound = query_signature.score_upper_bound(
+            candidate, query_signature.exact_overlap(candidate), policy, with_boundary_lcs=True
+        )
+        assert similarity(query_bestring, encode_picture(mirrored), policy).score == bound
+        assert bound == pytest.approx(score)
+
+    def test_an_axis_without_one_position_per_boundary_keeps_the_overlap_cap(self):
+        # ``a`` has no end on the candidate's y axis, so it has no slot: an
+        # LIS on x finds only b's two boundaries, where the boundary LCS
+        # with the query's x is 4.  Both axes keep the cap of 2 * overlap.
+        x = AxisBEString.from_text("a.b a.e b.b b.e")
+        query = BEString2D(x, x)
+        candidate = ImageSignature.from_bestring(
+            BEString2D(x, AxisBEString.from_text("a.b b.b b.e")), ["a", "b"]
+        )
+        assert boundary_lcs(boundary_sequence(x), candidate.x) == 2
+        signature = QuerySignature(query, ["a", "b"])
+        raw = SimilarityPolicy(count_boundaries_only=True, normalization=Normalization.NONE)
+        bound = signature.score_upper_bound(candidate, 2, raw, with_boundary_lcs=True)
+        assert bound == (4 + 3) / 2
 
     def test_self_match_bound_is_tight(self):
         picture = random_pictures(1, seed=3, parameters=_PARAMETERS)[0]
@@ -484,7 +363,7 @@ class TestScoreBoundSoundness:
         candidate = _signature(picture)
         overlap = query_signature.exact_overlap(candidate)
         bound = query_signature.score_upper_bound(
-            candidate, overlap, SimilarityPolicy(), with_conflicts=True
+            candidate, overlap, SimilarityPolicy(), with_boundary_lcs=True
         )
         assert bound == pytest.approx(1.0)
 
@@ -634,7 +513,7 @@ class TestSignatureLifecycle:
 class TestThresholdAndWidthConsistency:
     def test_overlap_threshold_rejections_belong_to_the_bitmap_stage(self):
         # Threshold rejections — bitmap-bounded *or* exact — are label-overlap
-        # (stage-1) rejections; only the relation-pair score bound is stage 2.
+        # (stage-1) rejections; only the boundary-LCS score bound is stage 2.
         database = ImageDatabase()
         database.add_pictures(random_pictures(30, seed=61, parameters=_PARAMETERS))
         engine = QueryEngine.build(database, minimum_overlap_ratio=0.75)

@@ -435,6 +435,30 @@ class TestMutations:
             [picture.name for picture in collection()] + ["plain"]
         )
 
+    def test_empty_image_id_is_a_400_and_nothing_is_logged(self, tmp_path):
+        # Such a request was stored under the scene's own name, while an
+        # empty id on DELETE /images/ is a 400.
+        path = RetrievalSystem.from_pictures(collection()).save(
+            tmp_path / "served.shards", durable=True
+        )
+        scene = office_scene(7).renamed("named-scene")
+        system = RetrievalSystem.from_file(path, durable=True)
+        with create_server(system, port=0, database_path=path, durable=True) as server:
+            server.start_background()
+            client = ServiceClient(port=server.port)
+            client.wait_until_healthy(timeout=10)
+            images = client.health()["images"]
+            with pytest.raises(ServiceError, match="must be a non-empty JSON string") as excinfo:
+                client.images.add(scene, image_id="")
+            assert excinfo.value.status == 400
+            assert client.health()["images"] == images
+            created = client.images.add(office_scene(7).renamed("plain"))
+        assert created["lsn"] == 1
+        assert created["images"] == images + 1
+        reloaded = RetrievalSystem.from_file(path, durable=True)
+        assert "named-scene" not in reloaded.image_ids
+        assert "plain" in reloaded.image_ids
+
     def test_mutation_invalidates_served_rankings(self, client):
         """A cached query must re-rank after an insert changes the answer."""
         probe = office_scene(2)
