@@ -1,17 +1,17 @@
 """E11: storage backend latency -- full save vs incremental save vs load.
 
 The ROADMAP's serving ambitions need a database that survives restarts and
-grows past a single JSON blob; :mod:`repro.index.backends` ships three
-formats (whole-file JSON v1, SQLite rows, sharded binary files) with
-incremental persistence on the latter two.  This experiment measures, at 1k
-and 10k synthetic images:
+grows past a single JSON blob; :mod:`repro.index.backends` ships two
+formats (whole-file JSON v1 and sharded binary files) with incremental
+persistence on the sharded one.  This experiment measures, at 1k and 10k
+synthetic images:
 
 * ``full save``        -- serialise the whole database from scratch,
 * ``incremental save`` -- rewrite after dirtying 1% of the images (the
   steady-state update pattern of a long-lived deployment), and
 * ``load``             -- full reload including BE-string validation.
 
-Reloaded content is asserted identical across every backend (same ids, same
+Reloaded content is asserted identical across both backends (same ids, same
 BE-strings), and at full scale the incremental sharded save must beat the
 full JSON rewrite by at least 5x -- the acceptance criterion of the PR that
 introduced the backend layer.
@@ -41,7 +41,7 @@ SHARD_COUNT = 512
 #: at the largest database size (acceptance criterion).
 REQUIRED_SPEEDUP = 5.0
 
-BACKEND_NAMES = ("json", "sqlite", "sharded")
+BACKEND_NAMES = ("json", "sharded")
 
 _PARAMETERS = SceneParameters(
     object_count=8,
@@ -61,7 +61,7 @@ def _build_database(size: int) -> ImageDatabase:
 
 
 def _target_path(root, backend_name: str, size: int):
-    suffix = {"json": ".json", "sqlite": ".sqlite", "sharded": ".shards"}[backend_name]
+    suffix = {"json": ".json", "sharded": ".shards"}[backend_name]
     return root / f"db-{size}{suffix}"
 
 
@@ -214,7 +214,7 @@ def test_backend_latency_report(
 
 @pytest.mark.benchmark(group="E11-storage-backends")
 def test_conversion_round_trip(sized_database, tmp_path_factory, benchmark):
-    """json -> sqlite -> sharded -> json preserves every BE-string."""
+    """json -> sharded -> json preserves every BE-string."""
     size, database = sized_database
     if size > min(DATABASE_SIZES):
         pytest.skip("conversion chain measured at the smallest size only")
@@ -222,13 +222,10 @@ def test_conversion_round_trip(sized_database, tmp_path_factory, benchmark):
 
     def _chain():
         get_backend("json").save(database, root / "a.json")
-        get_backend("sqlite").save(load_database_from(root / "a.json"), root / "b.sqlite")
-        get_backend("sharded").save(
-            load_database_from(root / "b.sqlite"), root / "c.shards"
-        )
-        final = load_database_from(root / "c.shards")
-        shutil.rmtree(root / "c.shards")
-        return final
+        get_backend("sharded").save(load_database_from(root / "a.json"), root / "b.shards")
+        get_backend("json").save(load_database_from(root / "b.shards"), root / "c.json")
+        shutil.rmtree(root / "b.shards")
+        return load_database_from(root / "c.json")
 
     final = benchmark(_chain)
     assert final.image_ids == database.image_ids

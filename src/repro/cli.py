@@ -50,8 +50,8 @@ unified pipeline and score cache.
     ASCII-render one stored image.
 
 ``python -m repro.cli convert <src> <dst> [--to FORMAT] [--shards N]``
-    Convert a database between storage formats (JSON / SQLite / sharded
-    binary); the target format defaults to what the destination path implies.
+    Convert a database between storage formats (JSON / sharded binary); the
+    target format defaults to what the destination path implies.
 
 ``python -m repro.cli info <database>``
     Print the storage format, schema version and size statistics of a stored
@@ -88,9 +88,12 @@ unified pipeline and score cache.
     Health-check a running daemon and print its image count, uptime and the
     measured round-trip time.
 
-Every command that reads a database sniffs its storage format from the
-file/directory content; pass ``--format json|sqlite|sharded`` to override
-(see ``docs/storage-formats.md``).
+Every command that reads a database takes its storage format from the path:
+a directory is a sharded database and a file a JSON one.  A SQLite file,
+which earlier releases wrote, is refused with a message that says how to
+convert it.  Only the writers choose a format: ``--format json|sharded`` on
+``build`` and ``demo``, ``--to`` on ``convert`` (see
+``docs/storage-formats.md``).
 """
 
 from __future__ import annotations
@@ -116,18 +119,14 @@ from repro.index.storage import StorageError, picture_from_json_text
 from repro.retrieval.predicates import PredicateError
 from repro.retrieval.system import RetrievalSystem
 
-#: ``--format`` choices; ``auto`` infers from path/content (the default).
-FORMAT_CHOICES = ("auto", "json", "sqlite", "sharded")
+#: Writer ``--format``/``--to`` choices, the backend names
+#: :func:`~repro.index.backends.get_backend` takes; ``auto`` (the default)
+#: infers the format from the path.
+FORMAT_CHOICES = ("auto", "json", "sharded")
 
 
 class CliError(RuntimeError):
     """Raised for user-facing CLI failures (bad paths, malformed files)."""
-
-
-def _backend_argument(arguments: argparse.Namespace):
-    """The backend name selected by ``--format`` (``None`` for ``auto``)."""
-    fmt = getattr(arguments, "format", "auto")
-    return None if fmt == "auto" else fmt
 
 
 def _load_picture(path: str):
@@ -139,30 +138,28 @@ def _load_picture(path: str):
         raise CliError(f"malformed scene file {path}: {error}") from error
 
 
-def _load_database(path: str, backend=None) -> ImageDatabase:
+def _load_database(path: str) -> ImageDatabase:
     try:
-        return load_database_from(path, backend=backend)
+        return load_database_from(path)
     except FileNotFoundError:
         raise CliError(f"database not found: {path}") from None
     except StorageError as error:
         raise CliError(f"malformed database {path}: {error}") from error
 
 
-def _load_system(path: str, backend=None, execution=None, durable: bool = False) -> RetrievalSystem:
+def _load_system(path: str, execution=None, durable: bool = False) -> RetrievalSystem:
     # from_file is the warm-start path: it indexes the loaded, validated
     # records in place; re-adding picture by picture would encode every
     # picture again and leave every image dirty for the first incremental
     # save.
     try:
-        return RetrievalSystem.from_file(
-            path, backend=backend, execution=execution, durable=durable
-        )
+        return RetrievalSystem.from_file(path, execution=execution, durable=durable)
     except FileNotFoundError:
         raise CliError(f"database not found: {path}") from None
+    except StorageError as error:  # a ValueError, so it must come first
+        raise CliError(f"malformed database {path}: {error}") from error
     except ValueError as error:
         raise CliError(str(error)) from error
-    except StorageError as error:
-        raise CliError(f"malformed database {path}: {error}") from error
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +186,7 @@ def _command_build(arguments: argparse.Namespace) -> int:
         save_database_to(
             database,
             arguments.database,
-            backend=_backend_argument(arguments),
+            backend=arguments.format,
             shard_count=arguments.shards,
         )
     except (StorageError, ValueError) as error:
@@ -201,13 +198,12 @@ def _command_build(arguments: argparse.Namespace) -> int:
 
 
 def _command_convert(arguments: argparse.Namespace) -> int:
-    database = _load_database(arguments.source, backend=_backend_argument(arguments))
-    target_backend = None if arguments.to == "auto" else arguments.to
+    database = _load_database(arguments.source)
     try:
         save_database_to(
             database,
             arguments.destination,
-            backend=target_backend,
+            backend=arguments.to,
             shard_count=arguments.shards,
         )
     except (StorageError, ValueError) as error:
@@ -222,7 +218,7 @@ def _command_convert(arguments: argparse.Namespace) -> int:
 
 def _command_info(arguments: argparse.Namespace) -> int:
     try:
-        summary = describe_database(arguments.database, backend=_backend_argument(arguments))
+        summary = describe_database(arguments.database)
     except FileNotFoundError:
         raise CliError(f"database not found: {arguments.database}") from None
     except StorageError as error:
@@ -282,7 +278,7 @@ def _build_query(system: RetrievalSystem, arguments: argparse.Namespace):
 
 
 def _command_search(arguments: argparse.Namespace) -> int:
-    system = _load_system(arguments.database, backend=_backend_argument(arguments))
+    system = _load_system(arguments.database)
     results = _build_query(system, arguments).execute()
     if arguments.jsonl:
         # Keep stdout machine-readable: an empty result set emits nothing.
@@ -301,7 +297,7 @@ def _command_search(arguments: argparse.Namespace) -> int:
 
 
 def _command_explain(arguments: argparse.Namespace) -> int:
-    system = _load_system(arguments.database, backend=_backend_argument(arguments))
+    system = _load_system(arguments.database)
     results = _build_query(system, arguments).execute()
     print(results.explain_report())
     return 0 if results else 1
@@ -349,7 +345,7 @@ def _load_batch_queries(path: str, arguments: argparse.Namespace) -> List[QueryS
 
 
 def _command_batch_search(arguments: argparse.Namespace) -> int:
-    system = _load_system(arguments.database, backend=_backend_argument(arguments))
+    system = _load_system(arguments.database)
     queries = _load_batch_queries(arguments.queries, arguments)
     overrides = {}
     if arguments.shard_workers is not None:
@@ -382,7 +378,7 @@ def _command_batch_search(arguments: argparse.Namespace) -> int:
 
 
 def _command_relations(arguments: argparse.Namespace) -> int:
-    system = _load_system(arguments.database, backend=_backend_argument(arguments))
+    system = _load_system(arguments.database)
     try:
         matches = system.query().where(arguments.query).limit(arguments.top).execute()
     except PredicateError as error:
@@ -396,7 +392,7 @@ def _command_relations(arguments: argparse.Namespace) -> int:
 
 
 def _command_show(arguments: argparse.Namespace) -> int:
-    system = _load_system(arguments.database, backend=_backend_argument(arguments))
+    system = _load_system(arguments.database)
     try:
         print(system.show(arguments.image_id, columns=arguments.columns, rows=arguments.rows))
     except KeyError:
@@ -407,7 +403,6 @@ def _command_show(arguments: argparse.Namespace) -> int:
 def _command_serve(arguments: argparse.Namespace) -> int:
     from repro.service.server import create_server
 
-    backend = _backend_argument(arguments)
     execution = None
     if arguments.kernel is not None or arguments.strategy is not None:
         execution = ExecutionOptions(
@@ -417,9 +412,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         raise CliError("--wal writes a write-ahead log; it cannot combine with --no-persist")
     if arguments.wal_compact_every < 1:
         raise CliError("--wal-compact-every must be at least 1")
-    system = _load_system(
-        arguments.database, backend=backend, execution=execution, durable=arguments.wal
-    )
+    system = _load_system(arguments.database, execution=execution, durable=arguments.wal)
     persist_path = None if arguments.no_persist else arguments.database
     try:
         server = create_server(
@@ -429,7 +422,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             workers=arguments.workers,
             backlog=arguments.backlog,
             database_path=persist_path,
-            backend=backend,
             durable=arguments.wal,
             compact_threshold=arguments.wal_compact_every,
             shard_workers=arguments.shard_workers,
@@ -571,15 +563,12 @@ def _command_demo(arguments: argparse.Namespace) -> int:
         + [landscape_scene(variant) for variant in range(3)]
     )
     system = RetrievalSystem.from_pictures(pictures)
-    backend = _backend_argument(arguments)
-    default_name = {"sqlite": "demo-db.sqlite", "sharded": "demo-db.shards"}.get(
-        backend or "", "demo-db.json"
-    )
+    default_name = "demo-db.shards" if arguments.format == "sharded" else "demo-db.json"
     target = arguments.output or str(
         Path(tempfile.mkdtemp(prefix="repro-demo-")) / default_name
     )
     try:
-        system.save(target, backend=backend)
+        system.save(target, backend=arguments.format)
     except (StorageError, ValueError) as error:
         raise CliError(str(error)) from error
     print(f"built a demo database of {len(system)} themed scenes at {target}")
@@ -603,13 +592,13 @@ def _command_demo(arguments: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Argument parsing
 # ----------------------------------------------------------------------
-def _add_format_flag(subparser: argparse.ArgumentParser, help_suffix: str = "") -> None:
-    """Attach the shared ``--format`` storage-format override flag."""
+def _add_format_flag(subparser: argparse.ArgumentParser, written: str) -> None:
+    """Attach the ``--format`` flag of a command that writes a database."""
     subparser.add_argument(
         "--format",
         choices=FORMAT_CHOICES,
         default="auto",
-        help=f"storage format{help_suffix} (default: auto — infer from path/content)",
+        help=f"storage format of the {written} (default: auto — infer from the path)",
     )
 
 
@@ -630,9 +619,9 @@ def build_parser() -> argparse.ArgumentParser:
     encode.set_defaults(handler=_command_encode)
 
     build = subparsers.add_parser("build", help="build a database from scene files")
-    build.add_argument("database", help="output database path (.json/.sqlite/.shards)")
+    build.add_argument("database", help="output database path (.json/.shards)")
     build.add_argument("scenes", nargs="+", help="scene JSON files to index")
-    _add_format_flag(build, " of the output database")
+    _add_format_flag(build, "output database")
     build.add_argument(
         "--shards", type=int, default=None,
         help="shard count when writing a sharded database (default 16)",
@@ -644,7 +633,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     convert.add_argument("source", help="existing database path")
     convert.add_argument("destination", help="output database path")
-    _add_format_flag(convert, " of the source database")
     convert.add_argument(
         "--to",
         choices=FORMAT_CHOICES,
@@ -661,7 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
         "info", help="print storage format and statistics of a database"
     )
     info.add_argument("database", help="database path")
-    _add_format_flag(info)
     info.set_defaults(handler=_command_info)
 
     def _add_query_flags(subparser: argparse.ArgumentParser) -> None:
@@ -702,7 +689,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="candidate processing: anytime branch-and-bound or exhaustive "
                  "(default: anytime)",
         )
-        _add_format_flag(subparser)
 
     search = subparsers.add_parser("search", help="similarity query against a database")
     _add_query_flags(search)
@@ -734,14 +720,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="scatter-gather the batch across N (at most 16) forked shard-worker "
              "processes (byte-identical rankings; see docs/parallelism.md)",
     )
-    _add_format_flag(batch)
     batch.set_defaults(handler=_command_batch_search)
 
     relations = subparsers.add_parser("relations", help="relation-predicate query")
     relations.add_argument("database", help="database path (any storage format)")
     relations.add_argument("query", help='predicate query, e.g. "car left-of tree"')
     relations.add_argument("--top", type=int, default=10, help="number of results (default 10)")
-    _add_format_flag(relations)
     relations.set_defaults(handler=_command_relations)
 
     show = subparsers.add_parser("show", help="ASCII-render a stored image")
@@ -749,7 +733,6 @@ def build_parser() -> argparse.ArgumentParser:
     show.add_argument("image_id", help="id of the stored image")
     show.add_argument("--columns", type=int, default=60)
     show.add_argument("--rows", type=int, default=20)
-    _add_format_flag(show)
     show.set_defaults(handler=_command_show)
 
     serve = subparsers.add_parser(
@@ -801,7 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true",
         help="bind, print the address and exit without serving (smoke tests)",
     )
-    _add_format_flag(serve)
     serve.set_defaults(handler=_command_serve)
 
     replica = subparsers.add_parser(
@@ -866,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = subparsers.add_parser("demo", help="build and query a synthetic demo database")
     demo.add_argument("--output", help="where to write the demo database")
-    _add_format_flag(demo, " of the demo database")
+    _add_format_flag(demo, "demo database")
     demo.set_defaults(handler=_command_demo)
 
     return parser

@@ -27,8 +27,8 @@ database a downstream user would actually store BE-strings in:
 * :mod:`~repro.index.storage` -- the v1 JSON persistence of pictures,
   BE-strings and whole databases.
 * :mod:`~repro.index.backends` -- pluggable storage backends on top of it:
-  JSON v1, SQLite (incremental row upserts) and sharded binary
-  files (incremental dirty-shard rewrites), with format inference from paths.
+  JSON v1 and sharded binary files (incremental dirty-shard rewrites), with
+  the format fixed by the path.
 """
 
 from repro.index.backends import (
@@ -36,7 +36,6 @@ from repro.index.backends import (
     DurableShardedStore,
     JsonBackend,
     ShardedBackend,
-    SqliteBackend,
     StorageBackend,
     describe_database,
     get_backend,
@@ -84,7 +83,6 @@ __all__ = [
     "read_wal",
     "JsonBackend",
     "ShardedBackend",
-    "SqliteBackend",
     "StorageBackend",
     "StorageError",
     "describe_database",

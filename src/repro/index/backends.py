@@ -1,26 +1,23 @@
-"""Pluggable storage backends: JSON v1, SQLite, and sharded binary files.
+"""Pluggable storage backends: JSON v1 and sharded binary files.
 
 :mod:`repro.index.storage` defines the original whole-file JSON format; this
 module generalises persistence behind a :class:`StorageBackend` interface so a
 database can outgrow a single JSON blob without the rest of the system
-noticing.  Three backends ship:
+noticing.  Two backends ship:
 
 * :class:`JsonBackend` — the versioned v1 JSON file, byte-compatible with
-  databases written before this module existed.  Always a full rewrite.
-* :class:`SqliteBackend` — one row per image in a SQLite file.  Supports
-  incremental saves (only mutated rows are upserted/deleted).  Its methods
-  import :mod:`sqlite3` themselves, so a process that never opens a SQLite
-  file never loads the module.
+  databases written before this module existed.  Always a full rewrite,
+  swapped in atomically.
 * :class:`ShardedBackend` — a directory of binary shard files plus a JSON
   manifest; image ids are hashed (CRC-32) across a fixed number of shards and
   an incremental save rewrites only the shards containing dirty images.
 
-Every backend produces the exact same logical content: the per-image entry
+Both backends produce the exact same logical content: the per-image entry
 dictionaries of the v1 schema (``image_id`` / ``picture`` / ``bestring``),
 validated on load by re-encoding each picture and comparing BE-strings.
 Nothing derived is stored: the query engine builds each image's shortlist
 signature from the validated BE-string, and a ``signature`` payload an older
-writer left behind (entry key, SQLite column, manifest flag) is ignored.
+writer left behind (entry key, manifest flag) is ignored.
 Round-trip equivalence across backends — identical BE-strings *and* identical
 search rankings — is enforced by ``tests/index/test_backends.py``.
 
@@ -31,12 +28,14 @@ save or load clears it.  ``benchmarks/bench_storage_backends.py`` (E11)
 measures the payoff: at 10k images with 1% dirty, an incremental sharded save
 beats the full JSON rewrite by well over an order of magnitude.
 
-Backend selection is by explicit name (``"json"`` / ``"sqlite"`` /
-``"sharded"``), by instance, or inferred from the path — existing files are
-sniffed by content (SQLite magic header, shard-manifest directory, otherwise
-JSON) and new save targets by suffix (``.sqlite``/``.sqlite3``/``.db`` →
-SQLite, ``.shards`` or an existing directory → sharded, anything else → JSON).
-See ``docs/storage-formats.md`` for the on-disk format specifications.
+A stored database's format is fixed by its path: an existing directory is
+sharded and an existing file is JSON.  A file that starts with the SQLite
+magic header was written by an earlier release's SQLite backend and is
+refused with a :class:`~repro.index.storage.StorageError` that says how to
+convert it.  Only a writer chooses a format (``"json"`` / ``"sharded"``, or
+an instance); a fresh save target otherwise goes by suffix (``.shards`` or
+no suffix → sharded, anything else → JSON).  See
+``docs/storage-formats.md`` for the on-disk format specifications.
 
 The sharded backend additionally supports **crash-safe durability**: a
 manifest may carry a ``wal`` block naming an append-only write-ahead log
@@ -63,7 +62,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.index.database import ImageDatabase, ImageRecord, _collector_paused
 from repro.index.storage import (
@@ -71,15 +70,13 @@ from repro.index.storage import (
     StorageError,
     check_schema_version,
     database_from_entries,
+    document_images,
     image_entry_to_record,
     image_record_to_json,
     load_database as _load_json_database,
     save_database as _save_json_database,
 )
 from repro.index.wal import WAL_NAME, WriteAheadLog, read_wal, replace_durably
-
-if TYPE_CHECKING:  # pragma: no cover - typing only; the backend imports it on use
-    import sqlite3
 
 PathLike = Union[str, Path]
 
@@ -93,10 +90,8 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT = "sharded-bestring-v1"
 #: Default number of shard files for a sharded database.
 DEFAULT_SHARD_COUNT = 16
-#: First bytes of every SQLite database file.
+#: First bytes of every SQLite database file, which no backend reads.
 _SQLITE_MAGIC = b"SQLite format 3\x00"
-#: Suffixes inferred as SQLite when saving to a fresh path.
-_SQLITE_SUFFIXES = {".sqlite", ".sqlite3", ".db"}
 #: Suffix inferred as a sharded directory when saving to a fresh path.
 _SHARDED_SUFFIX = ".shards"
 
@@ -109,6 +104,21 @@ def shard_index_for(image_id: str, shard_count: int) -> int:
         processes and Python versions (unlike the built-in ``hash``).
     """
     return zlib.crc32(image_id.encode("utf-8")) % shard_count
+
+
+def _refuse_sqlite(target: Path) -> None:
+    """Raise :class:`StorageError` if the file ``target`` is a SQLite database.
+
+    One 16-byte read: the SQLite magic header every such file starts with.
+    """
+    with target.open("rb") as handle:
+        head = handle.read(len(_SQLITE_MAGIC))
+    if head == _SQLITE_MAGIC:
+        raise StorageError(
+            f"{target} is a SQLite database, a format this release no longer "
+            "reads or writes; convert it with an earlier release "
+            "(repro convert db.sqlite db.json)"
+        )
 
 
 def _shard_directory(path: PathLike) -> Path:
@@ -127,7 +137,7 @@ class StorageBackend(abc.ABC):
     successful :meth:`save` or :meth:`load` clears the database's dirty set.
     """
 
-    #: Registry name of the backend (``"json"``, ``"sqlite"``, ``"sharded"``).
+    #: Registry name of the backend (``"json"`` or ``"sharded"``).
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -137,7 +147,7 @@ class StorageBackend(abc.ABC):
         """Persist ``database`` to ``path``.
 
         With ``incremental=True`` a backend that supports it rewrites only the
-        storage units (rows, shards) containing images in
+        storage units (shards) containing images in
         :attr:`~repro.index.database.ImageDatabase.dirty_ids`, falling back to
         a full rewrite when the target is absent or inconsistent.
 
@@ -189,14 +199,21 @@ class JsonBackend(StorageBackend):
         """Write the database as one v1 JSON file (always a full rewrite).
 
         ``incremental`` is accepted for interface symmetry but has no effect:
-        a single JSON document cannot be partially rewritten.
+        a single JSON document cannot be partially rewritten.  The file is
+        swapped in whole, so a failed save leaves the previous one.
 
         Returns:
             The path written.
+
+        Raises:
+            StorageError: if the target is a directory or a SQLite database
+                (left untouched), or the file cannot be written.
         """
         target = Path(path)
         if target.is_dir():
             raise StorageError(f"{target} is a directory, not a JSON database file")
+        if target.is_file():
+            _refuse_sqlite(target)
         _save_json_database(database, target)
         database.clear_dirty()
         return target
@@ -227,11 +244,9 @@ class JsonBackend(StorageBackend):
         source = Path(path)
         try:
             payload = json.loads(source.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
+            images = document_images(payload)
+        except (json.JSONDecodeError, UnicodeDecodeError, StorageError) as error:
             raise StorageError(f"{source} is not a valid JSON database: {error}") from error
-        if not isinstance(payload, dict) or not isinstance(payload.get("images", []), list):
-            raise StorageError(f"{source} is not a valid JSON database (bad structure)")
-        images = payload.get("images", [])
         return {
             "format": self.name,
             "path": str(source),
@@ -240,240 +255,6 @@ class JsonBackend(StorageBackend):
             "images": len(images),
             "size_bytes": source.stat().st_size,
         }
-
-
-# ----------------------------------------------------------------------
-# SQLite backend
-# ----------------------------------------------------------------------
-class SqliteBackend(StorageBackend):
-    """One row per image in a SQLite file, with incremental upserts.
-
-    Table layout (see ``docs/storage-formats.md``)::
-
-        meta   (key TEXT PRIMARY KEY, value TEXT)        -- schema_version, name
-        images (image_id TEXT PRIMARY KEY,
-                picture TEXT NOT NULL,                   -- JSON, v1 entry shape
-                bestring TEXT NOT NULL)                  -- JSON, v1 entry shape
-
-    Files written by older releases may carry a fourth, nullable
-    ``signature`` column.  It is never read, and incremental saves into such
-    a file name only the three columns above, so the old column holds NULL
-    in every rewritten row.
-    """
-
-    name = "sqlite"
-
-    def save(
-        self, database: ImageDatabase, path: PathLike, *, incremental: bool = False
-    ) -> Path:
-        """Persist to a SQLite file; ``incremental=True`` upserts dirty rows only.
-
-        An incremental save against a missing or inconsistent target falls
-        back to a full rewrite.
-
-        Returns:
-            The path written.
-        """
-        target = Path(path)
-        if target.is_dir():
-            raise StorageError(f"{target} is a directory, not a SQLite database file")
-        target.parent.mkdir(parents=True, exist_ok=True)
-        if incremental and target.exists() and self._can_update(target, database):
-            self._save_incremental(database, target)
-        else:
-            self._save_full(database, target)
-        database.clear_dirty()
-        return target
-
-    def load(self, path: PathLike) -> ImageDatabase:
-        """Eagerly load and validate every stored image.
-
-        Returns:
-            The reconstructed database with a clean dirty set.
-
-        Raises:
-            StorageError: if the file is not a SQLite database, is truncated,
-                has the wrong schema, or fails BE-string validation.
-            FileNotFoundError: if ``path`` does not exist.
-        """
-        import sqlite3
-
-        source = Path(path)
-        if not source.exists():
-            raise FileNotFoundError(f"no such database file: {source}")
-        connection = self._connect(source)
-        try:
-            name = self._read_meta(connection, source)
-            database = ImageDatabase(name=name)
-            try:
-                rows = connection.execute(
-                    "SELECT image_id, picture, bestring FROM images ORDER BY image_id"
-                ).fetchall()
-            except sqlite3.DatabaseError as error:
-                raise StorageError(f"{source} is not a valid SQLite database: {error}") from error
-            for image_id, picture_json, bestring_json in rows:
-                entry = self._row_to_entry(source, image_id, picture_json, bestring_json)
-                try:
-                    image_entry_to_record(database, entry)
-                except StorageError as error:
-                    raise StorageError(f"{source}: {error}") from error
-        finally:
-            connection.close()
-        database.clear_dirty()
-        return database
-
-    def describe(self, path: PathLike) -> Dict[str, Any]:
-        """Summarise a SQLite database file (row count, no BE validation).
-
-        Returns:
-            Format, schema version, name, image count and file size.
-
-        Raises:
-            StorageError: if the file is not a valid database of this format.
-        """
-        import sqlite3
-
-        source = Path(path)
-        connection = self._connect(source)
-        try:
-            name = self._read_meta(connection, source)
-            count = connection.execute("SELECT COUNT(*) FROM images").fetchone()[0]
-        except sqlite3.DatabaseError as error:
-            raise StorageError(f"{source} is not a valid SQLite database: {error}") from error
-        finally:
-            connection.close()
-        return {
-            "format": self.name,
-            "path": str(source),
-            "schema_version": SCHEMA_VERSION,
-            "name": name,
-            "images": count,
-            "size_bytes": source.stat().st_size,
-        }
-
-    # -- internals ------------------------------------------------------
-    @staticmethod
-    def _connect(path: Path) -> sqlite3.Connection:
-        import sqlite3
-
-        try:
-            connection = sqlite3.connect(str(path))
-            connection.execute("PRAGMA foreign_keys = ON")
-        except sqlite3.Error as error:
-            raise StorageError(
-                f"{path} cannot be opened as a SQLite database: {error}"
-            ) from error
-        return connection
-
-    @staticmethod
-    def _row_to_entry(
-        source: Path, image_id: str, picture_json: str, bestring_json: str
-    ) -> Dict[str, Any]:
-        try:
-            return {
-                "image_id": image_id,
-                "picture": json.loads(picture_json),
-                "bestring": json.loads(bestring_json),
-            }
-        except json.JSONDecodeError as error:
-            raise StorageError(
-                f"{source}: row for image {image_id!r} holds invalid JSON: {error}"
-            ) from error
-
-    def _read_meta(self, connection: sqlite3.Connection, source: Path) -> str:
-        """Validate schema/version of an open connection; returns the db name."""
-        import sqlite3
-
-        try:
-            rows = dict(connection.execute("SELECT key, value FROM meta"))
-        except sqlite3.DatabaseError as error:
-            raise StorageError(f"{source} is not a valid SQLite database: {error}") from error
-        try:
-            version = int(rows.get("schema_version", "-1"))
-        except ValueError:
-            version = None
-        try:
-            check_schema_version(version)
-        except StorageError as error:
-            raise StorageError(f"{source}: {error}") from error
-        return rows.get("name", "image-database")
-
-    def _can_update(self, target: Path, database: ImageDatabase) -> bool:
-        """True when an incremental upsert against ``target`` is consistent."""
-        import sqlite3
-
-        try:
-            connection = self._connect(target)
-            try:
-                self._read_meta(connection, target)
-                stored = {
-                    row[0] for row in connection.execute("SELECT image_id FROM images")
-                }
-            finally:
-                connection.close()
-        except (StorageError, sqlite3.DatabaseError):
-            return False
-        dirty = database.dirty_ids
-        current = set(database.image_ids)
-        # Outside the dirty set, the file must already hold exactly the
-        # database's images; otherwise an incremental save would silently
-        # diverge from a full one.
-        return stored - dirty == current - dirty
-
-    def _save_full(self, database: ImageDatabase, target: Path) -> None:
-        if target.exists():
-            target.unlink()
-        connection = self._connect(target)
-        try:
-            with connection:
-                connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
-                connection.execute(
-                    "CREATE TABLE images ("
-                    "image_id TEXT PRIMARY KEY, "
-                    "picture TEXT NOT NULL, "
-                    "bestring TEXT NOT NULL)"
-                )
-                connection.executemany(
-                    "INSERT INTO meta (key, value) VALUES (?, ?)",
-                    [("schema_version", str(SCHEMA_VERSION)), ("name", database.name)],
-                )
-                connection.executemany(
-                    "INSERT INTO images (image_id, picture, bestring) VALUES (?, ?, ?)",
-                    (self._record_row(record) for record in database),
-                )
-        finally:
-            connection.close()
-
-    def _save_incremental(self, database: ImageDatabase, target: Path) -> None:
-        connection = self._connect(target)
-        try:
-            with connection:
-                connection.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('name', ?)",
-                    (database.name,),
-                )
-                for image_id in sorted(database.dirty_ids):
-                    if image_id in database:
-                        connection.execute(
-                            "INSERT OR REPLACE INTO images "
-                            "(image_id, picture, bestring) VALUES (?, ?, ?)",
-                            self._record_row(database.get(image_id)),
-                        )
-                    else:
-                        connection.execute(
-                            "DELETE FROM images WHERE image_id = ?", (image_id,)
-                        )
-        finally:
-            connection.close()
-
-    @staticmethod
-    def _record_row(record: ImageRecord) -> tuple:
-        entry = image_record_to_json(record)
-        return (
-            record.image_id,
-            json.dumps(entry["picture"], sort_keys=True),
-            json.dumps(entry["bestring"], sort_keys=True),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -838,9 +619,12 @@ class ShardedBackend(StorageBackend):
                 raise StorageError(f"{shard_path} is truncated (short record)")
             offset += length
             try:
-                entries.append(json.loads(zlib.decompress(blob).decode("utf-8")))
+                entry = json.loads(zlib.decompress(blob).decode("utf-8"))
             except (zlib.error, json.JSONDecodeError, UnicodeDecodeError) as error:
                 raise StorageError(f"{shard_path} holds a corrupt record: {error}") from error
+            if not isinstance(entry, dict):
+                raise StorageError(f"{shard_path} holds a corrupt record: not an object")
+            entries.append(entry)
         return entries
 
 
@@ -1061,11 +845,10 @@ class DurableShardedStore:
 # ----------------------------------------------------------------------
 # Registry, inference and dispatch
 # ----------------------------------------------------------------------
-#: Backend registry, keyed by the names accepted everywhere a ``backend``
-#: argument or ``--format`` flag appears.
+#: Backend registry, keyed by the names a writer's ``backend`` argument or
+#: ``--format``/``--to`` flag accepts.
 BACKENDS = {
     JsonBackend.name: JsonBackend,
-    SqliteBackend.name: SqliteBackend,
     ShardedBackend.name: ShardedBackend,
 }
 
@@ -1105,29 +888,26 @@ def get_backend(
 def infer_backend(
     path: PathLike, shard_count: Optional[int] = None
 ) -> StorageBackend:
-    """Infer the backend for ``path`` by content (existing) or suffix (new).
+    """Infer the backend for ``path``: by kind if it exists, by suffix if not.
 
-    An existing directory is sharded; an existing file is sniffed for the
-    SQLite magic header, falling back to JSON.  A fresh path goes by suffix:
-    ``.sqlite``/``.sqlite3``/``.db`` → SQLite, ``.shards`` (or no suffix at
-    all) → sharded directory, anything else → JSON.
+    An existing directory is sharded and an existing file is JSON.  A fresh
+    path goes by suffix: ``.shards`` (or no suffix at all) → sharded
+    directory, anything else → JSON.
 
     Returns:
         A :class:`StorageBackend` instance.
+
+    Raises:
+        StorageError: if ``path`` is a SQLite database file, which an earlier
+            release must convert first.
     """
     target = Path(path)
     if target.is_dir():
         return ShardedBackend(shard_count=shard_count or DEFAULT_SHARD_COUNT)
     if target.is_file():
-        with target.open("rb") as handle:
-            head = handle.read(len(_SQLITE_MAGIC))
-        if head == _SQLITE_MAGIC:
-            return SqliteBackend()
+        _refuse_sqlite(target)
         return JsonBackend()
-    suffix = target.suffix.lower()
-    if suffix in _SQLITE_SUFFIXES:
-        return SqliteBackend()
-    if suffix == _SHARDED_SUFFIX or suffix == "":
+    if target.suffix.lower() in (_SHARDED_SUFFIX, ""):
         return ShardedBackend(shard_count=shard_count or DEFAULT_SHARD_COUNT)
     return JsonBackend()
 
@@ -1171,13 +951,8 @@ def save_database_to(
     return target
 
 
-def load_database_from(
-    path: PathLike,
-    backend: Union[None, str, StorageBackend] = None,
-    *,
-    durable: bool = False,
-) -> ImageDatabase:
-    """Load a database with an explicit or content-inferred backend.
+def load_database_from(path: PathLike, *, durable: bool = False) -> ImageDatabase:
+    """Load a database in the format its path holds (:func:`infer_backend`).
 
     A sharded directory whose manifest anchors a write-ahead log replays
     the pending log records automatically, whatever ``durable`` says;
@@ -1190,15 +965,15 @@ def load_database_from(
         The reconstructed database with a clean dirty set.
 
     Raises:
-        StorageError: if the target is corrupt or fails validation (the
-            message names the offending path).
+        StorageError: if the target is corrupt, fails validation or is a
+            SQLite file (the message names the offending path).
         ValueError: on ``durable=True`` against a non-sharded database.
         FileNotFoundError: if ``path`` does not exist.
     """
     source = Path(path)
     if not source.exists():
         raise FileNotFoundError(f"no such database: {source}")
-    resolved = get_backend(backend, source)
+    resolved = infer_backend(source)
     if durable and not isinstance(resolved, ShardedBackend):
         raise ValueError(
             "durable persistence requires a sharded database directory, "
@@ -1208,23 +983,21 @@ def load_database_from(
         return resolved.load(source)
 
 
-def describe_database(
-    path: PathLike, backend: Union[None, str, StorageBackend] = None
-) -> Dict[str, Any]:
+def describe_database(path: PathLike) -> Dict[str, Any]:
     """Summarise a stored database (format, schema, counts, size).
 
     Returns:
         The backend's :meth:`StorageBackend.describe` dictionary.
 
     Raises:
-        StorageError: if the target is not a recognisable database.
+        StorageError: if the target is not a recognisable database, a SQLite
+            file included.
         FileNotFoundError: if ``path`` does not exist.
     """
     source = Path(path)
     if not source.exists():
         raise FileNotFoundError(f"no such database: {source}")
-    resolved = get_backend(backend, source)
-    return resolved.describe(source)
+    return infer_backend(source).describe(source)
 
 
 def durable_wal_state(path: PathLike) -> Optional[Dict[str, int]]:

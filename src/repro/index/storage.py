@@ -17,9 +17,11 @@ entry stores only ``image_id``, ``picture`` and ``bestring``; a ``signature``
 payload left by older writers is ignored.
 
 This module is the **v1 JSON format**; the pluggable backend layer on top of
-it (SQLite, sharded binary, format inference, incremental saves) lives in
+it (sharded binary files, format inference, incremental saves) lives in
 :mod:`repro.index.backends`.  The functions here stay byte-compatible with
-databases written before the backend layer existed.
+databases written before the backend layer existed.  A save writes a
+temporary file and swaps it in whole, so the file on disk is always either
+the previous database or the new one.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Any, Dict, List, Union
 from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
 from repro.iconic.picture import SymbolicPicture
-from repro.index.database import ImageDatabase, ImageRecord
+from repro.index.database import DatabaseError, ImageDatabase, ImageRecord
 
 #: Schema version written into every database file.
 SCHEMA_VERSION = 1
@@ -78,8 +80,8 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
 
     Raises:
         StorageError: if the entry is malformed (its ``image_id`` not a
-            non-empty string included) or its BE-string does not match its
-            picture.
+            non-empty string, or already stored, included) or its BE-string
+            does not match its picture.
     """
     try:
         picture = SymbolicPicture.from_dict(entry["picture"])
@@ -102,7 +104,12 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
             raise StorageError(
                 f"stored BE-string of image {image_id!r} does not match its picture"
             )
-    return database.add_record(record)
+    try:
+        return database.add_record(record)
+    except DatabaseError as error:
+        raise StorageError(
+            f"malformed image entry: image id {image_id!r} is stored twice"
+        ) from error
 
 
 def check_schema_version(version: Any) -> None:
@@ -140,6 +147,19 @@ def database_from_entries(name: str, entries: List[Any]) -> ImageDatabase:
     return database
 
 
+def document_images(payload: Any) -> List[Any]:
+    """The ``images`` list of a decoded v1 document (``[]`` when absent).
+
+    Raises:
+        StorageError: unless ``payload`` is an object whose ``images``, if
+            present, is a list.
+    """
+    images = payload.get("images", []) if isinstance(payload, dict) else None
+    if not isinstance(images, list):
+        raise StorageError('bad structure: expected an object with an "images" list')
+    return images
+
+
 def database_from_json(payload: Dict[str, Any]) -> ImageDatabase:
     """Rebuild a database from :func:`database_to_json` output.
 
@@ -153,10 +173,11 @@ def database_from_json(payload: Dict[str, Any]) -> ImageDatabase:
         clean dirty set.
 
     Raises:
-        StorageError: on an unsupported schema version or a malformed or
+        StorageError: on a document that is not an object holding an image
+            list, an unsupported schema version, or a malformed or
             inconsistent image entry.
     """
-    return _database_from_payload(payload, list(payload.get("images", [])))
+    return _database_from_payload(payload, list(document_images(payload)))
 
 
 def _database_from_payload(payload: Dict[str, Any], entries: List[Any]) -> ImageDatabase:
@@ -170,15 +191,32 @@ def _database_from_payload(payload: Dict[str, Any], entries: List[Any]) -> Image
 
 
 def save_database(database: ImageDatabase, path: Union[str, Path]) -> Path:
-    """Write a database to a v1 JSON file.
+    """Write a database to a v1 JSON file, swapped in whole.
+
+    The document goes to ``<name>.tmp`` beside the target, which
+    :func:`~repro.index.wal.replace_durably` then renames over it, so the
+    target holds the previous database or this one, never a part of either.
 
     Returns:
         The path written (parents are created as needed).
+
+    Raises:
+        StorageError: if the file cannot be written; the previous file is
+            left as it was and the temporary one is removed.
     """
+    # wal imports this module for StorageError.
+    from repro.index.wal import replace_durably
+
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    with target.open("w", encoding="utf-8") as handle:
-        json.dump(database_to_json(database), handle, indent=2, sort_keys=True)
+    temporary = target.with_name(target.name + ".tmp")
+    try:
+        with temporary.open("w", encoding="utf-8") as handle:
+            json.dump(database_to_json(database), handle, indent=2, sort_keys=True)
+        replace_durably([(temporary, target)])
+    except OSError as error:
+        temporary.unlink(missing_ok=True)
+        raise StorageError(f"{target} cannot be written: {error}") from error
     return target
 
 
@@ -189,9 +227,10 @@ def load_database(path: Union[str, Path]) -> ImageDatabase:
         The reconstructed :class:`~repro.index.database.ImageDatabase`.
 
     Raises:
-        StorageError: if the file is truncated, not valid JSON/UTF-8, or
-            fails the schema and BE-string consistency checks; the message
-            names the offending path.
+        StorageError: if the file is truncated, not valid JSON/UTF-8, not
+            an object holding an image list, or fails the schema and
+            BE-string consistency checks; the message names the offending
+            path.
         FileNotFoundError: if ``path`` does not exist.
     """
     source = Path(path)
@@ -204,7 +243,7 @@ def load_database(path: Union[str, Path]) -> ImageDatabase:
         raise StorageError(f"{source} is not valid UTF-8 text: {error}") from error
     try:
         # The decoded document is this function's own: hand its entries over.
-        return _database_from_payload(payload, payload.get("images", []))
+        return _database_from_payload(payload, document_images(payload))
     except StorageError as error:
         raise StorageError(f"{source}: {error}") from error
 

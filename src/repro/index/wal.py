@@ -86,8 +86,9 @@ def replace_durably(swaps: Sequence[Tuple[Path, Path]]) -> None:
     directory once after them.  Without the first, a power cut can leave a
     target naming bytes that never reached the disk; without the second, a
     rename itself can be lost while later writes that depend on it (a
-    truncated log behind a new manifest) are not.  Every file swap in the
-    sharded and durable directories goes through here.
+    truncated log behind a new manifest) are not.  Every file swap of a
+    stored database goes through here: a JSON file, the shard files, the
+    manifest and the log.
 
     Raises:
         OSError: if a sync or a rename fails.

@@ -129,18 +129,16 @@ class RetrievalSystem:
         cls,
         path: Union[str, Path],
         policy: SimilarityPolicy = DEFAULT_POLICY,
-        backend: Union[None, str, StorageBackend] = None,
         execution: Optional[ExecutionOptions] = None,
         durable: bool = False,
         minimum_signature_overlap: float = 0.0,
     ) -> "RetrievalSystem":
         """Load a system from a database written by :meth:`save`.
 
-        ``backend`` selects the storage format by name (``"json"``,
-        ``"sqlite"``, ``"sharded"``) or instance; by default the format is
-        inferred from the file/directory content (see
-        :mod:`repro.index.backends`).  ``execution`` sets the engine-wide
-        execution defaults (kernel, strategy, ...) every query inherits.
+        The path fixes the format: a directory is a sharded database and a
+        file a JSON one (see :mod:`repro.index.backends`).  ``execution``
+        sets the engine-wide execution defaults (kernel, strategy, ...) every
+        query inherits.
         ``durable=True`` requires a sharded directory (the only format with
         a write-ahead log); any acknowledged-but-uncompacted log records are
         replayed on top of the shard snapshot either way, so a durable
@@ -160,8 +158,9 @@ class RetrievalSystem:
             (so a later ``save(..., incremental=True)`` rewrites nothing).
 
         Raises:
-            repro.index.storage.StorageError: if the database is corrupt or
-                truncated; the message names the offending path.
+            repro.index.storage.StorageError: if the database is corrupt,
+                truncated or a SQLite file; the message names the offending
+                path.
             ValueError: if ``durable=True`` and the target is not sharded.
             FileNotFoundError: if ``path`` does not exist.
         """
@@ -170,7 +169,7 @@ class RetrievalSystem:
                 policy=policy,
                 minimum_signature_overlap=minimum_signature_overlap,
                 execution=execution,
-                database=load_database_from(path, backend=backend, durable=durable),
+                database=load_database_from(path, durable=durable),
             )
         # Loading is not a mutation: the engine's database matches the file.
         system._engine.database.clear_dirty()
@@ -222,11 +221,11 @@ class RetrievalSystem:
     ) -> Path:
         """Persist the database.
 
-        ``backend`` selects the storage format (``"json"``, ``"sqlite"``,
-        ``"sharded"`` or a :class:`~repro.index.backends.StorageBackend`
-        instance); by default it is inferred from the path.
-        ``incremental=True`` lets the SQLite and sharded backends rewrite only
-        the rows/shards touched since the last save or load;
+        ``backend`` selects the storage format (``"json"``, ``"sharded"`` or
+        a :class:`~repro.index.backends.StorageBackend` instance); by default
+        it is inferred from the path.
+        ``incremental=True`` lets the sharded backend rewrite only the
+        shards touched since the last save or load;
         ``shard_count`` sizes a newly created sharded directory.
         ``durable=True`` writes a sharded directory with a write-ahead-log
         anchor (see ``docs/durability.md``), ready for ``repro serve --wal``.
@@ -238,7 +237,7 @@ class RetrievalSystem:
             ValueError: on an unknown backend name, or ``durable=True`` with
                 a non-sharded backend.
             repro.index.storage.StorageError: if the target exists in an
-                incompatible format.
+                incompatible format (a SQLite file is left untouched).
         """
         return save_database_to(
             self._engine.database,

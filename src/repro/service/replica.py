@@ -292,7 +292,6 @@ class ReplicaService(RetrievalService):
             workers=workers,
             backlog=backlog,
             database_path=replica.path,
-            backend=None,
             retry_after=retry_after,
             durable=False,
             compact_threshold=compact_threshold,

@@ -36,8 +36,8 @@ Every request thread runs against one shared
 readers-writer lock (:mod:`repro.service.rwlock`): searches take the shared
 grant and run in parallel against a consistent snapshot; mutations take the
 exclusive grant, refresh the indexes and score cache atomically, then persist
-through the storage backends (``incremental=True``, so a SQLite or sharded
-database rewrites only what changed).
+through the storage backends (``incremental=True``, so a sharded database
+rewrites only what changed, and a JSON file is swapped in whole).
 
 Work admission is bounded: at most ``workers`` requests execute while up to
 ``backlog`` more wait; anything beyond is rejected immediately with ``503``
@@ -171,7 +171,6 @@ class RetrievalService:
         workers: int = 4,
         backlog: int = 16,
         database_path: Union[None, str, Path] = None,
-        backend: Optional[str] = None,
         retry_after: float = 1.0,
         durable: bool = False,
         compact_threshold: int = 256,
@@ -189,7 +188,6 @@ class RetrievalService:
         self.workers = workers
         self.backlog = backlog
         self.database_path = Path(database_path) if database_path is not None else None
-        self.backend = backend
         #: ``repro serve --shard-workers N``: every search scatter-gathers
         #: across N forked shard workers (:mod:`repro.index.workers`) instead
         #: of scoring on the request thread.  Rankings stay byte-identical.
@@ -431,7 +429,7 @@ class RetrievalService:
         if self.database_path is None or self.store is not None:
             return
         try:
-            self.system.save(self.database_path, backend=self.backend, incremental=True)
+            self.system.save(self.database_path, incremental=True)
         except (StorageError, ValueError) as error:
             raise ApiError(500, f"persistence failed: {error}") from error
 
@@ -594,7 +592,6 @@ class RetrievalService:
                     replacement = RetrievalSystem.from_file(
                         self.database_path,
                         policy=self.system.policy,
-                        backend=self.backend,
                         execution=self.system.execution,
                         durable=self.store is not None,
                         minimum_signature_overlap=self.system.minimum_signature_overlap,
@@ -879,7 +876,6 @@ def create_server(
     workers: int = 4,
     backlog: int = 16,
     database_path: Union[None, str, Path] = None,
-    backend: Optional[str] = None,
     durable: bool = False,
     compact_threshold: int = 256,
     shard_workers: Optional[int] = None,
@@ -888,8 +884,8 @@ def create_server(
 
     ``port=0`` binds an ephemeral port (read it back from ``server.port``).
     ``database_path`` enables write-through persistence: every mutation
-    endpoint saves incrementally to that path with ``backend`` (``None``
-    infers the format from the path, exactly like :meth:`RetrievalSystem.save`).
+    endpoint saves incrementally to that path, in the format the path holds
+    (as :meth:`RetrievalSystem.save` infers it).
     ``durable=True`` (the ``repro serve --wal`` path) switches persistence to
     the write-ahead log instead: mutations are acknowledged only after their
     log record is fsync'd, and a background thread compacts the log into the
@@ -913,7 +909,6 @@ def create_server(
         workers=workers,
         backlog=backlog,
         database_path=database_path,
-        backend=backend,
         durable=durable,
         compact_threshold=compact_threshold,
         shard_workers=shard_workers,

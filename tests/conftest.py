@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
 from repro.core.construct import encode_picture
@@ -97,3 +99,15 @@ def two_object_picture():
         ],
         name="two-objects",
     )
+
+
+@pytest.fixture
+def sqlite_file(tmp_path):
+    """A SQLite database file, as earlier releases stored one, built with the stdlib."""
+    path = tmp_path / "old.sqlite"
+    connection = sqlite3.connect(str(path))
+    with connection:
+        connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        connection.execute("INSERT INTO meta (key, value) VALUES ('schema_version', '1')")
+    connection.close()
+    return path

@@ -8,10 +8,10 @@ existed must still load, and every corruption mode must surface as a
 """
 
 import copy
+import errno
 import json
 import os
 import re
-import sqlite3
 import struct
 import zlib
 from pathlib import Path
@@ -22,7 +22,6 @@ from repro.index.backends import (
     MANIFEST_NAME,
     DurableShardedStore,
     JsonBackend,
-    SqliteBackend,
     describe_database,
     get_backend,
     infer_backend,
@@ -39,7 +38,6 @@ from repro.retrieval.system import RetrievalSystem
 
 BACKEND_TARGETS = [
     ("json", "db.json"),
-    ("sqlite", "db.sqlite"),
     ("sharded", "db.shards"),
 ]
 
@@ -84,11 +82,6 @@ class TestRoundTripMatrix:
         reloaded = RetrievalSystem.from_file(path)
         assert _rankings(reloaded, scene_collection) == expected
 
-    def test_explicit_backend_on_load(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        restored = load_database_from(path, backend="sqlite")
-        assert restored.image_ids == populated_database.image_ids
-
     def test_v1_json_files_still_load(self, populated_database, tmp_path):
         # Written through the pre-backend v1 API, loaded through every new door.
         path = save_database(populated_database, tmp_path / "legacy.json")
@@ -103,13 +96,13 @@ class TestRoundTripMatrix:
 
     def test_cross_backend_conversion_chain(self, populated_database, tmp_path):
         json_path = save_database_to(populated_database, tmp_path / "a.json", "json")
-        sqlite_path = save_database_to(
-            load_database_from(json_path), tmp_path / "b.sqlite", "sqlite"
-        )
         sharded_path = save_database_to(
-            load_database_from(sqlite_path), tmp_path / "c.shards", "sharded"
+            load_database_from(json_path), tmp_path / "b.shards", "sharded"
         )
-        final = load_database_from(sharded_path)
+        final_path = save_database_to(
+            load_database_from(sharded_path), tmp_path / "c.json", "json"
+        )
+        final = load_database_from(final_path)
         assert final.image_ids == populated_database.image_ids
         for image_id in final.image_ids:
             assert final.get(image_id).bestring == populated_database.get(image_id).bestring
@@ -121,24 +114,31 @@ class TestRoundTripMatrix:
 class TestInference:
     def test_fresh_paths_go_by_suffix(self, tmp_path):
         assert infer_backend(tmp_path / "x.json").name == "json"
-        assert infer_backend(tmp_path / "x.sqlite").name == "sqlite"
-        assert infer_backend(tmp_path / "x.db").name == "sqlite"
         assert infer_backend(tmp_path / "x.shards").name == "sharded"
         assert infer_backend(tmp_path / "bare-directory").name == "sharded"
         assert infer_backend(tmp_path / "x.whatever").name == "json"
+        # The suffixes that once meant SQLite are now like any other.
+        assert infer_backend(tmp_path / "x.sqlite").name == "json"
+        assert infer_backend(tmp_path / "x.db").name == "json"
 
     def test_existing_files_go_by_content(self, populated_database, tmp_path):
-        # Deliberately misleading suffixes: content sniffing must win.
-        sqlite_path = save_database_to(populated_database, tmp_path / "lies.json", "sqlite")
-        assert infer_backend(sqlite_path).name == "sqlite"
-        json_path = save_database_to(populated_database, tmp_path / "lies.sqlite", "json")
+        # Deliberately misleading suffixes: a file is JSON, a directory sharded.
+        json_path = save_database_to(populated_database, tmp_path / "lies.shards", "json")
         assert infer_backend(json_path).name == "json"
-        sharded_path = save_database_to(populated_database, tmp_path / "dir", "sharded")
+        sharded_path = save_database_to(populated_database, tmp_path / "lies.json", "sharded")
         assert infer_backend(sharded_path).name == "sharded"
+        assert load_database_from(sharded_path).image_ids == populated_database.image_ids
 
     def test_unknown_backend_name(self, tmp_path):
         with pytest.raises(ValueError, match="unknown storage backend"):
             get_backend("parquet", tmp_path / "x")
+
+    def test_sqlite_is_no_longer_a_backend_name(self, populated_database, tmp_path):
+        with pytest.raises(ValueError, match="'sqlite'.*'json', 'sharded'"):
+            get_backend("sqlite", tmp_path / "x")
+        with pytest.raises(ValueError, match="'sqlite'.*'json', 'sharded'"):
+            save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
+        assert not (tmp_path / "db.sqlite").exists()
 
     def test_shard_count_threads_through(self, populated_database, tmp_path):
         path = save_database_to(
@@ -180,30 +180,6 @@ class TestCorruption:
         with pytest.raises(StorageError, match="manifest"):
             load_database_from(target)
 
-    def test_truncated_sqlite_file(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(StorageError, match=str(path)):
-            load_database_from(path, backend="sqlite")
-
-    def test_bad_sqlite_schema_version(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        with sqlite3.connect(str(path)) as connection:
-            connection.execute("UPDATE meta SET value = '42' WHERE key = 'schema_version'")
-        with pytest.raises(StorageError, match="schema version"):
-            load_database_from(path)
-
-    def test_sqlite_row_with_invalid_json(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        with sqlite3.connect(str(path)) as connection:
-            connection.execute(
-                "UPDATE images SET picture = '{broken' WHERE image_id = "
-                "(SELECT image_id FROM images ORDER BY image_id LIMIT 1)"
-            )
-        with pytest.raises(StorageError, match="invalid JSON"):
-            load_database_from(path)
-
     def test_tampered_bestring_detected_in_shard(self, populated_database, tmp_path):
         # Rewrite one shard with a mismatched BE-string: validation must fire.
         path = save_database_to(populated_database, tmp_path / "db.shards", "sharded")
@@ -233,9 +209,9 @@ class TestCorruption:
             RetrievalSystem.from_file(path)
 
 
-#: Every layout a stored entry can be read from: the three backends and the
+#: Every layout a stored entry can be read from: the two backends and the
 #: durable directory's write-ahead log.
-LOAD_LAYOUTS = ["json", "sqlite", "sharded", "wal"]
+LOAD_LAYOUTS = ["json", "sharded", "wal"]
 
 
 def _rewrite_stored_entry(monkeypatch, image_id, rewrite):
@@ -390,8 +366,8 @@ class TestStoredPictureChecks:
         ):
             load_database_from(path)
 
-    # SQLite's TEXT column stores any id as text, and a logged upsert's id
-    # comes from its log record, so only these layouts can hold such an id.
+    # A logged upsert's id comes from its log record, so only these layouts
+    # can hold such an id.
     @pytest.mark.parametrize("image_id", [5, ""])
     @pytest.mark.parametrize("layout", ["json", "sharded"])
     def test_image_id_that_is_not_a_non_empty_string_is_rejected_naming_the_path(
@@ -447,6 +423,65 @@ class TestStoredPictureChecks:
             assert record.bestring == expected.bestring
 
 
+def _with_images(rewrite):
+    """A JSON document rewrite that stores ``rewrite(images)`` as its ``images``."""
+    return lambda document: dict(document, images=rewrite(document["images"]))
+
+
+#: Stored documents every loader must refuse, each with the phrase of its
+#: error.  A ``json`` rewrite maps the decoded document to the one stored; a
+#: ``sharded`` rewrite maps the entries of the only shard file to the records
+#: stored in it.
+DOCUMENT_CORRUPTIONS = {
+    "list-document": {
+        "json": (lambda document: [1, 2], "bad structure"),
+        "sharded": (lambda entries: entries + [[1, 2]], "corrupt record: not an object"),
+    },
+    "string-document": {
+        "json": (lambda document: "text", "bad structure"),
+        "sharded": (lambda entries: entries + ["text"], "corrupt record: not an object"),
+    },
+    "null-images": {"json": (_with_images(lambda images: None), "bad structure")},
+    "number-images": {"json": (_with_images(lambda images: 5), "bad structure")},
+    "duplicate-id": {
+        "json": (_with_images(lambda images: images + images[:1]), "stored twice"),
+        "sharded": (lambda entries: entries + entries[:1], "stored twice"),
+    },
+}
+
+
+def _save_rewritten_document(database, tmp_path, layout, rewrite):
+    """Save ``database`` in ``layout`` with its stored document rewritten."""
+    if layout == "json":
+        path = save_database_to(database, tmp_path / "db.json", "json")
+        path.write_text(json.dumps(rewrite(json.loads(path.read_text()))))
+        return path
+    path = save_database_to(database, tmp_path / "db.shards", "sharded", shard_count=1)
+    entries = [storage.image_record_to_json(record) for record in database]
+    _write_shard_entries(path / "shard-0000.bin", rewrite(entries))
+    return path
+
+
+class TestStoredDocumentChecks:
+    """A document of the wrong shape fails the load as a StorageError naming the path."""
+
+    @pytest.mark.parametrize(
+        "layout, corruption",
+        [
+            (layout, corruption)
+            for corruption, rewrites in sorted(DOCUMENT_CORRUPTIONS.items())
+            for layout in rewrites
+        ],
+    )
+    def test_malformed_document_is_refused_naming_the_path(
+        self, populated_database, tmp_path, layout, corruption
+    ):
+        rewrite, phrase = DOCUMENT_CORRUPTIONS[corruption][layout]
+        path = _save_rewritten_document(populated_database, tmp_path, layout, rewrite)
+        with pytest.raises(StorageError, match=re.escape(str(path)) + ".*" + phrase):
+            load_database_from(path)
+
+
 # ----------------------------------------------------------------------
 # Dirty tracking and incremental saves
 # ----------------------------------------------------------------------
@@ -472,7 +507,7 @@ class TestDirtyTracking:
 
     def test_from_file_leaves_system_clean(self, scene_collection, tmp_path):
         system = RetrievalSystem.from_pictures(scene_collection)
-        path = system.save(tmp_path / "db.sqlite", backend="sqlite")
+        path = system.save(tmp_path / "db.json")
         reloaded = RetrievalSystem.from_file(path)
         assert reloaded._engine.database.dirty_ids == frozenset()
 
@@ -547,28 +582,6 @@ class TestIncrementalSharded:
         assert incremental_files == full_files
 
 
-class TestIncrementalSqlite:
-    def test_upsert_and_delete(self, populated_database, tmp_path, office):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        victim = populated_database.image_ids[0]
-        populated_database.remove_picture(victim)
-        populated_database.add_picture(office.renamed("fresh-office"))
-        save_database_to(populated_database, path, "sqlite", incremental=True)
-        restored = load_database_from(path)
-        assert restored.image_ids == populated_database.image_ids
-        assert victim not in restored
-
-    def test_incremental_matches_eager_reload(self, populated_database, tmp_path):
-        from repro.geometry.rectangle import Rectangle
-
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
-        target = populated_database.image_ids[-1]
-        populated_database.add_object(target, "edit-box", Rectangle(1, 1, 4, 4))
-        save_database_to(populated_database, path, "sqlite", incremental=True)
-        restored = load_database_from(path)
-        assert restored.get(target).bestring == populated_database.get(target).bestring
-
-
 # ----------------------------------------------------------------------
 # RetrievalSystem integration
 # ----------------------------------------------------------------------
@@ -605,27 +618,70 @@ class TestIncompatibleTargets:
         with pytest.raises(StorageError, match="is a directory"):
             save_database_to(populated_database, target, "json")
 
-    def test_sqlite_save_onto_directory(self, populated_database, tmp_path):
-        target = tmp_path / "a-directory"
-        target.mkdir()
-        with pytest.raises(StorageError, match="is a directory"):
-            save_database_to(populated_database, target, "sqlite")
-
-    def test_sqlite_describe_on_directory(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.shards", "sharded")
-        with pytest.raises(StorageError):
-            SqliteBackend().describe(path)
-
-    def test_sqlite_load_on_directory(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.shards", "sharded")
-        with pytest.raises(StorageError):
-            load_database_from(path, backend="sqlite")
-
     def test_json_describe_with_non_list_images(self, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"schema_version": 1, "images": 5}))
         with pytest.raises(StorageError, match="bad structure"):
-            describe_database(path, backend="json")
+            describe_database(path)
+
+
+class TestAtomicJsonSave:
+    def test_a_failed_write_leaves_the_previous_database(
+        self, populated_database, tmp_path, monkeypatch, office
+    ):
+        # Regression: the file was rewritten in place, so a write that
+        # failed part-way left a document no load could read.
+        path = save_database_to(populated_database, tmp_path / "db.json")
+        stored = len(populated_database)
+        populated_database.add_picture(office.renamed("never-stored"))
+
+        def full_disk_dump(payload, handle, **options):
+            handle.write(json.dumps(payload, **options)[:200])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(json, "dump", full_disk_dump)
+        with pytest.raises(StorageError, match=re.escape(str(path)) + " cannot be written"):
+            save_database_to(populated_database, path)
+        monkeypatch.undo()
+        assert len(load_database_from(path)) == stored
+        assert sorted(tmp_path.iterdir()) == [path]
+
+
+class TestSqliteFilesAreRefused:
+    """A SQLite file from an earlier release is refused on every door, untouched."""
+
+    @staticmethod
+    def _refusal(path):
+        return re.escape(str(path)) + " is a SQLite database.*repro convert db.sqlite db.json"
+
+    def test_loads_and_describes_are_refused(self, sqlite_file):
+        with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
+            RetrievalSystem.from_file(sqlite_file)
+        with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
+            describe_database(sqlite_file)
+
+    def test_a_misleading_suffix_does_not_hide_one(self, sqlite_file):
+        path = sqlite_file.rename(sqlite_file.with_name("looks-like.json"))
+        with pytest.raises(StorageError, match=self._refusal(path)):
+            load_database_from(path)
+
+    @pytest.mark.parametrize("backend", [None, "json"])
+    def test_a_save_onto_one_is_refused_and_leaves_it_untouched(
+        self, scene_collection, sqlite_file, backend
+    ):
+        before = sqlite_file.read_bytes()
+        system = RetrievalSystem.from_pictures(scene_collection)
+        with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
+            system.save(sqlite_file, backend=backend)
+        assert sqlite_file.read_bytes() == before
+        assert sorted(sqlite_file.parent.iterdir()) == [sqlite_file]
+
+    def test_a_fresh_sqlite_named_target_is_written_as_json(
+        self, populated_database, tmp_path
+    ):
+        path = save_database_to(populated_database, tmp_path / "fresh.sqlite")
+        assert describe_database(path)["format"] == "json"
+        assert load_database_from(path).image_ids == populated_database.image_ids
 
 
 # ----------------------------------------------------------------------
@@ -657,10 +713,10 @@ class TestSignaturePersistence:
         from repro.geometry.rectangle import Rectangle
         from repro.index.shortlist import signature_for
 
-        path = save_database_to(populated_database, tmp_path / "incr.sqlite", "sqlite")
+        path = save_database_to(populated_database, tmp_path / "incr.shards", "sharded")
         image_id = populated_database.image_ids[0]
         populated_database.add_object(image_id, "fresh-box", Rectangle(1, 1, 3, 3))
-        save_database_to(populated_database, path, "sqlite", incremental=True)
+        save_database_to(populated_database, path, "sharded", incremental=True)
         system = RetrievalSystem.from_file(path)
         signature = system._engine.database.get(image_id).signature
         assert signature is not None
@@ -684,7 +740,7 @@ class TestSignaturePersistence:
         office = populated_database.get("office-000").picture
         assert system.query(office).min_score(0.5).execute()
 
-    @pytest.mark.parametrize("layout", ["json", "shard", "wal", "legacy-sqlite"])
+    @pytest.mark.parametrize("layout", ["json", "shard", "wal"])
     def test_stored_signature_never_prunes_a_ranked_image(
         self, populated_database, tmp_path, layout
     ):
@@ -818,32 +874,9 @@ def _save_with_stored_signatures(database, tmp_path, layout, target):
                 [_signed_entry(database.get(image_id), target) for image_id in shard["images"]],
             )
         return path
-    if layout == "wal":
-        path = save_database_to(database, tmp_path / "db.shards", "sharded", durable=True)
-        with DurableShardedStore(database, path) as store:
-            store.wal.append("upsert", target, _signed_entry(database.get(target), target))
-        return path
-    path = tmp_path / "legacy.sqlite"
-    connection = sqlite3.connect(str(path))
-    with connection:
-        connection.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
-        connection.execute(
-            "CREATE TABLE images (image_id TEXT PRIMARY KEY, "
-            "picture TEXT NOT NULL, bestring TEXT NOT NULL, signature TEXT)"
-        )
-        connection.execute("INSERT INTO meta (key, value) VALUES ('schema_version', '1')")
-        for record in database:
-            entry = _signed_entry(record, target)
-            connection.execute(
-                "INSERT INTO images (image_id, picture, bestring, signature) "
-                "VALUES (?, ?, ?, ?)",
-                (record.image_id,)
-                + tuple(
-                    json.dumps(entry[key], sort_keys=True)
-                    for key in ("picture", "bestring", "signature")
-                ),
-            )
-    connection.close()
+    path = save_database_to(database, tmp_path / "db.shards", "sharded", durable=True)
+    with DurableShardedStore(database, path) as store:
+        store.wal.append("upsert", target, _signed_entry(database.get(target), target))
     return path
 
 # ----------------------------------------------------------------------
@@ -968,7 +1001,7 @@ class TestDurableBackend:
             )
 
     def test_durable_load_requires_sharded_database(self, populated_database, tmp_path):
-        path = save_database_to(populated_database, tmp_path / "db.sqlite", "sqlite")
+        path = save_database_to(populated_database, tmp_path / "db.json", "json")
         with pytest.raises(ValueError, match="sharded"):
             load_database_from(path, durable=True)
 

@@ -1,8 +1,8 @@
 """Databases written by a release that persisted shortlist signatures still work.
 
 The fixtures under ``tests/fixtures/persisted-signatures/`` (built by its
-``generate.py``) carry a ``signature`` payload in every JSON entry, SQLite
-row, shard blob and logged upsert, plus the manifest's ``signatures`` flag.
+``generate.py``) carry a ``signature`` payload in every JSON entry, shard
+blob and logged upsert, plus the manifest's ``signatures`` flag.
 Current code ignores all of them and derives signatures from the validated
 BE-strings, so each fixture must rank exactly like a system built from the
 same scenes in memory, and must accept the writes a live system makes.
@@ -40,7 +40,6 @@ QUERIES = [
 
 FIXTURE_SCENES = [
     ("demo.json", DEMO_SCENES),
-    ("demo.sqlite", DEMO_SCENES),
     ("demo.shards", DURABLE_SCENES),
 ]
 
@@ -79,18 +78,6 @@ def test_fixture_ranks_like_the_same_scenes_in_memory(name, scenes):
         scene.name for scene in scenes
     )
     assert _rankings(system) == _rankings(RetrievalSystem.from_pictures(scenes))
-
-
-def test_incremental_save_into_the_sqlite_fixture(tmp_path):
-    path = _copy("demo.sqlite", tmp_path)
-    system = RetrievalSystem.from_file(path)
-    system.add_picture(office_scene(3))
-    system.remove_picture("traffic-001")
-    system.save(path, incremental=True)
-    scenes = [scene for scene in DEMO_SCENES if scene.name != "traffic-001"]
-    scenes.append(office_scene(3))
-    expected = _rankings(RetrievalSystem.from_pictures(scenes))
-    assert _rankings(RetrievalSystem.from_file(path)) == expected
 
 
 def test_compaction_of_the_durable_fixture(tmp_path):

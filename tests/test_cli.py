@@ -405,15 +405,6 @@ class TestRelationsShowDemo:
 
 
 class TestConvertInfoAndFormats:
-    def test_convert_json_to_sqlite_and_back(self, database_file, tmp_path, capsys):
-        sqlite_path = tmp_path / "db.sqlite"
-        assert main(["convert", str(database_file), str(sqlite_path)]) == 0
-        assert "converted 3 images to sqlite" in capsys.readouterr().out
-        roundtrip = tmp_path / "back.json"
-        assert main(["convert", str(sqlite_path), str(roundtrip)]) == 0
-        payload = json.loads(roundtrip.read_text())
-        assert len(payload["images"]) == 3
-
     def test_convert_explicit_target_format(self, database_file, tmp_path, capsys):
         # Destination suffix says JSON, --to overrides it to sharded.
         target = tmp_path / "still-a-directory.json"
@@ -448,7 +439,7 @@ class TestConvertInfoAndFormats:
 
     def test_search_works_on_every_format(self, database_file, scene_files, tmp_path, capsys):
         office_path = next(path for name, path in scene_files.items() if "office" in name)
-        for suffix in ("db.sqlite", "db.shards"):
+        for suffix in ("copy.json", "db.shards"):
             target = tmp_path / suffix
             assert main(["convert", str(database_file), str(target)]) == 0
             capsys.readouterr()
@@ -456,18 +447,77 @@ class TestConvertInfoAndFormats:
             assert "office-000" in capsys.readouterr().out.splitlines()[0]
 
     def test_build_with_format_flag(self, scene_files, tmp_path, capsys):
-        target = tmp_path / "built.sqlite"
+        # The target's suffix says JSON, --format overrides it to sharded.
+        target = tmp_path / "built.json"
         scene_arguments = [str(path) for path in scene_files.values()]
-        assert main(["build", str(target), "--format", "sqlite"] + scene_arguments) == 0
+        assert main(["build", str(target), "--format", "sharded"] + scene_arguments) == 0
         capsys.readouterr()
         assert main(["info", str(target)]) == 0
-        assert "format: sqlite" in capsys.readouterr().out
+        assert "format: sharded" in capsys.readouterr().out
 
     def test_demo_sharded_format(self, tmp_path, capsys):
         target = tmp_path / "demo.shards"
         assert main(["demo", "--output", str(target), "--format", "sharded"]) == 0
         assert (target / "manifest.json").exists()
         assert "office-000" in capsys.readouterr().out
+
+
+class TestRefusedDatabases:
+    """A database the CLI cannot read exits 2 naming the path, never with a traceback."""
+
+    @pytest.mark.parametrize("command", ["info", "search", "convert"])
+    def test_a_sqlite_file_is_refused_with_how_to_convert_it(
+        self, sqlite_file, scene_files, tmp_path, command, capsys
+    ):
+        before = sqlite_file.read_bytes()
+        extra = {
+            "info": [],
+            "search": [str(next(iter(scene_files.values())))],
+            "convert": [str(tmp_path / "out.json")],
+        }[command]
+        assert main([command, str(sqlite_file), *extra]) == 2
+        error = capsys.readouterr().err
+        assert f"{sqlite_file} is a SQLite database" in error
+        assert "repro convert db.sqlite db.json" in error
+        assert sqlite_file.read_bytes() == before
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize(
+        "document",
+        [[1, 2], {"schema_version": 1, "images": None}, "duplicate-id"],
+        ids=["list", "null-images", "duplicate-id"],
+    )
+    @pytest.mark.parametrize("command", ["search", "show", "convert"])
+    def test_a_malformed_document_exits_2_naming_the_path(
+        self, database_file, scene_files, tmp_path, command, document, capsys
+    ):
+        if document == "duplicate-id":
+            document = json.loads(database_file.read_text())
+            document["images"].append(document["images"][0])
+        database_file.write_text(json.dumps(document))
+        extra = {
+            "search": [str(next(iter(scene_files.values())))],
+            "show": ["office-000"],
+            "convert": [str(tmp_path / "out.shards")],
+        }[command]
+        assert main([command, str(database_file), *extra]) == 2
+        assert f"malformed database {database_file}: " in capsys.readouterr().err
+
+    def test_read_commands_take_no_format_and_sqlite_is_no_format(
+        self, database_file, scene_files, tmp_path, capsys
+    ):
+        query = str(next(iter(scene_files.values())))
+        for argv in (
+            ["search", str(database_file), query, "--format", "json"],
+            ["info", str(database_file), "--format", "json"],
+            ["build", str(tmp_path / "db.sqlite"), query, "--format", "sqlite"],
+            ["convert", str(database_file), str(tmp_path / "db.sqlite"), "--to", "sqlite"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "db.sqlite").exists()
 
 
 class TestServeAndPing:
@@ -598,7 +648,7 @@ class TestCliWarmStart:
     def test_cli_loads_systems_through_the_warm_start_path(self, database_file, tmp_path):
         # Regression: _load_system used to re-add pictures one by one, so
         # every image came back dirty.
-        converted = tmp_path / "converted.sqlite"
+        converted = tmp_path / "converted.shards"
         assert main(["convert", str(database_file), str(converted)]) == 0
 
         from repro.cli import _load_system

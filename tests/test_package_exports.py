@@ -113,26 +113,26 @@ class TestOptionalNumpy:
         assert all("repro-2d-bestring[raster]" in message for message in output)
 
 
-class TestSqliteOnlyWhenOpened:
-    """``sqlite3`` is imported only by the SQLite backend's own methods."""
+class TestNoSqlite:
+    """No import and no load brings in ``sqlite3``, not even refusing a SQLite file."""
 
-    def test_json_and_sharded_loads_leave_sqlite_out_and_a_sqlite_load_brings_it_in(
-        self, tmp_path
-    ):
+    def test_no_import_or_load_brings_in_sqlite3(self, tmp_path, sqlite_file):
         system = repro.RetrievalSystem.from_pictures(
             [repro.SymbolicPicture.build(10, 10, [("a", repro.Rectangle(1, 1, 2, 2))], "p")]
         )
-        paths = [system.save(tmp_path / name) for name in ("db.json", "db.shards", "db.sqlite")]
+        paths = [system.save(tmp_path / name) for name in ("db.json", "db.shards")]
         output = _run_fresh_interpreter(
             "import sys\n"
             "import repro, repro.service.server, repro.cli\n"
             "from repro import RetrievalSystem\n"
-            f"json_path, sharded_path, sqlite_path = {[str(path) for path in paths]!r}\n"
+            "from repro.index.storage import StorageError\n"
+            f"json_path, sharded_path = {[str(path) for path in paths]!r}\n"
             "RetrievalSystem.from_file(json_path)\n"
             "RetrievalSystem.from_file(sharded_path)\n"
-            "print('sqlite3' in sys.modules)\n"
-            "print(RetrievalSystem.from_file(sqlite_path).image_ids)\n"
+            "try:\n"
+            f"    RetrievalSystem.from_file({str(sqlite_file)!r})\n"
+            "except StorageError:\n"
+            "    print('refused')\n"
             "print('sqlite3' in sys.modules)\n"
         )
-        assert output == ["False", "['p']", "True"]
-
+        assert output == ["refused", "False"]
