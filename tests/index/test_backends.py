@@ -665,6 +665,28 @@ class TestSqliteFilesAreRefused:
         with pytest.raises(StorageError, match=self._refusal(path)):
             load_database_from(path)
 
+    def test_a_damaged_one_is_refused_by_its_header(self, sqlite_file):
+        # Only the header is read, so a truncated file gets the same advice
+        # rather than a JSON decoding error.
+        sqlite_file.write_bytes(sqlite_file.read_bytes()[:100])
+        with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
+            load_database_from(sqlite_file)
+        with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
+            describe_database(sqlite_file)
+
+    def test_a_file_shorter_than_the_header_is_read_as_json(self, tmp_path):
+        path = tmp_path / "short.json"
+        path.write_bytes(b"SQLite format")
+        with pytest.raises(StorageError, match=re.escape(str(path))) as excinfo:
+            load_database_from(path)
+        assert "SQLite database" not in str(excinfo.value)
+
+    def test_a_durable_load_is_refused_as_sqlite(self, sqlite_file):
+        # The refusal comes before the durable check's "requires a sharded
+        # database" error, so the message still says how to convert.
+        with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
+            load_database_from(sqlite_file, durable=True)
+
     @pytest.mark.parametrize("backend", [None, "json"])
     def test_a_save_onto_one_is_refused_and_leaves_it_untouched(
         self, scene_collection, sqlite_file, backend
@@ -673,6 +695,15 @@ class TestSqliteFilesAreRefused:
         system = RetrievalSystem.from_pictures(scene_collection)
         with pytest.raises(StorageError, match=self._refusal(sqlite_file)):
             system.save(sqlite_file, backend=backend)
+        assert sqlite_file.read_bytes() == before
+        assert sorted(sqlite_file.parent.iterdir()) == [sqlite_file]
+
+    def test_a_sharded_save_onto_one_is_refused_and_leaves_it_untouched(
+        self, populated_database, sqlite_file
+    ):
+        before = sqlite_file.read_bytes()
+        with pytest.raises(StorageError, match="is a file, not a shard directory"):
+            save_database_to(populated_database, sqlite_file, "sharded")
         assert sqlite_file.read_bytes() == before
         assert sorted(sqlite_file.parent.iterdir()) == [sqlite_file]
 

@@ -80,6 +80,20 @@ def test_fixture_ranks_like_the_same_scenes_in_memory(name, scenes):
     assert _rankings(system) == _rankings(RetrievalSystem.from_pictures(scenes))
 
 
+def test_save_into_the_json_fixture(tmp_path):
+    path = _copy("demo.json", tmp_path)
+    system = RetrievalSystem.from_file(path)
+    system.add_picture(office_scene(3))
+    system.remove_picture("traffic-001")
+    system.save(path, incremental=True)
+    assert not any("signature" in entry for entry in json.loads(path.read_text())["images"])
+    assert sorted(tmp_path.iterdir()) == [path]
+    scenes = [scene for scene in DEMO_SCENES if scene.name != "traffic-001"]
+    scenes.append(office_scene(3))
+    expected = _rankings(RetrievalSystem.from_pictures(scenes))
+    assert _rankings(RetrievalSystem.from_file(path)) == expected
+
+
 def test_compaction_of_the_durable_fixture(tmp_path):
     path = _copy("demo.shards", tmp_path)
     database = load_database_from(path, durable=True)

@@ -465,15 +465,27 @@ class TestConvertInfoAndFormats:
 class TestRefusedDatabases:
     """A database the CLI cannot read exits 2 naming the path, never with a traceback."""
 
-    @pytest.mark.parametrize("command", ["info", "search", "convert"])
+    @pytest.mark.parametrize(
+        "command",
+        ["info", "search", "convert", "explain", "batch-search", "relations", "show", "serve"],
+    )
     def test_a_sqlite_file_is_refused_with_how_to_convert_it(
         self, sqlite_file, scene_files, tmp_path, command, capsys
     ):
         before = sqlite_file.read_bytes()
+        scene = next(iter(scene_files.values()))
+        query = str(scene)
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps(json.loads(scene.read_text(encoding="utf-8"))))
         extra = {
             "info": [],
-            "search": [str(next(iter(scene_files.values())))],
+            "search": [query],
             "convert": [str(tmp_path / "out.json")],
+            "explain": [query],
+            "batch-search": [str(queries)],
+            "relations": ["desk left-of chair"],
+            "show": ["office-000"],
+            "serve": ["--port", "0", "--check"],
         }[command]
         assert main([command, str(sqlite_file), *extra]) == 2
         error = capsys.readouterr().err
