@@ -2,11 +2,12 @@
 
 PR 9 added ``executor="shard_process"`` (``docs/parallelism.md``): a pool of
 forked worker processes, each owning a disjoint slice of the CRC-32 shard
-space with its own engine, shortlist and score cache.  A query is serialised
-to every worker, scored locally over the worker's shard slice, and the
-partial rankings are merged under the engine's exact ``(-score, image_id)``
-tie-break — so the scatter-gather ranking must be **byte-identical** to the
-serial one, worker count notwithstanding.
+space and answering from the engine it inherits, with its own score cache.
+A query is serialised to every worker, scored locally over the worker's
+shard slice, the workers' ranking keys are merged under the engine's exact
+``(-score, image_id)`` tie-break, and the parent materialises the top k —
+so the scatter-gather ranking must be **byte-identical** to the serial one,
+worker count notwithstanding.
 
 This experiment measures, at 2k and 10k synthetic 16-object images
 (smoke: 60/120):

@@ -19,13 +19,25 @@ what the retrieval layer uses since database strings can be long.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.core.bestring import AxisBEString
-from repro.core.symbols import Symbol
+from repro.core.symbols import DUMMY_TEXT, Symbol
 
 #: The DP table type: ``(m + 1) x (n + 1)`` signed LCS lengths.
 LCSTable = List[List[int]]
+
+
+def _texts(axis: AxisBEString) -> List[str]:
+    """The text of each symbol of ``axis``, the keys both DPs compare.
+
+    Two symbols have equal text exactly when they are equal: a boundary's
+    text is its non-empty identifier followed by ``.b`` or ``.e``, so the
+    last two characters give the kind and the rest the identifier, and no
+    such text is the dummy's ``E``.  Comparing two strings (usually the
+    same interned object) is much cheaper than the dataclass ``__eq__``.
+    """
+    return [symbol.text for symbol in axis.symbols]
 
 
 def be_lcs_table(query: AxisBEString, database: AxisBEString) -> LCSTable:
@@ -33,25 +45,26 @@ def be_lcs_table(query: AxisBEString, database: AxisBEString) -> LCSTable:
 
     ``abs(table[i][j])`` is the length of the longest dummy-suppressed common
     subsequence of ``query[:i]`` and ``database[:j]``; the value is negative
-    exactly when that subsequence ends with the dummy object.
+    exactly when that subsequence ends with the dummy object.  Symbols are
+    compared by their text (:func:`_texts`).
     """
-    q: Sequence[Symbol] = query.symbols
-    d: Sequence[Symbol] = database.symbols
+    q = _texts(query)
+    d = _texts(database)
     m = len(q)
     n = len(d)
     table: LCSTable = [[0] * (n + 1) for _ in range(m + 1)]
     for i in range(1, m + 1):
         row = table[i]
         above = table[i - 1]
-        q_symbol = q[i - 1]
-        q_is_dummy = q_symbol.is_dummy
+        q_text = q[i - 1]
+        q_is_dummy = q_text == DUMMY_TEXT
         for j in range(1, n + 1):
             up = above[j]
             left = row[j - 1]
             # Prefer the left/up predecessor with the larger absolute length;
             # ties go to "up" exactly as in the paper (line 16-19).
             cell = up if abs(up) >= abs(left) else left
-            if q_symbol == d[j - 1] and (not q_is_dummy or above[j - 1] >= 0):
+            if q_text == d[j - 1] and (not q_is_dummy or above[j - 1] >= 0):
                 diagonal = abs(above[j - 1]) + 1
                 if diagonal > abs(cell):
                     cell = -diagonal if q_is_dummy else diagonal
@@ -67,8 +80,8 @@ def be_lcs_length(query: AxisBEString, database: AxisBEString) -> int:
     length-only scoring needs ``O(n)`` memory, not ``O(m * n)``.  Use
     :func:`be_lcs_table` when the traceback is required.
     """
-    q: Sequence[Symbol] = query.symbols
-    d: Sequence[Symbol] = database.symbols
+    q = _texts(query)
+    d = _texts(database)
     m = len(q)
     n = len(d)
     if m == 0 or n == 0:
@@ -76,14 +89,14 @@ def be_lcs_length(query: AxisBEString, database: AxisBEString) -> int:
     above = [0] * (n + 1)
     row = [0] * (n + 1)
     for i in range(1, m + 1):
-        q_symbol = q[i - 1]
-        q_is_dummy = q_symbol.is_dummy
+        q_text = q[i - 1]
+        q_is_dummy = q_text == DUMMY_TEXT
         row[0] = 0
         for j in range(1, n + 1):
             up = above[j]
             left = row[j - 1]
             cell = up if abs(up) >= abs(left) else left
-            if q_symbol == d[j - 1] and (not q_is_dummy or above[j - 1] >= 0):
+            if q_text == d[j - 1] and (not q_is_dummy or above[j - 1] >= 0):
                 diagonal = abs(above[j - 1]) + 1
                 if diagonal > abs(cell):
                     cell = -diagonal if q_is_dummy else diagonal

@@ -58,22 +58,25 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.bestring import AxisBEString
-from repro.core.symbols import Symbol
+from repro.core.symbols import DUMMY_TEXT
 
 __all__ = ["be_lcs_length_bitparallel"]
 
 
-def _match_masks(database: AxisBEString) -> Dict[Symbol, int]:
-    """Bit mask of each symbol's positions in the database string.
+def _match_masks(database: AxisBEString) -> Dict[str, int]:
+    """Bit mask of each symbol's positions in the database string, by text.
 
-    Bit ``j`` of ``masks[symbol]`` is set when ``database.symbols[j] ==
-    symbol``.  Boundary symbols occur at most once per valid axis string, so
-    almost every mask is a single bit; the dummy's mask carries roughly half
-    the positions.
+    Bit ``j`` of ``masks[symbol.text]`` is set when ``database.symbols[j] ==
+    symbol``: two symbols have equal text exactly when they are equal (see
+    :func:`repro.core.lcs.be_lcs_table`), and a string hashes far cheaper
+    than the dataclass.  Boundary symbols occur at most once per valid axis
+    string, so almost every mask is a single bit; the dummy's mask carries
+    roughly half the positions.
     """
-    masks: Dict[Symbol, int] = {}
+    masks: Dict[str, int] = {}
     for position, symbol in enumerate(database.symbols):
-        masks[symbol] = masks.get(symbol, 0) | (1 << position)
+        text = symbol.text
+        masks[text] = masks.get(text, 0) | (1 << position)
     return masks
 
 
@@ -93,12 +96,12 @@ def be_lcs_length_bitparallel(query: AxisBEString, database: AxisBEString) -> in
     masks = _match_masks(database)
     # When either side has no dummy the sign plane can never block a match,
     # and the kernel degenerates to the plain bit-parallel LCS.
-    dummy_mask = next((bits for symbol, bits in masks.items() if symbol.is_dummy), 0)
+    dummy_mask = masks.get(DUMMY_TEXT, 0)
     track_signs = dummy_mask != 0 and any(symbol.is_dummy for symbol in q_symbols)
     V = mask  # bit j: no increment at column j+1 (row 0 is all zeros)
     S = 0  # bit j: table[i][j+1] < 0 (the optimal LCS there ends with a dummy)
     for symbol in q_symbols:
-        M = masks.get(symbol, 0)
+        M = masks.get(symbol.text, 0)
         is_dummy = symbol.is_dummy
         if is_dummy and S:
             # Dummy suppression: a dummy diagonal at column j+1 needs a

@@ -15,7 +15,8 @@ exploits that:
   batches (the engine invalidates it whenever the database changes).
 * **Scatter-gather** -- under ``executor="shard_process"`` the unique
   specs are pipelined through the process-parallel shard workers of
-  :mod:`repro.index.workers` instead.
+  :mod:`repro.index.workers` instead, and each spec's merged top k are
+  materialised here as a serial read's are.
 
 Results are identical -- including tie-break ordering -- to running
 :meth:`QueryEngine.execute_spec` serially per spec; ``tests/index/test_batch.py``
@@ -134,8 +135,10 @@ class BatchQueryEngine:
             unique = [_uncached(spec) for spec in unique]
         with engine.lock.read_locked():
             if sharded and unique:
-                gathered = engine._shard_pool_for(execution).execute_many(unique)
-                outcomes = [engine._fold_gather(outcome) for outcome in gathered]
+                gathers = engine._shard_pool_for(execution).execute_many(unique)
+                outcomes = [
+                    engine._finish_gather(spec, gather) for spec, gather in zip(unique, gathers)
+                ]
                 rankings = [outcome.results for outcome in outcomes]
                 traces = [outcome.trace for outcome in outcomes]
             else:

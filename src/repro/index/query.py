@@ -22,7 +22,11 @@ query -- serial or batched -- never pays the LCS evaluation twice.
 Each query records one :class:`~repro.index.spec.QueryTrace` of shortlist
 admissions, cache hits and predicate pruning for ``explain`` output, and
 :class:`EngineCounters` folds every finished trace -- a scattered query's
-merged gather trace included -- into the cumulative ``/stats`` totals.
+merged gather trace included -- into the cumulative ``/stats`` totals.  A
+scattered query does a serial read's work split across the shard workers
+(:mod:`repro.index.workers`): each runs the candidate loop over its own
+images and returns ranking keys, and this process materialises only the
+merged top k, through the same tail and score cache a serial read uses.
 """
 
 from __future__ import annotations
@@ -31,7 +35,19 @@ import threading
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
@@ -84,7 +100,7 @@ from repro.index.spec import (
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.index.batch import BatchReport
-    from repro.index.workers import ShardWorkerPool
+    from repro.index.workers import Gather, ShardWorkerPool
     from repro.retrieval.predicates import GradedMatch, PredicateMatch
 
     #: One image's evaluation of a predicate clause: crisp or graded.
@@ -220,6 +236,9 @@ class QueryEngine:
     _shard_pool_guard: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
     )
+    #: The ids a shard worker's engine answers for (:meth:`_slice`); ``None``
+    #: answers for every stored image.
+    _owned: Optional[FrozenSet[str]] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------
     # Index maintenance
@@ -259,6 +278,33 @@ class QueryEngine:
         self.inverted_index.update_picture(
             record.image_id, record.picture, signature.label_counts
         )
+
+    def _slice(self, image_ids: FrozenSet[str]) -> "QueryEngine":
+        """An engine that answers for ``image_ids`` only: one shard worker's.
+
+        It shares this engine's database, postings and record signatures,
+        which a forked worker inherits, so it indexes nothing.  It has its
+        own empty score cache, counters and no-op lock: this engine's cache
+        can hold results over the whole corpus.
+        """
+        engine = QueryEngine(
+            database=self.database,
+            minimum_overlap_ratio=self.minimum_overlap_ratio,
+            inverted_index=self.inverted_index,
+            execution=self.execution,
+        )
+        engine._owned = image_ids
+        return engine
+
+    def _image_ids(self) -> List[str]:
+        """Sorted ids of the images this engine answers for."""
+        if self._owned is None:
+            return self.database.image_ids
+        return sorted(self._owned)
+
+    def _database_size(self) -> int:
+        """How many images this engine answers for."""
+        return len(self.database) if self._owned is None else len(self._owned)
 
     def add_picture(self, picture: SymbolicPicture, image_id: Optional[str] = None) -> str:
         """Add a picture to the database and all auxiliary indexes.
@@ -355,14 +401,16 @@ class QueryEngine:
         bounds one twice.
         """
         if not execution.shortlist:
-            return ShortlistOutcome(self.database.image_ids, STAGE_FULL_SCAN)
+            return ShortlistOutcome(self._image_ids(), STAGE_FULL_SCAN)
         picture = spec.effective_picture()
         labels = set(picture.labels)
         if not labels:
-            return ShortlistOutcome(self.database.image_ids, STAGE_FULL_SCAN)
+            return ShortlistOutcome(self._image_ids(), STAGE_FULL_SCAN)
         candidates = self.inverted_index.candidates(
             labels, minimum_shared=spec.minimum_shared_labels
         )
+        if self._owned is not None:
+            candidates &= self._owned
         ordered = sorted(candidates)
         threshold = self.minimum_overlap_ratio
         minimum_score = spec.minimum_score
@@ -520,9 +568,28 @@ class QueryEngine:
     def _rank(
         self, spec: QuerySpec, trace: QueryTrace
     ) -> Tuple[List[RankedResult], Optional[Dict[str, Match]]]:
+        """Rank a similarity spec in this process (callers hold the shared grant).
+
+        The candidate loop (:meth:`_rank_keys`) finds the ranking's
+        survivors, the finished trace is added to :attr:`counters`, and the
+        survivors are materialised (:meth:`_materialise`).
+
+        Returns:
+            The ranking, and the per-image predicate matches of ``spec``
+            (``None`` without a predicate clause).
+        """
+        query_bestring = encode_picture(spec.effective_picture())
+        survivors, confirmed, matches = self._rank_keys(spec, trace, query_bestring)
+        self.counters.record(trace, spec.has_graded_predicates)
+        return self._materialise(spec, query_bestring, survivors, confirmed), matches
+
+    def _rank_keys(
+        self, spec: QuerySpec, trace: QueryTrace, query_bestring: BEString2D
+    ) -> Tuple[List[Tuple[float, str]], Dict[str, CacheEntry], Optional[Dict[str, Match]]]:
         """The candidate loop every similarity clause runs through.
 
-        Callers hold the shared grant.  The predicate clause of ``spec``, if
+        Callers hold the shared grant.  ``query_bestring`` encodes the
+        spec's effective picture.  The predicate clause of ``spec``, if
         any, combines with its similarity:
 
         * without one, every shortlisted candidate has degree 1;
@@ -546,21 +613,21 @@ class QueryEngine:
         stop, and so is a full-scan pass, which has no signatures to bound
         with.
 
-        Misses are scored by the resolved kernel.  Only the final survivors
-        are materialised as full :class:`SimilarityResult` objects
-        (``RankedResult.similarity`` and ``explain`` need them), and that
-        result replaces the survivor's score entry.  The finished trace is
-        added to :attr:`counters`.
+        Misses are scored by the resolved kernel.  Nothing is materialised
+        here: the reference kernel's full results are kept with the
+        confirmed entries, and :meth:`_materialise` makes the survivors'
+        results.
 
         Returns:
-            The ranking, and the per-image predicate matches of ``spec``
+            The ``(-score, image_id)`` keys of the survivors in ranking
+            order, cut to the limit; the entry of every candidate the loop
+            confirmed; and the per-image predicate matches of ``spec``
             (``None`` without a predicate clause).
         """
         limit, minimum_score = spec.limit, spec.minimum_score
         graded = spec.has_graded_predicates
         execution = self.resolve_execution(spec)
         kernel = self._kernel_for(execution, spec.effective_policy())
-        query_bestring = encode_picture(spec.effective_picture())
         outcome = self._shortlist(
             # The shortlist must not reject on the raw similarity bound: the
             # sum composition can rank a low-similarity image above a
@@ -583,7 +650,7 @@ class QueryEngine:
                 return score
             return spec.compose(score, matches[image_id].degree)
 
-        trace.database_size = len(self.database)
+        trace.database_size = self._database_size()
         trace.inverted_candidates = outcome.inverted_candidates
         trace.shortlisted = len(candidates)
         trace.bitmap_pruned = outcome.bitmap_rejected
@@ -672,20 +739,46 @@ class QueryEngine:
                         )
         trace.candidates_examined = len(confirmed)
         trace.bound_skipped = len(skipped)
+        return (ranked if limit is None else ranked[:limit]), confirmed, matches
 
-        survivors = ranked if limit is None else ranked[:limit]
+    def _materialise(
+        self,
+        spec: QuerySpec,
+        query_bestring: BEString2D,
+        survivors: Sequence[Tuple[float, str]],
+        confirmed: Mapping[str, CacheEntry],
+    ) -> List[RankedResult]:
+        """The ranked results of ``survivors``, each with its full result.
+
+        ``survivors`` are ``(-score, image_id)`` keys in ranking order, cut
+        to the spec's limit and minimum score.  Only they are materialised
+        as full :class:`SimilarityResult` objects (``RankedResult.similarity``
+        and ``explain`` need them): a survivor's result comes from
+        ``confirmed``, else from the score cache, else from the reference
+        evaluation, whose result then replaces the survivor's cache entry.
+        Under ``cache=False`` the cache is neither read nor written.  A
+        serial read passes the entries its loop confirmed; a scattered read
+        passes none, so its merged top k are read from this engine's cache.
+        """
+        use_cache = self.resolve_execution(spec).cache
+        cache_key = query_score_key(
+            query_bestring, spec.effective_policy(), spec.transformations
+        )
         scored: List[Tuple[str, SimilarityResult]] = []
         for _, image_id in survivors:
-            result = confirmed[image_id]
+            result = confirmed.get(image_id)
+            if result is None and use_cache:
+                result = self.score_cache.get(cache_key, image_id)
             if not isinstance(result, SimilarityResult):
                 bestring = self.database.get(image_id).bestring
                 result = self._score(query_bestring, bestring, spec)
                 if use_cache:
                     self.score_cache.put(cache_key, image_id, result)
             scored.append((image_id, result))
-        scores = {image_id: -key for key, image_id in survivors} if graded else None
-        self.counters.record(trace, graded)
-        return rank_results(scored, limit, minimum_score, scores=scores), matches
+        scores = None
+        if spec.has_graded_predicates:
+            scores = {image_id: -key for key, image_id in survivors}
+        return rank_results(scored, spec.limit, spec.minimum_score, scores=scores)
 
     def execute_traced(self, spec: QuerySpec) -> Tuple[List[RankedResult], QueryTrace]:
         """Run a similarity-only spec in this process under a shared grant.
@@ -712,7 +805,9 @@ class QueryEngine:
         one cache-first candidate loop (:meth:`_rank`), its predicate clause,
         if any, filtering (crisp) or composing with (graded) the similarity.
         Under ``executor="shard_process"`` the spec is scattered to the shard
-        workers, which run :meth:`_execute_local` on their slices.
+        workers, each of which answers for its own images through
+        :meth:`_execute_keys`, and :meth:`_finish_gather` materialises the
+        merged top k here.
 
         Returns:
             A :class:`~repro.index.spec.SpecOutcome` holding the final
@@ -730,10 +825,11 @@ class QueryEngine:
         with self.lock.read_locked():
             if execution.executor == EXECUTOR_SHARD_PROCESS:
                 # Scatter-gather: the read grant freezes the snapshot the
-                # workers' slices were built from (mutations invalidate the
-                # pool under the write lock, so a pool obtained here is
-                # guaranteed to mirror the current in-memory database).
-                return self._fold_gather(self._shard_pool_for(execution).execute_spec(spec))
+                # workers forked from (mutations invalidate the pool under
+                # the write lock, so a pool obtained here is guaranteed to
+                # mirror the current in-memory database).
+                gather = self._shard_pool_for(execution).execute_spec(spec)
+                return self._finish_gather(spec, gather)
             return self._execute_local(spec)
 
     def _execute_local(self, spec: QuerySpec) -> SpecOutcome:
@@ -746,6 +842,25 @@ class QueryEngine:
         trace = QueryTrace(mode="combined")
         ranked, matches = self._rank(spec, trace)
         return SpecOutcome(spec=spec, results=ranked, trace=trace, predicate_matches=matches)
+
+    def _execute_keys(
+        self, spec: QuerySpec
+    ) -> Tuple[List[Tuple[float, str]], QueryTrace, Optional[Dict[str, Match]]]:
+        """Rank a validated spec in this process and materialise nothing.
+
+        This is what a shard worker answers: the ``(-score, image_id)`` keys
+        of its ranking, cut to the limit (composed scores under a graded
+        clause; satisfaction scores for a predicate-only spec), its trace,
+        and its predicate matches.
+        """
+        if not spec.has_similarity_clause:
+            outcome = self._execute_predicate_spec(spec)
+            keys = [(-match.score, match.image_id) for match in outcome.results]
+            return keys, outcome.trace, outcome.predicate_matches
+        trace = QueryTrace(mode="combined" if spec.has_predicate_clause else "similarity")
+        query_bestring = encode_picture(spec.effective_picture())
+        keys, _, matches = self._rank_keys(spec, trace, query_bestring)
+        return keys, trace, matches
 
     def _evaluate_clause(
         self,
@@ -816,8 +931,8 @@ class QueryEngine:
             def zero(image_id: str) -> Match:
                 return zero_graded_match(tree, image_id)
 
-        trace.database_size = len(self.database)
-        universe = self.database.image_ids if restrict_to is None else restrict_to
+        trace.database_size = self._database_size()
+        universe = self._image_ids() if restrict_to is None else restrict_to
         matches: Dict[str, Match] = {}
         evaluated = 0
         for image_id in universe:
@@ -855,19 +970,33 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Scatter-gather execution over the shard-worker pool
     # ------------------------------------------------------------------
-    def _fold_gather(self, outcome: SpecOutcome) -> SpecOutcome:
-        """Add one merged gather's trace to :attr:`counters` as one query, so
-        ``/stats`` stays truthful under ``executor="shard_process"``."""
-        self.counters.record(outcome.trace, outcome.spec.has_graded_predicates)
-        return outcome
+    def _finish_gather(self, spec: QuerySpec, gather: "Gather") -> SpecOutcome:
+        """The outcome of one scattered spec, made from its merged gather.
+
+        The merged trace is added to :attr:`counters` as one query, so
+        ``/stats`` stays truthful under ``executor="shard_process"``.  A
+        similarity spec's merged top k are materialised by the tail a serial
+        read ends with (:meth:`_materialise`), through this engine's score
+        cache; a predicate-only spec's results are its matches.
+        """
+        self.counters.record(gather.trace, spec.has_graded_predicates)
+        matches = gather.predicate_matches
+        if spec.has_similarity_clause:
+            query_bestring = encode_picture(spec.effective_picture())
+            results = self._materialise(spec, query_bestring, gather.keys, {})
+        else:
+            results = [matches[image_id] for _, image_id in gather.keys]
+        return SpecOutcome(
+            spec=spec, results=results, trace=gather.trace, predicate_matches=matches
+        )
 
     def _shard_pool_for(self, execution: ExecutionOptions) -> "ShardWorkerPool":
         """The live shard-worker pool, (re)built lazily for ``execution``.
 
         The pool is reused across queries while the requested worker count
         is stable; asking for a different count tears the old pool down and
-        forks a fresh one.  Workers warm-start from the records they
-        inherit through the fork.
+        forks a fresh one.  Workers answer from the database, postings and
+        signatures they inherit through the fork.
         """
         from repro.index.workers import ShardWorkerPool
 
@@ -879,12 +1008,7 @@ class QueryEngine:
                 stale, pool = pool, None
                 self._shard_pool = None
             if pool is None:
-                pool = ShardWorkerPool(
-                    workers,
-                    self.database,
-                    execution=self.execution,
-                    minimum_overlap_ratio=self.minimum_overlap_ratio,
-                )
+                pool = ShardWorkerPool(workers, self)
                 self._shard_pool = pool
         if stale is not None:
             self._close_pool_async(stale)

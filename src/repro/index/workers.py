@@ -4,30 +4,35 @@ Everything upstream of this module is GIL-bound: the serial candidate loop
 and the service daemon's request threads both serialize on the Python
 bytecode of the scoring loop, so the shortlist/kernel speedups stop at one
 core.  This module partitions the database along the existing CRC-32 shard scheme
-(:func:`repro.index.backends.shard_index_for`) into worker *processes*:
+(:func:`repro.index.backends.shard_index_for`) into worker *processes*, and a
+scattered read does a serial read's work split across them:
 
 * :class:`ShardWorkerPool` forks N workers, each owning a disjoint,
-  contiguous slice of the shard space.  A worker builds its own
-  :class:`~repro.index.query.QueryEngine` — signature shortlist, inverted
-  index and score cache included — over just its slice, **lazily on the
-  first query it receives**, warm-starting by adopting the fork-inherited
-  in-memory records of its slice: nothing is read from disk or decoded
-  again, so a worker (re)start costs a fork plus an engine build over the
-  slice.
+  contiguous slice of the shard space.  The pool's one walk over the
+  records gives each worker the set of image ids its shards hold.  A worker
+  answers from the engine it inherits through the fork -- database,
+  postings and shortlist signatures as they are -- admitting only its own
+  images (:meth:`QueryEngine._slice <repro.index.query.QueryEngine._slice>`),
+  with its own empty score cache.  It indexes, decodes and reads nothing,
+  so a worker (re)start costs the fork alone.
 * A query is *scattered*: the :class:`~repro.index.spec.QuerySpec` is
-  serialized to every worker, each runs it on its slice through
-  :meth:`QueryEngine._execute_local <repro.index.query.QueryEngine._execute_local>`
-  (never scattering again) under the resolved execution options (kernel,
-  strategy, shortlist, cache), and the per-worker rankings are *gathered*
-  and merged with the exact serial tie-break order ``(-score, image_id)``.
-  Because admission, scoring and predicate evaluation are all per-image
-  decisions, the global top-k is a subset of the union of per-worker top-k
-  lists — the merged ranking is byte-identical to the single-process engine
-  (asserted by the E18 benchmark and the cross-process equivalence suite).
-* Each worker returns its slice's :class:`~repro.index.spec.QueryTrace`;
-  the gather sums them into one trace, which ``explain()`` renders and the
-  parent engine adds to its ``/stats`` counters once.  Workers also return
-  their score-cache statistics for the pool's own ``/stats`` block.
+  serialized to every worker, each runs the candidate loop over its images
+  under the resolved execution options (kernel, strategy, shortlist, cache)
+  and answers with the ``(-score, image_id)`` keys of its top k
+  (:meth:`QueryEngine._execute_keys <repro.index.query.QueryEngine._execute_keys>`),
+  never materialising a result.  The gather merges the keys in that exact
+  serial tie-break order and cuts them to the limit.  Because admission,
+  scoring and predicate evaluation are all per-image decisions, the global
+  top k is a subset of the union of per-worker top-k lists, so the merged
+  keys are the serial ranking's.  The parent then materialises only those
+  k, through the tail and score cache a serial read uses, and the ranking
+  is byte-identical to the single-process engine (asserted by the E18
+  benchmark and the cross-process equivalence suite).
+* Each worker returns its :class:`~repro.index.spec.QueryTrace`, per-candidate
+  entries included; the gather sums them into one trace, which
+  ``explain()`` renders and the parent engine adds to its ``/stats``
+  counters once.  Workers also return their score-cache statistics for the
+  pool's own ``/stats`` block.
 
 A crashed worker is detected by the broken pipe, re-forked over the same
 slice, and the in-flight requests are replayed against the fresh process;
@@ -46,14 +51,15 @@ import multiprocessing
 import threading
 import time
 from multiprocessing.connection import wait as connection_wait
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field as dataclass_field
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.index.backends import DEFAULT_SHARD_COUNT, shard_index_for
 from repro.index.cache import CacheStatistics
-from repro.index.database import ImageDatabase
-from repro.index.execution import ExecutionOptions
-from repro.index.spec import QuerySpec, QueryTrace, SpecOutcome
+from repro.index.spec import QuerySpec, QueryTrace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.index.query import QueryEngine
 
 #: Restarts the pool will attempt per worker within one scatter before
 #: giving up on the gather.
@@ -67,46 +73,16 @@ class ShardWorkerError(RuntimeError):
 # ----------------------------------------------------------------------
 # Worker-process side
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Everything one worker process needs to build its slice engine."""
+def _worker_main(engine: "QueryEngine", connection) -> None:
+    """The worker-process request loop over ``engine``, the worker's slice.
 
-    worker_id: int
-    shard_count: int
-    owned: Tuple[int, ...]
-    #: The parent engine's database (fork-shared, read-only in the child).
-    database: ImageDatabase
-    execution: Optional[ExecutionOptions]
-    minimum_overlap_ratio: float
-
-
-def _build_worker_database(config: _WorkerConfig) -> ImageDatabase:
-    """The worker's slice of the fork-inherited database."""
-    owned = frozenset(config.owned)
-    database = ImageDatabase(name=config.database.name)
-    for record in config.database:
-        if shard_index_for(record.image_id, config.shard_count) in owned:
-            # Adopt the existing record object: BE-string and signature are
-            # already materialised, so the slice costs no re-encoding.
-            database.add_record(record)
-    database.clear_dirty()
-    return database
-
-
-def _worker_main(config: _WorkerConfig, connection) -> None:
-    """The worker-process request loop.
-
-    The engine is built lazily on the first ``spec`` message (the lazy warm
-    start); every response carries the ranking for the worker's slice, the
-    execution trace and the slice's score-cache statistics.  The loop exits
+    Every response carries the worker's ranking keys, its execution trace,
+    its predicate matches and its score-cache statistics.  The loop exits
     on a ``stop`` message or a closed pipe.  The worker runs with the cyclic
     garbage collector on: a fork made while another thread's load had it
     paused inherits the pause but not its end.
     """
-    from repro.index.query import QueryEngine
-
     gc.enable()
-    engine = None
     while True:
         try:
             message = connection.recv()
@@ -119,19 +95,12 @@ def _worker_main(config: _WorkerConfig, connection) -> None:
             continue
         _, request_id, spec = message
         try:
-            if engine is None:
-                engine = QueryEngine.build(
-                    _build_worker_database(config),
-                    minimum_overlap_ratio=config.minimum_overlap_ratio,
-                    execution=config.execution,
-                )
             spec.validate()
-            outcome = engine._execute_local(spec)
+            keys, trace, matches = engine._execute_keys(spec)
             payload = {
-                "results": outcome.results,
-                "predicate_matches": outcome.predicate_matches,
-                "trace": outcome.trace,
-                "images": len(engine.database),
+                "keys": keys,
+                "predicate_matches": matches,
+                "trace": trace,
                 "cache": engine.score_cache.statistics,
             }
             connection.send(("ok", request_id, payload))
@@ -147,25 +116,16 @@ def _worker_main(config: _WorkerConfig, connection) -> None:
 # ----------------------------------------------------------------------
 # Merge (the deterministic gather)
 # ----------------------------------------------------------------------
-def _merge_ranked(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> List[Any]:
-    """Merge per-worker rankings with the exact serial tie-break order.
+@dataclass
+class Gather:
+    """Every worker's answer to one spec, merged; nothing is materialised."""
 
-    Each worker already applied ``minimum_score`` and cut to ``limit`` on
-    its slice; since the global top-k is a subset of the union of per-worker
-    top-k lists, re-sorting the union by ``(-score, image_id)`` — the same
-    key :func:`repro.index.ranking.rank_results` uses — and cutting/
-    renumbering reproduces the serial ranking byte for byte.
-    """
-    pooled = [result for payload in payloads for result in payload["results"]]
-    pooled.sort(key=lambda result: (-result.score, result.image_id))
-    if spec.limit is not None:
-        pooled = pooled[: spec.limit]
-    if spec.has_similarity_clause:
-        return [
-            replace(result, rank=position)
-            for position, result in enumerate(pooled, start=1)
-        ]
-    return pooled
+    #: ``(-score, image_id)`` of the merged ranking, cut to the spec's limit.
+    keys: List[Tuple[float, str]]
+    #: The workers' traces, summed.
+    trace: QueryTrace
+    #: The workers' predicate matches (``None`` without a predicate clause).
+    predicate_matches: Optional[Dict[str, Any]] = None
 
 
 def _merge_traces(payloads: List[Dict[str, Any]]) -> QueryTrace:
@@ -198,17 +158,24 @@ def _merge_traces(payloads: List[Dict[str, Any]]) -> QueryTrace:
     return merged
 
 
-def merge_gather(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> SpecOutcome:
-    """Merge every worker's response for one spec into a single outcome."""
+def merge_gather(spec: QuerySpec, payloads: List[Dict[str, Any]]) -> Gather:
+    """Merge every worker's response for one spec.
+
+    Each worker already applied ``minimum_score`` and cut its keys to
+    ``limit``; since the global top k is a subset of the union of the
+    per-worker top-k lists, sorting the union by ``(-score, image_id)`` --
+    the order :func:`repro.index.ranking.rank_results` ranks by -- and
+    cutting it reproduces the serial ranking's keys.
+    """
     matches: Optional[Dict[str, Any]] = None
     if any(payload["predicate_matches"] is not None for payload in payloads):
         matches = {}
         for payload in payloads:
             if payload["predicate_matches"]:
                 matches.update(payload["predicate_matches"])
-    return SpecOutcome(
-        spec=spec,
-        results=_merge_ranked(spec, payloads),
+    keys = sorted(key for payload in payloads for key in payload["keys"])
+    return Gather(
+        keys=keys if spec.limit is None else keys[: spec.limit],
         trace=_merge_traces(payloads),
         predicate_matches=matches,
     )
@@ -223,9 +190,10 @@ class _Worker:
 
     worker_id: int
     owned: Tuple[int, ...]
+    #: Ids of the images in the owned shards, when the pool was made.
+    image_ids: FrozenSet[str]
     process: Any
     connection: Any
-    images: int = 0
     restarts: int = 0
     requests: int = 0
     queue_depth: int = 0
@@ -234,12 +202,17 @@ class _Worker:
     #: connection may be closed (see :meth:`ShardWorkerPool._restart`).
     senders: List[Any] = dataclass_field(default_factory=list)
 
+    @property
+    def images(self) -> int:
+        """How many images the worker answers for."""
+        return len(self.image_ids)
+
 
 class ShardWorkerPool:
     """N forked workers over disjoint CRC-32 shard slices, scatter-gathered.
 
-    The pool is created eagerly (cheap: a fork and a pipe per worker) but
-    each worker builds its slice engine lazily on its first query.  All
+    The pool is created eagerly (a fork and a pipe per worker), and a
+    worker answers its first query without building anything.  All
     scatter/gather traffic is serialized by an internal mutex — concurrent
     service threads queue at the pool while each query runs parallel across
     every worker underneath.
@@ -248,25 +221,24 @@ class ShardWorkerPool:
     def __init__(
         self,
         worker_count: int,
-        database: ImageDatabase,
+        engine: "QueryEngine",
         *,
-        execution: Optional[ExecutionOptions] = None,
-        minimum_overlap_ratio: float = 0.0,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
     ) -> None:
-        """Fork ``worker_count`` workers over ``database``'s shard space.
+        """Fork ``worker_count`` workers over the shard space of ``engine``'s database.
 
         The space has :data:`~repro.index.backends.DEFAULT_SHARD_COUNT`
-        shards, whatever layout the database was loaded from.
+        shards, whatever layout the database was loaded from.  Each worker
+        inherits ``engine`` (database, postings and signatures) and answers
+        for the images of its shards, with ``engine``'s execution defaults
+        and overlap threshold.
 
         Raises:
             ValueError: if ``worker_count`` is not positive.
         """
         if worker_count < 1:
             raise ValueError(f"worker_count must be >= 1, got {worker_count}")
-        self._database = database
-        self._execution = execution
-        self._minimum_overlap_ratio = minimum_overlap_ratio
+        self._engine = engine
         self._max_restarts = max_restarts
         self.shard_count = DEFAULT_SHARD_COUNT
         self.worker_count = worker_count
@@ -283,10 +255,15 @@ class ShardWorkerPool:
         self._latency_total = 0.0
         self._latency_last = 0.0
         self._max_queue_depth = 0
-        image_counts = [0] * worker_count
-        for record in database:
+        slices: List[Set[str]] = [set() for _ in range(worker_count)]
+        for record in engine.database:
             shard = shard_index_for(record.image_id, self.shard_count)
-            image_counts[self._owner_of(shard)] += 1
+            slices[self._owner_of(shard)].add(record.image_id)
+        # Freeze the slices and free the sets before the first fork: freeing
+        # them after it would write to the refcounts of id strings on pages
+        # the workers share, and copy those pages.
+        image_ids = [frozenset(ids) for ids in slices]
+        del slices
         self._workers: List[_Worker] = []
         for worker_id in range(worker_count):
             owned = tuple(
@@ -294,14 +271,14 @@ class ShardWorkerPool:
                 for shard in range(self.shard_count)
                 if self._owner_of(shard) == worker_id
             )
-            process, connection = self._spawn(worker_id, owned)
+            process, connection = self._spawn(worker_id, image_ids[worker_id])
             self._workers.append(
                 _Worker(
                     worker_id=worker_id,
                     owned=owned,
+                    image_ids=image_ids[worker_id],
                     process=process,
                     connection=connection,
-                    images=image_counts[worker_id],
                 )
             )
 
@@ -309,20 +286,12 @@ class ShardWorkerPool:
         """The worker owning ``shard`` (contiguous, balanced slices)."""
         return shard * self.worker_count // self.shard_count
 
-    def _spawn(self, worker_id: int, owned: Tuple[int, ...]):
-        """Fork one worker process; returns ``(process, parent connection)``."""
+    def _spawn(self, worker_id: int, image_ids: FrozenSet[str]):
+        """Fork one worker answering for ``image_ids``; returns ``(process, parent connection)``."""
         parent_connection, child_connection = self._context.Pipe()
-        config = _WorkerConfig(
-            worker_id=worker_id,
-            shard_count=self.shard_count,
-            owned=owned,
-            database=self._database,
-            execution=self._execution,
-            minimum_overlap_ratio=self._minimum_overlap_ratio,
-        )
         process = self._context.Process(
             target=_worker_main,
-            args=(config, child_connection),
+            args=(self._engine._slice(image_ids), child_connection),
             daemon=True,
             name=f"repro-shard-worker-{worker_id}",
         )
@@ -357,17 +326,17 @@ class ShardWorkerPool:
                 pass
         # else: abandon the connection unclosed — leaking one descriptor is
         # safer than letting a wedged sender write into a reused one.
-        worker.process, worker.connection = self._spawn(worker.worker_id, worker.owned)
+        worker.process, worker.connection = self._spawn(worker.worker_id, worker.image_ids)
         worker.restarts += 1
 
     # ------------------------------------------------------------------
     # Scatter-gather
     # ------------------------------------------------------------------
-    def execute_spec(self, spec: QuerySpec) -> SpecOutcome:
-        """Scatter one spec to every worker and merge the gathered rankings."""
+    def execute_spec(self, spec: QuerySpec) -> Gather:
+        """Scatter one spec to every worker and merge the gathered keys."""
         return self.execute_many([spec])[0]
 
-    def execute_many(self, specs: Sequence[QuerySpec]) -> List[SpecOutcome]:
+    def execute_many(self, specs: Sequence[QuerySpec]) -> List[Gather]:
         """Pipeline many specs through every worker, preserving input order.
 
         Specs stream to the workers while responses are drained, so worker
@@ -469,7 +438,6 @@ class ShardWorkerPool:
                 responses[index][request_id] = payload
                 pending[index].discard(request_id)
                 worker.queue_depth = len(pending[index])
-                worker.images = payload["images"]
                 worker.cache = payload["cache"]
         return responses  # type: ignore[return-value]
 
@@ -506,8 +474,7 @@ class ShardWorkerPool:
         alone, the next scatter would consume responses whose request ids
         index a *different* spec list — silently wrong results.  Restarting
         every worker discards both pipe directions wholesale; the fresh
-        processes rebuild their slice engines lazily from the fork-inherited
-        records on the next query.
+        processes answer from the engine they inherit, as the first ones did.
         """
         for worker in self._workers:
             try:

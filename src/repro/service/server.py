@@ -226,8 +226,8 @@ class RetrievalService:
 
         Overlays the engine's execution defaults with
         ``executor="shard_process", workers=N`` so every search and batch
-        scatter-gathers; workers warm-start from the records they inherit
-        through the fork.
+        scatter-gathers; workers answer from the engine they inherit through
+        the fork.
         """
         if self.shard_workers is None:
             return

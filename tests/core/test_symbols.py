@@ -84,6 +84,20 @@ class TestTextForm:
             Symbol.from_text("A.x")
 
 
+class TestTextKeys:
+    def test_equal_text_exactly_when_equal(self):
+        # The LCS dynamic programs and the kernel's masks compare text.
+        identifiers = ["E", "a", "b", "e", "a.b", "a.e", "a.b.e", "x#1", "E.b"]
+        symbols_ = [Symbol.dummy(), Symbol()]
+        for identifier in identifiers:
+            for kind in BoundaryKind:
+                symbols_.append(Symbol.boundary(identifier, kind))
+                symbols_.append(Symbol(identifier, kind))
+        for left in symbols_:
+            for right in symbols_:
+                assert (left.text == right.text) == (left == right), (left, right)
+
+
 class TestInterning:
     def test_equal_keys_share_one_object_across_constructors(self):
         picture = SymbolicPicture.build(

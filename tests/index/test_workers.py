@@ -14,12 +14,15 @@ from dataclasses import replace
 
 import pytest
 
+import repro.core.lcs
+import repro.index.query
 from repro.core.transforms import Transformation
 from repro.datasets.scenes import office_scene, traffic_scene
 from repro.datasets.synthetic import random_picture
 from repro.index.backends import ShardedBackend, shard_index_for
 from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
+from repro.index.inverted import InvertedSymbolIndex
 from repro.index.query import QueryEngine
 from repro.index.spec import QuerySpec
 from repro.index.workers import ShardWorkerError, ShardWorkerPool, _worker_main
@@ -40,6 +43,11 @@ def result_key(results):
         (r.rank, r.image_id, r.score, r.similarity.transformation, r.similarity.common_objects)
         for r in results
     ]
+
+
+def ranking_keys(results):
+    """The ``(-score, image_id)`` keys a pool gathers for a ranking."""
+    return [(-result.score, result.image_id) for result in results]
 
 
 def predicate_key(results):
@@ -283,6 +291,98 @@ class TestAbsentVocabulary:
         assert result_key(serial.results) == result_key(gathered.results)
 
 
+def parent_only(monkeypatch, owner, name, calls=None):
+    """Patch ``owner.name`` to fail in any other process.
+
+    Returns ``calls`` (a new list by default), to which each call the
+    parent makes appends the name.  Patch before the pool forks, so its
+    workers inherit the guard: a worker that calls the name answers with an
+    error, which the scatter raises as a :class:`ShardWorkerError`.
+    """
+    parent = os.getpid()
+    original = getattr(owner, name)
+    calls = [] if calls is None else calls
+
+    def guarded(*args, **kwargs):
+        if os.getpid() != parent:
+            raise AssertionError(f"a shard worker called {name}")
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, guarded)
+    return calls
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+class TestScatterDoesSerialWork:
+    """A scattered read does a serial read's work, split, and nothing more."""
+
+    def test_a_worker_answers_without_indexing_any_record(
+        self, engine, pictures, monkeypatch, workers
+    ):
+        for owner, name in [
+            (QueryEngine, "_index"),
+            (ImageDatabase, "add_record"),
+            (InvertedSymbolIndex, "add_picture"),
+        ]:
+            parent_only(monkeypatch, owner, name)
+        spec = QuerySpec(picture=pictures[3], limit=8)
+        serial = engine.execute_spec(spec)
+        gathered = engine.execute_spec(spec.with_overrides(execution=sharded(workers)))
+        assert result_key(gathered.results) == result_key(serial.results)
+
+    @pytest.mark.parametrize("transformations", [(Transformation.IDENTITY,), tuple(Transformation)])
+    def test_only_the_parent_materialises_and_only_the_top_k(
+        self, engine, pictures, monkeypatch, workers, transformations
+    ):
+        materialised = parent_only(monkeypatch, repro.index.query, "similarity")
+        parent_only(monkeypatch, repro.index.query, "invariant_similarity", materialised)
+        tables = parent_only(monkeypatch, repro.core.lcs, "be_lcs_table")
+        spec = QuerySpec(
+            picture=pictures[3],
+            transformations=transformations,
+            limit=8,
+            execution=sharded(workers),
+        )
+        fresh = engine.execute_spec(spec)
+        assert len(fresh.results) == min(8, fresh.trace.shortlisted)
+        assert len(materialised) == len(fresh.results)
+        assert len(tables) == 2 * len(transformations) * len(fresh.results)
+        del materialised[:], tables[:]
+        repeated = engine.execute_spec(spec)
+        assert result_key(repeated.results) == result_key(fresh.results)
+        assert materialised == [] and tables == []
+
+    def test_cache_off_materialises_every_time(self, engine, pictures, monkeypatch, workers):
+        materialised = parent_only(monkeypatch, repro.index.query, "similarity")
+        options = ExecutionOptions(executor="shard_process", workers=workers, cache=False)
+        spec = QuerySpec(picture=pictures[5], limit=4, execution=options)
+        first = engine.execute_spec(spec)
+        second = engine.execute_spec(spec)
+        assert result_key(first.results) == result_key(second.results)
+        assert len(materialised) == 2 * len(first.results)
+        assert len(engine.score_cache) == 0
+
+    def test_the_merged_trace_covers_the_whole_database(self, engine, pictures, workers):
+        labels = sorted(set(pictures[2].labels))
+        predicate = parse_predicate(f"{labels[0]} left_of {labels[1]}")
+        for spec in [
+            QuerySpec(picture=pictures[2], limit=5),
+            QuerySpec(predicates=(predicate,), limit=None),
+            QuerySpec(picture=pictures[2], predicates=(predicate,), limit=5),
+            QuerySpec(picture=pictures[2], limit=5, execution=ExecutionOptions(shortlist=False)),
+        ]:
+            serial = engine.execute_spec(spec)
+            options = replace(spec.execution or ExecutionOptions(), executor="shard_process")
+            gathered = engine.execute_spec(
+                spec.with_overrides(execution=replace(options, workers=workers))
+            )
+            assert gathered.trace.database_size == len(engine.database)
+            assert gathered.trace.shortlisted == serial.trace.shortlisted
+            assert gathered.trace.inverted_candidates == serial.trace.inverted_candidates
+            assert gathered.trace.predicate_evaluated == serial.trace.predicate_evaluated
+
+
 class TestGradedShortlistSoundness:
     """The graded label bound never costs a result the full scan returns."""
 
@@ -414,7 +514,7 @@ class TestLifecycle:
         database = ImageDatabase()
         for index, picture in enumerate(pictures[:8]):
             database.add_picture(picture, f"img-{index:03d}")
-        pool = ShardWorkerPool(2, database)
+        pool = ShardWorkerPool(2, QueryEngine.build(database))
         pool.close()
         with pytest.raises(ShardWorkerError):
             pool.execute_spec(QuerySpec(picture=pictures[0], limit=3))
@@ -449,8 +549,8 @@ class TestCrashRecovery:
             )
             for index in range(10)
         ]
-        serial = [result_key(engine.execute_spec(spec).results) for spec in specs]
-        pool = ShardWorkerPool(2, database)
+        serial = [ranking_keys(engine.execute_spec(spec).results) for spec in specs]
+        pool = ShardWorkerPool(2, engine)
         try:
             # The scatter below takes a while (10 invariant queries); kill a
             # worker shortly after it starts so the death lands mid-query.
@@ -462,7 +562,7 @@ class TestCrashRecovery:
                 killer.start()
                 gathered = pool.execute_many(specs)
                 killer.cancel()
-                assert [result_key(outcome.results) for outcome in gathered] == serial
+                assert [gather.keys for gather in gathered] == serial
                 if sum(worker.restarts for worker in pool._workers) >= 1:
                     break
                 time.sleep(0.01)
@@ -476,7 +576,7 @@ class TestCrashRecovery:
         database = ImageDatabase()
         for index, picture in enumerate(pictures[:8]):
             database.add_picture(picture, f"img-{index:03d}")
-        pool = ShardWorkerPool(1, database, max_restarts=0)
+        pool = ShardWorkerPool(1, QueryEngine.build(database), max_restarts=0)
         pool._workers[0].process.kill()
         pool._workers[0].process.join(timeout=5)
         with pytest.raises(ShardWorkerError):
@@ -494,7 +594,7 @@ class TestCrashRecovery:
         for index, picture in enumerate(pictures[:12]):
             database.add_picture(picture, f"img-{index:03d}")
         engine = QueryEngine.build(database)
-        pool = ShardWorkerPool(2, database, max_restarts=0)
+        pool = ShardWorkerPool(2, engine, max_restarts=0)
         try:
             pool._workers[0].process.kill()
             pool._workers[0].process.join(timeout=5)
@@ -502,9 +602,9 @@ class TestCrashRecovery:
             with pytest.raises(ShardWorkerError):
                 pool.execute_many(specs)
             probe = QuerySpec(picture=pictures[5], limit=3)
-            outcome = pool.execute_spec(probe)
+            gather = pool.execute_spec(probe)
             expected = engine.execute_spec(probe)
-            assert result_key(outcome.results) == result_key(expected.results)
+            assert gather.keys == ranking_keys(expected.results)
             assert all(worker.process.is_alive() for worker in pool._workers)
         finally:
             pool.close()
@@ -519,15 +619,15 @@ class TestCrashRecovery:
         for index, picture in enumerate(pictures[:12]):
             database.add_picture(picture, f"img-{index:03d}")
         engine = QueryEngine.build(database)
-        pool = ShardWorkerPool(2, database)
+        pool = ShardWorkerPool(2, engine)
         try:
             good = [QuerySpec(picture=pictures[index], limit=3) for index in range(3)]
             with pytest.raises(ShardWorkerError):
                 pool.execute_many(good + [QuerySpec()])
             probe = QuerySpec(picture=pictures[4], limit=3)
-            outcome = pool.execute_spec(probe)
+            gather = pool.execute_spec(probe)
             expected = engine.execute_spec(probe)
-            assert result_key(outcome.results) == result_key(expected.results)
+            assert gather.keys == ranking_keys(expected.results)
         finally:
             pool.close()
             engine.close_shard_pool()
@@ -545,11 +645,11 @@ class TestPipePressure:
             QuerySpec(picture=pictures[index % len(pictures)], limit=None)
             for index in range(48)
         ]
-        serial = [result_key(engine.execute_spec(spec).results) for spec in specs]
-        pool = ShardWorkerPool(2, engine.database)
+        serial = [ranking_keys(engine.execute_spec(spec).results) for spec in specs]
+        pool = ShardWorkerPool(2, engine)
         try:
             gathered = pool.execute_many(specs)
-            assert [result_key(outcome.results) for outcome in gathered] == serial
+            assert [gather.keys for gather in gathered] == serial
         finally:
             pool.close()
 
@@ -561,7 +661,7 @@ class TestStatsUnderLoad:
         database = ImageDatabase()
         for index, picture in enumerate(pictures[:8]):
             database.add_picture(picture, f"img-{index:03d}")
-        pool = ShardWorkerPool(2, database)
+        pool = ShardWorkerPool(2, QueryEngine.build(database))
         try:
             collected = {}
 
@@ -598,7 +698,7 @@ class TestWarmStart:
         def no_disk_reads(shard_path):
             raise AssertionError(f"worker opened {shard_path}")
 
-        # Workers fork after this patch, so it covers their warm starts too.
+        # Workers fork after this patch, so it covers them too.
         monkeypatch.setattr(ShardedBackend, "_read_shard", staticmethod(no_disk_reads))
         try:
             serial = engine.execute_spec(
@@ -620,8 +720,9 @@ class TestShardOwnership:
         database = ImageDatabase()
         for index, picture in enumerate(pictures[:8]):
             database.add_picture(picture, f"img-{index:03d}")
+        engine = QueryEngine.build(database)
         for workers in (1, 2, 3, 4, 7):
-            pool = ShardWorkerPool(workers, database)
+            pool = ShardWorkerPool(workers, engine)
             owners = [pool._owner_of(shard) for shard in range(pool.shard_count)]
             assert set(owners) <= set(range(workers))
             seen = {}
@@ -636,15 +737,17 @@ class TestShardOwnership:
         database = ImageDatabase()
         for index, picture in enumerate(pictures[:12]):
             database.add_picture(picture, f"img-{index:03d}")
-        pool = ShardWorkerPool(3, database)
+        pool = ShardWorkerPool(3, QueryEngine.build(database))
         for worker in pool._workers:
             owned = set(worker.owned)
-            expected = sum(
-                1
+            expected = {
+                image_id
                 for image_id in database.image_ids
                 if shard_index_for(image_id, pool.shard_count) in owned
-            )
-            assert worker.images == expected
+            }
+            assert worker.image_ids == expected
+            assert worker.images == len(expected)
+        assert sum(worker.images for worker in pool._workers) == len(database)
         pool.close()
 
 
@@ -653,4 +756,4 @@ class TestSanitisation:
         database = ImageDatabase()
         database.add_picture(pictures[0], "img-000")
         with pytest.raises(ValueError):
-            ShardWorkerPool(0, database)
+            ShardWorkerPool(0, QueryEngine.build(database))

@@ -4,15 +4,26 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.lcs_plain import classic_lcs_length, dummy_aware_lcs_length
 from repro.core.bestring import AxisBEString
-from repro.core.lcs import be_lcs_length, be_lcs_length_and_string, be_lcs_string
+from repro.core.lcs import (
+    be_lcs_length,
+    be_lcs_length_and_string,
+    be_lcs_string,
+    be_lcs_table,
+)
+from repro.core.lcskernel import be_lcs_length_bitparallel
 from repro.core.symbols import Symbol
 
 #: A small symbol alphabet so that generated strings share many symbols.
 _IDENTIFIERS = ["A", "B", "C", "D"]
 
+#: Identifiers whose boundary texts look like other symbols' texts: the
+#: dummy's ``E``, a kind suffix inside the identifier, an instance number,
+#: and one-character labels equal to a kind.
+_LOOKALIKE_IDENTIFIERS = ["E", "a", "a.b", "a.e", "x#1", "b", "e"]
+
 
 @st.composite
-def axis_strings(draw, max_objects=4):
+def axis_strings(draw, max_objects=4, identifiers=tuple(_IDENTIFIERS)):
     """Well-formed axis BE-strings over a small alphabet.
 
     Objects are a random subset of the alphabet; boundary orderings and dummy
@@ -20,7 +31,7 @@ def axis_strings(draw, max_objects=4):
     adjacent dummies).
     """
     identifiers = draw(
-        st.lists(st.sampled_from(_IDENTIFIERS), unique=True, min_size=1, max_size=max_objects)
+        st.lists(st.sampled_from(identifiers), unique=True, min_size=1, max_size=max_objects)
     )
     # Random interleaving: assign each boundary a random rank, then emit with
     # random dummy insertion between distinct ranks.
@@ -111,3 +122,39 @@ def test_lcs_length_monotone_under_database_extension(query, database):
     """Appending symbols to the database string can never reduce the LCS."""
     extended = AxisBEString(database.symbols + (Symbol.begin("Z"), Symbol.end("Z")))
     assert be_lcs_length(query, extended) >= be_lcs_length(query, database)
+
+
+def _symbol_compared_table(query, database):
+    """Algorithm 2 comparing ``Symbol`` values, as the DP did before it compared text."""
+    q = query.symbols
+    d = database.symbols
+    table = [[0] * (len(d) + 1) for _ in range(len(q) + 1)]
+    for i in range(1, len(q) + 1):
+        row = table[i]
+        above = table[i - 1]
+        q_symbol = q[i - 1]
+        q_is_dummy = q_symbol.is_dummy
+        for j in range(1, len(d) + 1):
+            up = above[j]
+            left = row[j - 1]
+            cell = up if abs(up) >= abs(left) else left
+            if q_symbol == d[j - 1] and (not q_is_dummy or above[j - 1] >= 0):
+                diagonal = abs(above[j - 1]) + 1
+                if diagonal > abs(cell):
+                    cell = -diagonal if q_is_dummy else diagonal
+            row[j] = cell
+    return table
+
+
+_LOOKALIKE_STRINGS = axis_strings(max_objects=5, identifiers=tuple(_LOOKALIKE_IDENTIFIERS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_LOOKALIKE_STRINGS, _LOOKALIKE_STRINGS)
+def test_text_keys_agree_with_symbol_equality(query, database):
+    """Both DPs and the kernel's masks compare text; equal text is equal symbols."""
+    oracle = _symbol_compared_table(query, database)
+    length = abs(oracle[len(query)][len(database)])
+    assert be_lcs_table(query, database) == oracle
+    assert be_lcs_length(query, database) == length
+    assert be_lcs_length_bitparallel(query, database) == length

@@ -45,6 +45,41 @@ class TestBenchSmokeMatrix:
         assert entries == sorted(set(entries))
 
 
+def shard_workers_pytest_command():
+    """The pytest command of the ``shard-workers`` job, as one line."""
+    text = WORKFLOW.read_text(encoding="utf-8")
+    job = re.search(r"^  shard-workers:\n(.*?)(?=^  \w[\w-]*:\n)", text, re.MULTILINE | re.DOTALL)
+    assert job, "ci.yml no longer declares the shard-workers job"
+    command = re.search(r"run: >\n((?: {10}.*\n)+)", job.group(1))
+    assert command and "pytest" in command.group(1)
+    return " ".join(command.group(1).split())
+
+
+class TestShardWorkersJob:
+    def test_every_module_that_pins_the_pool_size_runs_in_the_job(self):
+        # A module reading REPRO_SHARD_WORKERS has tests meant to run at the
+        # job's 2 and 4 workers; left out of the job, they only ever run at
+        # their default.
+        named = {
+            argument.split("::")[0]
+            for argument in shard_workers_pytest_command().split()
+            if argument.startswith("tests/")
+        }
+        pinned = sorted(
+            path.relative_to(REPO_ROOT).as_posix()
+            for path in (REPO_ROOT / "tests").rglob("*.py")
+            if "REPRO_SHARD_WORKERS" in path.read_text(encoding="utf-8")
+            and path.name != Path(__file__).name
+        )
+        assert pinned, "no test module reads REPRO_SHARD_WORKERS any more"
+        missing = [path for path in pinned if path not in named]
+        assert not missing, (
+            f"test modules that read REPRO_SHARD_WORKERS but do not run in the "
+            f"shard-workers job: {missing} -- add them to its pytest command in "
+            ".github/workflows/ci.yml"
+        )
+
+
 class TestWorkflowInvariants:
     def test_concurrency_cancellation_is_active(self):
         text = WORKFLOW.read_text(encoding="utf-8")
