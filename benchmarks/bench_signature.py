@@ -3,8 +3,9 @@
 The paper's retrieval loop pays an O(mn) LCS dynamic program per candidate;
 the two-stage shortlist (:mod:`repro.index.shortlist`) rejects candidates
 whose score upper bound cannot clear the query's ``min_score`` — stage 1 from
-hashed label bitmaps, stage 2 from each axis's boundary LCS — so the dynamic
-program only runs on images that can actually appear in the results.
+the inverted index's postings tally, stage 2 from each axis's boundary LCS —
+so the dynamic program only runs on images that can actually appear in the
+results.  Stage-1 rejections keep the name ``bitmap_rejected``.
 
 This experiment measures, at 2k and 10k synthetic images (smoke: 60/120):
 

@@ -7,9 +7,10 @@ database a downstream user would actually store BE-strings in:
   their pre-computed 2D BE-strings, supports add/remove of whole images and
   dynamic add/remove of single objects inside a stored image.
 * :class:`~repro.index.inverted.InvertedSymbolIndex` -- symbol -> image ids,
-  used to shortlist candidates that share at least one query icon.
-* :mod:`~repro.index.shortlist` -- the two-stage signature shortlist: hashed
-  label bitmaps (stage 1) and the boundary LCS of each axis (stage 2)
+  used to shortlist candidates that share at least one query icon, with a
+  tally of the query labels each holds.
+* :mod:`~repro.index.shortlist` -- the two-stage signature shortlist: the
+  postings tally (stage 1) and the boundary LCS of each axis (stage 2)
   upper-bound the achievable LCS score so only candidates that can clear
   the query's ``min_score`` are ever scored (see ``docs/shortlist.md``).
 * :class:`~repro.index.query.QueryEngine` -- the unified query pipeline:
@@ -50,12 +51,10 @@ from repro.index.inverted import InvertedSymbolIndex
 from repro.index.query import QueryEngine
 from repro.index.ranking import RankedResult, rank_results
 from repro.index.shortlist import (
-    DEFAULT_BITMAP_WIDTH,
     ImageSignature,
     QuerySignature,
     ShortlistOutcome,
     ShortlistStatistics,
-    label_bitmap,
     signature_for,
 )
 from repro.index.spec import (
@@ -106,12 +105,10 @@ __all__ = [
     "SpecOutcome",
     "RankedResult",
     "rank_results",
-    "DEFAULT_BITMAP_WIDTH",
     "ImageSignature",
     "QuerySignature",
     "ShortlistOutcome",
     "ShortlistStatistics",
-    "label_bitmap",
     "signature_for",
     "database_from_json",
     "database_to_json",

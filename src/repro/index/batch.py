@@ -52,7 +52,7 @@ class BatchReport:
     cache_hits: int = 0
     executor: str = "serial"
     workers: int = 1
-    #: Candidates rejected by the stage-1 bitmap bound across all queries.
+    #: Candidates rejected by the stage-1 postings-tally bound across all queries.
     shortlist_bitmap_pruned: int = 0
     #: Candidates rejected by the stage-2 boundary-LCS bound across all queries.
     shortlist_relation_pruned: int = 0

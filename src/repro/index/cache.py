@@ -6,20 +6,22 @@ otherwise pay an O(mn) evaluation per candidate image.  :class:`ScoreCache`
 memoises what the query engine learned about each candidate under a key
 derived from the *content* of the query (its axis strings, the similarity
 policy and the transformation set) plus the candidate image id.  One entry
-(:data:`CacheEntry`) holds one of:
+(:data:`CacheEntry`) holds one of two kinds:
 
 * a full :class:`~repro.core.similarity.SimilarityResult` — for the final
   survivors of a ranking, and for every candidate the reference evaluation
   scored;
 * a confirmed score (a ``float``) — a candidate the bit-parallel kernel
-  scored that did not survive the cut;
-* a :class:`ScoreBound` — the stage-2 upper bound of a candidate the
-  anytime stop rule skipped.
+  scored that did not survive the cut.
+
+A candidate the anytime stop rule skipped leaves no entry, so a repeated
+query bounds it again; most skipped candidates are never bounded past the
+postings tally (see :meth:`~repro.index.query.QueryEngine._rank_keys`).
 
 Correctness over staleness: the cache never outlives a database mutation.
 :class:`~repro.index.query.QueryEngine` calls :meth:`ScoreCache.invalidate_image`
 whenever an image is added, removed, or edited object-by-object, which drops
-every cached score and bound involving that image id.  Keys are pure values
+every cached score involving that image id.  Keys are pure values
 (strings, enums, frozen dataclasses), so they are hashable and safe to share
 across worker threads; all cache operations take an internal lock.
 """
@@ -42,17 +44,7 @@ QueryKey = Tuple[str, str, SimilarityPolicy, Tuple[Transformation, ...]]
 CacheKey = Tuple[QueryKey, str]
 
 
-class ScoreBound(float):
-    """An upper bound on a candidate's score, not the score itself.
-
-    Cached for a candidate the anytime stop rule skipped, so a repeated
-    query orders it without bounding it again.
-    """
-
-    __slots__ = ()
-
-
-#: What one cache entry holds: a full result, a confirmed score or a bound.
+#: What one cache entry holds: a full result or a confirmed score.
 CacheEntry = Union[SimilarityResult, float]
 
 
@@ -124,7 +116,7 @@ class ScoreCache:
     def get(self, query_key: Hashable, image_id: str) -> Optional[CacheEntry]:
         """The cached entry for ``(query_key, image_id)``, or ``None``.
 
-        Any entry counts as a hit, whatever it holds.
+        Either kind of entry counts as a hit.
         """
         key = (query_key, image_id)
         with self._lock:

@@ -4,7 +4,9 @@ Before running the O(mn) LCS evaluation against every stored image, the query
 engine shortlists candidates that share at least a configurable number of icon
 labels with the query.  This is a straightforward inverted index -- the kind
 of auxiliary structure an image database built on the paper's model would keep
-alongside the BE-strings.
+alongside the BE-strings.  Merging a query's postings also tallies how many
+of the query's labels each candidate holds, which is stage 1 of the
+signature shortlist (:mod:`repro.index.shortlist`).
 """
 
 from __future__ import annotations
@@ -97,15 +99,35 @@ class InvertedSymbolIndex:
         """Ids of images containing at least one icon with ``label``."""
         return set(self._postings.get(label, ()))
 
-    def candidates(self, labels: Iterable[str], minimum_shared: int = 1) -> Set[str]:
-        """Image ids sharing at least ``minimum_shared`` distinct query labels."""
+    def candidates(self, labels: Iterable[str], minimum_shared: int = 1) -> Dict[str, int]:
+        """The tally of each image sharing at least ``minimum_shared`` distinct query labels.
+
+        ``labels`` is the query's label multiset.  An image's tally sums,
+        over the distinct labels it shares with the query, the query's
+        count of that label: one pass over the query's postings
+        (ScanCount, in Li, Lu & Lu, "Efficient Merging and Filtering
+        Algorithms for Approximate String Searches", ICDE 2008).  A shared
+        label contributes ``min(query count, image count)`` to the
+        label-multiset overlap and its query count to the tally, so the
+        tally bounds the overlap from above, and equals it when no query
+        label repeats.
+        """
         if minimum_shared < 1:
             raise ValueError("minimum_shared must be at least 1")
-        tally: Counter = Counter()
-        for label in set(labels):
+        tally: Dict[str, int] = {}
+        shared: Dict[str, int] = {}
+        for label, count in Counter(labels).items():
             for image_id in self._postings.get(label, ()):
-                tally[image_id] += 1
-        return {image_id for image_id, shared in tally.items() if shared >= minimum_shared}
+                tally[image_id] = tally.get(image_id, 0) + count
+                if minimum_shared > 1:
+                    shared[image_id] = shared.get(image_id, 0) + 1
+        if minimum_shared > 1:
+            return {
+                image_id: count
+                for image_id, count in tally.items()
+                if shared[image_id] >= minimum_shared
+            }
+        return tally
 
     def labels_of(self, image_id: str) -> Counter:
         """Label multiset of one indexed image."""

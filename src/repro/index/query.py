@@ -3,7 +3,7 @@
 The engine ties the pieces together the way the paper's demonstration system
 does: the query picture is encoded once, candidate images are shortlisted by
 the inverted index and the two-stage signature shortlist
-(:mod:`repro.index.shortlist` — hashed label bitmaps, then boundary-LCS
+(:mod:`repro.index.shortlist` — the postings tally, then boundary-LCS
 score bounds against the query's ``minimum_score``), the survivors are
 scored with the modified-LCS similarity (optionally over all
 rotations/reflections of the query), and the results are returned ranked.
@@ -11,10 +11,11 @@ rotations/reflections of the query), and the results are returned ranked.
 The engine takes one query type, the declarative
 :class:`~repro.index.spec.QuerySpec`.  Every similarity clause, alone or
 combined with relation predicates, runs through one candidate loop
-(:meth:`QueryEngine._rank`): it reads the shared
-:class:`~repro.index.cache.ScoreCache` before doing any other work, visits
-candidates best bound first and, under the default anytime strategy, stops
-at the threshold, and materialises full results only for the ranking's
+(:meth:`QueryEngine._rank`): under the default anytime strategy it visits
+candidates best bound first, refining a candidate's bound only when it
+reaches the head of the queue, reads the shared
+:class:`~repro.index.cache.ScoreCache` before scoring one, stops at the
+threshold, and materialises full results only for the ranking's
 survivors.  A batch (:mod:`repro.index.batch`) runs each of its unique
 specs through the same loop and the same cache, so an identical repeated
 query -- serial or batched -- never pays the LCS evaluation twice.
@@ -35,6 +36,7 @@ import threading
 from bisect import insort
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from heapq import heapify, heappop, heappush, nsmallest
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -63,7 +65,7 @@ from repro.core.similarity import (
 from repro.core.transforms import Transformation
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
-from repro.index.cache import CacheEntry, ScoreBound, ScoreCache, query_score_key
+from repro.index.cache import CacheEntry, ScoreCache, query_score_key
 from repro.index.database import ImageDatabase, ImageRecord, _collector_paused
 from repro.index.execution import (
     EXECUTOR_SHARD_PROCESS,
@@ -108,7 +110,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 
 def _entry_value(entry: CacheEntry) -> float:
-    """The score a score-cache entry confirms, or the bound it records."""
+    """The score a score-cache entry confirms."""
     return entry.score if isinstance(entry, SimilarityResult) else entry
 
 
@@ -209,9 +211,8 @@ class QueryEngine:
     #: overlaps the image's by at least this fraction of the query's labels.
     minimum_overlap_ratio: float = 0.0
     inverted_index: InvertedSymbolIndex = field(default_factory=InvertedSymbolIndex)
-    #: Memoised per-(query, image) scores, bounds and survivors' full
-    #: results, shared by every query and batch and invalidated on every
-    #: mutation.
+    #: Memoised per-(query, image) scores and survivors' full results,
+    #: shared by every query and batch and invalidated on every mutation.
     score_cache: ScoreCache = field(default_factory=ScoreCache)
     #: Engine-wide execution defaults; per-query
     #: :attr:`QuerySpec.execution <repro.index.spec.QuerySpec.execution>`
@@ -373,8 +374,8 @@ class QueryEngine:
         ``spec.minimum_shared_labels`` icon labels with the query picture;
         the two-stage signature shortlist (:mod:`repro.index.shortlist`) then
         rejects candidates whose score upper bound cannot clear
-        ``spec.minimum_score`` — stage 1 from the hashed label bitmaps,
-        stage 2 from each axis's boundary LCS.  With the resolved
+        ``spec.minimum_score`` — stage 1 from the postings tally, stage 2
+        from each axis's boundary LCS.  With the resolved
         ``shortlist`` option off or a label-less query, every stored image
         is a candidate.  No query runs, so nothing is added to
         :attr:`counters`.
@@ -395,28 +396,32 @@ class QueryEngine:
     ) -> ShortlistOutcome:
         """Shortlist implementation (callers hold the shared grant).
 
-        ``execution`` is the spec's resolved options.  A minimum-score cut
-        computes the stage-2 bound of every candidate it admits; those land
-        in :attr:`ShortlistOutcome.bounds`, so the candidate loop never
-        bounds one twice.
+        ``execution`` is the spec's resolved options.  Stage 1 reads each
+        candidate's postings tally, and the exact label overlap is counted
+        only where the tally passes an overlap threshold it may overstate.
+        A minimum-score cut computes the stage-2 bound of every candidate it
+        admits; those land in :attr:`ShortlistOutcome.bounds`, so the
+        candidate loop never bounds one twice.
         """
         if not execution.shortlist:
             return ShortlistOutcome(self._image_ids(), STAGE_FULL_SCAN)
         picture = spec.effective_picture()
-        labels = set(picture.labels)
-        if not labels:
+        if not picture.labels:
             return ShortlistOutcome(self._image_ids(), STAGE_FULL_SCAN)
-        candidates = self.inverted_index.candidates(
-            labels, minimum_shared=spec.minimum_shared_labels
+        tallies = self.inverted_index.candidates(
+            picture.labels, minimum_shared=spec.minimum_shared_labels
         )
         if self._owned is not None:
-            candidates &= self._owned
-        ordered = sorted(candidates)
+            owned = self._owned
+            tallies = {
+                image_id: tally for image_id, tally in tallies.items() if image_id in owned
+            }
+        ordered = sorted(tallies)
         threshold = self.minimum_overlap_ratio
         minimum_score = spec.minimum_score
         if threshold <= 0.0 and minimum_score <= 0.0:
             # Nothing to bound against: every label-sharer is worth scoring.
-            return ShortlistOutcome(ordered, STAGE_SHORTLIST, len(candidates))
+            return ShortlistOutcome(ordered, STAGE_SHORTLIST, len(ordered), tallies=tallies)
         if query_bestring is None:
             query_bestring = encode_picture(picture)
         policy = spec.effective_policy()
@@ -428,7 +433,9 @@ class QueryEngine:
             spec.transformations if minimum_score > 0.0 else (Transformation.IDENTITY,),
         )
         total = query_signature.total_labels
-        outcome = ShortlistOutcome([], STAGE_SHORTLIST, len(candidates))
+        # Without a repeated query label the tally is the exact overlap.
+        tally_is_exact = total == len(query_signature.label_counts)
+        outcome = ShortlistOutcome([], STAGE_SHORTLIST, len(ordered), tallies=tallies)
 
         def reject(image_id: str, stage: str, bound: float) -> None:
             if stage == STAGE_BITMAP_PRUNED:
@@ -441,31 +448,30 @@ class QueryEngine:
 
         for image_id in ordered:
             candidate = signature_for(self.database.get(image_id))
-            # Stage 1 is the label-overlap stage: the bitmap bound settles
-            # most candidates, the exact multiset overlap settles the rest.
+            # Stage 1 is the label-overlap stage: the tally settles most
+            # candidates, the exact multiset overlap the threshold's rest.
             # Both threshold rejections are attributed here (the recorded
             # bound is the failing overlap ratio); only the boundary-LCS
             # score bound below counts as a stage-2 rejection.
-            overlap_bound = query_signature.overlap_upper_bound(candidate)
-            if threshold > 0.0 and total and overlap_bound / total < threshold:
-                reject(image_id, STAGE_BITMAP_PRUNED, overlap_bound / total)
+            tally = tallies[image_id]
+            if threshold > 0.0 and tally / total < threshold:
+                reject(image_id, STAGE_BITMAP_PRUNED, tally / total)
                 continue
             if minimum_score > 0.0:
-                coarse = query_signature.score_upper_bound(
-                    candidate, overlap_bound, policy
-                )
+                coarse = query_signature.overlap_upper_bound(candidate, tally, policy)
                 if coarse < minimum_score:
                     reject(image_id, STAGE_BITMAP_PRUNED, coarse)
                     continue
-            overlap = query_signature.exact_overlap(candidate)
-            if threshold > 0.0 and total and overlap / total < threshold:
-                reject(image_id, STAGE_BITMAP_PRUNED, overlap / total)
-                continue
-            # Stage 2: the boundary-LCS bound (the exact overlap caps an axis
-            # whose boundary LCS is not exact).
+            if threshold > 0.0 and not tally_is_exact:
+                overlap = query_signature.exact_overlap(candidate)
+                if overlap / total < threshold:
+                    reject(image_id, STAGE_BITMAP_PRUNED, overlap / total)
+                    continue
+            # Stage 2: the boundary-LCS bound (the tally caps an axis whose
+            # boundary LCS is not exact, which no validated record has).
             if minimum_score > 0.0:
                 bound = query_signature.score_upper_bound(
-                    candidate, overlap, policy, with_boundary_lcs=True
+                    candidate, tally, policy, with_boundary_lcs=True
                 )
                 if bound < minimum_score:
                     reject(image_id, STAGE_RELATION_PRUNED, bound)
@@ -531,40 +537,6 @@ class QueryEngine:
         )
         return score
 
-    def _bounds(
-        self,
-        spec: QuerySpec,
-        query_bestring: BEString2D,
-        outcome: ShortlistOutcome,
-        image_ids: Sequence[str],
-    ) -> Dict[str, float]:
-        """The stage-2 score bound of each of ``image_ids``.
-
-        A bound the shortlist already computed for its minimum-score cut is
-        reused; the others are computed against a query signature built only
-        if one is needed.
-        """
-        bounds: Dict[str, float] = {}
-        signature: Optional[QuerySignature] = None
-        for image_id in image_ids:
-            bound = outcome.bounds.get(image_id)
-            if bound is None:
-                if signature is None:
-                    signature = QuerySignature(
-                        query_bestring,
-                        spec.effective_picture().labels,
-                        spec.transformations,
-                    )
-                candidate = signature_for(self.database.get(image_id))
-                bound = signature.score_upper_bound(
-                    candidate,
-                    signature.exact_overlap(candidate),
-                    spec.effective_policy(),
-                    with_boundary_lcs=True,
-                )
-            bounds[image_id] = bound
-        return bounds
-
     def _rank(
         self, spec: QuerySpec, trace: QueryTrace
     ) -> Tuple[List[RankedResult], Optional[Dict[str, Match]]]:
@@ -598,25 +570,32 @@ class QueryEngine:
           similarity (:meth:`~repro.index.spec.QuerySpec.compose`), so the
           composed score decides the minimum-score and limit cuts.
 
-        The score cache is read before any other work.  An entry holds a full
-        result, a confirmed score, or the stage-2 bound of a candidate an
-        earlier run skipped; bounds are computed only for candidates with no
-        entry.  The anytime strategy visits candidates in
-        ``(-compose(bound, degree), image_id)`` order, a confirmed score
-        being its own bound, and stops once the k-th confirmed key sorts at
-        or before the next bound key.  Since ``score <= bound``, no unvisited
-        candidate can then enter the top k or change its order, and both keys
-        carry the distinct image id, so ties are safe.  This is the threshold
-        test of Fagin, Lotem & Naor, "Optimal aggregation algorithms for
-        middleware" (PODS 2001).  Scores below the minimum never take one of
-        the k slots.  The exhaustive strategy is the same loop without the
-        stop, and so is a full-scan pass, which has no signatures to bound
-        with.
+        Under the anytime strategy and a limit, candidates wait in a queue
+        keyed ``(-compose(bound, degree), image_id)`` and are refined
+        lazily.  A candidate enters with its stage-1 bound, read from its
+        postings tally (:meth:`~repro.index.shortlist.QuerySignature.overlap_upper_bound`:
+        one table per query under the default query normalisation), or
+        with the stage-2 bound a minimum-score cut already computed.  When
+        it first reaches the head its boundary-LCS bound is computed and it
+        is queued again; when it reaches the head again the score cache is
+        read, and on a miss the candidate is scored.  The loop stops once
+        the k-th confirmed key sorts at or before the head's key.  Since
+        ``score <= stage-2 bound <= stage-1 bound``, no queued candidate
+        can then enter the top k or change its order, and every key carries
+        the distinct image id, so ties are safe.  This is the threshold test
+        of Fagin, Lotem & Naor, "Optimal aggregation algorithms for
+        middleware" (PODS 2001), run as the multi-step k-nearest-neighbour
+        search of Seidl & Kriegel ("Optimal Multi-Step k-Nearest Neighbor
+        Search", SIGMOD 1998): the candidates scored are exactly those an
+        eager loop over every stage-2 bound would score.  Scores below the
+        minimum never take one of the k slots.  The exhaustive strategy, a
+        query without a limit and a full-scan pass, which has no tallies to
+        bound with, confirm every candidate in id order and bound none.
 
-        Misses are scored by the resolved kernel.  Nothing is materialised
-        here: the reference kernel's full results are kept with the
-        confirmed entries, and :meth:`_materialise` makes the survivors'
-        results.
+        Misses are scored by the resolved kernel and cached; a skipped
+        candidate leaves no cache entry.  Nothing is materialised here: the
+        reference kernel's full results are kept with the confirmed
+        entries, and :meth:`_materialise` makes the survivors' results.
 
         Returns:
             The ``(-score, image_id)`` keys of the survivors in ranking
@@ -626,8 +605,9 @@ class QueryEngine:
         """
         limit, minimum_score = spec.limit, spec.minimum_score
         graded = spec.has_graded_predicates
+        policy = spec.effective_policy()
         execution = self.resolve_execution(spec)
-        kernel = self._kernel_for(execution, spec.effective_policy())
+        kernel = self._kernel_for(execution, policy)
         outcome = self._shortlist(
             # The shortlist must not reject on the raw similarity bound: the
             # sum composition can rank a low-similarity image above a
@@ -665,42 +645,54 @@ class QueryEngine:
         anytime = execution.strategy == STRATEGY_ANYTIME and outcome.stage != STAGE_FULL_SCAN
         trace.strategy = STRATEGY_ANYTIME if anytime else STRATEGY_EXHAUSTIVE
 
-        cache_key = query_score_key(
-            query_bestring, spec.effective_policy(), spec.transformations
-        )
+        cache_key = query_score_key(query_bestring, policy, spec.transformations)
         use_cache = execution.cache
-        entries: Dict[str, CacheEntry] = {}
-        if use_cache:
-            for image_id in candidates:
-                entry = self.score_cache.get(cache_key, image_id)
-                if entry is not None:
-                    entries[image_id] = entry
-        bounds: Dict[str, float] = {}
-        keys: Dict[str, float] = {}
-        visit = candidates
-        if anytime:
-            bounds = self._bounds(
-                spec,
-                query_bestring,
-                outcome,
-                [image_id for image_id in candidates if image_id not in entries],
+        # The queue of (-composed bound, image id, refined) entries, a
+        # refined entry's bound being its stage-2 bound.  Without a stop
+        # there is nothing to bound: every entry is refined at key 0, so the
+        # candidates are confirmed in id order (a sorted list is a heap).
+        stoppable = anytime and limit is not None
+        queue: List[Tuple[float, str, bool]]
+        if not stoppable:
+            queue = [(0.0, image_id, True) for image_id in candidates]
+        else:
+            signature = QuerySignature(
+                query_bestring, spec.effective_picture().labels, spec.transformations
             )
+            queue = []
             for image_id in candidates:
-                entry = entries.get(image_id)
-                value = bounds[image_id] if entry is None else _entry_value(entry)
-                keys[image_id] = -composed(image_id, value)
-            visit = sorted(candidates, key=lambda image_id: (keys[image_id], image_id))
+                bound = outcome.bounds.get(image_id)
+                refined = bound is not None
+                if not refined:
+                    bound = signature.overlap_upper_bound(
+                        signature_for(self.database.get(image_id)),
+                        outcome.tallies[image_id],
+                        policy,
+                    )
+                queue.append((-composed(image_id, bound), image_id, refined))
+            heapify(queue)
 
         # (-composed score, image id) of every confirmed candidate at or
         # above the minimum, kept sorted: the ranking order.
         ranked: List[Tuple[float, str]] = []
         confirmed: Dict[str, CacheEntry] = {}
-        for image_id in visit:
-            if anytime and limit is not None and len(ranked) >= limit:
-                if limit == 0 or (keys[image_id], image_id) >= ranked[limit - 1]:
+        while queue:
+            key, image_id, refined = queue[0]
+            if stoppable and len(ranked) >= limit:
+                if limit == 0 or (key, image_id) >= ranked[limit - 1]:
                     break
-            entry = entries.get(image_id)
-            hit = entry is not None and not isinstance(entry, ScoreBound)
+            heappop(queue)
+            if not refined:
+                bound = signature.score_upper_bound(
+                    signature_for(self.database.get(image_id)),
+                    outcome.tallies[image_id],
+                    policy,
+                    with_boundary_lcs=True,
+                )
+                heappush(queue, (-composed(image_id, bound), image_id, True))
+                continue
+            entry = self.score_cache.get(cache_key, image_id) if use_cache else None
+            hit = entry is not None
             if hit:
                 trace.cache_hits += 1
             else:
@@ -722,23 +714,17 @@ class QueryEngine:
             if score >= minimum_score:
                 insort(ranked, (-score, image_id))
 
-        skipped = visit[len(confirmed):]
-        if skipped:
-            trace.bound_cutoff = -keys[skipped[0]]
-            for image_id in skipped[:REJECTION_SAMPLE_LIMIT]:
+        if queue:
+            # The skipped: their best known bound, stage 1 or stage 2.
+            trace.bound_cutoff = -queue[0][0]
+            for key, image_id, _ in nsmallest(REJECTION_SAMPLE_LIMIT, queue):
                 trace.candidates[image_id] = CandidateTrace(
                     image_id=image_id,
                     stage=STAGE_BOUND_SKIPPED,
-                    score_bound=-keys[image_id],
+                    score_bound=-key,
                 )
-            if use_cache:
-                for image_id in skipped:
-                    if image_id not in entries:
-                        self.score_cache.put(
-                            cache_key, image_id, ScoreBound(bounds[image_id])
-                        )
         trace.candidates_examined = len(confirmed)
-        trace.bound_skipped = len(skipped)
+        trace.bound_skipped = len(queue)
         return (ranked if limit is None else ranked[:limit]), confirmed, matches
 
     def _materialise(

@@ -1,4 +1,4 @@
-"""The two-stage signature shortlist: bitmap and boundary-order score bounds.
+"""The two-stage signature shortlist: label-tally and boundary-order score bounds.
 
 At 50k images the inverted symbol index still admits thousands of candidates
 on realistic label distributions, and every admitted candidate used to pay a
@@ -9,11 +9,12 @@ module makes the shortlist *precise* by deriving a compact
 persisted) and rejecting candidates whose best achievable score provably
 cannot clear the query's ``min_score``:
 
-* **Stage 1 — label bitmaps.**  Every label hashes (stable CRC-32) to one bit
-  of a fixed-width bitmap.  A single integer AND plus a popcount-style walk of
-  the query's set bits yields an upper bound on the label-multiset overlap —
-  no per-candidate ``Counter`` intersection — which upper-bounds both the
-  legacy overlap-ratio threshold and (coarsely) the LCS score.
+* **Stage 1 — the postings tally.**  Merging the query's postings counts,
+  per candidate, the query's labels it holds
+  (:meth:`~repro.index.inverted.InvertedSymbolIndex.candidates`).  The
+  tally bounds the label-multiset overlap from above, so it upper-bounds
+  both the legacy overlap-ratio threshold and (coarsely) the LCS score,
+  with no per-candidate work beyond the merge.
 * **Stage 2 — the boundary LCS.**  On one axis of a valid BE-string every
   boundary symbol occurs exactly once, so the longest common subsequence of
   the query's and a candidate's boundary symbols is the longest increasing
@@ -38,65 +39,24 @@ for the guarantees.
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bestring import AxisBEString, BEString2D
-from repro.core.similarity import SimilarityPolicy, combined_value, normalized_value
+from repro.core.similarity import (
+    Normalization,
+    SimilarityPolicy,
+    combined_value,
+    normalized_value,
+)
 from repro.core.symbols import BoundaryKind, Symbol
 from repro.core.transforms import Transformation, transform
-from repro.iconic.icon import BOUNDARY_INTERN_LIMIT, BOUNDARY_INTERN_MAX_LENGTH
-
-#: Default width (in bits) of the hashed label bitmap.
-DEFAULT_BITMAP_WIDTH = 128
 
 #: How many pruned candidates a single query records into its trace (the
 #: full rejection counts are always tracked; only the per-candidate sample
 #: shown by ``explain`` is capped, so a 50k-image prune cannot bloat traces).
 REJECTION_SAMPLE_LIMIT = 32
-
-
-#: The bitmap mask (``1 << bit``) at :data:`DEFAULT_BITMAP_WIDTH` of each
-#: label :func:`label_bitmap` has seen, bounded like the boundary-symbol
-#: table of :meth:`~repro.core.symbols.Symbol.boundaries`: at most
-#: ``BOUNDARY_INTERN_LIMIT`` labels of at most ``BOUNDARY_INTERN_MAX_LENGTH``
-#: characters, emptied when full.
-_LABEL_MASKS: Dict[str, int] = {}
-
-
-def label_bit(label: str, width: int = DEFAULT_BITMAP_WIDTH) -> int:
-    """The bitmap bit a label hashes to (stable CRC-32, like the shard hash).
-
-    The bit is the CRC-32 of the label's UTF-8 bytes modulo ``width``.
-    """
-    return zlib.crc32(label.encode("utf-8")) % width
-
-
-def label_bitmap(labels: Iterable[str], width: int = DEFAULT_BITMAP_WIDTH) -> int:
-    """The bit-packed bitmap of a label collection.
-
-    At the default width, the one every stored record's signature uses,
-    each label's mask is remembered in a bounded table, so a load hashes
-    each distinct label and builds its mask once.
-    """
-    bitmap = 0
-    if width != DEFAULT_BITMAP_WIDTH:
-        for label in labels:
-            bitmap |= 1 << label_bit(label, width)
-        return bitmap
-    masks = _LABEL_MASKS
-    for label in labels:
-        mask = masks.get(label)
-        if mask is None:
-            mask = 1 << label_bit(label)
-            if len(label) <= BOUNDARY_INTERN_MAX_LENGTH:
-                if len(masks) >= BOUNDARY_INTERN_LIMIT:
-                    masks.clear()
-                masks[label] = mask
-        bitmap |= mask
-    return bitmap
 
 
 def count_labels(labels: Iterable[str]) -> Dict[str, int]:
@@ -277,49 +237,31 @@ def _complete(slots: Dict[str, int], walks: List[_Walk]) -> Tuple[Dict[str, int]
 class ImageSignature:
     """The shortlist signature of one stored image.
 
-    Carries the hashed label bitmap (stage 1) and the per-axis boundary
-    positions (stage 2).  Signatures are derived data, built from the record's
+    Carries the label multiset and the per-axis boundary positions
+    (stage 2).  Signatures are derived data, built from the record's
     validated BE-string and never persisted: a stored copy could disagree
     with the string it claims to describe and silently prune a true match.
     A value record (see ``docs/architecture.md``, "Value records").
     """
 
-    __slots__ = ("width", "bitmap", "label_counts", "x", "y")
+    __slots__ = ("label_counts", "x", "y")
 
-    width: int
-    bitmap: int
     #: The image's label multiset.  The engine's inverted index holds this
     #: same dict for the image, so a record's labels are counted once.
     label_counts: Dict[str, int]
     x: AxisSignature
     y: AxisSignature
 
-    def __init__(
-        self,
-        width: int,
-        bitmap: int,
-        label_counts: Dict[str, int],
-        x: AxisSignature,
-        y: AxisSignature,
-    ) -> None:
-        _set_width(self, width)
-        _set_bitmap(self, bitmap)
+    def __init__(self, label_counts: Dict[str, int], x: AxisSignature, y: AxisSignature) -> None:
         _set_label_counts(self, label_counts)
         _set_x(self, x)
         _set_y(self, y)
 
-    def __reduce__(
-        self,
-    ) -> Tuple[type, Tuple[int, int, Dict[str, int], AxisSignature, AxisSignature]]:
-        return (type(self), (self.width, self.bitmap, self.label_counts, self.x, self.y))
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[str, int], AxisSignature, AxisSignature]]:
+        return (type(self), (self.label_counts, self.x, self.y))
 
     @classmethod
-    def from_bestring(
-        cls,
-        bestring: BEString2D,
-        labels: Iterable[str],
-        width: int = DEFAULT_BITMAP_WIDTH,
-    ) -> "ImageSignature":
+    def from_bestring(cls, bestring: BEString2D, labels: Iterable[str]) -> "ImageSignature":
         """Build the signature of an image from its BE-string and labels.
 
         Every stored record's signature -- at load, on insert and after an
@@ -327,13 +269,10 @@ class ImageSignature:
         y signatures share one slot table, numbered in order of first
         appearance on the x axis, so equal BE-strings give equal signatures.
         """
-        counts = count_labels(labels)
         x, y = _axis_signatures(bestring.x, bestring.y)
-        return cls(width, label_bitmap(counts, width), counts, x, y)
+        return cls(count_labels(labels), x, y)
 
 
-_set_width = ImageSignature.width.__set__
-_set_bitmap = ImageSignature.bitmap.__set__
 _set_label_counts = ImageSignature.label_counts.__set__
 _set_x = ImageSignature.x.__set__
 _set_y = ImageSignature.y.__set__
@@ -347,7 +286,7 @@ def signature_for(record: Any) -> ImageSignature:
     computing the same signature is harmless.
 
     Returns:
-        The record's :class:`ImageSignature` at :data:`DEFAULT_BITMAP_WIDTH`.
+        The record's :class:`ImageSignature`.
     """
     signature = record.signature
     if signature is None:
@@ -448,13 +387,18 @@ class _QueryVariant:
     y_sequence: BoundarySequence
 
 
+#: The normalisations that divide by no candidate side.  Under them a
+#: tally's score bound needs no candidate field.
+_QUERY_SIDE = (Normalization.QUERY, Normalization.NONE)
+
+
 class QuerySignature:
     """Per-query precomputation consumed by both shortlist stages.
 
-    Built once per query execution: the hashed bitmap with per-bit label
-    counts (stage 1) and, for every transformation in the query's set, the
-    axis signatures and boundary sequences of the *transformed* query string
-    (stage 2) — so the bound is evaluated exactly against what
+    Built once per query execution: the label multiset (stage 1 reads the
+    postings tally against it) and, for every transformation in the query's
+    set, the axis signatures and boundary sequences of the *transformed*
+    query string (stage 2) — so the bound is evaluated exactly against what
     :func:`~repro.core.similarity.invariant_similarity` would score, and the
     maximum over variants is a sound bound for transformation-invariant
     retrieval.
@@ -465,19 +409,15 @@ class QuerySignature:
         bestring: BEString2D,
         labels: Iterable[str],
         transformations: Iterable[Transformation] = (Transformation.IDENTITY,),
-        width: int = DEFAULT_BITMAP_WIDTH,
     ) -> None:
         """Precompute the query-side signature state."""
-        self.width = width
         self.label_counts = count_labels(labels)
         self.total_labels = sum(self.label_counts.values())
-        self.bit_counts: Dict[int, int] = {}
-        for label, count in self.label_counts.items():
-            bit = label_bit(label, width)
-            self.bit_counts[bit] = self.bit_counts.get(bit, 0) + count
-        self.bitmap = 0
-        for bit in self.bit_counts:
-            self.bitmap |= 1 << bit
+        #: The policy :attr:`_tally_bounds` was built for.
+        self._tally_policy: Optional[SimilarityPolicy] = None
+        #: The stage-1 score bound of each tally ``0..total_labels`` under
+        #: :attr:`_tally_policy`, built on first use.
+        self._tally_bounds: List[float] = []
         self.variants: List[_QueryVariant] = []
         for transformation in dict.fromkeys(transformations):
             transformed = transform(bestring, transformation)
@@ -491,25 +431,55 @@ class QuerySignature:
                 )
             )
 
-    def overlap_upper_bound(self, candidate: ImageSignature) -> int:
-        """Stage-1 bound on the label-multiset overlap from the bitmaps alone.
+    def overlap_upper_bound(
+        self, candidate: ImageSignature, tally: int, policy: SimilarityPolicy
+    ) -> float:
+        """Stage-1 score bound of a candidate whose postings tally is ``tally``.
 
-        Walks the query's set bits and sums the query-side label counts of
-        bits also present in the candidate bitmap; a shared label always sets
-        a shared bit, so this never undercounts the true multiset overlap.
+        The tally bounds the label-multiset overlap, so each axis LCS holds
+        at most ``2 * tally`` boundary symbols.  Under the query or no
+        normalisation the bound also drops the candidate's own caps: it
+        reads no candidate field, and one table indexed by tally serves
+        the query.  Under the database or Dice normalisation it is
+        :meth:`score_upper_bound` of the candidate.  Either way it is at
+        least the candidate's stage-2 bound.
+
+        The name is that of the bitmap overlap bound this replaced: the
+        profile benchmark's tracer (``benchmarks/profile/trace.py``) wraps
+        it and fails without it, until the harness reads the engine's own
+        counters instead of patching names (ROADMAP item 1).
         """
-        if candidate.width != self.width:
-            return self.total_labels
-        bitmap = candidate.bitmap
-        if not (self.bitmap & bitmap):
-            # One integer AND settles the common case of zero shared labels.
-            return 0
-        return sum(
-            count for bit, count in self.bit_counts.items() if (bitmap >> bit) & 1
-        )
+        if policy.normalization not in _QUERY_SIDE:
+            return self.score_upper_bound(candidate, tally, policy)
+        if policy is not self._tally_policy:
+            self._tally_policy = policy
+            self._tally_bounds = [
+                self._candidate_free_bound(overlap, policy)
+                for overlap in range(self.total_labels + 1)
+            ]
+        # The overlap never exceeds the query's own label count.
+        return self._tally_bounds[min(tally, self.total_labels)]
+
+    def _candidate_free_bound(self, overlap: int, policy: SimilarityPolicy) -> float:
+        """The coarse score bound at ``overlap`` without the candidate's caps.
+
+        Each query variant's axes stand in for the candidate's: a query-side
+        normalisation reads no candidate side, and the query's caps are
+        looser than the minimum over both strings.
+        """
+        best = 0.0
+        for variant in self.variants:
+            score = combined_value(
+                axis_score_bound(variant.x, variant.x, 2 * overlap, policy),
+                axis_score_bound(variant.y, variant.y, 2 * overlap, policy),
+                policy.combination,
+            )
+            if score > best:
+                best = score
+        return best
 
     def exact_overlap(self, candidate: ImageSignature) -> int:
-        """The exact label-multiset overlap (stage 2)."""
+        """The exact label-multiset overlap."""
         counts = candidate.label_counts
         return sum(
             min(count, counts.get(label, 0))
@@ -527,9 +497,11 @@ class QuerySignature:
 
         Each common object contributes at most its begin and end to an axis
         LCS, so ``2 * overlap`` bounds its boundary symbols, ``overlap``
-        being the (bound on the) label-multiset overlap to charge.
-        ``with_boundary_lcs=True`` bounds them by :func:`boundary_lcs`
-        instead (stage 2), on each candidate axis where that is exact.
+        being a bound on the label-multiset overlap: the postings tally or
+        the exact overlap.  ``with_boundary_lcs=True`` bounds them by
+        :func:`boundary_lcs` instead (stage 2), on each candidate axis where
+        that is exact; every axis of a validated record is, so there the
+        overlap is not read.
         """
         x, y = candidate.x, candidate.y
         cap = 2 * overlap
@@ -559,8 +531,14 @@ class ShortlistOutcome:
     candidates: List[str]
     stage: str
     inverted_candidates: Optional[int] = None
+    #: Stage-1 (postings-tally) rejections: the overlap threshold and the
+    #: tally's score bound.  The name is the label bitmap's, which stage 1
+    #: read before; ``/stats`` and the profile benchmark read it by name.
     bitmap_rejected: int = 0
     relation_rejected: int = 0
+    #: The postings tally of every candidate that shares a label with the
+    #: query (image id -> tally), admitted or not; empty on a full scan.
+    tallies: Dict[str, int] = field(default_factory=dict)
     #: Sampled rejections (image id -> rejecting stage constant), capped at
     #: :data:`REJECTION_SAMPLE_LIMIT` entries for ``explain`` output.
     rejections: Dict[str, str] = field(default_factory=dict)
@@ -568,7 +546,7 @@ class ShortlistOutcome:
     rejection_bounds: Dict[str, float] = field(default_factory=dict)
     #: Stage-2 score bound of every *admitted* candidate (image id ->
     #: bound) when the pass made a minimum-score cut, which computes them
-    #: anyway; the candidate loop reuses them instead of bounding twice.
+    #: anyway; the candidate loop queues them instead of bounding twice.
     #: Empty when the pass made no such cut.
     bounds: Dict[str, float] = field(default_factory=dict)
 
@@ -579,6 +557,7 @@ class ShortlistStatistics:
 
     queries: int
     candidates: int
+    #: Stage-1 (postings-tally) rejections, under the bitmap's old name.
     bitmap_rejected: int
     relation_rejected: int
     admitted: int
@@ -599,17 +578,15 @@ def tree_degree_bound(tree: Any, has_label) -> float:
     """A sound upper bound on a predicate tree's degree for one image.
 
     ``has_label(label) -> bool`` is any label-presence oracle that never
-    returns ``False`` for a label the image actually contains — both the
-    exact inverted-index postings and the stage-1 hashed CRC-32 label
-    bitmaps satisfy this (a clear bitmap bit proves absence; a set bit may
-    be a hash collision, which only *weakens* the bound, never unsounds it).
+    returns ``False`` for a label the image actually contains; the engine
+    asks the inverted index's postings, which are exact.
 
     Proof sketch (structural induction over the AST):
 
     * **Crisp leaf** — its degree is 1 only if some subject/target instance
       pair satisfies the relation, which requires both labels to be present;
       if either is reported absent the true degree is exactly 0, so 0 is a
-      (tight) upper bound.  Present (or colliding) labels bound at 1, the
+      (tight) upper bound.  Labels reported present bound at 1, the
       trivial top.
     * **Fuzzy leaf** — the boundary-distance degree can be arbitrarily close
       to 1 for *any* present pair, and the oracle cannot see geometry, so

@@ -101,9 +101,10 @@ STAGE_SHORTLIST = "inverted-index+signature"
 STAGE_PREDICATE_PRUNED = "label-pruned"
 STAGE_PREDICATE_EVALUATED = "predicate-evaluated"
 #: Shortlist stages a candidate can be *rejected* by (see
-#: :mod:`repro.index.shortlist`): the hashed label-bitmap bound (stage 1)
-#: and the boundary-LCS score bound, which bounds each axis by the order
-#: of its boundary symbols (stage 2).
+#: :mod:`repro.index.shortlist`): the postings-tally bound (stage 1; the
+#: name is the label bitmap's that stage 1 read before) and the
+#: boundary-LCS score bound, which bounds each axis by the order of its
+#: boundary symbols (stage 2).
 STAGE_BITMAP_PRUNED = "bitmap-bound-pruned"
 STAGE_RELATION_PRUNED = "relation-bound-pruned"
 #: Anytime strategy: admitted by the shortlist but never scored because the
@@ -460,7 +461,7 @@ class QueryTrace:
     inverted_candidates: Optional[int] = None
     #: How many candidates survived the signature filter and were scored.
     shortlisted: int = 0
-    #: Candidates rejected by the stage-1 hashed-bitmap score/overlap bound.
+    #: Candidates rejected by the stage-1 postings-tally score/overlap bound.
     bitmap_pruned: int = 0
     #: Candidates rejected by the stage-2 boundary-LCS score bound.
     relation_pruned: int = 0

@@ -859,8 +859,10 @@ def _stored_signature(record, corrupt):
 
     return {
         "version": 1,
-        "width": signature.width,
-        "bitmap": format(signature.bitmap, "x"),
+        # Older releases stored a hashed label bitmap; loaders ignore the
+        # whole payload, so fixed values stand in for it.
+        "width": 128,
+        "bitmap": "0",
         "labels": dict(sorted(signature.label_counts.items())),
         "x": axis(signature.x),
         "y": axis(signature.y),

@@ -1,11 +1,13 @@
-"""The cache-first candidate loop: what a repeated or edited query recomputes.
+"""The lazy candidate loop: what a repeated or edited query recomputes.
 
-Every similarity clause runs through one loop that reads the score cache
-before any other work.  A cache entry holds a full result, a confirmed
-score, or the stage-2 bound of a candidate the anytime stop rule skipped, so:
+Every similarity clause runs through one loop that bounds a candidate when
+it reaches the head of its queue and reads the score cache before scoring
+it.  A cache entry holds a full result or a confirmed score, so:
 
-* a repeated spec computes no bound and runs no kernel;
-* after an edit, only the edited image is bounded or scored again;
+* a repeated spec runs no kernel, and bounds again what the first run
+  bounded;
+* a candidate the anytime stop rule skipped leaves no cache entry;
+* after an edit, only the edited image is scored again;
 * the batch scheduler, which ranks full results, treats score-only entries
   as misses.
 
@@ -19,7 +21,7 @@ from repro.core.transforms import Transformation
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
 from repro.index import query as query_module
-from repro.index.cache import ScoreBound, query_score_key
+from repro.index.cache import query_score_key
 from repro.index.shortlist import QuerySignature
 from repro.index.spec import STAGE_BOUND_SKIPPED
 from repro.retrieval.system import RetrievalSystem
@@ -35,7 +37,7 @@ def system(scene_collection):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count bound, kernel and reference evaluations the engine makes."""
+    """Count stage-2 bound, kernel and reference evaluations the engine makes."""
     counts = {"bounds": 0, "kernel": 0, "reference": 0}
 
     def counting(name, function):
@@ -81,35 +83,47 @@ RECIPES = {
 
 
 @pytest.mark.parametrize("recipe", sorted(RECIPES))
-def test_repeated_spec_computes_nothing(system, office, calls, recipe):
+def test_repeated_spec_runs_no_kernel(system, office, calls, recipe):
     counts, reset = calls
     build = RECIPES[recipe]
     first = build(system, office).execute()
-    assert counts["bounds"] > 0 and counts["kernel"] > 0
+    bounded = counts["bounds"]
+    assert bounded > 0 and counts["kernel"] > 0
     reset()
     second = build(system, office).execute()
-    assert counts == {"bounds": 0, "kernel": 0, "reference": 0}
+    # Bounds are not cached: the repeat refines the same candidates again.
+    assert counts == {"bounds": bounded, "kernel": 0, "reference": 0}
     assert second.to_dicts() == first.to_dicts()
     reference = build(system, office).execution(**REFERENCE).execute()
     assert first.to_dicts() == reference.to_dicts()
 
 
-def test_skipped_candidates_leave_their_bounds(system, office):
-    trace = system.query(office).limit(1).execute().trace
+def test_skipped_candidates_leave_no_cache_entry(system, office):
+    results = system.query(office).limit(1).execute()
+    trace = results.trace
     skipped = [
         candidate
         for candidate in trace.candidates.values()
         if candidate.stage == STAGE_BOUND_SKIPPED
     ]
     assert skipped
+    # The loop stopped at the head's bound, which no skipped bound beats
+    # and the confirmed top score meets.
+    assert results[0].score >= trace.bound_cutoff
     key = query_score_key(encode_picture(office), system.policy, (Transformation.IDENTITY,))
     for candidate in skipped:
-        entry = system._engine.score_cache.get(key, candidate.image_id)
-        assert isinstance(entry, ScoreBound)
-        assert entry == candidate.score_bound
+        assert candidate.score_bound <= trace.bound_cutoff
+        assert system._engine.score_cache.get(key, candidate.image_id) is None
 
 
-def test_edit_rebounds_and_rescores_only_the_edited_image(system, office, calls):
+def test_a_top_k_read_bounds_fewer_candidates_than_it_admits(system, office, calls):
+    counts, _ = calls
+    trace = system.query(office).limit(1).execute().trace
+    assert trace.bound_skipped > 0
+    assert counts["bounds"] < trace.shortlisted
+
+
+def test_edit_rescores_only_the_edited_image(system, office, calls):
     counts, reset = calls
 
     def query():
@@ -121,19 +135,19 @@ def test_edit_rebounds_and_rescores_only_the_edited_image(system, office, calls)
     system.remove_object(edited, "phone")
     reset()
     after = query().execute()
-    assert counts == {"bounds": 1, "kernel": 1, "reference": 1}
+    # Without a limit nothing can be skipped, so nothing is bounded.
+    assert counts == {"bounds": 0, "kernel": 1, "reference": 1}
     assert after.trace.cache_misses == 1
     assert after.trace.candidates[edited].cache_hit is False
     assert after.to_dicts() == query().execution(**REFERENCE).execute().to_dicts()
 
 
-def test_edit_under_a_limit_bounds_only_the_edited_image(system, office, calls):
+def test_edit_under_a_limit_rescores_only_the_edited_image(system, office, calls):
     counts, reset = calls
     system.query(office).limit(2).execute()
     system.remove_object("office-005", "phone")
     reset()
     after = system.query(office).limit(2).execute()
-    assert counts["bounds"] == 1
     assert counts["kernel"] <= 1
     reference = system.query(office).limit(2).execution(**REFERENCE).execute()
     assert after.to_dicts() == reference.to_dicts()
@@ -141,7 +155,7 @@ def test_edit_under_a_limit_bounds_only_the_edited_image(system, office, calls):
 
 def test_batch_after_score_only_entries_equals_serial(system, office, traffic):
     # Single queries under a limit leave confirmed scores (examined
-    # non-survivors) and bounds (skipped candidates) in the cache.
+    # non-survivors) in the cache, and nothing for skipped candidates.
     for picture in (office, traffic):
         system.query(picture).limit(2).execute()
     batch = system.query_batch(

@@ -49,7 +49,7 @@ class TestMaintenance:
         assert office_only  # the fixture scenes differ
         for label in office_only:
             assert label not in index.vocabulary
-            assert index.candidates([label]) == set()
+            assert index.candidates([label]) == {}
         assert not any(not postings for postings in index._postings.values())
 
     def test_update_picture_drops_postings_of_removed_labels(self, office):
@@ -57,7 +57,7 @@ class TestMaintenance:
         index.add_picture("scene", office)
         index.update_picture("scene", office.remove_icon("phone"))
         assert "phone" not in index.vocabulary
-        assert index.candidates(["phone"]) == set()
+        assert index.candidates(["phone"]) == {}
         assert not any(not postings for postings in index._postings.values())
 
     def test_vocabulary_shrinks_back_to_empty(self, office, traffic):
@@ -84,19 +84,30 @@ class TestCandidates:
         index.add_picture("office", office)
         index.add_picture("traffic", traffic)
         index.add_picture("landscape", landscape)
-        assert index.candidates(["desk", "monitor"]) == {"office"}
-        assert index.candidates(["tree"]) == {"landscape"}
-        assert index.candidates(["nonexistent"]) == set()
+        assert index.candidates(["desk", "monitor"]) == {"office": 2}
+        assert index.candidates(["tree"]) == {"landscape": 1}
+        assert index.candidates(["nonexistent"]) == {}
 
     def test_minimum_shared_threshold(self, office, traffic):
         index = InvertedSymbolIndex()
         index.add_picture("office", office)
         index.add_picture("traffic", traffic)
         labels = ["desk", "monitor", "car"]
-        assert index.candidates(labels, minimum_shared=1) == {"office", "traffic"}
-        assert index.candidates(labels, minimum_shared=2) == {"office"}
+        assert index.candidates(labels, minimum_shared=1) == {"office": 2, "traffic": 1}
+        assert index.candidates(labels, minimum_shared=2) == {"office": 2}
         with pytest.raises(ValueError):
             index.candidates(labels, minimum_shared=0)
+
+    def test_tally_weights_each_shared_label_by_its_query_count(self, landscape, traffic):
+        # The tally charges a shared label the query's count of it, whatever
+        # the image's: it bounds the multiset overlap min(query, image).
+        index = InvertedSymbolIndex()
+        index.add_picture("landscape", landscape)  # two trees, one sun
+        index.add_picture("traffic", traffic)  # two buildings
+        query = ["tree", "tree", "tree", "sun", "building"]
+        assert index.candidates(query) == {"landscape": 4, "traffic": 1}
+        # ``minimum_shared`` counts distinct labels, not the tally.
+        assert index.candidates(query, minimum_shared=2) == {"landscape": 4}
 
     def test_vocabulary_and_indexed_images(self, office):
         index = InvertedSymbolIndex()

@@ -30,19 +30,16 @@ from repro.core.transforms import Transformation, transform
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
-from repro.index import shortlist
 from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
+from repro.index.inverted import InvertedSymbolIndex
 from repro.index.query import QueryEngine
 from repro.index.shortlist import (
-    DEFAULT_BITMAP_WIDTH,
     AxisSignature,
     ImageSignature,
     QuerySignature,
     boundary_lcs,
     boundary_sequence,
-    label_bit,
-    label_bitmap,
     signature_for,
 )
 from repro.index.spec import STAGE_BITMAP_PRUNED, STAGE_RELATION_PRUNED, QuerySpec
@@ -104,66 +101,51 @@ def _signature(picture):
     return ImageSignature.from_bestring(encode_picture(picture), picture.labels)
 
 
-class TestBitmapPrimitives:
-    def test_label_bit_is_stable_and_in_range(self):
-        assert 0 <= label_bit("car") < DEFAULT_BITMAP_WIDTH
-        assert label_bit("car") == label_bit("car")
-        assert label_bit("car", width=8) < 8
+class TestTallyBound:
+    """Stage 1: the tally's score bound dominates the stage-2 bound.
 
-    def test_label_mask_table_never_exceeds_its_cap(self, monkeypatch):
-        monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
-        monkeypatch.setattr(shortlist, "BOUNDARY_INTERN_LIMIT", 8)
-        for index in range(20):
-            label = f"label-{index}"
-            assert label_bitmap([label]) == label_bitmap([label]) == 1 << label_bit(label)
-            assert len(shortlist._LABEL_MASKS) <= 8
-        assert len(shortlist._LABEL_MASKS) == 4
+    The tally itself is checked in ``tests/property/test_property_tally.py``.
+    """
 
-    def test_overlong_labels_are_not_remembered(self, monkeypatch):
-        monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
-        label = "x" * (shortlist.BOUNDARY_INTERN_MAX_LENGTH + 1)
-        assert label_bitmap([label]) == 1 << label_bit(label)
-        assert not shortlist._LABEL_MASKS
-        label_bitmap([label[:-1]])
-        assert list(shortlist._LABEL_MASKS) == [label[:-1]]
-
-    def test_other_widths_leave_the_mask_table_alone(self, monkeypatch):
-        monkeypatch.setattr(shortlist, "_LABEL_MASKS", {})
-        assert label_bitmap(["car", "tree"], width=8) == (
-            1 << label_bit("car", 8) | 1 << label_bit("tree", 8)
-        )
-        assert not shortlist._LABEL_MASKS
-
-    def test_bitmap_sets_one_bit_per_distinct_label(self):
-        bitmap = label_bitmap(["car", "car", "tree"])
-        assert bin(bitmap).count("1") <= 2
-        assert bitmap & (1 << label_bit("car"))
-        assert bitmap & (1 << label_bit("tree"))
-
-    def test_overlap_upper_bound_never_undercounts(self):
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        # Twelve labels over six objects: most scenes repeat a label.
         pictures = random_pictures(30, seed=5, parameters=_PARAMETERS)
-        query_signatures = [
-            QuerySignature(encode_picture(p), p.labels, width=16) for p in pictures[:10]
-        ]
-        candidates = [
-            ImageSignature.from_bestring(encode_picture(p), p.labels, width=16)
-            for p in pictures
-        ]
-        for query_signature in query_signatures:
-            for candidate in candidates:
-                assert query_signature.overlap_upper_bound(
-                    candidate
-                ) >= query_signature.exact_overlap(candidate)
+        index = InvertedSymbolIndex()
+        for number, picture in enumerate(pictures):
+            index.add_picture(str(number), picture)
+        return pictures, index
 
-    def test_width_mismatch_falls_back_to_total(self):
-        picture = random_pictures(1, seed=1, parameters=_PARAMETERS)[0]
-        query_signature = QuerySignature(encode_picture(picture), picture.labels, width=16)
-        other = ImageSignature.from_bestring(
-            encode_picture(picture), picture.labels, width=32
-        )
-        assert (
-            query_signature.overlap_upper_bound(other) == query_signature.total_labels
-        )
+    @pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.describe())
+    @pytest.mark.parametrize("invariant", [False, True])
+    def test_tally_bound_dominates_the_stage_two_bound(self, corpus, policy, invariant):
+        pictures, index = corpus
+        transformations = tuple(Transformation) if invariant else (Transformation.IDENTITY,)
+        for query in pictures[:6]:
+            query_bestring = encode_picture(query)
+            query_signature = QuerySignature(query_bestring, query.labels, transformations)
+            for image_id, tally in index.candidates(query.labels).items():
+                picture = pictures[int(image_id)]
+                candidate = _signature(picture)
+                stage_one = query_signature.overlap_upper_bound(candidate, tally, policy)
+                stage_two = query_signature.score_upper_bound(
+                    candidate, tally, policy, with_boundary_lcs=True
+                )
+                score = invariant_similarity(
+                    query_bestring, encode_picture(picture), policy, transformations
+                ).score
+                assert stage_one >= stage_two >= score - 1e-9
+
+    def test_query_side_normalisation_reads_no_candidate_field(self, corpus):
+        pictures, _ = corpus
+        query = pictures[0]
+        query_signature = QuerySignature(encode_picture(query), query.labels)
+        policy = SimilarityPolicy()
+        bounds = {
+            query_signature.overlap_upper_bound(_signature(picture), 2, policy)
+            for picture in pictures
+        }
+        assert bounds == {query_signature.overlap_upper_bound(None, 2, policy)}
 
 
 def _random_axis(rng, identifiers, dummy_rate):
@@ -484,15 +466,15 @@ class TestSignatureLifecycle:
         assert after.label_counts.get("added-box") == 1
         assert after != before
 
-    def test_engine_mutations_materialise_signatures_at_the_default_width(self):
+    def test_engine_mutations_materialise_signatures(self):
         database = ImageDatabase()
         database.add_pictures(random_pictures(3, seed=63, parameters=_PARAMETERS))
         engine = QueryEngine.build(database)
-        assert all(record.signature.width == DEFAULT_BITMAP_WIDTH for record in database)
+        assert all(record.signature is not None for record in database)
         picture = random_pictures(1, seed=64, parameters=_PARAMETERS)[0]
         image_id = engine.add_picture(picture, "added-after-build")
         record = engine.database.get(image_id)
-        assert record.signature is not None and record.signature.width == DEFAULT_BITMAP_WIDTH
+        assert record.signature is not None
         engine.add_object(image_id, "late-box", Rectangle(0.5, 0.5, 2.0, 2.0))
         record = engine.database.get(image_id)
         assert record.signature is not None

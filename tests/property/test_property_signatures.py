@@ -1,6 +1,6 @@
 """Record index state equals a brute-force derivation.
 
-Four angles on what a load derives per record:
+Three angles on what a load derives per record:
 
 * :meth:`AxisSignature.from_axis` walks an axis string once; its slots
   and packed positions must equal a scan that looks at every identifier
@@ -10,10 +10,6 @@ Four angles on what a load derives per record:
 * :meth:`ImageSignature.from_bestring` shares one slot table between the
   two axes; an object takes part in pairs only when the scan of each axis
   finds it complete, in order of first appearance on the x axis;
-* :func:`label_bitmap` remembers each label's mask at the default width;
-  :func:`label_bit` must equal the CRC-32 bit at every width, and the
-  bitmap must set that bit at every width, at the default width on the
-  first call and on a remembered one;
 * the engine's :class:`InvertedSymbolIndex` keeps the label counts of each
   record's signature rather than its own copy; after a load and any run of
   inserts, object edits and deletes, its postings and candidates must equal
@@ -22,7 +18,6 @@ Four angles on what a load derives per record:
 """
 
 import tempfile
-import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -33,13 +28,7 @@ from repro.core.symbols import BoundaryKind, Symbol
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.index.inverted import InvertedSymbolIndex
-from repro.index.shortlist import (
-    DEFAULT_BITMAP_WIDTH,
-    AxisSignature,
-    ImageSignature,
-    label_bit,
-    label_bitmap,
-)
+from repro.index.shortlist import AxisSignature, ImageSignature
 from repro.retrieval.system import RetrievalSystem
 
 _IDENTIFIERS = ("a", "b", "c", "d#1")
@@ -137,24 +126,6 @@ def test_image_signature_equals_a_brute_force_scan_of_both_axes(x, y):
         assert list(zip(axis.begins, axis.ends)) == [
             positions[identifier] for identifier in complete
         ]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    label=st.text(min_size=1, max_size=160),
-    width=st.integers(min_value=1, max_value=1 << 20),
-)
-def test_remembered_label_bit_equals_the_crc32_bit(label, width):
-    crc = zlib.crc32(label.encode("utf-8"))
-    assert label_bit(label, width) == crc % width
-    assert label_bit(label, width + 1) == crc % (width + 1)
-    assert label_bitmap([label, label], width) == 1 << (crc % width)
-    # At the default width the second call reads the remembered mask
-    # (labels up to the length cap); both give the CRC-32 bit.
-    default = crc % DEFAULT_BITMAP_WIDTH
-    for _ in range(2):
-        assert label_bit(label) == default
-        assert label_bitmap([label, label]) == 1 << default
 
 
 _LABELS = tuple(f"c{index}" for index in range(6))

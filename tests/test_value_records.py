@@ -64,7 +64,7 @@ FIELDS = {
     "AxisBEString": ("symbols",),
     "BEString2D": ("x", "y", "name"),
     "AxisSignature": ("length", "boundaries", "dummies", "slots", "begins", "ends"),
-    "ImageSignature": ("width", "bitmap", "label_counts", "x", "y"),
+    "ImageSignature": ("label_counts", "x", "y"),
 }
 
 
