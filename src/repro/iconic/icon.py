@@ -7,11 +7,10 @@ from typing import Any, Dict, Tuple
 
 from repro.geometry.rectangle import Rectangle
 
-#: Most entries an interning table keeps: the shared icon labels here, the
-#: boundary symbols of :meth:`repro.core.symbols.Symbol.boundaries` and the
-#: label CRCs of :mod:`repro.index.shortlist`.  A full table is emptied (like
-#: the ``re`` module's pattern cache), so labels a client makes up cannot
-#: grow it without limit.
+#: Most entries an interning table keeps: the shared icon labels here and
+#: the boundary symbols of :meth:`repro.core.symbols.Symbol.boundaries`.
+#: A full table is emptied (like the ``re`` module's pattern cache), so
+#: labels a client makes up cannot grow it without limit.
 BOUNDARY_INTERN_LIMIT = 65536
 #: Longest label or identifier a table keeps.  A longer one is used as
 #: given, so a table holds at most ``BOUNDARY_INTERN_LIMIT`` times this many

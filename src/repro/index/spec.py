@@ -441,7 +441,8 @@ class CandidateTrace:
     cache_hit: Optional[bool] = None
     #: For candidates rejected by a signature bound: the value that failed —
     #: the score upper bound against the query's ``minimum_score``, or (for
-    #: overlap-threshold rejections) the failing overlap ratio.
+    #: overlap-threshold rejections) the failing overlap ratio.  For a
+    #: candidate the anytime stop skipped: its best known score bound.
     score_bound: Optional[float] = None
 
 
@@ -480,8 +481,9 @@ class QueryTrace:
     candidates_examined: int = 0
     #: Admitted candidates skipped by the anytime bound cut-off.
     bound_skipped: int = 0
-    #: The upper bound of the first skipped candidate (``None`` when the
-    #: strategy ran to exhaustion).
+    #: The upper bound at the head of the queue when the loop stopped: the
+    #: best known bound (stage 1 or stage 2) of any skipped candidate
+    #: (``None`` when the strategy ran to exhaustion).
     bound_cutoff: Optional[float] = None
     candidates: Dict[str, CandidateTrace] = field(default_factory=dict)
 

@@ -494,7 +494,7 @@ class TestSignatureLifecycle:
 
 class TestThresholdAndWidthConsistency:
     def test_overlap_threshold_rejections_belong_to_the_bitmap_stage(self):
-        # Threshold rejections — bitmap-bounded *or* exact — are label-overlap
+        # Threshold rejections — tally-bounded *or* exact — are label-overlap
         # (stage-1) rejections; only the boundary-LCS score bound is stage 2.
         database = ImageDatabase()
         database.add_pictures(random_pictures(30, seed=61, parameters=_PARAMETERS))
