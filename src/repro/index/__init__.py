@@ -9,8 +9,8 @@ database a downstream user would actually store BE-strings in:
 * :class:`~repro.index.inverted.InvertedSymbolIndex` -- symbol -> image ids,
   used to shortlist candidates that share at least one query icon, with a
   tally of the query labels each holds.
-* :mod:`~repro.index.shortlist` -- the two-stage signature shortlist: the
-  postings tally (stage 1) and the boundary LCS of each axis (stage 2)
+* :mod:`~repro.index.shortlist` -- the two-stage shortlist: the postings
+  tally (stage 1) and the boundary LCS of each stored axis (stage 2)
   upper-bound the achievable LCS score so only candidates that can clear
   the query's ``min_score`` are ever scored (see ``docs/shortlist.md``).
 * :class:`~repro.index.query.QueryEngine` -- the unified query pipeline:
@@ -51,7 +51,6 @@ from repro.index.inverted import InvertedSymbolIndex
 from repro.index.query import QueryEngine
 from repro.index.ranking import RankedResult, rank_results
 from repro.index.shortlist import (
-    ImageSignature,
     QuerySignature,
     ShortlistOutcome,
     ShortlistStatistics,
@@ -105,7 +104,6 @@ __all__ = [
     "SpecOutcome",
     "RankedResult",
     "rank_results",
-    "ImageSignature",
     "QuerySignature",
     "ShortlistOutcome",
     "ShortlistStatistics",

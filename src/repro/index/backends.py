@@ -15,9 +15,9 @@ noticing.  Two backends ship:
 Both backends produce the exact same logical content: the per-image entry
 dictionaries of the v1 schema (``image_id`` / ``picture`` / ``bestring``),
 validated on load by re-encoding each picture and comparing BE-strings.
-Nothing derived is stored: the query engine builds each image's shortlist
-signature from the validated BE-string, and a ``signature`` payload an older
-writer left behind (entry key, manifest flag) is ignored.
+Nothing derived is stored: the shortlist reads the validated BE-string
+itself, and a ``signature`` payload an older writer left behind (entry key,
+manifest flag) is ignored.
 Round-trip equivalence across backends — identical BE-strings *and* identical
 search rankings — is enforced by ``tests/index/test_backends.py``.
 

@@ -5,16 +5,13 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set
 
 from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
 from repro.core.editing import IndexedBEString
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a layering cycle
-    from repro.index.shortlist import ImageSignature
 
 
 class DatabaseError(KeyError):
@@ -26,7 +23,7 @@ def _collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector for one bulk build.
 
     A load allocates containers by the hundred thousand (decoded entries,
-    pictures, symbol tuples, signatures), all acyclic, so every collection
+    pictures, symbol tuples, label counts), all acyclic, so every collection
     their allocation would trigger finds nothing, and a full one also walks
     every engine already alive.  Reference counting frees what the build
     drops; anything cyclic waits for a later collection.  The pause nests
@@ -58,16 +55,18 @@ def _collector_paused() -> Iterator[None]:
 
 @dataclass
 class ImageRecord:
-    """One stored image: the picture, its BE-string, and its dynamic index."""
+    """One stored image: the picture, its BE-string, and its dynamic index.
+
+    The BE-string is always the validated encoding of the picture: a loader
+    checks a stored one against a re-encoding, and every edit refreshes it.
+    The shortlist reads a candidate's bounds from it
+    (:func:`~repro.index.shortlist.signature_for`) and keeps no index of its
+    own per record.
+    """
 
     image_id: str
     picture: SymbolicPicture
     bestring: BEString2D
-    #: Cached shortlist signature (see :mod:`repro.index.shortlist`).  Derived
-    #: from the BE-string by the query engine, never loaded from storage, and
-    #: reset to ``None`` by every object-level edit so it can never disagree
-    #: with the BE-string.
-    signature: Optional["ImageSignature"] = None
     _indexed: Optional[IndexedBEString] = field(default=None, repr=False, compare=False)
 
     @property
@@ -218,7 +217,6 @@ class ImageDatabase:
         record.indexed.insert(picture.icons_with_label(label)[-1].identifier, mbr)
         record.picture = picture
         record.bestring = record.indexed.to_bestring()
-        record.signature = None
         self.mark_dirty(image_id)
         return record
 
@@ -228,7 +226,6 @@ class ImageDatabase:
         record.indexed.remove(identifier)
         record.picture = record.picture.remove_icon(identifier)
         record.bestring = record.indexed.to_bestring()
-        record.signature = None
         self.mark_dirty(image_id)
         return record
 

@@ -6,16 +6,28 @@ labels with the query.  This is a straightforward inverted index -- the kind
 of auxiliary structure an image database built on the paper's model would keep
 alongside the BE-strings.  Merging a query's postings also tallies how many
 of the query's labels each candidate holds, which is stage 1 of the
-signature shortlist (:mod:`repro.index.shortlist`).
+shortlist (:mod:`repro.index.shortlist`), and the label multiset kept per
+image gives the exact overlap where a threshold needs it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set
+from typing import Dict, Iterable, List, Mapping, Set
 
 from repro.iconic.picture import SymbolicPicture
+
+
+def count_labels(labels: Iterable[str]) -> Dict[str, int]:
+    """The label multiset as a plain ``label -> count`` dict."""
+    counts: Dict[str, int] = {}
+    for label in labels:
+        if label in counts:
+            counts[label] += 1
+        else:
+            counts[label] = 1
+    return counts
 
 
 @dataclass
@@ -42,23 +54,11 @@ class InvertedSymbolIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def add_picture(
-        self,
-        image_id: str,
-        picture: SymbolicPicture,
-        label_counts: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        """Index all labels of a picture under ``image_id``.
-
-        ``label_counts`` is the picture's label multiset when the caller has
-        counted it already; the index keeps that mapping rather than
-        counting again.  The query engine passes its record signature's
-        :attr:`~repro.index.shortlist.ImageSignature.label_counts`, so the
-        two share one dict per image.
-        """
+    def add_picture(self, image_id: str, picture: SymbolicPicture) -> None:
+        """Index all labels of a picture under ``image_id``."""
         if image_id in self._image_labels:
             raise KeyError(f"image id {image_id!r} already indexed")
-        labels = Counter(picture.labels) if label_counts is None else label_counts
+        labels = count_labels(picture.labels)
         self._image_labels[image_id] = labels
         postings = self._postings
         for label in labels:
@@ -81,16 +81,11 @@ class InvertedSymbolIndex:
                 if not postings:
                     del self._postings[label]
 
-    def update_picture(
-        self,
-        image_id: str,
-        picture: SymbolicPicture,
-        label_counts: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        """(Re-)index an image after its contents changed (see :meth:`add_picture`)."""
+    def update_picture(self, image_id: str, picture: SymbolicPicture) -> None:
+        """(Re-)index an image after its contents changed."""
         if image_id in self._image_labels:
             self.remove_picture(image_id)
-        self.add_picture(image_id, picture, label_counts)
+        self.add_picture(image_id, picture)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -130,9 +125,13 @@ class InvertedSymbolIndex:
         return tally
 
     def labels_of(self, image_id: str) -> Counter:
-        """Label multiset of one indexed image."""
+        """Label multiset of one indexed image, as a fresh ``Counter``."""
+        return Counter(self.label_counts(image_id))
+
+    def label_counts(self, image_id: str) -> Mapping[str, int]:
+        """The ``label -> count`` map the index keeps for one image; do not mutate it."""
         try:
-            return Counter(self._image_labels[image_id])
+            return self._image_labels[image_id]
         except KeyError:
             raise KeyError(f"image id {image_id!r} is not indexed") from None
 

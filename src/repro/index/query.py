@@ -2,9 +2,10 @@
 
 The engine ties the pieces together the way the paper's demonstration system
 does: the query picture is encoded once, candidate images are shortlisted by
-the inverted index and the two-stage signature shortlist
+the inverted index and the two-stage shortlist
 (:mod:`repro.index.shortlist` — the postings tally, then boundary-LCS
-score bounds against the query's ``minimum_score``), the survivors are
+score bounds read from each stored BE-string against the query's
+``minimum_score``), the survivors are
 scored with the modified-LCS similarity (optionally over all
 rotations/reflections of the query), and the results are returned ranked.
 
@@ -84,8 +85,10 @@ from repro.index.shortlist import (
     QuerySignature,
     ShortlistOutcome,
     ShortlistStatistics,
-    signature_for,
 )
+
+# benchmarks/profile/trace.py wraps the name marked F401 here and fails without it.
+from repro.index.shortlist import signature_for  # noqa: F401
 from repro.index.spec import (
     STAGE_BITMAP_PRUNED,
     STAGE_BOUND_SKIPPED,
@@ -253,11 +256,12 @@ class QueryEngine:
     ) -> "QueryEngine":
         """Build the auxiliary indexes for every image already in the database.
 
-        Every record's shortlist signature is derived here, from its
-        validated BE-string, so the first query pays no index-construction
-        latency.  ``execution`` sets the engine-wide execution defaults
-        (kernel, strategy, ...) every query inherits.  The build runs with
-        the cyclic garbage collector paused, like a load.
+        Every record's labels are counted into the postings here, so the
+        first query pays no index-construction latency; the shortlist reads
+        nothing else per record but its stored BE-string.  ``execution``
+        sets the engine-wide execution defaults (kernel, strategy, ...)
+        every query inherits.  The build runs with the cyclic garbage
+        collector paused, like a load.
         """
         engine = cls(
             database=database,
@@ -270,23 +274,16 @@ class QueryEngine:
         return engine
 
     def _index(self, record: ImageRecord) -> None:
-        """Derive ``record``'s signature and (re-)index its labels.
-
-        The signature's label counts are the dict the inverted index keeps,
-        so each record's labels are counted once.
-        """
-        signature = signature_for(record)
-        self.inverted_index.update_picture(
-            record.image_id, record.picture, signature.label_counts
-        )
+        """(Re-)index ``record``'s labels in the postings."""
+        self.inverted_index.update_picture(record.image_id, record.picture)
 
     def _slice(self, image_ids: FrozenSet[str]) -> "QueryEngine":
         """An engine that answers for ``image_ids`` only: one shard worker's.
 
-        It shares this engine's database, postings and record signatures,
-        which a forked worker inherits, so it indexes nothing.  It has its
-        own empty score cache, counters and no-op lock: this engine's cache
-        can hold results over the whole corpus.
+        It shares this engine's database and postings, which a forked
+        worker inherits, so it indexes nothing.  It has its own empty score
+        cache, counters and no-op lock: this engine's cache can hold results
+        over the whole corpus.
         """
         engine = QueryEngine(
             database=self.database,
@@ -372,12 +369,12 @@ class QueryEngine:
 
         The inverted index admits images sharing at least
         ``spec.minimum_shared_labels`` icon labels with the query picture;
-        the two-stage signature shortlist (:mod:`repro.index.shortlist`) then
+        the two-stage shortlist (:mod:`repro.index.shortlist`) then
         rejects candidates whose score upper bound cannot clear
         ``spec.minimum_score`` — stage 1 from the postings tally, stage 2
-        from each axis's boundary LCS.  With the resolved
-        ``shortlist`` option off or a label-less query, every stored image
-        is a candidate.  No query runs, so nothing is added to
+        from each axis's boundary LCS, walked on the stored BE-string.  With
+        the resolved ``shortlist`` option off or a label-less query, every
+        stored image is a candidate.  No query runs, so nothing is added to
         :attr:`counters`.
 
         Returns:
@@ -397,11 +394,13 @@ class QueryEngine:
         """Shortlist implementation (callers hold the shared grant).
 
         ``execution`` is the spec's resolved options.  Stage 1 reads each
-        candidate's postings tally, and the exact label overlap is counted
-        only where the tally passes an overlap threshold it may overstate.
-        A minimum-score cut computes the stage-2 bound of every candidate it
-        admits; those land in :attr:`ShortlistOutcome.bounds`, so the
-        candidate loop never bounds one twice.
+        candidate's postings tally, and the exact label overlap is counted,
+        from the label counts the postings keep, only where the tally passes
+        an overlap threshold it may overstate.  A candidate's record is read
+        only by a bound that needs it.  A minimum-score cut computes the
+        stage-2 bound of every candidate it admits; those land in
+        :attr:`ShortlistOutcome.bounds`, so the candidate loop never bounds
+        one twice.
         """
         if not execution.shortlist:
             return ShortlistOutcome(self._image_ids(), STAGE_FULL_SCAN)
@@ -446,8 +445,8 @@ class QueryEngine:
                 outcome.rejections[image_id] = stage
                 outcome.rejection_bounds[image_id] = bound
 
+        get = self.database.get
         for image_id in ordered:
-            candidate = signature_for(self.database.get(image_id))
             # Stage 1 is the label-overlap stage: the tally settles most
             # candidates, the exact multiset overlap the threshold's rest.
             # Both threshold rejections are attributed here (the recorded
@@ -458,20 +457,21 @@ class QueryEngine:
                 reject(image_id, STAGE_BITMAP_PRUNED, tally / total)
                 continue
             if minimum_score > 0.0:
-                coarse = query_signature.overlap_upper_bound(candidate, tally, policy)
+                coarse = query_signature.overlap_upper_bound(get(image_id), tally, policy)
                 if coarse < minimum_score:
                     reject(image_id, STAGE_BITMAP_PRUNED, coarse)
                     continue
             if threshold > 0.0 and not tally_is_exact:
-                overlap = query_signature.exact_overlap(candidate)
+                overlap = query_signature.exact_overlap(
+                    self.inverted_index.label_counts(image_id)
+                )
                 if overlap / total < threshold:
                     reject(image_id, STAGE_BITMAP_PRUNED, overlap / total)
                     continue
-            # Stage 2: the boundary-LCS bound (the tally caps an axis whose
-            # boundary LCS is not exact, which no validated record has).
+            # Stage 2: the boundary-LCS bound, walked on the stored BE-string.
             if minimum_score > 0.0:
                 bound = query_signature.score_upper_bound(
-                    candidate, tally, policy, with_boundary_lcs=True
+                    get(image_id), tally, policy, with_boundary_lcs=True
                 )
                 if bound < minimum_score:
                     reject(image_id, STAGE_RELATION_PRUNED, bound)
@@ -660,14 +660,13 @@ class QueryEngine:
                 query_bestring, spec.effective_picture().labels, spec.transformations
             )
             queue = []
+            get = self.database.get
             for image_id in candidates:
                 bound = outcome.bounds.get(image_id)
                 refined = bound is not None
                 if not refined:
                     bound = signature.overlap_upper_bound(
-                        signature_for(self.database.get(image_id)),
-                        outcome.tallies[image_id],
-                        policy,
+                        get(image_id), outcome.tallies[image_id], policy
                     )
                 queue.append((-composed(image_id, bound), image_id, refined))
             heapify(queue)
@@ -684,7 +683,7 @@ class QueryEngine:
             heappop(queue)
             if not refined:
                 bound = signature.score_upper_bound(
-                    signature_for(self.database.get(image_id)),
+                    self.database.get(image_id),
                     outcome.tallies[image_id],
                     policy,
                     with_boundary_lcs=True,
@@ -981,8 +980,8 @@ class QueryEngine:
 
         The pool is reused across queries while the requested worker count
         is stable; asking for a different count tears the old pool down and
-        forks a fresh one.  Workers answer from the database, postings and
-        signatures they inherit through the fork.
+        forks a fresh one.  Workers answer from the database and postings
+        they inherit through the fork.
         """
         from repro.index.workers import ShardWorkerPool
 

@@ -1,13 +1,12 @@
-"""The two-stage signature shortlist: label-tally and boundary-order score bounds.
+"""The two-stage shortlist: label-tally and boundary-LCS score bounds.
 
 At 50k images the inverted symbol index still admits thousands of candidates
 on realistic label distributions, and every admitted candidate used to pay a
 ``Counter`` intersection followed by the O(mn) LCS dynamic program.  This
-module makes the shortlist *precise* by deriving a compact
-:class:`ImageSignature` for every stored record from its validated BE-string
-(when the engine is built and on every insert or edit; signatures are never
-persisted) and rejecting candidates whose best achievable score provably
-cannot clear the query's ``min_score``:
+module makes the shortlist *precise* by rejecting candidates whose best
+achievable score provably cannot clear the query's ``min_score``, and keeps
+no per-record index to do so: both stages read what the engine stores
+anyway, the postings and each record's validated BE-string.
 
 * **Stage 1 — the postings tally.**  Merging the query's postings counts,
   per candidate, the query's labels it holds
@@ -15,17 +14,19 @@ cannot clear the query's ``min_score``:
   tally bounds the label-multiset overlap from above, so it upper-bounds
   both the legacy overlap-ratio threshold and (coarsely) the LCS score,
   with no per-candidate work beyond the merge.
-* **Stage 2 — the boundary LCS.**  On one axis of a valid BE-string every
-  boundary symbol occurs exactly once, so the longest common subsequence of
-  the query's and a candidate's boundary symbols is the longest increasing
-  subsequence of the candidate's positions of the shared symbols, taken in
-  query order (Hunt & Szymanski, "A fast algorithm for computing longest
-  common subsequences", CACM 1977).  The signature keeps each object's
-  begin and end position, so :func:`boundary_lcs` costs O(s log s) for s
-  shared symbols.  It bounds the boundary symbols of the axis LCS exactly,
-  and with the dummy counts its length.  The resulting score bound is
-  evaluated per query transformation and the best variant is compared
-  against ``min_score``.
+* **Stage 2 — the boundary LCS.**  On one axis of a query's BE-string every
+  boundary symbol occurs exactly once, so a common subsequence of the
+  query's and a candidate's boundary symbols is an increasing run of query
+  positions read in the candidate's order, and the longest common
+  subsequence is the longest increasing subsequence of those positions
+  (Hunt & Szymanski, "A fast algorithm for computing longest common
+  subsequences", CACM 1977).  :func:`boundary_lcs` walks the candidate's
+  stored axis once, mapping each symbol's text to its query position, and
+  finds the LIS in O(n log s).  Only the query's symbols need be unique, so
+  the walk is exact on any candidate string.  It bounds the boundary
+  symbols of the axis LCS exactly, and with the dummy counts its length.
+  The resulting score bound is evaluated per query transformation and the
+  best variant is compared against ``min_score``.
 
 Both stages are *conservative*: a candidate is rejected only when its score
 upper bound is strictly below the query's ``minimum_score`` (or its exact
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.similarity import (
@@ -50,8 +51,9 @@ from repro.core.similarity import (
     combined_value,
     normalized_value,
 )
-from repro.core.symbols import BoundaryKind, Symbol
+from repro.core.symbols import Symbol
 from repro.core.transforms import Transformation, transform
+from repro.index.inverted import count_labels
 
 #: How many pruned candidates a single query records into its trace (the
 #: full rejection counts are always tracked; only the per-candidate sample
@@ -59,316 +61,97 @@ from repro.core.transforms import Transformation, transform
 REJECTION_SAMPLE_LIMIT = 32
 
 
-def count_labels(labels: Iterable[str]) -> Dict[str, int]:
-    """The label multiset as a plain ``label -> count`` dict."""
-    counts: Dict[str, int] = {}
-    for label in labels:
-        if label in counts:
-            counts[label] += 1
-        else:
-            counts[label] = 1
-    return counts
+#: What a score bound reads of a candidate: its x and y symbols and the
+#: boundary count of each axis.
+CandidateAxes = Tuple[Tuple[Symbol, ...], Tuple[Symbol, ...], int]
 
 
-#: The begin kind, bound once for the axis walk rather than looked up on
-#: the enum per symbol.
-_BEGIN = BoundaryKind.BEGIN
+def signature_for(record: Any) -> CandidateAxes:
+    """What the score bounds read of a stored record, derived on each call.
 
-#: Symbol positions indexed by slot: ``bytes`` for an axis of at most 256
-#: symbols (every position fits in a byte), a tuple of ints otherwise.
-Positions = Union[bytes, Tuple[int, ...]]
-
-
-@dataclass(frozen=True, init=False)
-class AxisSignature:
-    """Shortlist-relevant facts about one axis BE-string.
-
-    The signature keeps each object's begin and end position, from which
-    :func:`boundary_lcs` reads a candidate's position of every boundary
-    symbol a query holds.  Each object has a *slot*, its index into
-    :attr:`begins` and :attr:`ends`; an image's x and y signatures share
-    one slot table.  A value record (see ``docs/architecture.md``, "Value
-    records").
+    A stored record is always a validated encoding of its picture, so each
+    axis holds one begin and one end per icon and its dummies are the rest
+    of its symbols.  Nothing is cached on the record, so a load builds
+    nothing for the shortlist and an edit leaves nothing stale.
     """
-
-    __slots__ = ("length", "boundaries", "dummies", "slots", "begins", "ends")
-
-    #: Total symbol count of the axis string.
-    length: int
-    #: Number of boundary symbols (``2 * objects`` for a valid string).
-    boundaries: int
-    #: Number of dummy objects ``E``.
-    dummies: int
-    #: Slot of each object, numbered in order of first appearance (on the
-    #: x axis, for an image's signature).  An object missing a begin or an
-    #: end on any axis the table was built from has no slot, so none of its
-    #: boundary symbols has a position.
-    slots: Dict[str, int]
-    #: Symbol index of each slot's begin boundary.
-    begins: Positions
-    #: Symbol index of each slot's end boundary.
-    ends: Positions
-
-    def __init__(
-        self,
-        length: int,
-        boundaries: int,
-        dummies: int,
-        slots: Dict[str, int],
-        begins: Positions,
-        ends: Positions,
-    ) -> None:
-        _set_length(self, length)
-        _set_boundaries(self, boundaries)
-        _set_dummies(self, dummies)
-        _set_slots(self, slots)
-        _set_begins(self, begins)
-        _set_ends(self, ends)
-
-    def __reduce__(
-        self,
-    ) -> Tuple[type, Tuple[int, int, int, Dict[str, int], Positions, Positions]]:
-        return (
-            type(self),
-            (self.length, self.boundaries, self.dummies, self.slots, self.begins, self.ends),
-        )
-
-    @classmethod
-    def from_axis(cls, axis: AxisBEString) -> "AxisSignature":
-        """Extract the signature of one axis string in one walk over its symbols.
-
-        A repeated boundary keeps its last position; an object without both
-        a begin and an end gets no slot.
-        """
-        return _axis_signatures(axis)[0]
-
-
-# The frozen ``__setattr__`` refuses every assignment, so ``__init__`` sets
-# each slot through its member descriptor.
-_set_length = AxisSignature.length.__set__
-_set_boundaries = AxisSignature.boundaries.__set__
-_set_dummies = AxisSignature.dummies.__set__
-_set_slots = AxisSignature.slots.__set__
-_set_begins = AxisSignature.begins.__set__
-_set_ends = AxisSignature.ends.__set__
-
-
-#: One axis walked by :func:`_walk`: ``(length, dummies, begins, ends)``,
-#: the positions indexed by slot and -1 where the axis lacks a boundary.
-_Walk = Tuple[int, int, List[int], List[int]]
-
-
-def _axis_signatures(*axes: AxisBEString) -> List[AxisSignature]:
-    """The signatures of ``axes``, sharing one slot table.
-
-    Each axis is walked once; slots number the objects in order of first
-    appearance, the first axis first.  An object missing a begin or an end
-    on any axis gets no slot, so it takes part in no pair on any of them.
-    """
-    slots: Dict[str, int] = {}
-    # A loop, not a comprehension: on Python 3.11 the comprehension's own
-    # frame cost about 3% of a load's signature stage.
-    walks = []
-    for axis in axes:
-        walks.append(_walk(axis.symbols, slots))
-    for _, _, begins, ends in walks:
-        # A walk made before a later axis added slots is short.
-        if len(begins) < len(slots) or -1 in begins or -1 in ends:
-            slots, walks = _complete(slots, walks)
-            break
-    signatures = []
-    for length, dummies, begins, ends in walks:
-        pack = bytes if length <= 256 else tuple
-        signatures.append(
-            AxisSignature(length, length - dummies, dummies, slots, pack(begins), pack(ends))
-        )
-    return signatures
-
-
-def _walk(symbols: Sequence[Symbol], slots: Dict[str, int]) -> _Walk:
-    """One walk over an axis, giving each identifier not yet in ``slots`` the next slot.
-
-    A repeated boundary keeps its last position.
-    """
-    begins = [-1] * len(slots)
-    ends = [-1] * len(slots)
-    dummies = 0
-    for position, symbol in enumerate(symbols):
-        identifier = symbol.identifier
-        if identifier is None:
-            dummies += 1
-        elif identifier in slots:
-            if symbol.kind is _BEGIN:
-                begins[slots[identifier]] = position
-            else:
-                ends[slots[identifier]] = position
-        else:
-            slots[identifier] = len(begins)
-            if symbol.kind is _BEGIN:
-                begins.append(position)
-                ends.append(-1)
-            else:
-                begins.append(-1)
-                ends.append(position)
-    return len(symbols), dummies, begins, ends
-
-
-def _complete(slots: Dict[str, int], walks: List[_Walk]) -> Tuple[Dict[str, int], List[_Walk]]:
-    """Drop every slot some walk lacks a boundary of, renumbering the rest."""
-    kept = [
-        slot
-        for slot in range(len(slots))
-        if all(
-            slot < len(begins) and begins[slot] >= 0 and ends[slot] >= 0
-            for _, _, begins, ends in walks
-        )
-    ]
-    identifiers = list(slots)
-    return (
-        {identifiers[slot]: index for index, slot in enumerate(kept)},
-        [
-            (length, dummies, [begins[slot] for slot in kept], [ends[slot] for slot in kept])
-            for length, dummies, begins, ends in walks
-        ],
-    )
-
-
-@dataclass(frozen=True, init=False)
-class ImageSignature:
-    """The shortlist signature of one stored image.
-
-    Carries the label multiset and the per-axis boundary positions
-    (stage 2).  Signatures are derived data, built from the record's
-    validated BE-string and never persisted: a stored copy could disagree
-    with the string it claims to describe and silently prune a true match.
-    A value record (see ``docs/architecture.md``, "Value records").
-    """
-
-    __slots__ = ("label_counts", "x", "y")
-
-    #: The image's label multiset.  The engine's inverted index holds this
-    #: same dict for the image, so a record's labels are counted once.
-    label_counts: Dict[str, int]
-    x: AxisSignature
-    y: AxisSignature
-
-    def __init__(self, label_counts: Dict[str, int], x: AxisSignature, y: AxisSignature) -> None:
-        _set_label_counts(self, label_counts)
-        _set_x(self, x)
-        _set_y(self, y)
-
-    def __reduce__(self) -> Tuple[type, Tuple[Dict[str, int], AxisSignature, AxisSignature]]:
-        return (type(self), (self.label_counts, self.x, self.y))
-
-    @classmethod
-    def from_bestring(cls, bestring: BEString2D, labels: Iterable[str]) -> "ImageSignature":
-        """Build the signature of an image from its BE-string and labels.
-
-        Every stored record's signature -- at load, on insert and after an
-        edit -- is derived here, through :func:`signature_for`.  The x and
-        y signatures share one slot table, numbered in order of first
-        appearance on the x axis, so equal BE-strings give equal signatures.
-        """
-        x, y = _axis_signatures(bestring.x, bestring.y)
-        return cls(count_labels(labels), x, y)
-
-
-_set_label_counts = ImageSignature.label_counts.__set__
-_set_x = ImageSignature.x.__set__
-_set_y = ImageSignature.y.__set__
-
-
-def signature_for(record: Any) -> ImageSignature:
-    """The cached signature of an :class:`~repro.index.database.ImageRecord`.
-
-    Computes and caches the signature on the record when missing.  The
-    assignment is idempotent, so the benign race of two concurrent readers
-    computing the same signature is harmless.
-
-    Returns:
-        The record's :class:`ImageSignature`.
-    """
-    signature = record.signature
-    if signature is None:
-        signature = ImageSignature.from_bestring(record.bestring, record.picture.labels)
-        record.signature = signature
-    return signature
+    bestring = record.bestring
+    return bestring.x.symbols, bestring.y.symbols, 2 * len(record.picture.icons)
 
 
 # ----------------------------------------------------------------------
 # Score upper bounds
 # ----------------------------------------------------------------------
-#: One query axis's boundary symbols in order, as ``(identifier, is_begin)``
-#: pairs; dummies are left out.
-BoundarySequence = Tuple[Tuple[str, bool], ...]
+def boundary_lcs(positions: Mapping[str, int], symbols: Sequence[Symbol]) -> int:
+    """The LCS of a query axis's boundary symbols and those of ``symbols``.
 
-
-def boundary_sequence(axis: AxisBEString) -> BoundarySequence:
-    """The boundary symbols of ``axis`` in order, as ``(identifier, is_begin)`` pairs."""
-    return tuple(
-        (symbol.identifier, symbol.kind is _BEGIN)
-        for symbol in axis.symbols
-        if symbol.identifier is not None
-    )
-
-
-def boundary_lcs(sequence: BoundarySequence, candidate: AxisSignature) -> int:
-    """The longest increasing subsequence of the candidate's positions of ``sequence``.
-
-    Each symbol of ``sequence`` the candidate holds is mapped to its
-    position, read through the object's slot, and the LIS of those
-    positions is found by patience sorting in O(s log s) for s shared
-    symbols.  When each of the candidate's boundary symbols has exactly one
-    slotted position (``candidate.boundaries == 2 * len(candidate.slots)``,
-    as on every valid BE-string), this is the length of the longest common
-    subsequence of ``sequence`` and the candidate's boundary symbols.
-    Otherwise it can undercount, so it is no bound there.
+    ``positions`` maps the text of each boundary symbol of the query axis to
+    its place in the query's boundary sequence; each symbol occurs there
+    once, as on every valid axis.  The candidate's ``symbols`` are walked
+    once in their stored order, and the longest strictly increasing
+    subsequence of the positions they map to is found by patience sorting.
+    An increasing run of query positions in candidate order is a common
+    subsequence and the converse holds, so the length is the boundary LCS
+    on any candidate string, with repeated, missing or unpaired boundaries
+    included.  A dummy's text is never a boundary symbol's, so dummies map
+    to nothing.
     """
-    slots = candidate.slots
-    begins = candidate.begins
-    ends = candidate.ends
+    get = positions.get
     tails: List[int] = []
-    for identifier, is_begin in sequence:
-        slot = slots.get(identifier)
-        if slot is not None:
-            position = begins[slot] if is_begin else ends[slot]
-            if not tails or position > tails[-1]:
-                tails.append(position)
-            else:
-                tails[bisect_left(tails, position)] = position
+    for symbol in symbols:
+        position = get(symbol.text)
+        if position is None:
+            continue
+        if tails and position <= tails[-1]:
+            tails[bisect_left(tails, position)] = position
+        else:
+            tails.append(position)
     return len(tails)
 
 
-def _axis_bounds(query: AxisSignature, candidate: AxisSignature, boundary: int) -> Tuple[int, int]:
-    """``(lcs_length_bound, boundary_bound)`` for one axis.
+@dataclass(frozen=True)
+class _QueryAxis:
+    """One axis of a transformed query, as the score bounds read it."""
 
-    ``boundary`` bounds the boundary symbols of the axis LCS; both strings'
-    boundary counts cap it too.  Dummies in the LCS are capped by both
-    strings' dummy counts and — because the modified LCS suppresses
-    consecutive dummies — by ``boundary_bound + 1``.
-    """
-    boundary = min(boundary, query.boundaries, candidate.boundaries)
-    dummies = min(query.dummies, candidate.dummies, boundary + 1)
-    return min(query.length, candidate.length, boundary + dummies), boundary
+    #: Text of each boundary symbol -> its place in the boundary sequence.
+    positions: Dict[str, int]
+    #: Total symbol count of the axis string.
+    length: int
+    #: Number of boundary symbols (``2 * objects``).
+    boundaries: int
+    #: Number of dummy objects ``E``.
+    dummies: int
+
+    @classmethod
+    def from_axis(cls, axis: AxisBEString) -> "_QueryAxis":
+        """The query-side facts of ``axis``, a valid axis string."""
+        sequence = [symbol for symbol in axis.symbols if symbol.identifier is not None]
+        positions = {symbol.text: place for place, symbol in enumerate(sequence)}
+        return cls(positions, len(axis), len(sequence), len(axis) - len(sequence))
 
 
 def axis_score_bound(
-    query: AxisSignature,
-    candidate: AxisSignature,
+    query: _QueryAxis,
+    length: int,
+    boundaries: int,
     boundary: int,
     policy: SimilarityPolicy,
 ) -> float:
     """Policy-normalised upper bound on one axis similarity value.
 
-    ``boundary`` bounds the boundary symbols of the axis LCS.
+    ``length`` and ``boundaries`` are the candidate axis's symbol and
+    boundary counts, and ``boundary`` bounds the boundary symbols of the
+    axis LCS; both strings' boundary counts cap it too.  Dummies in the LCS
+    are capped by both strings' dummy counts and — because the modified LCS
+    suppresses consecutive dummies — by the boundary bound plus one.
     """
-    length_bound, boundary_bound = _axis_bounds(query, candidate, boundary)
+    boundary = min(boundary, query.boundaries, boundaries)
     if policy.count_boundaries_only:
-        raw = float(boundary_bound)
-        query_side, candidate_side = float(query.boundaries), float(candidate.boundaries)
+        raw = float(boundary)
+        query_side, candidate_side = float(query.boundaries), float(boundaries)
     else:
-        raw = float(length_bound)
-        query_side, candidate_side = float(query.length), float(candidate.length)
+        dummies = min(query.dummies, length - boundaries, boundary + 1)
+        raw = float(min(query.length, length, boundary + dummies))
+        query_side, candidate_side = float(query.length), float(length)
     # The exact arithmetic the scoring side uses (shared helper), so the
     # bound can never drift from what it must dominate.
     return normalized_value(raw, query_side, candidate_side, policy.normalization)
@@ -376,15 +159,11 @@ def axis_score_bound(
 
 @dataclass(frozen=True)
 class _QueryVariant:
-    """Per-transformation view of the query's axis signatures."""
+    """One transformation of the query, as the score bounds read it."""
 
     transformation: Transformation
-    x: AxisSignature
-    y: AxisSignature
-    #: The transformed query's boundary symbols per axis, computed once per
-    #: query and mapped by :func:`boundary_lcs` per candidate.
-    x_sequence: BoundarySequence
-    y_sequence: BoundarySequence
+    x: _QueryAxis
+    y: _QueryAxis
 
 
 #: The normalisations that divide by no candidate side.  Under them a
@@ -397,11 +176,13 @@ class QuerySignature:
 
     Built once per query execution: the label multiset (stage 1 reads the
     postings tally against it) and, for every transformation in the query's
-    set, the axis signatures and boundary sequences of the *transformed*
-    query string (stage 2) — so the bound is evaluated exactly against what
-    :func:`~repro.core.similarity.invariant_similarity` would score, and the
-    maximum over variants is a sound bound for transformation-invariant
-    retrieval.
+    set, the boundary positions and symbol counts of each axis of the
+    *transformed* query string (stage 2) — so the bound is evaluated exactly
+    against what :func:`~repro.core.similarity.invariant_similarity` would
+    score, and the maximum over variants is a sound bound for
+    transformation-invariant retrieval.  A candidate is read as the stored
+    :class:`~repro.index.database.ImageRecord` itself, through
+    :func:`signature_for`.
     """
 
     def __init__(
@@ -423,18 +204,14 @@ class QuerySignature:
             transformed = transform(bestring, transformation)
             self.variants.append(
                 _QueryVariant(
-                    transformation=transformation,
-                    x=AxisSignature.from_axis(transformed.x),
-                    y=AxisSignature.from_axis(transformed.y),
-                    x_sequence=boundary_sequence(transformed.x),
-                    y_sequence=boundary_sequence(transformed.y),
+                    transformation,
+                    _QueryAxis.from_axis(transformed.x),
+                    _QueryAxis.from_axis(transformed.y),
                 )
             )
 
-    def overlap_upper_bound(
-        self, candidate: ImageSignature, tally: int, policy: SimilarityPolicy
-    ) -> float:
-        """Stage-1 score bound of a candidate whose postings tally is ``tally``.
+    def overlap_upper_bound(self, candidate: Any, tally: int, policy: SimilarityPolicy) -> float:
+        """Stage-1 score bound of a candidate record whose postings tally is ``tally``.
 
         The tally bounds the label-multiset overlap, so each axis LCS holds
         at most ``2 * tally`` boundary symbols.  Under the query or no
@@ -469,51 +246,55 @@ class QuerySignature:
         """
         best = 0.0
         for variant in self.variants:
+            x, y = variant.x, variant.y
             score = combined_value(
-                axis_score_bound(variant.x, variant.x, 2 * overlap, policy),
-                axis_score_bound(variant.y, variant.y, 2 * overlap, policy),
+                axis_score_bound(x, x.length, x.boundaries, 2 * overlap, policy),
+                axis_score_bound(y, y.length, y.boundaries, 2 * overlap, policy),
                 policy.combination,
             )
             if score > best:
                 best = score
         return best
 
-    def exact_overlap(self, candidate: ImageSignature) -> int:
-        """The exact label-multiset overlap."""
-        counts = candidate.label_counts
-        return sum(
-            min(count, counts.get(label, 0))
-            for label, count in self.label_counts.items()
-        )
+    def exact_overlap(self, label_counts: Mapping[str, int]) -> int:
+        """The exact label-multiset overlap with a candidate's ``label -> count`` map.
+
+        The engine passes the map its inverted index keeps per image
+        (:meth:`~repro.index.inverted.InvertedSymbolIndex.label_counts`).
+        """
+        get = label_counts.get
+        return sum(min(count, get(label, 0)) for label, count in self.label_counts.items())
 
     def score_upper_bound(
         self,
-        candidate: ImageSignature,
+        candidate: Any,
         overlap: int,
         policy: SimilarityPolicy,
         with_boundary_lcs: bool = False,
     ) -> float:
-        """Upper bound on the similarity score over all query transformations.
+        """Upper bound on a candidate record's similarity score over all query transformations.
 
         Each common object contributes at most its begin and end to an axis
         LCS, so ``2 * overlap`` bounds its boundary symbols, ``overlap``
         being a bound on the label-multiset overlap: the postings tally or
         the exact overlap.  ``with_boundary_lcs=True`` bounds them by
-        :func:`boundary_lcs` instead (stage 2), on each candidate axis where
-        that is exact; every axis of a validated record is, so there the
-        overlap is not read.
+        :func:`boundary_lcs` of each axis instead (stage 2), which is exact,
+        so there the overlap is not read.
         """
-        x, y = candidate.x, candidate.y
+        x, y, boundaries = signature_for(candidate)
+        x_length, y_length = len(x), len(y)
         cap = 2 * overlap
-        x_exact = with_boundary_lcs and x.boundaries == 2 * len(x.slots)
-        y_exact = with_boundary_lcs and y.boundaries == 2 * len(y.slots)
         best = 0.0
         for variant in self.variants:
-            x_boundary = boundary_lcs(variant.x_sequence, x) if x_exact else cap
-            y_boundary = boundary_lcs(variant.y_sequence, y) if y_exact else cap
+            query_x, query_y = variant.x, variant.y
+            if with_boundary_lcs:
+                x_boundary = boundary_lcs(query_x.positions, x)
+                y_boundary = boundary_lcs(query_y.positions, y)
+            else:
+                x_boundary = y_boundary = cap
             score = combined_value(
-                axis_score_bound(variant.x, x, x_boundary, policy),
-                axis_score_bound(variant.y, y, y_boundary, policy),
+                axis_score_bound(query_x, x_length, boundaries, x_boundary, policy),
+                axis_score_bound(query_y, y_length, boundaries, y_boundary, policy),
                 policy.combination,
             )
             if score > best:

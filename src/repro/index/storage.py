@@ -11,24 +11,26 @@ re-encoding's text form is accepted without being parsed, and only a string
 whose text differs (for instance in whitespace) is parsed into symbols and
 compared symbol by symbol.  Labels never hold whitespace
 (:class:`~repro.iconic.icon.IconObject` rejects it), so equal text always
-means equal symbols.  Everything else the engine keeps per image, the
-shortlist signature included, is derived from the validated BE-string, so an
-entry stores only ``image_id``, ``picture`` and ``bestring``; a ``signature``
-payload left by older writers is ignored.
+means equal symbols.  The shortlist reads its bounds from the validated
+BE-string, so an entry stores only ``image_id``, ``picture`` and
+``bestring``; a ``signature`` payload left by older writers is ignored.
 
 This module is the **v1 JSON format**; the pluggable backend layer on top of
 it (sharded binary files, format inference, incremental saves) lives in
 :mod:`repro.index.backends`.  The functions here stay byte-compatible with
 databases written before the backend layer existed.  A save writes a
 temporary file and swaps it in whole, so the file on disk is always either
-the previous database or the new one.
+the previous database or the new one.  A load walks the document's top level
+itself and builds each image as soon as its entry is scanned, so the whole
+decoded document never exists at once (``docs/storage-formats.md``).
 """
 
 from __future__ import annotations
 
 import json
+from json.decoder import WHITESPACE, scanstring
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.bestring import BEString2D
 from repro.core.construct import encode_picture
@@ -72,8 +74,8 @@ def image_entry_to_record(database: ImageDatabase, entry: Dict[str, Any]) -> Ima
     The stored BE-string is checked against a re-encoding of the stored
     picture, so a corrupted entry is detected rather than silently accepted;
     a rejected entry leaves ``database`` unchanged.  Any other key, such as
-    the ``signature`` payload older writers stored, is ignored: the engine
-    derives the shortlist signature from the validated BE-string.
+    the ``signature`` payload older writers stored, is ignored: the
+    shortlist reads the validated BE-string itself.
 
     Returns:
         The stored :class:`~repro.index.database.ImageRecord`.
@@ -147,6 +149,9 @@ def database_from_entries(name: str, entries: List[Any]) -> ImageDatabase:
     return database
 
 
+_BAD_STRUCTURE = 'bad structure: expected an object with an "images" list'
+
+
 def document_images(payload: Any) -> List[Any]:
     """The ``images`` list of a decoded v1 document (``[]`` when absent).
 
@@ -156,7 +161,7 @@ def document_images(payload: Any) -> List[Any]:
     """
     images = payload.get("images", []) if isinstance(payload, dict) else None
     if not isinstance(images, list):
-        raise StorageError('bad structure: expected an object with an "images" list')
+        raise StorageError(_BAD_STRUCTURE)
     return images
 
 
@@ -177,15 +182,7 @@ def database_from_json(payload: Dict[str, Any]) -> ImageDatabase:
             list, an unsupported schema version, or a malformed or
             inconsistent image entry.
     """
-    return _database_from_payload(payload, list(document_images(payload)))
-
-
-def _database_from_payload(payload: Dict[str, Any], entries: List[Any]) -> ImageDatabase:
-    """Check ``payload``'s schema and build its database from ``entries``.
-
-    ``entries`` is the payload's image list or a copy of it;
-    :func:`database_from_entries` consumes it.
-    """
+    entries = list(document_images(payload))
     check_schema_version(payload.get("schema_version"))
     return database_from_entries(payload.get("name", "image-database"), entries)
 
@@ -223,12 +220,17 @@ def save_database(database: ImageDatabase, path: Union[str, Path]) -> Path:
 def load_database(path: Union[str, Path]) -> ImageDatabase:
     """Read a database from a JSON file written by :func:`save_database`.
 
+    The document is decoded one image entry at a time
+    (:func:`_database_from_text`), with the refusals and the precedence
+    ``json.load`` followed by :func:`database_from_json` would give, except
+    that a repeated ``images`` key is refused.
+
     Returns:
         The reconstructed :class:`~repro.index.database.ImageDatabase`.
 
     Raises:
         StorageError: if the file is truncated, not valid JSON/UTF-8, not
-            an object holding an image list, or fails the schema and
+            an object holding one image list, or fails the schema and
             BE-string consistency checks; the message names the offending
             path.
         FileNotFoundError: if ``path`` does not exist.
@@ -236,16 +238,145 @@ def load_database(path: Union[str, Path]) -> ImageDatabase:
     source = Path(path)
     try:
         with source.open("r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as error:
-        raise StorageError(f"{source} is not valid JSON: {error}") from error
+            text = handle.read()
     except UnicodeDecodeError as error:
         raise StorageError(f"{source} is not valid UTF-8 text: {error}") from error
     try:
-        # The decoded document is this function's own: hand its entries over.
-        return _database_from_payload(payload, document_images(payload))
+        return _database_from_text(text)
+    except json.JSONDecodeError as error:
+        raise StorageError(f"{source} is not valid JSON: {error}") from error
     except StorageError as error:
         raise StorageError(f"{source}: {error}") from error
+
+
+_scan_once = json.JSONDecoder().scan_once
+_skip = WHITESPACE.match
+#: The top-level keys besides ``images`` a load reads; others are skipped.
+_HEADER_KEYS = ("name", "schema_version")
+
+
+def _scan(text: str, end: int) -> Tuple[Any, int]:
+    """The JSON value at ``text[end]`` and the index after it.
+
+    ``scan_once`` reports a missing value with ``StopIteration``; it becomes
+    the ``JSONDecodeError`` that ``json.loads`` raises.
+    """
+    try:
+        return _scan_once(text, end)
+    except StopIteration as error:
+        raise json.JSONDecodeError("Expecting value", text, error.value) from None
+
+
+def _database_from_text(text: str) -> ImageDatabase:
+    """Build the database of a v1 document, one ``images`` entry at a time.
+
+    The top-level object is walked here, its keys in any order.  Each entry
+    of ``images`` goes to :func:`image_entry_to_record` as soon as it is
+    scanned; ``name`` and ``schema_version`` are applied when the walk ends,
+    and other keys are scanned and dropped.  Refusals come in the order
+    ``json.load`` and :func:`database_from_json` give them: a syntax error
+    anywhere in the text, then a bad structure (a top level that is not an
+    object, an ``images`` that is not a list, a repeated ``images`` key),
+    then the schema version, then the first bad entry.  After a bad
+    structure or entry the walk stores nothing more and only checks the
+    rest of the text.
+
+    Raises:
+        json.JSONDecodeError: if ``text`` is not one JSON value.
+        StorageError: on a bad structure, schema version or entry.
+    """
+    end = _skip(text, 0).end()
+    if text[end : end + 1] != "{":
+        # Not an object: decoded whole, so a syntax error is reported as
+        # json.loads reports it, and refused.
+        json.loads(text)
+        raise StorageError(_BAD_STRUCTURE)
+    database = ImageDatabase()
+    header: Dict[str, Any] = {}
+    structure: Optional[StorageError] = None
+    entry_error: Optional[StorageError] = None
+    seen_images = False
+    end = _skip(text, end + 1).end()
+    if text[end : end + 1] == "}":
+        end += 1
+    else:
+        while True:
+            if text[end : end + 1] != '"':
+                raise json.JSONDecodeError(
+                    "Expecting property name enclosed in double quotes", text, end
+                )
+            key, end = scanstring(text, end + 1)
+            end = _skip(text, end).end()
+            if text[end : end + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+            end = _skip(text, end + 1).end()
+            if key != "images":
+                value, end = _scan(text, end)
+                if key in _HEADER_KEYS:
+                    header[key] = value
+            elif seen_images or text[end : end + 1] != "[":
+                _, end = _scan(text, end)
+                if structure is None:
+                    structure = StorageError(
+                        'bad structure: the "images" key is repeated'
+                        if seen_images
+                        else _BAD_STRUCTURE
+                    )
+                seen_images = True
+            else:
+                seen_images = True
+                building = structure is None and entry_error is None
+                end, entry_error = _walk_images(text, end, database if building else None)
+            end = _skip(text, end).end()
+            separator = text[end : end + 1]
+            if separator == "}":
+                end += 1
+                break
+            if separator != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+            end = _skip(text, end + 1).end()
+    end = _skip(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if structure is not None:
+        raise structure
+    check_schema_version(header.get("schema_version"))
+    if entry_error is not None:
+        raise entry_error
+    database.name = header.get("name", "image-database")
+    database.clear_dirty()
+    return database
+
+
+def _walk_images(
+    text: str, end: int, database: Optional[ImageDatabase]
+) -> Tuple[int, Optional[StorageError]]:
+    """Walk the ``images`` array opening at ``text[end]``, storing its entries.
+
+    Each entry is stored in ``database`` as soon as it is scanned, until one
+    is refused; with ``database`` ``None`` the entries are only scanned.
+
+    Returns:
+        The index after the array, and the first entry's refusal, if any.
+    """
+    refusal: Optional[StorageError] = None
+    end = _skip(text, end + 1).end()
+    if text[end : end + 1] == "]":
+        return end + 1, None
+    while True:
+        entry, end = _scan(text, end)
+        if database is not None and refusal is None:
+            try:
+                image_entry_to_record(database, entry)
+            except StorageError as error:
+                refusal = error
+        end = _skip(text, end).end()
+        separator = text[end : end + 1]
+        if separator == "]":
+            return end + 1, refusal
+        if separator != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+        end = _skip(text, end + 1).end()
 
 
 def picture_to_json_text(picture: SymbolicPicture) -> str:

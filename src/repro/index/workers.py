@@ -10,8 +10,8 @@ scattered read does a serial read's work split across them:
 * :class:`ShardWorkerPool` forks N workers, each owning a disjoint,
   contiguous slice of the shard space.  The pool's one walk over the
   records gives each worker the set of image ids its shards hold.  A worker
-  answers from the engine it inherits through the fork -- database,
-  postings and shortlist signatures as they are -- admitting only its own
+  answers from the engine it inherits through the fork -- database and
+  postings as they are -- admitting only its own
   images (:meth:`QueryEngine._slice <repro.index.query.QueryEngine._slice>`),
   with its own empty score cache.  It indexes, decodes and reads nothing,
   so a worker (re)start costs the fork alone.
@@ -229,7 +229,7 @@ class ShardWorkerPool:
 
         The space has :data:`~repro.index.backends.DEFAULT_SHARD_COUNT`
         shards, whatever layout the database was loaded from.  Each worker
-        inherits ``engine`` (database, postings and signatures) and answers
+        inherits ``engine`` (database and postings) and answers
         for the images of its shards, with ``engine``'s execution defaults
         and overlap threshold.
 

@@ -148,10 +148,10 @@ class RetrievalSystem:
 
         Loading validates every image: its picture is encoded again and the
         stored BE-string must match.  The loaded records are then indexed in
-        place by :meth:`QueryEngine.build`, which derives each shortlist
-        signature from the validated BE-string; a signature stored by an
-        older release is never trusted.  The load and the build run under
-        one pause of the cyclic garbage collector.
+        place by :meth:`QueryEngine.build`, which counts their labels into
+        the postings; the shortlist reads the validated BE-string itself, and
+        a signature stored by an older release is never read.  The load and
+        the build run under one pause of the cyclic garbage collector.
 
         Returns:
             A system with every stored picture indexed and a clean dirty set

@@ -11,8 +11,8 @@ current by following the log (``docs/replication.md``):
 * **tailing** -- a :class:`~repro.index.wal.WalTailer` polls ``wal.log``
   every follow interval and yields the intact records past the applied LSN;
   each upsert/delete is applied through the engine's mutation path, which
-  takes the exclusive readers-writer grant and refreshes the shortlist
-  signatures, inverted index, and score cache per record.  In-flight
+  takes the exclusive readers-writer grant and refreshes the record, the
+  inverted index, and the score cache.  In-flight
   searches keep streaming off the shared grant throughout.
 * **snapshot reload** -- when the primary compacts past the replica (the
   manifest's ``snapshot_lsn`` advances beyond the applied LSN, or the

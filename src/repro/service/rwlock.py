@@ -3,8 +3,8 @@
 The retrieval service serves many concurrent ``/search`` requests against one
 shared :class:`~repro.index.query.QueryEngine`.  Queries only read, so they
 may run fully in parallel -- but a mutation (add/remove picture, object-level
-edit) must see no reader mid-flight: it rewrites the database record, the
-inverted index, the shortlist signature *and* invalidates the score cache, and a
+edit) must see no reader mid-flight: it rewrites the database record and the
+inverted index *and* invalidates the score cache, and a
 query overlapping that window could rank against a torn view (new record, stale
 postings).  :class:`ReadWriteLock` provides exactly the two grants the engine
 needs:

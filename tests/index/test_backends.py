@@ -14,6 +14,7 @@ import os
 import re
 import struct
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,6 @@ from repro.index.backends import (
 from repro.index.database import ImageDatabase
 from repro.index import backends, storage
 from repro.index.execution import ExecutionOptions
-from repro.index.shortlist import ImageSignature
 from repro.index.storage import StorageError, save_database
 from repro.retrieval.system import RetrievalSystem
 
@@ -719,40 +719,17 @@ class TestSqliteFilesAreRefused:
 # Stored shortlist signatures (written by older releases) are never trusted
 # ----------------------------------------------------------------------
 class TestSignaturePersistence:
-    @pytest.mark.parametrize("backend_name,file_name", BACKEND_TARGETS)
-    def test_signatures_round_trip_through_every_backend(
-        self, populated_database, tmp_path, backend_name, file_name
-    ):
-        from repro.index.shortlist import signature_for
-
-        expected = {
-            record.image_id: signature_for(record) for record in populated_database
-        }
-        path = save_database_to(populated_database, tmp_path / file_name, backend_name)
-        # Loading keeps no signature; the engine derives each one at build.
-        assert all(record.signature is None for record in load_database_from(path))
-        system = RetrievalSystem.from_file(path)
-        restored = system._engine.database
-        assert restored.image_ids == populated_database.image_ids
-        for record in restored:
-            assert record.signature is not None, record.image_id
-            assert record.signature == expected[record.image_id]
-
-    def test_incremental_saves_refresh_dirty_signatures(
-        self, populated_database, tmp_path
-    ):
+    def test_incremental_saves_refresh_dirty_label_counts(self, populated_database, tmp_path):
         from repro.geometry.rectangle import Rectangle
-        from repro.index.shortlist import signature_for
 
         path = save_database_to(populated_database, tmp_path / "incr.shards", "sharded")
         image_id = populated_database.image_ids[0]
         populated_database.add_object(image_id, "fresh-box", Rectangle(1, 1, 3, 3))
         save_database_to(populated_database, path, "sharded", incremental=True)
         system = RetrievalSystem.from_file(path)
-        signature = system._engine.database.get(image_id).signature
-        assert signature is not None
-        assert signature.label_counts.get("fresh-box") == 1
-        assert signature == signature_for(populated_database.get(image_id))
+        engine = system._engine
+        assert engine.inverted_index.label_counts(image_id).get("fresh-box") == 1
+        assert engine.database.get(image_id).bestring == populated_database.get(image_id).bestring
 
     def test_corrupt_signature_payload_is_dropped_not_fatal(
         self, populated_database, tmp_path
@@ -765,8 +742,8 @@ class TestSignaturePersistence:
         restored = load_database_from(path)
         first_two = [entry["image_id"] for entry in payload["images"][:2]]
         for image_id in first_two:
-            assert restored.get(image_id).signature is None
-        # Everything still queries correctly: the engine derives signatures.
+            assert not hasattr(restored.get(image_id), "signature")
+        # Everything still queries correctly: the shortlist reads the BE-string.
         system = RetrievalSystem.from_file(path)
         office = populated_database.get("office-000").picture
         assert system.query(office).min_score(0.5).execute()
@@ -817,19 +794,30 @@ def _reference_rankings(system, pictures):
     ]
 
 
-def _relation_pairs(facts):
+def _positions(axis):
+    """``identifier -> (begin, end)`` symbol positions on one axis."""
+    begins, ends = {}, {}
+    for position, symbol in enumerate(axis.symbols):
+        if symbol.is_begin:
+            begins[symbol.identifier] = position
+        elif symbol.is_end:
+            ends[symbol.identifier] = position
+    return {identifier: (begins[identifier], ends[identifier]) for identifier in begins}
+
+
+def _relation_pairs(axis):
     """The ``[a, b, code]`` relation-pair list older releases stored per axis.
 
     A pair's code packs the four comparisons between the two objects'
     boundary positions, for each identifier pair ``a < b``.
     """
-    slots, begins, ends = facts.slots, facts.begins, facts.ends
-    identifiers = sorted(slots)
+    positions = _positions(axis)
+    identifiers = sorted(positions)
     pairs = []
     for index, a in enumerate(identifiers):
-        a_begin, a_end = begins[slots[a]], ends[slots[a]]
+        a_begin, a_end = positions[a]
         for b in identifiers[index + 1 :]:
-            b_begin, b_end = begins[slots[b]], ends[slots[b]]
+            b_begin, b_end = positions[b]
             code = (
                 (a_begin < b_begin)
                 | (a_begin < b_end) << 1
@@ -846,15 +834,14 @@ def _stored_signature(record, corrupt):
     ``corrupt`` shifts every relation-pair code by 5 (mod 16), which keeps the
     lengths and boundary counts those releases checked on load.
     """
-    signature = ImageSignature.from_bestring(record.bestring, record.picture.labels)
     shift = 5 if corrupt else 0
 
-    def axis(facts):
+    def axis(symbols):
         return {
-            "length": facts.length,
-            "boundaries": facts.boundaries,
-            "dummies": facts.dummies,
-            "pairs": [[a, b, (code + shift) % 16] for a, b, code in _relation_pairs(facts)],
+            "length": len(symbols),
+            "boundaries": symbols.boundary_count,
+            "dummies": symbols.dummy_count,
+            "pairs": [[a, b, (code + shift) % 16] for a, b, code in _relation_pairs(symbols)],
         }
 
     return {
@@ -863,9 +850,9 @@ def _stored_signature(record, corrupt):
         # whole payload, so fixed values stand in for it.
         "width": 128,
         "bitmap": "0",
-        "labels": dict(sorted(signature.label_counts.items())),
-        "x": axis(signature.x),
-        "y": axis(signature.y),
+        "labels": dict(sorted(Counter(record.picture.labels).items())),
+        "x": axis(record.bestring.x),
+        "y": axis(record.bestring.y),
     }
 
 

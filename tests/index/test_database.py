@@ -5,7 +5,6 @@ import pytest
 from repro.core.construct import encode_picture
 from repro.geometry.rectangle import Rectangle
 from repro.index.database import DatabaseError, ImageDatabase
-from repro.index.shortlist import signature_for
 from repro.index.storage import database_from_json, database_to_json
 
 
@@ -113,7 +112,6 @@ class TestObjectLevelOperations:
         database.add_picture(office)
         database.clear_dirty()
         record = database.get(office.name)
-        signature = signature_for(record)
 
         def state():
             return (
@@ -121,7 +119,6 @@ class TestObjectLevelOperations:
                 record.bestring,
                 record.indexed.identifiers,
                 record.indexed.to_bestring(),
-                record.signature,
                 database.dirty_ids,
             )
 
@@ -129,7 +126,6 @@ class TestObjectLevelOperations:
         with pytest.raises(ValueError):
             database.add_object(office.name, label, mbr)
         assert state() == before
-        assert record.signature is signature
         edited = database.add_object(office.name, "tree", Rectangle(2, 2, 5, 5))
         assert edited.bestring == encode_picture(edited.picture)
         assert edited.indexed.to_bestring() == edited.bestring

@@ -77,6 +77,19 @@ class TestMaintenance:
         with pytest.raises(KeyError):
             index.labels_of("missing")
 
+    def test_label_counts_is_the_map_the_index_keeps(self, landscape):
+        index = InvertedSymbolIndex()
+        index.add_picture("landscape", landscape)
+        counts = index.label_counts("landscape")
+        assert type(counts) is dict
+        assert counts == index.labels_of("landscape")
+        assert index.label_counts("landscape") is counts
+        # An update replaces the entry whole.
+        index.update_picture("landscape", landscape.remove_icon(landscape.identifiers[0]))
+        assert index.label_counts("landscape") is not counts
+        with pytest.raises(KeyError):
+            index.label_counts("missing")
+
 
 class TestCandidates:
     def test_candidates_require_shared_labels(self, office, traffic, landscape):

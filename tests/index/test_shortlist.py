@@ -1,4 +1,4 @@
-"""The two-stage signature shortlist: bounds, equivalence, signature lifecycle.
+"""The two-stage shortlist: bounds, equivalence, edits.
 
 The load-bearing guarantee is *soundness*: the shortlist's score upper bound
 must never fall below the true modified-LCS score, because candidates are
@@ -10,11 +10,9 @@ ranking equivalence with the filter-disabled scan.
 """
 
 import os
-import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core.bestring import AxisBEString, BEString2D
 from repro.core.construct import encode_picture
@@ -25,8 +23,7 @@ from repro.core.similarity import (
     invariant_similarity,
     similarity,
 )
-from repro.core.symbols import BoundaryKind, Symbol
-from repro.core.transforms import Transformation, transform
+from repro.core.transforms import Transformation
 from repro.datasets.synthetic import SceneParameters, random_pictures
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.picture import SymbolicPicture
@@ -34,14 +31,7 @@ from repro.index.database import ImageDatabase
 from repro.index.execution import ExecutionOptions
 from repro.index.inverted import InvertedSymbolIndex
 from repro.index.query import QueryEngine
-from repro.index.shortlist import (
-    AxisSignature,
-    ImageSignature,
-    QuerySignature,
-    boundary_lcs,
-    boundary_sequence,
-    signature_for,
-)
+from repro.index.shortlist import QuerySignature, boundary_lcs, signature_for
 from repro.index.spec import STAGE_BITMAP_PRUNED, STAGE_RELATION_PRUNED, QuerySpec
 from repro.retrieval.system import RetrievalSystem
 
@@ -74,31 +64,9 @@ def _uncached(picture, minimum_score):
     )
 
 
-def _reference_positions(axis):
-    """``identifier -> (begin, end)`` of each complete object, the last position of a repeat."""
-    begins, ends = {}, {}
-    for position, symbol in enumerate(axis.symbols):
-        if symbol.is_begin:
-            begins[symbol.identifier] = position
-        elif symbol.is_end:
-            ends[symbol.identifier] = position
-    return {
-        identifier: (begins[identifier], ends[identifier])
-        for identifier in begins
-        if identifier in ends
-    }
-
-
-def _slot_positions(facts):
-    """``identifier -> (begin, end)`` read from packed positions through the slots."""
-    return {
-        identifier: (facts.begins[slot], facts.ends[slot])
-        for identifier, slot in facts.slots.items()
-    }
-
-
-def _signature(picture):
-    return ImageSignature.from_bestring(encode_picture(picture), picture.labels)
+def _record(picture):
+    """The stored record of ``picture``, as a bound reads a candidate."""
+    return ImageDatabase.encode_record(picture, "candidate")
 
 
 class TestTallyBound:
@@ -126,7 +94,7 @@ class TestTallyBound:
             query_signature = QuerySignature(query_bestring, query.labels, transformations)
             for image_id, tally in index.candidates(query.labels).items():
                 picture = pictures[int(image_id)]
-                candidate = _signature(picture)
+                candidate = _record(picture)
                 stage_one = query_signature.overlap_upper_bound(candidate, tally, policy)
                 stage_two = query_signature.score_upper_bound(
                     candidate, tally, policy, with_boundary_lcs=True
@@ -142,116 +110,10 @@ class TestTallyBound:
         query_signature = QuerySignature(encode_picture(query), query.labels)
         policy = SimilarityPolicy()
         bounds = {
-            query_signature.overlap_upper_bound(_signature(picture), 2, policy)
+            query_signature.overlap_upper_bound(_record(picture), 2, policy)
             for picture in pictures
         }
         assert bounds == {query_signature.overlap_upper_bound(None, 2, policy)}
-
-
-def _random_axis(rng, identifiers, dummy_rate):
-    """An axis string over ``identifiers``: each begin before its end, dummies between."""
-    occurrences = [identifier for identifier in identifiers for _ in range(2)]
-    rng.shuffle(occurrences)
-    seen = set()
-    symbols = []
-    for identifier in occurrences:
-        if rng.random() < dummy_rate:
-            symbols.append(Symbol.dummy())
-        kind = BoundaryKind.END if identifier in seen else BoundaryKind.BEGIN
-        seen.add(identifier)
-        symbols.append(Symbol.boundary(identifier, kind))
-    return AxisBEString(symbols)
-
-
-class TestPackedSignature:
-    """Slots and packed positions equal the dictionary references."""
-
-    @pytest.mark.parametrize("seed", [3, 17])
-    def test_single_pass_matches_the_per_property_counts(self, seed):
-        # AxisSignature.from_axis walks the symbols once; it must agree with
-        # the string's own counts and with a dictionary of positions.
-        for picture in random_pictures(12, seed=seed, parameters=_PARAMETERS):
-            bestring = encode_picture(picture)
-            for transformation in Transformation:
-                variant = transform(bestring, transformation)
-                for axis in (variant.x, variant.y):
-                    facts = AxisSignature.from_axis(axis)
-                    assert facts.length == len(axis)
-                    assert facts.boundaries == axis.boundary_count
-                    assert facts.dummies == axis.dummy_count
-                    assert _slot_positions(facts) == _reference_positions(axis)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        # Up to 24 symbols per axis, or 240 to 340: positions then no
-        # longer fit in a byte on most axes.
-        objects=st.one_of(st.integers(0, 12), st.integers(120, 140)),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_slots_and_positions_equal_the_references(self, objects, seed):
-        rng = random.Random(seed)
-        labels = [rng.choice("abcdefgh") for _ in range(objects)]
-        identifiers = [
-            label if labels[:index].count(label) == 0 else f"{label}#{labels[:index].count(label)}"
-            for index, label in enumerate(labels)
-        ]
-        x = _random_axis(rng, identifiers, 0.3)
-        y = _random_axis(rng, identifiers, 0.3)
-        signature = ImageSignature.from_bestring(BEString2D(x, y), labels)
-        assert signature.x.slots is signature.y.slots
-        assert list(signature.x.slots) == list(
-            dict.fromkeys(symbol.identifier for symbol in x.symbols if symbol.is_boundary)
-        )
-        for axis, facts in ((x, signature.x), (y, signature.y)):
-            packed = len(axis) <= 256
-            assert type(facts.begins) is type(facts.ends) is (bytes if packed else tuple)
-            assert _slot_positions(facts) == _reference_positions(axis)
-
-    def test_an_object_incomplete_on_either_axis_has_no_slot(self):
-        # ``a`` has no end on y, ``d`` appears on y only: neither has a slot
-        # on either axis, and the others keep their x order.
-        x = AxisBEString.from_text("E c.b a.b c.e a.e b.b b.e E")
-        y = AxisBEString.from_text("a.b b.b b.e c.b d.b c.e d.e")
-        signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "b", "c", "d"])
-        assert signature.x.slots is signature.y.slots
-        assert signature.x.slots == {"c": 0, "b": 1}
-        assert (signature.x.begins, signature.x.ends) == (bytes([1, 5]), bytes([3, 6]))
-        assert (signature.y.begins, signature.y.ends) == (bytes([3, 1]), bytes([5, 2]))
-        assert (signature.x.length, signature.x.boundaries, signature.x.dummies) == (8, 6, 2)
-        assert (signature.y.length, signature.y.boundaries, signature.y.dummies) == (7, 7, 0)
-
-    def test_an_object_missing_a_boundary_on_the_y_axis_only_has_no_slot(self):
-        x = AxisBEString.from_text("a.b a.e b.b b.e")
-        y = AxisBEString.from_text("a.b b.b b.e")
-        signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "b"])
-        assert signature.x.slots == {"b": 0}
-        assert (signature.x.begins, signature.x.ends) == (bytes([2]), bytes([3]))
-        assert (signature.y.begins, signature.y.ends) == (bytes([1]), bytes([2]))
-
-    def test_an_object_on_the_y_axis_only_has_no_slot(self):
-        x = AxisBEString.from_text("a.b a.e")
-        y = AxisBEString.from_text("a.b d.b d.e a.e")
-        signature = ImageSignature.from_bestring(BEString2D(x, y), ["a", "d"])
-        assert signature.x.slots == {"a": 0}
-        assert (signature.x.begins, signature.x.ends) == (bytes([0]), bytes([1]))
-        assert (signature.y.begins, signature.y.ends) == (bytes([0]), bytes([3]))
-
-    @pytest.mark.parametrize("dummies, packed", [(0, bytes), (1, tuple)])
-    def test_positions_are_bytes_up_to_256_symbols(self, dummies, packed):
-        # 128 objects in a row fill 256 symbols; one dummy more needs a tuple.
-        text = " ".join(f"o{index}.b o{index}.e" for index in range(128))
-        facts = AxisSignature.from_axis(AxisBEString.from_text(text + " E" * dummies))
-        assert facts.length == 256 + dummies
-        assert type(facts.begins) is type(facts.ends) is packed
-        assert (facts.begins[-1], facts.ends[-1]) == (254, 255)
-
-    def test_equal_bestrings_give_equal_signatures(self):
-        picture = random_pictures(1, seed=4, parameters=_PARAMETERS)[0]
-        bestring = encode_picture(picture)
-        reparsed = BEString2D.from_text(bestring.x.to_text(), bestring.y.to_text())
-        assert ImageSignature.from_bestring(bestring, picture.labels) == (
-            ImageSignature.from_bestring(reparsed, reversed(picture.labels))
-        )
 
 
 class TestScoreBoundSoundness:
@@ -265,11 +127,11 @@ class TestScoreBoundSoundness:
             query_signature = QuerySignature(query_bestring, query_picture.labels)
             for candidate_picture in pictures:
                 candidate_bestring = encode_picture(candidate_picture)
-                candidate = _signature(candidate_picture)
+                candidate = _record(candidate_picture)
                 true_score = similarity(
                     query_bestring, candidate_bestring, policy
                 ).score
-                overlap = query_signature.exact_overlap(candidate)
+                overlap = query_signature.exact_overlap(Counter(candidate_picture.labels))
                 bound = query_signature.score_upper_bound(
                     candidate, overlap, policy, with_boundary_lcs=True
                 )
@@ -286,11 +148,11 @@ class TestScoreBoundSoundness:
             )
             for candidate_picture in pictures:
                 candidate_bestring = encode_picture(candidate_picture)
-                candidate = _signature(candidate_picture)
+                candidate = _record(candidate_picture)
                 true_score = invariant_similarity(
                     query_bestring, candidate_bestring, policy, transformations
                 ).score
-                overlap = query_signature.exact_overlap(candidate)
+                overlap = query_signature.exact_overlap(Counter(candidate_picture.labels))
                 bound = query_signature.score_upper_bound(
                     candidate, overlap, policy, with_boundary_lcs=True
                 )
@@ -316,36 +178,60 @@ class TestScoreBoundSoundness:
         mirrored = base.reflect_y()
         query_bestring = encode_picture(base)
         query_signature = QuerySignature(query_bestring, base.labels)
-        candidate = _signature(mirrored)
         bound = query_signature.score_upper_bound(
-            candidate, query_signature.exact_overlap(candidate), policy, with_boundary_lcs=True
+            _record(mirrored), len(base.labels), policy, with_boundary_lcs=True
         )
         assert similarity(query_bestring, encode_picture(mirrored), policy).score == bound
         assert bound == pytest.approx(score)
 
-    def test_an_axis_without_one_position_per_boundary_keeps_the_overlap_cap(self):
-        # ``a`` has no end on the candidate's y axis, so it has no slot: an
-        # LIS on x finds only b's two boundaries, where the boundary LCS
-        # with the query's x is 4.  Both axes keep the cap of 2 * overlap.
-        x = AxisBEString.from_text("a.b a.e b.b b.e")
-        query = BEString2D(x, x)
-        candidate = ImageSignature.from_bestring(
-            BEString2D(x, AxisBEString.from_text("a.b b.b b.e")), ["a", "b"]
-        )
-        assert boundary_lcs(boundary_sequence(x), candidate.x) == 2
-        signature = QuerySignature(query, ["a", "b"])
-        raw = SimilarityPolicy(count_boundaries_only=True, normalization=Normalization.NONE)
-        bound = signature.score_upper_bound(candidate, 2, raw, with_boundary_lcs=True)
-        assert bound == (4 + 3) / 2
+    def test_the_walk_is_exact_on_a_candidate_axis_missing_a_boundary(self):
+        # ``a`` has no end on the candidate axis: the walk still finds the
+        # boundary LCS with the query's axis, a.b b.b b.e.
+        query = AxisBEString.from_text("a.b a.e b.b b.e")
+        signature = QuerySignature(BEString2D(query, query), ["a", "b"])
+        positions = signature.variants[0].x.positions
+        assert positions == {"a.b": 0, "a.e": 1, "b.b": 2, "b.e": 3}
+        assert boundary_lcs(positions, AxisBEString.from_text("E a.b b.b b.e E").symbols) == 3
+        assert boundary_lcs(positions, AxisBEString.from_text("b.e a.e a.b a.b").symbols) == 1
+
+    @pytest.mark.parametrize(
+        "candidate, expected",
+        [
+            ("a.b a.e b.b b.e", 4),
+            ("E a.b E a.b a.e E", 2),
+            ("a.e b.b b.e", 3),
+            ("b.e b.b a.e a.b", 1),
+            ("c.b a.b c.e b.b b.e", 3),
+            ("E E", 0),
+            ("", 0),
+        ],
+        ids=["equal", "repeated", "no-begin", "reversed", "foreign", "dummies", "empty"],
+    )
+    def test_the_walk_on_any_candidate_axis_is_the_boundary_lcs(self, candidate, expected):
+        query = AxisBEString.from_text("a.b a.e b.b b.e")
+        positions = QuerySignature(BEString2D(query, query), ["a", "b"]).variants[0].x.positions
+        assert boundary_lcs(positions, AxisBEString.from_text(candidate).symbols) == expected
+
+    def test_signature_for_reads_the_record_as_stored(self):
+        database = ImageDatabase()
+        picture = random_pictures(1, seed=6, parameters=_PARAMETERS)[0]
+        record = database.add_picture(picture, "edited")
+        x, y, boundaries = signature_for(record)
+        assert (x, y) == (record.bestring.x.symbols, record.bestring.y.symbols)
+        assert boundaries == record.bestring.x.boundary_count == 2 * len(picture)
+        # Nothing is cached: an edit shows in the next read.
+        database.add_object("edited", "added-box", Rectangle(0.5, 0.5, 2.0, 2.0))
+        x, y, boundaries = signature_for(record)
+        assert (x, y) == (record.bestring.x.symbols, record.bestring.y.symbols)
+        assert boundaries == 2 * (len(picture) + 1)
 
     def test_self_match_bound_is_tight(self):
         picture = random_pictures(1, seed=3, parameters=_PARAMETERS)[0]
         bestring = encode_picture(picture)
         query_signature = QuerySignature(bestring, picture.labels)
-        candidate = _signature(picture)
-        overlap = query_signature.exact_overlap(candidate)
+        overlap = query_signature.exact_overlap(Counter(picture.labels))
         bound = query_signature.score_upper_bound(
-            candidate, overlap, SimilarityPolicy(), with_boundary_lcs=True
+            _record(picture), overlap, SimilarityPolicy(), with_boundary_lcs=True
         )
         assert bound == pytest.approx(1.0)
 
@@ -452,33 +338,6 @@ class TestEngineEquivalence:
         assert outcome.bitmap_rejected == 0
         assert outcome.relation_rejected == 0
         assert len(outcome.candidates) == outcome.inverted_candidates
-
-
-class TestSignatureLifecycle:
-    def test_object_edits_invalidate_the_cached_signature(self):
-        database = ImageDatabase()
-        picture = random_pictures(1, seed=6, parameters=_PARAMETERS)[0]
-        record = database.add_picture(picture, "edited")
-        before = signature_for(record)
-        database.add_object("edited", "added-box", Rectangle(0.5, 0.5, 2.0, 2.0))
-        assert record.signature is None
-        after = signature_for(record)
-        assert after.label_counts.get("added-box") == 1
-        assert after != before
-
-    def test_engine_mutations_materialise_signatures(self):
-        database = ImageDatabase()
-        database.add_pictures(random_pictures(3, seed=63, parameters=_PARAMETERS))
-        engine = QueryEngine.build(database)
-        assert all(record.signature is not None for record in database)
-        picture = random_pictures(1, seed=64, parameters=_PARAMETERS)[0]
-        image_id = engine.add_picture(picture, "added-after-build")
-        record = engine.database.get(image_id)
-        assert record.signature is not None
-        engine.add_object(image_id, "late-box", Rectangle(0.5, 0.5, 2.0, 2.0))
-        record = engine.database.get(image_id)
-        assert record.signature is not None
-        assert record.signature.label_counts.get("late-box") == 1
 
     def test_engine_edits_keep_shortlist_consistent(self):
         database = ImageDatabase()

@@ -3,9 +3,9 @@
 * The tally of :meth:`InvertedSymbolIndex.candidates` never undercounts the
   label-multiset overlap, with labels repeated on both sides, and equals it
   when no query label repeats.
-* A shortlist cut by a ``min_score``, an overlap threshold or both admits
-  every image the brute-force ``oracle`` of ``tests/index/test_differential.py``
-  ranks and the threshold keeps, and nothing the threshold drops.
+* The label counts the engine's index keeps per image, after a load and any
+  run of inserts, object edits and deletes, equal those of an index rebuilt
+  from the records, so a count cannot go stale after an edit.
 * The lazy loop returns the oracle's top k, ties included, for exact and
   invariant specs with the cache off, cold and warm, and it scores exactly
   the candidates an eager loop over every candidate's stage-2 bound scores.
@@ -13,6 +13,7 @@
 
 import importlib.util
 import json
+import tempfile
 from bisect import insort
 from collections import Counter
 from pathlib import Path
@@ -20,8 +21,10 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.construct import encode_picture
+from repro.datasets.synthetic import SceneParameters, random_pictures
+from repro.geometry.rectangle import Rectangle
 from repro.index.inverted import InvertedSymbolIndex
-from repro.index.shortlist import ImageSignature, QuerySignature, signature_for
+from repro.index.shortlist import QuerySignature
 from repro.index.spec import STAGE_SHORTLIST, QuerySpec
 from repro.retrieval.system import RetrievalSystem
 
@@ -80,40 +83,12 @@ def test_tally_bounds_the_overlap(data):
     repeats = len(set(query.labels)) < len(query.labels)
     for image_id, picture in pictures.items():
         exact = overlap(query, picture)
-        candidate = ImageSignature.from_bestring(encode_picture(picture), picture.labels)
-        assert signature.exact_overlap(candidate) == exact
+        assert signature.exact_overlap(index.label_counts(image_id)) == exact
         tally = tallies.get(image_id, 0)
         assert exact <= tally <= len(query.labels)
         assert (image_id in tallies) == (exact > 0)
         if not repeats:
             assert tally == exact
-
-
-@SETTINGS
-@given(
-    data=st.data(),
-    minimum_score=st.sampled_from([0.0, 0.25, 0.6]),
-    threshold=st.sampled_from([0.0, 0.5, 1.0]),
-    invariant=st.booleans(),
-)
-def test_a_cut_shortlist_admits_what_the_oracle_ranks(data, minimum_score, threshold, invariant):
-    pictures = data.draw(corpora())
-    query = data.draw(queries(pictures))
-    system = RetrievalSystem.from_pictures(
-        list(pictures.values()), minimum_signature_overlap=threshold
-    )
-    builder = system.query(query).limit(None).min_score(minimum_score)
-    if invariant:
-        builder = builder.invariant()
-    spec = builder.spec()
-    ranked = {row["image_id"] for row in oracle(pictures, spec)}
-    kept = {
-        image_id
-        for image_id, picture in pictures.items()
-        if overlap(query, picture) >= threshold * len(query.labels)
-    }
-    admitted = set(system._engine.shortlist(spec).candidates)
-    assert ranked & kept <= admitted <= kept
 
 
 def eager_examined(system, spec, scores):
@@ -125,7 +100,7 @@ def eager_examined(system, spec, scores):
     keys = []
     for image_id in outcome.candidates:
         bound = signature.score_upper_bound(
-            signature_for(engine.database.get(image_id)),
+            engine.database.get(image_id),
             outcome.tallies[image_id],
             spec.effective_policy(),
             with_boundary_lcs=True,
@@ -173,3 +148,69 @@ def test_the_lazy_loop_returns_the_oracles_top_k(data, limit, minimum_score, inv
             if candidate.stage == STAGE_SHORTLIST
         }
         assert examined == eager_examined(system, spec, scores), label
+
+
+_LABELS = tuple(f"c{index}" for index in range(6))
+_PARAMETERS = SceneParameters(object_count=4, labels=_LABELS, label_choice="random")
+
+#: One edit: insert a fresh scene, add an icon to a stored image, remove an
+#: icon from one, or delete one.  Each draws its target by index.
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "add_object", "remove_object", "delete"]),
+        st.integers(min_value=0, max_value=1000),
+        st.sampled_from(_LABELS + ("fresh",)),
+    ),
+    max_size=12,
+)
+
+
+def rebuilt_index(database):
+    """An index built from scratch over the records, counting on its own."""
+    index = InvertedSymbolIndex()
+    for record in database:
+        index.add_picture(record.image_id, record.picture)
+    return index
+
+
+def apply_edit(system, step, edit):
+    kind, pick, label = edit
+    ids = system.image_ids
+    if kind == "insert" or not ids:
+        fresh = random_pictures(1, seed=pick, parameters=_PARAMETERS)[0]
+        system.add_picture(fresh, f"fresh-{step}")
+        return
+    image_id = ids[pick % len(ids)]
+    if kind == "delete":
+        system.remove_picture(image_id)
+    elif kind == "add_object":
+        system.add_object(image_id, label, Rectangle(1.0, 1.0, 2.0 + pick % 7, 3.0))
+    else:
+        identifiers = system.record(image_id).picture.identifiers
+        if identifiers:
+            system.remove_object(image_id, identifiers[pick % len(identifiers)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10_000), edits=_EDITS)
+def test_shared_label_counts_match_a_rebuilt_index(seed, edits):
+    pictures = random_pictures(6, seed=seed, parameters=_PARAMETERS, name_prefix="img")
+    with tempfile.TemporaryDirectory() as directory:
+        path = RetrievalSystem.from_pictures(pictures).save(Path(directory) / "db.json")
+        system = RetrievalSystem.from_file(path)
+    engine = system._engine
+    for step, edit in enumerate(edits):
+        apply_edit(system, step, edit)
+    expected = rebuilt_index(engine.database)
+    index = engine.inverted_index
+    assert index.indexed_images == expected.indexed_images
+    assert index.vocabulary == expected.vocabulary
+    for label in expected.vocabulary + ["fresh", "absent"]:
+        assert index.images_with_label(label) == expected.images_with_label(label)
+    for record in engine.database:
+        assert index.labels_of(record.image_id) == Counter(record.picture.labels)
+        assert index.label_counts(record.image_id) == Counter(record.picture.labels)
+    for size in range(1, 4):
+        labels = _LABELS[:size] + ("fresh",)
+        for shared in range(1, size + 2):
+            assert index.candidates(labels, shared) == expected.candidates(labels, shared)

@@ -10,7 +10,6 @@ from repro.geometry.rectangle import Rectangle
 from repro.index.backends import load_database_from
 from repro.index.database import ImageDatabase, _collector_paused
 from repro.index.query import QueryEngine
-from repro.index.shortlist import ImageSignature
 from repro.index.storage import StorageError
 from repro.retrieval.system import RetrievalSystem
 
@@ -192,18 +191,6 @@ class TestLoadPausesTheCollector:
             assert not gc.isenabled()
         finally:
             gc.enable()
-
-    def test_every_record_has_its_signature_when_from_file_returns(self, saved):
-        system = RetrievalSystem.from_file(saved)
-        engine = system._engine
-        for record in engine.database:
-            assert record.signature == ImageSignature.from_bestring(
-                record.bestring, record.picture.labels
-            )
-            # The inverted index holds the signature's own label counts.
-            assert engine.inverted_index._image_labels[record.image_id] is (
-                record.signature.label_counts
-            )
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
-"""The value-record contract of the seven slotted types a load builds.
+"""The value-record contract of the five slotted types a load builds.
 
-``Rectangle``, ``IconObject``, ``SymbolicPicture``, ``AxisBEString``,
-``BEString2D``, ``AxisSignature`` and ``ImageSignature`` are frozen
-dataclasses with ``__slots__``, a checked ``__init__`` and a
-``__reduce__`` that rebuilds each value through that constructor.  These tests pin what callers rely on:
+``Rectangle``, ``IconObject``, ``SymbolicPicture``, ``AxisBEString`` and
+``BEString2D`` are frozen dataclasses with ``__slots__``, a checked
+``__init__`` and a ``__reduce__`` that rebuilds each value through that
+constructor.  These tests pin what callers rely on:
 pickling at every protocol (on every supported Python, 3.9 included),
 copies, equality and hashing, ordering, immutability, the absence of an
 instance ``__dict__`` and the ``dataclasses`` helpers; and that a pickle
@@ -24,7 +24,6 @@ from repro.geometry.point import Point
 from repro.geometry.rectangle import Rectangle
 from repro.iconic.icon import IconObject
 from repro.iconic.picture import PictureError, SymbolicPicture
-from repro.index.shortlist import AxisSignature, ImageSignature
 
 
 def _values():
@@ -42,29 +41,17 @@ def _values():
         "SymbolicPicture": (picture, SymbolicPicture.from_dict(picture.to_dict())),
         "AxisBEString": (bestring.x, AxisBEString.from_text(bestring.x.to_text())),
         "BEString2D": (bestring, reparsed),
-        "AxisSignature": (
-            AxisSignature.from_axis(bestring.y),
-            AxisSignature.from_axis(reparsed.y),
-        ),
-        "ImageSignature": (
-            ImageSignature.from_bestring(bestring, picture.labels),
-            ImageSignature.from_bestring(reparsed, reversed(picture.labels)),
-        ),
     }
 
 
 VALUES = _values()
 NAMES = sorted(VALUES)
-#: The two signatures hold dicts, so hashing one raises, as before slots.
-HASHABLE = [name for name in NAMES if not name.endswith("Signature")]
 FIELDS = {
     "Rectangle": ("x_begin", "y_begin", "x_end", "y_end"),
     "IconObject": ("label", "mbr", "instance"),
     "SymbolicPicture": ("width", "height", "icons", "name"),
     "AxisBEString": ("symbols",),
     "BEString2D": ("x", "y", "name"),
-    "AxisSignature": ("length", "boundaries", "dummies", "slots", "begins", "ends"),
-    "ImageSignature": ("label_counts", "x", "y"),
 }
 
 
@@ -87,8 +74,7 @@ class TestContract:
         restored = pickle.loads(pickle.dumps(value, protocol=protocol))
         assert type(restored) is type(value)
         assert restored == value
-        if name in HASHABLE:
-            assert hash(restored) == hash(value)
+        assert hash(restored) == hash(value)
 
     def test_copy_and_deepcopy_are_equal(self, name):
         value, _ = VALUES[name]
@@ -100,12 +86,8 @@ class TestContract:
         value, other = VALUES[name]
         assert other is not value
         assert other == value and not other != value
-        if name in HASHABLE:
-            assert hash(other) == hash(value)
-            assert {value: "found"}[other] == "found"
-        else:
-            with pytest.raises(TypeError):
-                hash(value)
+        assert hash(other) == hash(value)
+        assert {value: "found"}[other] == "found"
 
     def test_frozen_against_assignment_and_deletion(self, name):
         value, _ = VALUES[name]
@@ -152,25 +134,6 @@ class TestOrdering:
         key = lambda icon: (icon.label, icon.mbr.as_tuple(), icon.instance)  # noqa: E731
         assert sorted(icons) == sorted(icons, key=key)
         assert IconObject("a", box) < IconObject("a", box, 1) < IconObject("b", box)
-
-
-class TestSignatureLayout:
-    def test_axes_share_one_slot_table_through_every_copy(self):
-        value, _ = VALUES["ImageSignature"]
-        copies = [copy.deepcopy(value)] + [
-            pickle.loads(pickle.dumps(value, protocol=protocol))
-            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
-        ]
-        assert value.x.slots is value.y.slots
-        for duplicate in copies:
-            assert duplicate == value
-            assert duplicate.x.slots is duplicate.y.slots
-
-    def test_positions_are_bytes_indexed_by_slot(self):
-        value, _ = VALUES["AxisSignature"]
-        assert type(value.begins) is type(value.ends) is bytes
-        assert sorted(value.slots.values()) == list(range(len(value.begins)))
-        assert all(value.begins[slot] < value.ends[slot] for slot in value.slots.values())
 
 
 class TestReplaceChecksAgain:

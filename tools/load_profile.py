@@ -9,9 +9,10 @@ the two recipes agree) -- and reports, for ``RetrievalSystem.from_file`` on
 that file:
 
 * **Stages** -- ms per load of each load stage, run one after another with
-  the cyclic collector off: JSON decode, picture decode, re-encode, compare,
-  signatures, postings; then ``from_file`` end to end.  Medians over
-  three rounds of seven loads.
+  the cyclic collector off: JSON decode (the streamed walk of
+  ``load_database``, each entry kept rather than stored), picture decode,
+  re-encode, compare, postings; then ``from_file`` end to end.  Medians
+  over three rounds of seven loads.
 * **Collector** -- the collector's time (``gc.callbacks``) inside seven
   back-to-back ``from_file`` calls, each made while the previous system is
   still alive, as the benchmark's seven set-ups are; and how many
@@ -24,6 +25,10 @@ that file:
   heap) and file-backed (``RssFile``: mapped code and libraries) parts
   (Linux only; the benchmark's ``rss_mb`` is VmRSS read the same way after
   its seven set-ups).
+
+Every run also writes these figures to
+``benchmarks/results/load_profile-seed<N>.json`` (keys in :func:`main`);
+``benchmarks/baselines/BENCH_load_seed0.json`` is a committed full run.
 
 Standard library only; runs against the installed package or a
 ``PYTHONPATH=src`` checkout.  ``--smoke`` shrinks everything so the tool
@@ -49,7 +54,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 if (REPO_ROOT / "src" / "repro").is_dir():  # checkout fallback; no-op when installed
@@ -58,8 +63,8 @@ if (REPO_ROOT / "src" / "repro").is_dir():  # checkout fallback; no-op when inst
 from repro.core.construct import encode_picture  # noqa: E402
 from repro.datasets.synthetic import SceneParameters, random_pictures  # noqa: E402
 from repro.iconic.picture import SymbolicPicture  # noqa: E402
+from repro.index import storage  # noqa: E402
 from repro.index.inverted import InvertedSymbolIndex  # noqa: E402
-from repro.index.shortlist import ImageSignature  # noqa: E402
 from repro.retrieval.system import RetrievalSystem  # noqa: E402
 
 #: Objects per scene, label-pool size and scenes of the ``topk-unique``
@@ -75,6 +80,8 @@ LOADS = 7
 SITES = 12
 #: ``(images, rounds, loads, sites)`` under ``--smoke``.
 SMOKE = (60, 1, 2, 5)
+#: Where each run writes its JSON document.
+RESULTS = REPO_ROOT / "benchmarks" / "results"
 
 #: The resident-set lines of ``/proc/self/status`` the VmRSS figure prints.
 RSS_FIELDS = ("VmRSS", "RssAnon", "RssFile")
@@ -127,8 +134,15 @@ def stage_times(path: Path) -> Dict[str, float]:
     try:
 
         def decode() -> List[dict]:
-            with path.open("r", encoding="utf-8") as handle:
-                return json.load(handle)["images"]
+            # load_database's own read and walk, each entry kept, not stored.
+            entries: List[dict] = []
+            store = storage.image_entry_to_record
+            storage.image_entry_to_record = lambda database, entry: entries.append(entry)
+            try:
+                storage.load_database(path)
+            finally:
+                storage.image_entry_to_record = store
+            return entries
 
         entries = timed("JSON decode", decode)
         pictures = timed(
@@ -143,22 +157,15 @@ def stage_times(path: Path) -> Dict[str, float]:
                 for bestring, entry in zip(bestrings, entries)
             ],
         )
-        signatures = timed(
-            "signatures",
-            lambda: [
-                ImageSignature.from_bestring(bestring, picture.labels)
-                for bestring, picture in zip(bestrings, pictures)
-            ],
-        )
 
         def postings() -> InvertedSymbolIndex:
             index = InvertedSymbolIndex()
-            for entry, picture, signature in zip(entries, pictures, signatures):
-                index.update_picture(entry["image_id"], picture, signature.label_counts)
+            for entry, picture in zip(entries, pictures):
+                index.update_picture(entry["image_id"], picture)
             return index
 
         timed("postings", postings)
-        del entries, pictures, bestrings, signatures
+        del entries, pictures, bestrings
         timed("from_file", lambda: RetrievalSystem.from_file(path))
     finally:
         if was_enabled:
@@ -166,7 +173,7 @@ def stage_times(path: Path) -> Dict[str, float]:
     return times
 
 
-def collector_time(path: Path, loads: int) -> Dict[str, float]:
+def collector_time(path: Path, loads: int) -> Dict[str, Any]:
     """The collector's work inside ``loads`` back-to-back ``from_file`` calls."""
     pauses: List[float] = []
     generations: Dict[int, int] = {}
@@ -210,8 +217,13 @@ def tracked_objects(path: Path) -> List[int]:
     return [late - early for early, late in zip(before, after)]
 
 
-def retained_memory(path: Path, images: int, sites: int) -> None:
-    """Print what one loaded system keeps, by allocation site, and the load's peak."""
+def retained_memory(path: Path, images: int, sites: int) -> Dict[str, Any]:
+    """Print what one loaded system keeps, by allocation site, and the load's peak.
+
+    Returns:
+        The same figures per 1,000 records: ``kib`` and ``allocations``
+        kept in total, the ``sites`` that keep the most, and ``peak_kib``.
+    """
     per_thousand = 1000.0 / images
     gc.collect()
     tracemalloc.start()
@@ -232,16 +244,31 @@ def retained_memory(path: Path, images: int, sites: int) -> None:
     count = sum(difference.count_diff for difference in differences)
     print(f"\nretained per 1,000 records ({len(system)} loaded):")
     print(f"  {'KiB':>8}  {'allocs':>8}  site")
+    listed = []
     for difference in kept[:sites]:
         frame = difference.traceback[0]
-        source = linecache.getline(frame.filename, frame.lineno).strip()
-        where = _short_path(frame.filename)
-        print(
-            f"  {difference.size_diff * per_thousand / 1024:8.0f}  "
-            f"{difference.count_diff * per_thousand:8.0f}  {where}:{frame.lineno}  {source[:60]}"
+        listed.append(
+            {
+                "site": f"{_short_path(frame.filename)}:{frame.lineno}",
+                "source": linecache.getline(frame.filename, frame.lineno).strip(),
+                "kib": round(difference.size_diff * per_thousand / 1024, 1),
+                "allocations": round(difference.count_diff * per_thousand),
+            }
         )
-    print(f"  {total * per_thousand / 1024:8.0f}  {count * per_thousand:8.0f}  total")
-    print(f"peak above the start of the load: {(peak - start) * per_thousand / 1024:.0f} KiB")
+    for site in listed:
+        print(
+            f"  {site['kib']:8.0f}  {site['allocations']:8.0f}  "
+            f"{site['site']}  {site['source'][:60]}"
+        )
+    memory = {
+        "kib": round(total * per_thousand / 1024, 1),
+        "allocations": round(count * per_thousand),
+        "sites": listed,
+        "peak_kib": round((peak - start) * per_thousand / 1024, 1),
+    }
+    print(f"  {memory['kib']:8.0f}  {memory['allocations']:8.0f}  total")
+    print(f"peak above the start of the load: {memory['peak_kib']:.0f} KiB")
+    return memory
 
 
 def _short_path(filename: str) -> str:
@@ -252,8 +279,11 @@ def _short_path(filename: str) -> str:
     return os.path.join(*Path(filename).parts[-2:])
 
 
-def fresh_rss(path: Path, loads: int) -> str:
-    """VmRSS of a fresh interpreter after ``loads`` loads, with its parts, or ``unavailable``."""
+def fresh_rss(path: Path, loads: int) -> Dict[str, float]:
+    """VmRSS of a fresh interpreter after ``loads`` loads, with its parts, in MiB.
+
+    Empty off Linux.
+    """
     environment = dict(os.environ)
     source = REPO_ROOT / "src"
     if (source / "repro").is_dir():
@@ -267,15 +297,27 @@ def fresh_rss(path: Path, loads: int) -> str:
         check=True,
     )
     kib = dict(line.split() for line in completed.stdout.splitlines())
-    if "VmRSS" not in kib:
+    return {field: round(int(value) / 1024, 2) for field, value in kib.items()}
+
+
+def _describe_rss(rss: Dict[str, float]) -> str:
+    if "VmRSS" not in rss:
         return "unavailable"
-    parts = ", ".join(
-        f"{field} {int(kib[field]) / 1024:.2f}" for field in RSS_FIELDS[1:] if field in kib
-    )
-    return f"{int(kib['VmRSS']) / 1024:.2f} MiB ({parts})"
+    parts = ", ".join(f"{field} {rss[field]:.2f}" for field in RSS_FIELDS[1:] if field in rss)
+    return f"{rss['VmRSS']:.2f} MiB ({parts})"
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Profile one load; print the figures and write them as JSON.
+
+    The document's keys: ``seed``, ``smoke``, ``corpus`` (``images``,
+    ``objects``, ``labels``, ``bytes``), ``stages_ms`` (median ms per stage),
+    ``collector`` (``ms_per_load``, ``collections``, ``full``),
+    ``tracked_objects`` (per generation), ``retained`` (KiB and
+    allocations per 1,000 records, in total and by ``sites``, and the
+    ``peak_kib`` above the load's start), and ``vmrss_mib`` (empty off
+    Linux).
+    """
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="corpus seed")
     parser.add_argument("--smoke", action="store_true", help="a tiny, quick run")
@@ -293,23 +335,41 @@ def main(argv: Optional[List[str]] = None) -> int:
             for _ in range(loads):
                 for stage, seconds in stage_times(path).items():
                     samples.setdefault(stage, []).append(seconds)
+        stages = {
+            stage: round(statistics.median(values) * 1000.0, 2) for stage, values in samples.items()
+        }
         print(f"\nms per load, collector off (median of {rounds}x{loads}):")
-        for stage, values in samples.items():
-            print(f"  {stage:<16}{statistics.median(values) * 1000.0:8.1f}")
+        for stage, milliseconds in stages.items():
+            print(f"  {stage:<16}{milliseconds:8.1f}")
         collector = collector_time(path, loads)
         print(
             f"collector inside {loads} back-to-back from_file calls: "
             f"{collector['ms_per_load']:.1f} ms per load, "
             f"{collector['collections']} collections ({collector['full']} full)"
         )
-        young, middle, old = tracked_objects(path)
+        tracked = tracked_objects(path)
+        young, middle, old = tracked
         print(
             f"collector-tracked objects one load leaves: {young + middle + old} "
             f"(generation 0: {young}, 1: {middle}, 2: {old})"
         )
-        retained_memory(path, images, sites)
+        memory = retained_memory(path, images, sites)
         rss = fresh_rss(path, loads)
-        print(f"VmRSS of a fresh interpreter after {loads} loads: {rss}")
+        print(f"VmRSS of a fresh interpreter after {loads} loads: {_describe_rss(rss)}")
+    document = {
+        "seed": args.seed,
+        "smoke": args.smoke,
+        "corpus": {"images": images, "objects": OBJECTS, "labels": LABELS, "bytes": size},
+        "stages_ms": stages,
+        "collector": collector,
+        "tracked_objects": tracked,
+        "retained": memory,
+        "vmrss_mib": rss,
+    }
+    RESULTS.mkdir(parents=True, exist_ok=True)
+    target = RESULTS / f"load_profile-seed{args.seed}.json"
+    target.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {target}")
     return 0
 
 
